@@ -3,10 +3,11 @@
 Not a paper figure — this measures the *host-side* cost of the cycle
 simulator itself. Two layered optimisations are gated here:
 
-* the **event engine** (wakeup scheduling plus quiescent fast-forward)
-  must deliver a large wall-clock win over the dense oracle on
-  memory-bound workloads, where most cycles are DRAM-latency quiet
-  spans, while staying within noise of the oracle on always-hot ones;
+* the **event engine** (one wake-cycle scan per cycle plus quiescent
+  fast-forward) must deliver a large wall-clock win over the dense
+  oracle on memory-bound workloads, where most cycles are DRAM-latency
+  quiet spans, while staying within noise of the oracle on always-hot
+  ones;
 * the **compiled engine** (per-design specialized flat kernels,
   ``repro.sim.compile``) must beat the event engine *everywhere*: it
   inherits the event engine's fast-forward, then removes Python
@@ -35,10 +36,10 @@ event engine on always-hot workloads live in docs/simulator.md):
 ========================  =======================  ====================
 case                      compiled vs event        compiled vs dense
 ========================  =======================  ====================
-fib                       >= 1.4x  (meas. ~2.2x)   --
-mergesort                 >= 1.7x  (meas. ~2.6x)   --
-stencil                   >= 1.6x  (meas. ~2.5x)   --
-saxpy-membound            >= 1.2x  (meas. ~1.8x)   >= 6x (meas. ~11x)
+fib                       >= 1.4x  (meas. ~2.1x)   --
+mergesort                 >= 1.7x  (meas. ~2.2x)   --
+stencil                   >= 1.6x  (meas. ~2.4x)   --
+saxpy-membound            >= 1.2x  (meas. ~1.5x)   >= 6x (meas. ~10x)
 ========================  =======================  ====================
 
 The event engine keeps its original gates: >= 5x over dense on the
@@ -88,7 +89,7 @@ COMPILED_MEMBOUND_VS_DENSE = 6.0
 MEMBOUND_MIN_SPEEDUP = 5.0
 
 #: even on always-hot workloads (fib: something fires nearly every
-#: cycle) the event engine's hot-set scheduling must keep its overhead
+#: cycle) the event engine's wake-cycle scan must keep its overhead
 #: under 5% of the dense oracle
 ALWAYS_HOT_MIN_SPEEDUP = 0.95
 
@@ -204,9 +205,8 @@ def test_sim_throughput(benchmark, save_result, save_json):
         f"memory-bound event speedup {membound['event_speedup']:.2f}x "
         f"< {MEMBOUND_MIN_SPEEDUP}x")
     assert membound["fast_forwarded_cycles"] > membound["cycles"] // 2
-    # ... while hot-set scheduling plus the adaptive dense fallback keep
-    # the event engine within 5% of the dense oracle where nothing can
-    # be skipped
+    # ... while the wake-cycle scan keeps the event engine within 5% of
+    # the dense oracle where nothing can be skipped
     for name in ("fib", "mergesort", "stencil"):
         assert by_name[name]["event_speedup"] >= ALWAYS_HOT_MIN_SPEEDUP, (
             f"{name}: event engine {by_name[name]['event_speedup']:.2f}x "

@@ -310,14 +310,10 @@ class SweepRunner:
         """Aggregate per-worker utilization, queue-wait and point-latency
         histograms, folded into the sweep summary (and from there into
         the BENCH JSON's top-level ``telemetry`` block)."""
-        from repro.telemetry.metrics import (LATENCY_BUCKETS_S,
-                                             MetricsRegistry)
+        from repro.telemetry.metrics import LATENCY_BUCKETS_S, Histogram
 
-        local = MetricsRegistry(enabled=True)
-        point_hist = local.histogram("sweep.point_seconds",
-                                     buckets=LATENCY_BUCKETS_S)
-        wait_hist = local.histogram("sweep.queue_wait_seconds",
-                                    buckets=LATENCY_BUCKETS_S)
+        point_hist = Histogram(LATENCY_BUCKETS_S)
+        wait_hist = Histogram(LATENCY_BUCKETS_S)
         workers: Dict[int, Dict[str, float]] = {}
         for record in records:
             if record is None or record.get("cache_hit"):

@@ -5,10 +5,11 @@ elaborated netlist into ONE generated Python module specialized for that
 exact design: every task unit / TXU tile is inlined down to straight-line
 per-dataflow-node code (operand reads, two's-complement wrap masks,
 handshake checks and latency literals baked in as constants), while the
-rarely-hot plumbing components (arbiters, demuxes, cache, DRAM,
-scratchpad, data boxes) keep their real ``tick()`` bodies but run behind
-*no-op guards* — start-of-cycle state checks that are provably false
-exactly when the tick could not change any architectural state.
+plumbing components (arbiters, demuxes, cache, DRAM, scratchpad, data
+boxes) are inlined too — their ``tick()`` bodies mirrored statement for
+statement with channel handshakes turned into flat-array ops — and run
+behind *no-op guards*: start-of-cycle state checks that are provably
+false exactly when the tick could not change any architectural state.
 
 The contract is the same bit-identity the dense and event engines share:
 cycle counts, architectural stats, channel traffic and error behaviour
@@ -69,6 +70,7 @@ from repro.memory.cache import Cache
 from repro.memory.databox import DataBox
 from repro.memory.dram import DRAMModel
 from repro.memory.scratchpad import Scratchpad
+from repro.sim import engine as _engine
 from repro.task.task_unit import OUTBOUND_BUFFER, TaskUnit
 from repro.task.txu import TXUTile
 
@@ -1379,6 +1381,10 @@ def _generate(sim) -> Tuple[str, dict]:
 
     busy_expr = " or ".join("(%s)" % t for t in busy) if busy else "0"
     nch = len(em.channels)
+    # the stall windows are read at generation time and emitted as
+    # literals, so the kernel digest rolls over when they change
+    stalled = "idle > %d or quiet > %d" % (_engine.DEADLOCK_WINDOW,
+                                           _engine.STALL_WINDOW)
 
     body: List[str] = []
     w = body.append
@@ -1476,7 +1482,7 @@ def _generate(sim) -> Tuple[str, dict]:
     w("                        CU[k] += 1")
     w("                        CP[k] = None")
     w("                    nm.add(CN[k])")
-    w("                if len(mlog) < 1000000:")
+    w("                if len(mlog) < %d:" % _engine.MOVEMENT_LOG_CAP)
     w("                    mlog.append((cycle, tuple(sorted(nm))))")
     w("            del dl[:]")
     w("            cycle += 1")
@@ -1494,7 +1500,7 @@ def _generate(sim) -> Tuple[str, dict]:
     w("        else:")
     w("            idle += 1")
     w("            busy = 0")
-    w("        if idle > 2048 or quiet > 32768:")
+    w("        if %s:" % stalled)
     w("            sim.cycle = cycle")
     w("            sim._idle_cycles = idle")
     w("            sim._quiet_cycles = quiet")
@@ -1505,10 +1511,10 @@ def _generate(sim) -> Tuple[str, dict]:
     w("        tw = limit")
     body.extend("        " + line for line in skip)
     w("        if not busy:")
-    w("            w = cycle + 2049 - idle")
+    w("            w = cycle + %d - idle" % (_engine.DEADLOCK_WINDOW + 1))
     w("            if w < tw:")
     w("                tw = w")
-    w("        w = cycle + 32769 - quiet")
+    w("        w = cycle + %d - quiet" % (_engine.STALL_WINDOW + 1))
     w("        if w < tw:")
     w("            tw = w")
     w("        span = tw - cycle")
@@ -1518,7 +1524,7 @@ def _generate(sim) -> Tuple[str, dict]:
     w("            if not busy:")
     w("                idle += span")
     w("            ff += span")
-    w("            if idle > 2048 or quiet > 32768:")
+    w("            if %s:" % stalled)
     w("                sim.cycle = cycle")
     w("                sim._idle_cycles = idle")
     w("                sim._quiet_cycles = quiet")

@@ -18,13 +18,6 @@ OBS_IDLE = "idle"
 OBS_STATES = (OBS_BUSY, OBS_STALL_IN, OBS_STALL_OUT, OBS_IDLE)
 
 
-#: sentinel wake time for components in the engine's *hot set*: they are
-#: ticked unconditionally every cycle, so channel-commit subscriber scans
-#: must never re-enqueue them (HOT < any real cycle makes the
-#: ``next_cycle < _wake_cycle`` wake test always false)
-HOT = -1
-
-
 class Component:
     """A clocked block. Once per cycle the engine calls :meth:`tick`;
     channel reads inside tick observe start-of-cycle state, so tick order
@@ -35,19 +28,15 @@ class Component:
     slots; subclasses add their own ``__dict__`` as usual.
     """
 
-    __slots__ = ("name", "sim", "_sim_index", "_wake_cycle",
-                 "_event_aware", "_hot", "_hot_streak", "__dict__",
-                 "__weakref__")
+    __slots__ = ("name", "sim", "_wake_cycle", "_event_aware",
+                 "__dict__", "__weakref__")
 
     def __init__(self, name: str):
         self.name = name
         self.sim = None  # set on registration
         # event-engine bookkeeping, owned by the Simulator
-        self._sim_index = -1
         self._wake_cycle = NEVER
         self._event_aware = False
-        self._hot = False        # member of the engine's hot set
-        self._hot_streak = 0     # consecutive stay-hot wakes (promotion)
 
     def tick(self, cycle: int):
         """Do one cycle of work: read input channels, update internal

@@ -1,13 +1,13 @@
-"""Host-side telemetry: metrics, pipeline tracing, host-time
+"""Host-side telemetry: latency histograms, pipeline tracing, host-time
 attribution, and the persistent run registry.
 
 The guest machine became observable in ``repro.obs`` (cycle ledgers,
 stall attribution, Perfetto traces); this package does the same for the
 *host-side* toolchain:
 
-* :class:`MetricsRegistry` — process-local counters, gauges and
-  fixed-bucket histograms (disabled by default; a disabled instrument
-  mutation is one flag test),
+* :class:`Histogram` — fixed-bucket latency histograms
+  (:data:`LATENCY_BUCKETS_S`) behind the sweep summary's telemetry
+  block,
 * :class:`SpanTracer` / :data:`TRACER` — span-based tracing over every
   toolchain phase (parse → IR build → passes → elaboration →
   simulation), exported as host-thread tracks into the same
@@ -38,19 +38,13 @@ from repro.telemetry.history import (
 from repro.telemetry.hostprof import HostProfiler
 from repro.telemetry.metrics import (
     LATENCY_BUCKETS_S,
-    METRICS,
-    SIZE_BUCKETS,
-    Counter,
-    Gauge,
     Histogram,
-    MetricsRegistry,
     exponential_buckets,
 )
 from repro.telemetry.spans import TRACER, Span, SpanTracer, host_trace_events
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "METRICS",
-    "LATENCY_BUCKETS_S", "SIZE_BUCKETS", "exponential_buckets",
+    "Histogram", "LATENCY_BUCKETS_S", "exponential_buckets",
     "Span", "SpanTracer", "TRACER", "host_trace_events",
     "HostProfiler",
     "DRIFT_METRICS", "HISTORY_DIR_ENV", "HISTORY_FILE",

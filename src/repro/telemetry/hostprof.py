@@ -12,9 +12,9 @@ by ``tests/telemetry/test_hostprof.py`` on both engines.
 
 Attribution is exhaustive: wall-clock not inside a component tick, a
 channel commit or the observer is reported as the named
-``engine.schedule`` phase (wake-set bookkeeping, heap scans, ``done()``
-polling), so the ranked report always accounts for 100% of the run
-loop while the *measured* fraction stays an honest machinery check.
+``engine.schedule`` phase (the wake-cycle scan, ``done()`` polling), so
+the ranked report always accounts for 100% of the run loop while the
+*measured* fraction stays an honest machinery check.
 """
 
 from __future__ import annotations
@@ -125,8 +125,8 @@ class HostProfiler:
 
     @property
     def schedule_ns(self) -> int:
-        """Run-loop residual: wake bookkeeping, heap scans, ``done()``
-        checks, accounting — everything between the timed activities."""
+        """Run-loop residual: the wake-cycle scan, ``done()`` checks,
+        accounting — everything between the timed activities."""
         return max(0, self.wall_ns - self.measured_ns)
 
     def measured_fraction(self) -> float:

@@ -1,23 +1,15 @@
-"""Process-local metrics: counters, gauges, histograms.
+"""Fixed-bucket histograms for host-side latencies.
 
-A tiny Prometheus-shaped registry for the *host-side* toolchain (the
-guest machine has its own cycle ledgers in ``repro.obs``). Instruments
-are created once by name and shared process-wide; the registry can be
-disabled, in which case every ``inc``/``set``/``observe`` is a single
-flag test and an early return — cheap enough to leave instrumentation
-in hot host paths permanently (bounded by a micro-test in
-``tests/telemetry/test_metrics.py``).
-
-Histograms use **fixed bucket schemes** so two runs of the same process
-(or two workers of the same sweep) always produce mergeable documents:
-
-* :data:`LATENCY_BUCKETS_S` — host latencies from 100us to ~2 minutes,
-* :data:`SIZE_BUCKETS` — counts/bytes in powers of four.
+The sweep runner summarises per-point and queue-wait latencies with
+these (the guest machine has its own cycle ledgers in ``repro.obs``).
+Histograms use a **fixed bucket scheme** — :data:`LATENCY_BUCKETS_S`,
+100us to ~2 minutes — so two runs of the same process (or two workers
+of the same sweep) always produce mergeable documents.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.errors import TapasError
 
@@ -40,73 +32,8 @@ def exponential_buckets(start: float, factor: float,
 #: compile phase and simulation we time lands inside it)
 LATENCY_BUCKETS_S = exponential_buckets(0.0001, 2.0, 20)
 
-#: generic count/size scheme: 1 .. ~10^9 in x4 steps
-SIZE_BUCKETS = exponential_buckets(1, 4.0, 16)
 
-
-class Metric:
-    """Common plumbing: every instrument belongs to one registry and
-    consults its ``enabled`` flag on the hot path."""
-
-    __slots__ = ("name", "help", "_registry")
-
-    kind = "metric"
-
-    def __init__(self, name: str, registry: "MetricsRegistry",
-                 help: str = ""):
-        self.name = name
-        self.help = help
-        self._registry = registry
-
-
-class Counter(Metric):
-    """Monotonically increasing count."""
-
-    __slots__ = ("value",)
-
-    kind = "counter"
-
-    def __init__(self, name, registry, help=""):
-        super().__init__(name, registry, help)
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        if not self._registry.enabled:
-            return
-        if amount < 0:
-            raise TapasError(f"counter {self.name}: negative increment")
-        self.value += amount
-
-    def as_dict(self) -> dict:
-        return {"type": "counter", "value": self.value}
-
-
-class Gauge(Metric):
-    """A value that goes up and down (queue depth, workers alive)."""
-
-    __slots__ = ("value",)
-
-    kind = "gauge"
-
-    def __init__(self, name, registry, help=""):
-        super().__init__(name, registry, help)
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        if not self._registry.enabled:
-            return
-        self.value = value
-
-    def add(self, delta: float) -> None:
-        if not self._registry.enabled:
-            return
-        self.value += delta
-
-    def as_dict(self) -> dict:
-        return {"type": "gauge", "value": self.value}
-
-
-class Histogram(Metric):
+class Histogram:
     """Fixed-bucket histogram (cumulative-style bounds, plus +Inf).
 
     ``buckets`` are the inclusive upper bounds of each bucket; a final
@@ -117,15 +44,11 @@ class Histogram(Metric):
 
     __slots__ = ("buckets", "counts", "count", "sum", "min", "max")
 
-    kind = "histogram"
-
-    def __init__(self, name, registry, buckets: Sequence[float] = LATENCY_BUCKETS_S,
-                 help: str = ""):
-        super().__init__(name, registry, help)
+    def __init__(self, buckets: Sequence[float] = LATENCY_BUCKETS_S):
         bounds = tuple(buckets)
         if not bounds or any(b <= a for a, b in zip(bounds, bounds[1:])):
             raise TapasError(
-                f"histogram {name}: bucket bounds must be strictly increasing")
+                "histogram bucket bounds must be strictly increasing")
         self.buckets = bounds
         self.counts = [0] * (len(bounds) + 1)  # [+Inf overflow last]
         self.count = 0
@@ -134,8 +57,6 @@ class Histogram(Metric):
         self.max: Optional[float] = None
 
     def observe(self, value: float) -> None:
-        if not self._registry.enabled:
-            return
         self.count += 1
         self.sum += value
         if self.min is None or value < self.min:
@@ -183,67 +104,3 @@ class Histogram(Metric):
             ] + ([{"le": "+Inf", "count": self.counts[-1]}]
                  if self.counts[-1] else []),
         }
-
-
-class MetricsRegistry:
-    """Name -> instrument, one per process (or one per subsystem).
-
-    ``enabled=False`` (how the default registry starts) turns every
-    instrument mutation into a flag test: the registry can stay wired
-    into hot paths for free until something opts in via :meth:`enable`.
-    """
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self._metrics: Dict[str, Metric] = {}
-
-    # -- lifecycle --------------------------------------------------------
-
-    def enable(self) -> "MetricsRegistry":
-        self.enabled = True
-        return self
-
-    def disable(self) -> "MetricsRegistry":
-        self.enabled = False
-        return self
-
-    def reset(self) -> None:
-        """Drop every instrument (tests; a fresh sweep)."""
-        self._metrics.clear()
-
-    # -- instrument factories ---------------------------------------------
-
-    def _get(self, name: str, cls, **kwargs):
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = self._metrics[name] = cls(name, self, **kwargs)
-        elif type(metric) is not cls:
-            raise TapasError(
-                f"metric {name!r} already registered as {metric.kind}")
-        return metric
-
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._get(name, Counter, help=help)
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get(name, Gauge, help=help)
-
-    def histogram(self, name: str,
-                  buckets: Sequence[float] = LATENCY_BUCKETS_S,
-                  help: str = "") -> Histogram:
-        return self._get(name, Histogram, buckets=buckets, help=help)
-
-    # -- export -----------------------------------------------------------
-
-    def names(self) -> List[str]:
-        return sorted(self._metrics)
-
-    def as_dict(self) -> dict:
-        """JSON-safe snapshot of every instrument, sorted by name."""
-        return {name: self._metrics[name].as_dict()
-                for name in self.names()}
-
-
-#: the process-wide default registry — disabled until a CLI entry point
-#: (or a test) turns it on, so library users pay only the flag test
-METRICS = MetricsRegistry(enabled=False)

@@ -14,6 +14,7 @@ import repro.exp.cache
 from repro.accel import AcceleratorConfig, build_accelerator
 from repro.frontend import compile_source
 from repro.obs import Observer
+from repro.sim import ENGINES
 from repro.sim.compile import (
     clear_kernel_cache,
     generate_source,
@@ -180,24 +181,20 @@ class TestFallbackMatrix:
         assert accel.sim.compiled_digest
 
 
-def test_deadlock_postmortem_parity_on_generated_kernel():
-    """The generated kernel embeds its own idle-window deadlock
-    detector; on a design the codegen fully supports it must fail at
-    the same cycle with the same message and postmortem as the dense
-    oracle (the fallback path is covered in test_engine_diff.py)."""
-    import glob
+def _deadlock_ring_outcomes(engines):
+    """Run the deadlock fixture under each engine; returns
+    ``{engine: (cycle, message, postmortem)}``."""
     import os
 
     from repro.cli import _default_profile_args
     from repro.errors import DeadlockError
 
-    path = glob.glob(os.path.join(
-        os.path.dirname(__file__), "..", "..", "examples", "programs",
-        "deadlock_ring.cilk"))[0]
+    path = os.path.join(os.path.dirname(__file__), "..", "..", "examples",
+                        "programs", "deadlock_ring.cilk")
     with open(path) as handle:
         source = handle.read()
     outcomes = {}
-    for engine in ("dense", "compiled"):
+    for engine in engines:
         module = compile_source(source, "deadlock_ring")
         accel = build_accelerator(
             module, AcceleratorConfig(default_ntiles=2, engine=engine))
@@ -209,7 +206,44 @@ def test_deadlock_postmortem_parity_on_generated_kernel():
                             excinfo.value.postmortem)
         if engine == "compiled":
             assert accel.sim.compiled_fallback is None
+    return outcomes
+
+
+def test_deadlock_postmortem_parity_on_generated_kernel():
+    """The generated kernel embeds its own idle-window deadlock
+    detector; on a design the codegen fully supports it must fail at
+    the same cycle with the same message and postmortem as the dense
+    oracle (the fallback path is covered in test_engine_diff.py)."""
+    outcomes = _deadlock_ring_outcomes(("dense", "compiled"))
     assert outcomes["dense"] == outcomes["compiled"]
+
+
+def test_stall_windows_have_one_definition(monkeypatch):
+    """The kernel's stall-window literals are formatted from the engine
+    constants at generation time: shrinking a window moves the failure
+    cycle of all three engines together."""
+    import repro.sim.engine as engine_module
+    from repro.errors import DeadlockError
+
+    # idle window: an accelerator nobody spawned into, never done
+    monkeypatch.setattr(engine_module, "DEADLOCK_WINDOW", 300)
+    cycles = {}
+    for engine in ENGINES:
+        accel = _build(engine=engine)
+        with pytest.raises(DeadlockError) as excinfo:
+            accel.sim.run(lambda: False, max_cycles=10_000)
+        cycles[engine] = excinfo.value.cycle
+        if engine == "compiled":
+            assert accel.sim.compiled_fallback is None
+    assert cycles == dict.fromkeys(ENGINES, 301)
+
+    # livelock window: the ring stays busy, so only STALL_WINDOW trips
+    default_stall_window = engine_module.STALL_WINDOW
+    monkeypatch.setattr(engine_module, "STALL_WINDOW", 4096)
+    outcomes = _deadlock_ring_outcomes(ENGINES)
+    assert outcomes["dense"] == outcomes["event"] == outcomes["compiled"]
+    assert "livelock" in outcomes["dense"][1]
+    assert outcomes["dense"][0] < default_stall_window
 
 
 @pytest.mark.parametrize("engine", ["dense", "event"])

@@ -83,6 +83,26 @@ class Timer(Component):
         return max(cycle + 1, self.fire_at)
 
 
+class Recorder(Component):
+    """Event-aware component that appends ``(cycle, name)`` to a shared
+    log on every tick; parks on ``NEVER`` except for one optional timer."""
+
+    def __init__(self, name, watch, log, wake_at=NEVER):
+        super().__init__(name)
+        self.watch = watch
+        self.log = log
+        self.wake_at = wake_at
+
+    def tick(self, cycle):
+        self.log.append((cycle, self.name))
+
+    def sensitivity(self):
+        return self.watch
+
+    def next_wake(self, cycle):
+        return self.wake_at if cycle < self.wake_at else NEVER
+
+
 def _build(engine, count=50):
     sim = Simulator(engine=engine)
     ch = sim.add_channel("pc", capacity=2)
@@ -181,17 +201,72 @@ class TestBitIdentical:
         assert spinner.ticks == sim.cycle
 
 
+class TestWakeRule:
+    """Tick a component iff its wake cycle has arrived; a committed
+    channel wakes its subscribers for the following cycle."""
+
+    def _run_until(self, sim, cycle):
+        sim.run(lambda: sim.cycle >= cycle, max_cycles=cycle + 10)
+
+    def test_parked_component_wakes_the_cycle_after_a_commit(self):
+        sim = Simulator(engine="event")
+        ch = sim.add_channel("t", capacity=1)
+        log = []
+        sim.add_component(Recorder("r", (ch,), log))
+        sim.add_component(Timer("timer", ch, fire_at=40))
+        self._run_until(sim, 80)
+        # the universal first tick, then nothing until the push staged
+        # in cycle 40 commits — visible, and woken for, cycle 41
+        assert log == [(0, "r"), (41, "r")]
+
+    def test_channel_without_movement_wakes_nobody(self):
+        sim = Simulator(engine="event")
+        watched = sim.add_channel("watched", capacity=1)
+        other = sim.add_channel("other", capacity=1)
+        log = []
+        sim.add_component(Recorder("r", (watched,), log))
+        sim.add_component(Timer("timer", other, fire_at=40))
+        self._run_until(sim, 80)
+        assert log == [(0, "r")]
+
+    def test_timer_ticks_at_its_deadline_and_not_before(self):
+        sim = Simulator(engine="event")
+        log = []
+        sim.add_component(Recorder("r", (), log, wake_at=100))
+        self._run_until(sim, 200)
+        assert log == [(0, "r"), (100, "r")]
+        assert sim.engine_stats()["ticks_executed"] == 2
+
+    def test_woken_components_tick_in_registration_order(self):
+        sim = Simulator(engine="event")
+        ch = sim.add_channel("t", capacity=1)
+        log = []
+        # b is due by timer, a and c by the commit; the driver of the
+        # commit is registered between them
+        sim.add_component(Recorder("a", (ch,), log))
+        sim.add_component(Recorder("b", (), log, wake_at=11))
+        sim.add_component(Timer("timer", ch, fire_at=10))
+        sim.add_component(Recorder("c", (ch,), log))
+        self._run_until(sim, 20)
+        assert [name for cycle, name in log if cycle == 11] == ["a", "b", "c"]
+
+
 class TestFailureParity:
     def test_deadlock_fires_at_same_cycle(self):
-        cycles = {}
-        for engine in ENGINES:
-            sim = Simulator(engine=engine)
-            ch = sim.add_channel("pc", capacity=1)
-            sim.add_component(EventConsumer("c", ch))  # starves forever
-            with pytest.raises(DeadlockError) as excinfo:
-                sim.run(lambda: False, max_cycles=DEADLOCK_WINDOW * 3)
-            cycles[engine] = excinfo.value.cycle
-        assert cycles["dense"] == cycles["event"]
+        # zero components, and several all parked on NEVER: the event
+        # engine has no wake cycle to jump to and must neither crash
+        # nor spin
+        for consumers in (0, 1, 3):
+            cycles = {}
+            for engine in ENGINES:
+                sim = Simulator(engine=engine)
+                for i in range(consumers):  # each starves forever
+                    ch = sim.add_channel(f"pc{i}", capacity=1)
+                    sim.add_component(EventConsumer(f"c{i}", ch))
+                with pytest.raises(DeadlockError) as excinfo:
+                    sim.run(lambda: False, max_cycles=DEADLOCK_WINDOW * 3)
+                cycles[engine] = excinfo.value.cycle
+            assert cycles["dense"] == cycles["event"] == DEADLOCK_WINDOW + 1
 
     def test_livelock_fires_at_same_cycle(self):
         class BusyRetrier(Component):
@@ -233,6 +308,10 @@ class TestEngineStats:
         sim, consumer = _build("event")
         sim.run(lambda: len(consumer.received) == 50, max_cycles=1000)
         engine = sim.engine_stats()
+        assert set(engine) == {
+            "name", "host_seconds", "sim_cycles_per_host_second",
+            "cycles_simulated", "ticks_executed", "component_ticks",
+            "fast_forwarded_cycles"}
         assert engine["name"] == "event"
         assert engine["host_seconds"] >= 0
         assert engine["cycles_simulated"] == sim.cycle
