@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.errors import TapasError
 from repro.ir.basicblock import BasicBlock
 from repro.ir.instructions import (
     Alloca,
@@ -275,7 +276,7 @@ class PerfModel:
 
         try:
             self.ranges = infer_module_ranges(self.module)
-        except Exception:
+        except TapasError:
             self.ranges = None
 
         # -- per-function CFG facts --------------------------------------
@@ -327,7 +328,7 @@ class PerfModel:
             for channel in graph.channels:
                 self.channel_capacity[channel.name] = getattr(
                     channel, "capacity", 2)
-        except Exception:
+        except TapasError:
             # elaboration can be refused (e.g. lint gates); the model
             # falls back to the architectural defaults
             pass

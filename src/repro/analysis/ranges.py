@@ -320,24 +320,36 @@ class ModuleRanges:
 # ---------------------------------------------------------------------------
 
 class _FunctionAnalysis:
-    """One function's interval fixpoint, parameterised by summaries."""
+    """One function's interval fixpoint, parameterised by summaries.
+
+    Built once per function: the CFG facts are round-invariant, and
+    :meth:`run` redoes the fixpoint only when the summary entries it
+    reads have changed since its last run."""
 
     def __init__(self, function: Function, summaries: "_Summaries"):
         self.fn = function
         self.summaries = summaries
         self.rpo = reverse_post_order(function)
         self.preds = predecessor_map(function)
-        self.headers = {loop.header for loop in find_loops(function)}
         self.loops = find_loops(function)
+        self.headers = {loop.header for loop in self.loops}
         self.register_cells = self._find_register_cells()
-        self.env: Dict[Value, Interval] = {}
-        #: block -> facts at entry (cells + SSA refinements)
-        self.in_facts: Dict[object, Dict[object, Interval]] = {}
-        #: (pred, succ) -> facts propagated along that edge
-        self.edge_facts: Dict[Tuple[object, object], Dict[object, Interval]] = {}
-        self._join_counts: Dict[object, int] = {}
-        #: (loop, cell, bound) accumulator clamps from the trip refinement
-        self._acc_clamps: List[tuple] = []
+        #: the only summary entries the fixpoint reads: callees whose
+        #: ``ret_ranges`` feed a Call, and frame cells a Load reads
+        #: (``arg_ranges[function]`` is the third)
+        insts = list(function.instructions())
+        self._callees = [i.callee for i in insts if isinstance(i, Call)]
+        self._frame_loads = [
+            i.pointer for i in insts
+            if isinstance(i, Load) and isinstance(i.pointer, Alloca)
+            and i.pointer not in self.register_cells]
+        self._inputs = None
+
+    def _summary_inputs(self) -> tuple:
+        s = self.summaries
+        return (tuple(s.arg_ranges.get(self.fn) or ()),
+                [s.ret_ranges.get(c) for c in self._callees],
+                [s.frame_cells.get(a) for a in self._frame_loads])
 
     def _find_register_cells(self) -> Set[Alloca]:
         cells = set()
@@ -528,7 +540,18 @@ class _FunctionAnalysis:
     # -- fixpoint ------------------------------------------------------------
 
     def run(self):
+        inputs = self._summary_inputs()
+        if inputs == self._inputs:
+            return  # same summaries in, same fixpoint out
+        self._inputs = inputs
+        self.env: Dict[Value, Interval] = {}
+        #: (pred, succ) -> facts propagated along that edge
+        self.edge_facts: Dict[Tuple[object, object], Dict[object, Interval]] = {}
+        self._join_counts: Dict[object, int] = {}
+        #: (loop, cell, bound) accumulator clamps from the trip refinement
+        self._acc_clamps: List[tuple] = []
         entry_facts = {cell: Interval(0, 0) for cell in self.register_cells}
+        #: block -> facts at entry (cells + SSA refinements)
         self.in_facts = {self.fn.entry: entry_facts}
         worklist = list(self.rpo)
         visits = 0
@@ -855,14 +878,12 @@ def infer_module_ranges(module, design=None, entry: Optional[str] = None) -> Mod
         else:
             summaries.arg_ranges[function] = [None] * len(function.arguments)
 
-    analyses: Dict[Function, _FunctionAnalysis] = {}
+    analyses = {function: _FunctionAnalysis(function, summaries)
+                for function in module.functions}
     prev_state = None
     for round_no in range(SUMMARY_ROUNDS + 2):
-        analyses = {}
-        for function in module.functions:
-            analysis = _FunctionAnalysis(function, summaries)
+        for analysis in analyses.values():
             analysis.run()
-            analyses[function] = analysis
         # recompute summaries from this round's results
         new_rets: Dict[Function, Optional[Interval]] = {}
         for function, analysis in analyses.items():
@@ -970,11 +991,8 @@ def infer_module_ranges(module, design=None, entry: Optional[str] = None) -> Mod
             summaries.arg_ranges = new_args
             summaries.frame_cells = new_frames
             # one last round under the widened summaries
-            analyses = {}
-            for function in module.functions:
-                analysis = _FunctionAnalysis(function, summaries)
+            for analysis in analyses.values():
                 analysis.run()
-                analyses[function] = analysis
             break
         summaries.ret_ranges = new_rets
         summaries.arg_ranges = new_args

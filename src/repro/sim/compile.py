@@ -45,6 +45,7 @@ import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro.errors import SimulationError
 from repro.ir.instructions import (
     GEP,
     Alloca,
@@ -176,7 +177,8 @@ def _fallback_reason(sim) -> Optional[str]:
 def prepare_kernel(sim):
     """Return ``(kernel, None)`` for a supported design, else
     ``(None, reason)``. ``kernel(sim, done, start, max_cycles, mlog)``
-    runs the simulation exactly like the dense engine would."""
+    runs the simulation exactly like the dense engine would. Generated
+    text that does not compile raises :class:`SimulationError`."""
     reason = _fallback_reason(sim)
     if reason is not None:
         return None, reason
@@ -190,7 +192,13 @@ def prepare_kernel(sim):
         path = _store_kernel_source(digest, source)
         filename = str(path) if path is not None else f"<kernel {digest[:12]}>"
         module = {"__name__": f"repro_kernel_{digest[:12]}"}
-        exec(compile(source, filename, "exec"), module)
+        try:
+            exec(compile(source, filename, "exec"), module)
+        except (SyntaxError, ValueError) as exc:
+            # a codegen bug: fail loudly, never hide behind the event engine
+            raise SimulationError(
+                f"generated kernel {digest} does not load ({filename}): "
+                f"{type(exc).__name__}: {exc}") from exc
         _MODULES[digest] = module
     sim.compiled_digest = digest
     return module["make_kernel"](ctx), None
@@ -212,7 +220,7 @@ def generate_source(sim) -> str:
 #     def make_kernel(ctx):
 #         (_o0, _o1, ...) = ctx["objects"]   # per-sim object references
 #         def kernel(sim, done, start, max_cycles, mlog):
-#             <aliases, per-block stepper defs, dispatch dicts>
+#             <aliases, per-unit stepper factories, per-tile dispatch dicts>
 #             try:
 #                 while True:           # one iteration per executed cycle
 #                     <guarded component ticks, registration order>
@@ -318,25 +326,25 @@ def _fmt_const(value) -> Optional[str]:
 
 
 class _StepperGen:
-    """Emits one specialized stepper function per (tile, block): the
-    straight-line unrolling of ``TXUTile._step_instance`` +
-    ``_maybe_transition`` for that block's dataflow graph, with the
-    tile's memory port (request channel index, SID, tile index, port)
-    baked in so ``_fire_memory`` and ``_finish`` are inlined flat ops."""
+    """Emits one specialized stepper function per owned block of a task
+    unit: the straight-line unrolling of ``TXUTile._step_instance`` +
+    ``_maybe_transition`` for that block's dataflow graph. The steppers
+    live inside the unit's tile factory (see :func:`_emit_unit`), so
+    everything tile-bound is written as a factory parameter — ``T`` (the
+    tile), ``Tf``/``Tfc``/``Tsu`` (its ``_fired`` set, ``_fire_call``,
+    ``_suspend``), ``cRi``/``R`` (request channel deque and flat index),
+    ``TI`` (tile index) and ``_e`` (the epilogue-store closure) — while
+    SID, port and capacities are baked in so ``_fire_memory`` and
+    ``_finish`` are inlined flat ops."""
 
-    def __init__(self, em: _Emitter, unit, compiled, latencies,
-                 tile, tile_index: int, tn: str, ep: str, un: str):
+    def __init__(self, em: _Emitter, unit, un: str):
         self.em = em
         self.unit = unit
-        self.compiled = compiled
-        self.latencies = latencies
-        self.tile = tile
-        self.ti = tile_index
-        self.tn = tn          # kernel alias of the tile object
-        self.ep = ep          # name of the tile's epilogue-store closure
         self.un = un          # kernel alias of the owning task unit
-        self.ro = em.ci(tile.request_out)
-        self.rocap = tile.request_out.capacity
+        # _emit_unit has checked that every tile agrees on these three
+        self.compiled = unit.tiles[0].compiled
+        self.latencies = unit.tiles[0].latencies
+        self.rocap = unit.tiles[0].request_out.capacity
 
     # -- value resolution (mirrors TXUTile._resolve) -----------------------
 
@@ -552,11 +560,9 @@ class _StepperGen:
         ``TXUTile._fire_memory``): already-issued and backpressure checks,
         then the flat push of the request."""
         ir = node.inst
-        ro, tn = self.ro, self.tn
-        L = [ind + "elif %s._mem_issued_this_cycle:" % tn,
+        L = [ind + "elif T._mem_issued_this_cycle:",
              ind + "    b = 1",
-             ind + "elif len(c%di) < %d and CP[%d] is None:"
-             % (ro, self.rocap, ro)]
+             ind + "elif len(cRi) < %d and CP[R] is None:" % self.rocap]
         ptr = ir.pointer
         if isinstance(ptr, (Constant, GlobalVariable)):
             addr = self.rvi(ptr)
@@ -566,8 +572,7 @@ class _StepperGen:
             L.append(ind + "        raise SimulationError(%r)"
                      % ("register access classified as memory op",))
             addr = "int(a_)"
-        tag = "MemTag(%d, %d, inst.uid, %d)" % (self.unit.sid, self.ti,
-                                                node.index)
+        tag = "MemTag(%d, TI, inst.uid, %d)" % (self.unit.sid, node.index)
         if isinstance(ir, Load):
             req = ('MemRequest(tag=%s, op="load", addr=%s, size=%d, port=%d)'
                    % (tag, addr, ir.type.size_bytes, self.unit.port))
@@ -577,14 +582,14 @@ class _StepperGen:
                    % (tag, addr, ir.value.type.size_bytes,
                       self.em.ref(ir.value.type), self.rv(ir.value),
                       self.unit.port))
-        L.append(ind + "    CP[%d] = %s" % (ro, req))
-        L.append(ind + "    dl.append(%d)" % ro)
-        L.append(ind + "    %s._mem_issued_this_cycle = True" % tn)
+        L.append(ind + "    CP[R] = %s" % req)
+        L.append(ind + "    dl.append(R)")
+        L.append(ind + "    T._mem_issued_this_cycle = True")
         L.append(ind + "    pm.add(%d)" % node.index)
         L.append(ind + "    fired.add(%s)" % key)
         L.append(ind + "    f = 1")
         L.append(ind + "else:")
-        L.append(ind + "    %s._mem_blocked = True" % tn)
+        L.append(ind + "    T._mem_blocked = True")
         L.append(ind + "    b = 1")
         return L
 
@@ -599,7 +604,7 @@ class _StepperGen:
                 ind + "if inst.entry.ret_ptr is not None "
                       "and rv_ is not None:",
                 ind + '    inst.phase = "epilogue_issue"',
-                ind + "    %s(inst, cycle)" % self.ep,
+                ind + "    _e(inst, cycle)",
                 ind + "else:",
                 ind + '    inst.phase = "done"']
 
@@ -632,7 +637,7 @@ class _StepperGen:
              "    nd = inst.node_done",
              "    g = nd.get",
              "    env = inst.env",
-             "    fired = %sf" % self.tn]
+             "    fired = Tf"]
         if has_mem:
             L.append("    pm = inst.pending_mem")
         if has_call:
@@ -667,8 +672,7 @@ class _StepperGen:
             if node.kind in ("load", "store"):
                 L.extend(self.mem_fire_lines(node, key, "        "))
             elif node.kind == "call":
-                L.append("        elif %sfc(inst, %s, cycle):"
-                         % (self.tn, em.ref(node)))
+                L.append("        elif Tfc(inst, %s, cycle):" % em.ref(node))
                 L.append("            fired.add(%s)" % key)
                 L.append("            f = 1")
                 L.append("        else:")
@@ -707,7 +711,7 @@ class _StepperGen:
                        if spec.ret_ptr_value is not None else "None")
             L.append("        if len(%sso) >= %d:"
                      % (self.un, OUTBOUND_BUFFER))
-            L.append("            %s._spawn_blocked = True" % self.tn)
+            L.append("            T._spawn_blocked = True")
             L.append("            blk = 1")
             L.append("        else:")
             L.append("            en_ = inst.entry")
@@ -724,8 +728,8 @@ class _StepperGen:
             L.append("            m = 1")
         elif isinstance(term, Sync):
             L.append("        if inst.entry.child_count > 0:")
-            L.append("            %ssu(inst, %s)"
-                     % (self.tn, em.ref(term.continuation)))
+            L.append("            Tsu(inst, %s)"
+                     % em.ref(term.continuation))
             L.append("        else:")
             L.extend(self.enter_lines(term.continuation, "            "))
             L.append("        m = 1")
@@ -1098,6 +1102,9 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs):
         if t.latencies != unit.tiles[0].latencies:
             raise UnsupportedDesign(
                 f"{unit.name}: tiles disagree on latency table")
+        if t.request_out.capacity != unit.tiles[0].request_out.capacity:
+            raise UnsupportedDesign(
+                f"{unit.name}: tiles disagree on request-channel capacity")
 
     u = "u%d" % k
     em.pre.append("%s = %s" % (u, em.ref(unit)))
@@ -1127,42 +1134,45 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs):
         em.pre.append("%ssu = %s._suspend" % (tn, tn))
         tiles.append((tn, em.ci(t.response_in), t))
 
-    # -- per-tile epilogue closures, steppers, dispatch dicts --------------
+    # -- one stepper factory per unit, instantiated once per tile ----------
+    # (a task unit is ONE TXU design replicated Ntiles times: the epilogue
+    # closure and the per-block steppers are generated and compiled once,
+    # with the tile-bound names arriving as the factory's arguments)
     rettype = compiled.task.function.return_type
+    gen = _StepperGen(em, unit, u)
+    w = sdefs.append
+    w("def _mk%d(T, Tf, Tfc, Tsu, cRi, R, TI):" % k)
+    w("    def _e(inst, cycle):")
+    if rettype.is_void():
+        # unreachable: a void task never has (ret_ptr, retval) set
+        w("        raise SimulationError(%r)"
+          % ("epilogue store for void task",))
+    else:
+        w("        if T._mem_issued_this_cycle:")
+        w("            return")
+        w("        if len(cRi) < %d and CP[R] is None:" % gen.rocap)
+        w('            CP[R] = MemRequest(tag=MemTag(%d, TI, '
+          'inst.uid, -1), op="store", '
+          "addr=int(inst.entry.ret_ptr), size=%d, "
+          "data=_v2r(%s, inst.retval), port=%d)"
+          % (unit.sid, rettype.size_bytes, em.ref(rettype), unit.port))
+        w("            dl.append(R)")
+        w("            T._mem_issued_this_cycle = True")
+        w('            inst.phase = "epilogue_wait"')
+        w("        else:")
+        w("            T._mem_blocked = True")
+    entries = []
+    for bi, block in enumerate(compiled.blocks):
+        if not compiled.owns_block(block):
+            continue
+        name = "_s%d_%d" % (k, bi)
+        sdefs.extend("    " + line for line in gen.stepper(name, block))
+        entries.append("%s: %s" % (em.ref(block), name))
+    w("    return _e, {%s}" % ", ".join(entries))
     for ti, (tn, _rc, t) in enumerate(tiles):
-        ep = "_e%d_%d" % (k, ti)
-        if rettype.is_void():
-            # unreachable: a void task never has (ret_ptr, retval) set
-            sdefs.append("def %s(inst, cycle):" % ep)
-            sdefs.append("    raise SimulationError(%r)"
-                         % ("epilogue store for void task",))
-        else:
-            ro = em.ci(t.request_out)
-            sdefs.append("def %s(inst, cycle):" % ep)
-            sdefs.append("    if %s._mem_issued_this_cycle:" % tn)
-            sdefs.append("        return")
-            sdefs.append("    if len(c%di) < %d and CP[%d] is None:"
-                         % (ro, t.request_out.capacity, ro))
-            sdefs.append('        CP[%d] = MemRequest(tag=MemTag(%d, %d, '
-                         'inst.uid, -1), op="store", '
-                         "addr=int(inst.entry.ret_ptr), size=%d, "
-                         "data=_v2r(%s, inst.retval), port=%d)"
-                         % (ro, unit.sid, ti, rettype.size_bytes,
-                            em.ref(rettype), unit.port))
-            sdefs.append("        dl.append(%d)" % ro)
-            sdefs.append("        %s._mem_issued_this_cycle = True" % tn)
-            sdefs.append('        inst.phase = "epilogue_wait"')
-            sdefs.append("    else:")
-            sdefs.append("        %s._mem_blocked = True" % tn)
-        gen = _StepperGen(em, unit, compiled, t.latencies, t, ti, tn, ep, u)
-        entries = []
-        for bi, block in enumerate(compiled.blocks):
-            if not compiled.owns_block(block):
-                continue
-            name = "_s%d_%d_%d" % (k, ti, bi)
-            sdefs.extend(gen.stepper(name, block))
-            entries.append("%s: %s" % (em.ref(block), name))
-        sdefs.append("%sd = {%s}" % (tn, ", ".join(entries)))
+        ro = em.ci(t.request_out)
+        w("_e%d_%d, %sd = _mk%d(%s, %sf, %sfc, %ssu, c%di, %d, %d)"
+          % (k, ti, tn, k, tn, tn, tn, tn, ro, ro, ti))
 
     # -- the tick section --------------------------------------------------
     guard = ["c%di" % ji, "c%di" % si, u + "jr", u + "so", u + "jo",
@@ -1357,7 +1367,6 @@ def _generate(sim) -> Tuple[str, dict]:
     index, and nothing depends on id()/hash ordering."""
     import struct as _struct
 
-    from repro.errors import SimulationError as _SimulationError
     from repro.ir.opsem import value_to_raw as _value_to_raw
     from repro.memory.cache import _MSHR as _MSHRCls
     from repro.memory.databox import MemTag as _MemTagCls
@@ -1586,7 +1595,7 @@ def _generate(sim) -> Tuple[str, dict]:
     ctx = {
         "objects": tuple(em.objs),
         "channels": tuple(em.channels),
-        "SimulationError": _SimulationError,
+        "SimulationError": SimulationError,
         "RegSlot": _RegSlotCls,
         "pack": _struct.pack,
         "unpack": _struct.unpack,

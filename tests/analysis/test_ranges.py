@@ -223,3 +223,109 @@ def test_channel_bits_narrower_than_declared():
         widths = ranges.channel_bits(task)
         declared = [v.type.size_bytes * 8 for v in task.args]
         assert all(w <= d for w, d in zip(widths, declared))
+
+
+# -- summary rounds: a kept fixpoint equals a recomputed one -----------------
+
+UNSTABLE = """
+func grow(n: i32, a: i32*) -> i32 {
+  if (n > 1000) {
+    return n;
+  }
+  var r: i32 = spawn grow(n + 3, a);
+  sync;
+  a[0] = r;
+  return r + 1;
+}
+
+func top(a: i32*) -> i32 {
+  var x: i32 = spawn grow(1, a);
+  sync;
+  return x;
+}
+"""
+
+
+def _range_corpus():
+    import glob
+    import os
+
+    from repro.workloads import REGISTRY
+
+    for name in REGISTRY.names():
+        yield name, REGISTRY.get(name).fresh_module
+    root = os.path.join(os.path.dirname(__file__), "..", "..", "examples",
+                        "programs", "*.cilk")
+    for path in sorted(glob.glob(root)):
+        with open(path) as handle:
+            text = handle.read()
+        yield os.path.basename(path), (
+            lambda text=text: compile_source(text, "example"))
+    yield "unstable", lambda: compile_source(UNSTABLE, "unstable")
+
+
+_CORPUS = list(_range_corpus())
+
+
+def _infer_counting(design, calls, monkeypatch):
+    """Run ``infer_module_ranges`` once per kwargs dict in ``calls``;
+    returns the results and the number of block transfers they cost."""
+    from repro.analysis import ranges as ranges_mod
+
+    real = ranges_mod._FunctionAnalysis._transfer
+    transfers = [0]
+
+    def counting(self, block, facts):
+        transfers[0] += 1
+        return real(self, block, facts)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ranges_mod._FunctionAnalysis, "_transfer", counting)
+        results = [infer_module_ranges(design.module, **kw) for kw in calls]
+    return results, transfers[0]
+
+
+def _recompute_every_round(monkeypatch):
+    """A fresh object never equals the remembered inputs: every round
+    recomputes every function, as before the memo existed."""
+    from repro.analysis import ranges as ranges_mod
+
+    monkeypatch.setattr(ranges_mod._FunctionAnalysis, "_summary_inputs",
+                        lambda self: object())
+
+
+@pytest.mark.parametrize("build", [b for _n, b in _CORPUS],
+                         ids=[n for n, _b in _CORPUS])
+def test_kept_fixpoints_equal_recomputed_ones(build, monkeypatch):
+    """``infer_module_ranges`` keeps a function's fixpoint across summary
+    rounds while the summary entries it reads are unchanged. The result
+    must be *equal* to re-running every function every round — in the
+    PerfModel call mode (bare) and the lint one (``design=``, each
+    function as ``entry=``)."""
+    design = generate(build())
+    calls = [dict()] + [dict(design=design, entry=f.name)
+                        for f in design.module.functions]
+    kept, kept_work = _infer_counting(design, calls, monkeypatch)
+    _recompute_every_round(monkeypatch)
+    recomputed, full_work = _infer_counting(design, calls, monkeypatch)
+    for got, want in zip(kept, recomputed):
+        assert got.value_ranges == want.value_ranges
+        assert got.cell_ranges == want.cell_ranges
+        assert got.arg_ranges == want.arg_ranges
+        assert got.ret_ranges == want.ret_ranges
+    assert kept_work <= full_work
+
+
+def test_stable_functions_are_not_reanalysed(monkeypatch):
+    """In a multi-function pipeline the leaf functions' summaries settle
+    first; later rounds must not redo their fixpoints. (A lone
+    self-recursive function saves nothing: its inputs are its own
+    previous outputs, which change until the round that converges.)"""
+    from repro.workloads import REGISTRY
+
+    design = generate(REGISTRY.get("dedup").fresh_module())
+    calls = [dict(design=design, entry="dedup")]
+    _results, kept_work = _infer_counting(design, calls, monkeypatch)
+    _recompute_every_round(monkeypatch)
+    _results, full_work = _infer_counting(design, calls, monkeypatch)
+    assert kept_work < 0.75 * full_work

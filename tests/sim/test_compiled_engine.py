@@ -8,6 +8,8 @@ in ``tests/property/test_prop_engines.py``; this file owns everything
 about *how* the kernel is produced, cached and bypassed.
 """
 
+import re
+
 import pytest
 
 import repro.exp.cache
@@ -61,6 +63,28 @@ class TestCodegenDeterminism:
         assert (generate_source(_build(tiles=1).sim)
                 != generate_source(_build(tiles=4).sim))
 
+    @pytest.mark.parametrize("name", ["fibonacci", "dedup"])
+    def test_steppers_are_generated_once_per_unit_not_per_tile(self, name):
+        """A task unit is one TXU design instantiated Ntiles times: the
+        stepper set lives in one factory per unit, and a tile costs one
+        instantiation line plus its slice of the tick section."""
+        workload = REGISTRY.get(name)
+
+        def source(tiles):
+            accel = workload.build(
+                workload.default_config(tiles, engine="compiled"))
+            return generate_source(accel.sim)
+
+        one, four, eight = source(1), source(4), source(8)
+        steppers = re.compile(r"def _s\d+_\d+\(inst, cycle\):")
+        assert steppers.findall(one)
+        assert steppers.findall(eight) == steppers.findall(one)
+        assert len(eight) < 2 * len(one)
+        assert one != four
+        # one instantiation per tile, all of them of the unit's factory
+        assert len(re.findall(r"= _mk\d+\(", eight)) == 8 * len(
+            re.findall(r"def _mk\d+\(", eight))
+
 
 class TestKernelCache:
     def test_digest_folds_code_fingerprint(self, monkeypatch):
@@ -90,6 +114,34 @@ class TestKernelCache:
         path = kernel_cache_dir() / (digest + ".py")
         assert path.exists()
         assert path.read_text(encoding="utf-8") == source
+
+    def test_broken_generated_source_fails_closed(self, monkeypatch,
+                                                  tmp_path):
+        """A kernel that does not compile is a codegen bug: it surfaces
+        as a SimulationError naming the digest and the mirrored source
+        file, and the run does not quietly fall back to the event
+        engine."""
+        from repro.errors import SimulationError
+        from repro.sim import compile as compile_mod
+
+        accel = _build()
+        real = compile_mod._generate
+
+        def broken(sim):
+            source, ctx = real(sim)
+            return source + "def make_kernel(:\n", ctx
+
+        monkeypatch.setattr(compile_mod, "_generate", broken)
+        monkeypatch.setenv(repro.exp.cache.CACHE_DIR_ENV, str(tmp_path))
+        digest = kernel_digest(broken(accel.sim)[0])
+        with pytest.raises(SimulationError) as excinfo:
+            accel.run("fib", [5])
+        message = str(excinfo.value)
+        assert digest in message
+        assert str(tmp_path / "kernels" / (digest + ".py")) in message
+        assert "SyntaxError" in message
+        assert accel.sim.compiled_fallback is None
+        assert digest not in compile_mod._MODULES
 
     def test_module_cache_reuses_compiled_module(self):
         clear_kernel_cache()

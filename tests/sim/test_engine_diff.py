@@ -12,8 +12,10 @@ import os
 import pytest
 
 from repro.accel import AcceleratorConfig, build_accelerator
+from repro.accel.config import TaskUnitParams
 from repro.frontend import compile_source
 from repro.obs import Observer
+from repro.task.task_unit import TaskUnit
 from repro.workloads import REGISTRY
 
 EXAMPLES = sorted(
@@ -63,6 +65,33 @@ def test_workloads_agree(name, engine):
     assert dense.cycles == other.cycles
     assert dense.retval == other.retval
     assert _strip(dense.stats) == _strip(other.stats)
+
+
+@pytest.mark.parametrize("name, config", [
+    ("stencil", dict(default_ntiles=3)),
+    ("dedup", dict(default_ntiles=3)),
+    ("stencil", dict(unit_params={"stencil.t0": TaskUnitParams(ntiles=3)})),
+    ("dedup", dict(unit_params={"compress_chunk": TaskUnitParams(ntiles=3)})),
+], ids=["stencil-3", "dedup-3", "stencil-3+1", "dedup-3+1+1"])
+def test_odd_and_heterogeneous_tile_counts_agree(name, config):
+    """The compiled kernel hands each tile its index and memory port as
+    stepper-factory arguments; a mix-up would misroute memory responses
+    only when units differ in tile count or the count is not the usual
+    power of two."""
+    workload = REGISTRY.get(name)
+    tiles = sorted(len(c.tiles)
+                   for c in workload.build(AcceleratorConfig(**config))
+                   .sim.components if isinstance(c, TaskUnit))
+    assert (tiles[0], tiles[-1]) == (config.get("default_ntiles", 1), 3)
+    outcomes = {}
+    for engine in ("dense", "event", "compiled"):
+        result = workload.run(AcceleratorConfig(engine=engine, **config))
+        assert result.correct
+        if engine == "compiled":
+            assert result.stats["engine"]["compiled_fallback"] is None
+        outcomes[engine] = (result.cycles, result.retval,
+                            _strip(result.stats))
+    assert outcomes["dense"] == outcomes["event"] == outcomes["compiled"]
 
 
 def test_workload_agrees_with_observer_attached():
