@@ -244,7 +244,7 @@ class PerfChecker:
         prediction, predict_seconds = self.predict_point(
             workload, tiles, scale)
 
-        observer = Observer(keep_timeline=False)
+        observer = Observer()
         config = workload.default_config(ntiles=tiles)
         start = time.perf_counter()
         result = workload.run(config, scale=scale, max_cycles=max_cycles,

@@ -8,6 +8,12 @@ busy / stalled-on-input / stalled-on-output / idle, and a
 :class:`ChannelProbe` per channel recording occupancy histograms,
 backpressure cycles and peak depth.
 
+Both record *runs*, not cycles: ``sample`` says "this holds from
+``cycle`` on" and only a sample that differs from the open run books it
+(``record_span``); ``flush`` books the open run up to a given cycle, as
+the simulator does whenever ``run`` returns or raises. The cost is per
+change, the views read as if every cycle had been recorded on its own.
+
 Everything here is written to, never read from, the simulation — the
 observer samples component state *after* each tick, so attaching the
 instrumentation cannot change cycle counts (enforced by test).
@@ -35,48 +41,44 @@ class CycleLedger:
     """Per-component cycle attribution.
 
     Counts are kept in a :class:`~repro.sim.stats.StatCounters` (one key
-    per state, plus ``reason:<tag>`` keys for stall attribution) and,
-    optionally, as a run-length-encoded state timeline for trace export.
+    per state, plus ``reason:<tag>`` keys for stall attribution) and as
+    a run-length-encoded state timeline, which the trace export reads.
     The invariant ``busy + stall_in + stall_out + idle == cycles`` holds
-    by construction: :meth:`record` is called exactly once per observed
-    cycle.
+    by construction: every booked span bumps both sides by its length.
     """
 
-    def __init__(self, name: str, group: Optional[str] = None,
-                 keep_timeline: bool = True):
+    def __init__(self, name: str, group: Optional[str] = None):
         self.name = name
         #: track grouping for trace export (a tile's group is its unit)
         self.group = group or name
         self.counters = StatCounters()
         self.cycles = 0
-        self.keep_timeline = keep_timeline
         #: RLE state runs: [start, end_exclusive, state, reason]
         self.timeline: List[list] = []
+        #: the open run: ``current`` holds since cycle ``_since``, unbooked
+        self.current: Optional[Tuple[str, Optional[str]]] = None
+        self._since = 0
+
+    def sample(self, cycle: int, state: str, reason: Optional[str] = None):
+        """``(state, reason)`` holds from ``cycle`` on: books the open
+        run and opens a new one if this sample differs from it."""
+        if (state, reason) != self.current:
+            self.flush(cycle)
+            self.current = (state, reason)
+
+    def flush(self, end: int):
+        """Book the open run up to (excluding) ``end``; it stays open."""
+        if self.current is not None:
+            self.record_span(self._since, end - self._since, *self.current)
+        self._since = end
 
     def record(self, cycle: int, state: str, reason: Optional[str] = None):
-        if state not in OBS_STATES:
-            raise ValueError(f"ledger {self.name}: unknown state {state!r}")
-        self.cycles += 1
-        self.counters.bump(state)
-        if reason is not None:
-            self.counters.bump(REASON_PREFIX + reason)
-        if self.keep_timeline:
-            runs = self.timeline
-            if runs and runs[-1][1] == cycle and runs[-1][2] == state \
-                    and runs[-1][3] == reason:
-                runs[-1][1] = cycle + 1
-            else:
-                runs.append([cycle, cycle + 1, state, reason])
+        self.record_span(cycle, 1, state, reason)
 
     def record_span(self, start: int, span: int, state: str,
                     reason: Optional[str] = None):
-        """Record ``span`` consecutive cycles of one constant state.
-
-        Used by the event engine's quiescent fast-forward: over a skipped
-        range no component ticks and no channel commits, so the per-cycle
-        classification the dense engine would have recomputed is provably
-        constant. One bulk update yields byte-identical ledgers.
-        """
+        """Book ``span`` consecutive cycles of one constant state; a span
+        that continues the previous run (adjacent, equal) extends it."""
         if span <= 0:
             return
         if state not in OBS_STATES:
@@ -85,13 +87,12 @@ class CycleLedger:
         self.counters.bump(state, span)
         if reason is not None:
             self.counters.bump(REASON_PREFIX + reason, span)
-        if self.keep_timeline:
-            runs = self.timeline
-            if runs and runs[-1][1] == start and runs[-1][2] == state \
-                    and runs[-1][3] == reason:
-                runs[-1][1] = start + span
-            else:
-                runs.append([start, start + span, state, reason])
+        runs = self.timeline
+        if runs and runs[-1][1] == start and runs[-1][2] == state \
+                and runs[-1][3] == reason:
+            runs[-1][1] = start + span
+        else:
+            runs.append([start, start + span, state, reason])
 
     # -- derived views -----------------------------------------------------
 
@@ -136,10 +137,10 @@ class CycleLedger:
 class ChannelProbe:
     """Per-channel occupancy instrumentation.
 
-    Sampled once per cycle after the channel commits: a depth histogram,
-    the number of cycles the channel sat full (producer-visible
-    backpressure), the peak depth, and a change-compressed occupancy
-    timeline for the trace exporter's counter tracks.
+    Sampled after the channel commits: a depth histogram, the number of
+    cycles the channel sat full (producer-visible backpressure), the
+    peak depth, and a change-compressed occupancy timeline for the trace
+    exporter's counter tracks.
     """
 
     def __init__(self, channel):
@@ -150,28 +151,36 @@ class ChannelProbe:
         self.samples = 0
         #: (cycle, occupancy) recorded only on change — bounded by traffic
         self.occupancy_timeline: List[Tuple[int, int]] = []
+        #: the open run: occupancy ``current`` since cycle ``_since``
+        self.current: Optional[int] = None
+        self._since = 0
 
     @property
     def name(self) -> str:
         return self.channel.name
 
-    def record(self, cycle: int):
+    def sample(self, cycle: int):
+        """The occupancy read now holds from ``cycle`` on."""
         occ = self.channel.occupancy
-        self.samples += 1
-        self.histogram[occ] += 1
-        if occ > self.peak_depth:
-            self.peak_depth = occ
-        if occ >= self.channel.capacity:
-            self.backpressure_cycles += 1
-        tl = self.occupancy_timeline
-        if not tl or tl[-1][1] != occ:
-            tl.append((cycle, occ))
+        if occ != self.current:
+            self.flush(cycle)
+            self.current = occ
 
-    def record_span(self, start: int, span: int):
-        """Bulk-record ``span`` cycles of frozen occupancy (no commits)."""
+    def flush(self, end: int):
+        """Book the open run up to (excluding) ``end``; it stays open."""
+        if self.current is not None:
+            self.record_span(self._since, end - self._since, self.current)
+        self._since = end
+
+    def record(self, cycle: int):
+        self.record_span(cycle, 1)
+
+    def record_span(self, start: int, span: int,
+                    occupancy: Optional[int] = None):
+        """Book ``span`` cycles at one occupancy (default: the current)."""
         if span <= 0:
             return
-        occ = self.channel.occupancy
+        occ = self.channel.occupancy if occupancy is None else occupancy
         self.samples += span
         self.histogram[occ] += span
         if occ > self.peak_depth:

@@ -1,10 +1,17 @@
-"""The observer: samples the whole simulator once per cycle.
+"""The observer: samples the simulator where it changed.
 
 Attach with :meth:`repro.sim.engine.Simulator.attach_observer` (or pass
 ``observer=`` to :func:`repro.accel.build_accelerator`). When no observer
 is attached the engine's hot loop contains a single ``is None`` test, and
 component classification code never runs — observability off is free, and
 cycle counts are bit-identical either way.
+
+Sampling contract: a component's ``obs_classify`` can differ from the
+previous cycle's only if it ticked this cycle or one of its
+``sensitivity()`` channels committed, a channel's occupancy only if it
+committed. The event engine hands :meth:`Observer.on_change` just those;
+the dense engine, the oracle, samples everything every cycle. Both give
+identical views once ``Simulator.run`` has flushed the open runs.
 """
 
 from __future__ import annotations
@@ -13,94 +20,75 @@ from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.accounting import ChannelProbe, CycleLedger
-from repro.sim.component import OBS_IDLE, OBS_STALL_IN, OBS_STALL_OUT
+from repro.sim.component import OBS_BUSY, OBS_STALL_IN, OBS_STALL_OUT
+
+
+def _classified(components, cycle: int):
+    """``(name, group, (state, reason))`` of each component, each
+    followed by its subunits (a unit's tiles, grouped under the unit)."""
+    for component in components:
+        name = component.name
+        yield name, name, component.obs_classify(cycle)
+        for child_name, state, reason in component.obs_children(cycle):
+            yield child_name, name, (state, reason)
 
 
 class Observer:
-    """Per-cycle sampler building ledgers and channel probes.
+    """Change-driven sampler building ledgers and channel probes.
 
-    Ledgers and probes are created lazily at sample time, so components
-    and channels registered after attachment (or mid-run) are picked up
-    automatically.
+    Ledgers and probes are created lazily at sample time, and the first
+    sample after a component or channel was registered covers everything,
+    so late registrations (between runs or mid-run) are picked up.
     """
 
-    def __init__(self, keep_timeline: bool = True):
-        self.keep_timeline = keep_timeline
+    def __init__(self):
         self.ledgers: Dict[str, CycleLedger] = {}
         self.probes: Dict[str, ChannelProbe] = {}
         self.cycles_observed = 0
         self.first_cycle: Optional[int] = None
         self.last_cycle: Optional[int] = None
+        self._shape = None  # (components, channels) when last sampled in full
 
     # -- engine interface --------------------------------------------------
 
     def on_cycle(self, sim, cycle: int):
-        """Called by the engine at the end of every tick."""
-        self.cycles_observed += 1
-        if self.first_cycle is None:
-            self.first_cycle = cycle
-        self.last_cycle = cycle
+        """Sample everything — what the dense engine calls every cycle."""
+        self.on_change(sim, cycle, sim.components, sim.channels)
+
+    def on_change(self, sim, cycle: int, components, channels):
+        """Sample the ``components`` that ticked or saw a sensitivity
+        channel commit in ``cycle`` and the ``channels`` that committed;
+        the rest extend their open runs. Over-sampling is harmless."""
+        shape = (len(sim.components), len(sim.channels))
+        if shape != self._shape:  # also true of the very first sample
+            self._shape = shape
+            components, channels = sim.components, sim.channels
+            if self.first_cycle is None:
+                self.first_cycle = cycle
         ledgers = self.ledgers
-        for component in sim.components:
-            state, reason = component.obs_classify(cycle)
-            ledger = ledgers.get(component.name)
+        for name, group, now in _classified(components, cycle):
+            ledger = ledgers.get(name)
             if ledger is None:
-                ledger = ledgers[component.name] = CycleLedger(
-                    component.name, keep_timeline=self.keep_timeline)
-            ledger.record(cycle, state, reason)
-            for child_name, child_state, child_reason in \
-                    component.obs_children(cycle):
-                child = ledgers.get(child_name)
-                if child is None:
-                    child = ledgers[child_name] = CycleLedger(
-                        child_name, group=component.name,
-                        keep_timeline=self.keep_timeline)
-                child.record(cycle, child_state, child_reason)
+                ledger = ledgers[name] = CycleLedger(name, group)
+            if now != ledger.current:  # four in five are not: skip the call
+                ledger.sample(cycle, *now)
         probes = self.probes
-        for channel in sim.channels:
+        for channel in channels:
             probe = probes.get(channel.name)
             if probe is None:
                 probe = probes[channel.name] = ChannelProbe(channel)
-            probe.record(cycle)
+            probe.sample(cycle)
 
-    def on_quiet_span(self, sim, start: int, span: int):
-        """Called by the event engine instead of ``span`` ``on_cycle`` calls.
-
-        Over a fast-forwarded range nothing ticks and nothing commits, and
-        the engine only skips to the earliest armed timer — so every
-        ``done > cycle`` style comparison inside ``obs_classify`` is
-        constant across the range. Classify once, record a run. Engines
-        without this optimisation (or observers without this method) fall
-        back to per-cycle ``on_cycle``; both produce identical ledgers.
-        """
-        if span <= 0:
+    def flush(self, sim):
+        """Book every open run up to the simulator's clock: the engine
+        calls this when ``run`` returns or raises (do it yourself after
+        stepping ``Simulator.tick`` by hand)."""
+        if self.first_cycle is None:
             return
-        self.cycles_observed += span
-        if self.first_cycle is None:
-            self.first_cycle = start
-        self.last_cycle = start + span - 1
-        ledgers = self.ledgers
-        for component in sim.components:
-            state, reason = component.obs_classify(start)
-            ledger = ledgers.get(component.name)
-            if ledger is None:
-                ledger = ledgers[component.name] = CycleLedger(
-                    component.name, keep_timeline=self.keep_timeline)
-            ledger.record_span(start, span, state, reason)
-            for child_name, child_state, child_reason in \
-                    component.obs_children(start):
-                child = ledgers.get(child_name)
-                if child is None:
-                    child = ledgers[child_name] = CycleLedger(
-                        child_name, group=component.name,
-                        keep_timeline=self.keep_timeline)
-                child.record_span(start, span, child_state, child_reason)
-        probes = self.probes
-        for channel in sim.channels:
-            probe = probes.get(channel.name)
-            if probe is None:
-                probe = probes[channel.name] = ChannelProbe(channel)
-            probe.record_span(start, span)
+        for recorder in (*self.ledgers.values(), *self.probes.values()):
+            recorder.flush(sim.cycle)
+        self.cycles_observed = sim.cycle - self.first_cycle
+        self.last_cycle = sim.cycle - 1
 
     # -- derived views -----------------------------------------------------
 
@@ -115,19 +103,16 @@ class Observer:
 
     def stall_sources(self) -> List[Tuple[str, str, int]]:
         """(component, reason, cycles) sorted by descending cycle cost."""
-        out = []
-        for ledger in self.ledgers.values():
-            for reason, cycles in ledger.stall_reasons().items():
-                out.append((ledger.name, reason, cycles))
-        out.sort(key=lambda row: (-row[2], row[0], row[1]))
-        return out
+        out = [(ledger.name, reason, cycles)
+               for ledger in self.ledgers.values()
+               for reason, cycles in ledger.stall_reasons().items()]
+        return sorted(out, key=lambda row: (-row[2], row[0], row[1]))
 
     def stall_breakdown(self) -> Dict[str, int]:
         """Aggregate stall-reason -> cycles across all components."""
         total: Counter = Counter()
         for ledger in self.ledgers.values():
-            for reason, cycles in ledger.stall_reasons().items():
-                total[reason] += cycles
+            total.update(ledger.stall_reasons())
         return dict(total)
 
     def busiest_channels(self, limit: int = 10) -> List[ChannelProbe]:
@@ -157,15 +142,9 @@ def stall_snapshot(sim) -> dict:
     per-component state/reason attribution plus every channel holding
     stuck data.
     """
-    components = []
-    for component in sim.components:
-        state, reason = component.obs_classify(sim.cycle)
-        components.append({"name": component.name, "state": state,
-                           "reason": reason})
-        for child_name, child_state, child_reason in \
-                component.obs_children(sim.cycle):
-            components.append({"name": child_name, "state": child_state,
-                               "reason": child_reason})
+    components = [
+        {"name": name, "state": state, "reason": reason}
+        for name, _, (state, reason) in _classified(sim.components, sim.cycle)]
     channels = [{"name": ch.name, "occupancy": ch.occupancy,
                  "capacity": ch.capacity, "pushed": ch.total_pushed,
                  "popped": ch.total_popped}
@@ -185,9 +164,8 @@ def render_stall_snapshot(snapshot: dict) -> str:
             f"{c['name']}[{c['state']}"
             + (f":{c['reason']}" if c["reason"] else "") + "]"
             for c in stalled))
-    waiting = [c for c in snapshot["components"]
-               if c["state"] not in (OBS_IDLE,) and c not in stalled]
-    busy = [c["name"] for c in waiting if c["state"] == "busy"]
+    busy = [c["name"] for c in snapshot["components"]
+            if c["state"] == OBS_BUSY]
     if busy:
         parts.append("busy components: " + ", ".join(busy))
     if snapshot["channels"]:

@@ -15,11 +15,16 @@ Mapping:
 * trace events are instants (``ph: "i"``) on the track of their source
   component;
 * channel occupancy timelines are counter tracks (``ph: "C"``).
+
+File layout: a ``{"traceEvents":[`` line, one trace event per line
+(metadata, then events by timestamp) and a closing line with the other
+keys — plain JSON that diffs line by line.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from typing import IO, List, Union
 
 from repro.sim.component import OBS_IDLE
@@ -44,6 +49,12 @@ def _json_safe(value):
     return str(value)
 
 
+def _track_name(kind: str, pid: int, tid: int, name: str) -> dict:
+    """Metadata event naming a process (``process_name``) or thread."""
+    return {"ph": "M", "name": kind, "pid": pid, "tid": tid,
+            "args": {"name": name}}
+
+
 def chrome_trace(observer=None, trace=None,
                  include_idle: bool = False, host_spans=None) -> dict:
     """Build the trace-event document as a Python dict.
@@ -63,31 +74,25 @@ def chrome_trace(observer=None, trace=None,
 
         host_events = host_trace_events(host_spans, _HOST_PID)
         if host_events:
-            meta.append({"ph": "M", "name": "process_name",
-                         "pid": _HOST_PID, "tid": 0,
-                         "args": {"name": "host toolchain"}})
+            meta.append(_track_name("process_name", _HOST_PID, 0,
+                                    "host toolchain"))
             for tid in sorted({e["tid"] for e in host_events}):
-                meta.append({"ph": "M", "name": "thread_name",
-                             "pid": _HOST_PID, "tid": tid,
-                             "args": {"name": f"host thread {tid}"}})
+                meta.append(_track_name("thread_name", _HOST_PID, tid,
+                                        f"host thread {tid}"))
             events.extend(host_events)
 
     if observer is not None:
-        groups = []
-        for ledger in observer.ledgers.values():
-            if ledger.group not in groups:
-                groups.append(ledger.group)
+        groups = dict.fromkeys(ledger.group
+                               for ledger in observer.ledgers.values())
         for pid, group in enumerate(groups):
-            meta.append({"ph": "M", "name": "process_name", "pid": pid,
-                         "tid": 0, "args": {"name": group}})
+            meta.append(_track_name("process_name", pid, 0, group))
             members = [ledger for ledger in observer.ledgers.values()
                        if ledger.group == group]
             # the component itself first, then its tiles in name order
             members.sort(key=lambda ledger: (ledger.name != group, ledger.name))
             for tid, ledger in enumerate(members):
                 track[ledger.name] = (pid, tid)
-                meta.append({"ph": "M", "name": "thread_name", "pid": pid,
-                             "tid": tid, "args": {"name": ledger.name}})
+                meta.append(_track_name("thread_name", pid, tid, ledger.name))
                 for start, end, state, reason in ledger.timeline:
                     if state == OBS_IDLE and not include_idle:
                         continue
@@ -98,9 +103,7 @@ def chrome_trace(observer=None, trace=None,
                         "pid": pid, "tid": tid,
                         "args": {"state": state, "reason": reason},
                     })
-        meta.append({"ph": "M", "name": "process_name",
-                     "pid": _CHANNELS_PID, "tid": 0,
-                     "args": {"name": "channels"}})
+        meta.append(_track_name("process_name", _CHANNELS_PID, 0, "channels"))
         for probe in observer.probes.values():
             if not probe.channel.total_pushed:
                 continue
@@ -125,9 +128,7 @@ def chrome_trace(observer=None, trace=None,
                 "ts": event.cycle, "pid": pid, "tid": tid, "args": args,
             })
         if used_events_pid:
-            meta.append({"ph": "M", "name": "process_name",
-                         "pid": _EVENTS_PID, "tid": 0,
-                         "args": {"name": "events"}})
+            meta.append(_track_name("process_name", _EVENTS_PID, 0, "events"))
 
     # Perfetto tolerates any order, but monotonic timestamps keep the
     # export diffable and make well-formedness trivially checkable.
@@ -145,15 +146,35 @@ def chrome_trace(observer=None, trace=None,
 def export_chrome_trace(destination: Union[str, IO],
                         observer=None, trace=None,
                         include_idle: bool = False, host_spans=None) -> dict:
-    """Write the trace-event JSON to a path or file object."""
+    """Write the trace-event JSON to a path or file object. A path is
+    written to a sibling temp file that is renamed into place, so a
+    failing export leaves the previous file (if any), never a torn one."""
     document = chrome_trace(observer=observer, trace=trace,
                             include_idle=include_idle, host_spans=host_spans)
     if hasattr(destination, "write"):
-        json.dump(document, destination, indent=1)
-    else:
-        with open(destination, "w") as handle:
-            json.dump(document, handle, indent=1)
+        _write_document(destination, document)
+        return document
+    scratch = f"{destination}.{os.getpid()}.tmp"
+    try:
+        with open(scratch, "w") as handle:
+            _write_document(handle, document)
+        os.replace(scratch, destination)
+    finally:
+        if os.path.exists(scratch):  # the export failed part-way
+            os.unlink(scratch)
     return document
+
+
+def _write_document(handle: IO, document: dict) -> None:
+    """One trace event per line through the C encoder (``indent=`` would
+    select the pure-Python one), handed to the file's buffer line by line
+    rather than joined into one string."""
+    encode = json.JSONEncoder().encode
+    rest = dict(document)
+    lines = map(encode, rest.pop("traceEvents"))
+    handle.write('{"traceEvents":[\n' + next(lines, ""))
+    handle.writelines(",\n" + line for line in lines)
+    handle.write("\n]," + encode(rest)[1:] + "\n")
 
 
 def validate_chrome_trace(document: dict) -> List[str]:

@@ -100,6 +100,11 @@ class Component:
         observer is attached (or for a deadlock post-mortem), strictly
         after :meth:`tick` — implementations must read state, never
         mutate it, so instrumentation cannot perturb timing.
+
+        The event engine re-samples a component only in cycles where it
+        ticked or one of its :meth:`sensitivity` channels committed, so
+        the result may depend on the component's own state, on those
+        channels and on timers :meth:`next_wake` reports — nothing else.
         """
         return (OBS_BUSY, None) if self.is_busy() else (OBS_IDLE, None)
 
@@ -107,7 +112,8 @@ class Component:
         """Per-subunit attribution for components that own inner tiles.
 
         Yields ``(name, state, reason)`` triples; the observer keeps a
-        separate ledger (and trace track) per subunit name.
+        separate ledger (and trace track) per subunit name. Called right
+        after :meth:`obs_classify` for the same cycle, under its rules.
         """
         return ()
 

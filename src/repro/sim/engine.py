@@ -73,9 +73,10 @@ class Simulator:
         self._idle_cycles = 0
         self._quiet_cycles = 0  # no channel movement, busy or not
         self._activity_flag = False
-        #: optional per-cycle sampler (repro.obs.Observer); None keeps the
-        #: hot loop at a single pointer test per cycle
+        #: optional sampler (repro.obs.Observer); None keeps the hot loop
+        #: at a single pointer test per cycle
         self.observer = None
+        self._on_change = None  # its change-driven hook, bound per run
         #: optional host-time attribution (repro.telemetry.HostProfiler);
         #: None keeps both engines' commit paths at one pointer test per
         #: cycle — sim cycles are bit-identical either way
@@ -114,7 +115,8 @@ class Simulator:
         return channel
 
     def attach_observer(self, observer):
-        """Install a per-cycle sampler (see :mod:`repro.obs`)."""
+        """Install a sampler (see :mod:`repro.obs`). It must define
+        ``on_cycle(sim, cycle)``; ``on_change`` plus ``flush`` are opt-in."""
         self.observer = observer
         return observer
 
@@ -160,24 +162,17 @@ class Simulator:
         moved = False
         profile = self.host_profile
         log = self._movement_log
-        if log is not None:
-            names = []
-            for channel in self.channels:
-                if channel.commit():
-                    moved = True
+        names = None if log is None else []
+        t0 = 0 if profile is None else time.perf_counter_ns()
+        for channel in self.channels:
+            if channel.commit():
+                moved = True
+                if names is not None:
                     names.append(channel.name)
-            if names and len(log) < MOVEMENT_LOG_CAP:
-                log.append((executed, tuple(sorted(names))))
-        elif profile is None:
-            for channel in self.channels:
-                if channel.commit():
-                    moved = True
-        else:
-            t0 = time.perf_counter_ns()
-            for channel in self.channels:
-                if channel.commit():
-                    moved = True
+        if profile is not None:
             profile.commit_ns += time.perf_counter_ns() - t0
+        if names and len(log) < MOVEMENT_LOG_CAP:
+            log.append((executed, tuple(sorted(names))))
         self._dirty_channels.clear()
         self.cycle += 1
         self._account(moved)
@@ -205,6 +200,7 @@ class Simulator:
         window, and :class:`SimulationError` on timeout.
         """
         start = self.cycle
+        self._on_change = getattr(self.observer, "on_change", None)
         t0 = time.perf_counter()
         try:
             if self.engine == "dense":
@@ -214,6 +210,8 @@ class Simulator:
             else:
                 self._run_event(done, start, max_cycles)
         finally:
+            if self._on_change is not None:  # book the observer's open runs
+                self.observer.flush(self)
             elapsed = time.perf_counter() - t0
             self.host_seconds += elapsed
             self._cycles_simulated += self.cycle - start
@@ -298,6 +296,9 @@ class Simulator:
         next_cycle = executed + 1
         ticked = 0
         due = False
+        observer = self.observer
+        if observer is not None:
+            sampled = [c for c in self.components if c._wake_cycle <= executed]
         for component in self.components:
             if component._wake_cycle <= executed:
                 component.tick(executed)
@@ -311,12 +312,12 @@ class Simulator:
         self._component_ticks += ticked
 
         moved = False
-        if self._dirty_channels:
+        dirty = self._dirty_channels
+        if dirty:
             profile = self.host_profile
             log = self._movement_log
             names = None if log is None else []
             t0 = 0 if profile is None else time.perf_counter_ns()
-            dirty = self._dirty_channels
             self._dirty_channels = []
             for channel in dirty:
                 if channel.commit():
@@ -333,8 +334,13 @@ class Simulator:
                 log.append((executed, tuple(sorted(names))))
         self.cycle = next_cycle
         self._account(moved)
-        if self.observer is not None:
-            self.observer.on_cycle(self, executed)
+        if observer is not None:
+            if self._on_change is None:  # third-party: the per-cycle view
+                observer.on_cycle(self, executed)
+            else:  # whoever ticked, or watches a channel that committed
+                for channel in dirty:
+                    sampled += channel._subscribers
+                self._on_change(self, executed, dict.fromkeys(sampled), dirty)
         return due
 
     def _fast_forward(self, start, max_cycles) -> bool:
@@ -363,13 +369,11 @@ class Simulator:
         if not busy:
             self._idle_cycles += span
         self._fast_forwarded_cycles += span
-        if self.observer is not None:
-            synth = getattr(self.observer, "on_quiet_span", None)
-            if synth is not None:
-                synth(self, first_skipped, span)
-            else:  # third-party observer: exact per-cycle replay
-                for cyc in range(first_skipped, target):
-                    self.observer.on_cycle(self, cyc)
+        # nothing ticked and nothing moved, so a change-driven observer's
+        # open runs simply extend; a third-party one gets an exact replay
+        if self.observer is not None and self._on_change is None:
+            for cyc in range(first_skipped, target):
+                self.observer.on_cycle(self, cyc)
         # the clock stands on a wake cycle, or on a stall/timeout
         # boundary that raises before the next tick
         return True

@@ -86,6 +86,9 @@ class TaskUnit(Component):
         #: memory/call response (state frozen), and the dense engine counts
         #: those as busy tile cycles, so they are caught up in bulk
         self._synced_to = -1
+        #: (cycle, tile classifications) handed from obs_classify to the
+        #: obs_children call of the same sample — tiles classify once
+        self._obs_tiles: tuple = (None, None)
 
     # -- addresses ---------------------------------------------------------
 
@@ -325,6 +328,7 @@ class TaskUnit(Component):
 
     def obs_classify(self, cycle):
         tile_states = [tile.obs_classify(cycle) for tile in self.tiles]
+        self._obs_tiles = (cycle, tile_states)
         if any(state == OBS_BUSY for state, _ in tile_states):
             return OBS_BUSY, None
         if self._spawn_outbuf and not self.spawn_out.can_push():
@@ -352,9 +356,12 @@ class TaskUnit(Component):
         return OBS_IDLE, None
 
     def obs_children(self, cycle):
-        for tile in self.tiles:
-            state, reason = tile.obs_classify(cycle)
-            yield f"{self.name}.tile{tile.tile_index}", state, reason
+        sampled_at, tile_states = self._obs_tiles
+        self._obs_tiles = (None, None)
+        if sampled_at != cycle:  # not preceded by obs_classify(cycle)
+            tile_states = [tile.obs_classify(cycle) for tile in self.tiles]
+        return [(tile.obs_name, state, reason)
+                for tile, (state, reason) in zip(self.tiles, tile_states)]
 
     def stats(self):
         if self.sim is not None:

@@ -129,6 +129,8 @@ class TXUTile:
                  latencies: Optional[Dict[str, int]] = None):
         self.unit = unit
         self.tile_index = tile_index
+        #: ledger / trace-track name of this tile
+        self.obs_name = f"{unit.name}.tile{tile_index}"
         self.compiled = compiled
         self.request_out = request_out
         self.response_in = response_in

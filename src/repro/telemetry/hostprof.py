@@ -39,7 +39,7 @@ class HostProfiler:
         self.observer_ns = 0      # observer sampling (wrapped below)
         self.wall_ns = 0          # Simulator.run loop while installed
         self._saved_ticks: List[tuple] = []
-        self._saved_observer: Optional[tuple] = None
+        self._saved_observer: Optional[tuple] = None  # (observer, hooks)
 
     # -- install/uninstall -------------------------------------------------
 
@@ -65,10 +65,9 @@ class HostProfiler:
             component.__dict__.pop("tick", None)
         self._saved_ticks = []
         if self._saved_observer is not None:
-            observer, on_cycle, on_quiet = self._saved_observer
-            observer.__dict__.pop("on_cycle", None)
-            if on_quiet is not None:
-                observer.__dict__.pop("on_quiet_span", None)
+            observer, hooks = self._saved_observer
+            for hook in hooks:
+                observer.__dict__.pop(hook, None)
             self._saved_observer = None
         if self.sim is not None:
             self.sim.host_profile = None
@@ -94,23 +93,20 @@ class HostProfiler:
         component.tick = timed_tick
 
     def _wrap_observer(self, observer) -> None:
-        on_cycle = observer.on_cycle
-        on_quiet = getattr(observer, "on_quiet_span", None)
-
-        def timed_on_cycle(sim, cycle, _inner=on_cycle):
-            t0 = _ns()
-            _inner(sim, cycle)
-            self.observer_ns += _ns() - t0
-
-        observer.on_cycle = timed_on_cycle
-        if on_quiet is not None:
-            def timed_on_quiet(sim, start, span, _inner=on_quiet):
+        def timed(inner):
+            def timed_hook(*args):
                 t0 = _ns()
-                _inner(sim, start, span)
+                inner(*args)
                 self.observer_ns += _ns() - t0
+            return timed_hook
 
-            observer.on_quiet_span = timed_on_quiet
-        self._saved_observer = (observer, on_cycle, on_quiet)
+        # a change-driven observer's on_cycle is on_change over everything
+        # (see Simulator.attach_observer), so timing on_change covers both
+        hooks = (("on_change", "flush") if hasattr(observer, "on_change")
+                 else ("on_cycle",))
+        for hook in hooks:
+            setattr(observer, hook, timed(getattr(observer, hook)))
+        self._saved_observer = (observer, hooks)
 
     # -- derived numbers ---------------------------------------------------
 

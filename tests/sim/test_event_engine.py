@@ -363,8 +363,8 @@ class TestObserverSynthesis:
         assert observer.last_cycle == cycles - 1
 
     def test_third_party_observer_gets_per_cycle_replay(self):
-        """An observer without on_quiet_span still sees one on_cycle call
-        per simulated cycle, in order."""
+        """An observer without on_change still sees one on_cycle call
+        per simulated cycle, in order, fast-forwarded spans included."""
 
         class MinimalObserver:
             def __init__(self):

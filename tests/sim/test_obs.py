@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.obs import (
     ChannelProbe,
     CycleLedger,
@@ -197,3 +198,321 @@ class TestChromeTrace:
         counters = [e for e in document["traceEvents"] if e["ph"] == "C"]
         assert counters
         assert all("occupancy" in e["args"] for e in counters)
+
+    def test_file_layout_one_event_per_line(self, tmp_path):
+        _, observer, trace = self._profiled_run()
+        path = tmp_path / "trace.json"
+        document = export_chrome_trace(str(path), observer=observer,
+                                       trace=trace, include_idle=True)
+        with open(path) as handle:
+            assert json.load(handle) == document
+        assert validate_chrome_trace(document) == []
+        lines = path.read_text().splitlines()
+        assert lines[0] == '{"traceEvents":['
+        assert lines[-1].startswith("],")
+        body = lines[1:-1]
+        assert len(body) == len(document["traceEvents"])
+        for line, event in zip(body, document["traceEvents"]):
+            assert json.loads(line.rstrip(",")) == event
+        assert not any(line.startswith(" ") for line in lines)
+        assert list(tmp_path.iterdir()) == [path]  # no temp file left
+
+    def test_failed_export_keeps_previous_file(self, tmp_path, monkeypatch):
+        class Hostile:
+            def __str__(self):
+                raise RuntimeError("payload cannot be rendered")
+
+        path = tmp_path / "trace.json"
+        path.write_text("previous export")
+        trace = Trace(enabled=True)
+        trace.emit(0, "unit", "mem", "load", payload={"value": Hostile()})
+        with pytest.raises(RuntimeError):
+            export_chrome_trace(str(path), trace=trace)
+        assert path.read_text() == "previous export"
+        assert list(tmp_path.iterdir()) == [path]
+
+        # ... and when the write itself dies half-way (full disk)
+        from repro.obs import perfetto
+
+        def torn_write(handle, document):
+            handle.write('{"traceEvents":[')
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(perfetto, "_write_document", torn_write)
+        trace = Trace(enabled=True)
+        trace.emit(0, "unit", "mem", "load")
+        with pytest.raises(OSError):
+            export_chrome_trace(str(path), trace=trace)
+        assert path.read_text() == "previous export"
+        assert list(tmp_path.iterdir()) == [path]  # temp file removed
+
+
+class Flipper(Component):
+    """Not event-aware (``sensitivity()`` is None) and classified by the
+    parity of the cycle: every cycle differs from the one before."""
+
+    def obs_classify(self, cycle):
+        return (OBS_BUSY, None) if cycle % 2 else (OBS_STALL_IN, "odd")
+
+
+class Stuck(Component):
+    """Pushes until its channel is full, then waits forever: nothing
+    ever pops, so the run deadlocks."""
+
+    def __init__(self, name, out):
+        super().__init__(name)
+        self.out = out
+
+    def tick(self, cycle):
+        if self.out.can_push():
+            self.out.push(cycle)
+
+    def sensitivity(self):
+        return (self.out,)
+
+    def obs_classify(self, cycle):
+        if self.out.can_push():
+            return OBS_BUSY, None
+        return OBS_STALL_OUT, "nobody-pops"
+
+
+def _conserved(observer):
+    for ledger in observer.ledgers.values():
+        assert sum(ledger.breakdown().values()) == ledger.cycles
+        assert ledger.cycles == observer.cycles_observed, ledger.name
+        ends = [run[1] for run in ledger.timeline]
+        starts = [run[0] for run in ledger.timeline]
+        assert starts[1:] == ends[:-1], ledger.name  # contiguous
+        for before, after in zip(ledger.timeline, ledger.timeline[1:]):
+            assert before[2:] != after[2:], ledger.name  # equal runs merged
+    for probe in observer.probes.values():
+        assert probe.samples == observer.cycles_observed, probe.name
+        assert sum(probe.histogram.values()) == probe.samples
+
+
+@pytest.mark.parametrize("engine", ["dense", "event", "compiled"])
+class TestOpenRuns:
+    """Runs still open when ``Simulator.run`` ends are booked up to the
+    clock, however it ends, and continue across ``run`` calls."""
+
+    def test_unaware_component_is_resampled_every_cycle(self, engine):
+        sim = Simulator(engine=engine)
+        ch = sim.add_channel("pc", capacity=2)
+        sim.add_component(Flipper("flip"))
+        sim.add_component(Producer("p", ch, count=10))
+        consumer = sim.add_component(Consumer("c", ch))
+        observer = sim.attach_observer(Observer())
+        cycles = sim.run(lambda: len(consumer.received) == 10)
+        _conserved(observer)
+        flips = observer.ledgers["flip"]
+        assert len(flips.timeline) == cycles
+        assert flips.stall_reasons() == {"odd": (cycles + 1) // 2}
+
+    def test_deadlock_leaves_complete_ledgers(self, engine):
+        from repro.errors import DeadlockError
+
+        sim = Simulator(engine=engine)
+        sim.add_component(Stuck("s", sim.add_channel("out", capacity=2)))
+        observer = sim.attach_observer(Observer())
+        with pytest.raises(DeadlockError) as failure:
+            sim.run(lambda: False)
+        assert failure.value.cycle == sim.cycle
+        assert observer.cycles_observed == sim.cycle
+        assert observer.last_cycle == sim.cycle - 1
+        _conserved(observer)
+        assert observer.ledgers["s"].timeline == [
+            [0, 1, OBS_BUSY, None],
+            [1, sim.cycle, OBS_STALL_OUT, "nobody-pops"]]
+        assert observer.probes["out"].occupancy_timeline == [
+            (0, 1), (1, 2)]
+        assert observer.probes["out"].backpressure_cycles == sim.cycle - 1
+
+    def test_timeout_leaves_complete_ledgers(self, engine):
+        sim = Simulator(engine=engine)
+        sim.add_component(Stuck("s", sim.add_channel("out", capacity=2)))
+        observer = sim.attach_observer(Observer())
+        with pytest.raises(SimulationError):
+            sim.run(lambda: False, max_cycles=100)
+        assert observer.cycles_observed == sim.cycle == 100
+        _conserved(observer)
+
+    def test_second_run_continues_the_same_runs(self, engine):
+        from repro.accel import AcceleratorConfig, build_accelerator
+        from repro.frontend import compile_source
+        from repro.ir.types import I32
+
+        source = """
+        func bump(a: i32*, n: i32) -> i32 {
+          cilk_for (var i: i32 = 0; i < n; i = i + 1) { a[i] = a[i] + 1; }
+          return n;
+        }
+        """
+        observer = Observer()
+        accel = build_accelerator(
+            compile_source(source, "tworuns"),
+            AcceleratorConfig(default_ntiles=2, engine=engine),
+            observer=observer)
+        addr = accel.memory.alloc_array(I32, [0] * 8)
+        first = accel.run("bump", [addr, 8])
+        assert observer.cycles_observed == first.cycles
+        _conserved(observer)
+        second = accel.run("bump", [addr, 8])
+        assert accel.memory.read_array(addr, I32, 8) == [2] * 8
+        assert observer.cycles_observed == accel.sim.cycle
+        assert accel.sim.cycle == first.cycles + second.cycles
+        _conserved(observer)
+
+    def test_late_registrations_are_picked_up(self, engine):
+        sim = Simulator(engine=engine)
+        ch = sim.add_channel("pc", capacity=2)
+        sim.add_component(Producer("p", ch, count=5))
+        consumer = sim.add_component(Consumer("c", ch))
+        observer = sim.attach_observer(Observer())
+        first = sim.run(lambda: len(consumer.received) == 5)
+        late = sim.add_channel("late", capacity=1)
+        sim.add_component(Producer("p2", late, count=3))
+        consumer2 = sim.add_component(Consumer("c2", late))
+        second = sim.run(lambda: len(consumer2.received) == 3)
+        assert observer.cycles_observed == first + second
+        assert observer.ledgers["p"].cycles == first + second
+        for name in ("p2", "c2"):
+            assert observer.ledgers[name].cycles == second
+            assert observer.ledgers[name].timeline[0][0] == first
+        assert observer.probes["late"].samples == second
+        assert observer.probes["late"].peak_depth == 1
+
+
+class OracleObserver:
+    """An independent per-cycle observer: only ``on_cycle(sim, cycle)``,
+    everything classified and read on every cycle into plain dicts and
+    lists — none of the ``repro.obs`` recording classes, no open runs,
+    no ``flush``. The engine gives it the exact per-cycle replay."""
+
+    def __init__(self):
+        self.cycles = 0
+        self.states = {}      # ledger name -> [(state, reason), ...]
+        self.depths = {}      # channel name -> [occupancy, ...]
+
+    def on_cycle(self, sim, cycle):
+        assert cycle == self.cycles, "cycles must arrive in order, once"
+        self.cycles += 1
+        for component in sim.components:
+            self.states.setdefault(component.name, []).append(
+                tuple(component.obs_classify(cycle)))
+            for name, state, reason in component.obs_children(cycle):
+                self.states.setdefault(name, []).append((state, reason))
+        for channel in sim.channels:
+            self.depths.setdefault(channel.name, []).append(
+                channel.occupancy)
+
+    def as_dict(self):  # Accelerator.run puts this under stats["obs"]
+        return {"cycles_observed": self.cycles}
+
+    def breakdown(self, name):
+        counts = {state: 0 for state in
+                  (OBS_BUSY, OBS_STALL_IN, OBS_STALL_OUT, OBS_IDLE)}
+        for state, _ in self.states[name]:
+            counts[state] += 1
+        return counts
+
+    def stall_reasons(self, name):
+        counts = {}
+        for _, reason in self.states[name]:
+            if reason is not None:
+                counts[reason] = counts.get(reason, 0) + 1
+        return counts
+
+    def timeline(self, name):
+        runs = []
+        for cycle, (state, reason) in enumerate(self.states[name]):
+            if runs and runs[-1][2:] == [state, reason]:
+                runs[-1][1] = cycle + 1
+            else:
+                runs.append([cycle, cycle + 1, state, reason])
+        return runs
+
+    def occupancy_timeline(self, name):
+        changes = []
+        for cycle, depth in enumerate(self.depths[name]):
+            if not changes or changes[-1][1] != depth:
+                changes.append((cycle, depth))
+        return changes
+
+
+def _oracle_configs():
+    from repro.accel import ARRIA_10
+    from repro.memory.cache import CacheParams
+    from repro.workloads import REGISTRY
+
+    configs = [(name, 1, {"ntiles": 2}) for name in REGISTRY.names()]
+    configs.append(("fibonacci", 1, {"ntiles": 3}))
+    configs.append(("saxpy", 4, {
+        "ntiles": 2, "board": ARRIA_10, "dram_latency_cycles": 270,
+        "cache": CacheParams(size_bytes=1024, mshr_count=1)}))
+    return configs
+
+
+@pytest.mark.parametrize("engine", ["dense", "event", "compiled"])
+def test_observer_agrees_with_independent_oracle(engine):
+    """The change-driven sampler against an observer that shares none of
+    its code and samples everything every cycle, on every registry
+    workload, a 3-tile unit and the fast-forward-heavy membound saxpy."""
+    from repro.workloads import REGISTRY
+
+    for name, scale, overrides in _oracle_configs():
+        workload = REGISTRY.get(name)
+        label = f"{name} {sorted(overrides)} under {engine}"
+
+        def run(observer):
+            config = workload.default_config(engine=engine, **overrides)
+            return workload.run(config, scale=scale, observer=observer)
+
+        oracle, observer = OracleObserver(), Observer()
+        expected, result = run(oracle), run(observer)
+        assert expected.cycles == result.cycles == oracle.cycles, label
+        assert observer.cycles_observed == oracle.cycles, label
+        if "cache" in overrides and engine != "dense":
+            skipped = result.stats["engine"]["fast_forwarded_cycles"]
+            assert skipped >= 0.7 * result.cycles, label
+        assert set(observer.ledgers) == set(oracle.states), label
+        for ledger in observer.ledgers.values():
+            where = f"{label}: {ledger.name}"
+            assert ledger.breakdown() == oracle.breakdown(ledger.name), where
+            assert ledger.stall_reasons() == \
+                oracle.stall_reasons(ledger.name), where
+            assert ledger.timeline == oracle.timeline(ledger.name), where
+        assert set(observer.probes) == set(oracle.depths), label
+        for probe in observer.probes.values():
+            where = f"{label}: {probe.name}"
+            assert probe.occupancy_timeline == \
+                oracle.occupancy_timeline(probe.name), where
+            assert probe.samples == oracle.cycles, where
+            assert probe.peak_depth == max(oracle.depths[probe.name]), where
+
+
+def test_task_unit_classifies_each_tile_once_per_sample():
+    """``obs_classify`` and the ``obs_children`` that follows it serve one
+    classification of the tiles; ``obs_children`` on its own (or for
+    another cycle) still computes a fresh one."""
+    from repro.workloads import REGISTRY
+
+    workload = REGISTRY.get("saxpy")
+    accel = workload.build(workload.default_config(3))
+    unit = accel.units[0]
+    calls = []
+    for tile in unit.tiles:
+        tile.obs_classify = (
+            lambda cycle, _tile=tile: calls.append((_tile.obs_name, cycle))
+            or type(_tile).obs_classify(_tile, cycle))
+    names = [f"{unit.name}.tile{i}" for i in range(3)]
+
+    unit.obs_classify(7)
+    children = list(unit.obs_children(7))
+    assert calls == [(name, 7) for name in names]
+    assert children == [(name, OBS_IDLE, None) for name in names]
+
+    assert list(unit.obs_children(7)) == children  # handoff is one-shot
+    assert len(calls) == 6
+    unit.obs_classify(8)
+    assert list(unit.obs_children(9)) == children  # other cycle: fresh
+    assert len(calls) == 12

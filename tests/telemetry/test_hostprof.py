@@ -93,15 +93,58 @@ def test_double_install_refused():
 
 
 def test_observer_time_lands_in_observer_phase():
+    for engine in ("dense", "event"):
+        _check_observer_is_timed(engine)
+
+
+def _check_observer_is_timed(engine):
+    """Whatever hook the engine calls — ``on_cycle`` from the dense
+    loop, ``on_change`` and ``flush`` from the event engine — is timed
+    into ``observer_ns`` once, and ``uninstall`` puts the methods back."""
     from repro.obs import Observer
 
     observer = Observer()
     accel = build_accelerator(
         compile_source(SOURCE, "hostprof_obs"),
-        AcceleratorConfig(default_ntiles=1), observer=observer)
-    accel.sim.enable_host_profile()
+        AcceleratorConfig(default_ntiles=1, engine=engine),
+        observer=observer)
+    profiler = accel.sim.enable_host_profile()
     n = 4
     addr = accel.memory.alloc_array(
         accel.design.module.functions[0].arguments[0].type.pointee, [1] * n)
+    result = accel.run("work", [addr, n])
+    assert 0 < profiler.observer_ns <= profiler.wall_ns
+    assert observer.cycles_observed == result.cycles
+    profiler.uninstall()
+    assert not {"on_cycle", "on_change", "flush"} & set(vars(observer))
+    # the observer keeps working, untimed, on the next run
+    timed = profiler.observer_ns
     accel.run("work", [addr, n])
-    assert accel.sim.host_profile.observer_ns > 0
+    assert observer.cycles_observed == accel.sim.cycle
+    assert profiler.observer_ns == timed
+
+
+def test_third_party_observer_is_timed_through_on_cycle():
+    class Minimal:
+        def __init__(self):
+            self.cycles = 0
+
+        def on_cycle(self, sim, cycle):
+            self.cycles += 1
+
+        def as_dict(self):
+            return {"cycles_observed": self.cycles}
+
+    observer = Minimal()
+    accel = build_accelerator(
+        compile_source(SOURCE, "hostprof_min"),
+        AcceleratorConfig(default_ntiles=1), observer=observer)
+    profiler = accel.sim.enable_host_profile()
+    n = 4
+    addr = accel.memory.alloc_array(
+        accel.design.module.functions[0].arguments[0].type.pointee, [1] * n)
+    result = accel.run("work", [addr, n])
+    assert observer.cycles == result.cycles
+    assert profiler.observer_ns > 0
+    profiler.uninstall()
+    assert "on_cycle" not in vars(observer)
