@@ -53,6 +53,7 @@ from repro.ir.instructions import (
     Store,
 )
 from repro.ir.values import Argument, Constant, Value
+from repro.memory.arbiter import tree_levels
 from repro.passes.cfg import predecessor_map
 from repro.passes.dominators import compute_dominators
 from repro.passes.loops import Loop, find_loops
@@ -244,8 +245,8 @@ def _stride_line_fraction(inst: Instruction, line_bytes: int,
 class PerfModel:
     """Analytical throughput model for one generated design.
 
-    Build once per design (compiles nothing, runs nothing; elaborates
-    the netlist once to read fan-ins and channel depths), then call
+    Build once per design (compiles nothing, elaborates nothing, runs
+    nothing: network depth follows from the unit count), then call
     :meth:`predict` per configuration point — prediction is pure
     arithmetic, which is what makes ``repro sweep --evaluator static``
     and the future autotuner viable.
@@ -268,8 +269,9 @@ class PerfModel:
         self._ref_config = config or AcceleratorConfig()
         self.num_units = len(design.compiled)
 
-        # -- netlist facts from one reference elaboration ----------------
-        self._read_netlist()
+        # -- network depth: arbiter-tree levels follow from the unit count
+        self.spawn_levels = tree_levels(self.num_units + 1)
+        self.mem_levels = tree_levels(self.num_units)
 
         # -- range analysis: constant/bounded trip counts ----------------
         from repro.analysis.ranges import infer_module_ranges
@@ -311,27 +313,6 @@ class PerfModel:
                     dfg, latencies, line_bytes)
 
     # -- construction helpers ---------------------------------------------
-
-    def _read_netlist(self) -> None:
-        """Elaborate the design once and read structural facts (channel
-        depths, arbiter fan-in) off the channel graph."""
-        from repro.accel.accelerator import Accelerator
-        from repro.analysis.netlist import build_channel_graph
-        from repro.memory.arbiter import tree_levels
-
-        self.spawn_levels = tree_levels(self.num_units + 1)
-        self.mem_levels = tree_levels(self.num_units)
-        self.channel_capacity: Dict[str, int] = {}
-        try:
-            ref = Accelerator(self.design, self._ref_config)
-            graph = build_channel_graph(ref.sim)
-            for channel in graph.channels:
-                self.channel_capacity[channel.name] = getattr(
-                    channel, "capacity", 2)
-        except TapasError:
-            # elaboration can be refused (e.g. lint gates); the model
-            # falls back to the architectural defaults
-            pass
 
     def _block_facts(self, dfg, latencies: Dict[str, int],
                      line_bytes: int) -> _BlockFacts:

@@ -30,10 +30,15 @@ kernel over and a stale kernel can never be replayed. Kernels are kept
 in an in-process module cache and mirrored to
 ``<cache-dir>/kernels/<digest>.py`` for inspection.
 
-Designs or instrumentation the codegen does not cover (observers, host
-profiling, value probes, analysis traces, unrecognized component
-classes, exotic IR) fall back to the event engine — still bit-identical,
-just slower — with the reason recorded in
+Instrumentation is generated, not interpreted: with a change-driven
+observer attached every guard block reports its component and the kernel
+hands ``on_change`` what ticked or moved after each commit; a traced task
+unit's steppers call ``analysis_event`` at the four sites they inline.
+Both fold into the source (hence the digest), and an uninstrumented
+design's source contains neither. What the codegen does not cover (host
+profiling, value probes, observers without ``on_change``, unrecognized
+component classes, exotic IR) falls back to the event engine — still
+bit-identical, just slower — with the reason recorded in
 ``Simulator.compiled_fallback``.
 """
 
@@ -152,14 +157,14 @@ def _store_kernel_source(digest: str, source: str) -> Optional[Path]:
 
 
 def _fallback_reason(sim) -> Optional[str]:
-    """Instrumentation / topology checks that force the event engine.
-
-    Everything here is either observably different under the compiled
-    kernel (per-cycle observers, host-time attribution, value probes,
-    analysis traces) or structurally unknown to the codegen.
-    """
-    if sim.observer is not None:
-        return "observer attached (per-cycle sampling needs real ticks)"
+    """Instrumentation / topology checks that force the event engine:
+    what needs a real tick of every component every cycle (host-time
+    attribution, value probes, an observer with only ``on_cycle``) or is
+    structurally unknown to the codegen."""
+    if (sim.observer is not None
+            and getattr(sim.observer, "on_change", None) is None):
+        return (f"observer {type(sim.observer).__name__} has no on_change "
+                f"(per-cycle sampling needs real ticks)")
     if sim.host_profile is not None:
         return "host profiling enabled (per-component attribution)"
     if TXUTile.value_probe is not None:
@@ -169,8 +174,6 @@ def _fallback_reason(sim) -> Optional[str]:
     for comp in sim.components:
         if not isinstance(comp, known):
             return f"unsupported component class {type(comp).__name__}"
-        if isinstance(comp, TaskUnit) and comp.trace is not None:
-            return "analysis trace enabled (dynamic checker events)"
     return None
 
 
@@ -335,12 +338,15 @@ class _StepperGen:
     ``_suspend``), ``cRi``/``R`` (request channel deque and flat index),
     ``TI`` (tile index) and ``_e`` (the epilogue-store closure) — while
     SID, port and capacities are baked in so ``_fire_memory`` and
-    ``_finish`` are inlined flat ops."""
+    ``_finish`` are inlined flat ops. ``ev`` is the alias of the unit's
+    ``analysis_event`` when it is traced, else None: the inlined event
+    sites emit their call only then."""
 
-    def __init__(self, em: _Emitter, unit, un: str):
+    def __init__(self, em: _Emitter, unit, un: str, ev: Optional[str]):
         self.em = em
         self.unit = unit
         self.un = un          # kernel alias of the owning task unit
+        self.ev = ev
         # _emit_unit has checked that every tile agrees on these three
         self.compiled = unit.tiles[0].compiled
         self.latencies = unit.tiles[0].latencies
@@ -582,6 +588,14 @@ class _StepperGen:
                    % (tag, addr, ir.value.type.size_bytes,
                       self.em.ref(ir.value.type), self.rv(ir.value),
                       self.unit.port))
+        if self.ev:
+            L.append(ind + "    rq_ = %s" % req)
+            L.append(ind + '    %s("mem", "%s addr=%%d" %% rq_.addr, '
+                     '{"gid": inst.entry.gid, "op": rq_.op, "addr": rq_.addr, '
+                     '"size": rq_.size, "sid": %d, "node": %d, "inst": %s})'
+                     % (self.ev, "load" if isinstance(ir, Load) else "store",
+                        self.unit.sid, node.index, self.em.ref(ir)))
+            req = "rq_"
         L.append(ind + "    CP[R] = %s" % req)
         L.append(ind + "    dl.append(R)")
         L.append(ind + "    T._mem_issued_this_cycle = True")
@@ -702,7 +716,6 @@ class _StepperGen:
             # inlined _fire_spawn + TaskUnit.issue_spawn: the spawn spec
             # (dest SID, marshalled args, ret pointer) is static, so the
             # SpawnMessage fields are baked in as literals/env reads.
-            # analysis_event is skipped (trace is None by _fallback_reason).
             spec = self.compiled.spawn_specs[term]
             args = ", ".join(self.rv(v) for v in spec.arg_values)
             if args:
@@ -715,12 +728,18 @@ class _StepperGen:
             L.append("            blk = 1")
             L.append("        else:")
             L.append("            en_ = inst.entry")
+            seq = "None"
+            if self.ev:
+                L.append('            ev_ = %s("spawn-issue", "-> T%d", '
+                         '{"gid": en_.gid, "dest_sid": %d})'
+                         % (self.ev, spec.dest_sid, spec.dest_sid))
+                seq = "ev_.seq if ev_ is not None else None"
             L.append("            %sso.append(SpawnMessage(dest_sid=%d, "
                      "args=(%s), parent_sid=%d, parent_dyid=en_.dyid, "
                      'join_kind="sync", ret_ptr=%s, parent_gid=en_.gid, '
-                     "spawn_seq=None))"
+                     "spawn_seq=%s))"
                      % (self.un, spec.dest_sid, args, self.unit.sid,
-                        ret_ptr))
+                        ret_ptr, seq))
             L.append("            en_.child_count += 1")
             L.append("            %s.spawns_issued += 1" % self.un)
             L.append("            inst.spawned += 1")
@@ -731,6 +750,9 @@ class _StepperGen:
             L.append("            Tsu(inst, %s)"
                      % em.ref(term.continuation))
             L.append("        else:")
+            if self.ev:
+                L.append('            %s("sync-pass", f"gid={inst.entry.gid}", '
+                         '{"gid": inst.entry.gid})' % self.ev)
             L.extend(self.enter_lines(term.continuation, "            "))
             L.append("        m = 1")
         elif isinstance(term, Br):
@@ -1119,6 +1141,10 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs):
     em.pre.append("%sqe = %sq.entries" % (u, u))
     em.pre.append("%ssj = %s._send_join" % (u, u))
     em.pre.append("%sfi = %s.instance_finished" % (u, u))
+    ev = None
+    if unit.trace is not None and unit.trace.enabled:
+        ev = u + "ae"
+        em.pre.append("%s = %s.analysis_event" % (ev, u))
     si, ji = em.ci(unit.spawn_in), em.ci(unit.join_in)
     so, jo = em.ci(unit.spawn_out), em.ci(unit.join_out)
 
@@ -1139,7 +1165,7 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs):
     # closure and the per-block steppers are generated and compiled once,
     # with the tile-bound names arriving as the factory's arguments)
     rettype = compiled.task.function.return_type
-    gen = _StepperGen(em, unit, u)
+    gen = _StepperGen(em, unit, u, ev)
     w = sdefs.append
     w("def _mk%d(T, Tf, Tfc, Tsu, cRi, R, TI):" % k)
     w("    def _e(inst, cycle):")
@@ -1151,6 +1177,12 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs):
         w("        if T._mem_issued_this_cycle:")
         w("            return")
         w("        if len(cRi) < %d and CP[R] is None:" % gen.rocap)
+        if ev:
+            w('            %s("mem", "store addr=%%d (ret)" %% '
+              'int(inst.entry.ret_ptr), {"gid": inst.entry.gid, '
+              '"op": "store", "addr": int(inst.entry.ret_ptr), "size": %d, '
+              '"sid": %d, "node": -1, "inst": None})'
+              % (ev, rettype.size_bytes, unit.sid))
         w('            CP[R] = MemRequest(tag=MemTag(%d, TI, '
           'inst.uid, -1), op="store", '
           "addr=int(inst.entry.ret_ptr), size=%d, "
@@ -1381,12 +1413,21 @@ def _generate(sim) -> Tuple[str, dict]:
     skip: List[str] = []   # fast-forward deadline contributions
     sdefs: List[str] = []  # stepper defs + dispatch dicts
 
+    # a change-driven observer is attached: every guard block reports its
+    # component, and SUB[k] lists who watches channel k (sensitivity())
+    observed = getattr(sim.observer, "on_change", None) is not None
+    subs: List[List[str]] = [[] for _ in em.channels]
     comps = list(sim.components)
     for k, comp in enumerate(comps):
+        guard = len(tick)  # every section opens with its ``if <guard>:``
         if isinstance(comp, TaskUnit):
             _emit_unit(em, k, comp, tick, busy, skip, sdefs)
         else:
             _emit_plumbing(em, k, comp, tick, busy, skip)
+        if observed:
+            tick.insert(guard + 1, "    tk.append(%s)" % em.ref(comp))
+            for ch in dict.fromkeys(comp.sensitivity()):
+                subs[em.ci(ch)].append(em.ref(comp))
 
     busy_expr = " or ".join("(%s)" % t for t in busy) if busy else "0"
     nch = len(em.channels)
@@ -1448,6 +1489,20 @@ def _generate(sim) -> Tuple[str, dict]:
     w("        i += 1")
     body.extend(em.pre)
     body.extend(sdefs)
+    if observed:
+        # Simulator._tick_event's hand-over, after the commit: whoever
+        # ticked or watches a channel that moved, and those channels
+        w("tk = []")
+        w("SUB = (%s)" % "".join(
+            "(%s), " % "".join(n + ", " for n in names) for names in subs))
+        w("_oc = sim._on_change")
+        w("def _obs(cycle):")
+        w("    sim.cycle = cycle + 1")
+        w("    ks = dict.fromkeys(dl)")
+        w("    for k in ks:")
+        w("        tk.extend(SUB[k])")
+        w("    _oc(sim, cycle, dict.fromkeys(tk), [CH[k] for k in ks])")
+        w("    del tk[:]")
     # the hot loop allocates only acyclic objects (messages, instances,
     # small lists); pausing the cyclic collector avoids threshold-driven
     # generation-0 sweeps every few hundred cycles
@@ -1493,11 +1548,15 @@ def _generate(sim) -> Tuple[str, dict]:
     w("                    nm.add(CN[k])")
     w("                if len(mlog) < %d:" % _engine.MOVEMENT_LOG_CAP)
     w("                    mlog.append((cycle, tuple(sorted(nm))))")
+    if observed:
+        w("            _obs(cycle)")
     w("            del dl[:]")
     w("            cycle += 1")
     w("            quiet = 0")
     w("            idle = 0")
     w("            continue")
+    if observed:
+        w("        _obs(cycle)")
     w("        cycle += 1")
     w("        if act:")
     w("            quiet = 0")

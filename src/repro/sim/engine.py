@@ -8,8 +8,10 @@ Three engines share one contract:
   pass (:mod:`repro.sim.compile`) flattens the elaborated netlist into
   one generated Python module with inlined handshakes and per-component
   tick bodies specialized on their static configuration, ``exec``'d and
-  cached content-addressed by design fingerprint. Designs or
-  instrumentation the codegen does not support fall back to the event
+  cached content-addressed by design fingerprint. A change-driven
+  observer and analysis traces are generated into the kernel; what the
+  codegen does not support (host profiling, value probes, ``on_cycle``-
+  only observers, unknown component classes) falls back to the event
   engine explicitly (``Simulator.compiled_fallback`` records why).
 * ``engine="event"`` (default) — one wake-cycle scan. Components
   declare *sensitivity* (the channels they read/write) and an optional
@@ -249,11 +251,13 @@ class Simulator:
     def _run_compiled(self, done, start, max_cycles):
         """Run the design through its generated per-design kernel.
 
-        The codegen pass lives in :mod:`repro.sim.compile`; designs or
-        instrumentation it cannot specialize (observers, host profiling,
-        value probes, unit traces, unrecognized component classes) fall
-        back to the event engine — still bit-identical, just slower —
-        with the reason recorded in :attr:`compiled_fallback`."""
+        The codegen pass lives in :mod:`repro.sim.compile`. An observer
+        with ``on_change`` (bound to ``_on_change`` by :meth:`run`, which
+        also flushes it) and traced task units are part of the generated
+        text; what it cannot specialize (host profiling, value probes,
+        observers with only ``on_cycle``, unrecognized component classes)
+        falls back to the event engine — still bit-identical, just
+        slower — with the reason recorded in :attr:`compiled_fallback`."""
         from repro.sim.compile import prepare_kernel
 
         kernel, reason = prepare_kernel(self)

@@ -110,14 +110,11 @@ class TestPredictionShape:
 
     @pytest.mark.parametrize("target, attr, degraded", [
         ("repro.analysis.ranges.infer_module_ranges", "ranges", None),
-        ("repro.analysis.netlist.build_channel_graph",
-         "channel_capacity", {}),
     ])
     def test_construction_degrades_only_on_toolchain_errors(
             self, target, attr, degraded, monkeypatch):
-        """Range inference and the reference elaboration may be refused
-        with a TapasError (the model then uses type ranges / default
-        channel depths); anything else is a bug and must surface."""
+        """Range inference may be refused with a TapasError (the model
+        then uses type ranges); anything else is a bug and must surface."""
         from repro.errors import AnalysisError
 
         def refuse(*args, **kwargs):

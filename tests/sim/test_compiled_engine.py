@@ -1,5 +1,5 @@
 """Compiled-engine specifics: codegen determinism, content-addressed
-kernel caching, and the instrumentation fallback matrix.
+kernel caching, generated instrumentation and the fallback matrix.
 
 Bit-identity of the compiled kernel against the dense oracle and the
 event engine is covered by the three-engine matrix in
@@ -16,7 +16,7 @@ import repro.exp.cache
 from repro.accel import AcceleratorConfig, build_accelerator
 from repro.frontend import compile_source
 from repro.obs import Observer
-from repro.sim import ENGINES
+from repro.sim import ENGINES, NULL_TRACE, Trace
 from repro.sim.compile import (
     clear_kernel_cache,
     generate_source,
@@ -39,10 +39,11 @@ func fib(n: i32) -> i32 {
 """
 
 
-def _build(tiles=2, source=FIB, name="fib", engine="compiled"):
+def _build(tiles=2, source=FIB, name="fib", engine="compiled", trace=None):
     module = compile_source(source, name)
     return build_accelerator(
-        module, AcceleratorConfig(default_ntiles=tiles, engine=engine))
+        module, AcceleratorConfig(default_ntiles=tiles, engine=engine),
+        trace=trace)
 
 
 class TestCodegenDeterminism:
@@ -155,10 +156,20 @@ class TestKernelCache:
         assert len(compile_mod._MODULES) == 2
 
 
+class OnCycleOnly:
+    """A third-party observer: the per-cycle hook and nothing else."""
+
+    def __init__(self):
+        self.cycles = 0
+
+    def on_cycle(self, sim, cycle):
+        self.cycles += 1
+
+
 class TestFallbackMatrix:
-    """Instrumentation the kernel cannot specialize routes the run
-    through the event engine, with the reason recorded on
-    ``Simulator.compiled_fallback`` (still bit-identical, just slower).
+    """What the generator folds into the kernel (a change-driven observer,
+    traced task units) and what still routes the run through the event
+    engine, with the reason recorded on ``Simulator.compiled_fallback``.
     docs/observability.md documents this matrix."""
 
     def test_plain_run_does_not_fall_back(self):
@@ -169,40 +180,78 @@ class TestFallbackMatrix:
         assert result.stats["engine"]["name"] == "compiled"
         assert result.stats["engine"]["compiled_fallback"] is None
 
-    def test_observer_falls_back_to_event(self):
+    def test_uninstrumented_source_has_no_hook_lines(self):
+        """Zero cost when off: neither the observer hand-over nor an
+        ``analysis_event`` call appears in a plain design's kernel."""
+        source = generate_source(_build().sim)
+        for needle in ("_obs(", "tk.append(", "SUB", "_on_change",
+                       "analysis_event"):
+            assert needle not in source, needle
+
+    def test_observer_is_generated_into_the_kernel(self):
         accel = _build()
-        kernel, reason = prepare_kernel(accel.sim)
-        assert kernel is not None
+        plain = generate_source(accel.sim)
+        prepare_kernel(accel.sim)
+        plain_digest = accel.sim.compiled_digest
         accel.sim.attach_observer(Observer())
         kernel, reason = prepare_kernel(accel.sim)
-        assert kernel is None and "observer" in reason
+        assert kernel is not None and reason is None
+        assert accel.sim.compiled_digest != plain_digest
+        observed = generate_source(accel.sim)
+        assert observed.count("tk.append(") == len(accel.sim.components)
+        assert observed.count("_obs(cycle)") == 3  # the def and two calls
+        assert "analysis_event" not in observed
+        accel.sim.observer = None  # detached: the plain kernel again
+        assert generate_source(accel.sim) == plain
+        prepare_kernel(accel.sim)
+        assert accel.sim.compiled_digest == plain_digest
 
-    def test_observer_fallback_still_bit_identical(self):
-        """An observed compiled run must equal an observed dense run —
-        the fallback path keeps the instrumentation contract."""
-        workload = REGISTRY.get("fibonacci")
-        outcomes = {}
-        observers = {}
-        for engine in ("dense", "compiled"):
-            observer = Observer()
-            config = workload.default_config(2, engine=engine)
-            result = workload.run(config, observer=observer)
-            stats = dict(result.stats)
-            engine_stats = stats.pop("engine")
-            outcomes[engine] = (result.cycles, result.retval, stats)
-            observers[engine] = observer
-            if engine == "compiled":
-                # the observer forced the event kernel underneath
-                assert "observer" in engine_stats["compiled_fallback"]
-        assert outcomes["dense"] == outcomes["compiled"]
-        assert (observers["dense"].as_dict()
-                == observers["compiled"].as_dict())
+    def test_traced_units_emit_their_events_inline(self):
+        plain = _build()
+        traced = _build(trace=Trace(enabled=True))
+        source = generate_source(traced.sim)
+        assert source != generate_source(plain.sim)
+        for kind in ('"mem"', '"spawn-issue"', '"sync-pass"'):
+            assert kind in source, kind
+        assert "spawn_seq=ev_.seq" in source
+        assert "tk.append(" not in source  # no observer: no hand-over
+        kernel, reason = prepare_kernel(traced.sim)
+        assert kernel is not None and reason is None
+
+    @pytest.mark.parametrize("trace", [Trace(enabled=False), NULL_TRACE],
+                             ids=["disabled", "null"])
+    def test_disabled_trace_runs_the_plain_kernel(self, trace):
+        """A unit holding a switched-off trace is not instrumented: same
+        source as an untraced build, no fallback, nothing emitted."""
+        accel = _build(trace=trace)
+        assert generate_source(accel.sim) == generate_source(_build().sim)
+        result = accel.run("fib", [10])
+        assert result.retval == 55
+        assert accel.sim.compiled_fallback is None
+        assert trace.events == []
+
+    def test_observer_without_on_change_falls_back(self):
+        accel = _build()
+        watcher = accel.sim.attach_observer(OnCycleOnly())
+        kernel, reason = prepare_kernel(accel.sim)
+        assert kernel is None and "OnCycleOnly" in reason
+        result = accel.run("fib", [10])
+        assert "OnCycleOnly" in accel.sim.compiled_fallback
+        assert watcher.cycles == result.cycles  # the exact per-cycle view
 
     def test_host_profile_falls_back(self):
         accel = _build()
         accel.sim.enable_host_profile()
         kernel, reason = prepare_kernel(accel.sim)
         assert kernel is None and "host profiling" in reason
+
+    def test_value_probe_falls_back(self, monkeypatch):
+        from repro.task.txu import TXUTile
+
+        monkeypatch.setattr(TXUTile, "value_probe",
+                            staticmethod(lambda value, observed: None))
+        kernel, reason = prepare_kernel(_build().sim)
+        assert kernel is None and "value probe" in reason
 
     def test_unknown_component_falls_back(self):
         from repro.sim import Component, Simulator
@@ -218,12 +267,11 @@ class TestFallbackMatrix:
 
     def test_fallback_reason_recorded_on_run(self):
         accel = _build()
-        accel.sim.attach_observer(Observer())
-        module = compile_source(FIB, "fib")
-        function = module.functions[0]
-        accel.run(function.name, [10])
-        assert accel.sim.compiled_fallback is not None
-        assert "observer" in accel.sim.compiled_fallback
+        accel.sim.enable_host_profile()
+        accel.run("fib", [10])
+        assert "host profiling" in accel.sim.compiled_fallback
+        assert accel.sim.stats()["engine"]["compiled_fallback"] \
+            == accel.sim.compiled_fallback
 
     def test_clean_run_records_no_fallback(self):
         accel = _build()

@@ -14,6 +14,7 @@ import pytest
 from repro.accel import AcceleratorConfig, build_accelerator
 from repro.accel.config import TaskUnitParams
 from repro.frontend import compile_source
+from repro.ir.types import I32
 from repro.obs import Observer
 from repro.task.task_unit import TaskUnit
 from repro.workloads import REGISTRY
@@ -94,23 +95,103 @@ def test_odd_and_heterogeneous_tile_counts_agree(name, config):
     assert outcomes["dense"] == outcomes["event"] == outcomes["compiled"]
 
 
-def test_workload_agrees_with_observer_attached():
-    """Observer synthesis over fast-forwarded spans must reproduce the
-    dense engine's per-cycle ledgers and probes exactly."""
-    workload = REGISTRY.get("saxpy")
-    observers = {}
-    cycles = {}
-    for engine in ("dense", "event"):
-        observer = Observer()
-        result = workload.run(workload.default_config(2, engine=engine),
-                              observer=observer)
-        observers[engine] = observer
-        cycles[engine] = result.cycles
-    assert cycles["dense"] == cycles["event"]
-    od, oe = observers["dense"], observers["event"]
-    assert od.as_dict() == oe.as_dict()
-    for name, ledger in od.ledgers.items():
-        assert ledger.timeline == oe.ledgers[name].timeline, name
+def _instrumented_views(accel, observer, trace):
+    """Everything an instrumented run leaves behind, in comparable form
+    (a payload's ``inst`` is an IR object of that run's own module)."""
+    import io
+
+    from repro.obs import export_chrome_trace
+
+    exported = io.StringIO()
+    export_chrome_trace(exported, observer=observer, trace=trace)
+    events = [
+        (e.cycle, e.source, e.kind, e.detail,
+         e.payload and {key: repr(value) if key == "inst" else value
+                        for key, value in e.payload.items()}, e.seq)
+        for e in trace.events]
+    return {
+        "observer": observer.as_dict(),
+        "ledgers": {name: ledger.timeline
+                    for name, ledger in observer.ledgers.items()},
+        "probes": {name: probe.occupancy_timeline
+                   for name, probe in observer.probes.items()},
+        "exported": exported.getvalue(),
+        "events": events,
+        "races": [conflict.describe()
+                  for conflict in trace.race_check(accel.design.graph)],
+    }
+
+
+def _instrumented_configs():
+    from repro.accel import ARRIA_10
+    from repro.memory.cache import CacheParams
+
+    configs = [(name, 1, {"ntiles": tiles})
+               for name in REGISTRY.names() for tiles in (1, 2, 3)]
+    # miss-bound: most cycles sit inside long fast-forwarded spans
+    configs.append(("saxpy", 4, {
+        "ntiles": 2, "board": ARRIA_10, "dram_latency_cycles": 270,
+        "cache": CacheParams(size_bytes=1024, mshr_count=1)}))
+    return configs
+
+
+INSTRUMENTED = _instrumented_configs()
+
+
+@pytest.mark.parametrize(
+    "name, scale, overrides", INSTRUMENTED,
+    ids=[f"{name}-{'membound' if 'cache' in overrides else overrides['ntiles']}"
+         for name, _scale, overrides in INSTRUMENTED])
+def test_instrumented_views_agree(name, scale, overrides):
+    """Observer ledgers and probes, the exported Perfetto bytes and the
+    analysis trace (events with their ``seq``, hence ``spawn_seq`` and the
+    race checker's happens-before) are one thing under all three engines;
+    the compiled leg produces them from the generated kernel itself."""
+    from repro.sim import Trace
+
+    workload = REGISTRY.get(name)
+    views = {}
+    for engine in ("dense", "event", "compiled"):
+        observer, trace = Observer(), Trace(enabled=True)
+        accel = workload.build(
+            workload.default_config(engine=engine, **overrides),
+            trace=trace, observer=observer)
+        prepared = workload.prepare(accel.memory, scale)
+        result = accel.run(prepared.function, prepared.args)
+        assert prepared.check(accel.memory, result.retval)
+        if engine == "compiled":
+            assert result.stats["engine"]["compiled_fallback"] is None
+        views[engine] = _instrumented_views(accel, observer, trace)
+        views[engine]["result"] = (result.cycles, result.retval,
+                                   _strip(result.stats))
+    for engine in ("event", "compiled"):
+        for what, expected in views["dense"].items():
+            assert views[engine][what] == expected, (engine, what)
+
+
+def test_race_check_agrees_on_racy_program():
+    """The racy fixture's dynamic conflicts (spawn tree, syncs and every
+    access come from the trace) are the same under all three engines."""
+    from repro.sim import Trace
+
+    path = next(p for p in EXAMPLES if p.endswith("racy_sum.cilk"))
+    with open(path) as handle:
+        source = handle.read()
+    found = {}
+    for engine in ("dense", "event", "compiled"):
+        trace = Trace(enabled=True)
+        accel = build_accelerator(
+            compile_source(source, "racy_sum"),
+            AcceleratorConfig(default_ntiles=2, engine=engine), trace=trace)
+        a = accel.memory.alloc_array(I32, list(range(1, 9)))
+        out = accel.memory.alloc_array(I32, [0])
+        accel.run("racy_sum", [a, out, 8])
+        if engine == "compiled":
+            assert accel.sim.compiled_fallback is None
+        found[engine] = [conflict.describe() for conflict
+                         in trace.race_check(accel.design.graph)]
+    assert found["dense"]
+    assert found["dense"] == found["event"] == found["compiled"]
 
 
 def test_memory_bound_config_agrees():

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.errors import SimulationError
+from repro.memory.messages import MemRequest
 from repro.obs import (
     ChannelProbe,
     CycleLedger,
@@ -357,6 +358,8 @@ class TestOpenRuns:
         assert observer.cycles_observed == first.cycles
         _conserved(observer)
         second = accel.run("bump", [addr, 8])
+        if engine == "compiled":  # sampled by the generated kernel itself
+            assert accel.sim.compiled_fallback is None
         assert accel.memory.read_array(addr, I32, 8) == [2] * 8
         assert observer.cycles_observed == accel.sim.cycle
         assert accel.sim.cycle == first.cycles + second.cycles
@@ -380,6 +383,104 @@ class TestOpenRuns:
             assert observer.ledgers[name].timeline[0][0] == first
         assert observer.probes["late"].samples == second
         assert observer.probes["late"].peak_depth == 1
+
+
+FIB = """
+func fib(n: i32) -> i32 {
+  if (n < 2) { return n; }
+  var x: i32 = spawn fib(n - 1);
+  var y: i32 = spawn fib(n - 2);
+  sync;
+  return x + y;
+}
+"""
+
+
+@pytest.mark.parametrize("engine", ["dense", "event", "compiled"])
+class TestOpenRunsOnAccelerators:
+    """The same endings on elaborated designs, which ``engine="compiled"``
+    runs through its generated kernel (the toy components above send it
+    through the event-engine fallback)."""
+
+    def _accelerator(self, engine, source=FIB, name="fib"):
+        from repro.accel import AcceleratorConfig, build_accelerator
+        from repro.frontend import compile_source
+
+        observer = Observer()
+        accel = build_accelerator(
+            compile_source(source, name),
+            AcceleratorConfig(default_ntiles=2, engine=engine),
+            observer=observer)
+        return accel, observer
+
+    def _ended(self, accel, observer, engine):
+        if engine == "compiled":
+            assert accel.sim.compiled_fallback is None
+        assert observer.cycles_observed == accel.sim.cycle
+        assert observer.last_cycle == accel.sim.cycle - 1
+        _conserved(observer)
+
+    def test_deadlock_leaves_complete_ledgers(self, engine):
+        import os
+
+        from repro.cli import _default_profile_args
+        from repro.errors import DeadlockError
+
+        path = os.path.join(os.path.dirname(__file__), "..", "..",
+                            "examples", "programs", "deadlock_ring.cilk")
+        with open(path) as handle:
+            accel, observer = self._accelerator(
+                engine, handle.read(), "deadlock_ring")
+        function = accel.design.module.functions[0]
+        args = _default_profile_args(function, accel.memory, 8)
+        with pytest.raises(DeadlockError) as failure:
+            accel.run(function.name, args)
+        assert failure.value.cycle == accel.sim.cycle
+        self._ended(accel, observer, engine)
+        stalled = {c["name"] for c in failure.value.postmortem["stalled"]}
+        for name in stalled & set(observer.ledgers):
+            # whoever the post-mortem blames was booked as stalled up to
+            # the clock, through the fast-forwarded tail
+            assert observer.ledgers[name].timeline[-1][1] == accel.sim.cycle
+            assert observer.ledgers[name].timeline[-1][2] in (
+                OBS_STALL_IN, OBS_STALL_OUT)
+
+    def test_timeout_leaves_complete_ledgers(self, engine):
+        accel, observer = self._accelerator(engine)
+        with pytest.raises(SimulationError):
+            accel.run("fib", [12], max_cycles=150)
+        assert accel.sim.cycle == 150
+        self._ended(accel, observer, engine)
+
+    def test_late_registrations_are_picked_up(self, engine):
+        from repro.memory.dram import DRAMModel
+
+        accel, observer = self._accelerator(engine)
+        first = accel.run("fib", [6])
+        sim = accel.sim
+        late = DRAMModel("late.dram", sim.add_channel("late.req"),
+                         sim.add_channel("late.resp"), latency=7)
+        sim.add_component(late)
+        late.request_in.push(MemRequest(tag=0, op="load", addr=0, size=4))
+        second = accel.run("fib", [6])
+        if engine == "compiled":
+            assert sim.compiled_fallback is None
+        assert observer.cycles_observed == sim.cycle
+        early = observer.ledgers[sim.components[0].name]
+        assert early.cycles == first.cycles + second.cycles
+        ledger = observer.ledgers["late.dram"]
+        assert ledger.cycles == second.cycles
+        # the staged request commits in the run's first cycle, is held for
+        # 7 cycles from the next, and its answer is never popped
+        start = first.cycles
+        assert ledger.timeline == [
+            [start, start + 1, OBS_IDLE, None],
+            [start + 1, start + 8, OBS_BUSY, None],
+            [start + 8, sim.cycle, OBS_IDLE, None]]
+        assert observer.probes["late.req"].occupancy_timeline == [
+            (start, 1), (start + 1, 0)]
+        assert observer.probes["late.resp"].occupancy_timeline == [
+            (start, 0), (start + 8, 1)]
 
 
 class OracleObserver:
