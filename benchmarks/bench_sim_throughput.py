@@ -27,6 +27,12 @@ Configurations:
   TAPAS has limited support for multiple outstanding misses), 270-cycle
   DRAM latency (the paper's Table V DRAM access time). Nearly every
   cycle is a quiet DRAM wait: the fast-forward regime.
+* ``saxpy-membound-t4`` — the same at 4 tiles: the same 70 986 cycles
+  with twice the instances waiting on the one MSHR. The compiled kernel
+  parks a blocked instance on its memory port instead of re-stepping it
+  (``Steps`` / ``Parked`` columns: stepper calls made / skipped), so
+  its host time no longer grows with tiles x in-flight; before parking
+  this row cost ~1.9x the tiles-2 one.
 
 Gates (best-of-N interleaved wall clock, thresholds ~30-40% under the
 measured speedups to absorb shared-runner noise — the measured numbers
@@ -36,14 +42,15 @@ event engine on always-hot workloads live in docs/simulator.md):
 ========================  =======================  ====================
 case                      compiled vs event        compiled vs dense
 ========================  =======================  ====================
-fib                       >= 1.4x  (meas. ~2.1x)   --
-mergesort                 >= 1.7x  (meas. ~2.2x)   --
-stencil                   >= 1.6x  (meas. ~2.4x)   --
-saxpy-membound            >= 1.2x  (meas. ~1.5x)   >= 6x (meas. ~10x)
+fib                       >= 1.4x  (meas. ~2.0x)   --
+mergesort                 >= 1.7x  (meas. ~2.4x)   --
+stencil                   >= 1.6x  (meas. ~2.3x)   --
+saxpy-membound            >= 1.6x  (meas. ~2.5x)   >= 11x (meas. ~17x)
+saxpy-membound-t4         >= 2.3x  (meas. ~3.5x)   >= 21x (meas. ~33x)
 ========================  =======================  ====================
 
 The event engine keeps its original gates: >= 5x over dense on the
-memory-bound case, within 5% of dense on always-hot ones.
+memory-bound cases, within 5% of dense on always-hot ones.
 
 The cases run through the SweepRunner like every other bench, but with
 the result cache disabled and a single worker: this bench measures host
@@ -62,15 +69,17 @@ from repro.workloads import REGISTRY
 #: the three kernels under test, in measurement-interleave order
 ENGINES = ("dense", "event", "compiled")
 
-#: (row name, workload, scale, plain-JSON config overrides)
+_MEMBOUND = {"board": "Arria 10",
+             "cache": {"size_bytes": 1024, "mshr_count": 1},
+             "dram_latency_cycles": 270}
+
+#: (row name, workload, scale, tiles, plain-JSON config overrides)
 CASES = [
-    ("fib", "fibonacci", 2, {}),
-    ("mergesort", "mergesort", 2, {}),
-    ("stencil", "stencil", 2, {}),
-    ("saxpy-membound", "saxpy", 16,
-     {"board": "Arria 10",
-      "cache": {"size_bytes": 1024, "mshr_count": 1},
-      "dram_latency_cycles": 270}),
+    ("fib", "fibonacci", 2, 2, {}),
+    ("mergesort", "mergesort", 2, 2, {}),
+    ("stencil", "stencil", 2, 2, {}),
+    ("saxpy-membound", "saxpy", 16, 2, _MEMBOUND),
+    ("saxpy-membound-t4", "saxpy", 16, 4, _MEMBOUND),
 ]
 
 #: compiled-vs-event wall-clock floor per case (see the module table)
@@ -78,14 +87,16 @@ COMPILED_MIN_SPEEDUP = {
     "fib": 1.4,
     "mergesort": 1.7,
     "stencil": 1.6,
-    "saxpy-membound": 1.2,
+    "saxpy-membound": 1.6,
+    "saxpy-membound-t4": 2.3,
 }
 
-#: compiled-vs-dense floor on the memory-bound case: fast-forward and
+#: compiled-vs-dense floors on the memory-bound cases: fast-forward and
 #: specialization compose, so the product gate is the headline number
-COMPILED_MEMBOUND_VS_DENSE = 6.0
+COMPILED_MEMBOUND_VS_DENSE = {"saxpy-membound": 11.0,
+                              "saxpy-membound-t4": 21.0}
 
-#: event-vs-dense gate for the memory-bound case (observers detached)
+#: event-vs-dense gate for the memory-bound cases (observers detached)
 MEMBOUND_MIN_SPEEDUP = 5.0
 
 #: even on always-hot workloads (fib: something fires nearly every
@@ -130,7 +141,7 @@ def _eval_throughput_case(spec):
 
     return {
         "name": spec["case"], "workload": spec["workload"],
-        "scale": spec["scale"],
+        "scale": spec["scale"], "tiles": spec["tiles"],
         "cycles": compiled.cycles,
         "seconds": {engine: best[engine] for engine in ENGINES},
         "event_speedup": _ratio("dense", "event"),
@@ -153,9 +164,9 @@ register_evaluator("sim_throughput", _eval_throughput_case,
 def test_sim_throughput(benchmark, save_result, save_json):
     runner = sweeplib.make_runner(jobs=1, cache=None)
     points = [{"evaluator": "sim_throughput", "case": case,
-               "workload": workload, "tiles": 2, "scale": scale,
+               "workload": workload, "tiles": tiles, "scale": scale,
                "overrides": overrides}
-              for case, workload, scale, overrides in CASES]
+              for case, workload, scale, tiles, overrides in CASES]
 
     def run():
         return sweeplib.run_points(runner, points)
@@ -165,7 +176,7 @@ def test_sim_throughput(benchmark, save_result, save_json):
 
     table = render_table(
         ["Case", "Cycles", "Dense s", "Event s", "Compiled s",
-         "Evt/Dns", "Cmp/Evt", "Cmp/Dns", "Mcyc/s"],
+         "Evt/Dns", "Cmp/Evt", "Cmp/Dns", "Mcyc/s", "Steps", "Parked"],
         [[r["name"], r["cycles"],
           round(r["seconds"]["dense"], 3),
           round(r["seconds"]["event"], 3),
@@ -173,14 +184,17 @@ def test_sim_throughput(benchmark, save_result, save_json):
           f"{r['event_speedup']:.2f}x",
           f"{r['compiled_speedup']:.2f}x",
           f"{r['compiled_vs_dense']:.2f}x",
-          round(r["cycles_per_second"] / 1e6, 3)]
+          round(r["cycles_per_second"] / 1e6, 3),
+          r["stats"]["engine"]["instance_steps"],
+          r["stats"]["engine"]["parked_skips"]]
          for r in rows],
         title="Simulator throughput — dense oracle vs event engine "
               "vs compiled kernels")
     save_result("sim_throughput", table)
     save_json("sim_throughput", [
         sweep_record(record, record["value"]["workload"],
-                     config={"ntiles": 2, "scale": record["value"]["scale"],
+                     config={"ntiles": record["value"]["tiles"],
+                             "scale": record["value"]["scale"],
                              "case": record["value"]["name"]},
                      dense_host_seconds=round(
                          record["value"]["seconds"]["dense"], 6),
@@ -194,17 +208,22 @@ def test_sim_throughput(benchmark, save_result, save_json):
                      compiled_vs_dense=round(
                          record["value"]["compiled_vs_dense"], 2),
                      fast_forwarded_cycles=record["value"][
-                         "fast_forwarded_cycles"])
+                         "fast_forwarded_cycles"],
+                     instance_steps=record["value"]["stats"]["engine"][
+                         "instance_steps"],
+                     parked_skips=record["value"]["stats"]["engine"][
+                         "parked_skips"])
         for record in result.records], sweep=result.summary)
 
     by_name = {r["name"]: r for r in rows}
-    membound = by_name["saxpy-membound"]
     # event-engine gates (unchanged from the two-engine bench): the
     # fast-forward pays off where cycles are quiet ...
-    assert membound["event_speedup"] >= MEMBOUND_MIN_SPEEDUP, (
-        f"memory-bound event speedup {membound['event_speedup']:.2f}x "
-        f"< {MEMBOUND_MIN_SPEEDUP}x")
-    assert membound["fast_forwarded_cycles"] > membound["cycles"] // 2
+    for name in COMPILED_MEMBOUND_VS_DENSE:
+        membound = by_name[name]
+        assert membound["event_speedup"] >= MEMBOUND_MIN_SPEEDUP, (
+            f"{name}: event speedup {membound['event_speedup']:.2f}x "
+            f"< {MEMBOUND_MIN_SPEEDUP}x")
+        assert membound["fast_forwarded_cycles"] > membound["cycles"] // 2
     # ... while the wake-cycle scan keeps the event engine within 5% of
     # the dense oracle where nothing can be skipped
     for name in ("fib", "mergesort", "stencil"):
@@ -218,7 +237,11 @@ def test_sim_throughput(benchmark, save_result, save_json):
         got = by_name[name]["compiled_speedup"]
         assert got >= floor, (
             f"{name}: compiled kernel {got:.2f}x event < {floor}x")
-    assert membound["compiled_vs_dense"] >= COMPILED_MEMBOUND_VS_DENSE, (
-        f"memory-bound compiled-vs-dense "
-        f"{membound['compiled_vs_dense']:.2f}x "
-        f"< {COMPILED_MEMBOUND_VS_DENSE}x")
+    for name, floor in COMPILED_MEMBOUND_VS_DENSE.items():
+        got = by_name[name]["compiled_vs_dense"]
+        assert got >= floor, (
+            f"{name}: compiled kernel {got:.2f}x dense < {floor}x")
+        # instances waiting on the one MSHR are parked, not re-stepped:
+        # fewer stepper calls than simulated cycles at either tile count
+        steps = by_name[name]["stats"]["engine"]["instance_steps"]
+        assert steps < by_name[name]["cycles"], (name, steps)

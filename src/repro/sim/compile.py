@@ -21,6 +21,16 @@ the *real* simulator objects (channels, task queues, instances,
 messages), so any state it leaves behind is exactly the state the dense
 engine would have produced.
 
+One thing the kernel does not mirror is the dense tile's polling: a TXU
+instance whose stepper call ended blocked-only is *parked* on the
+resource that refused it (``Instance.park``: the tile's memory port or
+the unit's spawn out-buffer) and its stepper is not called again until
+that resource has room or a response reset its ``wake_at`` -- the
+skipped calls could only have re-found the resource taken and set the
+tile's stall marker, which the instance loop sets for them.
+``stats()["engine"]`` reports the calls made and skipped
+(``instance_steps`` / ``parked_skips``).
+
 Caching: the generated source is content-addressed. The digest folds the
 source itself (a pure function of the elaborated design: topology,
 parameters, IR, memory layout) together with
@@ -690,7 +700,7 @@ class _StepperGen:
                 L.append("            fired.add(%s)" % key)
                 L.append("            f = 1")
                 L.append("        else:")
-                L.append("            b = 1")
+                L.append("            b = blk = 1")  # call-blocked: no park
             else:
                 L.append("        else:")
                 L.extend(self.fire_lines(node, "            "))
@@ -786,6 +796,27 @@ class _StepperGen:
             "            return P",
             "        if m or f or d:",
             "            return cycle + 1",
+        ])
+        # blocked-only (b or blk, nothing fired, moved or deferred): until
+        # a response resets wake_at, the next call can differ only once the
+        # blocking resource frees up, so park on it -- the instance loop
+        # skips the call while it stays taken. Memory-blocked nodes wait on
+        # the tile's port, unless a multi-cycle node is still maturing (a
+        # timer wait); a spawn-blocked terminator waits on the out-buffer;
+        # a call-blocked node (b and blk) keeps polling.
+        kw = "if"
+        if has_mem:
+            slow = " or ".join("cycle < dn%d < B" % n.index for n in body
+                               if n.kind not in ("load", "store", "call")
+                               and self._lat(n.kind) >= 2)
+            L.append("        if not blk%s:"
+                     % (" and not (%s)" % slow if slow else ""))
+            L.append("            inst.park = 1")
+            kw = "elif"
+        if isinstance(term, Detach):
+            L.append("        %s not b:" % kw)
+            L.append("            inst.park = 2")
+        L.extend([
             "        return P",
             "    w = P",
             "    for x in nd.values():",
@@ -1160,6 +1191,12 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs):
         em.pre.append("%ssu = %s._suspend" % (tn, tn))
         tiles.append((tn, em.ci(t.response_in), t))
 
+    # parks do not outlive a kernel call (dense ticks in between ignore
+    # them): the first tick runs every instance loop, which re-parks
+    em.pre.append("for t_ in %s.tiles:" % u)
+    em.pre.append("    for inst in t_.instances:")
+    em.pre.append("        inst.park = 0")
+
     # -- one stepper factory per unit, instantiated once per tile ----------
     # (a task unit is ONE TXU design replicated Ntiles times: the epilogue
     # closure and the per-block steppers are generated and compiled once,
@@ -1174,6 +1211,8 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs):
         w("        raise SimulationError(%r)"
           % ("epilogue store for void task",))
     else:
+        # a blocked epilogue store is the memory-port wait: park on it
+        w("        inst.park = 1")
         w("        if T._mem_issued_this_cycle:")
         w("            return")
         w("        if len(cRi) < %d and CP[R] is None:" % gen.rocap)
@@ -1191,6 +1230,7 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs):
         w("            dl.append(R)")
         w("            T._mem_issued_this_cycle = True")
         w('            inst.phase = "epilogue_wait"')
+        w("            inst.park = 0")
         w("        else:")
         w("            T._mem_blocked = True")
     entries = []
@@ -1284,14 +1324,19 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs):
                     % u)
         tick.append("                break")
         tick.append("            ix_ = ix_ + 1 if ix_ + 1 < %d else 0" % nt)
-    for ti, (tn, rc, _t) in enumerate(tiles):
+    full = "len(%sso) >= %d" % (u, OUTBOUND_BUFFER)
+    for ti, (tn, rc, t) in enumerate(tiles):
         # the instance loop is a pure no-op (each instance would hit its
-        # cycle < wake_at early-out) unless a wake event happened: a
-        # memory response or join arrived, a dispatch started/resumed an
-        # instance, a blocked epilogue store must retry (%sw, persisted
-        # across cycles), or a node-latency deadline (_min_wake) is due.
-        em.pre.append("%sw = 1" % tn)
-        em.pre.append("%sn = 0" % tn)
+        # cycle < wake_at early-out, or re-find its port / out-buffer
+        # taken) unless a wake event happened: a memory response or join
+        # arrived, a dispatch started/resumed an instance, a node-latency
+        # deadline (<tile>n) is due, or a resource someone is parked on has
+        # room again. <tile>p ORs the park reasons of the tile's instances
+        # (1 memory port, 2 spawn out-buffer), <tile>c counts them; both
+        # are recomputed on every loop run.
+        ro = em.ci(t.request_out)
+        room = "len(c%di) < %d and CP[%d] is None" % (ro, gen.rocap, ro)
+        em.pre.append("%sn = %sp = %sc = 0" % (tn, tn, tn))
         tick.append("    if %sf:" % tn)
         tick.append("        %sf.clear()" % tn)
         tick.append("    %s._mem_issued_this_cycle = False" % tn)
@@ -1306,28 +1351,45 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs):
         tick.append("        rs_ = 1")
         tick.append("    if %si:" % tn)
         tick.append("        %s.busy_cycles += 1" % tn)
-        tick.append("        if rs_ or %sw or cycle >= %sn:" % (tn, tn))
-        tick.append("            %sw = 0" % tn)
+        tick.append("        if rs_ or cycle >= %sn or %sp and (%sp & 1 and %s"
+                    % (tn, tn, tn, room))
+        tick.append("                or %sp & 2 and len(%sso) < %d):"
+                    % (tn, u, OUTBOUND_BUFFER))
+        tick.append("            rm_ = %s" % room)
+        tick.append("            %sp = %sc = 0" % (tn, tn))
         tick.append("            mw = P")
         tick.append("            nw_ = P")
         tick.append("            fin = None")
         tick.append("            for inst in %si[:]:" % tn)
-        tick.append("                ph = inst.phase")
-        tick.append('                if ph == "run":')
-        tick.append("                    wa = inst.wake_at")
-        tick.append("                    if cycle < wa:")
-        tick.append("                        if wa < mw:")
-        tick.append("                            mw = wa")
-        tick.append("                        if wa < nw_:")
-        tick.append("                            nw_ = wa")
+        # (a non-"run" phase never has wake_at ahead of the clock)
+        tick.append("                wa = inst.wake_at")
+        tick.append("                if cycle < wa:")
+        tick.append("                    if wa < mw:")
+        tick.append("                        mw = wa")
+        tick.append("                    if wa < nw_:")
+        tick.append("                        nw_ = wa")
+        tick.append("                    continue")
+        # parked, no response has reset wake_at, resource still taken:
+        # the call would change nothing but the tile's stall marker
+        tick.append("                pk = inst.park")
+        tick.append("                if pk:")
+        tick.append("                    if wa and (%s if pk == 2 else not rm_"
+                    % full)
+        tick.append("                            or %s._mem_issued_this_cycle):"
+                    % tn)
+        tick.append("                        %sp |= pk" % tn)
+        tick.append("                        %sc += 1" % tn)
+        tick.append("                        nsk += 1")
         tick.append("                        continue")
+        tick.append("                    inst.park = 0")
+        tick.append("                ph = inst.phase")
+        tick.append("                _w = P")
+        tick.append('                if ph == "run":')
+        tick.append("                    nst += 1")
         tick.append("                    _w = %sd[inst.block](inst, cycle)"
                     % tn)
         tick.append('                elif ph == "epilogue_issue":')
         tick.append("                    _e%d_%d(inst, cycle)" % (k, ti))
-        tick.append("                    _w = P")
-        tick.append("                else:")
-        tick.append("                    _w = P")
         tick.append("                ph = inst.phase")
         tick.append('                if ph == "done":')
         tick.append("                    if fin is None:")
@@ -1335,8 +1397,10 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs):
         tick.append("                    else:")
         tick.append("                        fin.append(inst)")
         tick.append("                else:")
-        tick.append('                    if ph == "epilogue_issue":')
-        tick.append("                        %sw = 1" % tn)
+        tick.append("                    pk = inst.park")
+        tick.append("                    if pk:")
+        tick.append("                        %sp |= pk" % tn)
+        tick.append("                        %sc += 1" % tn)
         tick.append('                    elif ph == "run":')
         tick.append("                        wa = inst.wake_at")
         tick.append("                        if wa < nw_:")
@@ -1351,6 +1415,15 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs):
         tick.append("                    del %sb[inst.uid]" % tn)
         tick.append("                    %s.completed_instances += 1" % tn)
         tick.append("                    %sfi(inst)" % u)
+        tick.append("        else:")
+        tick.append("            rm_ = 0")  # or the loop would have run
+        tick.append("            nsk += %sc" % tn)
+        # the markers _fire_memory / _fire_spawn set on whoever stays parked
+        tick.append("        if %sp:" % tn)
+        tick.append("            if %sp & 1 and not rm_:" % tn)
+        tick.append("                %s._mem_blocked = True" % tn)
+        tick.append("            if %sp & 2:" % tn)
+        tick.append("                %s._spawn_blocked = True" % tn)
         tick.append("    else:")
         tick.append("        %s._min_wake = P" % tn)
     tick.append("    if %sjr:" % u)
@@ -1451,6 +1524,8 @@ def _generate(sim) -> Tuple[str, dict]:
     w("sim._activity_flag = False")
     w("ticks = 0")
     w("ff = 0")
+    w("nst = 0")  # stepper calls made / skipped on a parked instance
+    w("nsk = 0")
     w("dirty = sim._dirty_channels")
     # flat channel state: item deques, pending push/pop, moved counters
     w("CI = tuple([c._items for c in CH])")
@@ -1607,6 +1682,8 @@ def _generate(sim) -> Tuple[str, dict]:
     w("    sim._ticks_executed += ticks")
     w("    sim._component_ticks += ticks * %d" % len(comps))
     w("    sim._fast_forwarded_cycles += ff")
+    w("    sim._instance_steps += nst")
+    w("    sim._parked_skips += nsk")
     w("    _sync_totals()")
     # error-state parity: a mid-cycle exception leaves this cycle's
     # pending pushes/pops on the real channel objects, exactly as the

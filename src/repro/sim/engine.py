@@ -101,6 +101,10 @@ class Simulator:
         self._ticks_executed = 0
         self._component_ticks = 0
         self._fast_forwarded_cycles = 0
+        #: compiled kernel only: TXU stepper calls made, and calls skipped
+        #: because the instance was parked on a resource that stayed taken
+        self._instance_steps = 0
+        self._parked_skips = 0
 
     # -- construction -----------------------------------------------------
 
@@ -435,6 +439,8 @@ class Simulator:
         }
         if self.engine == "compiled":
             stats["compiled_fallback"] = self.compiled_fallback
+            stats["instance_steps"] = self._instance_steps
+            stats["parked_skips"] = self._parked_skips
         return stats
 
     def stats(self) -> Dict[str, dict]:

@@ -66,7 +66,9 @@ class TaskQueue:
         self.name = name
         self.depth = depth
         self.policy = policy
-        self.entries: List[TaskEntry] = [TaskEntry(dyid=i) for i in range(depth)]
+        #: slot ``dyid`` is None until its first allocate()/entry(): most
+        #: of a deep queue (recursive tasks get 2048 slots) is never used
+        self.entries: List[Optional[TaskEntry]] = [None] * depth
         self._free: Deque[int] = deque(range(depth))
         self._ready: Deque[int] = deque()
         self._seq = 0
@@ -86,7 +88,7 @@ class TaskQueue:
         """Allocate an entry for a SpawnMessage; caller checked capacity."""
         if not self._free:
             raise SimulationError(f"task queue {self.name}: allocation when full")
-        entry = self.entries[self._free.popleft()]
+        entry = self.entry(self._free.popleft())
         entry.state = READY
         entry.args = tuple(msg.args)
         entry.parent_sid = msg.parent_sid
@@ -148,7 +150,10 @@ class TaskQueue:
     def entry(self, dyid: int) -> TaskEntry:
         if not 0 <= dyid < self.depth:
             raise SimulationError(f"task queue {self.name}: bad DyID {dyid}")
-        return self.entries[dyid]
+        entry = self.entries[dyid]
+        if entry is None:
+            entry = self.entries[dyid] = TaskEntry(dyid=dyid)
+        return entry
 
     def child_joined(self, dyid: int):
         entry = self.entry(dyid)

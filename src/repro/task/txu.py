@@ -91,7 +91,7 @@ class Instance:
     __slots__ = (
         "uid", "entry", "block", "env", "regs", "node_done", "pending_mem",
         "pending_call", "phase", "retval", "spawned", "block_entry_cycle",
-        "wake_at",
+        "wake_at", "park",
     )
 
     def __init__(self, uid: int, entry: TaskEntry, block):
@@ -111,6 +111,10 @@ class Instance:
         #: scheduling hint: no dataflow progress possible before this cycle
         #: (purely a simulation fast path, not architectural state)
         self.wake_at = 0
+        #: compiled kernel only: the resource a blocked instance waits on
+        #: (0 none, 1 the tile's memory port, 2 the unit's spawn out-buffer);
+        #: the dense and event engines poll and never read it
+        self.park = 0
 
 
 class TXUTile:

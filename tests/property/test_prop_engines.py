@@ -186,27 +186,44 @@ def test_busy_livelock_fires_identically(capacity, fill):
 @given(tiles=st.sampled_from([1, 2, 4]),
        mshrs=st.sampled_from([1, 4]),
        dram_latency=st.sampled_from([20, 200]),
-       cache_bytes=st.sampled_from([1024, 65536]))
+       cache_bytes=st.sampled_from([1024, 65536]),
+       inflight=st.sampled_from([1, 3, 8]),
+       databox_entries=st.sampled_from([1, 8]),
+       observed=st.booleans())
 @settings(max_examples=8, **_SETTINGS)
-def test_random_accelerator_configs_bit_identical(tiles, mshrs, dram_latency,
-                                                  cache_bytes):
+def test_random_accelerator_configs_bit_identical(
+        tiles, mshrs, dram_latency, cache_bytes, inflight, databox_entries,
+        observed):
     """All three engines — the compiled case regenerates a specialized
-    kernel per sampled topology, so this doubles as a codegen fuzz."""
+    kernel per sampled topology, so this doubles as a codegen fuzz. The
+    in-flight window and data-box depth set how many instances wait on
+    a tile's memory port (the compiled kernel parks those); an attached
+    observer adds the stall ledgers (``stats["obs"]``) to the bargain."""
+    from repro.accel import TaskUnitParams
+    from repro.accel.generator import generate
     from repro.memory.cache import CacheParams
+    from repro.obs import Observer
     from repro.workloads import REGISTRY
 
     workload = REGISTRY.get("saxpy")
+    units = {task.name: TaskUnitParams(ntiles=tiles,
+                                       max_inflight_per_tile=inflight,
+                                       databox_entries=databox_entries)
+             for task in generate(workload.fresh_module()).compiled}
     outcomes = {}
     for engine in ("dense", "event", "compiled"):
         config = workload.default_config(
-            tiles, engine=engine,
+            tiles, engine=engine, unit_params=units,
             cache=CacheParams(size_bytes=cache_bytes, mshr_count=mshrs),
             dram_latency_cycles=dram_latency)
-        result = workload.run(config)
+        result = workload.run(config,
+                              observer=Observer() if observed else None)
         stats = dict(result.stats)
-        stats.pop("engine")
+        engine_stats = stats.pop("engine")
+        assert ("obs" in stats) == observed
         outcomes[engine] = (result.cycles, result.retval, stats,
                             result.correct)
+    assert engine_stats["compiled_fallback"] is None
     assert outcomes["dense"] == outcomes["event"]
     assert outcomes["dense"] == outcomes["compiled"]
     assert outcomes["event"][3]  # and the answer is right

@@ -346,6 +346,56 @@ def test_stall_windows_have_one_definition(monkeypatch):
     assert outcomes["dense"][0] < default_stall_window
 
 
+FANOUT = """
+func tree(n: i32) -> i32 {
+  if (n < 1) {
+    return 1;
+  }
+  var a: i32 = spawn tree(n - 1);
+  var b: i32 = spawn tree(n - 1);
+  var c: i32 = spawn tree(n - 1);
+  var d: i32 = spawn tree(n - 1);
+  var e: i32 = spawn tree(n - 1);
+  var f: i32 = spawn tree(n - 1);
+  sync;
+  return a + b + c + d + e + f;
+}
+"""
+
+
+@pytest.mark.parametrize("source, entry, arg, cycle, parked", [
+    (REGISTRY.get("fibonacci").source, "fib",
+     REGISTRY.get("fibonacci").default_n(3), 4121, False),
+    (FANOUT, "tree", 3, 4125, True),
+], ids=["fib", "fanout"])
+def test_queue_full_livelock_parity(monkeypatch, source, entry, arg, cycle,
+                                    parked):
+    """A three-entry task queue is a circular wait. ``fib`` suspends
+    every instance at its sync; the six-way fan-out leaves both tiles'
+    instances blocked on the spawn out-buffer, which the kernel parks
+    instead of polling: the stall window must still see them."""
+    import repro.sim.engine as engine_module
+    from repro.accel import TaskUnitParams
+    from repro.errors import DeadlockError
+
+    monkeypatch.setattr(engine_module, "STALL_WINDOW", 4096)
+    outcomes = {}
+    for engine in ("dense", "compiled"):
+        accel = build_accelerator(
+            compile_source(source, entry),
+            AcceleratorConfig(engine=engine, unit_params={
+                entry: TaskUnitParams(ntiles=2, queue_depth=3)}))
+        with pytest.raises(DeadlockError, match="livelock") as excinfo:
+            accel.run(entry, [arg])
+        outcomes[engine] = (excinfo.value.cycle, str(excinfo.value),
+                            excinfo.value.postmortem)
+    assert accel.sim.compiled_fallback is None
+    assert [inst.park for unit in accel.units for tile in unit.tiles
+            for inst in tile.instances] == ([2, 2] if parked else [])
+    assert outcomes["dense"] == outcomes["compiled"]
+    assert outcomes["dense"][0] == cycle
+
+
 @pytest.mark.parametrize("engine", ["dense", "event"])
 def test_membound_parity(engine):
     """The memory-bound regime (tiny cache, one MSHR, long DRAM

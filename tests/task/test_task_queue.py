@@ -21,6 +21,14 @@ class TestAllocation:
         assert e.parent_sid == 7 and e.parent_dyid == 3
         assert e.child_count == 0
 
+    def test_entries_are_created_on_first_use(self):
+        q = TaskQueue("q", 4)
+        assert q.entries == [None] * 4
+        e = q.allocate(spawn())
+        assert q.entries[e.dyid] is e and q.entries.count(None) == 3
+        untouched = q.entry(3)
+        assert untouched.state == "FREE" and q.entries[3] is untouched
+
     def test_capacity_tracking(self):
         q = TaskQueue("q", 2)
         q.allocate(spawn())

@@ -71,7 +71,9 @@ class TestSuspension:
         seen_sync = False
         while not unit.root_done:
             accel.sim.tick()
-            if any(e.state == "SYNC" for e in unit.queue.entries):
+            # slots are None until their first allocation
+            if any(e is not None and e.state == "SYNC"
+                   for e in unit.queue.entries):
                 seen_sync = True
             assert accel.sim.cycle < 200000
         assert seen_sync, "no instance ever suspended at sync"
