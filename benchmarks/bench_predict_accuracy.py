@@ -2,8 +2,8 @@
 
 The static predictor (``repro predict`` / the ``static`` sweep
 evaluator) exists so design-space exploration can rank points without
-paying for event-driven simulation. This bench measures whether it has
-earned that role, over a benchmark-suite × tiles × scale matrix:
+paying for simulation. This bench measures whether it has earned that
+role, over a benchmark-suite × tiles × scale matrix:
 
 * **rank fidelity** — Spearman correlation between predicted and
   simulated cycle counts (what a sweep actually consumes);
@@ -11,8 +11,8 @@ earned that role, over a benchmark-suite × tiles × scale matrix:
 * **attribution** — how often the predicted top bottleneck falls in the
   same coarse class (memory / spawn-throughput / serial-call) as the
   simulator's top stall source;
-* **cost** — aggregate speedup of the predictor over the event engine
-  across the matrix.
+* **cost** — aggregate speedup of the predictor over the simulator
+  across the matrix (floor ~35% under the ~1000x measured on the kernel).
 
 Known model limits, visible in the table: recursive call-join spans are
 conservatively over-predicted (mergesort ~2x: the model cannot know
@@ -41,7 +41,7 @@ SCALE4 = ("matrix_add", "saxpy", "dedup", "fibonacci")
 MIN_POINTS = 30
 MIN_SPEARMAN = 0.90
 MAX_MEDIAN_ERROR = 0.35
-MIN_SPEEDUP = 1000.0
+MIN_SPEEDUP = 650.0
 
 
 def _grid():
@@ -80,7 +80,7 @@ def test_predict_accuracy(benchmark, save_result, save_json):
         ["Workload", "Tiles", "Scale", "Simulated", "Predicted", "Error",
          "Predicted class", "Simulated class", "Match", "Speedup"],
         rows,
-        title=f"Static prediction vs event engine — "
+        title=f"Static prediction vs the simulator — "
               f"{len(report.records)} points, "
               f"spearman={report.spearman:.4f}, "
               f"median |err|={report.median_abs_rel_error:.1%}, "
@@ -106,7 +106,7 @@ def test_predict_accuracy(benchmark, save_result, save_json):
         bench_record(
             r.workload,
             config={"ntiles": r.tiles, "scale": r.scale,
-                    "engine": "event"},
+                    "engine": r.engine},
             cycles=r.actual_cycles,
             predicted_cycles=r.predicted_cycles,
             rel_error=round(r.rel_error, 4),

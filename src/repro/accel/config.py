@@ -12,6 +12,7 @@ from typing import Dict, Optional
 
 from repro.errors import ConfigError
 from repro.memory.cache import CacheParams
+from repro.sim.engine import DEFAULT_ENGINE, ENGINES
 from repro.task.txu import DEFAULT_LATENCIES
 
 
@@ -82,22 +83,22 @@ class AcceleratorConfig:
     #:   "warn"   — print warnings; refuse to build on a *definite* race
     #:   "strict" — refuse to build on any race finding
     analysis_level: str = "none"
-    #: simulation kernel: "event" (wakeup scheduling + quiescent
-    #: fast-forward), "dense" (tick everything every cycle — the
-    #: bit-identical oracle), or "compiled" (per-design generated flat
-    #: kernel; falls back to "event" for instrumentation/topologies the
-    #: codegen does not cover). Purely a host-side choice; cycle counts
+    #: simulation kernel: "compiled" (per-design generated flat kernel,
+    #: the default; runs "dense" for instrumentation/topologies the
+    #: codegen does not cover), "dense" (tick everything every cycle —
+    #: the bit-identical oracle), or "event" (wakeup scheduling +
+    #: quiescent fast-forward). Purely a host-side choice; cycle counts
     #: and architectural stats are identical across all three.
-    engine: str = "event"
+    engine: str = DEFAULT_ENGINE
 
     def __post_init__(self):
         if self.memory_model not in ("cache", "scratchpad"):
             raise ConfigError(
                 f"unknown memory model {self.memory_model!r}")
-        if self.engine not in ("event", "dense", "compiled"):
+        if self.engine not in ENGINES:
             raise ConfigError(
                 f"unknown engine {self.engine!r} "
-                "(expected event/dense/compiled)")
+                f"(expected {'/'.join(ENGINES)})")
         if self.analysis_level not in ("none", "warn", "strict"):
             raise ConfigError(
                 f"unknown analysis level {self.analysis_level!r} "

@@ -38,7 +38,7 @@ A third layer predicts performance without running the simulator
   closed-form memory/network bounds; emits a predicted cycle count plus
   ranked bottlenecks in the stall-ledger vocabulary.
 * :mod:`repro.analysis.perfcheck` — the cross-validation harness that
-  scores those predictions against event-engine runs (rank correlation,
+  scores those predictions against simulator runs (rank correlation,
   relative error, bottleneck-class agreement).
 """
 

@@ -1,8 +1,8 @@
-"""Cross-validation harness: static predictions vs the event engine.
+"""Cross-validation harness: static predictions vs the simulator.
 
 :class:`PerfChecker` runs the same (workload, tiles, scale) point twice —
 once through :class:`~repro.analysis.perf.PerfModel` (microseconds, no
-engine) and once through the event simulator with an attached
+engine) and once through the simulator with an attached
 :class:`~repro.obs.Observer` — and scores the analytical model on three
 axes:
 
@@ -99,6 +99,7 @@ class CheckRecord:
     workload: str
     tiles: int
     scale: int
+    engine: str  # of the simulated side
     predicted_cycles: int
     actual_cycles: int
     rel_error: float
@@ -113,7 +114,7 @@ class CheckRecord:
     def as_dict(self) -> Dict[str, Any]:
         return {
             "workload": self.workload, "tiles": self.tiles,
-            "scale": self.scale,
+            "scale": self.scale, "engine": self.engine,
             "predicted_cycles": self.predicted_cycles,
             "actual_cycles": self.actual_cycles,
             "rel_error": round(self.rel_error, 4),
@@ -266,6 +267,7 @@ class PerfChecker:
         actual = max(1, result.cycles)
         return CheckRecord(
             workload=workload.name, tiles=tiles, scale=scale,
+            engine=config.engine,
             predicted_cycles=prediction.cycles, actual_cycles=result.cycles,
             rel_error=(prediction.cycles - actual) / actual,
             predicted_bottleneck=predicted_tag, actual_bottleneck=actual_tag,

@@ -57,7 +57,7 @@ from repro.reports import (
     task_graph_dot,
 )
 from repro.rtl import emit_design, emit_top_verilog
-from repro.sim import ENGINES
+from repro.sim import DEFAULT_ENGINE, ENGINES
 
 
 def _load_module(path: str):
@@ -371,8 +371,6 @@ def cmd_sweep(args) -> int:
         history = _append_history(
             "sweep", args.workloads, engine=args.engines,
             cycles=total_cycles, host_seconds=wall,
-            sim_cycles_per_host_second=(round(total_cycles / wall, 1)
-                                        if total_cycles and wall else None),
             config={"workloads": names, "tiles": tiles, "engines": engines,
                     "scales": scales, "evaluator": args.evaluator},
             metrics={"points": summary["points"],
@@ -763,8 +761,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-repro", action="store_true",
                    help="run twice (observability off and on) and fail if "
                         "cycle counts diverge")
-    p.add_argument("--engine", choices=list(ENGINES), default="event",
-                   help="simulation kernel (default: event)")
+    p.add_argument("--engine", choices=list(ENGINES), default=DEFAULT_ENGINE,
+                   help=f"simulation kernel (default: {DEFAULT_ENGINE})")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser(
@@ -779,8 +777,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="workload",
                    help="who computes each point: the simulator "
                         "(workload) or the analytical model (static)")
-    p.add_argument("--engines", default="event",
-                   help="comma-separated engines (default: event)")
+    p.add_argument("--engines", default=DEFAULT_ENGINE,
+                   help=f"comma-separated engines (default: {DEFAULT_ENGINE})")
     p.add_argument("--scale", type=int, default=1,
                    help="problem scale applied to every workload")
     p.add_argument("--scales", default="",
@@ -826,8 +824,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", action="store_true",
                    help="profile the host time the simulator spends per "
                         "component class instead of the guest cycles")
-    p.add_argument("--engine", choices=list(ENGINES), default="event",
-                   help="simulation kernel (default: event)")
+    p.add_argument("--engine", choices=list(ENGINES), default=DEFAULT_ENGINE,
+                   help=f"simulation kernel (default: {DEFAULT_ENGINE})")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("diff",

@@ -4,7 +4,7 @@ A *point spec* is a plain-JSON dict — nothing but strings, numbers,
 booleans, lists and dicts — naming an evaluator plus its inputs:
 
     {"evaluator": "workload", "workload": "fibonacci",
-     "tiles": 4, "scale": 2, "engine": "event", "overrides": {...}}
+     "tiles": 4, "scale": 2, "engine": "compiled", "overrides": {...}}
 
 Plain JSON is a hard requirement, not a style choice: specs cross
 process boundaries (pickled to sweep workers) and feed the
@@ -19,6 +19,7 @@ from itertools import product
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
 from repro.errors import ConfigError
+from repro.sim.engine import DEFAULT_ENGINE
 
 
 def expand_grid(axes: Mapping[str, Iterable[Any]]) -> List[Dict[str, Any]]:
@@ -35,7 +36,7 @@ def expand_grid(axes: Mapping[str, Iterable[Any]]) -> List[Dict[str, Any]]:
 def workload_points(workloads: Iterable[str],
                     tiles: Iterable[int] = (1,),
                     scales: Union[int, Mapping[str, int]] = 1,
-                    engines: Iterable[str] = ("event",),
+                    engines: Iterable[str] = (DEFAULT_ENGINE,),
                     overrides: Optional[Dict[str, Any]] = None,
                     evaluator: str = "workload",
                     ) -> List[Dict[str, Any]]:
@@ -85,7 +86,7 @@ def config_from_spec(workload, spec: Mapping[str, Any]):
         raise ConfigError(
             f"unknown sweep override(s) {unknown}; supported: "
             f"{sorted(_OVERRIDE_KEYS)}")
-    kwargs: Dict[str, Any] = {"engine": spec.get("engine", "event")}
+    kwargs: Dict[str, Any] = {"engine": spec.get("engine", DEFAULT_ENGINE)}
     if "board" in overrides:
         name = overrides["board"]
         if name not in BOARDS:

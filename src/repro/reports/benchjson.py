@@ -31,8 +31,8 @@ flat, greppable and diffable), a top-level ``telemetry`` block (the
 sweep runner's worker-utilization/queue-wait/latency histograms, see
 :mod:`repro.exp.runner`) and a top-level ``history`` pointer into the
 persistent run registry (:mod:`repro.telemetry.history`).
-:func:`read_bench_json` reads schemas 2-4, normalising older documents
-up, so existing ``results/*.json`` stay valid.
+:func:`read_bench_json` reads schema 4 only: every committed
+``results/*.json`` is regenerated at it.
 """
 
 from __future__ import annotations
@@ -42,23 +42,10 @@ from typing import Any, Dict, List, Optional
 
 BENCH_SCHEMA_VERSION = 4
 
-#: schemas read_bench_json understands (older ones are normalised up)
-READABLE_SCHEMAS = (2, 3, 4)
-
 #: keys every record must carry (value may be None)
 RECORD_KEYS = ("workload", "config", "cycles", "utilization", "stalls",
                "engine", "cache_hit", "worker", "host_seconds",
                "sim_cycles_per_host_second", "metrics")
-
-#: record keys added by schema 3 (defaulted when reading schema 2)
-_SCHEMA3_RECORD_KEYS = ("cache_hit", "worker")
-
-#: record keys added by schema 4 (defaulted from ``engine`` when reading
-#: schema 2/3 documents)
-_SCHEMA4_RECORD_KEYS = ("host_seconds", "sim_cycles_per_host_second")
-
-#: document keys added by schema 4 (defaulted when reading older schemas)
-_SCHEMA4_DOCUMENT_KEYS = ("telemetry", "history")
 
 #: subset of Simulator.engine_stats() carried in bench records
 ENGINE_RECORD_KEYS = ("name", "host_seconds", "sim_cycles_per_host_second")
@@ -212,33 +199,15 @@ def bench_document(bench: str, records: List[dict],
 
 
 def read_bench_json(path: str) -> Dict[str, Any]:
-    """Load a results document, accepting schema 2, 3 or 4.
-
-    Older documents are normalised in place — schema 2 gains
-    ``sweep``/``cache_hit``/``worker``, schema 2 and 3 gain
-    ``telemetry``/``history`` (None) and the flat per-record
-    ``host_seconds``/``sim_cycles_per_host_second`` (lifted from the
-    record's ``engine`` block when present) — so downstream consumers
-    only ever see the schema-4 shape.
-    """
+    """Load a results document; any schema but the current one is
+    rejected."""
     with open(path) as handle:
         document = json.load(handle)
     schema = document.get("schema")
-    if schema not in READABLE_SCHEMAS:
+    if schema != BENCH_SCHEMA_VERSION:
         raise ValueError(
             f"{path}: unsupported bench schema {schema!r} "
-            f"(readable: {READABLE_SCHEMAS})")
-    if schema < BENCH_SCHEMA_VERSION:
-        document.setdefault("sweep", None)
-        for key in _SCHEMA4_DOCUMENT_KEYS:
-            document.setdefault(key, None)
-        for record in document.get("records", []):
-            for key in _SCHEMA3_RECORD_KEYS:
-                record.setdefault(key, None)
-            engine = record.get("engine") or {}
-            for key in _SCHEMA4_RECORD_KEYS:
-                record.setdefault(key, engine.get(key))
-        document["schema"] = BENCH_SCHEMA_VERSION
+            f"(readable: {BENCH_SCHEMA_VERSION})")
     return document
 
 

@@ -118,7 +118,12 @@ def render_host_profile_report(name: str, profiler,
     elaborate) are appended so compile time is visible next to sim time.
     """
     wall = profiler.wall_ns / 1e9
-    engine = profiler.sim.engine if profiler.sim is not None else "?"
+    sim = profiler.sim
+    engine = "?"
+    if sim is not None:  # the engine that ran, and why if not the asked one
+        engine = sim.executed_engine
+        if sim.compiled_fallback is not None:
+            engine += f" (compiled declined: {sim.compiled_fallback})"
     sections = [f"Host profile: {name} — {wall:.3f}s simulator wall-clock, "
                 f"engine={engine}"]
 

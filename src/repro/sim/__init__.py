@@ -10,13 +10,19 @@ from repro.sim.component import (
     OBS_STATES,
     Component,
 )
-from repro.sim.engine import DEADLOCK_WINDOW, ENGINES, STALL_WINDOW, Simulator
+from repro.sim.engine import (
+    DEADLOCK_WINDOW,
+    DEFAULT_ENGINE,
+    ENGINES,
+    STALL_WINDOW,
+    Simulator,
+)
 from repro.sim.stats import StatCounters, utilization
 from repro.sim.trace import NULL_TRACE, Trace, TraceEvent
 
 __all__ = [
-    "Channel", "Component", "DEADLOCK_WINDOW", "ENGINES", "NEVER",
-    "STALL_WINDOW", "Simulator",
+    "Channel", "Component", "DEADLOCK_WINDOW", "DEFAULT_ENGINE", "ENGINES",
+    "NEVER", "STALL_WINDOW", "Simulator",
     "OBS_BUSY", "OBS_IDLE", "OBS_STALL_IN", "OBS_STALL_OUT", "OBS_STATES",
     "StatCounters", "utilization", "NULL_TRACE", "Trace", "TraceEvent",
 ]

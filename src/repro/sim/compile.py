@@ -1,6 +1,6 @@
 """Compiled engine: per-design specialized flat kernels.
 
-The third engine (``Simulator(engine="compiled")``) flattens an
+The default engine (``Simulator(engine="compiled")``) flattens an
 elaborated netlist into ONE generated Python module specialized for that
 exact design: every task unit / TXU tile is inlined down to straight-line
 per-dataflow-node code (operand reads, two's-complement wrap masks,
@@ -47,7 +47,7 @@ unit's steppers call ``analysis_event`` at the four sites they inline.
 Both fold into the source (hence the digest), and an uninstrumented
 design's source contains neither. What the codegen does not cover (host
 profiling, value probes, observers without ``on_change``, unrecognized
-component classes, exotic IR) falls back to the event engine — still
+component classes, exotic IR) runs on the dense oracle — total and
 bit-identical, just slower — with the reason recorded in
 ``Simulator.compiled_fallback``.
 """
@@ -101,7 +101,7 @@ __all__ = [
 
 class UnsupportedDesign(Exception):
     """Raised (internally) when a design cannot be specialized; the
-    caller turns it into an event-engine fallback with this reason."""
+    caller turns it into a dense-engine fallback with this reason."""
 
 
 #: in-process cache: digest -> exec'd module namespace (holds make_kernel)
@@ -167,7 +167,7 @@ def _store_kernel_source(digest: str, source: str) -> Optional[Path]:
 
 
 def _fallback_reason(sim) -> Optional[str]:
-    """Instrumentation / topology checks that force the event engine:
+    """Instrumentation / topology checks that force the dense engine:
     what needs a real tick of every component every cycle (host-time
     attribution, value probes, an observer with only ``on_cycle``) or is
     structurally unknown to the codegen."""
@@ -208,7 +208,7 @@ def prepare_kernel(sim):
         try:
             exec(compile(source, filename, "exec"), module)
         except (SyntaxError, ValueError) as exc:
-            # a codegen bug: fail loudly, never hide behind the event engine
+            # a codegen bug: fail loudly, never hide behind the dense engine
             raise SimulationError(
                 f"generated kernel {digest} does not load ({filename}): "
                 f"{type(exc).__name__}: {exc}") from exc
@@ -297,31 +297,6 @@ class _Emitter:
             self._chan_alias.add(k)
             self.pre.append("c%di = CI[%d]" % (k, k))
         return k
-
-    def items(self, ch) -> str:
-        return "c%di" % self.ci(ch)
-
-    def can_push(self, ch) -> str:
-        k = self.ci(ch)
-        return "len(c%di) < %d and CP[%d] is None" % (k, ch.capacity, k)
-
-    def can_pop(self, ch) -> str:
-        k = self.ci(ch)
-        return "c%di and not CQ[%d]" % (k, k)
-
-    def push(self, ch, expr: str, ind: str) -> List[str]:
-        k = self.ci(ch)
-        return [ind + "CP[%d] = %s" % (k, expr),
-                ind + "dl.append(%d)" % k]
-
-    def pop_into(self, ch, var: Optional[str], ind: str) -> List[str]:
-        k = self.ci(ch)
-        L = []
-        if var is not None:
-            L.append(ind + "%s = c%di[0]" % (var, k))
-        L.append(ind + "CQ[%d] = 1" % k)
-        L.append(ind + "dl.append(%d)" % k)
-        return L
 
 
 def _fmt_const(value) -> Optional[str]:

@@ -4,16 +4,17 @@ Three engines share one contract:
 
 * ``engine="dense"`` — the original oracle loop: every component ticks
   and every channel commits on every cycle.
-* ``engine="compiled"`` — a per-design specialized kernel: a codegen
-  pass (:mod:`repro.sim.compile`) flattens the elaborated netlist into
-  one generated Python module with inlined handshakes and per-component
-  tick bodies specialized on their static configuration, ``exec``'d and
-  cached content-addressed by design fingerprint. A change-driven
-  observer and analysis traces are generated into the kernel; what the
-  codegen does not support (host profiling, value probes, ``on_cycle``-
-  only observers, unknown component classes) falls back to the event
-  engine explicitly (``Simulator.compiled_fallback`` records why).
-* ``engine="event"`` (default) — one wake-cycle scan. Components
+* ``engine="compiled"`` (:data:`DEFAULT_ENGINE`) — a per-design
+  specialized kernel: a codegen pass (:mod:`repro.sim.compile`) flattens
+  the elaborated netlist into one generated Python module with inlined
+  handshakes and per-component tick bodies specialized on their static
+  configuration, ``exec``'d and cached content-addressed by design
+  fingerprint. A change-driven observer and analysis traces are
+  generated into the kernel; what the codegen does not support (host
+  profiling, value probes, ``on_cycle``-only observers, unknown
+  component classes) runs on the dense oracle instead
+  (``Simulator.compiled_fallback`` records why).
+* ``engine="event"`` — one wake-cycle scan, run only when named. Components
   declare *sensitivity* (the channels they read/write) and an optional
   self-wake timer (:meth:`Component.next_wake`). Each cycle the engine
   walks the components in registration order, ticks those whose wake
@@ -54,6 +55,10 @@ STALL_WINDOW = 32768
 
 ENGINES = ("event", "dense", "compiled")
 
+#: the engine every layer (Simulator, AcceleratorConfig, sweep specs, the
+#: CLI) uses when none is named
+DEFAULT_ENGINE = "compiled"
+
 #: upper bound on recorded movement-log entries (`repro diff` first-
 #: divergence reporting); beyond this the log stops growing and the
 #: divergence is reported as "past the recorded window"
@@ -63,7 +68,7 @@ MOVEMENT_LOG_CAP = 1_000_000
 class Simulator:
     """Owns the clock, all components and all channels."""
 
-    def __init__(self, name: str = "sim", engine: str = "event"):
+    def __init__(self, name: str = "sim", engine: str = DEFAULT_ENGINE):
         if engine not in ENGINES:
             raise SimulationError(
                 f"unknown engine {engine!r} (expected one of {ENGINES})")
@@ -88,8 +93,8 @@ class Simulator:
         #: ``(cycle, (sorted channel names...))`` — identical across
         #: engines, so `repro diff` can report the first divergent cycle
         self._movement_log = None
-        #: why the compiled engine fell back to the event engine on the
-        #: last run (None = ran compiled, or engine != "compiled")
+        #: why the compiled engine ran the last run on the dense oracle
+        #: (None = ran compiled, or engine != "compiled")
         self.compiled_fallback = None
         # -- event-engine state ------------------------------------------
         #: channels with a pending push/pop this cycle (self-registered)
@@ -260,17 +265,21 @@ class Simulator:
         also flushes it) and traced task units are part of the generated
         text; what it cannot specialize (host profiling, value probes,
         observers with only ``on_cycle``, unrecognized component classes)
-        falls back to the event engine — still bit-identical, just
-        slower — with the reason recorded in :attr:`compiled_fallback`."""
+        runs on the dense oracle — total and bit-identical, just slower —
+        with the reason recorded in :attr:`compiled_fallback`."""
         from repro.sim.compile import prepare_kernel
 
-        kernel, reason = prepare_kernel(self)
+        kernel, self.compiled_fallback = prepare_kernel(self)
         if kernel is None:
-            self.compiled_fallback = reason
-            self._run_event(done, start, max_cycles)
-            return
-        self.compiled_fallback = None
-        kernel(self, done, start, max_cycles, self._movement_log)
+            self._run_dense(done, start, max_cycles)
+        else:
+            kernel(self, done, start, max_cycles, self._movement_log)
+
+    @property
+    def executed_engine(self) -> str:
+        """The engine the last run executed on: dense when the compiled
+        engine declined the design (:attr:`compiled_fallback` says why)."""
+        return "dense" if self.compiled_fallback is not None else self.engine
 
     # -- the event-driven kernel -------------------------------------------
 

@@ -94,7 +94,10 @@ def run_record(kind: str, name: str, *, engine: Optional[str] = None,
                metrics: Optional[dict] = None,
                ts: Optional[float] = None) -> Dict[str, Any]:
     """One schema'd registry record. ``kind`` is the producer class
-    (``run``/``sweep``/``bench``), ``name`` the workload or bench."""
+    (``run``/``sweep``/``bench``), ``name`` the workload or bench.
+    Throughput not passed is derived from ``cycles / host_seconds``."""
+    if sim_cycles_per_host_second is None and cycles and host_seconds:
+        sim_cycles_per_host_second = round(cycles / host_seconds, 1)
     record = {
         "schema": HISTORY_SCHEMA,
         "ts": round(time.time() if ts is None else ts, 3),

@@ -162,9 +162,13 @@ class HostProfiler:
         }
 
     def as_dict(self) -> dict:
+        sim = self.sim
         return {
             "schema": 1,
-            "engine": self.sim.engine if self.sim is not None else None,
+            # the engine the profile was taken on, not the one asked for
+            "engine": sim.executed_engine if sim is not None else None,
+            "compiled_fallback":
+                sim.compiled_fallback if sim is not None else None,
             "wall_seconds": round(self.wall_ns / 1e9, 6),
             "measured_fraction": round(self.measured_fraction(), 4),
             "coverage": round(self.coverage(), 4),

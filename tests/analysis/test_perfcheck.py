@@ -12,6 +12,7 @@ from repro.analysis.perfcheck import (
     bottleneck_class,
     spearman,
 )
+from repro.sim import DEFAULT_ENGINE
 from repro.workloads import REGISTRY
 
 
@@ -80,7 +81,7 @@ def _record(workload="w", tiles=1, scale=1, predicted=100, actual=100,
             predicted_class="memory", actual_class="memory",
             predict_seconds=0.001, sim_seconds=1.0) -> CheckRecord:
     return CheckRecord(
-        workload=workload, tiles=tiles, scale=scale,
+        workload=workload, tiles=tiles, scale=scale, engine="compiled",
         predicted_cycles=predicted, actual_cycles=actual,
         rel_error=(predicted - actual) / actual,
         predicted_bottleneck=f"x:{predicted_class}",
@@ -133,6 +134,7 @@ class TestPerfChecker:
         record = checker.check_point(REGISTRY.get("saxpy"), 2, 1)
         assert record.predicted_cycles > 0
         assert record.actual_cycles > 0
+        assert record.engine == DEFAULT_ENGINE
         assert record.predicted_class in (
             "memory", "spawn-throughput", "serial-call")
         assert record.actual_class in (

@@ -1,4 +1,4 @@
-"""Bench-results schema: records, sweep summary, schema-2/3 readers."""
+"""Bench-results schema: records, sweep summary, the schema-4 reader."""
 
 import json
 
@@ -93,50 +93,10 @@ def test_write_then_read_roundtrip(tmp_path):
     assert doc["history"] == {"path": "h.jsonl", "seq": 3}
 
 
-def test_reader_normalises_schema_2(tmp_path):
-    """Documents written before the sweep runner existed stay valid:
-    the reader lifts them to the schema-4 shape in memory."""
-    path = tmp_path / "old.json"
-    legacy_record = {"workload": "w", "config": None, "cycles": 5,
-                     "utilization": None, "stalls": None, "engine": None,
-                     "metrics": {}}
-    path.write_text(json.dumps(
-        {"bench": "b", "schema": 2, "records": [legacy_record]}))
-    doc = read_bench_json(str(path))
-    assert doc["schema"] == 4
-    assert doc["sweep"] is None
-    assert doc["telemetry"] is None
-    assert doc["history"] is None
-    record = doc["records"][0]
-    assert record["cycles"] == 5
-    assert record["cache_hit"] is None
-    assert record["worker"] is None
-    assert record["host_seconds"] is None
-
-
-def test_reader_normalises_schema_3(tmp_path):
-    """Schema-3 documents (pre host-telemetry) stay readable: the new
-    flat host-time keys are lifted from the record's engine block."""
-    path = tmp_path / "v3.json"
-    record = {"workload": "w", "config": None, "cycles": 5,
-              "utilization": None, "stalls": None,
-              "engine": {"name": "event", "host_seconds": 0.5,
-                         "sim_cycles_per_host_second": 10.0},
-              "cache_hit": False, "worker": 7, "metrics": {}}
-    path.write_text(json.dumps(
-        {"bench": "b", "schema": 3, "sweep": SWEEP, "records": [record]}))
-    doc = read_bench_json(str(path))
-    assert doc["schema"] == 4
-    assert doc["sweep"] == SWEEP
-    assert doc["telemetry"] is None
-    out = doc["records"][0]
-    assert out["worker"] == 7
-    assert out["host_seconds"] == 0.5
-    assert out["sim_cycles_per_host_second"] == 10.0
-
-
 def test_reader_rejects_unknown_schema(tmp_path):
     path = tmp_path / "future.json"
-    path.write_text(json.dumps({"bench": "b", "schema": 99, "records": []}))
-    with pytest.raises(ValueError):
-        read_bench_json(str(path))
+    for schema in (3, 99):
+        path.write_text(
+            json.dumps({"bench": "b", "schema": schema, "records": []}))
+        with pytest.raises(ValueError):
+            read_bench_json(str(path))

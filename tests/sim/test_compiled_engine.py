@@ -16,7 +16,8 @@ import repro.exp.cache
 from repro.accel import AcceleratorConfig, build_accelerator
 from repro.frontend import compile_source
 from repro.obs import Observer
-from repro.sim import ENGINES, NULL_TRACE, Trace
+from repro.reports import render_host_profile_report
+from repro.sim import ENGINES, NULL_TRACE, Simulator, Trace
 from repro.sim.compile import (
     clear_kernel_cache,
     generate_source,
@@ -120,7 +121,7 @@ class TestKernelCache:
                                                   tmp_path):
         """A kernel that does not compile is a codegen bug: it surfaces
         as a SimulationError naming the digest and the mirrored source
-        file, and the run does not quietly fall back to the event
+        file, and the run does not quietly fall back to the dense
         engine."""
         from repro.errors import SimulationError
         from repro.sim import compile as compile_mod
@@ -166,11 +167,37 @@ class OnCycleOnly:
         self.cycles += 1
 
 
+def _assert_ran_dense(accel, oracle, reason):
+    """A declined compiled run is a dense run: same cycles, result and
+    stats as ``oracle`` (the same design and instrumentation built with
+    ``engine="dense"``), the reason recorded. Returns the cycle count."""
+    result = accel.run("fib", [10])
+    expected = oracle.run("fib", [10])
+    assert reason in accel.sim.compiled_fallback
+    assert accel.sim.executed_engine == "dense"
+    engine = result.stats.pop("engine")
+    assert engine["name"] == "compiled"
+    assert reason in engine["compiled_fallback"]
+    expected.stats.pop("engine")
+    assert ((result.cycles, result.retval, result.stats)
+            == (expected.cycles, expected.retval, expected.stats))
+    return result.cycles
+
+
 class TestFallbackMatrix:
     """What the generator folds into the kernel (a change-driven observer,
-    traced task units) and what still routes the run through the event
-    engine, with the reason recorded on ``Simulator.compiled_fallback``.
+    traced task units) and what still routes the run through the dense
+    oracle, with the reason recorded on ``Simulator.compiled_fallback``.
     docs/observability.md documents this matrix."""
+
+    @pytest.fixture(autouse=True)
+    def no_event_engine(self, monkeypatch):
+        """Nothing the compiled engine declines may reach the event
+        engine: entering it fails the test."""
+        def entered(*args):
+            raise AssertionError("a compiled run entered the event engine")
+
+        monkeypatch.setattr(Simulator, "_run_event", entered)
 
     def test_plain_run_does_not_fall_back(self):
         workload = REGISTRY.get("fibonacci")
@@ -235,35 +262,58 @@ class TestFallbackMatrix:
         watcher = accel.sim.attach_observer(OnCycleOnly())
         kernel, reason = prepare_kernel(accel.sim)
         assert kernel is None and "OnCycleOnly" in reason
-        result = accel.run("fib", [10])
-        assert "OnCycleOnly" in accel.sim.compiled_fallback
-        assert watcher.cycles == result.cycles  # the exact per-cycle view
+        oracle = _build(engine="dense")
+        oracle_watcher = oracle.sim.attach_observer(OnCycleOnly())
+        cycles = _assert_ran_dense(accel, oracle, "OnCycleOnly")
+        # the exact per-cycle view, as the sample-everything oracle gives it
+        assert watcher.cycles == oracle_watcher.cycles == cycles
 
     def test_host_profile_falls_back(self):
         accel = _build()
-        accel.sim.enable_host_profile()
+        profiler = accel.sim.enable_host_profile()
         kernel, reason = prepare_kernel(accel.sim)
         assert kernel is None and "host profiling" in reason
+        oracle = _build(engine="dense")
+        oracle.sim.enable_host_profile()
+        _assert_ran_dense(accel, oracle, "host profiling")
+        # the profile says which engine it was taken on, and why
+        payload = profiler.as_dict()
+        assert payload["engine"] == "dense"
+        assert "host profiling" in payload["compiled_fallback"]
+        report = render_host_profile_report("fib", profiler)
+        assert "engine=dense (compiled declined: host profiling" in report
 
     def test_value_probe_falls_back(self, monkeypatch):
         from repro.task.txu import TXUTile
 
         monkeypatch.setattr(TXUTile, "value_probe",
                             staticmethod(lambda value, observed: None))
-        kernel, reason = prepare_kernel(_build().sim)
+        accel = _build()
+        kernel, reason = prepare_kernel(accel.sim)
         assert kernel is None and "value probe" in reason
+        _assert_ran_dense(accel, _build(engine="dense"), "value probe")
 
     def test_unknown_component_falls_back(self):
-        from repro.sim import Component, Simulator
+        from repro.sim import Component
 
         class Exotic(Component):
-            def tick(self, cycle):
-                pass
+            ticks = 0
 
-        sim = Simulator(engine="compiled")
-        sim.add_component(Exotic("weird"))
-        kernel, reason = prepare_kernel(sim)
-        assert kernel is None and "Exotic" in reason
+            def tick(self, cycle):
+                self.ticks += 1
+
+        def run(engine):
+            sim = Simulator(engine=engine)
+            weird = sim.add_component(Exotic("weird"))
+            cycles = sim.run(lambda: weird.ticks == 7)
+            stats = sim.stats()
+            stats.pop("engine")
+            return sim, (cycles, weird.ticks, stats)
+
+        sim, outcome = run("compiled")
+        assert "Exotic" in sim.compiled_fallback
+        assert prepare_kernel(sim) == (None, sim.compiled_fallback)
+        assert outcome == run("dense")[1]
 
     def test_fallback_reason_recorded_on_run(self):
         accel = _build()

@@ -95,6 +95,75 @@ def test_odd_and_heterogeneous_tile_counts_agree(name, config):
     assert outcomes["dense"] == outcomes["event"] == outcomes["compiled"]
 
 
+def _dense_equals_compiled(run):
+    """``run(engine)`` under the oracle and the kernel (which must not
+    have declined the design); returns the common return value."""
+    outcomes = {}
+    for engine in ("dense", "compiled"):
+        result = run(engine)
+        if engine == "compiled":
+            assert result.stats["engine"]["compiled_fallback"] is None
+        outcomes[engine] = (result.cycles, result.retval,
+                            _strip(result.stats))
+    assert outcomes["dense"] == outcomes["compiled"]
+    return outcomes["dense"][1]
+
+
+@pytest.mark.parametrize("name", ["saxpy", "stencil", "fibonacci"])
+def test_scratchpad_memory_model_agrees(name):
+    """The Fig 8 alternative backend (``bench_ablation_memory_model.py``
+    runs it on the kernel): the inlined scratchpad section against the
+    component's own ``tick``."""
+    workload = REGISTRY.get(name)
+
+    def run(engine):
+        result = workload.run(workload.default_config(
+            2, engine=engine, memory_model="scratchpad"))
+        assert result.correct and "scratchpad" in result.stats
+        return result
+
+    _dense_equals_compiled(run)
+
+
+def _cast_chain_module():
+    """``casts(x)``: every cast kind the frontend never emits, chained so
+    each feeds the next: trunc -> sext / zext -> sitofp -> fptosi."""
+    from repro.ir import Function, IRBuilder, Module, const, verify_module
+    from repro.ir.types import F32, I8
+
+    module = Module("casts")
+    function = Function("casts", [I32], ["x"], I32)
+    module.add_function(function)
+    b = IRBuilder(function.add_block("entry"))
+    narrow = b.cast("trunc", function.arguments[0], I8)
+    signed = b.cast("sext", narrow, I32)
+    unsigned = b.cast("zext", narrow, I32)
+    scaled = b.fmul(b.cast("sitofp", signed, F32), const(2.5, F32))
+    b.ret(b.add(b.cast("fptosi", scaled, I32), unsigned))
+    verify_module(module)
+    return module
+
+
+@pytest.mark.parametrize("x", [1000, -13, 200])
+def test_cast_chain_agrees(x):
+    """Pins agreement on ``Cast`` nodes — between the engines and with
+    ``eval_cast`` — not their meaning (``zext`` is evaluated as ``sext``
+    everywhere; see ROADMAP)."""
+    from repro.ir.opsem import eval_cast
+    from repro.ir.types import F32, I8
+
+    def run(engine):
+        accel = build_accelerator(_cast_chain_module(),
+                                  AcceleratorConfig(engine=engine))
+        return accel.run("casts", [x])
+
+    retval = _dense_equals_compiled(run)
+    narrow = eval_cast("trunc", x, I8)
+    scaled = eval_cast("sitofp", eval_cast("sext", narrow, I32), F32) * 2.5
+    assert retval == (eval_cast("fptosi", scaled, I32)
+                      + eval_cast("zext", narrow, I32))
+
+
 def _instrumented_views(accel, observer, trace):
     """Everything an instrumented run leaves behind, in comparable form
     (a payload's ``inst`` is an IR object of that run's own module)."""
@@ -256,7 +325,7 @@ def test_deadlock_postmortem_parity():
         outcomes[engine] = (excinfo.value.cycle, str(excinfo.value),
                             excinfo.value.postmortem)
     assert outcomes["dense"] == outcomes["event"]
-    # a custom component routes "compiled" through the event fallback;
+    # a custom component routes "compiled" through the dense fallback;
     # the error contract must survive that path too
     assert outcomes["dense"] == outcomes["compiled"]
 
@@ -265,6 +334,7 @@ def test_check_repro_under_event_engine(capsys):
     """The CLI reproducibility gate passes under the event engine."""
     from repro.cli import main
 
-    assert main(["run", "fibonacci", "--check-repro"]) == 0
+    assert main(["run", "fibonacci", "--check-repro",
+                 "--engine", "event"]) == 0
     out = capsys.readouterr().out
     assert "reproducible" in out

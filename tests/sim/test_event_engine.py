@@ -10,7 +10,7 @@ import pytest
 
 from repro.errors import ConfigError, DeadlockError, SimulationError
 from repro.obs import Observer
-from repro.sim import ENGINES, NEVER, Component, Simulator
+from repro.sim import DEFAULT_ENGINE, ENGINES, NEVER, Component, Simulator
 from repro.sim.engine import DEADLOCK_WINDOW, STALL_WINDOW
 
 
@@ -125,8 +125,27 @@ class TestEngineSelection:
         with pytest.raises(ConfigError, match="unknown engine"):
             AcceleratorConfig(engine="magic")
 
-    def test_default_engine_is_event(self):
-        assert Simulator().engine == "event"
+    def test_every_layer_defaults_to_default_engine(self):
+        """One spelling: the simulator, the config, sweep specs and the
+        CLI all take their default from ``DEFAULT_ENGINE``."""
+        from repro.accel.config import AcceleratorConfig
+        from repro.cli import build_parser
+        from repro.exp import config_from_spec, workload_points
+        from repro.workloads import REGISTRY
+
+        assert DEFAULT_ENGINE == "compiled" and DEFAULT_ENGINE in ENGINES
+        assert Simulator().engine == DEFAULT_ENGINE
+        assert AcceleratorConfig().engine == DEFAULT_ENGINE
+        (point,) = workload_points(["saxpy"])
+        assert point["engine"] == DEFAULT_ENGINE
+        spec = {"evaluator": "workload", "workload": "saxpy", "tiles": 2}
+        assert config_from_spec(REGISTRY.get("saxpy"),
+                                spec).engine == DEFAULT_ENGINE
+        parser = build_parser()
+        assert parser.parse_args(["run", "saxpy"]).engine == DEFAULT_ENGINE
+        assert parser.parse_args(["sweep"]).engines == DEFAULT_ENGINE
+        assert parser.parse_args(
+            ["profile", "x.cilk"]).engine == DEFAULT_ENGINE
 
 
 class TestBitIdentical:

@@ -28,6 +28,14 @@ def test_record_carries_every_key():
     assert record["fingerprint"] == config_fingerprint({"tiles": 2})
 
 
+def test_throughput_is_derived_unless_passed():
+    key = "sim_cycles_per_host_second"
+    assert _record(cycles=1000, host_seconds=0.5)[key] == 2000.0
+    assert _record(cycles=1000, host_seconds=0.5, **{key: 7.0})[key] == 7.0
+    assert _record(cycles=1000)[key] is None
+    assert _record(cycles=None, host_seconds=0.5)[key] is None
+
+
 def test_append_load_round_trip(tmp_path):
     first = append_run(_record(ts=1.0), tmp_path)
     second = append_run(_record(ts=2.0, cycles=1100), tmp_path)
