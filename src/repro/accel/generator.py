@@ -1,7 +1,7 @@
 """The TAPAS HLS generator: Stage 1 + Stage 2 lowering (paper Fig 3).
 
 Stage 1 extracts the task graph and concurrency hints; Stage 2 lowers each
-task into a :class:`~repro.task.compiled.CompiledTask` — per-block dataflow
+task into a :class:`~repro.task.program.CompiledTask` — per-block dataflow
 graphs, spawn/call specifications and frame layout. Stage 3 (elaboration
 into a simulatable accelerator) lives in :mod:`repro.accel.accelerator`.
 """
@@ -18,7 +18,7 @@ from repro.passes.concurrency_opt import TaskSizing, analyze_concurrency
 from repro.passes.dataflow_graph import build_block_dfg
 from repro.passes.task_extraction import extract_tasks
 from repro.passes.taskgraph import Task, TaskGraph
-from repro.task.compiled import CallSpec, CompiledTask, SpawnSpec
+from repro.task.program import CallSpec, CompiledTask, SpawnSpec
 
 
 def _frame_layout(task: Task) -> (int, dict):

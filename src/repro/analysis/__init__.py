@@ -49,12 +49,7 @@ from repro.analysis.diagnostics import (
     Diagnostic,
     DiagnosticReport,
 )
-from repro.analysis.lint import (
-    LintRule,
-    lint_accelerator,
-    lint_design,
-    lint_rules,
-)
+from repro.analysis.lint import LintRule, lint_design, lint_rules
 from repro.analysis.netlist import build_channel_graph, verify_netlist
 from repro.analysis.perf import (
     PerfModel,
@@ -112,7 +107,6 @@ __all__ = [
     "find_races",
     "infer_design_ranges",
     "infer_module_ranges",
-    "lint_accelerator",
     "lint_design",
     "lint_rules",
     "spearman",

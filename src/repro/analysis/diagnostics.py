@@ -96,10 +96,6 @@ class Diagnostic:
         if not self.severity:
             self.severity = CODES.get(self.code, (SEVERITY_WARNING, ""))[0]
 
-    @property
-    def title(self) -> str:
-        return CODES.get(self.code, ("", self.code))[1]
-
     def to_dict(self) -> dict:
         out = {
             "code": self.code,

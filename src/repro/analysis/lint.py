@@ -14,7 +14,7 @@ datapath width being wasted.  Rules come in two scopes:
 ``netlist``
     Need the elaborated component/channel network of an
     :class:`~repro.accel.accelerator.Accelerator`; run by
-    ``repro lint`` and :func:`lint_accelerator`.
+    ``repro lint`` (``lint_design(..., accelerator=accel)``).
 
 Every rule emits :class:`~repro.analysis.diagnostics.Diagnostic` objects
 with stable ``TAP-NET-*`` / ``TAP-WIDTH-*`` codes (catalogued in
@@ -644,11 +644,3 @@ def lint_design(design, entry=None, config=None,
             continue
         report.extend(lint_rule.check(ctx))
     return report
-
-
-def lint_accelerator(accelerator, entry=None) -> DiagnosticReport:
-    """Lint an elaborated accelerator: all design rules plus the netlist
-    structure checks, using the accelerator's own config for queue-depth
-    questions."""
-    return lint_design(accelerator.design, entry=entry,
-                       config=accelerator.config, accelerator=accelerator)

@@ -178,7 +178,8 @@ class PointerResolver:
             return int(value.value), {}
         if depth >= _MAX_LINEAR_DEPTH:
             return 0, {value: 1}
-        if isinstance(value, Cast) and value.kind in ("sext", "zext"):
+        if isinstance(value, Cast) and value.kind == "sext":
+            # zext stays an opaque term: it moves a negative operand
             return self.linear(value.operands[0], depth + 1)
         if isinstance(value, BinaryOp):
             if value.op in ("add", "sub"):

@@ -7,7 +7,7 @@ of (Ntiles, Ntasks, memory) candidates. This module predicts the cycle
 count *without running anything*: it combines
 
 * a **work model** — per static task, how many dynamic instances run
-  and what each instance costs, from :func:`build_task_dfgs` critical
+  and what each instance costs, from :class:`BlockDFG` critical
   paths, :func:`find_loops` trip counts (constant trips via the PR 6
   range analysis idiom, affine trips evaluated against the entry
   arguments, a caller-supplied ``size`` fallback for bounds that arrive

@@ -69,11 +69,6 @@ class RangeChecker:
                 tile.value_probe = self.probe
         return self
 
-    def detach(self, accel):
-        for unit in accel.units:
-            for tile in unit.tiles:
-                tile.value_probe = None
-
     def probe(self, value, observed):
         # non-integers (floats, register-slot markers, None writebacks)
         # carry no interval claim
@@ -105,17 +100,3 @@ class RangeChecker:
             raise AssertionError(
                 "range checker observed no integer values — probe not "
                 "attached or nothing executed")
-
-
-def check_design_run(module, entry: str, make_args, config=None):
-    """Convenience harness: build the accelerator (analysis gate off, so
-    even intentionally-broken fixtures elaborate), attach a checker, run
-    ``entry`` with ``make_args(accel)``'s argument list, and return
-    ``(result, checker)`` — callers assert on both."""
-    from repro.accel import AcceleratorConfig, build_accelerator
-
-    config = config or AcceleratorConfig(analysis_level="none")
-    accel = build_accelerator(module, config)
-    checker = RangeChecker.for_accelerator(accel, entry=entry)
-    result = accel.run(entry, make_args(accel))
-    return result, checker

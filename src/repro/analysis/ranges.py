@@ -222,9 +222,12 @@ def transfer_cast(kind: str, value: Optional[Interval], src_type,
         if isinstance(src_type, IntType) and src_type.bits == to_type.bits:
             return value
         return full
-    # opsem implements trunc/sext/zext uniformly as to_type.wrap(value):
-    # widening casts preserve the signed value (including "zext"), and
-    # trunc keeps it when it already fits.
+    # opsem wraps the source value into to_type: sext preserves it, trunc
+    # keeps it when it already fits, and zext first reads the source bits
+    # as unsigned, which moves a possibly-negative source to
+    # [0, 2^src_bits - 1].
+    if kind == "zext" and isinstance(src_type, IntType) and value.lo < 0:
+        value = Interval(0, (1 << src_type.bits) - 1)
     if full.lo <= value.lo and value.hi <= full.hi:
         return value
     return full

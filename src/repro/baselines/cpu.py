@@ -332,7 +332,7 @@ class MulticoreCPU:
         elif isinstance(inst, Cast):
             env[inst] = eval_cast(inst.kind,
                                   self._resolve(env, inst.operands[0]),
-                                  inst.type)
+                                  inst.operands[0].type, inst.type)
         elif isinstance(inst, GEP):
             base = self._resolve(env, inst.base)
             if isinstance(base, _RegSlot):

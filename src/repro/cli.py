@@ -49,15 +49,19 @@ from repro.accel import (
 from repro.errors import TapasError
 from repro.frontend import compile_source
 from repro.ir import print_module
+from repro.obs import Observer, export_chrome_trace
 from repro.reports import (
     estimate_mhz,
     estimate_resources,
     fpga_power_watts,
+    render_host_profile_report,
+    render_profile_report,
     render_table,
     task_graph_dot,
 )
 from repro.rtl import emit_design, emit_top_verilog
-from repro.sim import DEFAULT_ENGINE, ENGINES
+from repro.sim import DEFAULT_ENGINE, ENGINES, Trace
+from repro.telemetry.spans import TRACER
 
 
 def _load_module(path: str):
@@ -65,6 +69,17 @@ def _load_module(path: str):
         source = handle.read()
     name = os.path.splitext(os.path.basename(path))[0]
     return compile_source(source, name)
+
+
+def _entry_function(module, args):
+    """The ``--entry`` function of a loaded source (default: its first)."""
+    function = (module.function(args.entry) if args.entry
+                else (module.functions[0] if module.functions else None))
+    if function is None:
+        raise TapasError("no entry function"
+                         + (f" named {args.entry!r}" if args.entry else "")
+                         + f" in {args.source}")
+    return function
 
 
 def cmd_compile(args) -> int:
@@ -160,17 +175,13 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _append_history(kind: str, name: str, *, engine=None, cycles=None,
-                    host_seconds=None, sim_cycles_per_host_second=None,
-                    config=None, metrics=None):
-    """Append one record to the persistent run registry. Never fatal:
-    an unwritable registry costs the pointer, not the command."""
+def _append_history(kind: str, name: str, **fields):
+    """Append one record (``run_record``'s ``fields``) to the persistent
+    run registry. Never fatal: an unwritable registry costs the pointer,
+    not the command."""
     from repro.telemetry.history import append_run, run_record
 
-    record = run_record(kind, name, engine=engine, cycles=cycles,
-                        host_seconds=host_seconds,
-                        sim_cycles_per_host_second=sim_cycles_per_host_second,
-                        config=config, metrics=metrics)
+    record = run_record(kind, name, **fields)
     try:
         return append_run(record)
     except OSError as error:
@@ -228,15 +239,9 @@ def _json_safe_stats(value):
 
 def _instrumented(args):
     """Build (trace, observer) when any observability flag is set."""
-    from repro.obs import Observer
-    from repro.sim import Trace
-
-    wants = (getattr(args, "trace_out", None)
-             or getattr(args, "stats_json", None)
-             or getattr(args, "profile", False))
-    if not wants:
-        return None, None
-    return Trace(enabled=True), Observer()
+    if args.trace_out or args.stats_json or args.profile:
+        return Trace(enabled=True), Observer()
+    return None, None
 
 
 def cmd_run(args) -> int:
@@ -251,15 +256,10 @@ def cmd_run(args) -> int:
         # the same workload with full instrumentation on and off must
         # report identical cycle counts (the simulator has no hidden
         # seed, so any divergence is an instrumentation perturbation).
-        from repro.obs import Observer
-        from repro.sim import Trace
-
         plain = workload.run(config=config, scale=args.scale)
-        instrumented = workload.run(
-            config=workload.default_config(
-                ntiles=args.tiles if args.tiles else None,
-                engine=args.engine),
-            scale=args.scale, trace=Trace(enabled=True), observer=Observer())
+        instrumented = workload.run(config=config, scale=args.scale,
+                                    trace=Trace(enabled=True),
+                                    observer=Observer())
         if plain.cycles != instrumented.cycles:
             print(f"error: {workload.name}: instrumentation changed the "
                   f"cycle count ({plain.cycles} plain vs "
@@ -275,16 +275,11 @@ def cmd_run(args) -> int:
     print(f"{workload.name}: {status}, {result.cycles} cycles for "
           f"{result.work_items} work items "
           f"({result.cycles_per_item:.1f} cycles/item)")
-    if args.profile and observer is not None:
-        from repro.reports import render_profile_report
-
+    if args.profile:
         print()
         print(render_profile_report(workload.name, result.cycles, observer,
                                     trace=trace, stats=result.stats))
     if args.trace_out:
-        from repro.obs import export_chrome_trace
-        from repro.telemetry.spans import TRACER
-
         export_chrome_trace(args.trace_out, observer=observer, trace=trace,
                             host_spans=TRACER)
         print(f"trace written to {args.trace_out}")
@@ -294,9 +289,7 @@ def cmd_run(args) -> int:
                           extra={"work_items": result.work_items,
                                  "correct": result.correct})
         print(f"stats written to {args.stats_json}")
-    if not result.correct:
-        return 1
-    return 0
+    return 0 if result.correct else 1
 
 
 def _parse_scales(default: int, spec: str, names):
@@ -414,13 +407,7 @@ def cmd_predict(args) -> int:
     from repro.memory.backing import MainMemory
 
     module = _load_module(args.source)
-    function = (module.function(args.entry) if args.entry
-                else (module.functions[0] if module.functions else None))
-    if function is None:
-        print("error: no entry function"
-              + (f" named {args.entry!r}" if args.entry else "")
-              + f" in {args.source}", file=sys.stderr)
-        return 1
+    function = _entry_function(module, args)
 
     config = AcceleratorConfig(default_ntiles=args.tiles)
     model = PerfModel(module, config=config)
@@ -445,19 +432,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    from repro.obs import Observer, export_chrome_trace, validate_chrome_trace
-    from repro.reports import render_host_profile_report, render_profile_report
-    from repro.sim import Trace
-    from repro.telemetry.spans import TRACER
+    from repro.obs import validate_chrome_trace
 
     module = _load_module(args.source)
-    function = (module.function(args.entry) if args.entry
-                else (module.functions[0] if module.functions else None))
-    if function is None:
-        print("error: no entry function"
-              + (f" named {args.entry!r}" if args.entry else "")
-              + f" in {args.source}", file=sys.stderr)
-        return 1
+    function = _entry_function(module, args)
 
     config = AcceleratorConfig(default_ntiles=args.tiles, engine=args.engine)
     trace = Trace(enabled=True)
@@ -544,30 +522,27 @@ def _first_movement_divergence(base_log, other_log, base_name, other_name,
     return None
 
 
+#: ``repro diff`` default: every engine, the dense oracle leading — it is
+#: the reference the others' bit-identity contract is defined against
+_DIFF_ENGINES = ("dense",) + tuple(e for e in ENGINES if e != "dense")
+
+
 def cmd_diff(args) -> int:
     """Differential run: every engine against the dense oracle on one
     source file.
 
     The event and compiled engines' contract is bit-identical cycle
     counts and architectural stats against the dense oracle; this
-    command checks it end to end on an arbitrary ``.cilk`` source (CI
-    runs it over every file in ``examples/programs/``). On divergence it
+    command checks it end to end on an arbitrary ``.cilk`` source (tier-1
+    runs the same matrix on ``examples/programs/``). On divergence it
     walks the per-cycle channel-movement logs of both runs and reports
     the first cycle the engines disagree on, naming the channel(s) and
     the component driving them.
     """
     module = _load_module(args.source)
-    function = (module.function(args.entry) if args.entry
-                else (module.functions[0] if module.functions else None))
-    if function is None:
-        print("error: no entry function"
-              + (f" named {args.entry!r}" if args.entry else "")
-              + f" in {args.source}", file=sys.stderr)
-        return 1
-    # the dense oracle leads by default: it is the reference the other
-    # engines' bit-identity contract is defined against
+    function = _entry_function(module, args)
     engines = ([e.strip() for e in args.engines.split(",") if e.strip()]
-               if args.engines else ["dense", "event", "compiled"])
+               if args.engines else _DIFF_ENGINES)
     unknown = [e for e in engines if e not in ENGINES]
     if unknown or len(engines) < 2:
         print(f"error: --engines needs >= 2 of {', '.join(ENGINES)}",
@@ -695,52 +670,66 @@ def build_parser() -> argparse.ArgumentParser:
         description="TAPAS reproduction toolchain (MICRO 2018)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compile", help="print the parallel IR for a source file")
-    p.add_argument("source")
+    def shared(*parents):
+        """Arguments several subcommands take, declared once."""
+        return argparse.ArgumentParser(add_help=False, parents=parents)
+
+    source = shared()
+    source.add_argument("source")
+    entry = shared(source)
+    entry.add_argument("--entry",
+                       help="entry function (default: first function)")
+    entry.add_argument("--tiles", type=int, default=1)
+    sized = shared(entry)
+    sized.add_argument("--size", type=int, default=12,
+                       help="synthesized input size / scalar value (default 12)")
+    report = shared()
+    report.add_argument("--format", choices=["text", "json"], default="text")
+    report.add_argument("--fail-on", choices=["note", "warning", "error"],
+                        default="error",
+                        help="exit 1 if any diagnostic at or above this "
+                             "severity is reported, 0 otherwise")
+    outputs = shared()
+    outputs.add_argument("--trace-out", metavar="FILE",
+                         help="write a Perfetto/chrome://tracing JSON trace")
+    outputs.add_argument("--stats-json", metavar="FILE",
+                         help="write cycles/utilization/stall stats as JSON")
+    engine = shared()
+    engine.add_argument("--engine", choices=list(ENGINES),
+                        default=DEFAULT_ENGINE,
+                        help=f"simulation kernel (default: {DEFAULT_ENGINE})")
+
+    p = sub.add_parser("compile", parents=[source],
+                       help="print the parallel IR for a source file")
     p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("taskgraph", help="show the extracted task graph")
-    p.add_argument("source")
+    p = sub.add_parser("taskgraph", parents=[source],
+                       help="show the extracted task graph")
     p.add_argument("--dot", action="store_true", help="emit GraphViz DOT")
     p.set_defaults(func=cmd_taskgraph)
 
-    p = sub.add_parser("analyze",
+    p = sub.add_parser("analyze", parents=[source, report],
                        help="static determinacy-race / dependence analysis")
-    p.add_argument("source")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--fail-on", choices=["note", "warning", "error"],
-                   default="error",
-                   help="exit 1 if any diagnostic at or above this severity "
-                        "is reported, 0 otherwise")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser(
-        "lint",
+        "lint", parents=[entry, report],
         help="hardware lint: bitwidth inference + netlist verification")
-    p.add_argument("source")
-    p.add_argument("--entry", help="entry function (default: first function)")
-    p.add_argument("--tiles", type=int, default=1)
     p.add_argument("--queue-depth", type=int, default=0,
                    help="override every task-queue depth (exercises the "
                         "cycle-buffering rule)")
     p.add_argument("--no-netlist", action="store_true",
                    help="design-scope rules only; skip elaborating the "
                         "component netlist")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--fail-on", choices=["note", "warning", "error"],
-                   default="error",
-                   help="exit 1 if any diagnostic at or above this severity "
-                        "is reported, 0 otherwise")
     p.set_defaults(func=cmd_lint)
 
-    p = sub.add_parser("emit", help="emit generated RTL")
-    p.add_argument("source")
+    p = sub.add_parser("emit", parents=[source], help="emit generated RTL")
     p.add_argument("--language", choices=["chisel", "verilog"],
                    default="chisel")
     p.set_defaults(func=cmd_emit)
 
-    p = sub.add_parser("estimate", help="resource/fmax/power estimate")
-    p.add_argument("source")
+    p = sub.add_parser("estimate", parents=[source],
+                       help="resource/fmax/power estimate")
     p.add_argument("--tiles", type=int, default=1)
     p.add_argument("--include-cache", action="store_true")
     p.add_argument("--width-aware", action="store_true",
@@ -748,21 +737,16 @@ def build_parser() -> argparse.ArgumentParser:
                         "inferred value ranges instead of declared widths")
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("run", help="run a registered workload")
+    p = sub.add_parser("run", parents=[outputs, engine],
+                       help="run a registered workload")
     p.add_argument("workload")
     p.add_argument("--tiles", type=int, default=0)
     p.add_argument("--scale", type=int, default=1)
     p.add_argument("--profile", action="store_true",
                    help="print the cycle-accounting profile report")
-    p.add_argument("--trace-out", metavar="FILE",
-                   help="write a Perfetto/chrome://tracing JSON trace")
-    p.add_argument("--stats-json", metavar="FILE",
-                   help="write cycles/utilization/stall stats as JSON")
     p.add_argument("--check-repro", action="store_true",
                    help="run twice (observability off and on) and fail if "
                         "cycle counts diverge")
-    p.add_argument("--engine", choices=list(ENGINES), default=DEFAULT_ENGINE,
-                   help=f"simulation kernel (default: {DEFAULT_ENGINE})")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser(
@@ -797,11 +781,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(
-        "predict",
+        "predict", parents=[entry],
         help="static performance prediction (no simulation run)")
-    p.add_argument("source")
-    p.add_argument("--entry", help="entry function (default: first function)")
-    p.add_argument("--tiles", type=int, default=1)
     p.add_argument("--size", type=int, default=12,
                    help="synthetic input size (pointer args get arrays "
                         "of this length; also the fallback trip count)")
@@ -810,34 +791,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the prediction JSON to FILE")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("profile",
+    p = sub.add_parser("profile", parents=[sized, outputs, engine],
                        help="run a source file under the cycle profiler")
-    p.add_argument("source")
-    p.add_argument("--entry", help="entry function (default: first function)")
-    p.add_argument("--tiles", type=int, default=1)
-    p.add_argument("--size", type=int, default=12,
-                   help="synthesized input size / scalar value (default 12)")
-    p.add_argument("--trace-out", metavar="FILE",
-                   help="write a Perfetto/chrome://tracing JSON trace")
-    p.add_argument("--stats-json", metavar="FILE",
-                   help="write cycles/utilization/stall stats as JSON")
     p.add_argument("--host", action="store_true",
                    help="profile the host time the simulator spends per "
                         "component class instead of the guest cycles")
-    p.add_argument("--engine", choices=list(ENGINES), default=DEFAULT_ENGINE,
-                   help=f"simulation kernel (default: {DEFAULT_ENGINE})")
     p.set_defaults(func=cmd_profile)
 
-    p = sub.add_parser("diff",
+    p = sub.add_parser("diff", parents=[sized],
                        help="check the simulation engines agree bit-exactly")
-    p.add_argument("source")
-    p.add_argument("--entry", help="entry function (default: first function)")
-    p.add_argument("--tiles", type=int, default=1)
-    p.add_argument("--size", type=int, default=12,
-                   help="synthesized input size / scalar value (default 12)")
     p.add_argument("--engines", metavar="A,B[,C]",
                    help="engines to compare, first is the baseline "
-                        "(default: dense,event,compiled)")
+                        f"(default: {','.join(_DIFF_ENGINES)})")
     p.set_defaults(func=cmd_diff)
 
     p = sub.add_parser(
@@ -871,8 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from repro.telemetry.spans import TRACER
-
     parser = build_parser()
     args = parser.parse_args(argv)
     # host-side pipeline tracing is on for every CLI invocation: a few
@@ -883,10 +846,7 @@ def main(argv=None) -> int:
     TRACER.enable()
     try:
         return args.func(args)
-    except TapasError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    except OSError as error:
+    except (TapasError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 

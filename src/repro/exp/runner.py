@@ -26,6 +26,8 @@ import json
 import os
 import time
 import traceback
+from bisect import bisect_left
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
@@ -310,18 +312,11 @@ class SweepRunner:
         """Aggregate per-worker utilization, queue-wait and point-latency
         histograms, folded into the sweep summary (and from there into
         the BENCH JSON's top-level ``telemetry`` block)."""
-        from repro.telemetry.metrics import LATENCY_BUCKETS_S, Histogram
-
-        point_hist = Histogram(LATENCY_BUCKETS_S)
-        wait_hist = Histogram(LATENCY_BUCKETS_S)
+        computed = [record for record in records
+                    if record is not None and not record.get("cache_hit")
+                    and record.get("worker") is not None]
         workers: Dict[int, Dict[str, float]] = {}
-        for record in records:
-            if record is None or record.get("cache_hit"):
-                continue
-            if record.get("worker") is None:
-                continue
-            point_hist.observe(record["seconds"])
-            wait_hist.observe(record.get("queue_wait", 0.0))
+        for record in computed:
             bucket = workers.setdefault(record["worker"],
                                         {"points": 0, "busy_seconds": 0.0})
             bucket["points"] += 1
@@ -336,9 +331,37 @@ class SweepRunner:
                 }
                 for pid, stats in sorted(workers.items())
             },
-            "point_seconds": point_hist.as_dict(),
-            "queue_wait_seconds": wait_hist.as_dict(),
+            "point_seconds": _latency_histogram(
+                [record["seconds"] for record in computed]),
+            "queue_wait_seconds": _latency_histogram(
+                [record.get("queue_wait", 0.0) for record in computed]),
         }
+
+
+#: host-latency bucket bounds, 100us .. ~52s in x2 steps: fixed, so the
+#: telemetry blocks of different sweeps merge bucket-for-bucket
+_LATENCY_BOUNDS_S = tuple(0.0001 * 2 ** i for i in range(20))
+
+
+def _latency_histogram(values: Sequence[float]) -> Dict[str, Any]:
+    """Summarise host latencies (seconds) over the fixed bounds: ``le``
+    is a bucket's inclusive upper bound, ``"+Inf"`` catches what exceeds
+    the last one, and empty buckets are left out."""
+    counts = Counter(bisect_left(_LATENCY_BOUNDS_S, value) for value in values)
+    total = sum(values, 0.0)
+    return {
+        "type": "histogram",
+        "count": len(values),
+        "sum": round(total, 9),
+        "min": min(values, default=None),
+        "max": max(values, default=None),
+        "mean": round(total / len(values), 9) if values else 0.0,
+        "buckets": [
+            {"le": (_LATENCY_BOUNDS_S[index]
+                    if index < len(_LATENCY_BOUNDS_S) else "+Inf"),
+             "count": counts[index]}
+            for index in sorted(counts)],
+    }
 
 
 def progress_printer(stream=None) -> Callable[[int, int, float], None]:

@@ -28,7 +28,7 @@ from repro.ir.instructions import (
     Sync,
 )
 from repro.ir.module import Module
-from repro.ir.printer import print_function, print_module
+from repro.ir.printer import print_module
 from repro.ir.textparser import parse_ir
 from repro.ir.types import (
     F32,
@@ -59,7 +59,7 @@ __all__ = [
     "GEP", "Alloca", "BinaryOp", "Br", "Call", "Cast", "CondBr", "Detach",
     "FCmp", "ICmp", "Instruction", "Load", "Reattach", "Ret", "Select",
     "Store", "Sync",
-    "print_function", "print_module", "parse_ir",
+    "print_module", "parse_ir",
     "F32", "I1", "I8", "I16", "I32", "I64", "VOID",
     "FloatType", "IntType", "PointerType", "Type", "VoidType", "ptr",
     "Argument", "Constant", "GlobalVariable", "Value", "const",

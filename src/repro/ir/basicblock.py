@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro.errors import IRError
 from repro.ir.instructions import Instruction, Terminator
@@ -46,12 +46,6 @@ class BasicBlock:
         if self.is_terminated():
             return self.instructions[:-1]
         return list(self.instructions)
-
-    def __iter__(self) -> Iterator[Instruction]:
-        return iter(self.instructions)
-
-    def __len__(self):
-        return len(self.instructions)
 
     def __repr__(self):
         return f"<BasicBlock {self.name} ({len(self.instructions)} insts)>"

@@ -369,10 +369,3 @@ class Sync(Terminator):
 
 
 PARALLEL_OPCODES = ("detach", "reattach", "sync")
-
-
-def is_memory_access(inst: Instruction) -> bool:
-    """True for loads/stores that reference memory (including allocas —
-    classification into register vs data-box traffic happens later, with
-    provenance, in the dataflow-graph pass)."""
-    return isinstance(inst, (Load, Store))

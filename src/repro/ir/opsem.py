@@ -102,9 +102,12 @@ def eval_fcmp(predicate: str, a, b) -> int:
     return 1 if _FCMP[predicate](float(a), float(b)) else 0
 
 
-def eval_cast(kind: str, value, to_type: Type):
+def eval_cast(kind: str, value, from_type: Type, to_type: Type):
     if kind in ("trunc", "sext", "zext"):
-        return to_type.wrap(int(value))
+        value = int(value)
+        if kind == "zext" and isinstance(from_type, IntType):
+            value &= (1 << from_type.bits) - 1  # source bits, read unsigned
+        return to_type.wrap(value)
     if kind == "sitofp":
         return float(int(value))
     if kind == "fptosi":

@@ -122,7 +122,3 @@ class Printer:
 
 def print_module(module: Module) -> str:
     return Printer().module(module)
-
-
-def print_function(function: Function) -> str:
-    return Printer().function(function)

@@ -24,14 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
-from repro.sim.component import (
-    OBS_BUSY,
-    OBS_IDLE,
-    OBS_STALL_IN,
-    OBS_STALL_OUT,
-    OBS_STATES,
-)
-from repro.sim.stats import StatCounters, utilization
+from repro.sim.component import OBS_BUSY, OBS_STATES
 
 #: ledger key prefix under which stall reasons are counted
 REASON_PREFIX = "reason:"
@@ -40,8 +33,8 @@ REASON_PREFIX = "reason:"
 class CycleLedger:
     """Per-component cycle attribution.
 
-    Counts are kept in a :class:`~repro.sim.stats.StatCounters` (one key
-    per state, plus ``reason:<tag>`` keys for stall attribution) and as
+    Counts are kept in a :class:`collections.Counter` (one key per
+    state, plus ``reason:<tag>`` keys for stall attribution) and as
     a run-length-encoded state timeline, which the trace export reads.
     The invariant ``busy + stall_in + stall_out + idle == cycles`` holds
     by construction: every booked span bumps both sides by its length.
@@ -51,7 +44,7 @@ class CycleLedger:
         self.name = name
         #: track grouping for trace export (a tile's group is its unit)
         self.group = group or name
-        self.counters = StatCounters()
+        self.counters: Counter = Counter()
         self.cycles = 0
         #: RLE state runs: [start, end_exclusive, state, reason]
         self.timeline: List[list] = []
@@ -84,9 +77,9 @@ class CycleLedger:
         if state not in OBS_STATES:
             raise ValueError(f"ledger {self.name}: unknown state {state!r}")
         self.cycles += span
-        self.counters.bump(state, span)
+        self.counters[state] += span
         if reason is not None:
-            self.counters.bump(REASON_PREFIX + reason, span)
+            self.counters[REASON_PREFIX + reason] += span
         runs = self.timeline
         if runs and runs[-1][1] == start and runs[-1][2] == state \
                 and runs[-1][3] == reason:
@@ -98,27 +91,20 @@ class CycleLedger:
 
     @property
     def busy(self) -> int:
-        return self.counters.get(OBS_BUSY)
-
-    @property
-    def stalled(self) -> int:
-        return self.counters.get(OBS_STALL_IN) + self.counters.get(OBS_STALL_OUT)
-
-    @property
-    def idle(self) -> int:
-        return self.counters.get(OBS_IDLE)
+        return self.counters[OBS_BUSY]
 
     def utilization(self) -> float:
-        return utilization(self.busy, self.cycles)
+        """Fraction of the booked cycles this component was busy."""
+        return self.busy / self.cycles if self.cycles > 0 else 0.0
 
     def breakdown(self) -> Dict[str, int]:
         """State -> cycles; always sums to :attr:`cycles`."""
-        return {state: self.counters.get(state) for state in OBS_STATES}
+        return {state: self.counters[state] for state in OBS_STATES}
 
     def stall_reasons(self) -> Dict[str, int]:
         """Stall tag -> cycles attributed to it."""
         return {key[len(REASON_PREFIX):]: count
-                for key, count in self.counters.as_dict().items()
+                for key, count in self.counters.items()
                 if key.startswith(REASON_PREFIX)}
 
     def as_dict(self) -> dict:

@@ -180,9 +180,9 @@ def _write_document(handle: IO, document: dict) -> None:
 def validate_chrome_trace(document: dict) -> List[str]:
     """Sanity-check an exported document; returns a list of problems.
 
-    Used by the CI smoke job and the test suite: every event needs a
-    phase and a non-negative timestamp (metadata aside), and timestamps
-    must be monotonically non-decreasing in file order.
+    Used by ``repro profile --trace-out`` and the test suite: every
+    event needs a phase and a non-negative timestamp (metadata aside),
+    and timestamps must be monotonically non-decreasing in file order.
     """
     problems = []
     events = document.get("traceEvents")

@@ -11,7 +11,6 @@ from repro.passes.dataflow_graph import (
     BlockDFG,
     DFGNode,
     build_block_dfg,
-    build_task_dfgs,
     classify,
     is_register_access,
 )
@@ -47,7 +46,7 @@ from repro.passes.taskgraph import (
 __all__ = [
     "post_order", "predecessor_map", "reachable_blocks", "reverse_post_order",
     "TaskSizing", "analyze_concurrency",
-    "BlockDFG", "DFGNode", "build_block_dfg", "build_task_dfgs", "classify",
+    "BlockDFG", "DFGNode", "build_block_dfg", "classify",
     "is_register_access",
     "DominatorInfo", "compute_dominators",
     "LivenessInfo", "compute_liveness", "region_live_ins",

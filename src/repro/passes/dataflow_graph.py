@@ -109,9 +109,6 @@ class BlockDFG:
             finish[node.index] = start + max(1, latency_of(node))
         return max(finish, default=0)
 
-    def __len__(self):
-        return len(self.nodes)
-
 
 def build_block_dfg(block: BasicBlock,
                     extra_terminator_deps: Sequence[Value] = ()) -> BlockDFG:
@@ -185,19 +182,3 @@ def build_block_dfg(block: BasicBlock,
         nodes.append(node)
 
     return BlockDFG(block, nodes)
-
-
-def build_task_dfgs(task, spawn_deps: Optional[Dict] = None) -> Dict[BasicBlock, BlockDFG]:
-    """Build DFGs for every block a task owns.
-
-    ``spawn_deps`` maps a Detach to the list of values its spawn must
-    marshal (the child's arguments); the generator computes it from the
-    task graph.
-    """
-    spawn_deps = spawn_deps or {}
-    dfgs = {}
-    for block in task.blocks:
-        term = block.terminator
-        extra = spawn_deps.get(term, ()) if term is not None else ()
-        dfgs[block] = build_block_dfg(block, extra)
-    return dfgs

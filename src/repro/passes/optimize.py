@@ -59,7 +59,8 @@ def _fold(inst: Instruction):
         if isinstance(inst, Select):
             return Constant(inst.type, vals[1] if vals[0] else vals[2])
         if isinstance(inst, Cast):
-            return Constant(inst.type, eval_cast(inst.kind, vals[0], inst.type))
+            return Constant(inst.type, eval_cast(
+                inst.kind, vals[0], inst.operands[0].type, inst.type))
     except Exception:
         return None  # e.g. constant division by zero: leave it to run time
     return None

@@ -102,9 +102,6 @@ class TaskGraph:
         self.tasks: List[Task] = []
         self.root_for_function: Dict[Function, Task] = {}
         self._sid_counter = 0
-        #: block -> owning task, rebuilt lazily when the graph changes
-        self._owner_index: Dict[BasicBlock, Task] = {}
-        self._owner_index_size = -1
 
     def new_task(self, name: str, function: Function, entry: BasicBlock,
                  kind: str) -> Task:
@@ -118,13 +115,6 @@ class TaskGraph:
 
     def task_by_sid(self, sid: int) -> Task:
         return self.tasks[sid]
-
-    def task_owning_block(self, block: BasicBlock) -> Optional[Task]:
-        total = sum(len(t.blocks) for t in self.tasks)
-        if total != self._owner_index_size:
-            self._owner_index = {b: t for t in self.tasks for b in t.blocks}
-            self._owner_index_size = total
-        return self._owner_index.get(block)
 
     # -- graph-level queries -----------------------------------------------
 

@@ -9,7 +9,7 @@ from repro.reports.benchjson import (
     utilization_from_stats,
     write_bench_json,
 )
-from repro.reports.frequency import cycles_to_seconds, estimate_mhz
+from repro.reports.frequency import estimate_mhz
 from repro.reports.profile import (
     render_host_profile_report,
     render_profile_report,
@@ -38,7 +38,7 @@ __all__ = [
     "bench_record", "config_summary", "engine_summary",
     "read_bench_json", "sweep_record", "utilization_from_stats",
     "write_bench_json", "render_profile_report", "render_host_profile_report",
-    "cycles_to_seconds", "estimate_mhz",
+    "estimate_mhz",
     "CPU_PACKAGE_WATTS", "TABLE4_ROWS", "cpu_power_watts", "fit_to_table4",
     "fpga_power_watts", "perf_per_watt_gain",
     "ResourceReport", "UnitResources", "estimate_resources",

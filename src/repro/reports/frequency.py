@@ -22,7 +22,3 @@ def estimate_mhz(board: Board, alms: int) -> float:
                                         (board.base_mhz * 1.05, 0.25, 60.0))
     mhz = f0 - slope * (max(1, alms) ** 0.5)
     return max(floor, mhz)
-
-
-def cycles_to_seconds(cycles: int, mhz: float) -> float:
-    return cycles / (mhz * 1e6)

@@ -144,7 +144,7 @@ def render_host_profile_report(name: str, profiler,
         ["phase", "seconds", "% wall"],
         phase_rows, title="Host seconds by engine phase"))
 
-    # machine-greppable: CI asserts on these two fractions
+    # machine-greppable; the same fractions are in ``profiler.as_dict()``
     sections.append(
         f"attribution: measured_fraction={profiler.measured_fraction():.4f} "
         f"coverage={profiler.coverage():.4f}")

@@ -20,7 +20,7 @@ from typing import List
 from repro.accel.generator import GeneratedDesign
 from repro.ir.values import Value
 from repro.rtl.components import KIND_TO_COMPONENT
-from repro.task.compiled import CompiledTask
+from repro.task.program import CompiledTask
 
 
 def _args_bits(values: List[Value]) -> int:

@@ -16,7 +16,7 @@ from typing import List
 
 from repro.accel.generator import GeneratedDesign
 from repro.rtl.components import KIND_TO_COMPONENT
-from repro.task.compiled import CompiledTask
+from repro.task.program import CompiledTask
 
 
 def _ident(name: str) -> str:

@@ -17,12 +17,11 @@ from repro.sim.engine import (
     STALL_WINDOW,
     Simulator,
 )
-from repro.sim.stats import StatCounters, utilization
 from repro.sim.trace import NULL_TRACE, Trace, TraceEvent
 
 __all__ = [
     "Channel", "Component", "DEADLOCK_WINDOW", "DEFAULT_ENGINE", "ENGINES",
     "NEVER", "STALL_WINDOW", "Simulator",
     "OBS_BUSY", "OBS_IDLE", "OBS_STALL_IN", "OBS_STALL_OUT", "OBS_STATES",
-    "StatCounters", "utilization", "NULL_TRACE", "Trace", "TraceEvent",
+    "NULL_TRACE", "Trace", "TraceEvent",
 ]

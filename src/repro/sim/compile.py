@@ -514,6 +514,8 @@ class _StepperGen:
         v = ir.operands[0]
         if kind in _CAST_INT:
             L = [ind + "r = %s" % self.rvi(v)]
+            if kind == "zext" and isinstance(v.type, IntType):
+                L.append(ind + "r &= %d" % ((1 << v.type.bits) - 1))
             L.extend(self._wrap(tgt, ir.type, ind))
             return L
         if kind == "sitofp":

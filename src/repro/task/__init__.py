@@ -1,6 +1,6 @@
 """Task-level microarchitecture: queues, task units, TXUs, spawn network."""
 
-from repro.task.compiled import CallSpec, CompiledTask, SpawnSpec
+from repro.task.program import CallSpec, CompiledTask, SpawnSpec
 from repro.task.messages import JOIN_CALL, JOIN_SYNC, JoinMessage, SpawnMessage
 from repro.task.network import TaskNetwork
 from repro.task.task_queue import (

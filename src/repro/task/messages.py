@@ -47,17 +47,6 @@ class SpawnMessage:
         self.parent_gid = parent_gid
         self.spawn_seq = spawn_seq
 
-    @property
-    def port(self) -> int:
-        """Demux routing key in the spawn network."""
-        return self.dest_sid
-
-    def __eq__(self, other):
-        if not isinstance(other, SpawnMessage):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name)
-                   for name in SpawnMessage.__slots__)
-
     def __repr__(self):
         return (f"SpawnMessage(dest_sid={self.dest_sid!r}, "
                 f"args={self.args!r}, parent_sid={self.parent_sid!r}, "
@@ -80,16 +69,6 @@ class JoinMessage:
         self.call_token = call_token
         self.retval = retval
         self.child_gid = child_gid   # joining instance, for the checker
-
-    @property
-    def port(self) -> int:
-        return self.parent_sid
-
-    def __eq__(self, other):
-        if not isinstance(other, JoinMessage):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name)
-                   for name in JoinMessage.__slots__)
 
     def __repr__(self):
         return (f"JoinMessage(parent_sid={self.parent_sid!r}, "

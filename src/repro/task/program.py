@@ -59,9 +59,6 @@ class CompiledTask:
     def owns_block(self, block: BasicBlock) -> bool:
         return block in self.dfgs
 
-    def instruction_count(self) -> int:
-        return sum(len(d.nodes) for d in self.dfgs.values())
-
     def __repr__(self):
         return (f"<CompiledTask sid={self.sid} {self.name} "
                 f"blocks={len(self.blocks)} frame={self.frame_size}B>")

@@ -21,7 +21,7 @@ from repro.sim import (
     Channel,
     Component,
 )
-from repro.task.compiled import CompiledTask
+from repro.task.program import CompiledTask
 from repro.task.messages import JOIN_CALL, JOIN_SYNC, JoinMessage, SpawnMessage
 from repro.task.task_queue import (
     COMPLETE,

@@ -43,7 +43,7 @@ from repro.ir.values import Constant, GlobalVariable, Value
 from repro.memory.databox import MemTag
 from repro.memory.messages import MemRequest
 from repro.sim.component import OBS_BUSY, OBS_IDLE, OBS_STALL_IN, OBS_STALL_OUT
-from repro.task.compiled import CompiledTask
+from repro.task.program import CompiledTask
 from repro.task.task_queue import SYNC, TaskEntry
 
 #: dataflow-node latencies by functional-unit class (cycles)
@@ -393,7 +393,7 @@ class TXUTile:
                        else self._resolve(inst, if_false))
         elif isinstance(ir, Cast):
             env[ir] = eval_cast(ir.kind, self._resolve(inst, ir.operands[0]),
-                                ir.type)
+                                ir.operands[0].type, ir.type)
         elif isinstance(ir, GEP):
             base = self._resolve(inst, ir.base)
             if isinstance(base, _RegSlot):

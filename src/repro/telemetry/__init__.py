@@ -1,13 +1,10 @@
-"""Host-side telemetry: latency histograms, pipeline tracing, host-time
-attribution, and the persistent run registry.
+"""Host-side telemetry: pipeline tracing, host-time attribution, and the
+persistent run registry.
 
 The guest machine became observable in ``repro.obs`` (cycle ledgers,
 stall attribution, Perfetto traces); this package does the same for the
 *host-side* toolchain:
 
-* :class:`Histogram` — fixed-bucket latency histograms
-  (:data:`LATENCY_BUCKETS_S`) behind the sweep summary's telemetry
-  block,
 * :class:`SpanTracer` / :data:`TRACER` — span-based tracing over every
   toolchain phase (parse → IR build → passes → elaboration →
   simulation), exported as host-thread tracks into the same
@@ -36,15 +33,9 @@ from repro.telemetry.history import (
     series_key,
 )
 from repro.telemetry.hostprof import HostProfiler
-from repro.telemetry.metrics import (
-    LATENCY_BUCKETS_S,
-    Histogram,
-    exponential_buckets,
-)
 from repro.telemetry.spans import TRACER, Span, SpanTracer, host_trace_events
 
 __all__ = [
-    "Histogram", "LATENCY_BUCKETS_S", "exponential_buckets",
     "Span", "SpanTracer", "TRACER", "host_trace_events",
     "HostProfiler",
     "DRIFT_METRICS", "HISTORY_DIR_ENV", "HISTORY_FILE",

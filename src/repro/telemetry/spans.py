@@ -101,12 +101,9 @@ class SpanTracer:
 
     # -- views ------------------------------------------------------------
 
-    def named(self, name: str) -> List[Span]:
-        return [span for span in self.spans if span.name == name]
-
     def total_seconds(self, name: Optional[str] = None) -> float:
-        spans = self.spans if name is None else self.named(name)
-        return sum(span.seconds for span in spans)
+        return sum(span.seconds for span in self.spans
+                   if name is None or span.name == name)
 
     def phase_totals(self) -> Dict[str, float]:
         """name -> total seconds, top-level spans only (depth 0), so the

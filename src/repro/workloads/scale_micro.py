@@ -48,7 +48,3 @@ class ScaleMicro(Workload):
 
         return PreparedRun(self.entry, [base, n], check,
                            work_items=n * self.work_ops)
-
-    @property
-    def adds_per_item(self) -> int:
-        return self.work_ops

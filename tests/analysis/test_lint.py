@@ -124,16 +124,93 @@ func fib(n: i32) -> i32 {
     assert ring and all(d.severity == "warning" for d in ring)
 
 
-EXAMPLE_FIXTURES = ["double_all", "fib", "racy_sum", "saxpy"]
+EXAMPLE_FIXTURES = ["double_all", "fib", "narrow_sum", "racy_sum", "saxpy"]
 
 
 @pytest.mark.parametrize("fixture", EXAMPLE_FIXTURES)
 def test_clean_examples_stay_clean(fixture):
-    """None of the original example programs may produce a lint warning
-    or error — only informational notes."""
-    report = _lint(fixture, netlist=True)
-    noisy = [d for d in report.diagnostics if d.severity != "info"]
-    assert noisy == [], [f"{d.code}: {d.message}" for d in noisy]
+    """No example program but the two lint fixtures may produce a lint
+    warning or error — only informational notes — on either memory
+    backend's netlist."""
+    for memory_model in ("cache", "scratchpad"):
+        report = _lint(fixture, netlist=True, config=AcceleratorConfig(
+            analysis_level="none", memory_model=memory_model))
+        noisy = [d for d in report.diagnostics if d.severity != "info"]
+        assert noisy == [], [f"{d.code}: {d.message}" for d in noisy]
+
+
+# -- rules no shipped program trips ------------------------------------------
+
+def test_constant_trip_loop_flags_narrow_spawn_channel():
+    """The body task of a 16-trip ``cilk_for`` receives an induction value
+    in [0, 15]: 4 of that argument's 32 channel bits carry anything."""
+    module = compile_source("""
+func fill(a: i32*) {
+  cilk_for (var i: i32 = 0; i < 16; i = i + 1) {
+    a[i] = i;
+  }
+}
+""", "fill")
+    report = lint_design(generate(module), entry="fill")
+    (narrow,) = [d for d in report.diagnostics if d.code == "TAP-WIDTH-001"]
+    assert narrow.severity == "info"
+    assert narrow.data == {"task": "fill.t0", "inferred_bits": [64, 4],
+                           "declared_bits": [64, 32]}
+
+
+def test_trunc_of_unbounded_value_is_possibly_lossy():
+    from repro.ir import Function, IRBuilder, Module
+    from repro.ir.types import I8, I32
+
+    module = Module("narrowing")
+    function = Function("low_byte", [I32], ["x"], I8)
+    module.add_function(function)
+    b = IRBuilder(function.add_block("entry"))
+    b.ret(b.cast("trunc", function.arguments[0], I8))
+    report = lint_design(generate(module), entry="low_byte")
+    (lossy,) = [d for d in report.diagnostics if d.code == "TAP-WIDTH-003"]
+    assert lossy.severity == "warning" and lossy.data["target_bits"] == 8
+    assert report.fails("warning") and not report.fails("error")
+
+
+def test_spawn_endpoint_mismatches_are_errors():
+    """``Call`` and ``Store`` refuse mismatched operands when built, and
+    ``verify_module`` does not look at them again, so only a pass that
+    rewrites operands in place can produce these — which is exactly what
+    TAP-NET-001 is there to catch, in all three forms."""
+    from repro.ir import const, verify_module
+    from repro.ir.instructions import Call, Store
+    from repro.ir.types import I8
+
+    module = compile_source("""
+func child(x: i32, y: i32) -> i32 { return x + y; }
+func parent(n: i32, wrong: f32*) -> i32 {
+  var a: i32 = spawn child(n, 1);
+  var b: i32 = spawn child(n, 2);
+  var c: i32 = spawn child(n, 3);
+  sync;
+  return a + b + c;
+}
+""", "spawns")
+    design = generate(module)
+    assert not lint_design(design, entry="parent").fails("error")
+    parent = module.function("parent")
+    short, retyped, rerouted = [i for i in parent.instructions()
+                                if isinstance(i, Call)]
+    short.operands.pop()
+    retyped.replace_operand(retyped.args[1], const(2, I8))
+    (store,) = [i for i in rerouted.parent.instructions
+                if isinstance(i, Store)]
+    store.replace_operand(store.pointer, parent.arguments[1])
+    verify_module(module)
+    mismatches = [d for d in lint_design(generate(module),
+                                         entry="parent").diagnostics
+                  if d.code == "TAP-NET-001"]
+    assert [d.severity for d in mismatches] == ["error"] * 3
+    assert [sorted(d.data) for d in mismatches] == [
+        ["callee", "expected", "sent"],
+        ["arg", "callee", "expected_type", "sent_type"],
+        ["callee", "pointer_type", "return_type"]]
 
 
 # -- synthesis gate ----------------------------------------------------------

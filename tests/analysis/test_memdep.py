@@ -110,6 +110,22 @@ class TestPointerResolver:
         assert list(address.terms.values()) == [4]
         assert address.exact
 
+    def test_sext_index_is_looked_through_zext_is_not(self):
+        """``zext`` moves a negative index (i8 -1 -> 255), so unlike
+        ``sext`` it is a term of its own, not an alias of its operand."""
+        from repro.ir import Function, IRBuilder
+        from repro.ir.types import I8, I32, I64, VOID, ptr
+
+        f = Function("f", [ptr(I32), I8], ["a", "i"], VOID)
+        b = IRBuilder(f.add_block("entry"))
+        a, i = f.arguments
+        signed = b.gep(a, [b.cast("sext", i, I64)], [4])
+        unsigned = b.cast("zext", i, I64)
+        resolver = PointerResolver(f)
+        assert resolver.resolve(signed).terms == {i: 4}
+        assert resolver.resolve(b.gep(a, [unsigned], [4])).terms == {
+            unsigned: 4}
+
     def test_loop_induction_recognised_as_step(self):
         """a[i] vs a[i] across instances is disjoint (the induction term
         shifts by the step); a[i] vs a[i+1] collides with the neighbour

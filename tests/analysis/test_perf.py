@@ -1,6 +1,7 @@
 """Tests for the analytical performance model (repro.analysis.perf)."""
 
 import glob
+import json
 import os
 
 import pytest
@@ -24,7 +25,7 @@ EXAMPLE_PROGRAMS = sorted(
     if os.path.splitext(os.path.basename(path))[0] not in _SKIP)
 
 #: per-program gate for the cross-validation band: the static model must
-#: land within 3x of the event engine in both directions. Calibrated
+#: land within 3x of the simulator in both directions. Calibrated
 #: points sit far inside this (see bench_predict_accuracy); the band is
 #: a regression tripwire, not an accuracy claim.
 BAND_LOW, BAND_HIGH = 1 / 3.0, 3.0
@@ -207,10 +208,14 @@ class TestModelBehaviour:
     "path", EXAMPLE_PROGRAMS,
     ids=[os.path.splitext(os.path.basename(p))[0]
          for p in EXAMPLE_PROGRAMS])
-def test_prediction_tracks_event_engine(path):
+def test_prediction_tracks_simulation(path):
     """Every shipped example program: static prediction within the
-    gated band of an actual event-engine run, same synthetic inputs."""
+    gated band of an actual simulation, same synthetic inputs, and a
+    ``repro predict --format json`` payload with ranked bottlenecks."""
     prediction = _predict_program(path)
+    payload = json.loads(json.dumps(prediction.as_dict()))
+    assert payload["schema"] == 1 and payload["bottlenecks"]
+    assert payload["predicted_cycles"] == prediction.cycles > 0
     result = _run_program(path)
     actual = max(1, result.cycles)
     ratio = prediction.cycles / actual

@@ -57,6 +57,16 @@ def test_dynamic_values_stay_in_static_ranges(fixture, size):
     assert checker.checked > 0
 
 
+def test_escaped_value_is_reported_with_its_interval():
+    _, checker = _run_checked("narrow_sum", 4)
+    cell, interval = next(iter(checker.ranges.cell_ranges.items()))
+    checker.probe(cell, interval.hi + 1)
+    with pytest.raises(AssertionError, match=(
+            rf"1 dynamic value.*\n  cell {cell.name}: observed "
+            rf"{interval.hi + 1} outside \[{interval.lo}, {interval.hi}\]")):
+        checker.assert_clean()
+
+
 def test_checker_survives_multi_tile_runs():
     result, checker = _run_checked("saxpy", 8, tiles=4)
     checker.assert_clean()

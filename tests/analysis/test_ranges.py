@@ -116,7 +116,7 @@ def test_cast_transfer_is_sound(kind, src, dst):
         out = transfer_cast(kind, a, src, dst)
         for _ in range(6):
             x = rng.randint(a.lo, a.hi)
-            assert out.contains(eval_cast(kind, x, dst))
+            assert out.contains(eval_cast(kind, x, src, dst))
 
 
 def test_refine_by_predicate():

@@ -10,7 +10,9 @@ from repro.errors import TapasError
 from repro.exp import (
     ResultCache,
     SweepRunner,
+    config_from_spec,
     expand_grid,
+    progress_printer,
     register_evaluator,
     workload_points,
 )
@@ -100,6 +102,25 @@ def test_summary_carries_telemetry_block():
     assert "cache" not in telemetry  # no cache attached to this run
     # every computed record carries its pool queue wait
     assert all(r["queue_wait"] >= 0 for r in result.records)
+    # histograms: 20 fixed x2 bounds from 100us (so blocks of different
+    # sweeps merge), ``le`` inclusive, empty buckets left out, and what
+    # exceeds the last bound (~52 s) counted under "+Inf"
+    waits = (0.0001, 0.00015, 3.0, 500.0)
+    block = SweepRunner._telemetry(
+        [{"worker": 7, "cache_hit": False, "seconds": 0.5, "queue_wait": w}
+         for w in waits], wall=1.0)["queue_wait_seconds"]
+    assert block == {
+        "type": "histogram", "count": 4, "sum": round(sum(waits), 9),
+        "min": 0.0001, "max": 500.0, "mean": round(sum(waits) / 4, 9),
+        "buckets": [{"le": 0.0001, "count": 1}, {"le": 0.0002, "count": 1},
+                    {"le": 0.0001 * 2 ** 15, "count": 1},
+                    {"le": "+Inf", "count": 1}]}
+    for histogram in (telemetry["point_seconds"],
+                      telemetry["queue_wait_seconds"]):
+        assert set(histogram) == set(block)
+        assert sum(b["count"] for b in histogram["buckets"]) == 4
+        assert {b["le"] for b in histogram["buckets"]} <= {
+            0.0001 * 2 ** i for i in range(20)}
 
 
 def test_telemetry_counts_cache_traffic(tmp_path):
@@ -164,6 +185,18 @@ def test_progress_reporting():
     assert [d for d, _ in seen] == sorted(d for d, _ in seen)
 
 
+def test_progress_printer_writes_one_rewritten_line():
+    import io
+
+    stream = io.StringIO()
+    report = progress_printer(stream)
+    report(1, 2, 0.5)
+    report(2, 2, 1.0)
+    assert stream.getvalue() == (
+        "sweep: 1/2 points (0.5s elapsed, eta 0.5s)\r"
+        "sweep: 2/2 points (1.0s elapsed, eta 0.0s)\n")
+
+
 def test_unknown_evaluator_is_structured_error():
     result = SweepRunner(jobs=1).run([{"evaluator": "nonsense"}])
     assert result.records[0]["status"] == "error"
@@ -193,6 +226,36 @@ def test_workload_evaluator_end_to_end(tmp_path):
     warm = SweepRunner(jobs=1, cache=cache).run(points)
     assert warm.summary["cache_hits"] == 4
     assert warm.values == values
+
+
+def test_config_from_spec_rebuilds_every_override():
+    """The worker-side inverse of a spec's JSON ``overrides``: a board by
+    name, cache geometry and per-unit params as field dicts, scalars as
+    they are — and nothing silently dropped."""
+    from repro.accel import ARRIA_10
+    from repro.errors import ConfigError
+
+    workload = REGISTRY.get("saxpy")
+    config = config_from_spec(workload, {
+        "tiles": 2, "engine": "dense", "overrides": {
+            "board": ARRIA_10.name,
+            "cache": {"size_bytes": 1024, "mshr_count": 1},
+            "unit_params": {"saxpy": {"ntiles": 3, "queue_depth": 8}},
+            "dram_latency_cycles": 270, "memory_model": "scratchpad",
+            "scratchpad_latency": 2, "analysis_level": "warn",
+            "memory_bytes": 1 << 20}})
+    assert (config.default_ntiles, config.engine) == (2, "dense")
+    assert config.board is ARRIA_10
+    assert (config.cache.size_bytes, config.cache.mshr_count) == (1024, 1)
+    assert config.params_for("saxpy").ntiles == 3
+    assert config.params_for("saxpy").queue_depth == 8
+    assert (config.dram_latency_cycles, config.memory_model,
+            config.scratchpad_latency, config.analysis_level,
+            config.memory_bytes) == (270, "scratchpad", 2, "warn", 1 << 20)
+    with pytest.raises(ConfigError, match="unknown board 'Stratix'"):
+        config_from_spec(workload, {"overrides": {"board": "Stratix"}})
+    with pytest.raises(ConfigError, match=r"override\(s\) \['ntile'\]"):
+        config_from_spec(workload, {"overrides": {"ntile": 2}})
 
 
 def test_workload_result_picklable():

@@ -2,7 +2,7 @@
 
 
 from repro.ir import Function, IRBuilder, const, verify_function
-from repro.ir.types import I32, VOID, ptr
+from repro.ir.types import I8, I32, VOID, ptr
 from repro.ir.values import Constant
 from repro.passes import (
     common_subexpression_elimination,
@@ -43,6 +43,14 @@ class TestConstantFolding:
         b.ret(s)
         constant_fold(f)
         assert f.entry.terminator.value.value == 10
+
+    def test_folds_zext_as_unsigned(self):
+        f = Function("f", [], [], I32)
+        b = IRBuilder(f.add_block("entry"))
+        b.ret(b.cast("zext", const(-13, I8), I32))
+        assert count_ops(f, "zext") == 1
+        assert constant_fold(f) == 1
+        assert f.entry.terminator.value.value == 243
 
     def test_division_by_zero_left_alone(self):
         f = Function("f", [], [], I32)

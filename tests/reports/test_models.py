@@ -94,6 +94,19 @@ class TestResourceModelVsTable3:
         with_cache = estimate_resources(acc, include_cache=True)
         assert with_cache.brams - without.brams == 7  # 16KB / 20Kb blocks
 
+    def test_width_aware_sizing_shrinks_a_narrow_datapath(self):
+        """``narrow_sum.cilk`` keeps an 11-bit sum and a 4-bit counter in
+        i32 cells: sized by inferred range, the datapath costs less."""
+        import os
+
+        from repro.cli import _load_module
+
+        accel = build_accelerator(_load_module(os.path.join(
+            os.path.dirname(__file__), "..", "..", "examples", "programs",
+            "narrow_sum.cilk")), AcceleratorConfig())
+        assert estimate_resources(accel, width_aware=True).alms \
+            < estimate_resources(accel).alms
+
 
 class TestFrequencyModel:
     def test_cyclone_small_design(self):

@@ -3,7 +3,8 @@
 Every example program and every registered workload must produce
 bit-identical cycle counts, return values and architectural stats under
 all three engines — ``stats()["engine"]`` (host wall-clock) is the only
-key allowed to differ. CI runs the same matrix via ``repro diff``.
+key allowed to differ. ``repro diff`` runs the same comparison on one
+source file (``tests/test_cli.py::TestDiff``).
 """
 
 import glob
@@ -34,7 +35,7 @@ def _strip(stats):
     return stats
 
 
-def _run_example(path, engine):
+def _run_example(path, engine, tiles):
     from repro.cli import _default_profile_args
 
     with open(path) as handle:
@@ -42,7 +43,7 @@ def _run_example(path, engine):
     name = os.path.splitext(os.path.basename(path))[0]
     module = compile_source(source, name)
     accel = build_accelerator(
-        module, AcceleratorConfig(default_ntiles=2, engine=engine))
+        module, AcceleratorConfig(default_ntiles=tiles, engine=engine))
     function = module.functions[0]
     args = _default_profile_args(function, accel.memory, 8)
     result = accel.run(function.name, args)
@@ -53,7 +54,9 @@ def _run_example(path, engine):
 @pytest.mark.parametrize("path", EXAMPLES,
                          ids=[os.path.basename(p) for p in EXAMPLES])
 def test_example_programs_agree(path, engine):
-    assert _run_example(path, "dense") == _run_example(path, engine)
+    for tiles in (1, 2, 3, 4):
+        assert _run_example(path, "dense", tiles) \
+            == _run_example(path, engine, tiles), f"{tiles} tile(s)"
 
 
 @pytest.mark.parametrize("engine", ["event", "compiled"])
@@ -144,24 +147,126 @@ def _cast_chain_module():
     return module
 
 
+def _engines_and_cpu_agree(make_module, check, **config):
+    """``check(memory, execute)`` puts its inputs in ``memory``, calls
+    ``execute(entry, args)``, asserts on what it left behind and returns
+    the result: under dense and compiled (which must agree on everything)
+    and under the CPU baseline. Returns the engines' return value."""
+    from repro.baselines import run_on_cpu
+    from repro.memory.backing import MainMemory
+
+    def run(engine):
+        accel = build_accelerator(make_module(),
+                                  AcceleratorConfig(engine=engine, **config))
+        return check(accel.memory, accel.run)
+
+    retval = _dense_equals_compiled(run)
+    memory = MainMemory(1 << 20)
+    check(memory, lambda entry, args: run_on_cpu(
+        make_module(), entry, args, memory=memory))
+    return retval
+
+
 @pytest.mark.parametrize("x", [1000, -13, 200])
 def test_cast_chain_agrees(x):
-    """Pins agreement on ``Cast`` nodes — between the engines and with
-    ``eval_cast`` — not their meaning (``zext`` is evaluated as ``sext``
-    everywhere; see ROADMAP)."""
+    """``Cast`` nodes agree between the engines, ``eval_cast`` and the
+    CPU baseline, and mean what they say: ``zext`` reads the source bits
+    as unsigned (200 -> trunc i8 is -56 -> zext is 200 again, not -56)."""
     from repro.ir.opsem import eval_cast
     from repro.ir.types import F32, I8
 
-    def run(engine):
-        accel = build_accelerator(_cast_chain_module(),
-                                  AcceleratorConfig(engine=engine))
-        return accel.run("casts", [x])
+    narrow = eval_cast("trunc", x, I32, I8)
+    unsigned = eval_cast("zext", narrow, I8, I32)
+    assert (narrow, unsigned) == ((x + 128) % 256 - 128, x % 256)
+    scaled = eval_cast("sitofp", eval_cast("sext", narrow, I8, I32),
+                       I32, F32) * 2.5
 
-    retval = _dense_equals_compiled(run)
-    narrow = eval_cast("trunc", x, I8)
-    scaled = eval_cast("sitofp", eval_cast("sext", narrow, I32), F32) * 2.5
-    assert retval == (eval_cast("fptosi", scaled, I32)
-                      + eval_cast("zext", narrow, I32))
+    def check(memory, execute):
+        result = execute("casts", [x])
+        assert result.retval == eval_cast("fptosi", scaled, F32, I32) \
+            + unsigned
+        return result
+
+    _engines_and_cpu_agree(_cast_chain_module, check)
+
+
+FLOAT_KERNEL = """
+func fgap(x: f32*, y: f32*, n: i32) {
+  cilk_for (var i: i32 = 0; i < n; i = i + 1) {
+    if (x[i] < y[i]) {
+      y[i] = (y[i] - x[i]) / x[i];
+    } else {
+      y[i] = x[i] - y[i];
+    }
+  }
+}
+"""
+
+
+def test_float_sub_div_compare_agree():
+    """The f32 operators no shipped program uses (``-``, ``/``, ``<``):
+    the engines, the CPU baseline and ``ir/opsem.py`` give one answer,
+    division by zero (``x[0]``) included."""
+    from repro.ir.opsem import eval_binop, eval_fcmp
+    from repro.ir.types import F32
+
+    xs = [0.5 * i for i in range(8)]
+    ys = [3.0 - 0.25 * i * i for i in range(8)]
+    expected = [
+        eval_binop("fdiv", F32, eval_binop("fsub", F32, y, x), x)
+        if eval_fcmp("olt", x, y) else eval_binop("fsub", F32, x, y)
+        for x, y in zip(xs, ys)]
+    assert expected[:2] == [float("inf"), 4.5] and expected[-1] == 12.75
+
+    def check(memory, execute):
+        x, y = memory.alloc_array(F32, xs), memory.alloc_array(F32, ys)
+        result = execute("fgap", [x, y, len(xs)])
+        assert memory.read_array(y, F32, len(ys)) == expected
+        return result
+
+    _engines_and_cpu_agree(lambda: compile_source(FLOAT_KERNEL, "fgap"),
+                           check, default_ntiles=2)
+
+
+def _select_minmax_module():
+    """``mix(out, a, b, p, q)``: the pure ops no shipped program reaches —
+    select, smin/smax, srem, fmin/fmax and (value-preserving) bitcasts."""
+    from repro.ir import Function, IRBuilder, Module, const, verify_module
+    from repro.ir.types import F32, ptr
+
+    module = Module("mix")
+    function = Function("mix", [ptr(F32), I32, I32, F32, F32],
+                        ["out", "a", "b", "p", "q"], I32)
+    module.add_function(function)
+    b = IRBuilder(function.add_block("entry"))
+    out, a, a2, p, q = function.arguments
+    low, high = b.binop("smin", a, a2), b.binop("smax", a, a2)
+    spread = b.fsub(b.binop("fmax", p, q), b.binop("fmin", p, q))
+    b.store(spread, b.cast("bitcast", out, ptr(F32)))
+    b.ret(b.select(b.fcmp("olt", p, q), b.srem(b.sub(high, low), const(7)),
+                   b.cast("bitcast", low, I32)))
+    verify_module(module)
+    return module
+
+
+@pytest.mark.parametrize("a, b, p, q", [(3, -7, 1.5, -2.25),
+                                        (-7, 3, -2.25, 1.5),
+                                        (5, 5, 0.1, 0.1)],
+                         ids=["descending", "ascending", "equal"])
+def test_select_minmax_bitcast_agree(a, b, p, q):
+    from repro.ir.opsem import to_f32
+    from repro.ir.types import F32
+
+    def check(memory, execute):
+        out = memory.alloc_array(F32, [0.0])
+        result = execute("mix", [out, a, b, p, q])
+        assert result.retval == ((max(a, b) - min(a, b)) % 7 if p < q
+                                 else min(a, b))
+        assert memory.read_array(out, F32, 1) == [
+            to_f32(to_f32(max(p, q)) - to_f32(min(p, q)))]
+        return result
+
+    _engines_and_cpu_agree(_select_minmax_module, check)
 
 
 def _instrumented_views(accel, observer, trace):
@@ -205,7 +310,17 @@ def _instrumented_configs():
     # (the compiled kernel parks them; the stall reasons must not notice)
     configs.extend(("saxpy", 2, dict(configs[-1][2], ntiles=tiles))
                    for tiles in (1, 4))
+    # the Fig 8 backend: the scratchpad's own sensitivity / wake / classify
+    configs.append(("saxpy", 1, {"ntiles": 2, "memory_model": "scratchpad"}))
     return configs
+
+
+def _instrumented_id(name, scale, overrides):
+    if "memory_model" in overrides:
+        return f"{name}-{overrides['memory_model']}"
+    if "cache" not in overrides:
+        return f"{name}-{overrides['ntiles']}"
+    return f"{name}-membound" + f"-{overrides['ntiles']}" * (scale != 4)
 
 
 INSTRUMENTED = _instrumented_configs()
@@ -213,9 +328,7 @@ INSTRUMENTED = _instrumented_configs()
 
 @pytest.mark.parametrize(
     "name, scale, overrides", INSTRUMENTED,
-    ids=[f"{name}-{overrides['ntiles']}" if "cache" not in overrides
-         else f"{name}-membound" + f"-{overrides['ntiles']}" * (scale != 4)
-         for name, scale, overrides in INSTRUMENTED])
+    ids=[_instrumented_id(*config) for config in INSTRUMENTED])
 def test_instrumented_views_agree(name, scale, overrides):
     """Observer ledgers and probes, the exported Perfetto bytes and the
     analysis trace (events with their ``seq``, hence ``spawn_seq`` and the

@@ -178,6 +178,19 @@ class TestChromeTrace:
         encoded = json.dumps(document)
         assert json.loads(encoded)["traceEvents"]
 
+    @pytest.mark.parametrize("events, problem", [
+        ([], "traceEvents missing or empty"),
+        ([{"ts": 0}], "event 0: missing ph"),
+        ([{"ph": "X", "ts": "soon"}], "event 0: bad ts 'soon'"),
+        ([{"ph": "i", "ts": -1}], "event 0: bad ts -1"),
+        ([{"ph": "i", "ts": 5}, {"ph": "M"}, {"ph": "i", "ts": 4}],
+         "event 2: ts 4 < previous 5"),
+        ([{"ph": "X", "ts": 0, "dur": -2}], "event 0: negative dur"),
+    ], ids=["empty", "no-ph", "text-ts", "negative-ts", "decreasing-ts",
+            "negative-dur"])
+    def test_validator_names_what_is_malformed(self, events, problem):
+        assert validate_chrome_trace({"traceEvents": events}) == [problem]
+
     def test_per_tile_tracks_present(self):
         _, observer, trace = self._profiled_run()
         document = chrome_trace(observer=observer, trace=trace)

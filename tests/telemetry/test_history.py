@@ -115,7 +115,7 @@ def test_diff_rejects_unknown_metric():
         diff_history([], metric="nope")
 
 
-def test_cli_history_round_trip(tmp_path, capsys):
+def test_cli_history_round_trip(tmp_path, capsys, monkeypatch):
     """repro history lists, diffs and exits non-zero on regression."""
     from repro.cli import main
 
@@ -144,3 +144,13 @@ def test_cli_history_round_trip(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["records"]) == 2
     assert payload["diffs"][0]["regression"] is True
+
+    # two real recorded runs of one design are one series with no drift
+    monkeypatch.setenv("REPRO_HISTORY_DIR", str(tmp_path / "recorded"))
+    for _ in range(2):
+        assert main(["run", "saxpy", "--stats-json",
+                     str(tmp_path / "stats.json")]) == 0
+    assert main(["history", "--fail-on-regression"]) == 0
+    out = capsys.readouterr().out
+    assert "2 record(s)" in out and "+0.0%" in out
+    assert "REGRESSION" not in out

@@ -1,8 +1,18 @@
 """Tests for the command-line driver."""
 
+import glob
+import os
+
 import pytest
 
 from repro.cli import main
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: example programs that terminate and pass the analysis gate
+RUNNABLE_EXAMPLES = [
+    path for path in sorted(glob.glob(
+        os.path.join(REPO, "examples", "programs", "*.cilk")))
+    if not os.path.basename(path).startswith(("racy_", "deadlock_"))]
 
 
 @pytest.fixture
@@ -83,7 +93,7 @@ class TestCommands:
 
     def test_analyze_shipped_example_programs(self, capsys):
         """The examples/programs fixtures behave as advertised: racy_*
-        fail the gate, everything else is clean — the contract CI runs."""
+        fail the gate, everything else is clean."""
         import glob
         import os
 
@@ -178,19 +188,21 @@ class TestObservability:
         assert "Cycle accounting (per component)" in out
         assert "Tile occupancy" in out
 
-    def test_profile_trace_out_is_valid_perfetto_json(self, kernel_file,
-                                                      tmp_path, capsys):
+    def test_profile_trace_out_is_valid_perfetto_json(self, tmp_path,
+                                                      capsys):
         import json
 
         from repro.obs import validate_chrome_trace
 
+        assert len(RUNNABLE_EXAMPLES) >= 5  # double_all is ``kernel_file``
         trace_path = tmp_path / "trace.json"
-        assert main(["profile", kernel_file, "--size", "6",
-                     "--trace-out", str(trace_path)]) == 0
-        capsys.readouterr()
-        document = json.loads(trace_path.read_text())
-        assert validate_chrome_trace(document) == []
-        assert document["traceEvents"]
+        for program in RUNNABLE_EXAMPLES:
+            assert main(["profile", program,
+                         "--trace-out", str(trace_path)]) == 0, program
+            capsys.readouterr()
+            document = json.loads(trace_path.read_text())
+            assert validate_chrome_trace(document) == [], program
+            assert document["traceEvents"], program
 
     def test_profile_host_report(self, kernel_file, capsys):
         assert main(["profile", kernel_file, "--size", "6", "--host"]) == 0
@@ -265,6 +277,19 @@ class TestObservability:
         assert record["history"]["path"].endswith("runs.jsonl")
         assert isinstance(record["history"]["seq"], int)
 
+    def test_run_trace_out(self, tmp_path, capsys):
+        import json
+
+        from repro.obs import validate_chrome_trace
+
+        trace_path = tmp_path / "trace.json"
+        assert main(["run", "fibonacci", "--trace-out", str(trace_path)]) == 0
+        assert f"trace written to {trace_path}" in capsys.readouterr().out
+        document = json.loads(trace_path.read_text())
+        assert validate_chrome_trace(document) == []
+        assert any(e.get("cat", "").startswith("host:")
+                   for e in document["traceEvents"])
+
     def test_run_check_repro(self, capsys):
         assert main(["run", "saxpy", "--check-repro"]) == 0
         out = capsys.readouterr().out
@@ -319,6 +344,15 @@ class TestObservability:
         out = capsys.readouterr().out
         assert "4 points" in out and "0 error(s)" in out
         assert "static" in out  # engine column reflects the evaluator
+
+    def test_sweep_per_workload_scales(self, capsys):
+        assert main(["sweep", "--workloads", "fibonacci,saxpy", "--no-cache",
+                     "--scales", "fibonacci=2"]) == 0
+        rows = {line.split()[0]: line.split()
+                for line in capsys.readouterr().out.splitlines()
+                if line.startswith(("fibonacci", "saxpy"))}
+        # columns: workload, tiles, engine, scale, ...
+        assert rows["fibonacci"][3] == "2" and rows["saxpy"][3] == "1"
 
     def test_sweep_rejects_unknown_workload(self, capsys):
         assert main(["sweep", "--workloads", "nope"]) == 1
@@ -388,6 +422,25 @@ class TestDiff:
 
 
 class TestErrors:
+    def test_module_entry_point_sets_the_exit_status(self):
+        """``python -m repro`` as a process: ``__main__`` hands ``main``'s
+        return value to the shell."""
+        import subprocess
+        import sys
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH", "")]))
+        for argv, status, expected in (
+                (["workloads"], 0, "mergesort"),
+                (["lint", os.path.join(REPO, "examples", "programs",
+                                       "deadlock_ring.cilk")], 1,
+                 "TAP-NET-004")):
+            done = subprocess.run([sys.executable, "-m", "repro"] + argv,
+                                  env=env, capture_output=True, text=True,
+                                  timeout=120)
+            assert done.returncode == status, done.stderr
+            assert expected in done.stdout
+
     def test_missing_file(self, capsys):
         assert main(["compile", "/nonexistent.tapas"]) == 1
         assert "error:" in capsys.readouterr().err
