@@ -629,18 +629,21 @@ def lint_design(design, entry=None, config=None,
     is computed here.  Passing ``accelerator`` additionally runs the
     netlist-scope rules on its elaborated simulator.
     """
-    entry_fn = _resolve_entry(design.module, entry)
-    if ranges is None:
-        ranges = infer_module_ranges(
-            design.module, design=design,
-            entry=entry_fn.name if entry_fn is not None else None)
-    if config is None and accelerator is not None:
-        config = accelerator.config
-    ctx = LintContext(design=design, entry=entry_fn, config=config,
-                      ranges=ranges, accelerator=accelerator)
-    report = DiagnosticReport()
-    for lint_rule in lint_rules():
-        if lint_rule.scope == SCOPE_NETLIST and accelerator is None:
-            continue
-        report.extend(lint_rule.check(ctx))
-    return report
+    from repro.telemetry.spans import TRACER
+
+    with TRACER.span("analysis.lint", category="analysis"):
+        entry_fn = _resolve_entry(design.module, entry)
+        if ranges is None:
+            ranges = infer_module_ranges(
+                design.module, design=design,
+                entry=entry_fn.name if entry_fn is not None else None)
+        if config is None and accelerator is not None:
+            config = accelerator.config
+        ctx = LintContext(design=design, entry=entry_fn, config=config,
+                          ranges=ranges, accelerator=accelerator)
+        report = DiagnosticReport()
+        for lint_rule in lint_rules():
+            if lint_rule.scope == SCOPE_NETLIST and accelerator is None:
+                continue
+            report.extend(lint_rule.check(ctx))
+        return report

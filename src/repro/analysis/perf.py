@@ -8,11 +8,10 @@ count *without running anything*: it combines
 
 * a **work model** — per static task, how many dynamic instances run
   and what each instance costs, from :class:`BlockDFG` critical
-  paths, :func:`find_loops` trip counts (constant trips via the PR 6
-  range analysis idiom, affine trips evaluated against the entry
-  arguments, a caller-supplied ``size`` fallback for bounds that arrive
-  through memory) and a branch-aware block-weight propagation over the
-  dominator tree;
+  paths, :func:`find_loops` trip counts (constant and affine trips
+  evaluated against the entry arguments, a caller-supplied ``size``
+  fallback for bounds that arrive through memory) and a branch-aware
+  block-weight propagation over the dominator tree;
 * **resource bounds** — steady-state initiation-interval style lower
   bounds per component: data-box allocator concurrency (entries over
   the request round trip), per-tile memory issue, tile occupancy with
@@ -188,11 +187,12 @@ class Prediction:
 
 
 # ---------------------------------------------------------------------------
-# Static per-task facts (env-independent, computed once per design)
+# Static per-task facts (env-independent)
 # ---------------------------------------------------------------------------
 
 class _BlockFacts:
-    """Env-independent per-block numbers."""
+    """Env-independent per-block numbers under one (cache line size,
+    node latency table): see :meth:`PerfModel._blocks_for`."""
 
     __slots__ = ("serial_cp", "mem_ops", "line_fraction", "node_count")
 
@@ -249,7 +249,11 @@ class PerfModel:
     nothing: network depth follows from the unit count), then call
     :meth:`predict` per configuration point — prediction is pure
     arithmetic, which is what makes ``repro sweep --evaluator static``
-    and the future autotuner viable.
+    and the future autotuner viable. CFG, loop and network facts are
+    per design; the block facts also depend on the configuration's
+    cache line size and node latencies and are derived once per distinct
+    pair (``config`` here only names the first one and ``predict``'s
+    default).
     """
 
     def __init__(self, module=None, *, design=None,
@@ -257,62 +261,65 @@ class PerfModel:
                  config=None):
         from repro.accel.config import AcceleratorConfig
         from repro.accel.generator import generate
+        from repro.telemetry.spans import TRACER
 
-        if design is None:
-            if module is None:
-                raise ValueError("PerfModel needs a module or a design")
-            design = generate(module)
-        self.design = design
-        self.graph = design.graph
-        self.module = design.module
-        self.params = params or PerfParams()
-        self._ref_config = config or AcceleratorConfig()
-        self.num_units = len(design.compiled)
+        with TRACER.span("analysis.perf_build", category="analysis"):
+            if design is None:
+                if module is None:
+                    raise ValueError("PerfModel needs a module or a design")
+                design = generate(module)
+            self.design = design
+            self.graph = design.graph
+            self.module = design.module
+            self.params = params or PerfParams()
+            self._ref_config = config or AcceleratorConfig()
+            self.num_units = len(design.compiled)
 
-        # -- network depth: arbiter-tree levels follow from the unit count
-        self.spawn_levels = tree_levels(self.num_units + 1)
-        self.mem_levels = tree_levels(self.num_units)
+            # -- network depth: arbiter-tree levels follow from the unit count
+            self.spawn_levels = tree_levels(self.num_units + 1)
+            self.mem_levels = tree_levels(self.num_units)
 
-        # -- range analysis: constant/bounded trip counts ----------------
-        from repro.analysis.ranges import infer_module_ranges
+            # -- per-function CFG facts --------------------------------------
+            self._loops: Dict[Any, List[_LoopFacts]] = {}
+            self._loops_by_header: Dict[BasicBlock, _LoopFacts] = {}
+            self._idom: Dict[BasicBlock, Optional[BasicBlock]] = {}
+            self._preds: Dict[BasicBlock, List[BasicBlock]] = {}
+            self._single_store: Dict[Alloca, Store] = {}
+            for function in self.module.functions:
+                dom = compute_dominators(function)
+                self._idom.update(dom.idom)
+                preds = predecessor_map(function)
+                for block, ps in preds.items():
+                    self._preds[block] = list(ps)
+                loops = [self._loop_facts(function, loop)
+                         for loop in find_loops(function)]
+                self._loops[function] = loops
+                for facts in loops:
+                    self._loops_by_header[facts.loop.header] = facts
+                self._index_single_stores(function)
 
-        try:
-            self.ranges = infer_module_ranges(self.module)
-        except TapasError:
-            self.ranges = None
-
-        # -- per-function CFG facts --------------------------------------
-        self._loops: Dict[Any, List[_LoopFacts]] = {}
-        self._loops_by_header: Dict[BasicBlock, _LoopFacts] = {}
-        self._idom: Dict[BasicBlock, Optional[BasicBlock]] = {}
-        self._preds: Dict[BasicBlock, List[BasicBlock]] = {}
-        self._single_store: Dict[Alloca, Store] = {}
-        for function in self.module.functions:
-            dom = compute_dominators(function)
-            self._idom.update(dom.idom)
-            preds = predecessor_map(function)
-            for block, ps in preds.items():
-                self._preds[block] = list(ps)
-            loops = [self._loop_facts(function, loop)
-                     for loop in find_loops(function)]
-            self._loops[function] = loops
-            for facts in loops:
-                self._loops_by_header[facts.loop.header] = facts
-            self._index_single_stores(function)
-
-        # -- per-block facts over the compiled DFGs ----------------------
-        latencies = dict(DEFAULT_LATENCIES)
-        latencies.update(self._ref_config.latencies or {})
-        self._blocks: Dict[BasicBlock, _BlockFacts] = {}
-        self._task_of_block: Dict[BasicBlock, Any] = {}
-        line_bytes = getattr(self._ref_config.cache, "line_bytes", 32)
-        for ct in design.compiled:
-            for block, dfg in ct.dfgs.items():
-                self._task_of_block[block] = ct.task
-                self._blocks[block] = self._block_facts(
-                    dfg, latencies, line_bytes)
+            # -- per-block facts over the compiled DFGs ----------------------
+            self._block_tables: Dict[tuple, Dict[BasicBlock, _BlockFacts]] = {}
+            self._blocks_for(self._ref_config)
 
     # -- construction helpers ---------------------------------------------
+
+    def _blocks_for(self, config) -> Dict[BasicBlock, _BlockFacts]:
+        """Block facts under ``config``: critical paths follow its node
+        latencies, new lines per access its cache line size. One table
+        per distinct pair, so a sweep over tiles or cache size shares
+        the one built with the model."""
+        latencies = dict(DEFAULT_LATENCIES)
+        latencies.update(config.latencies or {})
+        line_bytes = config.cache.line_bytes
+        key = (line_bytes, tuple(sorted(latencies.items())))
+        table = self._block_tables.get(key)
+        if table is None:
+            table = self._block_tables[key] = {
+                block: self._block_facts(dfg, latencies, line_bytes)
+                for ct in self.design.compiled
+                for block, dfg in ct.dfgs.items()}
+        return table
 
     def _block_facts(self, dfg, latencies: Dict[str, int],
                      line_bytes: int) -> _BlockFacts:
@@ -400,8 +407,6 @@ class PerfModel:
             return self.graph.tasks[0]
         function = self.module.function(entry)
         if function is None or function not in self.graph.root_for_function:
-            from repro.errors import TapasError
-
             raise TapasError(f"no entry task for function {entry!r}")
         return self.graph.root_for_function[function]
 
@@ -422,7 +427,8 @@ class PerfModel:
         if args is not None:
             for value, arg in zip(root.args, args):
                 env[value] = arg if isinstance(arg, (int, float)) else None
-        evaluation = _Evaluation(self, env_size=size or params.default_size)
+        evaluation = _Evaluation(self, self._blocks_for(config),
+                                 env_size=size or params.default_size)
         totals = evaluation.totals(root, env)
         span = evaluation.span(root, env) + params.startup
 
@@ -591,8 +597,10 @@ _MAX_TRIPS = 1 << 22
 class _Evaluation:
     """One prediction's env-dependent walk, memoised per (task, env)."""
 
-    def __init__(self, model: PerfModel, env_size: int):
+    def __init__(self, model: PerfModel,
+                 blocks: Dict[BasicBlock, _BlockFacts], env_size: int):
         self.model = model
+        self.blocks = blocks
         self.size = max(1, int(env_size))
         self.notes: List[str] = []
         self._profiles: Dict[Tuple[int, tuple], _InstanceProfile] = {}
@@ -736,7 +744,7 @@ class _Evaluation:
         for block, w in weights.items():
             if w <= 0.0:
                 continue
-            facts = model._blocks.get(block)
+            facts = self.blocks.get(block)
             if facts is None:
                 continue
             visited += 1.0

@@ -251,7 +251,10 @@ def analyze_design(design) -> DiagnosticReport:
     the diagnostics reference the *same* instruction objects the
     simulator executes — which is what the dynamic cross-validator keys
     on."""
-    return analyze_task_graph(design.graph)
+    from repro.telemetry.spans import TRACER
+
+    with TRACER.span("analysis.races", category="analysis"):
+        return analyze_task_graph(design.graph)
 
 
 def analyze_module(module: Module, optimize: bool = True) -> DiagnosticReport:

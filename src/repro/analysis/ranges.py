@@ -26,6 +26,7 @@ over-approximated are those of :mod:`repro.ir.opsem`.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -46,7 +47,7 @@ from repro.ir.instructions import (
     Store,
 )
 from repro.ir.types import IntType
-from repro.ir.values import Argument, Constant, Value
+from repro.ir.values import Constant, Value
 from repro.passes.cfg import predecessor_map, reverse_post_order
 from repro.passes.loops import find_loops
 
@@ -58,24 +59,45 @@ NARROW_PASSES = 3
 SUMMARY_ROUNDS = 8
 
 
-@dataclass(frozen=True)
 class Interval:
-    """A closed integer interval ``[lo, hi]`` (both bounds inclusive)."""
+    """A closed integer interval ``[lo, hi]`` (both bounds inclusive).
 
-    lo: int
-    hi: int
+    An immutable value: the fixpoint builds one per transfer, so it is a
+    slotted plain class, and ``join``/``meet``/``widen`` hand back an
+    operand whenever the result equals it — a stable fact costs no
+    allocation and compares by identity."""
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: int, hi: int):
+        if lo > hi:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        self.lo = lo
+        self.hi = hi
+
+    def __eq__(self, other):
+        if other.__class__ is Interval:
+            return self.lo == other.lo and self.hi == other.hi
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
 
     def contains(self, value: int) -> bool:
         return self.lo <= value <= self.hi
 
     def join(self, other: "Interval") -> "Interval":
+        if self.lo <= other.lo and other.hi <= self.hi:
+            return self
+        if other.lo <= self.lo and self.hi <= other.hi:
+            return other
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def meet(self, other: "Interval") -> Optional["Interval"]:
+        if other.lo <= self.lo and self.hi <= other.hi:
+            return self
+        if self.lo <= other.lo and other.hi <= self.hi:
+            return other
         lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
         return Interval(lo, hi) if lo <= hi else None
 
@@ -85,6 +107,8 @@ class Interval:
         rest)."""
         lo = self.lo if new.lo >= self.lo else full.lo
         hi = self.hi if new.hi <= self.hi else full.hi
+        if lo == self.lo and hi == self.hi:
+            return self
         return Interval(lo, hi)
 
     def is_singleton(self) -> bool:
@@ -94,10 +118,18 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
+#: the whole value set of each integer width, built once
+_FULL = {bits: Interval(IntType(bits).min_value, IntType(bits).max_value)
+         for bits in IntType.WIDTHS}
+_BOOL = _FULL[1]
+_ZERO = Interval(0, 0)
+_ONE = Interval(1, 1)
+
+
 def full_range(type_) -> Optional[Interval]:
     """The type's whole value set, or None for non-integer types."""
     if isinstance(type_, IntType):
-        return Interval(type_.min_value, type_.max_value)
+        return _FULL[type_.bits]
     return None
 
 
@@ -126,7 +158,7 @@ def _tdiv(a: int, b: int) -> int:
 
 
 def transfer_binop(op: str, a: Interval, b: Interval, type_: IntType) -> Interval:
-    full = Interval(type_.min_value, type_.max_value)
+    full = _FULL[type_.bits]
     bits = type_.bits
     if op == "add":
         return _fits(a.lo + b.lo, a.hi + b.hi, full)
@@ -195,20 +227,22 @@ def transfer_icmp(predicate: str, a: Optional[Interval],
                   b: Optional[Interval]) -> Interval:
     """icmp result: [0, 1], pinned when the ranges decide the comparison."""
     if a is None or b is None:
-        return Interval(0, 1)
-    decided = {
-        "eq": (1, 1) if a.is_singleton() and a == b else
-              ((0, 0) if a.meet(b) is None else None),
-        "ne": (0, 0) if a.is_singleton() and a == b else
-              ((1, 1) if a.meet(b) is None else None),
-        "slt": (1, 1) if a.hi < b.lo else ((0, 0) if a.lo >= b.hi else None),
-        "sle": (1, 1) if a.hi <= b.lo else ((0, 0) if a.lo > b.hi else None),
-        "sgt": (1, 1) if a.lo > b.hi else ((0, 0) if a.hi <= b.lo else None),
-        "sge": (1, 1) if a.lo >= b.hi else ((0, 0) if a.hi < b.lo else None),
-    }.get(predicate)
-    if decided is None:
-        return Interval(0, 1)
-    return Interval(*decided)
+        return _BOOL
+    if predicate == "slt":
+        true, false = a.hi < b.lo, a.lo >= b.hi
+    elif predicate == "sle":
+        true, false = a.hi <= b.lo, a.lo > b.hi
+    elif predicate == "sgt":
+        true, false = a.lo > b.hi, a.hi <= b.lo
+    elif predicate == "sge":
+        true, false = a.lo >= b.hi, a.hi < b.lo
+    elif predicate in ("eq", "ne"):
+        same = a.lo == a.hi == b.lo == b.hi
+        apart = a.hi < b.lo or b.hi < a.lo
+        true, false = (same, apart) if predicate == "eq" else (apart, same)
+    else:
+        return _BOOL
+    return _ONE if true else _ZERO if false else _BOOL
 
 
 def transfer_cast(kind: str, value: Optional[Interval], src_type,
@@ -322,12 +356,29 @@ class ModuleRanges:
 # Per-function flow-sensitive analysis
 # ---------------------------------------------------------------------------
 
+class _Bases(dict):
+    """value -> what ``_operand`` starts from while the value has no
+    ``env`` entry: a constant's singleton (None for a float), else the
+    type's full range; filled on first use. ``run`` overwrites the
+    arguments' entries with the round's summaries."""
+
+    def __missing__(self, value):
+        if not isinstance(value, Constant):
+            base = full_range(value.type)
+        elif isinstance(value.type, IntType):
+            base = Interval(value.value, value.value)
+        else:
+            base = None
+        self[value] = base
+        return base
+
+
 class _FunctionAnalysis:
     """One function's interval fixpoint, parameterised by summaries.
 
-    Built once per function: the CFG facts are round-invariant, and
-    :meth:`run` redoes the fixpoint only when the summary entries it
-    reads have changed since its last run."""
+    Built once per function: the CFG facts and each block's transfer
+    plan are round-invariant, and :meth:`run` redoes the fixpoint only
+    when the summary entries it reads have changed since its last run."""
 
     def __init__(self, function: Function, summaries: "_Summaries"):
         self.fn = function
@@ -347,6 +398,39 @@ class _FunctionAnalysis:
             if isinstance(i, Load) and isinstance(i.pointer, Alloca)
             and i.pointer not in self.register_cells]
         self._inputs = None
+        self._bases = _Bases()
+        #: block -> (steps, terminator, refinable): the ``(transfer,
+        #: instruction)`` pairs a visit executes, resolved here instead
+        #: of per visit, and ``load -> cell`` for the block's loads of a
+        #: register cell that no later store of the block overwrites (a
+        #: branch on such a load refines the cell too)
+        self._plans = {block: self._plan(block) for block in function.blocks}
+
+    def _plan(self, block):
+        handlers = ((BinaryOp, self._do_binop), (ICmp, self._do_icmp),
+                    (FCmp, self._do_fcmp), (Select, self._do_select),
+                    (Cast, self._do_cast), (Load, self._do_load),
+                    (Call, self._do_call))
+        steps = []
+        #: cell -> index of the block's last store to it; load -> index
+        last_store: Dict[Alloca, int] = {}
+        loads: Dict[Load, int] = {}
+        for pos, inst in enumerate(block.instructions):
+            if isinstance(inst, Store):
+                if inst.pointer in self.register_cells:
+                    steps.append((self._do_store, inst))
+                    last_store[inst.pointer] = pos
+            elif isinstance(inst.type, IntType):
+                for class_, handler in handlers:
+                    if isinstance(inst, class_):
+                        steps.append((handler, inst))
+                        break
+                if isinstance(inst, Load) and \
+                        inst.pointer in self.register_cells:
+                    loads[inst] = pos
+        refinable = {load: load.pointer for load, pos in loads.items()
+                     if last_store.get(load.pointer, -1) < pos}
+        return steps, block.terminator, refinable
 
     def _summary_inputs(self) -> tuple:
         s = self.summaries
@@ -365,21 +449,11 @@ class _FunctionAnalysis:
     # -- operand evaluation --------------------------------------------------
 
     def _operand(self, value: Value, facts: Dict[object, Interval]) -> Optional[Interval]:
-        if isinstance(value, Constant):
-            if isinstance(value.type, IntType):
-                return Interval(value.value, value.value)
-            return None
-        base = None
-        if isinstance(value, Argument):
-            args = self.summaries.arg_ranges.get(self.fn)
-            if args is not None and value.index < len(args):
-                base = args[value.index]
-            if base is None:
-                base = full_range(value.type)
-        else:
-            base = self.env.get(value, full_range(value.type))
+        base = self.env.get(value)
         if base is None:
-            return None
+            base = self._bases[value]
+            if base is None:
+                return None
         refined = facts.get(value)
         if refined is not None:
             met = base.meet(refined)
@@ -389,101 +463,84 @@ class _FunctionAnalysis:
     # -- block transfer ------------------------------------------------------
 
     def _transfer(self, block, facts: Dict[object, Interval]):
-        """Run the block; returns per-successor out-facts.  ``facts`` is
-        mutated as stores update cells; SSA results land in ``self.env``."""
+        """Run the block; returns per-successor out-facts.  The copy of
+        ``facts`` is mutated as stores update cells; SSA results land in
+        ``self.env``."""
         facts = dict(facts)
-        #: cell -> index of last Store to it in this block (branch-refine guard)
-        last_store_pos: Dict[Alloca, int] = {}
-        load_pos: Dict[Instruction, int] = {}
+        steps, term, refinable = self._plans[block]
+        for step, inst in steps:
+            step(inst, facts)
+        return self._successor_facts(term, facts, refinable)
 
-        for pos, inst in enumerate(block.instructions):
-            if isinstance(inst, BinaryOp):
-                if isinstance(inst.type, IntType):
-                    a = self._operand(inst.lhs, facts)
-                    b = self._operand(inst.rhs, facts)
-                    if a is None or b is None:
-                        result = full_range(inst.type)
-                    else:
-                        result = transfer_binop(inst.op, a, b, inst.type)
-                    self.env[inst] = result
-            elif isinstance(inst, ICmp):
-                self.env[inst] = transfer_icmp(
-                    inst.predicate,
-                    self._operand(inst.lhs, facts),
-                    self._operand(inst.rhs, facts))
-            elif isinstance(inst, FCmp):
-                self.env[inst] = Interval(0, 1)
-            elif isinstance(inst, Select):
-                if isinstance(inst.type, IntType):
-                    cond = self._operand(inst.operands[0], facts)
-                    t = self._operand(inst.operands[1], facts)
-                    f = self._operand(inst.operands[2], facts)
-                    if cond == Interval(1, 1):
-                        result = t
-                    elif cond == Interval(0, 0):
-                        result = f
-                    else:
-                        result = t.join(f) if t and f else None
-                    self.env[inst] = result or full_range(inst.type)
-            elif isinstance(inst, Cast):
-                result = transfer_cast(
-                    inst.kind, self._operand(inst.operands[0], facts),
-                    inst.operands[0].type, inst.type)
-                if result is not None:
-                    self.env[inst] = result
-            elif isinstance(inst, Load):
-                if isinstance(inst.type, IntType):
-                    self.env[inst] = self._load_range(inst, facts)
-                    load_pos[inst] = pos
-            elif isinstance(inst, Store):
-                self._store(inst, facts)
-                ptr = inst.pointer
-                if isinstance(ptr, Alloca):
-                    last_store_pos[ptr] = pos
-            elif isinstance(inst, Call):
-                if isinstance(inst.type, IntType):
-                    ret = self.summaries.ret_ranges.get(inst.callee)
-                    self.env[inst] = ret or full_range(inst.type)
+    def _do_binop(self, inst: BinaryOp, facts):
+        lhs, rhs = inst.operands
+        a = self._operand(lhs, facts)
+        b = self._operand(rhs, facts)
+        if a is None or b is None:
+            self.env[inst] = full_range(inst.type)
+        else:
+            self.env[inst] = transfer_binop(inst.op, a, b, inst.type)
 
-        return self._successor_facts(block, facts, last_store_pos, load_pos)
+    def _do_icmp(self, inst: ICmp, facts):
+        lhs, rhs = inst.operands
+        self.env[inst] = transfer_icmp(
+            inst.predicate, self._operand(lhs, facts),
+            self._operand(rhs, facts))
 
-    def _load_range(self, inst: Load, facts) -> Interval:
+    def _do_fcmp(self, inst: FCmp, facts):
+        self.env[inst] = _BOOL
+
+    def _do_select(self, inst: Select, facts):
+        cond, t, f = (self._operand(op, facts) for op in inst.operands)
+        if cond == _ONE:
+            result = t
+        elif cond == _ZERO:
+            result = f
+        else:
+            result = t.join(f) if t and f else None
+        self.env[inst] = result or full_range(inst.type)
+
+    def _do_cast(self, inst: Cast, facts):
+        source = inst.operands[0]
+        self.env[inst] = transfer_cast(
+            inst.kind, self._operand(source, facts), source.type, inst.type)
+
+    def _do_load(self, inst: Load, facts):
         ptr = inst.pointer
-        if isinstance(ptr, Alloca):
-            if ptr in self.register_cells:
-                cell = facts.get(ptr, Interval(0, 0))
-                return cell
-            interval = self.summaries.frame_cells.get(ptr)
-            if interval is not None:
-                return interval
-        # real memory (arrays, globals): contents unknown, bounded by type
-        return full_range(inst.type)
+        if ptr in self.register_cells:
+            self.env[inst] = facts.get(ptr, _ZERO)
+        else:
+            # a frame cell's summary, else real memory (arrays, globals):
+            # contents unknown, bounded by type
+            self.env[inst] = (self.summaries.frame_cells.get(ptr)
+                              or full_range(inst.type))
 
-    def _store(self, inst: Store, facts):
-        ptr = inst.pointer
-        if isinstance(ptr, Alloca) and ptr in self.register_cells:
-            stored = self._operand(inst.value, facts)
-            if stored is None:
-                stored = full_range(ptr.allocated_type)
-            facts[ptr] = stored
+    def _do_store(self, inst: Store, facts):
+        value, ptr = inst.operands
+        facts[ptr] = (self._operand(value, facts)
+                      or full_range(ptr.allocated_type))
 
-    def _successor_facts(self, block, facts, last_store_pos, load_pos):
-        term = block.terminator
+    def _do_call(self, inst: Call, facts):
+        self.env[inst] = (self.summaries.ret_ranges.get(inst.callee)
+                          or full_range(inst.type))
+
+    def _successor_facts(self, term, facts, refinable):
         outs = {}
         if term is None:
             return outs
 
         if isinstance(term, CondBr) and isinstance(term.cond, ICmp):
             cmp_ = term.cond
-            for succ, assume_true in ((term.if_true, True), (term.if_false, False)):
+            lhs, rhs = cmp_.operands
+            a = self._operand(lhs, facts)
+            b = self._operand(rhs, facts)
+            for succ, pred in ((term.if_true, cmp_.predicate),
+                               (term.if_false, _NEGATE[cmp_.predicate])):
                 branch = dict(facts)
-                pred = cmp_.predicate if assume_true else _NEGATE[cmp_.predicate]
-                a = self._operand(cmp_.lhs, facts)
-                b = self._operand(cmp_.rhs, facts)
                 if a is not None and b is not None:
                     ra, rb = refine_by_predicate(pred, a, b)
-                    self._apply_refinement(branch, cmp_.lhs, ra, last_store_pos, load_pos)
-                    self._apply_refinement(branch, cmp_.rhs, rb, last_store_pos, load_pos)
+                    self._apply_refinement(branch, lhs, ra, refinable)
+                    self._apply_refinement(branch, rhs, rb, refinable)
                 # both-successors-same guard: join rather than overwrite
                 if succ in outs:
                     outs[succ] = self._join_facts(outs[succ], branch)
@@ -499,14 +556,14 @@ class _FunctionAnalysis:
                 # both the inherited and the fresh-zero state.
                 for key in list(out):
                     if isinstance(key, Alloca):
-                        out[key] = out[key].join(Interval(0, 0))
+                        out[key] = out[key].join(_ZERO)
             if succ in outs:
                 outs[succ] = self._join_facts(outs[succ], out)
             else:
                 outs[succ] = out
         return outs
 
-    def _apply_refinement(self, branch, operand, refined, last_store_pos, load_pos):
+    def _apply_refinement(self, branch, operand, refined, refinable):
         if refined is None or isinstance(operand, Constant):
             return
         current = branch.get(operand)
@@ -514,13 +571,9 @@ class _FunctionAnalysis:
             current.meet(refined) or refined)
         # Propagate to the register cell when the compared value is a load
         # of that cell in this same block with no intervening store.
-        if isinstance(operand, Load):
-            ptr = operand.pointer
-            if (isinstance(ptr, Alloca) and ptr in self.register_cells
-                    and operand in load_pos
-                    and last_store_pos.get(ptr, -1) < load_pos[operand]):
-                cell = branch.get(ptr, Interval(0, 0))
-                branch[ptr] = cell.meet(refined) or refined
+        cell = refinable.get(operand)
+        if cell is not None:
+            branch[cell] = branch.get(cell, _ZERO).meet(refined) or refined
 
     @staticmethod
     def _join_facts(a: Dict[object, Interval], b: Dict[object, Interval]):
@@ -547,20 +600,25 @@ class _FunctionAnalysis:
         if inputs == self._inputs:
             return  # same summaries in, same fixpoint out
         self._inputs = inputs
+        known = self.summaries.arg_ranges.get(self.fn) or ()
+        for argument, interval in zip(self.fn.arguments, known):
+            self._bases[argument] = interval or full_range(argument.type)
         self.env: Dict[Value, Interval] = {}
         #: (pred, succ) -> facts propagated along that edge
         self.edge_facts: Dict[Tuple[object, object], Dict[object, Interval]] = {}
         self._join_counts: Dict[object, int] = {}
         #: (loop, cell, bound) accumulator clamps from the trip refinement
         self._acc_clamps: List[tuple] = []
-        entry_facts = {cell: Interval(0, 0) for cell in self.register_cells}
+        entry_facts = dict.fromkeys(self.register_cells, _ZERO)
         #: block -> facts at entry (cells + SSA refinements)
         self.in_facts = {self.fn.entry: entry_facts}
-        worklist = list(self.rpo)
+        worklist = deque(self.rpo)
+        queued = set(self.rpo)
         visits = 0
         cap = max(200, 40 * len(self.rpo))
         while worklist:
-            block = worklist.pop(0)
+            block = worklist.popleft()
+            queued.discard(block)
             facts = self.in_facts.get(block)
             if facts is None:
                 continue
@@ -580,7 +638,8 @@ class _FunctionAnalysis:
                             new = self._widen_facts(old, new)
                 if new != old:
                     self.in_facts[succ] = new
-                    if succ not in worklist:
+                    if succ not in queued:
+                        queued.add(succ)
                         worklist.append(succ)
         # narrowing: decreasing re-evaluation from the widened fixpoint
         for _ in range(NARROW_PASSES):
@@ -665,7 +724,7 @@ class _FunctionAnalysis:
             if facts is not None:
                 incoming.append(facts)
         if loop.header is self.fn.entry:
-            incoming.append({cell: Interval(0, 0) for cell in self.register_cells})
+            incoming.append(dict.fromkeys(self.register_cells, _ZERO))
         if not incoming:
             return None
         joined = incoming[0]
@@ -705,7 +764,7 @@ class _FunctionAnalysis:
         entry = self._loop_entry_facts(loop)
         if entry is None:
             return None
-        start = entry.get(cell, Interval(0, 0))
+        start = entry.get(cell, _ZERO)
         trips = max(0, -(-(limit - start.lo) // step))  # ceil division
         return cell, trips
 
@@ -756,7 +815,7 @@ class _FunctionAnalysis:
         entry = self._loop_entry_facts(loop)
         if entry is None:
             return None
-        start = entry.get(cell, Interval(0, 0))
+        start = entry.get(cell, _ZERO)
         dlo = min(d.lo for d in deltas)
         dhi = max(d.hi for d in deltas)
         lo = start.lo + trips * min(0, dlo)
@@ -802,7 +861,7 @@ class _FunctionAnalysis:
         """Join of every value each register cell can hold."""
         out: Dict[Alloca, Interval] = {}
         for cell in self.register_cells:
-            joined = Interval(0, 0)  # initial contents
+            joined = _ZERO  # initial contents
             for facts in self.edge_facts.values():
                 held = facts.get(cell)
                 if held is not None:
@@ -868,157 +927,160 @@ def infer_module_ranges(module, design=None, entry: Optional[str] = None) -> Mod
     unconstrained.  ``design`` (a GeneratedDesign) supplies direct-spawn
     return-pointer wiring for frame-cell ranges.
     """
-    summaries = _Summaries()
-    entry_fn = None
-    if entry is not None:
-        for function in module.functions:
-            if function.name == entry:
-                entry_fn = function
-    for function in module.functions:
-        if entry_fn is None or function is entry_fn:
-            summaries.arg_ranges[function] = [
-                full_range(a.type) for a in function.arguments]
-        else:
-            summaries.arg_ranges[function] = [None] * len(function.arguments)
+    from repro.telemetry.spans import TRACER
 
-    analyses = {function: _FunctionAnalysis(function, summaries)
-                for function in module.functions}
-    prev_state = None
-    for round_no in range(SUMMARY_ROUNDS + 2):
-        for analysis in analyses.values():
-            analysis.run()
-        # recompute summaries from this round's results
-        new_rets: Dict[Function, Optional[Interval]] = {}
-        for function, analysis in analyses.items():
-            new_rets[function] = analysis.ret_summary()
-        new_args: Dict[Function, List[Optional[Interval]]] = {}
+    with TRACER.span("analysis.ranges", category="analysis"):
+        summaries = _Summaries()
+        entry_fn = None
+        if entry is not None:
+            for function in module.functions:
+                if function.name == entry:
+                    entry_fn = function
         for function in module.functions:
             if entry_fn is None or function is entry_fn:
-                new_args[function] = [full_range(a.type) for a in function.arguments]
+                summaries.arg_ranges[function] = [
+                    full_range(a.type) for a in function.arguments]
             else:
-                new_args[function] = [None] * len(function.arguments)
-        if entry_fn is not None:
+                summaries.arg_ranges[function] = [None] * len(function.arguments)
+
+        analyses = {function: _FunctionAnalysis(function, summaries)
+                    for function in module.functions}
+        prev_state = None
+        for round_no in range(SUMMARY_ROUNDS + 2):
+            for analysis in analyses.values():
+                analysis.run()
+            # recompute summaries from this round's results
+            new_rets: Dict[Function, Optional[Interval]] = {}
+            for function, analysis in analyses.items():
+                new_rets[function] = analysis.ret_summary()
+            new_args: Dict[Function, List[Optional[Interval]]] = {}
+            for function in module.functions:
+                if entry_fn is None or function is entry_fn:
+                    new_args[function] = [full_range(a.type) for a in function.arguments]
+                else:
+                    new_args[function] = [None] * len(function.arguments)
+            if entry_fn is not None:
+                for function, analysis in analyses.items():
+                    for inst in function.instructions():
+                        callee = None
+                        args = ()
+                        if isinstance(inst, Call):
+                            callee, args = inst.callee, inst.args
+                        if callee is None or callee is entry_fn:
+                            continue
+                        self_args = new_args[callee]
+                        for i, arg in enumerate(args):
+                            interval = analysis.env.get(arg) if isinstance(arg, Instruction) \
+                                else analysis._operand(arg, {})
+                            if interval is None:
+                                interval = full_range(arg.type)
+                            if interval is None:
+                                continue
+                            current = self_args[i]
+                            self_args[i] = interval if current is None else current.join(interval)
+                    if design is not None:
+                        for task in design.graph.tasks:
+                            if task.function is not function:
+                                continue
+                            for spawn in task.direct_spawns.values():
+                                if spawn.callee is entry_fn:
+                                    continue
+                                self_args = new_args[spawn.callee]
+                                for i, arg in enumerate(spawn.args):
+                                    interval = analysis.env.get(arg) \
+                                        if isinstance(arg, Instruction) \
+                                        else analysis._operand(arg, {})
+                                    if interval is None:
+                                        interval = full_range(arg.type)
+                                    if interval is None:
+                                        continue
+                                    current = self_args[i]
+                                    self_args[i] = interval if current is None \
+                                        else current.join(interval)
+                # a function nobody calls keeps None args; treat as unreachable
+                # but analyse with full ranges for reporting
+                for function in module.functions:
+                    new_args[function] = [
+                        (a if a is not None else full_range(arg.type))
+                        for a, arg in zip(new_args[function], function.arguments)]
+            # frame cells: direct stores + spawn returns
+            new_frames: Dict[Alloca, Interval] = {}
+            spawn_writers: Dict[Alloca, List[Function]] = {}
+            if design is not None:
+                for task in design.graph.tasks:
+                    for spawn in task.direct_spawns.values():
+                        if isinstance(spawn.ret_ptr, Alloca):
+                            spawn_writers.setdefault(spawn.ret_ptr, []).append(spawn.callee)
             for function, analysis in analyses.items():
                 for inst in function.instructions():
-                    callee = None
-                    args = ()
-                    if isinstance(inst, Call):
-                        callee, args = inst.callee, inst.args
-                    if callee is None or callee is entry_fn:
+                    if not isinstance(inst, Alloca) or not inst.in_frame:
                         continue
-                    self_args = new_args[callee]
-                    for i, arg in enumerate(args):
-                        interval = analysis.env.get(arg) if isinstance(arg, Instruction) \
-                            else analysis._operand(arg, {})
-                        if interval is None:
-                            interval = full_range(arg.type)
-                        if interval is None:
-                            continue
-                        current = self_args[i]
-                        self_args[i] = interval if current is None else current.join(interval)
-                if design is not None:
-                    for task in design.graph.tasks:
-                        if task.function is not function:
-                            continue
-                        for spawn in task.direct_spawns.values():
-                            if spawn.callee is entry_fn:
-                                continue
-                            self_args = new_args[spawn.callee]
-                            for i, arg in enumerate(spawn.args):
-                                interval = analysis.env.get(arg) \
-                                    if isinstance(arg, Instruction) \
-                                    else analysis._operand(arg, {})
-                                if interval is None:
-                                    interval = full_range(arg.type)
-                                if interval is None:
-                                    continue
-                                current = self_args[i]
-                                self_args[i] = interval if current is None \
-                                    else current.join(interval)
-            # a function nobody calls keeps None args; treat as unreachable
-            # but analyse with full ranges for reporting
-            for function in module.functions:
-                new_args[function] = [
-                    (a if a is not None else full_range(arg.type))
-                    for a, arg in zip(new_args[function], function.arguments)]
-        # frame cells: direct stores + spawn returns
-        new_frames: Dict[Alloca, Interval] = {}
-        spawn_writers: Dict[Alloca, List[Function]] = {}
-        if design is not None:
-            for task in design.graph.tasks:
-                for spawn in task.direct_spawns.values():
-                    if isinstance(spawn.ret_ptr, Alloca):
-                        spawn_writers.setdefault(spawn.ret_ptr, []).append(spawn.callee)
-        for function, analysis in analyses.items():
-            for inst in function.instructions():
-                if not isinstance(inst, Alloca) or not inst.in_frame:
-                    continue
-                if not isinstance(inst.allocated_type, IntType):
-                    continue
-                full = full_range(inst.allocated_type)
-                if _frame_cell_escapes(inst, function):
-                    new_frames[inst] = full
-                    continue
-                joined = Interval(0, 0)
-                for user in function.instructions():
-                    if isinstance(user, Store) and user.pointer is inst:
-                        stored = analysis.env.get(user.value) \
-                            if isinstance(user.value, Instruction) \
-                            else analysis._operand(user.value, {})
-                        joined = joined.join(stored if stored else full)
-                for callee in spawn_writers.get(inst, []):
-                    ret = new_rets.get(callee)
-                    joined = joined.join(ret if ret else full)
-                new_frames[inst] = joined
+                    if not isinstance(inst.allocated_type, IntType):
+                        continue
+                    full = full_range(inst.allocated_type)
+                    if _frame_cell_escapes(inst, function):
+                        new_frames[inst] = full
+                        continue
+                    joined = _ZERO
+                    for user in function.instructions():
+                        if isinstance(user, Store) and user.pointer is inst:
+                            stored = analysis.env.get(user.value) \
+                                if isinstance(user.value, Instruction) \
+                                else analysis._operand(user.value, {})
+                            joined = joined.join(stored if stored else full)
+                    for callee in spawn_writers.get(inst, []):
+                        ret = new_rets.get(callee)
+                        joined = joined.join(ret if ret else full)
+                    new_frames[inst] = joined
 
-        state = (
-            {f.name: r for f, r in new_rets.items()},
-            {f.name: list(map(repr, a)) for f, a in new_args.items()},
-            {id(k): repr(v) for k, v in new_frames.items()},
-        )
-        converged = state == prev_state
-        if round_no >= SUMMARY_ROUNDS and not converged:
-            # force-widen unstable summaries so the loop terminates soundly
-            for function in module.functions:
-                old = summaries.ret_ranges.get(function)
-                if old != new_rets.get(function):
-                    new_rets[function] = full_range(function.return_type)
-                old_args = summaries.arg_ranges.get(function, [])
-                for i, arg in enumerate(function.arguments):
-                    if i < len(old_args) and old_args[i] != new_args[function][i]:
-                        new_args[function][i] = full_range(arg.type)
-            for cell, interval in list(new_frames.items()):
-                if summaries.frame_cells.get(cell) != interval:
-                    new_frames[cell] = full_range(cell.allocated_type)
+            state = (
+                {f.name: r for f, r in new_rets.items()},
+                {f.name: list(map(repr, a)) for f, a in new_args.items()},
+                {id(k): repr(v) for k, v in new_frames.items()},
+            )
+            converged = state == prev_state
+            if round_no >= SUMMARY_ROUNDS and not converged:
+                # force-widen unstable summaries so the loop terminates soundly
+                for function in module.functions:
+                    old = summaries.ret_ranges.get(function)
+                    if old != new_rets.get(function):
+                        new_rets[function] = full_range(function.return_type)
+                    old_args = summaries.arg_ranges.get(function, [])
+                    for i, arg in enumerate(function.arguments):
+                        if i < len(old_args) and old_args[i] != new_args[function][i]:
+                            new_args[function][i] = full_range(arg.type)
+                for cell, interval in list(new_frames.items()):
+                    if summaries.frame_cells.get(cell) != interval:
+                        new_frames[cell] = full_range(cell.allocated_type)
+                summaries.ret_ranges = new_rets
+                summaries.arg_ranges = new_args
+                summaries.frame_cells = new_frames
+                # one last round under the widened summaries
+                for analysis in analyses.values():
+                    analysis.run()
+                break
             summaries.ret_ranges = new_rets
             summaries.arg_ranges = new_args
             summaries.frame_cells = new_frames
-            # one last round under the widened summaries
-            for analysis in analyses.values():
-                analysis.run()
-            break
-        summaries.ret_ranges = new_rets
-        summaries.arg_ranges = new_args
-        summaries.frame_cells = new_frames
-        if converged:
-            break
-        prev_state = state
+            if converged:
+                break
+            prev_state = state
 
-    result = ModuleRanges(module=module, entry=entry)
-    result.arg_ranges = dict(summaries.arg_ranges)
-    result.ret_ranges = dict(summaries.ret_ranges)
-    for function, analysis in analyses.items():
-        for value, interval in analysis.env.items():
-            if isinstance(value.type, IntType):
-                result.value_ranges[value] = interval
-        for arg, interval in zip(function.arguments,
-                                 summaries.arg_ranges.get(function, [])):
-            if interval is not None:
-                result.value_ranges[arg] = interval
-        result.cell_ranges.update(analysis.cell_summary())
-    for cell, interval in summaries.frame_cells.items():
-        result.cell_ranges[cell] = interval
-    return result
+        result = ModuleRanges(module=module, entry=entry)
+        result.arg_ranges = dict(summaries.arg_ranges)
+        result.ret_ranges = dict(summaries.ret_ranges)
+        for function, analysis in analyses.items():
+            for value, interval in analysis.env.items():
+                if isinstance(value.type, IntType):
+                    result.value_ranges[value] = interval
+            for arg, interval in zip(function.arguments,
+                                     summaries.arg_ranges.get(function, [])):
+                if interval is not None:
+                    result.value_ranges[arg] = interval
+            result.cell_ranges.update(analysis.cell_summary())
+        for cell, interval in summaries.frame_cells.items():
+            result.cell_ranges[cell] = interval
+        return result
 
 
 def infer_design_ranges(design, entry: Optional[str] = None) -> ModuleRanges:

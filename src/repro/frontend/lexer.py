@@ -8,6 +8,7 @@ concurrency pattern in the paper's benchmarks.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import List
 
@@ -37,102 +38,61 @@ class Token:
         return f"<{self.kind} {self.text!r} @{self.line}:{self.column}>"
 
 
+#: one pattern, tried in the order the language needs: trivia, words,
+#: hex before decimal, float before int, operators longest first; an
+#: opening ``/*`` that reaches here has no closing ``*/``
+_MASTER = re.compile(
+    r"(?P<trivia>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)+)"
+    r"|(?P<ident>[^\W\d]\w*)"
+    r"|(?P<hex>0[xX][0-9a-fA-F]*)"
+    r"|(?P<float>\d+\.\d+)"
+    r"|(?P<int>\d+)"
+    r"|(?P<unterminated>/\*)"
+    rf"|(?P<op>{'|'.join(map(re.escape, OPERATORS))})", re.DOTALL)
+
+
 class Lexer:
     def __init__(self, source: str):
         self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def _peek(self, offset=0) -> str:
-        i = self.pos + offset
-        return self.source[i] if i < len(self.source) else ""
-
-    def _advance(self, count=1) -> str:
-        text = self.source[self.pos:self.pos + count]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += count
-        return text
-
-    def _skip_trivia(self):
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line = self.line
-                self._advance(2)
-                while self.pos < len(self.source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise LexError("unterminated block comment", start_line, 0)
-            else:
-                return
 
     def tokens(self) -> List[Token]:
+        source = self.source
         result = []
-        while True:
-            token = self.next_token()
-            result.append(token)
-            if token.kind == "eof":
-                return result
-
-    def next_token(self) -> Token:
-        self._skip_trivia()
-        line, column = self.line, self.column
-        if self.pos >= len(self.source):
-            return Token("eof", "", line, column)
-        ch = self._peek()
-
-        if ch.isalpha() or ch == "_":
-            text = ""
-            while self._peek().isalnum() or self._peek() == "_":
-                text += self._advance()
-            kind = "keyword" if text in KEYWORDS else "ident"
-            return Token(kind, text, line, column)
-
-        if ch.isdigit():
-            return self._number(line, column)
-
-        for op in OPERATORS:
-            if self.source.startswith(op, self.pos):
-                self._advance(len(op))
-                return Token("op", op, line, column)
-
-        raise LexError(f"unexpected character {ch!r}", line, column)
-
-    def _number(self, line, column) -> Token:
-        text = ""
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            text += self._advance(2)
-            # note: guard against peek() == "" at EOF ("" is a substring
-            # of any string, so a bare `in` test would never terminate)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                text += self._advance()
-            if len(text) == 2:
-                raise LexError("malformed hex literal", line, column)
-            return Token("int", text, line, column)
-        while self._peek().isdigit():
-            text += self._advance()
-        if self._peek() == "." and self._peek(1).isdigit():
-            text += self._advance()
-            while self._peek().isdigit():
-                text += self._advance()
-            return Token("float", text, line, column)
-        if self._peek().isalpha():
-            raise LexError(f"malformed number near {text!r}", line, column)
-        return Token("int", text, line, column)
+        pos, line, line_start = 0, 1, 0
+        while pos < len(source):
+            match = _MASTER.match(source, pos)
+            column = pos - line_start + 1
+            if match is None:
+                raise LexError(f"unexpected character {source[pos]!r}",
+                               line, column)
+            kind, text, pos = match.lastgroup, match.group(), match.end()
+            if kind == "trivia":
+                newlines = text.count("\n")
+                if newlines:
+                    line += newlines
+                    line_start = pos - len(text) + text.rindex("\n") + 1
+                continue
+            if kind == "ident":
+                if text in KEYWORDS:
+                    kind = "keyword"
+                elif not (text[0].isalpha() or text[0] == "_"):
+                    # \w also admits numerics that are not decimal digits
+                    # (superscripts, fractions): no token starts with one
+                    raise LexError(f"unexpected character {text[0]!r}",
+                                   line, column)
+            elif kind == "hex":
+                if len(text) == 2:
+                    raise LexError("malformed hex literal", line, column)
+                kind = "int"
+            elif kind == "int":
+                if source[pos:pos + 1].isalpha():
+                    raise LexError(f"malformed number near {text!r}",
+                                   line, column)
+            elif kind == "unterminated":
+                raise LexError("unterminated block comment", line, column)
+            result.append(Token(kind, text, line, column))
+        result.append(Token("eof", "", line, pos - line_start + 1))
+        return result
 
 
 def tokenize(source: str) -> List[Token]:

@@ -53,8 +53,10 @@ class VoidType(Type):
 class IntType(Type):
     """Fixed-width two's-complement integer (i1, i8, i32, i64)."""
 
+    WIDTHS = (1, 8, 16, 32, 64)
+
     def __init__(self, bits: int):
-        if bits not in (1, 8, 16, 32, 64):
+        if bits not in self.WIDTHS:
             raise ValueError(f"unsupported integer width: {bits}")
         self.bits = bits
 

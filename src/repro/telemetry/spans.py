@@ -1,7 +1,9 @@
 """Span-based tracing for the host-side toolchain pipeline.
 
 Every toolchain phase — parse, semantic analysis, lowering, passes,
-elaboration, simulation — runs inside a :meth:`SpanTracer.span` block.
+race analysis, lint (range inference nested inside it), the predictor
+build, elaboration, simulation — runs inside a :meth:`SpanTracer.span`
+block.
 The default tracer is disabled (a span is then one flag test and a
 ``yield None``); CLI entry points enable it, and the recorded spans are
 exported into the **same** Chrome-trace/Perfetto document as the guest

@@ -109,30 +109,6 @@ class TestPredictionShape:
                           config=workload.default_config(ntiles=1))
 
 
-    @pytest.mark.parametrize("target, attr, degraded", [
-        ("repro.analysis.ranges.infer_module_ranges", "ranges", None),
-    ])
-    def test_construction_degrades_only_on_toolchain_errors(
-            self, target, attr, degraded, monkeypatch):
-        """Range inference may be refused with a TapasError (the model
-        then uses type ranges); anything else is a bug and must surface."""
-        from repro.errors import AnalysisError
-
-        def refuse(*args, **kwargs):
-            raise AnalysisError("refused")
-
-        def bug(*args, **kwargs):
-            raise KeyError("bug")
-
-        workload = REGISTRY.get("saxpy")
-        monkeypatch.setattr(target, refuse)
-        model = PerfModel(workload.fresh_module())
-        assert getattr(model, attr) == degraded
-        monkeypatch.setattr(target, bug)
-        with pytest.raises(KeyError):
-            PerfModel(workload.fresh_module())
-
-
 class TestModelBehaviour:
     def test_more_work_predicts_more_cycles(self):
         workload = REGISTRY.get("matrix_add")

@@ -329,3 +329,70 @@ def test_stable_functions_are_not_reanalysed(monkeypatch):
     _recompute_every_round(monkeypatch)
     _results, full_work = _infer_counting(design, calls, monkeypatch)
     assert kept_work < 0.75 * full_work
+
+
+# -- identity with the parent's results, and what keeps the cost down ---------
+
+def test_interval_is_a_value():
+    a = Interval(-3, 7)
+    assert a == Interval(-3, 7) and a != Interval(-3, 8) and a != (-3, 7)
+    assert not (a == None)  # noqa: E711 -- the transfer code compares to None
+    assert hash(a) == hash(Interval(-3, 7)) == hash((-3, 7))
+    assert len({a, Interval(-3, 7), Interval(0, 0)}) == 2
+    assert repr(a) == "[-3, 7]"
+    with pytest.raises(ValueError, match=r"empty interval \[1, 0\]"):
+        Interval(1, 0)
+    assert full_range(I32) is full_range(I32)
+
+
+def test_lattice_operations_return_an_operand_when_nothing_moves():
+    a, inside, apart = Interval(-3, 7), Interval(0, 5), Interval(9, 12)
+    assert a.join(inside) is a and inside.join(a) is a
+    assert a.meet(inside) is inside and inside.meet(a) is inside
+    assert a.join(apart) == Interval(-3, 12) and a.meet(apart) is None
+    full = full_range(I32)
+    assert a.widen(inside, full) is a
+    assert a.widen(Interval(-4, 7), full) == Interval(full.lo, 7)
+
+
+def test_ranges_equal_the_golden_snapshot():
+    """``ranges_golden.json`` was generated at the parent of the commit
+    that made ``Interval`` a slotted class and gave blocks a transfer
+    plan: every argument, return, value and cell range of the 16
+    ``static_flow`` programs, in both entry modes, must still equal it."""
+    import json
+
+    from tests.static_corpus import RANGES_GOLDEN, ranges_snapshot
+
+    golden = json.loads(RANGES_GOLDEN.read_text())
+    snapshot = ranges_snapshot()
+    assert sorted(snapshot) == sorted(golden) and len(golden) == 16
+    for program, modes in golden.items():
+        for mode, tables in modes.items():
+            for table, want in tables.items():
+                assert snapshot[program][mode][table] == want, (
+                    program, mode, table)
+
+
+def test_one_static_flow_runs_range_inference_once(monkeypatch):
+    """Races + lint + predictor build + predict: lint's is the only
+    range inference, and building a ``PerfModel`` runs none."""
+    from repro.analysis import PerfModel, analyze_design, lint, lint_design
+    from repro.analysis import ranges as ranges_mod
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("entry"))
+        return real(*args, **kwargs)
+
+    real = ranges_mod.infer_module_ranges
+    monkeypatch.setattr(ranges_mod, "infer_module_ranges", counting)
+    monkeypatch.setattr(lint, "infer_module_ranges", counting)
+    design = generate(compile_source(UNSTABLE, "unstable"))
+    analyze_design(design)
+    lint_design(design, entry="top")
+    assert calls == ["top"]
+    model = PerfModel(design=design)
+    model.predict(entry="top")
+    assert calls == ["top"]

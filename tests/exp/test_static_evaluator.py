@@ -60,3 +60,38 @@ def test_static_and_workload_points_share_grid_shape():
     for a, b in zip(sim, static):
         assert {k: v for k, v in a.items() if k != "evaluator"} == \
             {k: v for k, v in b.items() if k != "evaluator"}
+
+
+def test_static_records_do_not_depend_on_evaluation_order(monkeypatch):
+    """The per-process model memo is keyed by program only, so the model
+    must derive what depends on the configuration (cache line size here)
+    per prediction — not keep what its first point happened to carry."""
+    from repro.exp import runner
+
+    default = {"evaluator": "static", "workload": "saxpy", "tiles": 2,
+               "scale": 4}
+    specs = {"default": default,
+             "wide": dict(default, overrides={"cache": {"line_bytes": 128}})}
+    runs = []
+    for order in (("default", "wide"), ("wide", "default")):
+        monkeypatch.setattr(runner, "_STATIC_MODELS", {})
+        runs.append({name: _eval_static(specs[name]) for name in order})
+    assert runs[0] == runs[1]
+    assert runs[0]["default"]["cycles"] != runs[0]["wide"]["cycles"]
+
+
+def test_predict_honours_the_config_it_is_given():
+    from repro.accel import AcceleratorConfig
+    from repro.analysis import PerfModel
+    from repro.memory.cache import CacheParams
+    from repro.workloads import REGISTRY
+
+    workload = REGISTRY.get("saxpy")
+    shared = PerfModel(workload.fresh_module())
+    for config in (AcceleratorConfig(cache=CacheParams(line_bytes=128)),
+                   AcceleratorConfig(latencies={"alu": 3, "mul": 9})):
+        fresh = PerfModel(workload.fresh_module(), config=config)
+        assert shared.predict(config=config, size=256).as_dict() == \
+            fresh.predict(config=config, size=256).as_dict()
+        assert shared.predict(config=config, size=256).cycles != \
+            shared.predict(size=256).cycles

@@ -1,5 +1,7 @@
 """Span tracing: recording, nesting, Chrome-trace export."""
 
+import os
+
 from repro.frontend import compile_source
 from repro.obs.perfetto import chrome_trace, validate_chrome_trace
 from repro.telemetry.spans import SpanTracer, host_trace_events
@@ -102,3 +104,32 @@ def test_as_dict_is_json_shaped():
     assert payload["spans"][0]["name"] == "p"
     assert payload["spans"][0]["args"] == {"k": 1}
     assert "p" in payload["phase_seconds"]
+
+
+def test_static_analyses_run_inside_their_own_spans(capsys):
+    """``analyze``/``lint``/``predict`` each record their analysis once,
+    range inference shows as its own line nested inside lint, and the
+    predictor build contains none."""
+    from repro.cli import main
+    from repro.telemetry.spans import TRACER
+
+    program = os.path.join(os.path.dirname(__file__), "..", "..", "examples",
+                           "programs", "saxpy.cilk")
+
+    def analysis_spans(command):
+        main([command, program])
+        return [s for s in TRACER.spans if s.category == "analysis"]
+
+    try:
+        (races,) = analysis_spans("analyze")
+        assert races.name == "analysis.races"
+        ranges, lint = analysis_spans("lint")  # recorded on exit: inner first
+        assert (ranges.name, lint.name) == ("analysis.ranges", "analysis.lint")
+        assert ranges.depth == lint.depth + 1
+        assert lint.start_ns <= ranges.start_ns <= ranges.end_ns <= lint.end_ns
+        (build,) = analysis_spans("predict")
+        assert build.name == "analysis.perf_build"
+    finally:
+        TRACER.disable()
+        TRACER.reset()
+        capsys.readouterr()
