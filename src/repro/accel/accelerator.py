@@ -14,7 +14,7 @@ from repro.accel.config import AcceleratorConfig
 from repro.accel.generator import GeneratedDesign, generate
 from repro.errors import SynthesisError
 from repro.ir.module import Module
-from repro.memory.arbiter import Demux, RoundRobinArbiter, tree_levels
+from repro.memory.arbiter import Demux, RoundRobinArbiter
 from repro.memory.backing import MainMemory
 from repro.memory.cache import Cache
 from repro.memory.databox import DataBox
@@ -93,20 +93,15 @@ class Accelerator:
             unit_resp = [self.sim.add_channel(f"u{i}.memresp", 2)
                          for i in range(num_units)]
             self.sim.add_component(RoundRobinArbiter(
-                "memnet.arb", unit_req, cache_req,
-                levels=tree_levels(num_units)))
+                "memnet.arb", unit_req, cache_req))
             self.sim.add_component(Demux(
-                "memnet.demux", cache_resp, unit_resp,
-                levels=tree_levels(num_units)))
+                "memnet.demux", cache_resp, unit_resp))
 
         # -- task units -------------------------------------------------------
         self.units: List[TaskUnit] = []
         self.databoxes: List[DataBox] = []
         for i, compiled in enumerate(design.compiled):
-            params = config.params_for(compiled.name)
-            sizing = design.sizing[compiled.task]
-            queue_depth = params.queue_depth or sizing.recommended_queue_depth
-            policy = params.policy or ("lifo" if sizing.recursive else "fifo")
+            params = config.bind_unit(design, compiled.task)
 
             box = DataBox(self.sim, f"u{i}.databox", i, params.ntiles,
                           unit_req[i], unit_resp[i],
@@ -116,7 +111,7 @@ class Accelerator:
             frame_base = 0
             if compiled.frame_size > 0:
                 frame_base = self.memory.reserve_region(
-                    queue_depth * compiled.frame_size)
+                    params.queue_depth * compiled.frame_size)
 
             unit = TaskUnit(
                 f"T{i}:{compiled.name}", compiled,
@@ -126,7 +121,7 @@ class Accelerator:
                 join_out=self.network.join_out[i],
                 tile_requests=box.tile_request,
                 tile_responses=box.tile_response,
-                queue_depth=queue_depth, policy=policy,
+                queue_depth=params.queue_depth, policy=params.policy,
                 max_inflight_per_tile=params.max_inflight_per_tile,
                 frame_base=frame_base, frame_size=compiled.frame_size,
                 port=i, latencies=config.latencies, trace=trace)

@@ -59,6 +59,16 @@ class TaskUnitParams:
         if self.max_inflight_per_tile < 1:
             raise ConfigError("max_inflight_per_tile must be >= 1")
 
+    def bind(self, sizing) -> "TaskUnitParams":
+        """These knobs with the late-bound ones resolved against the
+        task's concurrency-opt ``sizing``: an unset queue depth is the
+        recommended one, an unset policy is lifo iff the task recurses.
+        Elaboration, both RTL emitters and the lint all read this."""
+        return replace(
+            self,
+            queue_depth=self.queue_depth or sizing.recommended_queue_depth,
+            policy=self.policy or ("lifo" if sizing.recursive else "fifo"))
+
 
 @dataclass
 class AcceleratorConfig:
@@ -109,6 +119,10 @@ class AcceleratorConfig:
         if params is None:
             return TaskUnitParams(ntiles=self.default_ntiles)
         return params
+
+    def bind_unit(self, design, task) -> TaskUnitParams:
+        """The bound Stage-3 parameters of ``task``'s unit in ``design``."""
+        return self.params_for(task.name).bind(design.sizing[task])
 
     def with_tiles(self, ntiles: int) -> "AcceleratorConfig":
         """A copy with a uniform tile count — the Fig 15 sweep knob."""

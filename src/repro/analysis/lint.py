@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from repro.accel.config import AcceleratorConfig, TaskUnitParams
 from repro.analysis.diagnostics import (
     CODES,
     SEVERITY_ERROR,
@@ -128,13 +129,9 @@ class LintContext:
         return self.design.graph
 
     def queue_depth_for(self, task) -> int:
-        """Effective task-queue depth after config overrides, mirroring
-        the elaboration in :class:`~repro.accel.accelerator.Accelerator`."""
-        sizing = self.design.sizing[task]
-        override = None
-        if self.config is not None:
-            override = self.config.params_for(task.name).queue_depth
-        return override or sizing.recommended_queue_depth
+        """The task-queue depth Stage 3 binds for ``task``'s unit."""
+        config = self.config or AcceleratorConfig()
+        return config.bind_unit(self.design, task).queue_depth
 
     def reachable_functions(self) -> Optional[Set[Function]]:
         """Functions reachable from the entry along spawn/call edges, or
@@ -266,7 +263,7 @@ def _check_cycle_buffering(ctx: LintContext) -> List[Diagnostic]:
         if not sizing.recursive:
             continue
         depth = ctx.queue_depth_for(task)
-        recommended = sizing.recommended_queue_depth
+        recommended = TaskUnitParams().bind(sizing).queue_depth
         data = {"task": task.name, "queue_depth": depth,
                 "recommended_depth": recommended}
         unit_name = None

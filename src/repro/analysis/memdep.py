@@ -49,6 +49,7 @@ from repro.ir.instructions import (
 )
 from repro.ir.module import Module
 from repro.ir.values import Argument, Constant, GlobalVariable, Value
+from repro.passes.loops import cell_updates
 
 # Root object classes of an address expression.
 ROOT_ALLOCA = "alloca"        # frame slot of the function under analysis
@@ -245,29 +246,10 @@ def induction_step(value: Value, context_blocks) -> Optional[int]:
     slot = value.pointer
     if not isinstance(slot, Alloca) or slot.in_frame:
         return None
-    stores = [inst
-              for block in context_blocks
-              for inst in block.instructions
-              if isinstance(inst, Store) and inst.pointer is slot]
-    if len(stores) != 1:
+    updates = cell_updates(context_blocks, slot)
+    if len(updates) != 1:
         return None
-    stored = stores[0].value
-    if not isinstance(stored, BinaryOp) or stored.op not in ("add", "sub"):
-        return None
-
-    def is_slot_load(v):
-        return isinstance(v, Load) and v.pointer is slot
-
-    lhs, rhs = stored.lhs, stored.rhs
-    if is_slot_load(lhs) and isinstance(rhs, Constant):
-        step = int(rhs.value)
-    elif stored.op == "add" and is_slot_load(rhs) and isinstance(lhs, Constant):
-        step = int(lhs.value)
-    else:
-        return None
-    if stored.op == "sub":
-        step = -step
-    return step or None
+    return updates[0][1] or None
 
 
 def _defined_in(value: Value, block_set) -> bool:

@@ -55,7 +55,7 @@ from repro.ir.values import Argument, Constant, Value
 from repro.memory.arbiter import tree_levels
 from repro.passes.cfg import predecessor_map
 from repro.passes.dominators import compute_dominators
-from repro.passes.loops import Loop, find_loops
+from repro.passes.loops import Loop, cell_updates, find_loops, match_counted_loop
 from repro.task.txu import DEFAULT_LATENCIES
 
 
@@ -355,50 +355,17 @@ class PerfModel:
 
     def _loop_facts(self, function, loop: Loop) -> _LoopFacts:
         """Extract the ``while (cell <cmp> limit) ... cell += step``
-        shape; anything else keeps ``None`` fields and falls back."""
-        term = loop.header.terminator
-        cell = limit = None
-        inclusive = False
-        cond = term.cond if isinstance(term, CondBr) else None
-        if isinstance(cond, BinaryOp) and cond.op == "and":
-            # `while (a <cmp> b && ...)`: the first conjunct that matches
-            # the induction shape bounds the trip count from above
-            for part in (cond.lhs, cond.rhs):
-                if isinstance(part, ICmp):
-                    cond = part
-                    break
-        if isinstance(term, CondBr) and isinstance(cond, ICmp):
-            cmp_ = cond
-            if (cmp_.predicate in ("slt", "sle")
-                    and isinstance(cmp_.lhs, Load)
-                    and isinstance(cmp_.lhs.pointer, Alloca)
-                    and not cmp_.lhs.pointer.in_frame
-                    and term.if_true in loop.blocks):
-                cell = cmp_.lhs.pointer
-                limit = cmp_.rhs
-                inclusive = cmp_.predicate == "sle"
-        step = None
-        inits: List[Value] = []
-        if cell is not None:
-            for block in loop.blocks:
-                for inst in block.instructions:
-                    if isinstance(inst, Store) and inst.pointer is cell:
-                        s = _added_constant(inst.value, cell)
-                        if s is None or s <= 0 or (step is not None
-                                                   and s != step):
-                            step = None
-                            break
-                        step = s
-                else:
-                    continue
-                break
-            for block in function.blocks:
-                if block in loop.blocks:
-                    continue
-                for inst in block.instructions:
-                    if isinstance(inst, Store) and inst.pointer is cell:
-                        inits.append(inst.value)
-        return _LoopFacts(loop, cell, limit, inclusive, step, inits)
+        shape (any limit; of an ``and`` the first compare conjunct bounds
+        the trip count from above); anything else keeps ``None`` fields
+        and falls back."""
+        shape = match_counted_loop(loop)
+        if shape is None:
+            return _LoopFacts(loop, None, None, False, None, [])
+        outside = [b for b in function.blocks if b not in loop.blocks]
+        inits = [store.value for store, _ in cell_updates(outside, shape.cell)]
+        return _LoopFacts(loop, shape.cell, shape.compare.rhs,
+                          shape.compare.predicate == "sle", shape.up_step(),
+                          inits)
 
     # -- prediction --------------------------------------------------------
 
@@ -536,17 +503,6 @@ class PerfModel:
                 acc.serial_mem / acc.serial > 0.4:
             return f"T{root.sid}:{root.name}", "memory"
         return f"T{root.sid}:{root.name}", "sync-wait"
-
-
-def _added_constant(value: Value, cell: Alloca) -> Optional[int]:
-    """``value == load cell + C`` -> C, else None."""
-    if not isinstance(value, BinaryOp) or value.op != "add":
-        return None
-    for a, b in ((value.lhs, value.rhs), (value.rhs, value.lhs)):
-        if (isinstance(a, Load) and a.pointer is cell
-                and isinstance(b, Constant)):
-            return int(b.value)
-    return None
 
 
 # ---------------------------------------------------------------------------

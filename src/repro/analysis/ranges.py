@@ -49,7 +49,7 @@ from repro.ir.instructions import (
 from repro.ir.types import IntType
 from repro.ir.values import Constant, Value
 from repro.passes.cfg import predecessor_map, reverse_post_order
-from repro.passes.loops import find_loops
+from repro.passes.loops import find_loops, match_counted_loop
 
 #: joins at a loop header before the widening operator kicks in
 WIDEN_AFTER = 3
@@ -735,50 +735,25 @@ class _FunctionAnalysis:
     def _trip_bound(self, loop) -> Optional[Tuple[Alloca, int]]:
         """(induction cell, max trips) for ``while (i <lt/le> K)`` loops
         whose only in-loop updates are ``i = i + positive-const``."""
-        term = loop.header.terminator
-        if not isinstance(term, CondBr) or not isinstance(term.cond, ICmp):
+        shape = match_counted_loop(loop)
+        if shape is None:
             return None
-        cmp_ = term.cond
-        if cmp_.predicate not in ("slt", "sle"):
+        cell, cmp_ = shape.cell, shape.compare
+        if (cmp_ is not loop.header.terminator.cond  # a conjunct: skip
+                or cmp_.lhs.parent is not loop.header
+                or not isinstance(cmp_.rhs, Constant)
+                or cell not in self.register_cells):
             return None
-        if not isinstance(cmp_.lhs, Load) or not isinstance(cmp_.rhs, Constant):
-            return None
-        cell = cmp_.lhs.pointer
-        if not isinstance(cell, Alloca) or cell not in self.register_cells:
-            return None
-        if cmp_.lhs.parent is not loop.header or term.if_true in (None,):
-            return None
-        if term.if_true not in loop.blocks:
-            return None  # loop continues on the false edge: unusual, skip
-        limit = cmp_.rhs.value + (1 if cmp_.predicate == "sle" else 0)
-        step = None
-        for block in loop.blocks:
-            for inst in block.instructions:
-                if isinstance(inst, Store) and inst.pointer is cell:
-                    s = self._step_of(inst.value, cell)
-                    if s is None or s <= 0 or (step is not None and s != step):
-                        return None
-                    step = s
+        step = shape.up_step()
         if step is None:
             return None
         entry = self._loop_entry_facts(loop)
         if entry is None:
             return None
+        limit = cmp_.rhs.value + (1 if cmp_.predicate == "sle" else 0)
         start = entry.get(cell, _ZERO)
         trips = max(0, -(-(limit - start.lo) // step))  # ceil division
         return cell, trips
-
-    @staticmethod
-    def _step_of(value: Value, cell: Alloca) -> Optional[int]:
-        """``value`` is ``load cell + const`` -> the constant, else None."""
-        if not isinstance(value, BinaryOp) or value.op != "add":
-            return None
-        lhs, rhs = value.lhs, value.rhs
-        for a, b in ((lhs, rhs), (rhs, lhs)):
-            if (isinstance(a, Load) and a.pointer is cell
-                    and isinstance(b, Constant)):
-                return b.value
-        return None
 
     def _accumulator_bound(self, loop, cell: Alloca, trips: int) -> Optional[Interval]:
         deltas = []

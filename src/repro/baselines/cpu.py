@@ -23,31 +23,19 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import SimulationError
 from repro.ir.instructions import (
-    GEP,
     Alloca,
-    BinaryOp,
     Br,
     Call,
-    Cast,
     CondBr,
     Detach,
-    FCmp,
-    ICmp,
     Load,
     Reattach,
     Ret,
-    Select,
     Store,
     Sync,
 )
 from repro.ir.module import Module
-from repro.ir.opsem import (
-    eval_binop,
-    eval_cast,
-    eval_fcmp,
-    eval_gep,
-    eval_icmp,
-)
+from repro.ir.opsem import RegSlot, eval_pure
 from repro.ir.values import Constant, GlobalVariable, Value
 from repro.memory.backing import MainMemory
 from repro.passes.dataflow_graph import classify
@@ -131,13 +119,6 @@ class CPURunResult:
 
     def time_seconds(self, model: CPUCostModel) -> float:
         return model.cycles_to_seconds(self.tp_cycles)
-
-
-class _RegSlot:
-    __slots__ = ("alloca",)
-
-    def __init__(self, alloca):
-        self.alloca = alloca
 
 
 class MulticoreCPU:
@@ -311,45 +292,17 @@ class MulticoreCPU:
                 env[inst] = self.memory.alloc(
                     max(1, inst.allocated_type.size_bytes))
             else:
-                env[inst] = _RegSlot(inst)
-        elif isinstance(inst, BinaryOp):
-            env[inst] = eval_binop(inst.op, inst.type,
-                                   self._resolve(env, inst.lhs),
-                                   self._resolve(env, inst.rhs))
-        elif isinstance(inst, ICmp):
-            env[inst] = eval_icmp(inst.predicate,
-                                  self._resolve(env, inst.lhs),
-                                  self._resolve(env, inst.rhs))
-        elif isinstance(inst, FCmp):
-            env[inst] = eval_fcmp(inst.predicate,
-                                  self._resolve(env, inst.operands[0]),
-                                  self._resolve(env, inst.operands[1]))
-        elif isinstance(inst, Select):
-            cond, if_true, if_false = inst.operands
-            env[inst] = (self._resolve(env, if_true)
-                         if self._resolve(env, cond)
-                         else self._resolve(env, if_false))
-        elif isinstance(inst, Cast):
-            env[inst] = eval_cast(inst.kind,
-                                  self._resolve(env, inst.operands[0]),
-                                  inst.operands[0].type, inst.type)
-        elif isinstance(inst, GEP):
-            base = self._resolve(env, inst.base)
-            if isinstance(base, _RegSlot):
-                raise SimulationError("GEP on register slot")
-            env[inst] = eval_gep(base,
-                                 [self._resolve(env, i) for i in inst.indices],
-                                 inst.strides)
+                env[inst] = RegSlot(inst)
         elif isinstance(inst, Load):
             pointer = self._resolve(env, inst.pointer)
-            if isinstance(pointer, _RegSlot):
+            if isinstance(pointer, RegSlot):
                 env[inst] = regs.get(pointer.alloca, 0)
             else:
                 env[inst] = self.memory.read_value(pointer, inst.type)
         elif isinstance(inst, Store):
             pointer = self._resolve(env, inst.pointer)
             value = self._resolve(env, inst.value)
-            if isinstance(pointer, _RegSlot):
+            if isinstance(pointer, RegSlot):
                 regs[pointer.alloca] = value
             else:
                 self.memory.write_value(pointer, inst.value.type, value)
@@ -360,7 +313,7 @@ class MulticoreCPU:
             if not inst.type.is_void():
                 env[inst] = result
         else:
-            raise SimulationError(f"CPU interp cannot execute {inst.opcode}")
+            env[inst] = eval_pure(inst, lambda value: self._resolve(env, value))
 
 
 def run_on_cpu(module: Module, function: str, args,

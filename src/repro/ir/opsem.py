@@ -11,7 +11,20 @@ from __future__ import annotations
 import struct
 
 from repro.errors import SimulationError
+from repro.ir.instructions import GEP, BinaryOp, Cast, FCmp, ICmp, Select
 from repro.ir.types import FloatType, IntType, PointerType, Type
+
+#: instruction classes that are pure (no side effects, no memory)
+PURE = (BinaryOp, ICmp, FCmp, Select, Cast, GEP)
+
+
+class RegSlot:
+    """Marker value an Alloca produces: a register-file slot handle."""
+
+    __slots__ = ("alloca",)
+
+    def __init__(self, alloca):
+        self.alloca = alloca
 
 
 def eval_binop(op: str, type_: Type, a, b):
@@ -122,6 +135,34 @@ def eval_gep(base: int, indices, strides) -> int:
     for index, stride in zip(indices, strides):
         addr += int(index) * stride
     return addr
+
+
+def eval_pure(inst, resolve):
+    """Evaluate one :data:`PURE` instruction (anything else raises);
+    ``resolve(operand)`` yields an operand's value. The one dispatch the
+    TXU, the CPU baseline and constant folding share."""
+    if isinstance(inst, BinaryOp):
+        return eval_binop(inst.op, inst.type,
+                          resolve(inst.lhs), resolve(inst.rhs))
+    if isinstance(inst, ICmp):
+        return eval_icmp(inst.predicate, resolve(inst.lhs), resolve(inst.rhs))
+    if isinstance(inst, FCmp):
+        return eval_fcmp(inst.predicate, resolve(inst.operands[0]),
+                         resolve(inst.operands[1]))
+    if isinstance(inst, Select):
+        cond, if_true, if_false = inst.operands
+        return resolve(if_true) if resolve(cond) else resolve(if_false)
+    if isinstance(inst, Cast):
+        return eval_cast(inst.kind, resolve(inst.operands[0]),
+                         inst.operands[0].type, inst.type)
+    if isinstance(inst, GEP):
+        base = resolve(inst.base)
+        if isinstance(base, RegSlot):
+            raise SimulationError(
+                "address arithmetic on a register slot — scalar allocas "
+                "may only be loaded/stored directly")
+        return eval_gep(base, [resolve(i) for i in inst.indices], inst.strides)
+    raise SimulationError(f"cannot execute {inst.opcode}")
 
 
 def to_f32(value: float) -> float:

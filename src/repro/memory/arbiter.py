@@ -73,9 +73,6 @@ class RoundRobinArbiter(Component):
                     self.grants += 1
                     break
 
-    def sensitivity(self):
-        return tuple(self.inputs) + (self.output,)
-
     def ports(self):
         return (tuple(self.inputs), (self.output,))
 
@@ -132,9 +129,6 @@ class Demux(Component):
         if self.input.can_pop() and len(self._pipe) <= self.levels:
             msg = self.input.pop()
             self._pipe.append((cycle + self.levels, msg))
-
-    def sensitivity(self):
-        return (self.input,) + tuple(self.outputs)
 
     def ports(self):
         return ((self.input,), tuple(self.outputs))

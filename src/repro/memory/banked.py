@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import List
 
-from repro.memory.arbiter import Demux, RoundRobinArbiter, tree_levels
+from repro.memory.arbiter import Demux, RoundRobinArbiter
 from repro.memory.backing import MainMemory
 from repro.memory.cache import Cache, CacheParams
 from repro.memory.dram import DRAMModel
@@ -51,8 +51,7 @@ class BankedMemorySystem:
                           for b in range(banks)] for u in range(num_units)]
         for u in range(num_units):
             sim.add_component(Demux(
-                f"membank.u{u}.bankrouter", self.unit_request[u],
-                unit_bank_req[u], levels=tree_levels(banks),
+                f"membank.u{u}.bankrouter", self.unit_request[u], unit_bank_req[u],
                 route=lambda msg, _line=line, _banks=banks:
                     (msg.addr // _line) % _banks))
 
@@ -66,11 +65,9 @@ class BankedMemorySystem:
         bank_dram_resp = [sim.add_channel(f"membank.b{b}.dram.resp", 2)
                           for b in range(banks)]
         sim.add_component(RoundRobinArbiter(
-            "membank.dram.arb", bank_dram_req, dram_req,
-            levels=tree_levels(banks)))
+            "membank.dram.arb", bank_dram_req, dram_req))
         sim.add_component(Demux(
             "membank.dram.demux", dram_resp, bank_dram_resp,
-            levels=tree_levels(banks),
             route=lambda msg, _banks=banks: msg.tag % _banks))
 
         # banks: arbiter over units -> cache -> demux back to units
@@ -82,8 +79,7 @@ class BankedMemorySystem:
             bank_resp = sim.add_channel(f"membank.b{b}.resp", 2)
             sim.add_component(RoundRobinArbiter(
                 f"membank.b{b}.arb",
-                [unit_bank_req[u][b] for u in range(num_units)],
-                bank_req, levels=tree_levels(num_units)))
+                [unit_bank_req[u][b] for u in range(num_units)], bank_req))
             cache = Cache(f"L1.bank{b}", params.bank_params(), memory,
                           bank_req, bank_resp,
                           bank_dram_req[b], bank_dram_resp[b],
@@ -91,15 +87,14 @@ class BankedMemorySystem:
             sim.add_component(cache)
             self.caches.append(cache)
             sim.add_component(Demux(
-                f"membank.b{b}.unitdemux", bank_resp, bank_unit_resp[b],
-                levels=tree_levels(num_units)))
+                f"membank.b{b}.unitdemux", bank_resp, bank_unit_resp[b]))
 
         # per-unit response merge across banks
         for u in range(num_units):
             sim.add_component(RoundRobinArbiter(
                 f"membank.u{u}.merge",
                 [bank_unit_resp[b][u] for b in range(banks)],
-                self.unit_response[u], levels=tree_levels(banks)))
+                self.unit_response[u]))
 
     def stats(self) -> dict:
         total = {"hits": 0, "misses": 0, "loads": 0, "stores": 0,

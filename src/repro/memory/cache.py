@@ -263,10 +263,6 @@ class Cache(Component):
                 and self.response_out.can_push()):
             self.response_out.push(self._ready_responses.popleft()[1])
 
-    def sensitivity(self):
-        return (self.request_in, self.response_out,
-                self.dram_request, self.dram_response)
-
     def ports(self):
         return ((self.request_in, self.dram_response),
                 (self.response_out, self.dram_request))

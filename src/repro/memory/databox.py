@@ -113,10 +113,6 @@ class DataBox(Component):
                                             self._outstanding)
                 return
 
-    def sensitivity(self):
-        return (tuple(self.tile_request) + tuple(self.tile_response)
-                + (self.to_cache, self.from_cache))
-
     def ports(self):
         return (tuple(self.tile_request) + (self.from_cache,),
                 tuple(self.tile_response) + (self.to_cache,))

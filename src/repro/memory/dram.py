@@ -21,17 +21,16 @@ class DRAMModel(Component):
     """Fixed-latency, pipelined DRAM channel.
 
     Accepts up to one request per cycle (an AXI read/write burst) and
-    returns completions in order after ``latency`` cycles. ``bandwidth``
-    limits completions per cycle, modelling a shared AXI data channel.
+    returns completions in order after ``latency`` cycles, at most one
+    per cycle (a shared AXI data channel).
     """
 
     def __init__(self, name: str, request_in: Channel, response_out: Channel,
-                 latency: int = DEFAULT_DRAM_LATENCY, bandwidth: int = 1):
+                 latency: int = DEFAULT_DRAM_LATENCY):
         super().__init__(name)
         self.request_in = request_in
         self.response_out = response_out
         self.latency = latency
-        self.bandwidth = bandwidth
         self._in_flight: Deque[Tuple[int, object]] = deque()
         self.accesses = 0
 
@@ -54,9 +53,6 @@ class DRAMModel(Component):
             msg = self.request_in.pop()
             self._in_flight.append((cycle + self.latency, msg))
             self.accesses += 1
-
-    def sensitivity(self):
-        return (self.request_in, self.response_out)
 
     def ports(self):
         return ((self.request_in,), (self.response_out,))

@@ -42,9 +42,6 @@ class Scratchpad(Component):
             self._pipe.append(
                 (cycle + self.latency, MemResponse(req.tag, data, port=req.port)))
 
-    def sensitivity(self):
-        return (self.request_in, self.response_out)
-
     def ports(self):
         return ((self.request_in,), (self.response_out,))
 

@@ -37,33 +37,19 @@ from repro.ir.instructions import (
     Select,
 )
 from repro.ir.module import Module
-from repro.ir.opsem import eval_binop, eval_cast, eval_fcmp, eval_icmp
+from repro.ir.opsem import PURE, eval_pure
 from repro.ir.values import Constant, Value
-
-#: instruction classes that are pure (no side effects, no memory)
-_PURE = (BinaryOp, ICmp, FCmp, Select, Cast, GEP)
 
 
 def _fold(inst: Instruction):
     """Return a Constant replacing ``inst`` if all operands are constants."""
-    if not all(isinstance(op, Constant) for op in inst.operands):
-        return None
-    vals = [op.value for op in inst.operands]
+    if isinstance(inst, GEP) or not all(
+            isinstance(op, Constant) for op in inst.operands):
+        return None  # a GEP stays an address generator
     try:
-        if isinstance(inst, BinaryOp):
-            return Constant(inst.type, eval_binop(inst.op, inst.type, *vals))
-        if isinstance(inst, ICmp):
-            return Constant(inst.type, eval_icmp(inst.predicate, *vals))
-        if isinstance(inst, FCmp):
-            return Constant(inst.type, eval_fcmp(inst.predicate, *vals))
-        if isinstance(inst, Select):
-            return Constant(inst.type, vals[1] if vals[0] else vals[2])
-        if isinstance(inst, Cast):
-            return Constant(inst.type, eval_cast(
-                inst.kind, vals[0], inst.operands[0].type, inst.type))
+        return Constant(inst.type, eval_pure(inst, lambda op: op.value))
     except Exception:
         return None  # e.g. constant division by zero: leave it to run time
-    return None
 
 
 def _replace_everywhere(function: Function, old: Instruction, new: Value) -> int:
@@ -82,7 +68,7 @@ def constant_fold(function: Function) -> int:
         changed = False
         for block in function.blocks:
             for inst in list(block.body()):
-                if not isinstance(inst, _PURE):
+                if not isinstance(inst, PURE):
                     continue
                 replacement = _fold(inst)
                 if replacement is None:
@@ -107,7 +93,7 @@ def eliminate_dead_code(function: Function) -> int:
                     used.add(op)
         for block in function.blocks:
             for inst in list(block.body()):
-                if isinstance(inst, _PURE) and inst not in used:
+                if isinstance(inst, PURE) and inst not in used:
                     block.instructions.remove(inst)
                     removed += 1
                     changed = True
@@ -172,7 +158,7 @@ def common_subexpression_elimination(function: Function) -> int:
     for block in function.blocks:
         seen: Dict[tuple, Instruction] = {}
         for inst in list(block.body()):
-            if not isinstance(inst, _PURE):
+            if not isinstance(inst, PURE):
                 continue
             key = _cse_key(inst, index)
             if key is None:
@@ -193,7 +179,7 @@ def global_value_numbering(function: Function) -> int:
     A preorder walk of the dominator tree carries a scoped table of
     available expressions: a pure op whose key already has an entry in a
     dominating block is replaced by that entry (pure fan-out, no code
-    motion, so this is always safe for ``_PURE`` ops).
+    motion, so this is always safe for ``PURE`` ops).
 
     Detach edges are a sharing barrier.  The walk enters a detached
     region's entry block with an *empty* table, so a value computed in
@@ -229,7 +215,7 @@ def global_value_numbering(function: Function) -> int:
         block, inherited = stack.pop()
         table = {} if block in detach_entries else dict(inherited)
         for inst in list(block.body()):
-            if not isinstance(inst, _PURE):
+            if not isinstance(inst, PURE):
                 continue
             key = _cse_key(inst, index)
             if key is None:

@@ -1449,13 +1449,13 @@ def _generate(sim) -> Tuple[str, dict]:
     index, and nothing depends on id()/hash ordering."""
     import struct as _struct
 
+    from repro.ir.opsem import RegSlot as _RegSlotCls
     from repro.ir.opsem import value_to_raw as _value_to_raw
     from repro.memory.cache import _MSHR as _MSHRCls
     from repro.memory.databox import MemTag as _MemTagCls
     from repro.memory.messages import MemRequest as _MemRequestCls
     from repro.memory.messages import MemResponse as _MemResponseCls
     from repro.task.messages import SpawnMessage as _SpawnMessageCls
-    from repro.task.txu import _RegSlot as _RegSlotCls
 
     em = _Emitter(sim.channels)
     tick: List[str] = []   # per-cycle component sections (base indent 0)

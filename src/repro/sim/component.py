@@ -48,15 +48,19 @@ class Component:
         """Channels whose committed movement (a push or a pop) must wake
         this component on the following cycle.
 
-        Return ``None`` (the default) to opt out of event-driven
-        scheduling: the engine then wakes the component on every cycle,
-        which is always correct — exactly the dense-engine behaviour.
-        An event-aware component returns every channel it reads *or*
+        The default is every channel :meth:`ports` declares — an
+        event-aware component watches every channel it reads *or*
         writes; waking too often is harmless (a quiescent tick is a
         no-op), waking too rarely breaks bit-identity with the dense
-        engine.
+        engine. ``None`` (no declared ports) opts out of event-driven
+        scheduling: the engine then wakes the component on every cycle,
+        which is always correct — exactly the dense-engine behaviour.
+        Override only to watch something other than the ports.
         """
-        return None
+        ports = self.ports()
+        if ports is None:
+            return None
+        return tuple(ports[0]) + tuple(ports[1])
 
     def next_wake(self, cycle: int) -> int:
         """Earliest future cycle this component can make progress without

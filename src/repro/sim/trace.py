@@ -12,7 +12,7 @@ relation and cross-validate the static analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 
 @dataclass
@@ -22,7 +22,7 @@ class TraceEvent:
     kind: str
     detail: str
     payload: Optional[dict] = None
-    #: global emission order (monotonic even across filtered events)
+    #: global emission order
     seq: int = 0
 
     def __str__(self):
@@ -32,11 +32,9 @@ class TraceEvent:
 class Trace:
     """Collects events; disabled by default so the hot path stays cheap."""
 
-    def __init__(self, enabled: bool = False,
-                 filter_: Optional[Callable[[TraceEvent], bool]] = None):
+    def __init__(self, enabled: bool = False):
         self.enabled = enabled
         self.events: List[TraceEvent] = []
-        self.filter = filter_
         self._seq = 0
 
     def emit(self, cycle: int, source: str, kind: str, detail: str = "",
@@ -45,12 +43,8 @@ class Trace:
             return None
         event = TraceEvent(cycle, source, kind, detail, payload, self._seq)
         self._seq += 1
-        if self.filter is None or self.filter(event):
-            self.events.append(event)
+        self.events.append(event)
         return event
-
-    def of_kind(self, kind: str) -> List[TraceEvent]:
-        return [e for e in self.events if e.kind == kind]
 
     def race_check(self, graph=None):
         """Run the dynamic determinacy-race checker over this trace.

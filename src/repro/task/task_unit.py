@@ -278,13 +278,6 @@ class TaskUnit(Component):
 
     # -- engine integration -----------------------------------------------
 
-    def sensitivity(self):
-        channels = [self.spawn_in, self.join_in, self.spawn_out, self.join_out]
-        for tile in self.tiles:
-            channels.append(tile.request_out)
-            channels.append(tile.response_in)
-        return tuple(channels)
-
     def ports(self):
         inputs = [self.spawn_in, self.join_in]
         outputs = [self.spawn_out, self.join_out]

@@ -15,30 +15,16 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.ir.instructions import (
-    GEP,
     Alloca,
-    BinaryOp,
     Br,
-    Cast,
     CondBr,
     Detach,
-    FCmp,
-    ICmp,
     Load,
     Reattach,
     Ret,
-    Select,
     Sync,
 )
-from repro.ir.opsem import (
-    eval_binop,
-    eval_cast,
-    eval_fcmp,
-    eval_gep,
-    eval_icmp,
-    raw_to_value,
-    value_to_raw,
-)
+from repro.ir.opsem import RegSlot, eval_pure, raw_to_value, value_to_raw
 from repro.ir.values import Constant, GlobalVariable, Value
 from repro.memory.databox import MemTag
 from repro.memory.messages import MemRequest
@@ -74,15 +60,6 @@ RUN = "run"
 EPILOGUE_ISSUE = "epilogue_issue"
 EPILOGUE_WAIT = "epilogue_wait"
 DONE = "done"
-
-
-class _RegSlot:
-    """Marker value an Alloca produces: a register-file slot handle."""
-
-    __slots__ = ("alloca",)
-
-    def __init__(self, alloca):
-        self.alloca = alloca
 
 
 class Instance:
@@ -372,38 +349,9 @@ class TXUTile:
                 if ir.in_frame:
                     env[ir] = self._frame_addr(inst, ir)
                 else:
-                    env[ir] = _RegSlot(ir)
-        elif isinstance(ir, BinaryOp):
-            env[ir] = eval_binop(
-                ir.op, ir.type,
-                self._resolve(inst, ir.lhs), self._resolve(inst, ir.rhs))
-        elif isinstance(ir, ICmp):
-            env[ir] = eval_icmp(
-                ir.predicate,
-                self._resolve(inst, ir.lhs), self._resolve(inst, ir.rhs))
-        elif isinstance(ir, FCmp):
-            env[ir] = eval_fcmp(
-                ir.predicate,
-                self._resolve(inst, ir.operands[0]),
-                self._resolve(inst, ir.operands[1]))
-        elif isinstance(ir, Select):
-            cond, if_true, if_false = ir.operands
-            env[ir] = (self._resolve(inst, if_true)
-                       if self._resolve(inst, cond)
-                       else self._resolve(inst, if_false))
-        elif isinstance(ir, Cast):
-            env[ir] = eval_cast(ir.kind, self._resolve(inst, ir.operands[0]),
-                                ir.operands[0].type, ir.type)
-        elif isinstance(ir, GEP):
-            base = self._resolve(inst, ir.base)
-            if isinstance(base, _RegSlot):
-                raise SimulationError(
-                    "address arithmetic on a register slot — scalar allocas "
-                    "may only be loaded/stored directly")
-            env[ir] = eval_gep(
-                base, [self._resolve(inst, i) for i in ir.indices], ir.strides)
+                    env[ir] = RegSlot(ir)
         else:
-            raise SimulationError(f"TXU cannot execute {ir.opcode}")
+            env[ir] = eval_pure(ir, lambda value: self._resolve(inst, value))
 
         if self.value_probe is not None:
             if kind == "regwrite":
@@ -422,7 +370,7 @@ class TXUTile:
             return False
         ir = node.inst
         addr_val = self._resolve(inst, ir.pointer)
-        if isinstance(addr_val, _RegSlot):
+        if isinstance(addr_val, RegSlot):
             raise SimulationError("register access classified as memory op")
         tag = MemTag(self.unit.sid, self.tile_index, inst.uid, node.index)
         if isinstance(ir, Load):

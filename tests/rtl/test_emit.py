@@ -1,6 +1,6 @@
 """Tests for the Chisel-flavoured RTL emitter."""
 
-from repro.accel import generate
+from repro.accel import AcceleratorConfig, TaskUnitParams, generate
 from repro.rtl import LIBRARY, component_for_kind, emit_design, emit_top, emit_txu
 from repro.workloads import REGISTRY
 
@@ -41,8 +41,9 @@ class TestTopLevel:
 
     def test_queue_depth_parameters_respected(self):
         design = generate(build_fib_module())
-        top = emit_top(design, queue_depths={"fib": 128})
-        assert "Nt=128" in top
+        config = AcceleratorConfig(
+            unit_params={"fib": TaskUnitParams(queue_depth=128)})
+        assert "Nt=128" in emit_top(design, config)
 
 
 class TestTXU:

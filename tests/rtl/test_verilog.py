@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from repro.accel import generate
+from repro.accel import AcceleratorConfig, TaskUnitParams, generate
 from repro.rtl import emit_top_verilog, emit_txu_verilog
 from repro.workloads import REGISTRY
 
@@ -45,8 +45,8 @@ class TestTopVerilog:
 
     def test_stage3_parameters_in_instantiations(self):
         design = generate(build_scale_module())
-        text = emit_top_verilog(design, queue_depths={"scale.t0": 48},
-                                tile_counts={"scale.t0": 4})
+        text = emit_top_verilog(design, AcceleratorConfig(unit_params={
+            "scale.t0": TaskUnitParams(ntiles=4, queue_depth=48)}))
         assert ".NTASKS(48)" in text
         assert ".NTILES(4)" in text
 

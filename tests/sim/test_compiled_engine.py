@@ -117,6 +117,25 @@ class TestKernelCache:
         assert path.exists()
         assert path.read_text(encoding="utf-8") == source
 
+    def test_kernel_mirror_is_write_only(self, monkeypatch, tmp_path):
+        """The mirror is for inspection: a file already sitting at
+        <cache-dir>/kernels/<digest>.py — stale, corrupt or hostile — is
+        never read back; the run executes the text it just generated."""
+        monkeypatch.setenv(repro.exp.cache.CACHE_DIR_ENV, str(tmp_path))
+        accel = _build()
+        planted = tmp_path / "kernels" / (
+            kernel_digest(generate_source(accel.sim)) + ".py")
+        planted.parent.mkdir(parents=True)
+        tampered = "raise RuntimeError('kernel mirror was executed')\n"
+        planted.write_text(tampered)
+        clear_kernel_cache()  # nothing compiled in-process to fall back on
+        result = accel.run("fib", [7])
+        oracle = _build(engine="dense").run("fib", [7])
+        assert accel.sim.compiled_fallback is None
+        assert planted.name == accel.sim.compiled_digest + ".py"
+        assert (result.retval, result.cycles) == (13, oracle.cycles)
+        assert planted.read_text() == tampered
+
     def test_broken_generated_source_fails_closed(self, monkeypatch,
                                                   tmp_path):
         """A kernel that does not compile is a codegen bug: it surfaces

@@ -50,14 +50,6 @@ class TestTrace:
         NULL_TRACE.emit(1, "x", "k")
         assert len(NULL_TRACE) == 0
 
-    def test_filter(self):
-        trace = Trace(enabled=True,
-                      filter_=lambda e: e.kind == "keep")
-        trace.emit(1, "s", "keep")
-        trace.emit(2, "s", "drop")
-        assert len(trace) == 1
-        assert trace.of_kind("keep")[0].cycle == 1
-
     def test_render_truncates(self):
         trace = Trace(enabled=True)
         for i in range(10):
