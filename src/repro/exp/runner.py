@@ -9,7 +9,9 @@ config rebuilt from the point spec.
 Execution contract:
 
 * one crashing point produces a structured error record (exception
-  type, message, traceback) — the rest of the sweep completes;
+  type, message, traceback) — the rest of the sweep completes; a worker
+  process that dies takes its in-flight point with it (``WorkerDied``)
+  and is replaced;
 * records come back in point order regardless of completion order;
 * with a :class:`~repro.exp.cache.ResultCache` attached, previously
   computed points are served from disk (errors are never cached), so a
@@ -29,6 +31,7 @@ import traceback
 from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -155,10 +158,13 @@ register_evaluator("static", _eval_static,
 def _execute_point(spec: Dict[str, Any]) -> Dict[str, Any]:
     """Evaluate one point; never raises. The outcome dict is the
     record's core — structured errors instead of a dead sweep."""
+    from repro.sim.compile import kernel_cache_info
+
     # monotonic start: comparable with the parent's submit timestamp on
     # the same machine, so the runner can derive pool queue-wait time
     started_mono = time.monotonic()
     start = time.perf_counter()
+    loaded = kernel_cache_info()
     try:
         registration = get_evaluator(spec["evaluator"])
         value = registration.fn(spec)
@@ -174,8 +180,26 @@ def _execute_point(spec: Dict[str, Any]) -> Dict[str, Any]:
                              "traceback": traceback.format_exc()}}
     outcome["seconds"] = round(time.perf_counter() - start, 6)
     outcome["worker"] = os.getpid()
+    # which process compiled what depends on the schedule: telemetry
+    # beside the value, never in it (replays must be field-identical)
+    outcome["kernel_cache"] = {
+        name: round(count - loaded[name], 6)
+        for name, count in kernel_cache_info().items()}
     outcome["started_mono"] = started_mono
     return outcome
+
+
+def choose_point(programs: Sequence[Any], mine: set, claimed: set) -> int:
+    """Which pending point a freed lane runs next: ``programs`` names the
+    program of each pending point in point order, ``mine`` the programs
+    this lane has run (its process holds their compiled TXU steppers),
+    ``claimed`` those any lane has. One of its own programs first; else
+    one no lane has claimed; else it steals; each time from the largest
+    backlog, ties to the earliest point."""
+    backlog = Counter(programs)
+    return min(range(len(programs)), key=lambda at: (
+        programs[at] not in mine, programs[at] in claimed,
+        -backlog[programs[at]], at))
 
 
 @dataclass
@@ -198,9 +222,10 @@ class SweepResult:
 @dataclass
 class SweepRunner:
     """Expands nothing and decides nothing: takes point specs, returns
-    records. ``jobs`` > 1 fans out over a process pool; a cache serves
-    hits before any worker starts; ``progress`` (done, total, elapsed
-    seconds) fires after every completed point."""
+    records. ``jobs`` > 1 fans out over that many single-process lanes,
+    each handed its next point by :func:`choose_point` when it frees up;
+    a cache serves hits before any worker starts; ``progress`` (done,
+    total, elapsed seconds) fires after every completed point."""
 
     jobs: int = 1
     cache: Optional[ResultCache] = None
@@ -210,7 +235,7 @@ class SweepRunner:
         start = time.perf_counter()
         total = len(specs)
         records: List[Optional[Dict[str, Any]]] = [None] * total
-        pending: List[tuple] = []  # (index, spec, cache key)
+        pending: List[tuple] = []  # (index, spec, cache key, program)
         hits = 0
         for index, spec in enumerate(specs):
             try:
@@ -225,9 +250,9 @@ class SweepRunner:
                               "traceback": traceback.format_exc()}}
                 continue
             key = None
+            text = (registration.program_text(spec)
+                    if registration.program_text else "")
             if self.cache is not None:
-                text = (registration.program_text(spec)
-                        if registration.program_text else "")
                 key = self.cache.key(registration.name, spec, text)
                 cached = self.cache.get(key)
                 if cached is not None:
@@ -238,7 +263,7 @@ class SweepRunner:
                                       "value": cached["value"],
                                       "error": None}
                     continue
-            pending.append((index, spec, key))
+            pending.append((index, spec, key, (registration.name, text)))
 
         done = total - len(pending)
         if self.progress is not None and total:
@@ -247,6 +272,7 @@ class SweepRunner:
         submit_mono: Dict[int, float] = {}  # point index -> submit time
 
         def record_outcome(index, spec, key, outcome):
+            nonlocal done
             if outcome["status"] == "ok" and self.cache is not None \
                     and key is not None:
                 self.cache.put(key, {"value": outcome["value"]})
@@ -262,32 +288,60 @@ class SweepRunner:
             outcome["spec"] = spec
             outcome["cache_hit"] = False
             records[index] = outcome
+            done += 1
+            if self.progress is not None:
+                self.progress(done, total, time.perf_counter() - start)
 
         if pending and (self.jobs <= 1 or len(pending) == 1):
-            for index, spec, key in pending:
+            for index, spec, key, _program in pending:
                 submit_mono[index] = time.monotonic()
                 record_outcome(index, spec, key, _execute_point(spec))
-                done += 1
-                if self.progress is not None:
-                    self.progress(done, total, time.perf_counter() - start)
         elif pending:
-            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                futures = {}
-                for index, spec, key in pending:
-                    submit_mono[index] = time.monotonic()
-                    futures[pool.submit(_execute_point, spec)] = (index, spec,
-                                                                  key)
-                remaining = set(futures)
-                while remaining:
-                    finished, remaining = wait(remaining,
-                                               return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        index, spec, key = futures[future]
-                        record_outcome(index, spec, key, future.result())
-                        done += 1
-                        if self.progress is not None:
-                            self.progress(done, total,
-                                          time.perf_counter() - start)
+            # one single-process lane per job; ran[i] is what lane i's
+            # process has run (and so holds compiled), claimed their union
+            lanes = [ProcessPoolExecutor(max_workers=1)
+                     for _ in range(min(self.jobs, len(pending)))]
+            ran: List[set] = [set() for _ in lanes]
+            claimed: set = set()
+            running: Dict[Any, tuple] = {}  # future -> (lane, point)
+
+            def dispatch(lane: int) -> None:
+                point = pending.pop(choose_point(
+                    [p[3] for p in pending], ran[lane], claimed))
+                ran[lane].add(point[3])
+                claimed.add(point[3])
+                submit_mono[point[0]] = time.monotonic()
+                running[lanes[lane].submit(_execute_point,
+                                           point[1])] = (lane, point)
+
+            try:
+                for lane in range(len(lanes)):
+                    dispatch(lane)
+                while running:
+                    for future in wait(running,
+                                       return_when=FIRST_COMPLETED)[0]:
+                        lane, (index, spec, key, _) = running.pop(future)
+                        try:
+                            outcome = future.result()
+                        except BrokenProcessPool as exc:
+                            # the point is lost, the sweep is not: the lane
+                            # gets a fresh process, with nothing loaded
+                            outcome = {
+                                "status": "error", "value": None,
+                                "worker": None, "seconds": round(
+                                    time.monotonic() - submit_mono[index], 6),
+                                "error": {"type": "WorkerDied",
+                                          "message": str(exc),
+                                          "traceback": None}}
+                            lanes[lane].shutdown()
+                            lanes[lane] = ProcessPoolExecutor(max_workers=1)
+                            ran[lane] = set()
+                        if pending:  # before the cache write: no lane waits
+                            dispatch(lane)
+                        record_outcome(index, spec, key, outcome)
+            finally:
+                for pool in lanes:
+                    pool.shutdown()
 
         wall = time.perf_counter() - start
         errors = sum(1 for r in records if r is not None
@@ -315,12 +369,14 @@ class SweepRunner:
         computed = [record for record in records
                     if record is not None and not record.get("cache_hit")
                     and record.get("worker") is not None]
-        workers: Dict[int, Dict[str, float]] = {}
+        workers: Dict[int, Dict[str, Any]] = {}
         for record in computed:
-            bucket = workers.setdefault(record["worker"],
-                                        {"points": 0, "busy_seconds": 0.0})
+            bucket = workers.setdefault(
+                record["worker"],
+                {"points": 0, "busy_seconds": 0.0, "kernel_cache": Counter()})
             bucket["points"] += 1
             bucket["busy_seconds"] += record["seconds"]
+            bucket["kernel_cache"].update(record.get("kernel_cache", {}))
         return {
             "workers": {
                 str(pid): {
@@ -328,6 +384,9 @@ class SweepRunner:
                     "busy_seconds": round(stats["busy_seconds"], 6),
                     "utilization": (round(stats["busy_seconds"] / wall, 4)
                                     if wall > 0 else None),
+                    # modules this worker compiled / reused, compile seconds
+                    "kernel_cache": {name: round(count, 6) for name, count
+                                     in sorted(stats["kernel_cache"].items())},
                 }
                 for pid, stats in sorted(workers.items())
             },

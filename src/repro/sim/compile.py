@@ -1,15 +1,17 @@
 """Compiled engine: per-design specialized flat kernels.
 
 The default engine (``Simulator(engine="compiled")``) flattens an
-elaborated netlist into ONE generated Python module specialized for that
-exact design: every task unit / TXU tile is inlined down to straight-line
-per-dataflow-node code (operand reads, two's-complement wrap masks,
-handshake checks and latency literals baked in as constants), while the
-plumbing components (arbiters, demuxes, cache, DRAM, scratchpad, data
-boxes) are inlined too — their ``tick()`` bodies mirrored statement for
-statement with channel handshakes turned into flat-array ops — and run
-behind *no-op guards*: start-of-cycle state checks that are provably
-false exactly when the tick could not change any architectural state.
+elaborated netlist into generated Python specialized for that exact
+design -- a netlist shell plus one stepper module per task unit, shared
+by every design point of the program: every task unit / TXU tile is
+inlined down to straight-line per-dataflow-node code (operand reads,
+two's-complement wrap masks, handshake checks and latency literals baked
+in as constants), while the plumbing components (arbiters, demuxes,
+cache, DRAM, scratchpad, data boxes) are inlined too — their ``tick()``
+bodies mirrored statement for statement with channel handshakes turned
+into flat-array ops — and run behind *no-op guards*: start-of-cycle state
+checks that are provably false exactly when the tick could not change any
+architectural state.
 
 The contract is the same bit-identity the dense and event engines share:
 cycle counts, architectural stats, channel traffic and error behaviour
@@ -31,14 +33,13 @@ tile's stall marker, which the instance loop sets for them.
 ``stats()["engine"]`` reports the calls made and skipped
 (``instance_steps`` / ``parked_skips``).
 
-Caching: the generated source is content-addressed. The digest folds the
-source itself (a pure function of the elaborated design: topology,
-parameters, IR, memory layout) together with
-:func:`repro.exp.cache.code_fingerprint` — the same discipline as
-``ResultCache`` — so editing anything under ``src/repro`` rolls every
-kernel over and a stale kernel can never be replayed. Kernels are kept
-in an in-process module cache and mirrored to
-``<cache-dir>/kernels/<digest>.py`` for inspection.
+Caching: each generated module is content-addressed. The digest folds
+its source (a pure function of what it describes: the netlist, or one
+task's program) together with :func:`repro.exp.cache.code_fingerprint`
+— the same discipline as ``ResultCache`` — so editing anything under
+``src/repro`` rolls every module over and a stale one can never be
+replayed. Modules are kept in an in-process cache and mirrored,
+write-only, to ``<cache-dir>/kernels/<digest>.py`` for inspection.
 
 Instrumentation is generated, not interpreted: with a change-driven
 observer attached every guard block reports its component and the kernel
@@ -58,6 +59,7 @@ import hashlib
 import os
 import tempfile
 from pathlib import Path
+from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -93,8 +95,10 @@ from repro.task.txu import TXUTile
 __all__ = [
     "prepare_kernel",
     "generate_source",
+    "generate_modules",
     "kernel_digest",
     "kernel_cache_dir",
+    "kernel_cache_info",
     "clear_kernel_cache",
 ]
 
@@ -104,8 +108,13 @@ class UnsupportedDesign(Exception):
     caller turns it into a dense-engine fallback with this reason."""
 
 
-#: in-process cache: digest -> exec'd module namespace (holds make_kernel)
+#: in-process cache: digest -> exec'd module namespace (a shell holds
+#: ``make_kernel``, a stepper module ``make_steppers``)
 _MODULES: Dict[str, dict] = {}
+#: process-wide tally of what :func:`_load` compiled and what it reused
+_CACHE_INFO = {"shells_compiled": 0, "shells_reused": 0,
+               "steppers_compiled": 0, "steppers_reused": 0,
+               "compile_seconds": 0.0}
 
 _ICMP_PY = {"eq": "==", "ne": "!=", "slt": "<", "sle": "<=",
             "sgt": ">", "sge": ">="}
@@ -140,6 +149,12 @@ def kernel_digest(source: str) -> str:
 def clear_kernel_cache():
     """Drop the in-process kernel module cache (tests)."""
     _MODULES.clear()
+
+
+def kernel_cache_info() -> Dict[str, float]:
+    """Modules compiled vs reused since this process started, by kind, and
+    the seconds spent compiling: schedule-dependent, so telemetry only."""
+    return dict(_CACHE_INFO)
 
 
 def _store_kernel_source(digest: str, source: str) -> Optional[Path]:
@@ -187,6 +202,31 @@ def _fallback_reason(sim) -> Optional[str]:
     return None
 
 
+def _load(kind: str, source: str) -> dict:
+    """The exec'd namespace of a generated module (``kind``: "shell" or
+    "stepper"), compiled on first sight of its digest in this process."""
+    digest = kernel_digest(source)
+    module = _MODULES.get(digest)
+    if module is not None:
+        _CACHE_INFO[kind + "s_reused"] += 1
+        return module
+    path = _store_kernel_source(digest, source)
+    filename = str(path) if path is not None else f"<{kind} {digest[:12]}>"
+    module = {"__name__": f"repro_{kind}_{digest[:12]}"}
+    start = perf_counter()
+    try:
+        exec(compile(source, filename, "exec"), module)
+    except (SyntaxError, ValueError) as exc:
+        # a codegen bug: fail loudly, never hide behind the dense engine
+        raise SimulationError(
+            f"generated {kind} {digest} does not load ({filename}): "
+            f"{type(exc).__name__}: {exc}") from exc
+    _CACHE_INFO["compile_seconds"] += perf_counter() - start
+    _CACHE_INFO[kind + "s_compiled"] += 1
+    _MODULES[digest] = module
+    return module
+
+
 def prepare_kernel(sim):
     """Return ``(kernel, None)`` for a supported design, else
     ``(None, reason)``. ``kernel(sim, done, start, max_cycles, mlog)``
@@ -196,44 +236,45 @@ def prepare_kernel(sim):
     if reason is not None:
         return None, reason
     try:
-        source, ctx = _generate(sim)
+        shell, steppers, ctx = _generate(sim)
     except UnsupportedDesign as exc:
         return None, str(exc)
-    digest = kernel_digest(source)
-    module = _MODULES.get(digest)
-    if module is None:
-        path = _store_kernel_source(digest, source)
-        filename = str(path) if path is not None else f"<kernel {digest[:12]}>"
-        module = {"__name__": f"repro_kernel_{digest[:12]}"}
-        try:
-            exec(compile(source, filename, "exec"), module)
-        except (SyntaxError, ValueError) as exc:
-            # a codegen bug: fail loudly, never hide behind the dense engine
-            raise SimulationError(
-                f"generated kernel {digest} does not load ({filename}): "
-                f"{type(exc).__name__}: {exc}") from exc
-        _MODULES[digest] = module
-    sim.compiled_digest = digest
-    return module["make_kernel"](ctx), None
+    ctx["steppers"] = tuple(
+        _load("stepper", text)["make_steppers"](ctx, objs)
+        for text, objs in steppers)
+    sim.compiled_digest = kernel_digest(
+        shell + "".join(text for text, _objs in steppers))
+    return _load("shell", shell)["make_kernel"](ctx), None
+
+
+def generate_modules(sim) -> List[str]:
+    """The texts :func:`prepare_kernel` compiles, each cached and mirrored
+    under its own :func:`kernel_digest`: the netlist shell, then one
+    stepper module per task unit in registration order."""
+    shell, steppers, _ctx = _generate(sim)
+    return [shell] + [text for text, _objs in steppers]
 
 
 def generate_source(sim) -> str:
-    """The specialized kernel source for ``sim``'s design. Deterministic:
-    the same elaborated design always yields byte-identical source (the
-    precondition for content-addressed caching)."""
-    return _generate(sim)[0]
+    """The specialized kernel source for ``sim``'s design, its modules
+    end to end. Deterministic: the same elaborated design always yields
+    byte-identical source (the precondition for content-addressed
+    caching)."""
+    return "".join(generate_modules(sim))
 
 
 # ---------------------------------------------------------------------------
 # codegen
 # ---------------------------------------------------------------------------
 #
-# The generated module has the shape
+# Two kinds of generated module, split along what their text depends on.
+# The netlist *shell*, one per topology:
 #
 #     def make_kernel(ctx):
 #         (_o0, _o1, ...) = ctx["objects"]   # per-sim object references
+#         (_mk0, ...) = ctx["steppers"]      # one factory per task unit
 #         def kernel(sim, done, start, max_cycles, mlog):
-#             <aliases, per-unit stepper factories, per-tile dispatch dicts>
+#             <aliases, one _mk<j>(...) call per tile>
 #             try:
 #                 while True:           # one iteration per executed cycle
 #                     <guarded component ticks, registration order>
@@ -244,18 +285,37 @@ def generate_source(sim) -> str:
 #                 <sync scalar counters back onto sim>
 #         return kernel
 #
-# Everything design-shaped (node indices, dependency chains, wrap masks,
-# latencies, capacities, frame layout, global addresses) is baked into the
-# source as literals; everything per-simulation (channel/component/IR
-# objects) arrives through ctx, so the same design always yields
-# byte-identical source and one cached module serves every sim of it.
+# and the *stepper module*, one per task unit (one TXU design, Stage 2):
+#
+#     def make_steppers(ctx, objs):
+#         (_o0, _o1, ...) = objs             # numbered within the unit
+#         def mk(T, Tf, Tfc, Tsu, cRi, R, TI, CP, dl, U, Uso, ev, act):
+#             <epilogue-store closure _e, one stepper _s<b> per owned block>
+#             return _e, {block: stepper}
+#         return mk
+#
+# Everything design-shaped is baked in as literals, everything
+# per-simulation (channel/component/IR objects) arrives through ctx or as
+# an argument of ``mk``, so equal text means equal behaviour and each
+# cached module serves every sim that generates its text. A stepper
+# module's text is a function of the task program (node indices,
+# dependency chains, wrap masks, frame layout, global addresses), SID/port,
+# node latencies, request-channel capacity and the trace flag -- not of
+# Ntiles, queues or the memory system: every design point of a program
+# shares it. The shell's is a function of the netlist: components, tile
+# counts, channel indices and capacities, queue policy, pipeline and DRAM
+# latencies, cache line size and hit latency are literals; what Stage 3
+# only sizes (MSHR count, queue depth; cache size and ways only ever reach
+# ``Cache._lookup``) is read from the component in the preamble, so
+# configs that differ only there share one shell.
 
 _PARKED = 1 << 60  # txu PARKED == the missing-dep sentinel (1 << 60)
 _CAST_INT = ("trunc", "sext", "zext")
 
 
 class _Emitter:
-    """Collects ctx objects and source lines with deterministic naming.
+    """Collects one module's ctx objects and source lines with
+    deterministic naming.
 
     Channels are addressed by their index in ``sim.channels``
     (registration order): the kernel keeps pending-push / pending-pop /
@@ -264,9 +324,10 @@ class _Emitter:
     item deque (``_items`` is assigned once in the constructor). A push
     is ``CP[K] = msg`` plus appending K to the moved-list ``dl``; a pop
     is ``CQ[K] = 1`` plus the same append — the end-of-cycle commit
-    walks ``dl`` only."""
+    walks ``dl`` only. A stepper module's emitter has none: whatever is
+    channel-shaped reaches its text as a factory argument."""
 
-    def __init__(self, channels):
+    def __init__(self, channels=()):
         self.objs: List[object] = []
         self._obj_names: Dict[int, str] = {}
         self.pre: List[str] = []    # kernel preamble (aliases, bound methods)
@@ -275,9 +336,9 @@ class _Emitter:
         self._chan_alias: set = set()
 
     def ref(self, obj) -> str:
-        """Name of ``obj`` in the ctx object tuple (registered on first use;
-        the objs list keeps every referenced object alive so id() keys
-        stay unique)."""
+        """Name of ``obj`` in the module's object tuple (registered on
+        first use; the objs list keeps every referenced object alive so
+        id() keys stay unique)."""
         name = self._obj_names.get(id(obj))
         if name is None:
             name = "_o%d" % len(self.objs)
@@ -317,21 +378,21 @@ class _StepperGen:
     """Emits one specialized stepper function per owned block of a task
     unit: the straight-line unrolling of ``TXUTile._step_instance`` +
     ``_maybe_transition`` for that block's dataflow graph. The steppers
-    live inside the unit's tile factory (see :func:`_emit_unit`), so
-    everything tile-bound is written as a factory parameter — ``T`` (the
-    tile), ``Tf``/``Tfc``/``Tsu`` (its ``_fired`` set, ``_fire_call``,
-    ``_suspend``), ``cRi``/``R`` (request channel deque and flat index),
-    ``TI`` (tile index) and ``_e`` (the epilogue-store closure) — while
-    SID, port and capacities are baked in so ``_fire_memory`` and
-    ``_finish`` are inlined flat ops. ``ev`` is the alias of the unit's
-    ``analysis_event`` when it is traced, else None: the inlined event
-    sites emit their call only then."""
+    live inside the unit's ``mk`` factory (see :func:`_stepper_module`),
+    so everything tile- or kernel-bound is written as a factory parameter
+    — ``T`` (the tile), ``Tf``/``Tfc``/``Tsu`` (its ``_fired`` set,
+    ``_fire_call``, ``_suspend``), ``cRi``/``R`` (request channel deque
+    and flat index), ``TI`` (tile index), ``CP``/``dl``/``act`` (the
+    kernel's pending pushes, moved-list and one-cell activity flag),
+    ``U``/``Uso``/``ev`` (the unit, its spawn out-buffer and its
+    ``analysis_event``, called only when ``traced``) and ``_e`` (the
+    epilogue-store closure) — while SID, port and capacities are baked in
+    so ``_fire_memory`` and ``_finish`` are inlined flat ops."""
 
-    def __init__(self, em: _Emitter, unit, un: str, ev: Optional[str]):
-        self.em = em
+    def __init__(self, em: _Emitter, unit, traced: bool):
+        self.em = em          # the stepper module's own object table
         self.unit = unit
-        self.un = un          # kernel alias of the owning task unit
-        self.ev = ev
+        self.traced = traced
         # _emit_unit has checked that every tile agrees on these three
         self.compiled = unit.tiles[0].compiled
         self.latencies = unit.tiles[0].latencies
@@ -575,12 +636,12 @@ class _StepperGen:
                    % (tag, addr, ir.value.type.size_bytes,
                       self.em.ref(ir.value.type), self.rv(ir.value),
                       self.unit.port))
-        if self.ev:
+        if self.traced:
             L.append(ind + "    rq_ = %s" % req)
-            L.append(ind + '    %s("mem", "%s addr=%%d" %% rq_.addr, '
+            L.append(ind + '    ev("mem", "%s addr=%%d" %% rq_.addr, '
                      '{"gid": inst.entry.gid, "op": rq_.op, "addr": rq_.addr, '
                      '"size": rq_.size, "sid": %d, "node": %d, "inst": %s})'
-                     % (self.ev, "load" if isinstance(ir, Load) else "store",
+                     % ("load" if isinstance(ir, Load) else "store",
                         self.unit.sid, node.index, self.em.ref(ir)))
             req = "rq_"
         L.append(ind + "    CP[R] = %s" % req)
@@ -617,7 +678,8 @@ class _StepperGen:
                     % (f"task {self.compiled.name}: control left the task "
                        f"region into {target.name}",)]
         return [ind + "inst.block = %s" % self.em.ref(target),
-                ind + "inst.node_done = {}",
+                ind + "inst.node_done = [B] * %d"
+                % len(self.compiled.dfg(target).nodes),
                 ind + "inst.pending_mem = set()",
                 ind + "inst.pending_call = set()",
                 ind + "inst.block_entry_cycle = cycle + 1"]
@@ -634,9 +696,7 @@ class _StepperGen:
         has_call = any(n.kind == "call" for n in body)
 
         L = ["def %s(inst, cycle):" % name,
-             "    nonlocal act",
              "    nd = inst.node_done",
-             "    g = nd.get",
              "    env = inst.env",
              "    fired = Tf"]
         if has_mem:
@@ -645,12 +705,10 @@ class _StepperGen:
             L.append("    pc = inst.pending_call")
         L.extend(["    f = 0", "    d = 0", "    b = 0",
                   "    m = 0", "    blk = 0"])
-        # hoist each body node's done-cycle into a local: one dict probe
-        # per node per call instead of one per membership test plus one
-        # per dependent. The sentinel B comes back by identity when the
-        # node has not fired, so ``dnX is B`` is the not-in-nd test.
-        for node in body:
-            L.append("    dn%d = g(%d, B)" % (node.index, node.index))
+        # hoist every body node's done-cycle into a local with one unpack
+        # of the block's node_done list (its last slot is the terminator's,
+        # never written); a node that has not fired holds the sentinel B
+        L.append("    (%s_) = nd" % "".join("dn%d, " % n.index for n in body))
 
         def deps(node) -> str:
             return " and ".join("dn%d <= cycle" % dep
@@ -659,7 +717,7 @@ class _StepperGen:
         for node in body:
             idx = node.index
             key = em.ref((block, idx))
-            cond = "dn%d is B" % idx
+            cond = "dn%d == B" % idx
             if node.kind in ("load", "store"):
                 cond += " and %d not in pm" % idx
             elif node.kind == "call":
@@ -709,26 +767,24 @@ class _StepperGen:
                 args += ","
             ret_ptr = ("int(%s)" % self.rv(spec.ret_ptr_value)
                        if spec.ret_ptr_value is not None else "None")
-            L.append("        if len(%sso) >= %d:"
-                     % (self.un, OUTBOUND_BUFFER))
+            L.append("        if len(Uso) >= %d:" % OUTBOUND_BUFFER)
             L.append("            T._spawn_blocked = True")
             L.append("            blk = 1")
             L.append("        else:")
             L.append("            en_ = inst.entry")
             seq = "None"
-            if self.ev:
-                L.append('            ev_ = %s("spawn-issue", "-> T%d", '
+            if self.traced:
+                L.append('            ev_ = ev("spawn-issue", "-> T%d", '
                          '{"gid": en_.gid, "dest_sid": %d})'
-                         % (self.ev, spec.dest_sid, spec.dest_sid))
+                         % (spec.dest_sid, spec.dest_sid))
                 seq = "ev_.seq if ev_ is not None else None"
-            L.append("            %sso.append(SpawnMessage(dest_sid=%d, "
+            L.append("            Uso.append(SpawnMessage(dest_sid=%d, "
                      "args=(%s), parent_sid=%d, parent_dyid=en_.dyid, "
                      'join_kind="sync", ret_ptr=%s, parent_gid=en_.gid, '
                      "spawn_seq=%s))"
-                     % (self.un, spec.dest_sid, args, self.unit.sid,
-                        ret_ptr, seq))
+                     % (spec.dest_sid, args, self.unit.sid, ret_ptr, seq))
             L.append("            en_.child_count += 1")
-            L.append("            %s.spawns_issued += 1" % self.un)
+            L.append("            U.spawns_issued += 1")
             L.append("            inst.spawned += 1")
             L.extend(self.enter_lines(term.continuation, "            "))
             L.append("            m = 1")
@@ -737,9 +793,9 @@ class _StepperGen:
             L.append("            Tsu(inst, %s)"
                      % em.ref(term.continuation))
             L.append("        else:")
-            if self.ev:
-                L.append('            %s("sync-pass", f"gid={inst.entry.gid}", '
-                         '{"gid": inst.entry.gid})' % self.ev)
+            if self.traced:
+                L.append('            ev("sync-pass", f"gid={inst.entry.gid}", '
+                         '{"gid": inst.entry.gid})')
             L.extend(self.enter_lines(term.continuation, "            "))
             L.append("        m = 1")
         elif isinstance(term, Br):
@@ -766,7 +822,7 @@ class _StepperGen:
         # -- wake bookkeeping (mirrors _step_instance's epilogue) ----------
         L.extend([
             "    if f or m:",
-            "        act = 1",
+            "        act[0] = 1",
             '    if m or f or d or b or blk or inst.phase != "run":',
             "        inst.wake_at = cycle + 1",
             '        if inst.phase != "run":',
@@ -796,7 +852,7 @@ class _StepperGen:
         L.extend([
             "        return P",
             "    w = P",
-            "    for x in nd.values():",
+            "    for x in nd:",
             "        if x > cycle and x < w:",
             "            w = x",
             "    if w is P and not inst.pending_mem and not inst.pending_call:",
@@ -968,6 +1024,8 @@ def _emit_cache(em, x, comp, tick, busy, skip):
     em.pre.append("%sfn = %s._functional" % (x, x))
     em.pre.append("%slk = %s._lookup" % (x, x))
     em.pre.append("%saf = %s._apply_fill" % (x, x))
+    # capacity is read, not baked: configs that differ only there share a shell
+    em.pre.append("%smc = %s.params.mshr_count" % (x, x))
     rq = em.ci(comp.request_in)
     rs = em.ci(comp.response_out)
     dq = em.ci(comp.dram_request)
@@ -1012,7 +1070,7 @@ def _emit_cache(em, x, comp, tick, busy, skip):
     tick.append("                dl.append(%d)" % rq)
     tick.append("                mh.waiters.append((req, %sfn(req)))" % x)
     tick.append("                %s.misses += 1" % x)
-    tick.append("            elif len(%sm) >= %d:" % (x, p.mshr_count))
+    tick.append("            elif len(%sm) >= %smc:" % (x, x))
     tick.append('                %s._blocked = "mshr-full"' % x)
     tick.append("            elif len(c%di) < %d and CP[%d] is None:"
                 % (dq, comp.dram_request.capacity, dq))
@@ -1119,9 +1177,69 @@ def _pipe_deadline(name: str) -> List[str]:
             "        tw = w"]
 
 
-def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs):
+def _stepper_module(gen: _StepperGen) -> str:
+    """Source of one task unit's stepper module. A task unit is ONE TXU
+    design replicated Ntiles times and instantiated by every design point
+    of its program: the epilogue closure and the per-block steppers are
+    generated and compiled once, with everything tile- or kernel-bound
+    arriving as ``mk``'s arguments and objects numbered within the unit."""
+    unit, compiled, ref = gen.unit, gen.compiled, gen.em.ref
+    rettype = compiled.task.function.return_type
+    body: List[str] = []
+    w = body.append
+    w("def _e(inst, cycle):")
+    if rettype.is_void():
+        # unreachable: a void task never has (ret_ptr, retval) set
+        w("    raise SimulationError(%r)" % ("epilogue store for void task",))
+    else:
+        # a blocked epilogue store is the memory-port wait: park on it
+        w("    inst.park = 1")
+        w("    if T._mem_issued_this_cycle:")
+        w("        return")
+        w("    if len(cRi) < %d and CP[R] is None:" % gen.rocap)
+        if gen.traced:
+            w('        ev("mem", "store addr=%%d (ret)" %% '
+              'int(inst.entry.ret_ptr), {"gid": inst.entry.gid, '
+              '"op": "store", "addr": int(inst.entry.ret_ptr), "size": %d, '
+              '"sid": %d, "node": -1, "inst": None})'
+              % (rettype.size_bytes, unit.sid))
+        w('        CP[R] = MemRequest(tag=MemTag(%d, TI, '
+          'inst.uid, -1), op="store", '
+          "addr=int(inst.entry.ret_ptr), size=%d, "
+          "data=_v2r(%s, inst.retval), port=%d)"
+          % (unit.sid, rettype.size_bytes, ref(rettype), unit.port))
+        w("        dl.append(R)")
+        w("        T._mem_issued_this_cycle = True")
+        w('        inst.phase = "epilogue_wait"')
+        w("        inst.park = 0")
+        w("    else:")
+        w("        T._mem_blocked = True")
+    entries = []
+    for bi, block in enumerate(compiled.blocks):
+        if compiled.owns_block(block):
+            body.extend(gen.stepper("_s%d" % bi, block))
+            entries.append("%s: _s%d" % (ref(block), bi))
+    w("return _e, {%s}" % ", ".join(entries))
+    lines = ['"""Autogenerated TXU steppers of one task unit (see '
+             'repro.sim.compile)."""',
+             "def make_steppers(ctx, objs):",
+             "    (%s) = objs" % "".join(
+                 "_o%d, " % i for i in range(len(gen.em.objs)))]
+    lines.extend(_CTX_NAMES)
+    lines.append("    P = B = %d" % _PARKED)
+    lines.append('    _INF, _NINF, _NAN = float("inf"), float("-inf"), '
+                 'float("nan")')
+    lines.append("    def mk(T, Tf, Tfc, Tsu, cRi, R, TI, CP, dl, U, Uso, ev, "
+                 "act):")
+    lines.extend("        " + line for line in body)
+    lines.append("    return mk")
+    return "\n".join(lines) + "\n"
+
+
+def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs, mods):
     """Fully inlined TaskUnit tick: queue/join plumbing via guarded real
-    helper calls, tile instance stepping via the per-block steppers."""
+    helper calls, tile instance stepping via the per-block steppers of
+    the unit's stepper module (appended to ``mods``)."""
     compiled = unit.tiles[0].compiled if unit.tiles else None
     if compiled is None:
         raise UnsupportedDesign(f"{unit.name}: task unit has no tiles")
@@ -1140,6 +1258,7 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs):
     em.pre.append("%s = %s" % (u, em.ref(unit)))
     em.pre.append("%sq = %s.queue" % (u, u))
     em.pre.append("%sqf = %sq._free" % (u, u))
+    em.pre.append("%sqd = %sq.depth" % (u, u))  # Stage 3: read, not baked
     em.pre.append("%sqr = %sq._ready" % (u, u))
     em.pre.append("%sjr = %s._join_ready" % (u, u))
     em.pre.append("%sso = %s._spawn_outbuf" % (u, u))
@@ -1149,10 +1268,7 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs):
     em.pre.append("%sqe = %sq.entries" % (u, u))
     em.pre.append("%ssj = %s._send_join" % (u, u))
     em.pre.append("%sfi = %s.instance_finished" % (u, u))
-    ev = None
-    if unit.trace is not None and unit.trace.enabled:
-        ev = u + "ae"
-        em.pre.append("%s = %s.analysis_event" % (ev, u))
+    traced = unit.trace is not None and unit.trace.enabled
     si, ji = em.ci(unit.spawn_in), em.ci(unit.join_in)
     so, jo = em.ci(unit.spawn_out), em.ci(unit.join_out)
 
@@ -1174,54 +1290,16 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs):
     em.pre.append("    for inst in t_.instances:")
     em.pre.append("        inst.park = 0")
 
-    # -- one stepper factory per unit, instantiated once per tile ----------
-    # (a task unit is ONE TXU design replicated Ntiles times: the epilogue
-    # closure and the per-block steppers are generated and compiled once,
-    # with the tile-bound names arriving as the factory's arguments)
-    rettype = compiled.task.function.return_type
-    gen = _StepperGen(em, unit, u, ev)
-    w = sdefs.append
-    w("def _mk%d(T, Tf, Tfc, Tsu, cRi, R, TI):" % k)
-    w("    def _e(inst, cycle):")
-    if rettype.is_void():
-        # unreachable: a void task never has (ret_ptr, retval) set
-        w("        raise SimulationError(%r)"
-          % ("epilogue store for void task",))
-    else:
-        # a blocked epilogue store is the memory-port wait: park on it
-        w("        inst.park = 1")
-        w("        if T._mem_issued_this_cycle:")
-        w("            return")
-        w("        if len(cRi) < %d and CP[R] is None:" % gen.rocap)
-        if ev:
-            w('            %s("mem", "store addr=%%d (ret)" %% '
-              'int(inst.entry.ret_ptr), {"gid": inst.entry.gid, '
-              '"op": "store", "addr": int(inst.entry.ret_ptr), "size": %d, '
-              '"sid": %d, "node": -1, "inst": None})'
-              % (ev, rettype.size_bytes, unit.sid))
-        w('            CP[R] = MemRequest(tag=MemTag(%d, TI, '
-          'inst.uid, -1), op="store", '
-          "addr=int(inst.entry.ret_ptr), size=%d, "
-          "data=_v2r(%s, inst.retval), port=%d)"
-          % (unit.sid, rettype.size_bytes, em.ref(rettype), unit.port))
-        w("            dl.append(R)")
-        w("            T._mem_issued_this_cycle = True")
-        w('            inst.phase = "epilogue_wait"')
-        w("            inst.park = 0")
-        w("        else:")
-        w("            T._mem_blocked = True")
-    entries = []
-    for bi, block in enumerate(compiled.blocks):
-        if not compiled.owns_block(block):
-            continue
-        name = "_s%d_%d" % (k, bi)
-        sdefs.extend("    " + line for line in gen.stepper(name, block))
-        entries.append("%s: %s" % (em.ref(block), name))
-    w("    return _e, {%s}" % ", ".join(entries))
+    # -- the unit's stepper factory, instantiated once per tile ------------
+    gen = _StepperGen(_Emitter(), unit, traced)
     for ti, (tn, _rc, t) in enumerate(tiles):
         ro = em.ci(t.request_out)
-        w("_e%d_%d, %sd = _mk%d(%s, %sf, %sfc, %ssu, c%di, %d, %d)"
-          % (k, ti, tn, k, tn, tn, tn, tn, ro, ro, ti))
+        sdefs.append(
+            "_e%d_%d, %sd = _mk%d(%s, %sf, %sfc, %ssu, c%di, %d, %d, CP, dl, "
+            "%s, %sso, %s, act)"
+            % (k, ti, tn, len(mods), tn, tn, tn, tn, ro, ro, ti, u, u,
+               u + ".analysis_event" if traced else "None"))
+    mods.append((_stepper_module(gen), tuple(gen.em.objs)))
 
     # -- the tick section --------------------------------------------------
     guard = ["c%di" % ji, "c%di" % si, u + "jr", u + "so", u + "jo",
@@ -1261,9 +1339,8 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs):
         tick.append("            en_ = %sqe[dyid_]" % u)
         tick.append('            if en_.state != "READY":')
         tick.append("                raise SimulationError(")
-        tick.append('                    "task queue %s: ready-list entry '
-                    '%%d in state %%s" %% (dyid_, en_.state))'
-                    % unit.queue.name.replace("%", "%%"))
+        tick.append('                    "task queue %%s: ready-list entry '
+                    '%%d in state %%s" %% (%sq.name, dyid_, en_.state))' % u)
         tick.append('            en_.state = "EXE"')
         tick.append("            %s.start(%s._uid_counter, en_, cycle)"
                     % (tn0, u))
@@ -1285,9 +1362,9 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs):
         tick.append("                en_ = %sqe[dyid_]" % u)
         tick.append('                if en_.state != "READY":')
         tick.append("                    raise SimulationError(")
-        tick.append('                        "task queue %s: ready-list '
-                    'entry %%d in state %%s" %% (dyid_, en_.state))'
-                    % unit.queue.name.replace("%", "%%"))
+        tick.append('                        "task queue %%s: ready-list '
+                    'entry %%d in state %%s" %% (%sq.name, dyid_, en_.state))'
+                    % u)
         tick.append('                en_.state = "EXE"')
         tick.append("                tt_[0].start(%s._uid_counter, en_, "
                     "cycle)" % u)
@@ -1416,7 +1493,7 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs):
 
     # -- is_busy -----------------------------------------------------------
     terms = ["%sso" % u, "%sjo" % u, "%sjr" % u,
-             "len(%sqf) < %d" % (u, unit.queue.depth)]
+             "len(%sqf) < %sqd" % (u, u)]
     terms.extend("%si" % tn for tn, _rc, _t in tiles)
     busy.append(" or ".join(terms))
 
@@ -1442,11 +1519,21 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs):
     skip.append("        tw = w")
 
 
-def _generate(sim) -> Tuple[str, dict]:
-    """Walk the elaborated netlist and emit (source, ctx) for its
-    specialized kernel. Deterministic for a given design: iteration is
-    over registration-order lists only, names are assigned by traversal
-    index, and nothing depends on id()/hash ordering."""
+#: what both module kinds bind from ctx before their defs
+_CTX_NAMES = ['    %s = ctx["%s"]' % pair for pair in (
+    ("SimulationError", "SimulationError"), ("_RegSlot", "RegSlot"),
+    ("_pk", "pack"), ("_up", "unpack"), ("MemRequest", "MemRequest"),
+    ("MemResponse", "MemResponse"), ("MemTag", "MemTag"), ("_MSHR", "MSHR"),
+    ("_v2r", "v2r"), ("SpawnMessage", "SpawnMessage"))]
+
+
+def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
+    """Walk the elaborated netlist and emit ``(shell, steppers, ctx)``:
+    the shell source, one ``(source, objects)`` stepper module per task
+    unit in registration order, and the shell's ctx. Deterministic for a
+    given design: iteration is over registration-order lists only, names
+    are assigned by traversal index, and nothing depends on id()/hash
+    ordering."""
     import struct as _struct
 
     from repro.ir.opsem import RegSlot as _RegSlotCls
@@ -1461,7 +1548,8 @@ def _generate(sim) -> Tuple[str, dict]:
     tick: List[str] = []   # per-cycle component sections (base indent 0)
     busy: List[str] = []   # is_busy terms, registration order
     skip: List[str] = []   # fast-forward deadline contributions
-    sdefs: List[str] = []  # stepper defs + dispatch dicts
+    sdefs: List[str] = []  # per-tile stepper instantiations
+    mods: List[Tuple[str, tuple]] = []  # stepper modules, unit order
 
     # a change-driven observer is attached: every guard block reports its
     # component, and SUB[k] lists who watches channel k (sensitivity())
@@ -1471,7 +1559,7 @@ def _generate(sim) -> Tuple[str, dict]:
     for k, comp in enumerate(comps):
         guard = len(tick)  # every section opens with its ``if <guard>:``
         if isinstance(comp, TaskUnit):
-            _emit_unit(em, k, comp, tick, busy, skip, sdefs)
+            _emit_unit(em, k, comp, tick, busy, skip, sdefs, mods)
         else:
             _emit_plumbing(em, k, comp, tick, busy, skip)
         if observed:
@@ -1489,15 +1577,11 @@ def _generate(sim) -> Tuple[str, dict]:
     body: List[str] = []
     w = body.append
     w("P = %d" % _PARKED)
-    w("B = P")
-    w('_INF = float("inf")')
-    w('_NINF = float("-inf")')
-    w('_NAN = float("nan")')
     w("limit = start + max_cycles")
     w("cycle = sim.cycle")
     w("idle = sim._idle_cycles")
     w("quiet = sim._quiet_cycles")
-    w("act = 1 if sim._activity_flag else 0")
+    w("act = [1 if sim._activity_flag else 0]")  # a cell the steppers set
     w("sim._activity_flag = False")
     w("ticks = 0")
     w("ff = 0")
@@ -1570,7 +1654,7 @@ def _generate(sim) -> Tuple[str, dict]:
     w("            raise SimulationError(")
     w('                f"simulation exceeded {max_cycles} cycles '
       'without finishing")')
-    w("        act = 0")
+    w("        act[0] = 0")
     body.extend("        " + line for line in tick)
     w("        ticks += 1")
     w("        if dl:")
@@ -1610,7 +1694,7 @@ def _generate(sim) -> Tuple[str, dict]:
     if observed:
         w("        _obs(cycle)")
     w("        cycle += 1")
-    w("        if act:")
+    w("        if act[0]:")
     w("            quiet = 0")
     w("        else:")
     w("            quiet += 1")
@@ -1626,7 +1710,7 @@ def _generate(sim) -> Tuple[str, dict]:
     w("            sim._quiet_cycles = quiet")
     w("            _sync_totals()")
     w("            sim._check_stalls()")
-    w("        if act:")
+    w("        if act[0]:")
     w("            continue")
     w("        tw = limit")
     body.extend("        " + line for line in skip)
@@ -1678,28 +1762,16 @@ def _generate(sim) -> Tuple[str, dict]:
     w("            c._dirty = True")
     w("            dirty.append(c)")
 
-    lines = ['"""Autogenerated compiled-engine kernel. Do not edit: '
-             'regenerated from the',
-             'elaborated design by repro.sim.compile (content-addressed '
-             'by source +',
-             'code fingerprint)."""',
-             "",
-             "",
+    lines = ['"""Autogenerated netlist shell of a compiled-engine kernel '
+             '(see repro.sim.compile)."""',
              "def make_kernel(ctx):"]
     if em.objs:
         lines.append("    (%s,) = ctx[\"objects\"]"
                      % ", ".join("_o%d" % i for i in range(len(em.objs))))
+    lines.append('    (%s) = ctx["steppers"]'
+                 % "".join("_mk%d, " % j for j in range(len(mods))))
     lines.append('    CH = ctx["channels"]')
-    lines.append('    SimulationError = ctx["SimulationError"]')
-    lines.append('    _RegSlot = ctx["RegSlot"]')
-    lines.append('    _pk = ctx["pack"]')
-    lines.append('    _up = ctx["unpack"]')
-    lines.append('    MemRequest = ctx["MemRequest"]')
-    lines.append('    MemResponse = ctx["MemResponse"]')
-    lines.append('    MemTag = ctx["MemTag"]')
-    lines.append('    _MSHR = ctx["MSHR"]')
-    lines.append('    _v2r = ctx["v2r"]')
-    lines.append('    SpawnMessage = ctx["SpawnMessage"]')
+    lines.extend(_CTX_NAMES)
     lines.append("    import gc as _gc")
     lines.append("    def kernel(sim, done, start, max_cycles, mlog):")
     lines.extend("        " + line for line in body)
@@ -1719,4 +1791,4 @@ def _generate(sim) -> Tuple[str, dict]:
         "v2r": _value_to_raw,
         "SpawnMessage": _SpawnMessageCls,
     }
-    return source, ctx
+    return source, mods, ctx

@@ -71,14 +71,15 @@ class Instance:
         "wake_at", "park",
     )
 
-    def __init__(self, uid: int, entry: TaskEntry, block):
+    def __init__(self, uid: int, entry: TaskEntry, block, nodes: int):
         self.uid = uid
         self.entry = entry
         self.block = block
         self.env: Dict[Value, Any] = {}
         self.regs: Dict[Alloca, Any] = {}
-        #: node index -> cycle at which its result is available
-        self.node_done: Dict[int, int] = {}
+        #: per node of ``block``'s dataflow graph, the cycle at which its
+        #: result is available (:data:`PARKED` until it has fired)
+        self.node_done: List[int] = [PARKED] * nodes
         self.pending_mem: Set[int] = set()
         self.pending_call: Set[int] = set()
         self.phase = RUN
@@ -138,15 +139,17 @@ class TXUTile:
 
     def start(self, uid: int, entry: TaskEntry, cycle: int) -> Instance:
         """Begin a fresh instance or resume a suspended one."""
-        if entry.resume_block is not None:
-            inst = Instance(uid, entry, entry.resume_block)
+        resumed = entry.resume_block is not None
+        block = entry.resume_block if resumed else self.compiled.entry_block
+        inst = Instance(uid, entry, block,
+                        len(self.compiled.dfg(block).nodes))
+        if resumed:
             inst.env = entry.saved_env or {}
             inst.regs = entry.saved_regs or {}
             entry.resume_block = None
             entry.saved_env = None
             entry.saved_regs = None
         else:
-            inst = Instance(uid, entry, self.compiled.entry_block)
             for value, arg in zip(self.compiled.arg_values, entry.args):
                 inst.env[value] = arg
                 if self.value_probe is not None:
@@ -276,7 +279,8 @@ class TXUTile:
         blocked_io = False   # backpressure: a no-op until a channel moves
         for node in nodes[:body_count]:
             idx = node.index
-            if idx in inst.node_done or idx in inst.pending_mem or idx in inst.pending_call:
+            if inst.node_done[idx] != PARKED or idx in inst.pending_mem \
+                    or idx in inst.pending_call:
                 continue
             if not self._deps_ready(inst, node, cycle):
                 continue
@@ -307,7 +311,7 @@ class TXUTile:
             return PARKED  # blocked_io / spawn-blocked terminator
         # quiescent: wake when the earliest in-flight node finishes, or on
         # a memory/call response (those reset wake_at to 0 on arrival)
-        future = [d for d in inst.node_done.values() if d > cycle]
+        future = [d for d in inst.node_done if cycle < d < PARKED]
         if future:
             inst.wake_at = min(future)
         elif inst.pending_mem or inst.pending_call:
@@ -319,7 +323,7 @@ class TXUTile:
     def _deps_ready(self, inst: Instance, node, cycle: int) -> bool:
         done = inst.node_done
         for dep in node.deps:
-            if done.get(dep, 1 << 60) > cycle:
+            if done[dep] > cycle:
                 return False
         return True
 
@@ -412,7 +416,7 @@ class TXUTile:
         term_node = nodes[-1]
         # every body node must be complete
         for node in nodes[:-1]:
-            if inst.node_done.get(node.index, 1 << 60) > cycle:
+            if inst.node_done[node.index] > cycle:
                 return None
         if inst.pending_mem or inst.pending_call:
             return None
@@ -467,7 +471,7 @@ class TXUTile:
                 f"task {self.compiled.name}: control left the task region "
                 f"into {block.name}")
         inst.block = block
-        inst.node_done = {}
+        inst.node_done = [PARKED] * len(self.compiled.dfg(block).nodes)
         inst.pending_mem = set()
         inst.pending_call = set()
         inst.block_entry_cycle = cycle + 1
@@ -528,8 +532,8 @@ class TXUTile:
         if self._fired:
             return OBS_BUSY, None
         for inst in self.instances:
-            for done in inst.node_done.values():
-                if done > cycle:
+            for done in inst.node_done:
+                if cycle < done < PARKED:
                     return OBS_BUSY, "execute"
         if self._spawn_blocked:
             return OBS_STALL_OUT, "spawn-backpressure"

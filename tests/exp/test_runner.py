@@ -1,6 +1,7 @@
 """SweepRunner: failure isolation, deterministic ordering, caching,
 and parallel/sequential equivalence."""
 
+import os
 import pickle
 import time
 
@@ -22,6 +23,8 @@ from repro.workloads import REGISTRY
 def _toy(spec):
     if spec.get("boom"):
         raise ValueError(f"point {spec['n']} exploded")
+    if spec.get("die"):
+        os._exit(1)
     if spec.get("sleep"):
         time.sleep(spec["sleep"])
     return {"n": spec["n"], "square": spec["n"] ** 2}
@@ -29,6 +32,9 @@ def _toy(spec):
 
 # registered at import so fork-started pool workers inherit it
 register_evaluator("toy", _toy, replace=True)
+# the same evaluator with a program identity, as the built-in ones have
+register_evaluator("toy_program", _toy, replace=True,
+                   program_text=lambda spec: spec["program"])
 
 
 def _toy_points(n, **extra):
@@ -87,6 +93,101 @@ def test_parallel_failure_isolation():
     assert result.records[1]["status"] == "error"
     assert [r["value"]["n"] for i, r in enumerate(result.records)
             if i != 1] == [0, 2, 3]
+
+
+def test_dead_worker_costs_one_point(tmp_path):
+    """A worker process that dies (here ``os._exit``) loses the point it
+    was running — a structured ``WorkerDied`` record, never cached — and
+    is replaced: every other point completes."""
+    points = _toy_points(6, sleep=0.05)  # long enough for the new lane
+    points[2]["die"] = True
+    cache = ResultCache(tmp_path)
+    result = SweepRunner(jobs=2, cache=cache).run(points)
+    assert result.summary["errors"] == 1
+    dead = result.records[2]
+    assert (dead["status"], dead["value"], dead["worker"]) == (
+        "error", None, None)
+    assert dead["error"]["type"] == "WorkerDied"
+    assert [r["value"]["n"] for i, r in enumerate(result.records)
+            if i != 2] == [0, 1, 3, 4, 5]
+    workers = result.summary["telemetry"]["workers"]
+    assert sum(w["points"] for w in workers.values()) == 5
+    assert len(workers) == 3  # the lane that died came back as a new process
+    assert len(list(tmp_path.rglob("*.json"))) == 5
+
+
+def test_choose_point_rule():
+    """The lane dispatch rule, as a table: a pending point of a program
+    this lane has run; else of a program no lane has claimed; else of the
+    program with the largest backlog. Ties go to the earliest point."""
+    from repro.exp.runner import choose_point
+
+    a, b, c = ("toy", "a"), ("toy", "b"), ("toy", "c")
+    table = [
+        # pending programs,  mine,  claimed,    chosen position
+        ([a, b, c],          set(), set(),      0),   # nothing claimed yet
+        ([a, b, c],          {b},   {a, b},     1),   # own program first
+        ([a, b, b],          {b},   {a, b},     1),   # ... its earliest point
+        ([a, b, c],          set(), {a},        1),   # else first unclaimed
+        ([a, b, c],          {c},   {a, b, c},  2),   # own beats unclaimed
+        ([a, b, b, a, b],    set(), {a, b},     1),   # else largest backlog
+        ([a, b, b, a],       {c},   {a, b, c},  0),   # backlog tie: earliest
+        ([b],                {a},   {a, b},     0),
+    ]
+    for programs, mine, claimed, position in table:
+        before = (list(programs), set(mine), set(claimed))
+        assert choose_point(programs, mine, claimed) == position, programs
+        assert (programs, mine, claimed) == before  # pure: nothing mutated
+
+
+def test_lanes_keep_point_order_and_summary_shape():
+    """Two programs x three points on two lanes: records in point order,
+    the summary exactly as the inline run shapes it, and each program's
+    points on one worker (its lane had run it; the other had its own)."""
+    points = [{"evaluator": "toy_program", "program": program, "n": n,
+               "sleep": 0.05}
+              for n in range(3) for program in ("p", "q")]
+    inline = SweepRunner(jobs=1).run(points)
+    lanes = SweepRunner(jobs=2).run(points)
+    assert [r["spec"] for r in lanes.records] == points
+    assert lanes.values == inline.values
+    assert set(lanes.summary) == set(inline.summary)
+    assert set(lanes.summary["telemetry"]) == set(inline.summary["telemetry"])
+    assert {key: lanes.summary[key] for key in (
+        "points", "cache_hits", "cache_misses", "errors")} == {
+        key: inline.summary[key] for key in (
+            "points", "cache_hits", "cache_misses", "errors")}
+    owners = {}
+    for record in lanes.records:
+        owners.setdefault(record["spec"]["program"], set()).add(
+            record["worker"])
+    assert all(len(workers) == 1 for workers in owners.values())
+    assert owners["p"] != owners["q"]
+
+
+def test_kernel_reuse_is_telemetry_not_result(tmp_path):
+    """What a point compiled and what it found loaded rides beside
+    ``seconds``/``worker`` and is summed per worker; it never enters
+    ``value``, which a cached replay must reproduce field for field."""
+    from repro.sim.compile import clear_kernel_cache
+
+    clear_kernel_cache()
+    points = workload_points(["fibonacci"], tiles=[1, 2], scales=1,
+                             engines=["compiled"])
+    cache = ResultCache(tmp_path)
+    cold = SweepRunner(jobs=1, cache=cache).run(points)
+    first, second = (record["kernel_cache"] for record in cold.records)
+    assert (first["shells_compiled"], first["steppers_compiled"]) == (1, 1)
+    assert (second["shells_compiled"], second["steppers_compiled"],
+            second["steppers_reused"]) == (1, 0, 1)
+    assert first["compile_seconds"] > 0
+    assert "kernel_cache" not in str(cold.values)
+    worker, = cold.summary["telemetry"]["workers"].values()
+    assert worker["kernel_cache"]["steppers_compiled"] == 1
+    assert worker["kernel_cache"]["shells_compiled"] == 2
+    warm = SweepRunner(jobs=1, cache=ResultCache(tmp_path)).run(points)
+    assert warm.values == cold.values
+    assert all("kernel_cache" not in record for record in warm.records)
 
 
 def test_summary_carries_telemetry_block():

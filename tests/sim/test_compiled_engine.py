@@ -18,10 +18,14 @@ from repro.frontend import compile_source
 from repro.obs import Observer
 from repro.reports import render_host_profile_report
 from repro.sim import ENGINES, NULL_TRACE, Simulator, Trace
+from repro.memory.cache import CacheParams
+from repro.sim import compile as compile_mod
 from repro.sim.compile import (
     clear_kernel_cache,
+    generate_modules,
     generate_source,
     kernel_cache_dir,
+    kernel_cache_info,
     kernel_digest,
     prepare_kernel,
 )
@@ -45,6 +49,16 @@ def _build(tiles=2, source=FIB, name="fib", engine="compiled", trace=None):
     return build_accelerator(
         module, AcceleratorConfig(default_ntiles=tiles, engine=engine),
         trace=trace)
+
+
+#: the sweep_cold grid of one program: tiles x cache capacity
+GRID = [(tiles, cache) for tiles in (1, 4)
+        for cache in (None, CacheParams(size_bytes=4096, mshr_count=2))]
+
+
+def _grid_config(workload, tiles, cache):
+    overrides = {} if cache is None else {"cache": cache}
+    return workload.default_config(tiles, engine="compiled", **overrides)
 
 
 class TestCodegenDeterminism:
@@ -78,14 +92,35 @@ class TestCodegenDeterminism:
             return generate_source(accel.sim)
 
         one, four, eight = source(1), source(4), source(8)
-        steppers = re.compile(r"def _s\d+_\d+\(inst, cycle\):")
+        steppers = re.compile(r"def _s\d+\(inst, cycle\):")
         assert steppers.findall(one)
         assert steppers.findall(eight) == steppers.findall(one)
         assert len(eight) < 2 * len(one)
         assert one != four
         # one instantiation per tile, all of them of the unit's factory
         assert len(re.findall(r"= _mk\d+\(", eight)) == 8 * len(
-            re.findall(r"def _mk\d+\(", eight))
+            re.findall(r"def mk\(", eight))
+
+    @pytest.mark.parametrize("workload", REGISTRY.all(),
+                             ids=lambda workload: workload.name)
+    def test_module_texts_follow_what_they_depend_on(self, workload):
+        """A stepper module is a function of the task program alone, the
+        shell of the netlist minus cache capacity: across tiles {1, 4} x
+        {default cache, 4 KB / 2 MSHR} one stepper set serves all four
+        points and the two cache configs of a tile count share a shell."""
+        shells, steppers = {}, []
+        for tiles, cache in GRID:
+            sim = workload.build(_grid_config(workload, tiles, cache)).sim
+            shell, *modules = generate_modules(sim)
+            assert generate_source(sim) == shell + "".join(modules)
+            shells.setdefault(tiles, []).append(shell)
+            steppers.append(modules)
+        assert len(steppers[0]) == sum(
+            "make_steppers" in text for text in steppers[0]) > 0
+        assert all(modules == steppers[0] for modules in steppers)
+        assert shells[1][0] == shells[1][1]
+        assert shells[4][0] == shells[4][1]
+        assert shells[1][0] != shells[4][0]
 
 
 class TestKernelCache:
@@ -104,37 +139,38 @@ class TestKernelCache:
                 != kernel_digest("cycle = 1\n"))
 
     def test_kernel_source_mirrored_to_cache_dir(self):
-        """prepare_kernel writes the generated module to
-        <cache-dir>/kernels/<digest>.py for offline inspection, and the
-        file content round-trips the generated source exactly."""
+        """prepare_kernel writes every generated module to
+        <cache-dir>/kernels/<its own digest>.py for offline inspection,
+        and the file content round-trips the generated text exactly; the
+        design's digest is that of the texts laid end to end."""
         sim = _build().sim
         kernel, reason = prepare_kernel(sim)
         assert reason is None and kernel is not None
-        source = generate_source(sim)
-        digest = sim.compiled_digest
-        assert digest == kernel_digest(source)
-        path = kernel_cache_dir() / (digest + ".py")
-        assert path.exists()
-        assert path.read_text(encoding="utf-8") == source
+        assert sim.compiled_digest == kernel_digest(generate_source(sim))
+        for text in generate_modules(sim):
+            path = kernel_cache_dir() / (kernel_digest(text) + ".py")
+            assert path.read_text(encoding="utf-8") == text
 
     def test_kernel_mirror_is_write_only(self, monkeypatch, tmp_path):
         """The mirror is for inspection: a file already sitting at
         <cache-dir>/kernels/<digest>.py — stale, corrupt or hostile — is
-        never read back; the run executes the text it just generated."""
+        never read back, for the shell or for a stepper module; the run
+        executes the texts it just generated."""
         monkeypatch.setenv(repro.exp.cache.CACHE_DIR_ENV, str(tmp_path))
         accel = _build()
-        planted = tmp_path / "kernels" / (
-            kernel_digest(generate_source(accel.sim)) + ".py")
-        planted.parent.mkdir(parents=True)
         tampered = "raise RuntimeError('kernel mirror was executed')\n"
-        planted.write_text(tampered)
+        planted = [tmp_path / "kernels" / (kernel_digest(text) + ".py")
+                   for text in generate_modules(accel.sim)]
+        planted[0].parent.mkdir(parents=True)
+        for path in planted:
+            path.write_text(tampered)
         clear_kernel_cache()  # nothing compiled in-process to fall back on
         result = accel.run("fib", [7])
         oracle = _build(engine="dense").run("fib", [7])
         assert accel.sim.compiled_fallback is None
-        assert planted.name == accel.sim.compiled_digest + ".py"
+        assert {path.stem for path in planted} <= set(compile_mod._MODULES)
         assert (result.retval, result.cycles) == (13, oracle.cycles)
-        assert planted.read_text() == tampered
+        assert [path.read_text() for path in planted] == [tampered] * 2
 
     def test_broken_generated_source_fails_closed(self, monkeypatch,
                                                   tmp_path):
@@ -143,14 +179,13 @@ class TestKernelCache:
         file, and the run does not quietly fall back to the dense
         engine."""
         from repro.errors import SimulationError
-        from repro.sim import compile as compile_mod
 
         accel = _build()
         real = compile_mod._generate
 
         def broken(sim):
-            source, ctx = real(sim)
-            return source + "def make_kernel(:\n", ctx
+            shell, steppers, ctx = real(sim)
+            return shell + "def make_kernel(:\n", steppers, ctx
 
         monkeypatch.setattr(compile_mod, "_generate", broken)
         monkeypatch.setenv(repro.exp.cache.CACHE_DIR_ENV, str(tmp_path))
@@ -158,7 +193,7 @@ class TestKernelCache:
         with pytest.raises(SimulationError) as excinfo:
             accel.run("fib", [5])
         message = str(excinfo.value)
-        assert digest in message
+        assert "shell " + digest in message
         assert str(tmp_path / "kernels" / (digest + ".py")) in message
         assert "SyntaxError" in message
         assert accel.sim.compiled_fallback is None
@@ -166,14 +201,39 @@ class TestKernelCache:
 
     def test_module_cache_reuses_compiled_module(self):
         clear_kernel_cache()
-        from repro.sim import compile as compile_mod
+        before = kernel_cache_info()
+
+        def delta():
+            return {key: value - before[key]
+                    for key, value in kernel_cache_info().items()
+                    if key != "compile_seconds"}
 
         prepare_kernel(_build().sim)
-        assert len(compile_mod._MODULES) == 1
+        assert len(compile_mod._MODULES) == 2  # the shell and fib's TXU
         prepare_kernel(_build().sim)  # same design: no recompilation
-        assert len(compile_mod._MODULES) == 1
-        prepare_kernel(_build(tiles=4).sim)  # new design: new module
         assert len(compile_mod._MODULES) == 2
+        prepare_kernel(_build(tiles=4).sim)  # new netlist, same task
+        assert len(compile_mod._MODULES) == 3
+        assert delta() == {"shells_compiled": 2, "shells_reused": 1,
+                           "steppers_compiled": 1, "steppers_reused": 2}
+        assert kernel_cache_info()["compile_seconds"] \
+            > before["compile_seconds"]
+
+    def test_design_points_of_a_program_share_its_steppers(self):
+        """The TXU is compiled once per task, not once per design point:
+        a program's four grid points leave one stepper module per task
+        unit and one shell per tile count."""
+        workload = REGISTRY.get("dedup")
+        clear_kernel_cache()
+        cycles = set()
+        for tiles, cache in GRID:
+            result = workload.run(_grid_config(workload, tiles, cache))
+            assert result.correct
+            cycles.add(result.cycles)
+        assert len(cycles) > 1  # distinct designs, not one point replayed
+        kinds = sorted("stepper" if "make_steppers" in module else "shell"
+                       for module in compile_mod._MODULES.values())
+        assert kinds == ["shell"] * 2 + ["stepper"] * 3
 
 
 class OnCycleOnly:
@@ -251,6 +311,28 @@ class TestFallbackMatrix:
         assert generate_source(accel.sim) == plain
         prepare_kernel(accel.sim)
         assert accel.sim.compiled_digest == plain_digest
+
+    def test_instrumentation_rolls_the_module_it_is_generated_into(self):
+        """A traced unit gets its own stepper module (the event sites are
+        in it), an observer its own shell (the hand-over is); the other
+        module is shared with the plain design, and a detached sim is
+        back on both plain ones."""
+        def digests(sim):
+            shell, *steppers = map(kernel_digest, generate_modules(sim))
+            return shell, steppers
+
+        accel = _build()
+        plain_shell, plain_steppers = digests(accel.sim)
+        traced_shell, traced_steppers = digests(
+            _build(trace=Trace(enabled=True)).sim)
+        assert traced_steppers != plain_steppers
+        assert traced_shell != plain_shell  # it hands analysis_event over
+        accel.sim.attach_observer(Observer())
+        observed_shell, observed_steppers = digests(accel.sim)
+        assert observed_shell != plain_shell
+        assert observed_steppers == plain_steppers
+        accel.sim.observer = None
+        assert digests(accel.sim) == (plain_shell, plain_steppers)
 
     def test_traced_units_emit_their_events_inline(self):
         plain = _build()
