@@ -12,19 +12,7 @@ from collections import deque
 from typing import Deque, List, Tuple
 
 from repro.errors import SimulationError
-from repro.sim import NEVER, OBS_BUSY, OBS_IDLE, OBS_STALL_OUT, Channel, Component
-
-
-def _pipe_wake(pipe, cycle):
-    """Shared next_wake for deadline pipelines: the head's deadline is the
-    only timer; a due head was either acted on this tick (our own channel
-    movement re-wakes us) or is blocked on backpressure (the blocking
-    channel's pop wakes us)."""
-    if pipe:
-        head = pipe[0][0]
-        if head > cycle:
-            return head
-    return NEVER
+from repro.sim import OBS_BUSY, OBS_IDLE, OBS_STALL_OUT, Channel, Component, pipe_wake
 
 
 def tree_levels(fan_in: int) -> int:
@@ -63,13 +51,14 @@ class RoundRobinArbiter(Component):
 
         # grant one requester round-robin; bound in-flight to tree depth+1
         if len(self._pipe) <= self.levels:
-            n = len(self.inputs)
-            for offset in range(n):
-                idx = (self._next + offset) % n
-                if self.inputs[idx].can_pop():
-                    msg = self.inputs[idx].pop()
+            idx = self._next
+            for _ in range(len(self.inputs)):
+                source = self.inputs[idx]
+                idx = idx + 1 if idx + 1 < len(self.inputs) else 0
+                if source.can_pop():
+                    msg = source.pop()
                     self._pipe.append((cycle + self.levels, msg))
-                    self._next = (idx + 1) % n
+                    self._next = idx
                     self.grants += 1
                     break
 
@@ -77,7 +66,7 @@ class RoundRobinArbiter(Component):
         return (tuple(self.inputs), (self.output,))
 
     def next_wake(self, cycle):
-        return _pipe_wake(self._pipe, cycle)
+        return pipe_wake(self._pipe, cycle)
 
     def is_busy(self):
         return bool(self._pipe)
@@ -121,9 +110,10 @@ class Demux(Component):
             if port < 0 or port >= len(self.outputs):
                 raise SimulationError(
                     f"demux {self.name}: bad port {port} of {len(self.outputs)}")
-            if self.outputs[port].can_push():
+            out = self.outputs[port]
+            if out.can_push():
                 self._pipe.popleft()
-                self.outputs[port].push(msg)
+                out.push(msg)
                 self.routed += 1
 
         if self.input.can_pop() and len(self._pipe) <= self.levels:
@@ -134,7 +124,7 @@ class Demux(Component):
         return ((self.input,), tuple(self.outputs))
 
     def next_wake(self, cycle):
-        return _pipe_wake(self._pipe, cycle)
+        return pipe_wake(self._pipe, cycle)
 
     def is_busy(self):
         return bool(self._pipe)

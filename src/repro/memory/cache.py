@@ -15,17 +15,17 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.memory.backing import MainMemory
-from repro.memory.messages import MemRequest, MemResponse
+from repro.memory.messages import LOAD, MemRequest, MemResponse
 from repro.sim import (
-    NEVER,
     OBS_BUSY,
     OBS_IDLE,
     OBS_STALL_IN,
     OBS_STALL_OUT,
     Channel,
     Component,
+    pipe_wake,
 )
 
 
@@ -123,9 +123,6 @@ class Cache(Component):
 
     # -- address helpers ------------------------------------------------------
 
-    def _line_addr(self, addr: int) -> int:
-        return addr // self.params.line_bytes
-
     def _set_index(self, line_addr: int) -> int:
         return (line_addr >> self.index_shift) % self.params.sets
 
@@ -161,20 +158,18 @@ class Cache(Component):
             self.writebacks += 1
 
     def _handle_fill(self, cycle: int):
-        if not self.dram_response.can_pop():
-            return
-        self._apply_fill(self.dram_response.pop(), cycle)
+        if self.dram_response.can_pop():
+            fill = self.dram_response.pop()
+            self._apply_fill(fill, cycle)
 
     def _apply_fill(self, fill, cycle: int):
-        """Install a popped DRAM fill (channel-free: the compiled engine
-        pops the response itself and delegates here)."""
+        """Install a popped DRAM fill (channel-free, so the compiled kernel
+        calls it as it stands)."""
         line_addr = fill.tag  # we tag DRAM fills with the line address
         mshr = self._mshrs.pop(line_addr, None)
         if mshr is None:
             # a response with no MSHR would be a protocol error (e.g. a
             # writeback echoed back); never install state for it
-            from repro.errors import SimulationError
-
             raise SimulationError(
                 f"cache {self.name}: fill for line {line_addr} with no MSHR")
         self._install(line_addr, cycle)
@@ -216,25 +211,24 @@ class Cache(Component):
         return 0 if aligned else self.params.subword_penalty
 
     def _accept_request(self, cycle: int):
-        if not self.request_in.can_pop():
-            return
-        req: MemRequest = self.request_in.peek()
-        line_addr = self._line_addr(req.addr)
-        way = self._lookup(line_addr)
+        if self.request_in.can_pop():
+            req = self.request_in.peek()
+            line_addr = req.addr // self.params.line_bytes
+            way = self._lookup(line_addr)
+            if way is None:
+                self._miss(req, line_addr)
+            else:
+                self.request_in.pop()
+                data = self._functional(req)
+                way.last_used = cycle
+                if req.op != LOAD:
+                    way.dirty = True
+                self.hits += 1
+                latency = self.params.hit_latency + self._subword(req)
+                self._ready_responses.append(
+                    (cycle + latency, MemResponse(req.tag, data, port=req.port)))
 
-        if way is not None:
-            self.request_in.pop()
-            data = self._functional(req)
-            way.last_used = cycle
-            if not req.is_load():
-                way.dirty = True
-            self.hits += 1
-            latency = self.params.hit_latency + self._subword(req)
-            self._ready_responses.append(
-                (cycle + latency, MemResponse(req.tag, data, port=req.port)))
-            return
-
-        # miss path
+    def _miss(self, req, line_addr: int):
         mshr = self._mshrs.get(line_addr)
         if mshr is not None:
             # secondary miss: merge into the outstanding fill
@@ -242,21 +236,19 @@ class Cache(Component):
             data = self._functional(req)
             mshr.waiters.append((req, data))
             self.misses += 1
-            return
-        if len(self._mshrs) >= self.params.mshr_count:
-            self._blocked = "mshr-full"
-            return  # structural stall: leave the request queued
-        if not self.dram_request.can_push():
+        elif len(self._mshrs) >= self.params.mshr_count:
+            self._blocked = "mshr-full"  # structural: the request stays queued
+        elif not self.dram_request.can_push():
             self._blocked = "dram-backpressure"
-            return
-        self.request_in.pop()
-        data = self._functional(req)
-        self._mshrs[line_addr] = _MSHR(line_addr, [(req, data)])
-        self.dram_request.push(
-            MemRequest(tag=line_addr, op="load",
-                       addr=line_addr * self.params.line_bytes,
-                       size=self.params.line_bytes))
-        self.misses += 1
+        else:
+            self.request_in.pop()
+            data = self._functional(req)
+            self._mshrs[line_addr] = _MSHR(line_addr, [(req, data)])
+            self.dram_request.push(
+                MemRequest(tag=line_addr, op="load",
+                           addr=line_addr * self.params.line_bytes,
+                           size=self.params.line_bytes))
+            self.misses += 1
 
     def _send_response(self, cycle: int):
         if (self._ready_responses and self._ready_responses[0][0] <= cycle
@@ -274,11 +266,7 @@ class Cache(Component):
         # Everything else — fills, MSHR drains, writeback retries, a
         # response we just pushed — arrives as movement on a sensitivity
         # channel, including our own pops/pushes this tick.
-        if self._ready_responses:
-            head = self._ready_responses[0][0]
-            if head > cycle:
-                return head
-        return NEVER
+        return pipe_wake(self._ready_responses, cycle)
 
     def is_busy(self):
         return bool(self._ready_responses or self._mshrs

@@ -51,7 +51,6 @@ class DataBox(Component):
                  entries: int = 8):
         super().__init__(name)
         self.unit_index = unit_index
-        self.num_ports = num_ports
         self.to_cache = to_cache
         self.from_cache = from_cache
         self.entries = max(1, entries)
@@ -98,20 +97,20 @@ class DataBox(Component):
         # request path: round-robin grant, bounded by the allocator table
         if self._outstanding >= self.entries:
             self.stalled_cycles += 1
-            return
-        if not self.to_cache.can_push():
-            return
-        n = self.num_ports
-        for offset in range(n):
-            idx = (self._rr + offset) % n
-            if self.tile_request[idx].can_pop():
-                self.to_cache.push(self.tile_request[idx].pop())
-                self._rr = (idx + 1) % n
-                self._outstanding += 1
-                self.forwarded += 1
-                self.peak_outstanding = max(self.peak_outstanding,
-                                            self._outstanding)
-                return
+        elif self.to_cache.can_push():
+            idx = self._rr
+            for _ in range(len(self.tile_request)):
+                source = self.tile_request[idx]
+                idx = idx + 1 if idx + 1 < len(self.tile_request) else 0
+                if source.can_pop():
+                    request = source.pop()
+                    self.to_cache.push(request)
+                    self._rr = idx
+                    self._outstanding += 1
+                    self.forwarded += 1
+                    if self._outstanding > self.peak_outstanding:
+                        self.peak_outstanding = self._outstanding
+                    break
 
     def ports(self):
         return (tuple(self.tile_request) + (self.from_cache,),
@@ -121,9 +120,6 @@ class DataBox(Component):
         # purely channel-driven: every stall resolves via a pop/push on a
         # sensitivity channel, and our own movement this tick re-wakes us
         return NEVER
-
-    def is_busy(self):
-        return self._outstanding > 0
 
     def obs_classify(self, cycle):
         pending = any(ch.can_pop() for ch in self.tile_request)

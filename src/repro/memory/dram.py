@@ -11,7 +11,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Tuple
 
-from repro.sim import NEVER, OBS_BUSY, OBS_IDLE, OBS_STALL_OUT, Channel, Component
+from repro.memory.messages import LOAD
+from repro.sim import OBS_BUSY, OBS_IDLE, OBS_STALL_OUT, Channel, Component, pipe_wake
 
 #: 270 ns at 150 MHz (Table V experimental setup)
 DEFAULT_DRAM_LATENCY = 40
@@ -39,7 +40,7 @@ class DRAMModel(Component):
         # bursts consume the channel but are posted, per AXI)
         while self._in_flight and self._in_flight[0][0] <= cycle:
             _, msg = self._in_flight[0]
-            if not msg.is_load():
+            if msg.op != LOAD:
                 self._in_flight.popleft()
                 continue
             if not self.response_out.can_push():
@@ -58,14 +59,8 @@ class DRAMModel(Component):
         return ((self.request_in,), (self.response_out,))
 
     def next_wake(self, cycle):
-        # deadlines are sorted (constant latency), so the head is the next
-        # timer. A head already due means this tick either pushed it (our
-        # own push wakes us next cycle) or was backpressured (only a pop
-        # on response_out can unblock us) — no timer needed either way.
-        if not self._in_flight:
-            return NEVER
-        head = self._in_flight[0][0]
-        return head if head > cycle else NEVER
+        # deadlines are sorted (constant latency): the head is the next timer
+        return pipe_wake(self._in_flight, cycle)
 
     def is_busy(self):
         return bool(self._in_flight)

@@ -8,8 +8,8 @@ from collections import deque
 from typing import Deque, Tuple
 
 from repro.memory.backing import MainMemory
-from repro.memory.messages import MemRequest, MemResponse
-from repro.sim import NEVER, OBS_BUSY, OBS_IDLE, OBS_STALL_OUT, Channel, Component
+from repro.memory.messages import LOAD, MemResponse
+from repro.sim import OBS_BUSY, OBS_IDLE, OBS_STALL_OUT, Channel, Component, pipe_wake
 
 
 class Scratchpad(Component):
@@ -32,9 +32,9 @@ class Scratchpad(Component):
             self.response_out.push(self._pipe.popleft()[1])
 
         if self.request_in.can_pop():
-            req: MemRequest = self.request_in.pop()
+            req = self.request_in.pop()
             self.accesses += 1
-            if req.is_load():
+            if req.op == LOAD:
                 data = self.backing.read_int(req.addr, req.size, signed=False)
             else:
                 self.backing.write_int(req.addr, req.size, req.data or 0)
@@ -46,14 +46,8 @@ class Scratchpad(Component):
         return ((self.request_in,), (self.response_out,))
 
     def next_wake(self, cycle):
-        # constant latency keeps _pipe sorted; a due head was either
-        # pushed this tick (our own push wakes us) or is backpressured
-        # (a pop on response_out wakes us)
-        if self._pipe:
-            head = self._pipe[0][0]
-            if head > cycle:
-                return head
-        return NEVER
+        # constant latency keeps _pipe sorted: the head is the next timer
+        return pipe_wake(self._pipe, cycle)
 
     def is_busy(self):
         return bool(self._pipe)

@@ -9,6 +9,7 @@ from repro.sim.component import (
     OBS_STALL_OUT,
     OBS_STATES,
     Component,
+    pipe_wake,
 )
 from repro.sim.engine import (
     DEADLOCK_WINDOW,
@@ -23,5 +24,5 @@ __all__ = [
     "Channel", "Component", "DEADLOCK_WINDOW", "DEFAULT_ENGINE", "ENGINES",
     "NEVER", "STALL_WINDOW", "Simulator",
     "OBS_BUSY", "OBS_IDLE", "OBS_STALL_IN", "OBS_STALL_OUT", "OBS_STATES",
-    "NULL_TRACE", "Trace", "TraceEvent",
+    "NULL_TRACE", "Trace", "TraceEvent", "pipe_wake",
 ]

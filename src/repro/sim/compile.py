@@ -7,11 +7,11 @@ by every design point of the program: every task unit / TXU tile is
 inlined down to straight-line per-dataflow-node code (operand reads,
 two's-complement wrap masks, handshake checks and latency literals baked
 in as constants), while the plumbing components (arbiters, demuxes,
-cache, DRAM, scratchpad, data boxes) are inlined too — their ``tick()``
-bodies mirrored statement for statement with channel handshakes turned
-into flat-array ops — and run behind *no-op guards*: start-of-cycle state
-checks that are provably false exactly when the tick could not change any
-architectural state.
+cache, DRAM, scratchpad, data boxes) are inlined too — each section
+derived from the class's own ``tick()`` source by :mod:`repro.sim.derive`,
+channel handshakes turned into flat-array ops — and run behind *no-op
+guards*: start-of-cycle state checks that are false only when the tick
+could not change any architectural state.
 
 The contract is the same bit-identity the dense and event engines share:
 cycle counts, architectural stats, channel traffic and error behaviour
@@ -48,7 +48,8 @@ unit's steppers call ``analysis_event`` at the four sites they inline.
 Both fold into the source (hence the digest), and an uninstrumented
 design's source contains neither. What the codegen does not cover (host
 profiling, value probes, observers without ``on_change``, unrecognized
-component classes, exotic IR) runs on the dense oracle — total and
+component classes or ones written outside the derivable subset, exotic IR)
+runs on the dense oracle — total and
 bit-identical, just slower — with the reason recorded in
 ``Simulator.compiled_fallback``.
 """
@@ -83,12 +84,10 @@ from repro.ir.instructions import (
 )
 from repro.ir.types import FloatType, IntType, PointerType
 from repro.ir.values import Constant, GlobalVariable
-from repro.memory.arbiter import Demux, RoundRobinArbiter
-from repro.memory.cache import Cache
-from repro.memory.databox import DataBox
-from repro.memory.dram import DRAMModel
-from repro.memory.scratchpad import Scratchpad
+from repro.memory import (Cache, DataBox, Demux, DRAMModel,
+                          RoundRobinArbiter, Scratchpad)
 from repro.sim import engine as _engine
+from repro.sim.derive import UnsupportedDesign, section
 from repro.task.task_unit import OUTBOUND_BUFFER, TaskUnit
 from repro.task.txu import TXUTile
 
@@ -101,11 +100,6 @@ __all__ = [
     "kernel_cache_info",
     "clear_kernel_cache",
 ]
-
-
-class UnsupportedDesign(Exception):
-    """Raised (internally) when a design cannot be specialized; the
-    caller turns it into a dense-engine fallback with this reason."""
 
 
 #: in-process cache: digest -> exec'd module namespace (a shell holds
@@ -194,6 +188,7 @@ def _fallback_reason(sim) -> Optional[str]:
         return "host profiling enabled (per-component attribution)"
     if TXUTile.value_probe is not None:
         return "TXU value probe installed (range checker)"
+    # explicit: a no-op guard is a semantic contract, diff-tested per class
     known = (RoundRobinArbiter, Demux, Cache, DRAMModel, Scratchpad,
              DataBox, TaskUnit)
     for comp in sim.components:
@@ -303,12 +298,18 @@ def generate_source(sim) -> str:
 # node latencies, request-channel capacity and the trace flag -- not of
 # Ntiles, queues or the memory system: every design point of a program
 # shares it. The shell's is a function of the netlist: components, tile
-# counts, channel indices and capacities, queue policy, pipeline and DRAM
-# latencies, cache line size and hit latency are literals; what Stage 3
-# only sizes (MSHR count, queue depth; cache size and ways only ever reach
-# ``Cache._lookup``) is read from the component in the preamble, so
-# configs that differ only there share one shell.
+# counts, channel indices, capacities and fan-ins and the queue policy are
+# literals; every attribute a derived plumbing section reads (latencies,
+# tree levels, cache geometry and MSHR count, data-box entries) and the
+# queue depth are read from the component in the preamble, so configs
+# that differ only there share one shell.
 
+#: what the hand-written kernel text (``_emit_unit``, the loop of
+#: ``_generate``) assigns per cycle; a derived section brings its own. CPython
+#: reaches only a frame's first 256 locals in one instruction and the aliases
+#: (a dozen per tile) outnumber that, so the kernel names these first
+_TEMPORARIES = ("inst st gap wk_ msg dyid_ en_ ix_ _ tt_ rs_ resp rm_ mw nw_ "
+                "fin wa pk ph _w k v nm busy tw w w2 span").split()
 _PARKED = 1 << 60  # txu PARKED == the missing-dep sentinel (1 << 60)
 _CAST_INT = ("trunc", "sext", "zext")
 
@@ -331,6 +332,7 @@ class _Emitter:
         self.objs: List[object] = []
         self._obj_names: Dict[int, str] = {}
         self.pre: List[str] = []    # kernel preamble (aliases, bound methods)
+        self.temps = dict.fromkeys(_TEMPORARIES)  # named ahead of it, in order
         self.channels = list(channels)
         self._chan_idx = {id(ch): k for k, ch in enumerate(self.channels)}
         self._chan_alias: set = set()
@@ -863,320 +865,6 @@ class _StepperGen:
         return L
 
 
-def _emit_plumbing(em: _Emitter, k: int, comp, tick, busy, skip):
-    """Fully inlined tick for a non-TXU component, behind a no-op guard:
-    a start-of-cycle state check that is false exactly when the tick
-    could not change architectural state. The inlined bodies mirror the
-    real ``tick()`` methods statement for statement, with channel
-    handshakes turned into flat-array ops and static config (latencies,
-    capacities, fan-in) baked in as literals."""
-    x = "x%d" % k
-    em.pre.append("%s = %s" % (x, em.ref(comp)))
-    if isinstance(comp, RoundRobinArbiter):
-        _emit_arbiter(em, x, comp, tick, busy, skip)
-    elif isinstance(comp, Demux):
-        _emit_demux(em, x, comp, tick, busy, skip)
-    elif isinstance(comp, Cache):
-        _emit_cache(em, x, comp, tick, busy, skip)
-    elif isinstance(comp, DRAMModel):
-        _emit_dram(em, x, comp, tick, busy, skip)
-    elif isinstance(comp, Scratchpad):
-        _emit_scratchpad(em, x, comp, tick, busy, skip)
-    elif isinstance(comp, DataBox):
-        _emit_databox(em, x, comp, tick, busy, skip)
-    else:  # pragma: no cover - _fallback_reason filters these earlier
-        raise UnsupportedDesign(
-            f"unsupported component class {type(comp).__name__}")
-
-
-def _emit_arbiter(em, x, comp, tick, busy, skip):
-    em.pre.append("%sp = %s._pipe" % (x, x))
-    out = em.ci(comp.output)
-    ins = [em.ci(c) for c in comp.inputs]
-    lev = comp.levels
-    tick.append("if %s:" % " or ".join(
-        [x + "p"] + ["c%di" % i for i in ins]))
-    tick.append("    if %sp and %sp[0][0] <= cycle and len(c%di) < %d "
-                "and CP[%d] is None:" % (x, x, out, comp.output.capacity, out))
-    tick.append("        CP[%d] = %sp.popleft()[1]" % (out, x))
-    tick.append("        dl.append(%d)" % out)
-    tick.append("    if len(%sp) <= %d:" % (x, lev))
-    n = len(ins)
-    if n == 1:
-        i0 = ins[0]
-        tick.append("        if c%di and not CQ[%d]:" % (i0, i0))
-        tick.append("            CQ[%d] = 1" % i0)
-        tick.append("            dl.append(%d)" % i0)
-        tick.append("            %sp.append((cycle + %d, c%di[0]))"
-                    % (x, lev, i0))
-        tick.append("            %s.grants += 1" % x)
-    else:
-        em.pre.append("%sq = (%s)" % (x, ", ".join(
-            "(c%di, %d)" % (i, i) for i in ins)))
-        tick.append("        j = %s._next" % x)
-        tick.append("        for _ in range(%d):" % n)
-        tick.append("            dq, kk = %sq[j]" % x)
-        tick.append("            if dq and not CQ[kk]:")
-        tick.append("                CQ[kk] = 1")
-        tick.append("                dl.append(kk)")
-        tick.append("                %sp.append((cycle + %d, dq[0]))"
-                    % (x, lev))
-        tick.append("                %s._next = j + 1 if j + 1 < %d else 0"
-                    % (x, n))
-        tick.append("                %s.grants += 1" % x)
-        tick.append("                break")
-        tick.append("            j = j + 1 if j + 1 < %d else 0" % n)
-    busy.append(x + "p")
-    skip.extend(_pipe_deadline(x + "p"))
-
-
-def _emit_demux(em, x, comp, tick, busy, skip):
-    em.pre.append("%sp = %s._pipe" % (x, x))
-    em.pre.append("%sr = %s.route" % (x, x))
-    inp = em.ci(comp.input)
-    outs = [(em.ci(c), c.capacity) for c in comp.outputs]
-    em.pre.append("%so = (%s%s)" % (x, ", ".join(
-        "(c%di, %d, %d)" % (o, o, cap) for o, cap in outs),
-        "," if len(outs) == 1 else ""))
-    tick.append("if %sp or c%di:" % (x, inp))
-    tick.append("    if %sp and %sp[0][0] <= cycle:" % (x, x))
-    tick.append("        msg = %sp[0][1]" % x)
-    tick.append("        prt = %sr(msg)" % x)
-    tick.append("        if prt < 0 or prt >= %d:" % len(outs))
-    tick.append("            raise SimulationError(%r %% prt)"
-                % ("demux %s: bad port %%d of %d"
-                   % (comp.name, len(outs)),))
-    tick.append("        dq, kk, cap = %so[prt]" % x)
-    tick.append("        if len(dq) < cap and CP[kk] is None:")
-    tick.append("            %sp.popleft()" % x)
-    tick.append("            CP[kk] = msg")
-    tick.append("            dl.append(kk)")
-    tick.append("            %s.routed += 1" % x)
-    tick.append("    if c%di and not CQ[%d] and len(%sp) <= %d:"
-                % (inp, inp, x, comp.levels))
-    tick.append("        CQ[%d] = 1" % inp)
-    tick.append("        dl.append(%d)" % inp)
-    tick.append("        %sp.append((cycle + %d, c%di[0]))"
-                % (x, comp.levels, inp))
-    busy.append(x + "p")
-    skip.extend(_pipe_deadline(x + "p"))
-
-
-def _emit_dram(em, x, comp, tick, busy, skip):
-    em.pre.append("%sf = %s._in_flight" % (x, x))
-    rq = em.ci(comp.request_in)
-    rs = em.ci(comp.response_out)
-    tick.append("if %sf or c%di:" % (x, rq))
-    tick.append("    while %sf and %sf[0][0] <= cycle:" % (x, x))
-    tick.append("        msg = %sf[0][1]" % x)
-    tick.append('        if msg.op != "load":')
-    tick.append("            %sf.popleft()" % x)
-    tick.append("            continue")
-    tick.append("        if len(c%di) < %d and CP[%d] is None:"
-                % (rs, comp.response_out.capacity, rs))
-    tick.append("            %sf.popleft()" % x)
-    tick.append("            CP[%d] = msg" % rs)
-    tick.append("            dl.append(%d)" % rs)
-    tick.append("        break")
-    tick.append("    if c%di and not CQ[%d]:" % (rq, rq))
-    tick.append("        CQ[%d] = 1" % rq)
-    tick.append("        dl.append(%d)" % rq)
-    tick.append("        %sf.append((cycle + %d, c%di[0]))"
-                % (x, comp.latency, rq))
-    tick.append("        %s.accesses += 1" % x)
-    busy.append(x + "f")
-    skip.extend(_pipe_deadline(x + "f"))
-
-
-def _emit_scratchpad(em, x, comp, tick, busy, skip):
-    em.pre.append("%sp = %s._pipe" % (x, x))
-    em.pre.append("%sb = %s.backing" % (x, x))
-    rq = em.ci(comp.request_in)
-    rs = em.ci(comp.response_out)
-    tick.append("if %sp or c%di:" % (x, rq))
-    tick.append("    if %sp and %sp[0][0] <= cycle and len(c%di) < %d "
-                "and CP[%d] is None:" % (x, x, rs, comp.response_out.capacity,
-                                         rs))
-    tick.append("        CP[%d] = %sp.popleft()[1]" % (rs, x))
-    tick.append("        dl.append(%d)" % rs)
-    tick.append("    if c%di and not CQ[%d]:" % (rq, rq))
-    tick.append("        req = c%di[0]" % rq)
-    tick.append("        CQ[%d] = 1" % rq)
-    tick.append("        dl.append(%d)" % rq)
-    tick.append("        %s.accesses += 1" % x)
-    tick.append('        if req.op == "load":')
-    tick.append("            data = %sb.read_int(req.addr, req.size, "
-                "signed=False)" % x)
-    tick.append("        else:")
-    tick.append("            %sb.write_int(req.addr, req.size, "
-                "req.data or 0)" % x)
-    tick.append("            data = None")
-    tick.append("        %sp.append((cycle + %d, MemResponse(req.tag, data, "
-                "port=req.port)))" % (x, comp.latency))
-    busy.append(x + "p")
-    skip.extend(_pipe_deadline(x + "p"))
-
-
-def _emit_cache(em, x, comp, tick, busy, skip):
-    em.pre.append("%sr = %s._ready_responses" % (x, x))
-    em.pre.append("%sm = %s._mshrs" % (x, x))
-    em.pre.append("%sw = %s._pending_writebacks" % (x, x))
-    em.pre.append("%sfn = %s._functional" % (x, x))
-    em.pre.append("%slk = %s._lookup" % (x, x))
-    em.pre.append("%saf = %s._apply_fill" % (x, x))
-    # capacity is read, not baked: configs that differ only there share a shell
-    em.pre.append("%smc = %s.params.mshr_count" % (x, x))
-    rq = em.ci(comp.request_in)
-    rs = em.ci(comp.response_out)
-    dq = em.ci(comp.dram_request)
-    ds = em.ci(comp.dram_response)
-    p = comp.params
-    lb, hl = p.line_bytes, p.hit_latency
-    tick.append("if %sr or %sm or %sw or c%di or c%di:" % (x, x, x, rq, ds))
-    tick.append("    %s._blocked = None" % x)
-    # _drain_writebacks
-    tick.append("    if %sw and len(c%di) < %d and CP[%d] is None:"
-                % (x, dq, comp.dram_request.capacity, dq))
-    tick.append("        CP[%d] = %sw.popleft()" % (dq, x))
-    tick.append("        dl.append(%d)" % dq)
-    tick.append("        %s.writebacks += 1" % x)
-    # _handle_fill
-    tick.append("    if c%di and not CQ[%d]:" % (ds, ds))
-    tick.append("        fl = c%di[0]" % ds)
-    tick.append("        CQ[%d] = 1" % ds)
-    tick.append("        dl.append(%d)" % ds)
-    tick.append("        %saf(fl, cycle)" % x)
-    # _accept_request
-    tick.append("    if c%di and not CQ[%d]:" % (rq, rq))
-    tick.append("        req = c%di[0]" % rq)
-    tick.append("        la = req.addr // %d" % lb)
-    tick.append("        way = %slk(la)" % x)
-    tick.append("        if way is not None:")
-    tick.append("            CQ[%d] = 1" % rq)
-    tick.append("            dl.append(%d)" % rq)
-    tick.append("            data = %sfn(req)" % x)
-    tick.append("            way.last_used = cycle")
-    tick.append('            if req.op != "load":')
-    tick.append("                way.dirty = True")
-    tick.append("            %s.hits += 1" % x)
-    tick.append("            %sr.append((cycle + %d + (0 if (req.size >= 4 "
-                "and req.addr %% 4 == 0) else %d), MemResponse(req.tag, "
-                "data, port=req.port)))"
-                % (x, hl, p.subword_penalty))
-    tick.append("        else:")
-    tick.append("            mh = %sm.get(la)" % x)
-    tick.append("            if mh is not None:")
-    tick.append("                CQ[%d] = 1" % rq)
-    tick.append("                dl.append(%d)" % rq)
-    tick.append("                mh.waiters.append((req, %sfn(req)))" % x)
-    tick.append("                %s.misses += 1" % x)
-    tick.append("            elif len(%sm) >= %smc:" % (x, x))
-    tick.append('                %s._blocked = "mshr-full"' % x)
-    tick.append("            elif len(c%di) < %d and CP[%d] is None:"
-                % (dq, comp.dram_request.capacity, dq))
-    tick.append("                CQ[%d] = 1" % rq)
-    tick.append("                dl.append(%d)" % rq)
-    tick.append("                data = %sfn(req)" % x)
-    tick.append("                %sm[la] = _MSHR(la, [(req, data)])" % x)
-    tick.append('                CP[%d] = MemRequest(tag=la, op="load", '
-                "addr=la * %d, size=%d)" % (dq, lb, lb))
-    tick.append("                dl.append(%d)" % dq)
-    tick.append("                %s.misses += 1" % x)
-    tick.append("            else:")
-    tick.append('                %s._blocked = "dram-backpressure"' % x)
-    # _send_response
-    tick.append("    if %sr and %sr[0][0] <= cycle and len(c%di) < %d "
-                "and CP[%d] is None:" % (x, x, rs, comp.response_out.capacity,
-                                         rs))
-    tick.append("        CP[%d] = %sr.popleft()[1]" % (rs, x))
-    tick.append("        dl.append(%d)" % rs)
-    busy.append("%sr or %sm or %sw" % (x, x, x))
-    skip.extend(_pipe_deadline(x + "r"))
-
-
-def _emit_databox(em, x, comp, tick, busy, skip):
-    fc = em.ci(comp.from_cache)
-    tc = em.ci(comp.to_cache)
-    rts = [(em.ci(c), c.capacity) for c in comp.tile_response]
-    rqs = [em.ci(c) for c in comp.tile_request]
-    ent = comp.entries
-    em.pre.append("%st = (%s%s)" % (x, ", ".join(
-        "(c%di, %d, %d)" % (o, o, cap) for o, cap in rts),
-        "," if len(rts) == 1 else ""))
-    tick.append("if %s:" % " or ".join(
-        ["c%di" % fc] + ["c%di" % q for q in rqs]))
-    # _catch_up: stalled-cycle attribution over the skipped gap
-    tick.append("    st = %s._synced_to" % x)
-    tick.append("    if st < cycle - 1 and %s._outstanding >= %d:" % (x, ent))
-    tick.append("        %s.stalled_cycles += cycle - 1 - st" % x)
-    tick.append("    %s._synced_to = cycle" % x)
-    # response path
-    tick.append("    if c%di and not CQ[%d]:" % (fc, fc))
-    tick.append("        resp = c%di[0]" % fc)
-    tick.append("        dq, kk, cap = %st[resp.tag.tile]" % x)
-    tick.append("        if len(dq) < cap and CP[kk] is None:")
-    tick.append("            CQ[%d] = 1" % fc)
-    tick.append("            dl.append(%d)" % fc)
-    tick.append("            CP[kk] = resp")
-    tick.append("            dl.append(kk)")
-    tick.append("            %s._outstanding -= 1" % x)
-    # request path
-    tick.append("    o = %s._outstanding" % x)
-    tick.append("    if o >= %d:" % ent)
-    tick.append("        %s.stalled_cycles += 1" % x)
-    tick.append("    elif len(c%di) < %d and CP[%d] is None:"
-                % (tc, comp.to_cache.capacity, tc))
-    n = len(rqs)
-    if n == 1:
-        q0 = rqs[0]
-        tick.append("        if c%di and not CQ[%d]:" % (q0, q0))
-        tick.append("            CQ[%d] = 1" % q0)
-        tick.append("            dl.append(%d)" % q0)
-        tick.append("            CP[%d] = c%di[0]" % (tc, q0))
-        tick.append("            dl.append(%d)" % tc)
-        tick.append("            o += 1")
-        tick.append("            %s._outstanding = o" % x)
-        tick.append("            %s.forwarded += 1" % x)
-        tick.append("            if o > %s.peak_outstanding:" % x)
-        tick.append("                %s.peak_outstanding = o" % x)
-    else:
-        em.pre.append("%sq = (%s)" % (x, ", ".join(
-            "(c%di, %d)" % (q, q) for q in rqs)))
-        tick.append("        j = %s._rr" % x)
-        tick.append("        for _ in range(%d):" % n)
-        tick.append("            dq, kk = %sq[j]" % x)
-        tick.append("            if dq and not CQ[kk]:")
-        tick.append("                CQ[kk] = 1")
-        tick.append("                dl.append(kk)")
-        tick.append("                CP[%d] = dq[0]" % tc)
-        tick.append("                dl.append(%d)" % tc)
-        tick.append("                %s._rr = j + 1 if j + 1 < %d else 0"
-                    % (x, n))
-        tick.append("                o += 1")
-        tick.append("                %s._outstanding = o" % x)
-        tick.append("                %s.forwarded += 1" % x)
-        tick.append("                if o > %s.peak_outstanding:" % x)
-        tick.append("                    %s.peak_outstanding = o" % x)
-        tick.append("                break")
-        tick.append("            j = j + 1 if j + 1 < %d else 0" % n)
-    busy.append("%s._outstanding > 0" % x)
-    # next_wake is NEVER: every databox stall resolves via a channel
-
-
-def _pipe_deadline(name: str) -> List[str]:
-    """Fast-forward contribution of a deadline deque (pipes, DRAM
-    in-flight, cache ready-responses): the head entry's due cycle if it
-    is not yet overdue. The comparison is ``>=`` because the skip runs
-    after the cycle increment while the event engine's ``next_wake``
-    sees the just-executed cycle: a head due exactly now clamps the
-    target to the current cycle (no skip). An overdue head is
-    backpressure — channel-driven, like the components' next_wake."""
-    return ["if %s:" % name,
-            "    w = %s[0][0]" % name,
-            "    if w >= cycle and w < tw:",
-            "        tw = w"]
-
-
 def _stepper_module(gen: _StepperGen) -> str:
     """Source of one task unit's stepper module. A task unit is ONE TXU
     design replicated Ntiles times and instantiated by every design point
@@ -1277,11 +965,8 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs, mods):
         tn = "%s_t%d" % (u, ti)
         em.pre.append("%s = %s" % (tn, em.ref(t)))
         em.pre.append("%si = %s.instances" % (tn, tn))
-        em.pre.append("%sb = %s._by_uid" % (tn, tn))
         em.pre.append("%sf = %s._fired" % (tn, tn))
         em.pre.append("%spr = %s._apply_response" % (tn, tn))
-        em.pre.append("%sfc = %s._fire_call" % (tn, tn))
-        em.pre.append("%ssu = %s._suspend" % (tn, tn))
         tiles.append((tn, em.ci(t.response_in), t))
 
     # parks do not outlive a kernel call (dense ticks in between ignore
@@ -1295,8 +980,8 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs, mods):
     for ti, (tn, _rc, t) in enumerate(tiles):
         ro = em.ci(t.request_out)
         sdefs.append(
-            "_e%d_%d, %sd = _mk%d(%s, %sf, %sfc, %ssu, c%di, %d, %d, CP, dl, "
-            "%s, %sso, %s, act)"
+            "_e%d_%d, %sd = _mk%d(%s, %sf, %s._fire_call, %s._suspend, c%di, "
+            "%d, %d, CP, dl, %s, %sso, %s, act)"
             % (k, ti, tn, len(mods), tn, tn, tn, tn, ro, ro, ti, u, u,
                u + ".analysis_event" if traced else "None"))
     mods.append((_stepper_module(gen), tuple(gen.em.objs)))
@@ -1466,7 +1151,7 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs, mods):
         tick.append("            if fin is not None:")
         tick.append("                for inst in fin:")
         tick.append("                    %si.remove(inst)" % tn)
-        tick.append("                    del %sb[inst.uid]" % tn)
+        tick.append("                    del %s._by_uid[inst.uid]" % tn)
         tick.append("                    %s.completed_instances += 1" % tn)
         tick.append("                    %sfi(inst)" % u)
         tick.append("        else:")
@@ -1523,8 +1208,7 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs, mods):
 _CTX_NAMES = ['    %s = ctx["%s"]' % pair for pair in (
     ("SimulationError", "SimulationError"), ("_RegSlot", "RegSlot"),
     ("_pk", "pack"), ("_up", "unpack"), ("MemRequest", "MemRequest"),
-    ("MemResponse", "MemResponse"), ("MemTag", "MemTag"), ("_MSHR", "MSHR"),
-    ("_v2r", "v2r"), ("SpawnMessage", "SpawnMessage"))]
+    ("MemTag", "MemTag"), ("_v2r", "v2r"), ("SpawnMessage", "SpawnMessage"))]
 
 
 def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
@@ -1538,10 +1222,8 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
 
     from repro.ir.opsem import RegSlot as _RegSlotCls
     from repro.ir.opsem import value_to_raw as _value_to_raw
-    from repro.memory.cache import _MSHR as _MSHRCls
     from repro.memory.databox import MemTag as _MemTagCls
     from repro.memory.messages import MemRequest as _MemRequestCls
-    from repro.memory.messages import MemResponse as _MemResponseCls
     from repro.task.messages import SpawnMessage as _SpawnMessageCls
 
     em = _Emitter(sim.channels)
@@ -1561,7 +1243,13 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
         if isinstance(comp, TaskUnit):
             _emit_unit(em, k, comp, tick, busy, skip, sdefs, mods)
         else:
-            _emit_plumbing(em, k, comp, tick, busy, skip)
+            # derived from the class's own tick / is_busy / next_wake
+            em.pre.append("x%d = %s" % (k, em.ref(comp)))
+            lines, held, wake = section(em, "x%d" % k, comp)
+            tick.extend(lines)
+            busy.extend(held)
+            skip.extend(wake)
+            guard += 1  # ... after a comment naming that definition
         if observed:
             tick.insert(guard + 1, "    tk.append(%s)" % em.ref(comp))
             for ch in dict.fromkeys(comp.sensitivity()):
@@ -1576,6 +1264,7 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
 
     body: List[str] = []
     w = body.append
+    w("%s = None" % " = ".join(em.temps))  # hotter than any alias
     w("P = %d" % _PARKED)
     w("limit = start + max_cycles")
     w("cycle = sim.cycle")
@@ -1785,9 +1474,7 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
         "pack": _struct.pack,
         "unpack": _struct.unpack,
         "MemRequest": _MemRequestCls,
-        "MemResponse": _MemResponseCls,
         "MemTag": _MemTagCls,
-        "MSHR": _MSHRCls,
         "v2r": _value_to_raw,
         "SpawnMessage": _SpawnMessageCls,
     }

@@ -18,6 +18,15 @@ OBS_IDLE = "idle"
 OBS_STATES = (OBS_BUSY, OBS_STALL_IN, OBS_STALL_OUT, OBS_IDLE)
 
 
+def pipe_wake(pipe, cycle):
+    """The one ``next_wake`` of a deadline queue (``(due cycle, item)``
+    entries served head first: pipes, DRAM accesses in flight, the cache's
+    ready responses). The head's deadline is the only timer: one already due
+    was acted on this tick (the component's own movement re-wakes it) or is
+    backpressured (the blocking channel's pop wakes it). Inlined by the kernel."""
+    return pipe[0][0] if pipe and pipe[0][0] > cycle else NEVER
+
+
 class Component:
     """A clocked block. Once per cycle the engine calls :meth:`tick`;
     channel reads inside tick observe start-of-cycle state, so tick order

@@ -8,6 +8,7 @@ in ``tests/property/test_prop_engines.py``; this file owns everything
 about *how* the kernel is produced, cached and bypassed.
 """
 
+import contextlib
 import re
 
 import pytest
@@ -18,6 +19,7 @@ from repro.frontend import compile_source
 from repro.obs import Observer
 from repro.reports import render_host_profile_report
 from repro.sim import ENGINES, NULL_TRACE, Simulator, Trace
+from repro.memory.arbiter import Demux
 from repro.memory.cache import CacheParams
 from repro.sim import compile as compile_mod
 from repro.sim.compile import (
@@ -29,6 +31,7 @@ from repro.sim.compile import (
     kernel_digest,
     prepare_kernel,
 )
+from repro.task.task_unit import TaskUnit
 from repro.workloads import REGISTRY
 
 FIB = """
@@ -121,6 +124,28 @@ class TestCodegenDeterminism:
         assert shells[1][0] == shells[1][1]
         assert shells[4][0] == shells[4][1]
         assert shells[1][0] != shells[4][0]
+
+
+def test_loop_temporaries_take_the_low_local_slots():
+    """CPython reaches a frame's first 256 locals in one instruction and
+    needs ``EXTENDED_ARG`` beyond; aliases alone pass that at eight tiles.
+    Whatever the kernel's loop assigns that is not an alias (``c<K>i``,
+    ``u<k>...``, ``x<k>...``) -- the per-cycle temporaries, hand-written and
+    derived -- is therefore named ahead of them (``_TEMPORARIES``)."""
+    workload = REGISTRY.get("dedup")
+    sim = workload.build(workload.default_config(8, engine="compiled")).sim
+    kernel, reason = prepare_kernel(sim)
+    assert reason is None
+    shell = generate_modules(sim)[0]
+    loop = shell[shell.index("while True:"):shell.index("finally:")]
+    assigned = {name for targets in re.findall(
+        r"^ *(?:for )?((?:\w+, )*\w+) (?:[-+|]?=|in) ", loop, re.M)
+        for name in targets.split(", ") if not re.match(r"[cux]\d", name)}
+    slots = {name: slot for slot, name
+             in enumerate(kernel.__code__.co_varnames)}
+    assert len(slots) > 256 and {"wa", "k", "tw", "z0_msg"} <= assigned
+    assert {name: slots[name] for name in assigned
+            if slots[name] >= 256} == {}
 
 
 class TestKernelCache:
@@ -244,6 +269,72 @@ class OnCycleOnly:
 
     def on_cycle(self, sim, cycle):
         self.cycles += 1
+
+
+class Counting(Demux):
+    """Bumps a counter on every tick: the no-op guard cannot hold."""
+
+    ticks = 0
+
+    def tick(self, cycle):
+        self.ticks += 1
+        super().tick(cycle)
+
+
+class Guarded(Demux):
+    def tick(self, cycle):
+        with contextlib.nullcontext():
+            Demux.tick(self, cycle)
+
+
+class Retrying(Demux):
+    def tick(self, cycle):
+        try:
+            Demux.tick(self, cycle)
+        finally:
+            pass
+
+
+class ReturningEarly(Demux):
+    def tick(self, cycle):
+        if not self._pipe and not self.input.can_pop():
+            return 0
+        Demux.tick(self, cycle)
+
+
+class ReturningFromALoop(Demux):
+    def tick(self, cycle):
+        for _ in range(1):
+            if cycle < 0:
+                return
+        Demux.tick(self, cycle)
+
+
+class ChannelAsValue(Demux):
+    def tick(self, cycle):
+        source = self.input
+        if source.can_pop() or self._pipe:
+            Demux.tick(self, cycle)
+
+
+class PushInExpression(Demux):
+    def tick(self, cycle):
+        if self._pipe and self._pipe[0][0] <= cycle:
+            out = self.outputs[self.route(self._pipe[0][1])]
+            if out.can_push() and out.push(self._pipe.popleft()[1]) is None:
+                self.routed += 1
+        if self.input.can_pop() and len(self._pipe) <= self.levels:
+            msg = self.input.pop()
+            self._pipe.append((cycle + self.levels, msg))
+
+
+#: what the derivation must decline: class -> the construct its reason names
+_UNDERIVABLE = {cls.__name__: (cls, construct) for cls, construct in (
+    (Counting, "'super'"), (Guarded, "`with` statement"),
+    (Retrying, "`try` statement"), (ReturningEarly, "`return` statement"),
+    (ReturningFromALoop, "`return` statement"),
+    (ChannelAsValue, "channel self.input used as a value"),
+    (PushInExpression, "push() inside an expression"))}
 
 
 def _assert_ran_dense(accel, oracle, reason):
@@ -415,6 +506,73 @@ class TestFallbackMatrix:
         assert "Exotic" in sim.compiled_fallback
         assert prepare_kernel(sim) == (None, sim.compiled_fallback)
         assert outcome == run("dense")[1]
+
+    @pytest.mark.parametrize("name", sorted(_UNDERIVABLE))
+    def test_component_outside_the_subset_falls_back(self, name):
+        """A plumbing class is compiled from its own ``tick`` text or not
+        at all: an override the derivation cannot read runs on the dense
+        oracle -- same cycles, stats and per-instance counter -- with the
+        class, method, construct and source line in the reason. (At PR 21
+        an overriding subclass was compiled with its base's emitter: the
+        ``Counting`` counter read 0 and no reason was recorded.)"""
+        cls, construct = _UNDERIVABLE[name]
+        outcomes = {}
+        for engine in ("dense", "compiled"):
+            workload = REGISTRY.get("saxpy")
+            accel = workload.build(workload.default_config(2, engine=engine))
+            swapped = [comp for comp in accel.sim.components
+                       if type(comp) is Demux]
+            for comp in swapped:
+                comp.__class__ = cls
+            prepared = workload.prepare(accel.memory, 1)
+            result = accel.run(prepared.function, prepared.args)
+            assert prepared.check(accel.memory, result.retval)
+            stats = dict(result.stats)
+            stats.pop("engine")
+            reason = accel.sim.compiled_fallback
+            outcomes[engine] = (result.cycles, stats,
+                                [getattr(comp, "ticks", None)
+                                 for comp in swapped])
+        assert outcomes["dense"] == outcomes["compiled"]
+        line = cls.tick.__code__.co_firstlineno
+        assert f"{cls.__qualname__}.tick" in reason
+        assert construct in reason and "derivable subset" in reason
+        assert any(f"(line {line + offset})" in reason for offset in range(8))
+        assert prepare_kernel(accel.sim) == (None, reason)
+
+    def test_class_without_source_falls_back(self):
+        namespace = {"Demux": Demux}
+        exec("class Sourceless(Demux):\n"
+             "    def tick(self, cycle):\n"
+             "        Demux.tick(self, cycle)\n", namespace)
+        sim = Simulator(engine="compiled")
+        channels = [sim.add_channel(f"c{i}") for i in range(3)]
+        sim.add_component(namespace["Sourceless"](
+            "d", channels[0], channels[1:]))
+        kernel, reason = prepare_kernel(sim)
+        assert kernel is None
+        assert "Sourceless.tick" in reason and "unavailable source" in reason
+
+    def test_derived_sections_name_their_one_definition(self):
+        """Each plumbing section of the shell opens with a comment naming
+        ``<module>.<Class>.tick`` and its source line, the guard follows
+        it, and an attached observer's ``tk.append`` the guard."""
+        accel = _build()
+        accel.sim.attach_observer(Observer())
+        lines = [line.strip() for line
+                 in generate_modules(accel.sim)[0].splitlines()]
+        plumbing = [comp for comp in accel.sim.components
+                    if not isinstance(comp, TaskUnit)]
+        named = [at for at, line in enumerate(lines)
+                 if line.startswith("# repro.")]
+        assert len(named) == len(plumbing) > 0
+        for at, comp in zip(named, plumbing):
+            tick = type(comp).tick
+            assert lines[at] == "# %s.%s (line %d)" % (
+                tick.__module__, tick.__qualname__,
+                tick.__code__.co_firstlineno)
+            assert lines[at + 1].startswith("if ")
+            assert lines[at + 2].startswith("tk.append(")
 
     def test_fallback_reason_recorded_on_run(self):
         accel = _build()

@@ -312,7 +312,17 @@ def _instrumented_configs():
                    for tiles in (1, 4))
     # the Fig 8 backend: the scratchpad's own sensitivity / wake / classify
     configs.append(("saxpy", 1, {"ntiles": 2, "memory_model": "scratchpad"}))
+    # the banked L1: address- and tag-routed demux lambdas, index_shift
+    configs.append(("saxpy", 2, {"ntiles": 2, "cache": CacheParams(banks=2)}))
+    # a direct-mapped 512 B / 2 MSHR cache: dirty evictions (the writeback
+    # path) and both structural stalls of the request port (CACHE_CORNERS)
+    configs.append(("mergesort", 1, {"ntiles": 4, "cache": CacheParams(
+        size_bytes=512, associativity=1, mshr_count=2)}))
     return configs
+
+
+#: what the last configuration above must have exercised under the oracle
+CACHE_CORNERS = ("mshr-full", "dram-backpressure")
 
 
 def _instrumented_id(name, scale, overrides):
@@ -320,6 +330,9 @@ def _instrumented_id(name, scale, overrides):
         return f"{name}-{overrides['memory_model']}"
     if "cache" not in overrides:
         return f"{name}-{overrides['ntiles']}"
+    if "board" not in overrides:
+        return f"{name}-banked" if overrides["cache"].banks > 1 \
+            else f"{name}-writebacks"
     return f"{name}-membound" + f"-{overrides['ntiles']}" * (scale != 4)
 
 
@@ -332,8 +345,10 @@ INSTRUMENTED = _instrumented_configs()
 def test_instrumented_views_agree(name, scale, overrides):
     """Observer ledgers and probes, the exported Perfetto bytes and the
     analysis trace (events with their ``seq``, hence ``spawn_seq`` and the
-    race checker's happens-before) are one thing under all three engines;
-    the compiled leg produces them from the generated kernel itself."""
+    race checker's happens-before) and the movement log are one thing
+    under all three engines; the compiled leg produces them from the
+    generated kernel itself, every plumbing section of it derived from the
+    component's own ``tick``."""
     from repro.sim import Trace
 
     workload = REGISTRY.get(name)
@@ -343,17 +358,54 @@ def test_instrumented_views_agree(name, scale, overrides):
         accel = workload.build(
             workload.default_config(engine=engine, **overrides),
             trace=trace, observer=observer)
+        movement = accel.sim.enable_movement_log()
         prepared = workload.prepare(accel.memory, scale)
         result = accel.run(prepared.function, prepared.args)
         assert prepared.check(accel.memory, result.retval)
         if engine == "compiled":
             assert result.stats["engine"]["compiled_fallback"] is None
         views[engine] = _instrumented_views(accel, observer, trace)
+        views[engine]["movement"] = list(movement)
         views[engine]["result"] = (result.cycles, result.retval,
                                    _strip(result.stats))
     for engine in ("event", "compiled"):
         for what, expected in views["dense"].items():
             assert views[engine][what] == expected, (engine, what)
+    if (name, scale, overrides) == INSTRUMENTED[-1]:
+        assert result.stats["cache"]["writebacks"] > 0
+        assert set(CACHE_CORNERS) <= set(observer.stall_breakdown())
+
+
+@pytest.mark.parametrize("fan", [1, 3])
+@pytest.mark.parametrize("levels", [0, 1, 2])
+def test_pipe_depths_and_fan_ins_agree(levels, fan):
+    """Arbiter and demux pipes at the depths no shipped design elaborates
+    (``tree_levels`` is 1 up to four inputs) and at fan-in / fan-out 1 and
+    3, through a one-slot channel that backpressures the arbiter."""
+    from repro.memory.arbiter import Demux, RoundRobinArbiter
+    from repro.sim import Simulator
+
+    def run(engine):
+        sim = Simulator(engine=engine)
+        movement = sim.enable_movement_log()
+        inputs = [sim.add_channel(f"in{i}", 4) for i in range(fan)]
+        middle = sim.add_channel("middle", 1)
+        outputs = [sim.add_channel(f"out{i}", 8) for i in range(fan)]
+        sim.add_component(RoundRobinArbiter(
+            "arbiter", inputs, middle, levels=levels))
+        sim.add_component(Demux("demux", middle, outputs, levels=levels,
+                                route=lambda message: message % fan))
+        for i, channel in enumerate(inputs):
+            for j in range(4):
+                channel.push(4 * i + j)
+                channel.commit()
+        cycles = sim.run(lambda: sum(map(len, outputs)) == 4 * fan)
+        if engine == "compiled":
+            assert sim.compiled_fallback is None
+        return (cycles, _strip(sim.stats()), list(movement),
+                [list(channel._items) for channel in outputs])
+
+    assert run("dense") == run("event") == run("compiled")
 
 
 def test_race_check_agrees_on_racy_program():

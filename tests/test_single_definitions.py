@@ -53,3 +53,27 @@ def test_rtl_structure_is_walked_once():
         os.path.join("rtl", "components.py"): 1,    # its definition
         os.path.join("rtl", "emit.py"): 1}          # txu_nodes
     assert _hits(r"\.dfgs\b", rtl) == {os.path.join("rtl", "emit.py"): 1}
+
+
+def test_plumbing_sections_are_derived_not_mirrored():
+    """``sim/derive.py`` reads a plumbing component's kernel section off the
+    class's own ``tick`` / ``is_busy`` / ``next_wake``: the kernel generator
+    holds no per-class emitter and neither module names a component's
+    private state, and the five deadline queues share one ``next_wake``."""
+    generators = {os.path.join("sim", "compile.py"),
+                  os.path.join("sim", "derive.py")}
+    assert not generators & set(_hits(
+        r"_emit_(plumbing|arbiter|demux|dram|scratchpad|cache|databox)\b"
+        r"|_pipe_deadline\b"))
+    assert not generators & set(_hits(
+        r"\b(_in_flight|_ready_responses|_pending_writebacks|_mshrs"
+        r"|_outstanding|_pipe)\b"))
+    assert _hits(r"^def _?pipe_wake\b") == {
+        os.path.join("sim", "component.py"): 1}
+    assert _hits(r"return pipe_wake\(") == {
+        os.path.join("memory", "arbiter.py"): 2,
+        os.path.join("memory", "cache.py"): 1,
+        os.path.join("memory", "dram.py"): 1,
+        os.path.join("memory", "scratchpad.py"): 1}
+    assert _hits(r"\[0\]\[0\] > cycle") == {
+        os.path.join("sim", "component.py"): 1}
