@@ -22,12 +22,12 @@ from repro.accel import (
     generate,
 )
 from repro.frontend import compile_source
-from repro.ir import parse_ir, print_module
+from repro.ir import print_module
 
 __version__ = "1.2.0"
 
 __all__ = [
     "Accelerator", "AcceleratorConfig", "HostProgram", "TaskUnitParams",
-    "build_accelerator", "generate", "compile_source", "parse_ir",
-    "print_module", "__version__",
+    "build_accelerator", "generate", "compile_source", "print_module",
+    "__version__",
 ]

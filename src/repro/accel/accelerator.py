@@ -179,7 +179,7 @@ class Accelerator:
             stats["dram"] = self.dram.stats()
         if self.scratchpad is not None:
             stats["scratchpad"] = self.scratchpad.stats()
-        channels = self.sim.stats().get("channels")
+        channels = self.sim.channel_stats()
         if channels:
             stats["channels"] = channels
         if self.observer is not None:

@@ -425,7 +425,6 @@ class PerfModel:
             total_mem += acc.mem
             total_misses += misses
             total_msgs += acc.instances
-            per_inst = acc.serial / acc.instances if acc.instances else 0.0
             loop_iters = (acc.loop_iters / acc.instances
                           if acc.instances else 0.0)
             # a tile keeps up to max_inflight instances resident and the
@@ -448,7 +447,6 @@ class PerfModel:
             bound(f"struct[{ct.sid}]", unit, "tiles-full",
                   acc.hot / max(1, tp.ntiles))
             bound(f"dispatch[{ct.sid}]", unit, "dispatch", acc.instances)
-            _ = per_inst  # reported via TaskEstimate
 
         # -- shared resources --------------------------------------------
         if total_mem:
@@ -535,14 +533,13 @@ class _Totals:
 
 
 class _InstanceProfile:
-    __slots__ = ("own", "spawns", "calls", "ret_writebacks")
+    __slots__ = ("own", "spawns", "calls")
 
     def __init__(self):
         self.own = _Totals()
         #: (child task, child env, multiplicity, has ret writeback)
         self.spawns: List[Tuple[Any, Dict, float, bool]] = []
         self.calls: List[Tuple[Any, Dict, float]] = []
-        self.ret_writebacks = 0.0
 
 
 _MAX_DEPTH = 64

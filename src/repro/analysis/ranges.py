@@ -10,7 +10,7 @@ bitwidth.  The results feed
 * the width-aware resource/power models (:mod:`repro.reports.resources`),
 * the ``TAP-WIDTH-*`` lint rules (:mod:`repro.analysis.lint`), and
 * the dynamic cross-validator that asserts every simulated value stays
-  inside its static interval (:mod:`repro.analysis.dynamic`).
+  inside its static interval (:mod:`repro.analysis.rangecheck`).
 
 Design: a classic flow-sensitive interval analysis per function CFG with
 per-bound widening at natural-loop headers, a few narrowing passes, branch
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir.function import Function
@@ -380,9 +381,8 @@ class _FunctionAnalysis:
     plan are round-invariant, and :meth:`run` redoes the fixpoint only
     when the summary entries it reads have changed since its last run."""
 
-    def __init__(self, function: Function, summaries: "_Summaries"):
+    def __init__(self, function: Function):
         self.fn = function
-        self.summaries = summaries
         self.rpo = reverse_post_order(function)
         self.preds = predecessor_map(function)
         self.loops = find_loops(function)
@@ -434,7 +434,7 @@ class _FunctionAnalysis:
 
     def _summary_inputs(self) -> tuple:
         s = self.summaries
-        return (tuple(s.arg_ranges.get(self.fn) or ()),
+        return (tuple(s.arg_ranges[self.fn]),
                 [s.ret_ranges.get(c) for c in self._callees],
                 [s.frame_cells.get(a) for a in self._frame_loads])
 
@@ -595,13 +595,14 @@ class _FunctionAnalysis:
 
     # -- fixpoint ------------------------------------------------------------
 
-    def run(self):
+    def run(self, summaries: "_Summaries"):
+        self.summaries = summaries
         inputs = self._summary_inputs()
         if inputs == self._inputs:
             return  # same summaries in, same fixpoint out
         self._inputs = inputs
-        known = self.summaries.arg_ranges.get(self.fn) or ()
-        for argument, interval in zip(self.fn.arguments, known):
+        for argument, interval in zip(self.fn.arguments,
+                                      summaries.arg_ranges[self.fn]):
             self._bases[argument] = interval or full_range(argument.type)
         self.env: Dict[Value, Interval] = {}
         #: (pred, succ) -> facts propagated along that edge
@@ -643,11 +644,8 @@ class _FunctionAnalysis:
                         worklist.append(succ)
         # narrowing: decreasing re-evaluation from the widened fixpoint
         for _ in range(NARROW_PASSES):
+            self._sweep()
             changed = False
-            for block in self.rpo:
-                outs = self._transfer(block, self.in_facts.get(block, {}))
-                for succ, out in outs.items():
-                    self.edge_facts[(block, succ)] = out
             for block in self.rpo:
                 if block is self.fn.entry:
                     continue
@@ -656,29 +654,27 @@ class _FunctionAnalysis:
                             if (p, block) in self.edge_facts]
                 if not incoming:
                     continue
-                joined = incoming[0]
-                for other in incoming[1:]:
-                    joined = self._join_facts(joined, other)
+                joined = reduce(self._join_facts, incoming)
                 if joined != self.in_facts.get(block):
                     self.in_facts[block] = joined
                     changed = True
             if not changed:
                 break
-        # final clean pass so env reflects the converged facts
-        for block in self.rpo:
-            outs = self._transfer(block, self.in_facts.get(block, {}))
-            for succ, out in outs.items():
-                self.edge_facts[(block, succ)] = out
+        self._sweep()  # so env reflects the converged facts
         self._refine_accumulators()
         if self._acc_clamps:
             # one more pass so downstream blocks (e.g. the post-loop return)
             # see the clamped cell ranges, then re-pin the in-loop values
-            for block in self.rpo:
-                outs = self._transfer(block, self.in_facts.get(block, {}))
-                for succ, out in outs.items():
-                    self.edge_facts[(block, succ)] = out
+            self._sweep()
             for loop, cell, bound in self._acc_clamps:
                 self._clamp_cell(loop, cell, bound)
+
+    def _sweep(self):
+        """Transfer every block from its in-facts, recording its out-edges."""
+        for block in self.rpo:
+            outs = self._transfer(block, self.in_facts.get(block, {}))
+            for succ, out in outs.items():
+                self.edge_facts[(block, succ)] = out
 
     @staticmethod
     def _widen_facts(old, new):
@@ -725,12 +721,7 @@ class _FunctionAnalysis:
                 incoming.append(facts)
         if loop.header is self.fn.entry:
             incoming.append(dict.fromkeys(self.register_cells, _ZERO))
-        if not incoming:
-            return None
-        joined = incoming[0]
-        for other in incoming[1:]:
-            joined = self._join_facts(joined, other)
-        return joined
+        return reduce(self._join_facts, incoming) if incoming else None
 
     def _trip_bound(self, loop) -> Optional[Tuple[Alloca, int]]:
         """(induction cell, max trips) for ``while (i <lt/le> K)`` loops
@@ -864,32 +855,41 @@ class _FunctionAnalysis:
                 joined = interval if joined is None else joined.join(interval)
         return joined if joined is not None else full_range(self.fn.return_type)
 
+    def exit_range(self, value: Value) -> Optional[Interval]:
+        """``value``'s converged interval, outside any branch refinement
+        (what a call site passes or a frame-cell store writes)."""
+        if isinstance(value, Instruction):
+            return self.env.get(value)
+        return self._bases[value]
+
 
 # ---------------------------------------------------------------------------
 # Interprocedural driver
 # ---------------------------------------------------------------------------
 
+@dataclass
 class _Summaries:
-    def __init__(self):
-        self.arg_ranges: Dict[Function, List[Optional[Interval]]] = {}
-        self.ret_ranges: Dict[Function, Optional[Interval]] = {}
-        self.frame_cells: Dict[Alloca, Interval] = {}
+    """What the per-function fixpoints read of each other; compared by
+    value between rounds."""
+
+    arg_ranges: Dict[Function, List[Optional[Interval]]]
+    ret_ranges: Dict[Function, Optional[Interval]] = field(default_factory=dict)
+    frame_cells: Dict[Alloca, Interval] = field(default_factory=dict)
 
 
-def _frame_cell_escapes(alloca: Alloca, function: Function) -> bool:
-    """True unless every use of the frame cell is a direct load or store
-    address (the direct-spawn return path stores through it directly, so
-    it stays non-escaping)."""
-    for inst in function.instructions():
-        for op in inst.operands:
-            if op is not alloca:
-                continue
-            if isinstance(inst, Load) and inst.pointer is alloca:
-                continue
-            if isinstance(inst, Store) and inst.pointer is alloca and inst.value is not alloca:
-                continue
-            return True
-    return False
+def _frame_cell_stores(cell: Alloca, insts: List[Instruction]) -> Optional[List[Value]]:
+    """The values stored into frame cell ``cell``, or None if it escapes:
+    every use must be a direct load or store address (the direct-spawn
+    return path stores through it directly, so it stays non-escaping)."""
+    stored = []
+    for inst in insts:
+        if isinstance(inst, Load) and inst.pointer is cell:
+            continue
+        if isinstance(inst, Store) and inst.pointer is cell and inst.value is not cell:
+            stored.append(inst.value)
+        elif any(op is cell for op in inst.operands):
+            return None
+    return stored
 
 
 def infer_module_ranges(module, design=None, entry: Optional[str] = None) -> ModuleRanges:
@@ -899,147 +899,91 @@ def infer_module_ranges(module, design=None, entry: Optional[str] = None) -> Mod
     unconstrained, while every other function's arguments are the join of
     its spawn/call-site argument ranges.  With ``entry=None`` (the build
     gate, where any function may be offloaded) all function arguments are
-    unconstrained.  ``design`` (a GeneratedDesign) supplies direct-spawn
-    return-pointer wiring for frame-cell ranges.
+    unconstrained.  ``design`` (a GeneratedDesign) supplies direct spawns
+    (call sites) and their return-pointer wiring (frame-cell writers).
     """
     from repro.telemetry.spans import TRACER
 
     with TRACER.span("analysis.ranges", category="analysis"):
-        summaries = _Summaries()
-        entry_fn = None
-        if entry is not None:
-            for function in module.functions:
-                if function.name == entry:
-                    entry_fn = function
-        for function in module.functions:
-            if entry_fn is None or function is entry_fn:
-                summaries.arg_ranges[function] = [
-                    full_range(a.type) for a in function.arguments]
-            else:
-                summaries.arg_ranges[function] = [None] * len(function.arguments)
+        functions = module.functions
+        entry_fn = next((f for f in functions if f.name == entry), None)
+        spawns = ([(task.function, spawn) for task in design.graph.tasks
+                   for spawn in task.direct_spawns.values()]
+                  if design is not None else [])
+        #: (caller, callee, args) of every call and direct spawn whose
+        #: argument ranges join into the callee's (none without an entry)
+        sites = []
+        if entry_fn is not None:
+            sites = [(f, inst.callee, inst.args) for f in functions
+                     for inst in f.instructions() if isinstance(inst, Call)]
+            sites += [(caller, spawn.callee, spawn.args)
+                      for caller, spawn in spawns]
+            sites = [site for site in sites if site[1] is not entry_fn]
+        writers: Dict[Alloca, List[Function]] = {}
+        for _caller, spawn in spawns:
+            if isinstance(spawn.ret_ptr, Alloca):
+                writers.setdefault(spawn.ret_ptr, []).append(spawn.callee)
+        #: (owner, cell, stored values or None if escaping, spawn writers)
+        #: of every integer frame cell
+        frames = []
+        for function in functions:
+            insts = list(function.instructions())
+            for cell in insts:
+                if (isinstance(cell, Alloca) and cell.in_frame
+                        and isinstance(cell.allocated_type, IntType)):
+                    frames.append((function, cell, _frame_cell_stores(cell, insts),
+                                   writers.get(cell, ())))
 
-        analyses = {function: _FunctionAnalysis(function, summaries)
-                    for function in module.functions}
-        prev_state = None
-        for round_no in range(SUMMARY_ROUNDS + 2):
+        def seed_args():  # call sites fill the Nones
+            return {f: [full_range(a.type) if entry_fn is None or f is entry_fn
+                        else None for a in f.arguments] for f in functions}
+
+        analyses = {function: _FunctionAnalysis(function) for function in functions}
+        summaries = _Summaries(seed_args())
+        for round_no in range(SUMMARY_ROUNDS + 1):
             for analysis in analyses.values():
-                analysis.run()
-            # recompute summaries from this round's results
-            new_rets: Dict[Function, Optional[Interval]] = {}
-            for function, analysis in analyses.items():
-                new_rets[function] = analysis.ret_summary()
-            new_args: Dict[Function, List[Optional[Interval]]] = {}
-            for function in module.functions:
-                if entry_fn is None or function is entry_fn:
-                    new_args[function] = [full_range(a.type) for a in function.arguments]
-                else:
-                    new_args[function] = [None] * len(function.arguments)
-            if entry_fn is not None:
-                for function, analysis in analyses.items():
-                    for inst in function.instructions():
-                        callee = None
-                        args = ()
-                        if isinstance(inst, Call):
-                            callee, args = inst.callee, inst.args
-                        if callee is None or callee is entry_fn:
-                            continue
-                        self_args = new_args[callee]
-                        for i, arg in enumerate(args):
-                            interval = analysis.env.get(arg) if isinstance(arg, Instruction) \
-                                else analysis._operand(arg, {})
-                            if interval is None:
-                                interval = full_range(arg.type)
-                            if interval is None:
-                                continue
-                            current = self_args[i]
-                            self_args[i] = interval if current is None else current.join(interval)
-                    if design is not None:
-                        for task in design.graph.tasks:
-                            if task.function is not function:
-                                continue
-                            for spawn in task.direct_spawns.values():
-                                if spawn.callee is entry_fn:
-                                    continue
-                                self_args = new_args[spawn.callee]
-                                for i, arg in enumerate(spawn.args):
-                                    interval = analysis.env.get(arg) \
-                                        if isinstance(arg, Instruction) \
-                                        else analysis._operand(arg, {})
-                                    if interval is None:
-                                        interval = full_range(arg.type)
-                                    if interval is None:
-                                        continue
-                                    current = self_args[i]
-                                    self_args[i] = interval if current is None \
-                                        else current.join(interval)
-                # a function nobody calls keeps None args; treat as unreachable
-                # but analyse with full ranges for reporting
-                for function in module.functions:
-                    new_args[function] = [
-                        (a if a is not None else full_range(arg.type))
-                        for a, arg in zip(new_args[function], function.arguments)]
-            # frame cells: direct stores + spawn returns
-            new_frames: Dict[Alloca, Interval] = {}
-            spawn_writers: Dict[Alloca, List[Function]] = {}
-            if design is not None:
-                for task in design.graph.tasks:
-                    for spawn in task.direct_spawns.values():
-                        if isinstance(spawn.ret_ptr, Alloca):
-                            spawn_writers.setdefault(spawn.ret_ptr, []).append(spawn.callee)
-            for function, analysis in analyses.items():
-                for inst in function.instructions():
-                    if not isinstance(inst, Alloca) or not inst.in_frame:
-                        continue
-                    if not isinstance(inst.allocated_type, IntType):
-                        continue
-                    full = full_range(inst.allocated_type)
-                    if _frame_cell_escapes(inst, function):
-                        new_frames[inst] = full
-                        continue
-                    joined = _ZERO
-                    for user in function.instructions():
-                        if isinstance(user, Store) and user.pointer is inst:
-                            stored = analysis.env.get(user.value) \
-                                if isinstance(user.value, Instruction) \
-                                else analysis._operand(user.value, {})
-                            joined = joined.join(stored if stored else full)
-                    for callee in spawn_writers.get(inst, []):
-                        ret = new_rets.get(callee)
-                        joined = joined.join(ret if ret else full)
-                    new_frames[inst] = joined
-
-            state = (
-                {f.name: r for f, r in new_rets.items()},
-                {f.name: list(map(repr, a)) for f, a in new_args.items()},
-                {id(k): repr(v) for k, v in new_frames.items()},
-            )
-            converged = state == prev_state
-            if round_no >= SUMMARY_ROUNDS and not converged:
+                analysis.run(summaries)
+            new = _Summaries(seed_args(), {f: a.ret_summary() for f, a in analyses.items()})
+            for caller, callee, args in sites:
+                joined = new.arg_ranges[callee]
+                for i, arg in enumerate(args):
+                    interval = analyses[caller].exit_range(arg) or full_range(arg.type)
+                    if interval is not None:
+                        joined[i] = interval if joined[i] is None else joined[i].join(interval)
+            # a function nobody calls keeps None args; treat as unreachable
+            # but analyse with full ranges for reporting
+            for function, args in new.arg_ranges.items():
+                args[:] = [a if a is not None else full_range(arg.type)
+                           for a, arg in zip(args, function.arguments)]
+            for owner, cell, stores, callees in frames:
+                full = full_range(cell.allocated_type)
+                if stores is None:
+                    new.frame_cells[cell] = full
+                    continue
+                joined = _ZERO
+                for value in stores:
+                    joined = joined.join(analyses[owner].exit_range(value) or full)
+                for callee in callees:
+                    joined = joined.join(new.ret_ranges[callee] or full)
+                new.frame_cells[cell] = joined
+            if new == summaries:
+                break
+            if round_no == SUMMARY_ROUNDS:
                 # force-widen unstable summaries so the loop terminates soundly
-                for function in module.functions:
-                    old = summaries.ret_ranges.get(function)
-                    if old != new_rets.get(function):
-                        new_rets[function] = full_range(function.return_type)
-                    old_args = summaries.arg_ranges.get(function, [])
-                    for i, arg in enumerate(function.arguments):
-                        if i < len(old_args) and old_args[i] != new_args[function][i]:
-                            new_args[function][i] = full_range(arg.type)
-                for cell, interval in list(new_frames.items()):
-                    if summaries.frame_cells.get(cell) != interval:
-                        new_frames[cell] = full_range(cell.allocated_type)
-                summaries.ret_ranges = new_rets
-                summaries.arg_ranges = new_args
-                summaries.frame_cells = new_frames
+                for function in functions:
+                    if new.ret_ranges[function] != summaries.ret_ranges.get(function):
+                        new.ret_ranges[function] = full_range(function.return_type)
+                    new.arg_ranges[function] = [
+                        a if a == old else full_range(arg.type) for a, old, arg in zip(
+                            new.arg_ranges[function], summaries.arg_ranges[function],
+                            function.arguments)]
+                for cell, interval in new.frame_cells.items():
+                    if interval != summaries.frame_cells.get(cell):
+                        new.frame_cells[cell] = full_range(cell.allocated_type)
                 # one last round under the widened summaries
                 for analysis in analyses.values():
-                    analysis.run()
-                break
-            summaries.ret_ranges = new_rets
-            summaries.arg_ranges = new_args
-            summaries.frame_cells = new_frames
-            if converged:
-                break
-            prev_state = state
+                    analysis.run(new)
+            summaries = new
 
         result = ModuleRanges(module=module, entry=entry)
         result.arg_ranges = dict(summaries.arg_ranges)
@@ -1049,7 +993,7 @@ def infer_module_ranges(module, design=None, entry: Optional[str] = None) -> Mod
                 if isinstance(value.type, IntType):
                     result.value_ranges[value] = interval
             for arg, interval in zip(function.arguments,
-                                     summaries.arg_ranges.get(function, [])):
+                                     summaries.arg_ranges[function]):
                 if interval is not None:
                     result.value_ranges[arg] = interval
             result.cell_ranges.update(analysis.cell_summary())

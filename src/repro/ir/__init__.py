@@ -29,7 +29,6 @@ from repro.ir.instructions import (
 )
 from repro.ir.module import Module
 from repro.ir.printer import print_module
-from repro.ir.textparser import parse_ir
 from repro.ir.types import (
     F32,
     I1,
@@ -59,7 +58,7 @@ __all__ = [
     "GEP", "Alloca", "BinaryOp", "Br", "Call", "Cast", "CondBr", "Detach",
     "FCmp", "ICmp", "Instruction", "Load", "Reattach", "Ret", "Select",
     "Store", "Sync",
-    "print_module", "parse_ir",
+    "print_module",
     "F32", "I1", "I8", "I16", "I32", "I64", "VOID",
     "FloatType", "IntType", "PointerType", "Type", "VoidType", "ptr",
     "Argument", "Constant", "GlobalVariable", "Value", "const",

@@ -32,8 +32,7 @@ from repro.ir.values import Value
 class Printer:
     """Prints modules/functions with stable, sequential value numbering.
 
-    Names are uniquified (two distinct values never print the same), so
-    the output round-trips through :mod:`repro.ir.textparser`.
+    Names are uniquified: two distinct values never print the same.
     """
 
     def __init__(self):

@@ -100,8 +100,9 @@ class BankedMemorySystem:
         total = {"hits": 0, "misses": 0, "loads": 0, "stores": 0,
                  "evictions": 0, "writebacks": 0}
         for cache in self.caches:
+            bank = cache.stats()
             for key in total:
-                total[key] += cache.stats()[key]
+                total[key] += bank[key]
         accesses = total["hits"] + total["misses"]
         total["hit_rate"] = total["hits"] / accesses if accesses else 0.0
         total["banks"] = len(self.caches)

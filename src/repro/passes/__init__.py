@@ -1,11 +1,6 @@
 """Compiler analyses and transforms over the parallel IR (Stage 1 of TAPAS)."""
 
-from repro.passes.cfg import (
-    post_order,
-    predecessor_map,
-    reachable_blocks,
-    reverse_post_order,
-)
+from repro.passes.cfg import predecessor_map, reverse_post_order
 from repro.passes.concurrency_opt import TaskSizing, analyze_concurrency
 from repro.passes.dataflow_graph import (
     BlockDFG,
@@ -15,17 +10,13 @@ from repro.passes.dataflow_graph import (
     is_register_access,
 )
 from repro.passes.dominators import DominatorInfo, compute_dominators
-from repro.passes.liveness import (
-    LivenessInfo,
-    compute_liveness,
-    region_live_ins,
-)
+from repro.passes.liveness import region_live_ins
 from repro.passes.inline import (
     inline_call,
     inline_calls,
     prune_unreachable_functions,
 )
-from repro.passes.loops import Loop, find_loops, max_loop_depth
+from repro.passes.loops import Loop, find_loops
 from repro.passes.optimize import (
     common_subexpression_elimination,
     constant_fold,
@@ -44,13 +35,13 @@ from repro.passes.taskgraph import (
 )
 
 __all__ = [
-    "post_order", "predecessor_map", "reachable_blocks", "reverse_post_order",
+    "predecessor_map", "reverse_post_order",
     "TaskSizing", "analyze_concurrency",
     "BlockDFG", "DFGNode", "build_block_dfg", "classify",
     "is_register_access",
     "DominatorInfo", "compute_dominators",
-    "LivenessInfo", "compute_liveness", "region_live_ins",
-    "Loop", "find_loops", "max_loop_depth",
+    "region_live_ins",
+    "Loop", "find_loops",
     "inline_call", "inline_calls", "prune_unreachable_functions",
     "common_subexpression_elimination", "constant_fold",
     "eliminate_dead_code", "global_value_numbering",

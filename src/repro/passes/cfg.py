@@ -17,19 +17,6 @@ def predecessor_map(function: Function) -> Dict[BasicBlock, List[BasicBlock]]:
     return preds
 
 
-def reachable_blocks(entry: BasicBlock) -> Set[BasicBlock]:
-    """All blocks reachable from ``entry`` following every successor edge."""
-    seen: Set[BasicBlock] = set()
-    stack = [entry]
-    while stack:
-        block = stack.pop()
-        if block in seen:
-            continue
-        seen.add(block)
-        stack.extend(block.successors())
-    return seen
-
-
 def reverse_post_order(function: Function) -> List[BasicBlock]:
     """RPO over reachable blocks — the canonical forward-analysis order."""
     order: List[BasicBlock] = []
@@ -44,11 +31,5 @@ def reverse_post_order(function: Function) -> List[BasicBlock]:
         order.append(block)
 
     visit(function.entry)
-    order.reverse()
-    return order
-
-
-def post_order(function: Function) -> List[BasicBlock]:
-    order = reverse_post_order(function)
     order.reverse()
     return order

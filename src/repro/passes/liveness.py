@@ -1,91 +1,22 @@
-"""Live-variable analysis over IR values.
+"""Region live-ins over IR values.
 
-TAPAS uses liveness for two things (paper §III-F): deriving the argument
-list of each extracted task (live-ins of the detached region) and sizing the
-per-task register resources. ``use`` here means appearing as an operand;
-``def`` means being the producing instruction.
+TAPAS derives the argument list of each extracted task from the live-ins
+of its detached region (paper §III-F). ``use`` here means appearing as an
+operand; ``def`` means being the producing instruction.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Set
+from typing import Iterable, Set
 
 from repro.ir.basicblock import BasicBlock
-from repro.ir.function import Function
 from repro.ir.instructions import Instruction
 from repro.ir.values import Argument, Value
-from repro.passes.cfg import post_order
 
 
 def _trackable(value: Value) -> bool:
     """Constants and globals are materialised in place, not live values."""
     return isinstance(value, (Instruction, Argument)) and value is not None
-
-
-def block_uses_defs(block: BasicBlock):
-    """(upward-exposed uses, defs) for one block."""
-    uses: Set[Value] = set()
-    defs: Set[Value] = set()
-    for inst in block.instructions:
-        for op in inst.operands:
-            if op is not None and _trackable(op) and op not in defs:
-                uses.add(op)
-        if not inst.type.is_void():
-            defs.add(inst)
-    return uses, defs
-
-
-class LivenessInfo:
-    """Per-block live-in/live-out sets for a function."""
-
-    def __init__(self, function: Function):
-        self.function = function
-        self.live_in: Dict[BasicBlock, Set[Value]] = {}
-        self.live_out: Dict[BasicBlock, Set[Value]] = {}
-        self._compute()
-
-    def _compute(self):
-        function = self.function
-        order = post_order(function)  # backward analysis converges fastest here
-        uses: Dict[BasicBlock, Set[Value]] = {}
-        defs: Dict[BasicBlock, Set[Value]] = {}
-        for block in function.blocks:
-            uses[block], defs[block] = block_uses_defs(block)
-            self.live_in[block] = set()
-            self.live_out[block] = set()
-
-        changed = True
-        while changed:
-            changed = False
-            for block in order:
-                out: Set[Value] = set()
-                for succ in block.successors():
-                    out |= self.live_in[succ]
-                inn = uses[block] | (out - defs[block])
-                if out != self.live_out[block] or inn != self.live_in[block]:
-                    self.live_out[block] = out
-                    self.live_in[block] = inn
-                    changed = True
-
-    def max_live(self) -> int:
-        """Upper bound on simultaneously live values — a register-count
-        proxy used by the resource model."""
-        best = 0
-        for block in self.function.blocks:
-            live = set(self.live_out[block])
-            best = max(best, len(live))
-            for inst in reversed(block.instructions):
-                if not inst.type.is_void():
-                    live.discard(inst)
-                for op in inst.operands:
-                    if op is not None and _trackable(op):
-                        live.add(op)
-                best = max(best, len(live))
-        return best
-
-
-def compute_liveness(function: Function) -> LivenessInfo:
-    return LivenessInfo(function)
 
 
 def region_live_ins(blocks: Iterable[BasicBlock]) -> Set[Value]:

@@ -1,7 +1,7 @@
-"""Natural-loop detection, used for workload characterisation (Table II)
-and by the concurrency optimiser (spawner-in-loop -> deeper task queues),
-plus the counted-loop shape the range, performance and race analyses
-each test against their own admissibility rules."""
+"""Natural-loop detection, used by the concurrency optimiser
+(spawner-in-loop -> deeper task queues) and the CPU baseline, plus the
+counted-loop shape the range, performance and race analyses each test
+against their own admissibility rules."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from repro.ir.instructions import (
     Alloca,
     BinaryOp,
     CondBr,
-    Detach,
     ICmp,
     Load,
     Store,
@@ -31,27 +30,14 @@ class Loop:
     header: BasicBlock
     latch: BasicBlock
     blocks: Set[BasicBlock] = field(default_factory=set)
-    parent: "Loop" = None
-
-    @property
-    def depth(self) -> int:
-        depth = 1
-        current = self.parent
-        while current is not None:
-            depth += 1
-            current = current.parent
-        return depth
-
-    def spawns_tasks(self) -> bool:
-        """True if the loop body contains a detach — a parallel loop."""
-        return any(isinstance(b.terminator, Detach) for b in self.blocks)
 
     def __repr__(self):
-        return f"<Loop header={self.header.name} depth={self.depth}>"
+        return f"<Loop header={self.header.name} blocks={len(self.blocks)}>"
 
 
 def find_loops(function: Function) -> List[Loop]:
-    """All natural loops in ``function`` with nesting links, outermost first."""
+    """All natural loops in ``function``, outermost first: a loop that
+    contains another has more blocks, so it sorts ahead of it."""
     dom = compute_dominators(function)
     preds = predecessor_map(function)
     loops: List[Loop] = []
@@ -62,18 +48,7 @@ def find_loops(function: Function) -> List[Loop]:
                 loop = Loop(header=succ, latch=block)
                 loop.blocks = _loop_body(succ, block, preds)
                 loops.append(loop)
-
-    # nesting: a loop is nested in the smallest other loop containing it
     loops.sort(key=lambda loop: len(loop.blocks), reverse=True)
-    for i, inner in enumerate(loops):
-        best = None
-        for outer in loops:
-            if outer is inner:
-                continue
-            if inner.blocks <= outer.blocks and (
-                    best is None or len(outer.blocks) < len(best.blocks)):
-                best = outer
-        inner.parent = best
     return loops
 
 
@@ -89,11 +64,6 @@ def _loop_body(header: BasicBlock, latch: BasicBlock, preds) -> Set[BasicBlock]:
                 body.add(pred)
                 stack.append(pred)
     return body
-
-
-def max_loop_depth(function: Function) -> int:
-    loops = find_loops(function)
-    return max((loop.depth for loop in loops), default=0)
 
 
 def cell_updates(blocks, cell: Alloca) -> List[Tuple[Store, Optional[int]]]:

@@ -466,14 +466,18 @@ class Simulator:
         }
         for component in self.components:
             out[component.name] = component.stats()
-        channels = {
+        channels = self.channel_stats()
+        if channels:
+            out["channels"] = channels
+        return out
+
+    def channel_stats(self) -> Dict[str, dict]:
+        """Traffic totals of every channel that has moved a message."""
+        return {
             ch.name: {"pushed": ch.total_pushed, "popped": ch.total_popped,
                       "capacity": ch.capacity, "occupancy": ch.occupancy}
             for ch in self.channels if ch.total_pushed or ch.total_popped
         }
-        if channels:
-            out["channels"] = channels
-        return out
 
     def __repr__(self):
         return (f"<Simulator {self.name} engine={self.engine} "

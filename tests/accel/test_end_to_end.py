@@ -178,11 +178,33 @@ class TestSpawnLatency:
 
 
 class TestStatsPlumbing:
-    def test_run_result_contains_stats(self):
+    def test_run_result_contains_stats(self, monkeypatch):
+        """Every component's ``stats()`` runs at most once per
+        ``Workload.run``: reading the channel totals rebuilds none."""
+        from collections import Counter
+
+        from repro.workloads import REGISTRY, Workload
+
+        calls = Counter()
+        build = Workload.build
+
+        def counting_build(workload, *args, **kwargs):
+            acc = build(workload, *args, **kwargs)
+            for comp in acc.sim.components:
+                def stats(real=comp.stats, name=comp.name):
+                    calls[name] += 1
+                    return real()
+                monkeypatch.setattr(comp, "stats", stats, raising=False)
+            return acc
+
+        monkeypatch.setattr(Workload, "build", counting_build)
+        result = REGISTRY.get("fibonacci").run()
+        assert result.correct
+        assert {"cache", "units", "channels"} <= set(result.stats)
+        assert {"T0:fib", "L1", "DRAM"} <= set(calls)
+        assert max(calls.values()) == 1, calls
         acc = build_accelerator(build_scale_module())
         base = acc.memory.alloc_array(I32, [0] * 4)
         result = acc.run("scale", [base, 4])
-        assert "cache" in result.stats
-        assert "units" in result.stats
         assert result.time_seconds(mhz=150.0) == pytest.approx(
             result.cycles / 150e6)

@@ -4,9 +4,7 @@ from repro.ir import Function, IRBuilder, const
 from repro.ir.types import I32, VOID
 from repro.passes import (
     compute_dominators,
-    post_order,
     predecessor_map,
-    reachable_blocks,
     reverse_post_order,
 )
 
@@ -40,24 +38,12 @@ class TestCFG:
         assert preds[right] == [entry]
         assert set(preds[join]) == {left, right}
 
-    def test_reachability(self):
-        f, entry, *_ = build_diamond()
-        unreachable = f.add_block("dead")
-        IRBuilder(unreachable).ret()
-        reach = reachable_blocks(entry)
-        assert unreachable not in reach
-        assert len(reach) == 4
-
     def test_rpo_starts_at_entry_and_respects_edges(self):
         f, entry, left, right, join = build_diamond()
         rpo = reverse_post_order(f)
         assert rpo[0] is entry
         assert rpo.index(join) > rpo.index(left)
         assert rpo.index(join) > rpo.index(right)
-
-    def test_post_order_is_reversed_rpo(self):
-        f, *_ = build_diamond()
-        assert post_order(f) == list(reversed(reverse_post_order(f)))
 
     def test_rpo_handles_loops(self):
         m = build_scale_module()
