@@ -15,8 +15,9 @@ role, over a benchmark-suite × tiles × scale matrix:
   across the matrix (floor ~35% under the ~1000x measured on the kernel).
 
 Known model limits, visible in the table: recursive call-join spans are
-conservatively over-predicted (mergesort ~2x: the model cannot know
-which cleanup loop a merge takes), and for spawner-serial-bound codes
+conservatively over-predicted (mergesort ~2x: its ``mid`` is lowered
+through ``lshr``, which the evaluator leaves unknown -- docs/analysis.md),
+and for spawner-serial-bound codes
 (saxpy) the model names the cause — root spawn rate — where the
 simulator's ledger counts the symptom, idle tiles waiting on loads.
 

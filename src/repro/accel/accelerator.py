@@ -103,7 +103,7 @@ class Accelerator:
         for i, compiled in enumerate(design.compiled):
             params = config.bind_unit(design, compiled.task)
 
-            box = DataBox(self.sim, f"u{i}.databox", i, params.ntiles,
+            box = DataBox(self.sim, f"u{i}.databox", params.ntiles,
                           unit_req[i], unit_resp[i],
                           entries=params.databox_entries)
             self.databoxes.append(box)

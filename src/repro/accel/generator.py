@@ -32,7 +32,6 @@ def _frame_layout(task: Task) -> (int, dict):
                 align = min(8, size)
                 cursor = (cursor + align - 1) // align * align
                 offsets[inst] = cursor
-                inst.frame_offset = cursor
                 cursor += size
     # round the frame to 8 bytes so per-dyid frames stay aligned
     frame_size = (cursor + 7) // 8 * 8 if cursor else 0

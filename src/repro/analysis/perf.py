@@ -16,9 +16,8 @@ count *without running anything*: it combines
   bounds per component: data-box allocator concurrency (entries over
   the request round trip), per-tile memory issue, tile occupancy with
   an instance-overlap estimate, the single-ported L1, MSHR-limited miss
-  service, and the one-grant-per-cycle spawn arbiter, with fan-in
-  latencies and channel depths taken from the elaborated channel graph
-  (:func:`~repro.analysis.netlist.build_channel_graph`);
+  service, and the one-grant-per-cycle spawn arbiter, with arbiter-tree
+  depths following from the unit count (nothing is elaborated);
 * a **serial span** — Amdahl-style critical path through the spawn/sync
   tree (recursion unrolled over the argument recurrence, serial calls
   chained), which is what binds spawner-limited and call-dominated
@@ -35,23 +34,15 @@ so a prediction can be cross-checked against
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import TapasError
+from repro.errors import SimulationError, TapasError
 from repro.ir.basicblock import BasicBlock
-from repro.ir.instructions import (
-    Alloca,
-    BinaryOp,
-    Cast,
-    CondBr,
-    ICmp,
-    Instruction,
-    Load,
-    Select,
-    Store,
-)
-from repro.ir.values import Argument, Constant, Value
+from repro.ir.instructions import Alloca, CondBr, Instruction, Load, Store
+from repro.ir.opsem import PURE, eval_pure
+from repro.ir.values import Constant, Value
 from repro.memory.arbiter import tree_levels
 from repro.passes.cfg import predecessor_map
 from repro.passes.dominators import compute_dominators
@@ -559,13 +550,15 @@ class _Evaluation:
         self._profiles: Dict[Tuple[int, tuple], _InstanceProfile] = {}
         self._totals: Dict[Tuple[int, tuple], Dict[int, _Totals]] = {}
         self._spans: Dict[Tuple[int, tuple], float] = {}
-        self._used_fallback = False
 
     # -- value evaluation --------------------------------------------------
 
     def eval(self, value: Optional[Value], env: Dict[Value, Optional[float]],
              depth: int = 0) -> Optional[float]:
-        """Evaluate ``value`` to a number under ``env``, or None."""
+        """Evaluate ``value`` to a number under ``env``, or None: a pure
+        instruction through :func:`~repro.ir.opsem.eval_pure`, in the
+        model's float domain; an unknown operand, a trap (division by
+        zero) or a non-finite result gives None."""
         if value is None or depth > 16:
             return None
         if value in env:
@@ -573,27 +566,21 @@ class _Evaluation:
         if isinstance(value, Constant):
             v = value.value
             return float(v) if isinstance(v, (int, float, bool)) else None
-        if isinstance(value, Argument):
-            return None
-        if isinstance(value, BinaryOp):
-            a = self.eval(value.lhs, env, depth + 1)
-            b = self.eval(value.rhs, env, depth + 1)
-            if a is None or b is None:
+        # lshr stays unknown: seeing through the frontend's ``x / 2**k``
+        # unrolls range-splitting recursions one (lo, hi) pair at a time,
+        # ~9x the cost of a mergesort prediction (docs/analysis.md)
+        if isinstance(value, PURE) and getattr(value, "op", "") != "lshr":
+            def resolve(operand):
+                known = self.eval(operand, env, depth + 1)
+                if known is None:
+                    raise SimulationError("unknown operand")
+                return known
+
+            try:
+                result = float(eval_pure(value, resolve))
+            except (SimulationError, ArithmeticError, ValueError):
                 return None
-            return _apply_binop(value.op, a, b)
-        if isinstance(value, ICmp):
-            a = self.eval(value.lhs, env, depth + 1)
-            b = self.eval(value.rhs, env, depth + 1)
-            if a is None or b is None:
-                return None
-            return float(_apply_icmp(value.predicate, a, b))
-        if isinstance(value, Select):
-            c = self.eval(value.operands[0], env, depth + 1)
-            if c is None:
-                return None
-            return self.eval(value.operands[1 if c else 2], env, depth + 1)
-        if isinstance(value, Cast):
-            return self.eval(value.operands[0], env, depth + 1)
+            return result if math.isfinite(result) else None
         if isinstance(value, Load):
             cell = value.pointer
             if isinstance(cell, Alloca):
@@ -605,11 +592,9 @@ class _Evaluation:
     def trips(self, facts: _LoopFacts, env: Dict[Value, Optional[float]]
               ) -> float:
         if facts.cell is None or facts.step is None:
-            self._used_fallback = True
             return float(self.size)
         limit = self.eval(facts.limit, env)
         if limit is None:
-            self._used_fallback = True
             return float(self.size)
         # several loops can share an induction cell (e.g. a merge loop
         # and its cleanup loop); among the evaluable candidate inits,
@@ -798,49 +783,3 @@ class _Evaluation:
         self._spans[key] = total
         return total
 
-
-def _apply_binop(op: str, a: float, b: float) -> Optional[float]:
-    try:
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        if op == "mul":
-            return a * b
-        if op == "sdiv":
-            return float(int(a / b)) if b else None
-        if op == "srem":
-            return float(int(a - int(a / b) * b)) if b else None
-        if op in ("smin", "fmin"):
-            return min(a, b)
-        if op in ("smax", "fmax"):
-            return max(a, b)
-        if op == "and":
-            return float(int(a) & int(b))
-        if op == "or":
-            return float(int(a) | int(b))
-        if op == "xor":
-            return float(int(a) ^ int(b))
-        if op == "shl":
-            return float(int(a) << min(63, int(b)))
-        if op == "ashr":
-            return float(int(a) >> min(63, int(b)))
-        if op in ("fadd",):
-            return a + b
-        if op in ("fsub",):
-            return a - b
-        if op in ("fmul",):
-            return a * b
-        if op == "fdiv":
-            return a / b if b else None
-    except Exception:
-        return None
-    return None
-
-
-def _apply_icmp(pred: str, a: float, b: float) -> bool:
-    return {
-        "eq": a == b, "ne": a != b,
-        "slt": a < b, "sle": a <= b,
-        "sgt": a > b, "sge": a >= b,
-    }.get(pred, False)

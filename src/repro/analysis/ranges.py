@@ -47,6 +47,7 @@ from repro.ir.instructions import (
     Select,
     Store,
 )
+from repro.ir.opsem import INT_OPS
 from repro.ir.types import IntType
 from repro.ir.values import Constant, Value
 from repro.passes.cfg import predecessor_map, reverse_post_order
@@ -153,11 +154,6 @@ def _fits(lo: int, hi: int, full: Interval) -> Optional[Interval]:
     return full
 
 
-def _tdiv(a: int, b: int) -> int:
-    """Truncating (toward-zero) division, matching opsem's sdiv."""
-    return abs(a) // abs(b) * (1 if (a >= 0) == (b >= 0) else -1)
-
-
 def transfer_binop(op: str, a: Interval, b: Interval, type_: IntType) -> Interval:
     full = _FULL[type_.bits]
     bits = type_.bits
@@ -174,7 +170,8 @@ def transfer_binop(op: str, a: Interval, b: Interval, type_: IntType) -> Interva
                     if d != 0 and b.lo <= d <= b.hi}
         if not divisors:
             return full
-        corners = [_tdiv(x, d) for x in (a.lo, a.hi) for d in divisors]
+        sdiv = INT_OPS["sdiv"]  # truncating, before the wrap
+        corners = [sdiv(x, d, bits) for x in (a.lo, a.hi) for d in divisors]
         if a.lo <= type_.min_value and -1 in divisors:
             corners.append(type_.min_value)  # INT_MIN / -1 wraps to INT_MIN
         return _fits(min(corners), max(corners), full)

@@ -167,7 +167,6 @@ class Alloca(Instruction):
         super().__init__(PointerType(allocated_type), [], name)
         self.allocated_type = allocated_type
         self.in_frame = in_frame
-        self.frame_offset = None  # assigned by the frame-layout pass
 
 
 class GEP(Instruction):

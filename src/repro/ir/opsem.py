@@ -1,9 +1,14 @@
-"""Functional semantics of IR operations.
+"""Functional semantics of IR operations: the one place they are spelled.
 
-Shared by the TXU dataflow engine and the multicore CPU baseline so both
-execute the identical program semantics — the paper runs the *same Cilk
-sources* on FPGA and i7 (§V), and we mirror that by running the same IR
-through two timing models.
+Each binop, compare predicate and cast kind is one function in the tables
+below whose body is a single ``return <expression>`` over Python numbers,
+with the operand width passed in as ``bits``; ``IntType.wrap`` is the one
+wrap and :func:`to_f32` the one rounding. Readers: the TXU interpreter
+(the dense oracle), the CPU baseline, constant folding and the static
+predictor call :func:`eval_pure`; the compiled engine's steppers
+specialise each table entry, wrap and rounding from its source text
+(``sim/compile.py``). The paper runs the *same Cilk sources* on FPGA and
+i7 (§V); we run the same IR, with this one meaning, through every model.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from repro.ir.types import FloatType, IntType, PointerType, Type
 #: instruction classes that are pure (no side effects, no memory)
 PURE = (BinaryOp, ICmp, FCmp, Select, Cast, GEP)
 
+_INF, _NAN = float("inf"), float("nan")
+
 
 class RegSlot:
     """Marker value an Alloca produces: a register-file slot handle."""
@@ -27,107 +34,140 @@ class RegSlot:
         self.alloca = alloca
 
 
+# -- binops: f(a, b, bits) on coerced operands, before the wrap / rounding --
+
+def _add(a, b, bits):
+    return a + b
+
+def _sub(a, b, bits):
+    return a - b
+
+def _mul(a, b, bits):
+    return a * b
+
+def _sdiv(a, b, bits):
+    return abs(a) // abs(b) * (1 if (a >= 0) == (b >= 0) else -1)
+
+def _srem(a, b, bits):
+    return abs(a) % abs(b) * (-1 if a < 0 else 1)
+
+def _and(a, b, bits):
+    return a & b
+
+def _or(a, b, bits):
+    return a | b
+
+def _xor(a, b, bits):
+    return a ^ b
+
+def _shl(a, b, bits):
+    return a << (b & bits - 1)
+
+def _ashr(a, b, bits):
+    return a >> (b & bits - 1)
+
+def _lshr(a, b, bits):
+    return (a & (1 << bits) - 1) >> (b & bits - 1)
+
+def _min(a, b, bits):
+    return min(a, b)
+
+def _max(a, b, bits):
+    return max(a, b)
+
+def _fdiv(a, b, bits):
+    return a / b if b else _INF if a > 0 else -_INF if a < 0 else _NAN
+
+
+INT_OPS = {"add": _add, "sub": _sub, "mul": _mul, "sdiv": _sdiv,
+           "srem": _srem, "and": _and, "or": _or, "xor": _xor, "shl": _shl,
+           "ashr": _ashr, "lshr": _lshr, "smin": _min, "smax": _max}
+FLOAT_OPS = {"fadd": _add, "fsub": _sub, "fmul": _mul, "fdiv": _fdiv,
+             "fmin": _min, "fmax": _max}
+#: the integer binops that trap on a zero divisor, with their message
+DIVISIONS = {"sdiv": "integer division by zero",
+             "srem": "integer remainder by zero"}
+
+
+# -- compare predicates: f(a, b) -> 0 / 1 -----------------------------------
+
+def _eq(a, b):
+    return 1 if a == b else 0
+
+def _ne(a, b):
+    return 1 if a != b else 0
+
+def _lt(a, b):
+    return 1 if a < b else 0
+
+def _le(a, b):
+    return 1 if a <= b else 0
+
+def _gt(a, b):
+    return 1 if a > b else 0
+
+def _ge(a, b):
+    return 1 if a >= b else 0
+
+
+ICMP = {"eq": _eq, "ne": _ne, "slt": _lt, "sle": _le, "sgt": _gt,
+        "sge": _ge}
+FCMP = {"oeq": _eq, "one": _ne, "olt": _lt, "ole": _le, "ogt": _gt,
+        "oge": _ge}
+
+
+# -- casts: f(v, bits) on the coerced source value, before the wrap ---------
+
+def _keep(v, bits):
+    return v
+
+def _zext(v, bits):
+    return v & (1 << bits) - 1  # the source bits, read unsigned
+
+def _sitofp(v, bits):
+    return float(v)
+
+def _fptosi(v, bits):
+    return int(v)
+
+
+CASTS = {"trunc": _keep, "sext": _keep, "zext": _zext, "sitofp": _sitofp,
+         "fptosi": _fptosi, "bitcast": _keep}
+
+
+def _entry(table: dict, key: str):
+    """``table[key]``, or the :class:`SimulationError` of an unknown op."""
+    function = table.get(key)
+    if function is None:
+        raise SimulationError(f"unknown operation {key}")
+    return function
+
+
 def eval_binop(op: str, type_: Type, a, b):
     """Evaluate a binary op with two's-complement / IEEE semantics."""
-    if isinstance(type_, IntType):
-        ia, ib = int(a), int(b)
-        if op == "add":
-            r = ia + ib
-        elif op == "sub":
-            r = ia - ib
-        elif op == "mul":
-            r = ia * ib
-        elif op == "sdiv":
-            if ib == 0:
-                raise SimulationError("integer division by zero")
-            r = abs(ia) // abs(ib) * (1 if (ia >= 0) == (ib >= 0) else -1)
-        elif op == "srem":
-            if ib == 0:
-                raise SimulationError("integer remainder by zero")
-            r = ia - (abs(ia) // abs(ib) * (1 if (ia >= 0) == (ib >= 0) else -1)) * ib
-        elif op == "and":
-            r = ia & ib
-        elif op == "or":
-            r = ia | ib
-        elif op == "xor":
-            r = ia ^ ib
-        elif op == "shl":
-            r = ia << (ib & (type_.bits - 1))
-        elif op == "ashr":
-            r = ia >> (ib & (type_.bits - 1))
-        elif op == "lshr":
-            mask = (1 << type_.bits) - 1
-            r = (ia & mask) >> (ib & (type_.bits - 1))
-        elif op == "smin":
-            r = min(ia, ib)
-        elif op == "smax":
-            r = max(ia, ib)
-        else:
-            raise SimulationError(f"unknown integer binop {op}")
-        return type_.wrap(r)
-
-    fa, fb = float(a), float(b)
-    if op == "fadd":
-        r = fa + fb
-    elif op == "fsub":
-        r = fa - fb
-    elif op == "fmul":
-        r = fa * fb
-    elif op == "fdiv":
-        if fb == 0.0:
-            r = float("inf") if fa > 0 else float("-inf") if fa < 0 else float("nan")
-        else:
-            r = fa / fb
-    elif op == "fmin":
-        r = min(fa, fb)
-    elif op == "fmax":
-        r = max(fa, fb)
-    else:
-        raise SimulationError(f"unknown float binop {op}")
-    # round-trip through f32 so accumulated error matches 32-bit hardware
-    return struct.unpack("<f", struct.pack("<f", r))[0]
-
-
-_ICMP = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "slt": lambda a, b: a < b,
-    "sle": lambda a, b: a <= b,
-    "sgt": lambda a, b: a > b,
-    "sge": lambda a, b: a >= b,
-}
-
-_FCMP = {
-    "oeq": lambda a, b: a == b,
-    "one": lambda a, b: a != b,
-    "olt": lambda a, b: a < b,
-    "ole": lambda a, b: a <= b,
-    "ogt": lambda a, b: a > b,
-    "oge": lambda a, b: a >= b,
-}
+    if not isinstance(type_, IntType):
+        return to_f32(_entry(FLOAT_OPS, op)(float(a), float(b), 32))
+    function, a, b = _entry(INT_OPS, op), int(a), int(b)
+    if op in DIVISIONS and b == 0:
+        raise SimulationError(DIVISIONS[op])
+    return type_.wrap(function(a, b, type_.bits))
 
 
 def eval_icmp(predicate: str, a, b) -> int:
-    return 1 if _ICMP[predicate](int(a), int(b)) else 0
+    return _entry(ICMP, predicate)(int(a), int(b))
 
 
 def eval_fcmp(predicate: str, a, b) -> int:
-    return 1 if _FCMP[predicate](float(a), float(b)) else 0
+    return _entry(FCMP, predicate)(float(a), float(b))
 
 
 def eval_cast(kind: str, value, from_type: Type, to_type: Type):
-    if kind in ("trunc", "sext", "zext"):
-        value = int(value)
-        if kind == "zext" and isinstance(from_type, IntType):
-            value &= (1 << from_type.bits) - 1  # source bits, read unsigned
-        return to_type.wrap(value)
-    if kind == "sitofp":
-        return float(int(value))
-    if kind == "fptosi":
-        return to_type.wrap(int(float(value)))
-    if kind == "bitcast":
-        return value
-    raise SimulationError(f"unknown cast kind {kind}")
+    """A cast reads its source in the source's domain (a pointer as it
+    is); an integer result is wrapped into ``to_type``."""
+    if isinstance(from_type, (IntType, FloatType)):
+        value = int(value) if isinstance(from_type, IntType) else float(value)
+    result = _entry(CASTS, kind)(value, getattr(from_type, "bits", 32))
+    return to_type.wrap(result) if isinstance(to_type, IntType) else result
 
 
 def eval_gep(base: int, indices, strides) -> int:
@@ -140,7 +180,7 @@ def eval_gep(base: int, indices, strides) -> int:
 def eval_pure(inst, resolve):
     """Evaluate one :data:`PURE` instruction (anything else raises);
     ``resolve(operand)`` yields an operand's value. The one dispatch the
-    TXU, the CPU baseline and constant folding share."""
+    TXU, the CPU baseline, constant folding and the predictor share."""
     if isinstance(inst, BinaryOp):
         return eval_binop(inst.op, inst.type,
                           resolve(inst.lhs), resolve(inst.rhs))
@@ -166,8 +206,9 @@ def eval_pure(inst, resolve):
 
 
 def to_f32(value: float) -> float:
-    """Quantise a Python float to single precision (what memory stores)."""
-    return struct.unpack("<f", struct.pack("<f", float(value)))[0]
+    """Quantise a Python number to single precision (the one rounding: f32
+    results and what memory stores)."""
+    return struct.unpack("<f", struct.pack("<f", value))[0]
 
 
 def value_to_raw(type_: Type, value) -> int:

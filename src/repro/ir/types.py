@@ -59,6 +59,9 @@ class IntType(Type):
         if bits not in self.WIDTHS:
             raise ValueError(f"unsupported integer width: {bits}")
         self.bits = bits
+        self.mask = (1 << bits) - 1
+        #: weight of the sign bit; 0 for i1, which holds 0 and 1
+        self.sign_bit = 1 << (bits - 1) if bits > 1 else 0
 
     def _key(self):
         return (self.bits,)
@@ -69,25 +72,16 @@ class IntType(Type):
 
     @property
     def min_value(self) -> int:
-        if self.bits == 1:
-            return 0
-        return -(1 << (self.bits - 1))
+        return -self.sign_bit
 
     @property
     def max_value(self) -> int:
-        if self.bits == 1:
-            return 1
-        return (1 << (self.bits - 1)) - 1
+        return self.mask - self.sign_bit
 
     def wrap(self, value: int) -> int:
-        """Wrap a Python int into this type's two's-complement range."""
-        if self.bits == 1:
-            return value & 1
-        mask = (1 << self.bits) - 1
-        value &= mask
-        if value >= 1 << (self.bits - 1):
-            value -= 1 << self.bits
-        return value
+        """Wrap a Python int into this type's two's-complement range (the
+        one wrap: the compiled engine's steppers specialise this line)."""
+        return (value + self.sign_bit & self.mask) - self.sign_bit
 
     def __repr__(self):
         return f"i{self.bits}"

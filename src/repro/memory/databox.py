@@ -46,11 +46,9 @@ class DataBox(Component):
     TXUs and one request/response pair toward the global cache arbiter.
     """
 
-    def __init__(self, sim: Simulator, name: str, unit_index: int,
-                 num_ports: int, to_cache: Channel, from_cache: Channel,
-                 entries: int = 8):
+    def __init__(self, sim: Simulator, name: str, num_ports: int,
+                 to_cache: Channel, from_cache: Channel, entries: int = 8):
         super().__init__(name)
-        self.unit_index = unit_index
         self.to_cache = to_cache
         self.from_cache = from_cache
         self.entries = max(1, entries)

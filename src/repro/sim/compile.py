@@ -5,13 +5,14 @@ elaborated netlist into generated Python specialized for that exact
 design -- a netlist shell plus one stepper module per task unit, shared
 by every design point of the program: every task unit / TXU tile is
 inlined down to straight-line per-dataflow-node code (operand reads,
-two's-complement wrap masks, handshake checks and latency literals baked
-in as constants), while the plumbing components (arbiters, demuxes,
-cache, DRAM, scratchpad, data boxes) are inlined too — each section
-derived from the class's own ``tick()`` source by :mod:`repro.sim.derive`,
-channel handshakes turned into flat-array ops — and run behind *no-op
-guards*: start-of-cycle state checks that are false only when the tick
-could not change any architectural state.
+handshake checks and latency literals baked in as constants, each pure
+node's arithmetic specialised from :mod:`repro.ir.opsem`), while the
+plumbing components (arbiters, demuxes, cache, DRAM, scratchpad, data
+boxes) are inlined too — each section derived from the class's own
+``tick()`` source by :mod:`repro.sim.derive`, channel handshakes turned
+into flat-array ops — and run behind *no-op guards*: start-of-cycle
+state checks that are false only when the tick could not change any
+architectural state.
 
 The contract is the same bit-identity the dense and event engines share:
 cycle counts, architectural stats, channel traffic and error behaviour
@@ -58,18 +59,19 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import tempfile
 from pathlib import Path
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
+from repro.ir import opsem
 from repro.ir.instructions import (
     GEP,
     Alloca,
     BinaryOp,
     Br,
-    Call,
     Cast,
     CondBr,
     Detach,
@@ -79,15 +81,14 @@ from repro.ir.instructions import (
     Reattach,
     Ret,
     Select,
-    Store,
     Sync,
 )
-from repro.ir.types import FloatType, IntType, PointerType
+from repro.ir.types import FloatType, IntType
 from repro.ir.values import Constant, GlobalVariable
 from repro.memory import (Cache, DataBox, Demux, DRAMModel,
                           RoundRobinArbiter, Scratchpad)
 from repro.sim import engine as _engine
-from repro.sim.derive import UnsupportedDesign, section
+from repro.sim.derive import UnsupportedDesign, expression, section
 from repro.task.task_unit import OUTBOUND_BUFFER, TaskUnit
 from repro.task.txu import TXUTile
 
@@ -109,14 +110,6 @@ _MODULES: Dict[str, dict] = {}
 _CACHE_INFO = {"shells_compiled": 0, "shells_reused": 0,
                "steppers_compiled": 0, "steppers_reused": 0,
                "compile_seconds": 0.0}
-
-_ICMP_PY = {"eq": "==", "ne": "!=", "slt": "<", "sle": "<=",
-            "sgt": ">", "sge": ">="}
-_FCMP_PY = {"oeq": "==", "one": "!=", "olt": "<", "ole": "<=",
-            "ogt": ">", "oge": ">="}
-_INT_OPS = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|",
-            "xor": "^"}
-_FLT_OPS = {"fadd": "+", "fsub": "-", "fmul": "*"}
 
 
 def kernel_cache_dir() -> Path:
@@ -311,7 +304,6 @@ def generate_source(sim) -> str:
 _TEMPORARIES = ("inst st gap wk_ msg dyid_ en_ ix_ _ tt_ rs_ resp rm_ mw nw_ "
                 "fin wa pk ph _w k v nm busy tw w w2 span").split()
 _PARKED = 1 << 60  # txu PARKED == the missing-dep sentinel (1 << 60)
-_CAST_INT = ("trunc", "sext", "zext")
 
 
 class _Emitter:
@@ -362,18 +354,39 @@ class _Emitter:
         return k
 
 
+#: (opsem function, operand type, result type) -> opsem_lines' plan
+_PLANS: Dict[tuple, tuple] = {}
+
+
+def _spell(fn, bound: dict, objects: list) -> str:
+    """``fn``'s returned expression as kernel text: a name bound to a string
+    is that (atomic) text, an unbound parameter stays ``@name@``, anything
+    else a placeholder reaches (through a bound object or module global) is
+    a literal, or ``@#<i>@`` for the object appended to ``objects``."""
+    def fill(match):
+        head, *attrs = match.group(1).split(".")
+        if head not in bound and head in fn.__code__.co_varnames:
+            return match.group(0)
+        value = bound[head] if head in bound else fn.__globals__[head]
+        for attr in attrs:
+            value = getattr(value, attr)
+        if isinstance(value, str):
+            return value
+        literal = _fmt_const(value)
+        if literal is None:
+            objects.append(value)
+            literal = "@#%d@" % (len(objects) - 1)
+        return literal
+    return re.sub(r"@([\w.]+)@", fill, expression(fn))
+
+
 def _fmt_const(value) -> Optional[str]:
     """Literal source for a constant, or None when it cannot be spelled
-    (non-finite floats go through ctx instead)."""
-    if isinstance(value, bool):
-        return None  # be conservative: route bools through ctx
-    if isinstance(value, int):
-        return "(%r)" % (value,)
-    if isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
-            return None
-        return "(%r)" % (value,)
-    return None
+    (bools and non-finite floats go through the object table instead)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or value != value or value in (float("inf"), float("-inf")):
+        return None
+    return "(%r)" % (value,)
 
 
 class _StepperGen:
@@ -415,15 +428,10 @@ class _StepperGen:
 
     def rvi(self, v) -> str:
         """Resolve in an ``int(...)`` context, skipping the coercion when
-        the operand is statically an int literal."""
-        if isinstance(v, Constant) and isinstance(v.value, int) \
-                and not isinstance(v.value, bool):
-            return "(%r)" % (v.value,)
-        if isinstance(v, GlobalVariable):
-            if v.address is None:
-                raise UnsupportedDesign(
-                    f"global @{v.name} has no address at codegen time")
-            return "(%r)" % (int(v.address),)
+        the operand is statically an int (a literal or a global's address)."""
+        if isinstance(v, GlobalVariable) or isinstance(v, Constant) \
+                and isinstance(v.value, int) and not isinstance(v.value, bool):
+            return self.rv(v)
         return "int(%s)" % self.rv(v)
 
     def rvf(self, v) -> str:
@@ -439,25 +447,65 @@ class _StepperGen:
     def _lat(self, kind: str) -> int:
         return self.latencies.get(kind, 1)
 
-    def _wrap(self, target: str, type_, ind: str) -> List[str]:
-        """Two's-complement wrap of local ``r`` into ``target``
-        (mirrors IntType.wrap)."""
-        if not isinstance(type_, IntType):
+    def opsem_lines(self, ir, tgt: str, ind: str) -> List[str]:
+        """A BinaryOp / ICmp / FCmp / Cast node: its opsem table entry and
+        the ``IntType.wrap`` / ``to_f32`` around it, spelled once per process
+        and types, with the operand texts (coerced as ``eval_pure`` does)
+        substituted; an operand used twice is read once into a local."""
+        source = ir.operands[0].type
+        if isinstance(ir, BinaryOp):
+            table = opsem.INT_OPS if isinstance(source, IntType) \
+                else opsem.FLOAT_OPS
+            key = ir.op
+        elif isinstance(ir, (ICmp, FCmp)):
+            table = opsem.ICMP if isinstance(ir, ICmp) else opsem.FCMP
+            key = ir.predicate
+        elif isinstance(ir, Cast):
+            table, key = opsem.CASTS, ir.kind
+        else:
             raise UnsupportedDesign(
-                f"integer wrap on non-integer type {type_}")
-        bits = type_.bits
-        if bits == 1:
-            return [ind + "%s = r & 1" % target]
-        return [ind + "r &= %d" % ((1 << bits) - 1),
-                ind + "if r >= %d:" % (1 << (bits - 1)),
-                ind + "    r -= %d" % (1 << bits),
-                ind + "%s = r" % target]
+                f"TXU codegen cannot execute {type(ir).__name__}")
+        fn = table.get(key)
+        if fn is None:
+            raise UnsupportedDesign(f"ir/opsem.py has no {ir.opcode}")
+        plan = _PLANS.get((fn, source, ir.type))
+        if plan is None:
+            objects: list = []
+            expr = _spell(fn, {"bits": getattr(source, "bits", 32)}, objects)
+            if isinstance(ir.type, IntType) and not isinstance(ir, (ICmp, FCmp)):
+                expr = _spell(IntType.wrap, {"self": ir.type,
+                                             "value": "(%s)" % expr}, objects)
+            elif isinstance(ir, BinaryOp):
+                expr = _spell(opsem.to_f32, {"value": "(%s)" % expr}, objects)
+            read = _StepperGen.rvi if isinstance(source, IntType) \
+                or isinstance(ir, ICmp) else _StepperGen.rvf \
+                if isinstance(source, FloatType) else _StepperGen.rv
+            trap = opsem.DIVISIONS.get(key) if table is opsem.INT_OPS else None
+            # per operand: placeholder, local, uses (+1: a divisor's check)
+            operands = tuple(("@%s@" % name, name + "_", expr.count(
+                "@%s@" % name) + (trap is not None and i == 1))
+                for i, name in enumerate(fn.__code__.co_varnames[
+                    :len(ir.operands)]))
+            plan = _PLANS[fn, source, ir.type] = (
+                expr, tuple(objects), read, operands, trap)
+        expr, objects, read, operands, trap = plan
+        for i, obj in enumerate(objects):
+            expr = expr.replace("@#%d@" % i, self.em.ref(obj))
+        L, texts = [], []
+        for (placeholder, local, uses), value in zip(operands, ir.operands):
+            text = read(self, value)
+            if uses > 1 and not (text.startswith("(") or text.isidentifier()):
+                L.append(ind + "%s = %s" % (local, text))
+                text = local
+            expr = expr.replace(placeholder, text)
+            texts.append(text)
+        if trap is not None:
+            L.append(ind + "if %s == 0:" % texts[1])
+            L.append(ind + "    raise SimulationError(%r)" % trap)
+        L.append(ind + "%s = %s" % (tgt, expr))
+        return L
 
-    def _f32(self, expr: str) -> str:
-        """Round-trip through single precision (opsem's float results)."""
-        return '_up("<f", _pk("<f", %s))[0]' % expr
-
-    # -- node firing (mirrors TXUTile._fire) -------------------------------
+    # -- node firing (TXUTile._fire; a pure node is opsem's) --------------
 
     def fire_lines(self, node, ind: str) -> List[str]:
         ir = node.inst
@@ -486,110 +534,21 @@ class _StepperGen:
                                 self.unit.frame_size, offset))
             else:
                 L.append(ind + "%s = _RegSlot(%s)" % (tgt, self.em.ref(ir)))
-        elif isinstance(ir, BinaryOp):
-            L.extend(self._binop_lines(ir, tgt, ind))
-        elif isinstance(ir, ICmp):
-            op = _ICMP_PY.get(ir.predicate)
-            if op is None:
-                raise UnsupportedDesign(f"icmp predicate {ir.predicate}")
-            L.append(ind + "%s = 1 if %s %s %s else 0"
-                     % (tgt, self.rvi(ir.lhs), op, self.rvi(ir.rhs)))
-        elif isinstance(ir, FCmp):
-            op = _FCMP_PY.get(ir.predicate)
-            if op is None:
-                raise UnsupportedDesign(f"fcmp predicate {ir.predicate}")
-            L.append(ind + "%s = 1 if %s %s %s else 0"
-                     % (tgt, self.rvf(ir.operands[0]), op,
-                        self.rvf(ir.operands[1])))
         elif isinstance(ir, Select):
             cond, if_true, if_false = ir.operands
             L.append(ind + "%s = (%s) if (%s) else (%s)"
                      % (tgt, self.rv(if_true), self.rv(cond),
                         self.rv(if_false)))
-        elif isinstance(ir, Cast):
-            L.extend(self._cast_lines(ir, tgt, ind))
         elif isinstance(ir, GEP):
             L.extend(self._gep_lines(ir, tgt, ind))
         else:
-            raise UnsupportedDesign(
-                f"TXU codegen cannot execute {type(ir).__name__}")
+            L.extend(self.opsem_lines(ir, tgt, ind))
 
         # chained assignment keeps the hoisted per-node local in sync so a
         # 0-latency dependent sees the fresh deadline within the same call
         L.append(ind + "nd[%d] = dn%d = cycle + %d"
                  % (node.index, node.index, self._lat(kind)))
         return L
-
-    def _binop_lines(self, ir, tgt: str, ind: str) -> List[str]:
-        op = ir.op
-        if isinstance(ir.type, IntType):
-            bits = ir.type.bits
-            L = [ind + "ia = %s" % self.rvi(ir.lhs),
-                 ind + "ib = %s" % self.rvi(ir.rhs)]
-            if op in _INT_OPS:
-                L.append(ind + "r = ia %s ib" % _INT_OPS[op])
-            elif op in ("sdiv", "srem"):
-                what = "division" if op == "sdiv" else "remainder"
-                L.append(ind + "if ib == 0:")
-                L.append(ind + "    raise SimulationError(%r)"
-                         % ("integer %s by zero" % what,))
-                q = "abs(ia) // abs(ib) * (1 if (ia >= 0) == (ib >= 0) else -1)"
-                if op == "sdiv":
-                    L.append(ind + "r = " + q)
-                else:
-                    L.append(ind + "r = ia - (%s) * ib" % q)
-            elif op == "shl":
-                L.append(ind + "r = ia << (ib & %d)" % (bits - 1))
-            elif op == "ashr":
-                L.append(ind + "r = ia >> (ib & %d)" % (bits - 1))
-            elif op == "lshr":
-                L.append(ind + "r = (ia & %d) >> (ib & %d)"
-                         % ((1 << bits) - 1, bits - 1))
-            elif op == "smin":
-                L.append(ind + "r = ia if ia < ib else ib")
-            elif op == "smax":
-                L.append(ind + "r = ia if ia > ib else ib")
-            else:
-                raise UnsupportedDesign(f"integer binop {op}")
-            L.extend(self._wrap(tgt, ir.type, ind))
-            return L
-        L = [ind + "fa = %s" % self.rvf(ir.lhs),
-             ind + "fb = %s" % self.rvf(ir.rhs)]
-        if op in _FLT_OPS:
-            L.append(ind + "r = fa %s fb" % _FLT_OPS[op])
-        elif op == "fdiv":
-            L.append(ind + "if fb == 0.0:")
-            L.append(ind + "    r = _INF if fa > 0 else "
-                           "_NINF if fa < 0 else _NAN")
-            L.append(ind + "else:")
-            L.append(ind + "    r = fa / fb")
-        elif op == "fmin":
-            L.append(ind + "r = fa if fa < fb else fb")
-        elif op == "fmax":
-            L.append(ind + "r = fa if fa > fb else fb")
-        else:
-            raise UnsupportedDesign(f"float binop {op}")
-        L.append(ind + "%s = %s" % (tgt, self._f32("r")))
-        return L
-
-    def _cast_lines(self, ir, tgt: str, ind: str) -> List[str]:
-        kind = ir.kind
-        v = ir.operands[0]
-        if kind in _CAST_INT:
-            L = [ind + "r = %s" % self.rvi(v)]
-            if kind == "zext" and isinstance(v.type, IntType):
-                L.append(ind + "r &= %d" % ((1 << v.type.bits) - 1))
-            L.extend(self._wrap(tgt, ir.type, ind))
-            return L
-        if kind == "sitofp":
-            return [ind + "%s = float(%s)" % (tgt, self.rvi(v))]
-        if kind == "fptosi":
-            L = [ind + "r = int(%s)" % self.rvf(v)]
-            L.extend(self._wrap(tgt, ir.type, ind))
-            return L
-        if kind == "bitcast":
-            return [ind + "%s = %s" % (tgt, self.rv(v))]
-        raise UnsupportedDesign(f"cast kind {kind}")
 
     def _gep_lines(self, ir, tgt: str, ind: str) -> List[str]:
         terms = ["%s * %d" % (self.rvi(idx), stride)
@@ -683,8 +642,7 @@ class _StepperGen:
                 ind + "inst.node_done = [B] * %d"
                 % len(self.compiled.dfg(target).nodes),
                 ind + "inst.pending_mem = set()",
-                ind + "inst.pending_call = set()",
-                ind + "inst.block_entry_cycle = cycle + 1"]
+                ind + "inst.pending_call = set()"]
 
     # -- the whole stepper -------------------------------------------------
 
@@ -787,7 +745,6 @@ class _StepperGen:
                      % (spec.dest_sid, args, self.unit.sid, ret_ptr, seq))
             L.append("            en_.child_count += 1")
             L.append("            U.spawns_issued += 1")
-            L.append("            inst.spawned += 1")
             L.extend(self.enter_lines(term.continuation, "            "))
             L.append("            m = 1")
         elif isinstance(term, Sync):
@@ -915,8 +872,6 @@ def _stepper_module(gen: _StepperGen) -> str:
                  "_o%d, " % i for i in range(len(gen.em.objs)))]
     lines.extend(_CTX_NAMES)
     lines.append("    P = B = %d" % _PARKED)
-    lines.append('    _INF, _NINF, _NAN = float("inf"), float("-inf"), '
-                 'float("nan")')
     lines.append("    def mk(T, Tf, Tfc, Tsu, cRi, R, TI, CP, dl, U, Uso, ev, "
                  "act):")
     lines.extend("        " + line for line in body)
@@ -1016,53 +971,30 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs, mods):
     take = ("%sqr.pop()" if unit.queue.policy == "lifo"
             else "%sqr.popleft()") % u
     nt = len(unit.tiles)
+    em.pre.append("%stl = (%s,)" % (u, ", ".join(
+        "(%s, %si, %d)" % (tn, tn, t.max_inflight) for tn, _rc, t in tiles)))
     tick.append("    if %sqr:" % u)
-    if nt == 1:
-        tn0, _rc0, t0 = tiles[0]
-        tick.append("        if len(%si) < %d:" % (tn0, t0.max_inflight))
-        tick.append("            dyid_ = %s" % take)
-        tick.append("            en_ = %sqe[dyid_]" % u)
-        tick.append('            if en_.state != "READY":')
-        tick.append("                raise SimulationError(")
-        tick.append('                    "task queue %%s: ready-list entry '
-                    '%%d in state %%s" %% (%sq.name, dyid_, en_.state))' % u)
-        tick.append('            en_.state = "EXE"')
-        tick.append("            %s.start(%s._uid_counter, en_, cycle)"
-                    % (tn0, u))
-        tick.append("            %s._uid_counter += 1" % u)
-        tick.append("            wk_ = 1")
-        tick.append("            if %s.first_dispatch_cycle is None:" % u)
-        tick.append("                %s.first_dispatch_cycle = cycle" % u)
-    else:
-        em.pre.append("%stl = (%s)" % (u, ", ".join(
-            "(%s, %si, %d)" % (tn, tn, t.max_inflight)
-            for tn, _rc, t in tiles)))
-        tick.append("        ix_ = %s._dispatch_rr" % u)
-        tick.append("        for _ in range(%d):" % nt)
-        tick.append("            tt_ = %stl[ix_]" % u)
-        tick.append("            if len(tt_[1]) < tt_[2]:")
-        tick.append("                if not %sqr:" % u)
-        tick.append("                    break")
-        tick.append("                dyid_ = %s" % take)
-        tick.append("                en_ = %sqe[dyid_]" % u)
-        tick.append('                if en_.state != "READY":')
-        tick.append("                    raise SimulationError(")
-        tick.append('                        "task queue %%s: ready-list '
-                    'entry %%d in state %%s" %% (%sq.name, dyid_, en_.state))'
-                    % u)
-        tick.append('                en_.state = "EXE"')
-        tick.append("                tt_[0].start(%s._uid_counter, en_, "
-                    "cycle)" % u)
-        tick.append("                %s._uid_counter += 1" % u)
-        tick.append("                wk_ = 1")
-        tick.append("                %s._dispatch_rr = ix_ + 1 if ix_ + 1 "
-                    "< %d else 0" % (u, nt))
-        tick.append("                if %s.first_dispatch_cycle is None:"
-                    % u)
-        tick.append("                    %s.first_dispatch_cycle = cycle"
-                    % u)
-        tick.append("                break")
-        tick.append("            ix_ = ix_ + 1 if ix_ + 1 < %d else 0" % nt)
+    tick.append("        ix_ = %s._dispatch_rr" % u)
+    tick.append("        for _ in range(%d):" % nt)
+    tick.append("            tt_ = %stl[ix_]" % u)
+    tick.append("            if len(tt_[1]) < tt_[2]:")
+    tick.append("                dyid_ = %s" % take)
+    tick.append("                en_ = %sqe[dyid_]" % u)
+    tick.append('                if en_.state != "READY":')
+    tick.append("                    raise SimulationError(")
+    tick.append('                        "task queue %%s: ready-list '
+                'entry %%d in state %%s" %% (%sq.name, dyid_, en_.state))'
+                % u)
+    tick.append('                en_.state = "EXE"')
+    tick.append("                tt_[0].start(%s._uid_counter, en_)" % u)
+    tick.append("                %s._uid_counter += 1" % u)
+    tick.append("                wk_ = 1")
+    tick.append("                %s._dispatch_rr = ix_ + 1 if ix_ + 1 "
+                "< %d else 0" % (u, nt))
+    tick.append("                if %s.first_dispatch_cycle is None:" % u)
+    tick.append("                    %s.first_dispatch_cycle = cycle" % u)
+    tick.append("                break")
+    tick.append("            ix_ = ix_ + 1 if ix_ + 1 < %d else 0" % nt)
     full = "len(%sso) >= %d" % (u, OUTBOUND_BUFFER)
     for ti, (tn, rc, t) in enumerate(tiles):
         # the instance loop is a pure no-op (each instance would hit its
@@ -1166,7 +1098,7 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs, mods):
         tick.append("    else:")
         tick.append("        %s._min_wake = P" % tn)
     tick.append("    if %sjr:" % u)
-    tick.append("        %ssj(cycle)" % u)
+    tick.append("        %ssj()" % u)
     tick.append("    if %sso and len(c%di) < %d and CP[%d] is None:"
                 % (u, so, unit.spawn_out.capacity, so))
     tick.append("        CP[%d] = %sso.popleft()" % (so, u))
@@ -1207,8 +1139,8 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs, mods):
 #: what both module kinds bind from ctx before their defs
 _CTX_NAMES = ['    %s = ctx["%s"]' % pair for pair in (
     ("SimulationError", "SimulationError"), ("_RegSlot", "RegSlot"),
-    ("_pk", "pack"), ("_up", "unpack"), ("MemRequest", "MemRequest"),
-    ("MemTag", "MemTag"), ("_v2r", "v2r"), ("SpawnMessage", "SpawnMessage"))]
+    ("MemRequest", "MemRequest"), ("MemTag", "MemTag"), ("_v2r", "v2r"),
+    ("SpawnMessage", "SpawnMessage"))]
 
 
 def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
@@ -1218,8 +1150,6 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
     given design: iteration is over registration-order lists only, names
     are assigned by traversal index, and nothing depends on id()/hash
     ordering."""
-    import struct as _struct
-
     from repro.ir.opsem import RegSlot as _RegSlotCls
     from repro.ir.opsem import value_to_raw as _value_to_raw
     from repro.memory.databox import MemTag as _MemTagCls
@@ -1471,8 +1401,6 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
         "channels": tuple(em.channels),
         "SimulationError": SimulationError,
         "RegSlot": _RegSlotCls,
-        "pack": _struct.pack,
-        "unpack": _struct.unpack,
         "MemRequest": _MemRequestCls,
         "MemTag": _MemTagCls,
         "v2r": _value_to_raw,

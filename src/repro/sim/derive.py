@@ -10,6 +10,9 @@ hoisted into the preamble, module globals go through the object table, and
 increment). docs/simulator.md ("Writing a compilable component") lists the
 subset; anything else raises :class:`UnsupportedDesign` naming class,
 method, construct and line, and the design runs on the dense oracle.
+:func:`expression` reads a one-``return`` function the same way for the
+TXU steppers: ``ir/opsem.py``'s operations, ``IntType.wrap`` and
+``to_f32``.
 """
 
 from __future__ import annotations
@@ -64,13 +67,41 @@ def _returned(fn):
         and isinstance(body[0], ast.Return) else None
 
 
-def _self_chain(node) -> list:
-    """``["a", "b"]`` for ``self.a.b``, else ``[]``."""
+@lru_cache(maxsize=None)
+def expression(fn) -> str:
+    """What a one-``return`` function returns, as text in which every name
+    ``fn`` binds -- a parameter or module global, with its attribute chain
+    (``self.mask``, ``struct.pack``) -- is an ``@name@`` placeholder; the
+    builtins stay. Read once per function per process."""
+    node = _returned(fn)
+    if node is None:
+        raise UnsupportedDesign(f"{fn.__qualname__} is not one "
+                                f"`return <expression>`")
+    names = set(fn.__code__.co_varnames) | set(fn.__globals__)
+
+    class Marked(ast.NodeTransformer):
+        def visit(self, node):
+            chain = _chain(node)
+            if chain and chain[0] in names:
+                return ast.Name(id="@%s@" % ".".join(chain))
+            return super().visit(node)
+
+    return ast.unparse(Marked().visit(copy.deepcopy(node)))
+
+
+def _chain(node) -> list:
+    """``["a", "b", "c"]`` for ``a.b.c``, else ``[]``."""
     chain = []
     while isinstance(node, ast.Attribute):
         chain.append(node.attr)
         node = node.value
-    return chain[::-1] if getattr(node, "id", None) == "self" else []
+    return [node.id] + chain[::-1] if isinstance(node, ast.Name) else []
+
+
+def _self_chain(node) -> list:
+    """``["a", "b"]`` for ``self.a.b``, else ``[]``."""
+    chain = _chain(node)
+    return chain[1:] if chain[:1] == ["self"] else []
 
 
 def _self_attr(node):

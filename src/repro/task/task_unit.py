@@ -26,7 +26,6 @@ from repro.task.messages import JOIN_CALL, JOIN_SYNC, JoinMessage, SpawnMessage
 from repro.task.task_queue import (
     COMPLETE,
     EXE,
-    READY,
     SYNC,
     TaskEntry,
     TaskQueue,
@@ -80,7 +79,6 @@ class TaskUnit(Component):
         self.spawns_accepted = 0
         self.spawns_issued = 0
         self.first_dispatch_cycle: Optional[int] = None
-        self.last_completion_cycle: Optional[int] = None
         #: last cycle whose tile busy_cycles accounting is complete — the
         #: event engine may skip ticks while every instance is parked on a
         #: memory/call response (state frozen), and the dense engine counts
@@ -175,7 +173,7 @@ class TaskUnit(Component):
         self._dispatch(cycle)
         for tile in self.tiles:
             tile.tick(cycle)
-        self._send_join(cycle)
+        self._send_join()
         self._drain_outbound()
 
     def _accept_join(self, cycle: int):
@@ -240,14 +238,14 @@ class TaskUnit(Component):
                 if entry is None:
                     return
                 entry.state = EXE
-                tile.start(self._uid_counter, entry, cycle)
+                tile.start(self._uid_counter, entry)
                 self._uid_counter += 1
                 self._dispatch_rr = (self._dispatch_rr + offset + 1) % n
                 if self.first_dispatch_cycle is None:
                     self.first_dispatch_cycle = cycle
                 return
 
-    def _send_join(self, cycle: int):
+    def _send_join(self):
         if not self._join_ready:
             return
         dyid = self._join_ready[0]
@@ -257,7 +255,6 @@ class TaskUnit(Component):
             self._join_ready.popleft()
             self.root_done = True
             self.root_retval = entry.retval
-            self.last_completion_cycle = cycle
             self.queue.release(entry)
             return
         if len(self._join_outbuf) >= OUTBOUND_BUFFER:
@@ -267,7 +264,6 @@ class TaskUnit(Component):
             parent_sid=entry.parent_sid, parent_dyid=entry.parent_dyid,
             join_kind=entry.join_kind, call_token=entry.call_token,
             retval=entry.retval, child_gid=entry.gid))
-        self.last_completion_cycle = cycle
         self.queue.release(entry)
 
     def _drain_outbound(self):

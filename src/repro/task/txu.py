@@ -67,8 +67,7 @@ class Instance:
 
     __slots__ = (
         "uid", "entry", "block", "env", "regs", "node_done", "pending_mem",
-        "pending_call", "phase", "retval", "spawned", "block_entry_cycle",
-        "wake_at", "park",
+        "pending_call", "phase", "retval", "wake_at", "park",
     )
 
     def __init__(self, uid: int, entry: TaskEntry, block, nodes: int):
@@ -84,8 +83,6 @@ class Instance:
         self.pending_call: Set[int] = set()
         self.phase = RUN
         self.retval: Any = None
-        self.spawned = 0
-        self.block_entry_cycle = 0
         #: scheduling hint: no dataflow progress possible before this cycle
         #: (purely a simulation fast path, not architectural state)
         self.wake_at = 0
@@ -137,7 +134,7 @@ class TXUTile:
     def has_capacity(self) -> bool:
         return len(self.instances) < self.max_inflight
 
-    def start(self, uid: int, entry: TaskEntry, cycle: int) -> Instance:
+    def start(self, uid: int, entry: TaskEntry) -> Instance:
         """Begin a fresh instance or resume a suspended one."""
         resumed = entry.resume_block is not None
         block = entry.resume_block if resumed else self.compiled.entry_block
@@ -154,7 +151,6 @@ class TXUTile:
                 inst.env[value] = arg
                 if self.value_probe is not None:
                     self.value_probe(value, arg)
-        inst.block_entry_cycle = cycle
         self.instances.append(inst)
         self._by_uid[inst.uid] = inst
         return inst
@@ -428,7 +424,7 @@ class TXUTile:
         if isinstance(term, Detach):
             if not self._fire_spawn(inst, term):
                 return "blocked"  # spawn network backpressure
-            self._enter_block(inst, term.continuation, cycle)
+            self._enter_block(inst, term.continuation)
         elif isinstance(term, Sync):
             if inst.entry.child_count > 0:
                 self._suspend(inst, term.continuation)
@@ -437,13 +433,12 @@ class TXUTile:
                 self.unit.analysis_event("sync-pass",
                                          f"gid={inst.entry.gid}",
                                          {"gid": inst.entry.gid})
-                self._enter_block(inst, term.continuation, cycle)
+                self._enter_block(inst, term.continuation)
         elif isinstance(term, Br):
-            self._enter_block(inst, term.dest, cycle)
+            self._enter_block(inst, term.dest)
         elif isinstance(term, CondBr):
             taken = self._resolve(inst, term.cond)
-            self._enter_block(inst, term.if_true if taken else term.if_false,
-                              cycle)
+            self._enter_block(inst, term.if_true if taken else term.if_false)
         elif isinstance(term, Reattach):
             self._finish(inst, None, cycle)
         elif isinstance(term, Ret):
@@ -462,10 +457,9 @@ class TXUTile:
         if not self.unit.issue_spawn(spec.dest_sid, args, inst.entry, ret_ptr):
             self._spawn_blocked = True
             return False
-        inst.spawned += 1
         return True
 
-    def _enter_block(self, inst: Instance, block, cycle: int):
+    def _enter_block(self, inst: Instance, block):
         if not self.compiled.owns_block(block):
             raise SimulationError(
                 f"task {self.compiled.name}: control left the task region "
@@ -474,7 +468,6 @@ class TXUTile:
         inst.node_done = [PARKED] * len(self.compiled.dfg(block).nodes)
         inst.pending_mem = set()
         inst.pending_call = set()
-        inst.block_entry_cycle = cycle + 1
 
     def _suspend(self, inst: Instance, continuation):
         """Vacate the tile while waiting for children (queue state SYNC)."""

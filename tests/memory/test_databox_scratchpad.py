@@ -86,7 +86,7 @@ class TestDataBox:
         sim = Simulator()
         to_cache = sim.add_channel("to", 4)
         from_cache = sim.add_channel("from", 4)
-        box = DataBox(sim, "box", unit_index=0, num_ports=ports,
+        box = DataBox(sim, "box", num_ports=ports,
                       to_cache=to_cache, from_cache=from_cache,
                       entries=entries)
         return sim, box, to_cache, from_cache

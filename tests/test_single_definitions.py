@@ -77,3 +77,23 @@ def test_plumbing_sections_are_derived_not_mirrored():
         os.path.join("memory", "scratchpad.py"): 1}
     assert _hits(r"\[0\]\[0\] > cycle") == {
         os.path.join("sim", "component.py"): 1}
+
+
+def test_txu_arithmetic_is_spelled_once():
+    """``ir/opsem.py`` is the one spelling of integer and f32 operation
+    meaning: the compiled steppers specialise its table entries and the
+    predictor evaluates through ``eval_pure``, so neither keeps an operator
+    table, an emitter per operation or an evaluator of its own."""
+    readers = {os.path.join("sim", "compile.py"),
+               os.path.join("analysis", "perf.py")}
+    assert not readers & set(_hits(
+        r"\b(_ICMP_PY|_FCMP_PY|_INT_OPS|_FLT_OPS|_CAST_INT|_binop_lines"
+        r"|_cast_lines|_f32|_wrap|_apply_binop|_apply_icmp)\b"))
+    assert _hits(r"abs\([^()]*\)\s*//\s*abs\(") == {
+        os.path.join("ir", "opsem.py"): 1}
+
+
+def test_write_only_state_stays_deleted():
+    assert not _hits(r"\b(block_entry_cycle|last_completion_cycle"
+                     r"|frame_offset|unit_index|_used_fallback)\b"
+                     r"|\binst\.spawned\b|\bself\.spawned\b")
