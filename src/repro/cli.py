@@ -279,17 +279,32 @@ def cmd_run(args) -> int:
         print()
         print(render_profile_report(workload.name, result.cycles, observer,
                                     trace=trace, stats=result.stats))
-    if args.trace_out:
-        export_chrome_trace(args.trace_out, observer=observer, trace=trace,
-                            host_spans=TRACER)
-        print(f"trace written to {args.trace_out}")
+    trace_ok = _export_trace(args.trace_out, observer, trace)
     if args.stats_json:
         _write_stats_json(args.stats_json, workload.name, config,
                           result.cycles, result.stats, observer=observer,
                           extra={"work_items": result.work_items,
                                  "correct": result.correct})
         print(f"stats written to {args.stats_json}")
-    return 0 if result.correct else 1
+    return 0 if result.correct and trace_ok else 1
+
+
+def _export_trace(path, observer, trace) -> bool:
+    """Write the Perfetto file ``--trace-out`` names (if any) and check
+    it; print each problem and return False when it is malformed."""
+    from repro.obs import validate_chrome_trace
+
+    if not path:
+        return True
+    document = export_chrome_trace(path, observer=observer, trace=trace,
+                                   host_spans=TRACER)
+    print(f"trace written to {path}")
+    problems = validate_chrome_trace(document)
+    for problem in problems[:10]:
+        print(f"error: {path}: {problem}", file=sys.stderr)
+    if len(problems) > 10:
+        print(f"error: {path}: ... {len(problems) - 10} more", file=sys.stderr)
+    return not problems
 
 
 def _parse_scales(default: int, spec: str, names):
@@ -432,8 +447,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    from repro.obs import validate_chrome_trace
-
     module = _load_module(args.source)
     function = _entry_function(module, args)
 
@@ -453,19 +466,7 @@ def cmd_profile(args) -> int:
                                     trace=trace, stats=result.stats))
     if result.retval is not None:
         print(f"\nreturn value: {result.retval}")
-    trace_ok = True
-    if args.trace_out:
-        document = export_chrome_trace(args.trace_out, observer=observer,
-                                       trace=trace, host_spans=TRACER)
-        print(f"trace written to {args.trace_out}")
-        problems = validate_chrome_trace(document)
-        if problems:
-            for problem in problems[:10]:
-                print(f"error: {args.trace_out}: {problem}", file=sys.stderr)
-            if len(problems) > 10:
-                print(f"error: {args.trace_out}: "
-                      f"... {len(problems) - 10} more", file=sys.stderr)
-            trace_ok = False
+    trace_ok = _export_trace(args.trace_out, observer, trace)
     if args.stats_json:
         _write_stats_json(args.stats_json, label, config, result.cycles,
                           result.stats, observer=observer,

@@ -11,8 +11,8 @@ backpressure cycles and peak depth.
 Both record *runs*, not cycles: ``sample`` says "this holds from
 ``cycle`` on" and only a sample that differs from the open run books it
 (``record_span``); ``flush`` books the open run up to a given cycle, as
-the simulator does whenever ``run`` returns or raises. The cost is per
-change, the views read as if every cycle had been recorded on its own.
+the simulator does whenever ``run`` returns or raises. Counts are derived
+from the runs on read, as if every cycle had been recorded on its own.
 
 Everything here is written to, never read from, the simulation — the
 observer samples component state *after* each tick, so attaching the
@@ -21,31 +21,23 @@ instrumentation cannot change cycle counts (enforced by test).
 
 from __future__ import annotations
 
-from collections import Counter
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.sim.component import OBS_BUSY, OBS_STATES
-
-#: ledger key prefix under which stall reasons are counted
-REASON_PREFIX = "reason:"
 
 
 class CycleLedger:
     """Per-component cycle attribution.
 
-    Counts are kept in a :class:`collections.Counter` (one key per
-    state, plus ``reason:<tag>`` keys for stall attribution) and as
-    a run-length-encoded state timeline, which the trace export reads.
-    The invariant ``busy + stall_in + stall_out + idle == cycles`` holds
-    by construction: every booked span bumps both sides by its length.
+    Keeps a run-length-encoded state timeline, which the trace export reads
+    and every count is summed from: the states sum to ``cycles`` by construction.
     """
 
     def __init__(self, name: str, group: Optional[str] = None):
         self.name = name
         #: track grouping for trace export (a tile's group is its unit)
         self.group = group or name
-        self.counters: Counter = Counter()
-        self.cycles = 0
         #: RLE state runs: [start, end_exclusive, state, reason]
         self.timeline: List[list] = []
         #: the open run: ``current`` holds since cycle ``_since``, unbooked
@@ -76,10 +68,6 @@ class CycleLedger:
             return
         if state not in OBS_STATES:
             raise ValueError(f"ledger {self.name}: unknown state {state!r}")
-        self.cycles += span
-        self.counters[state] += span
-        if reason is not None:
-            self.counters[REASON_PREFIX + reason] += span
         runs = self.timeline
         if runs and runs[-1][1] == start and runs[-1][2] == state \
                 and runs[-1][3] == reason:
@@ -90,22 +78,32 @@ class CycleLedger:
     # -- derived views -----------------------------------------------------
 
     @property
+    def cycles(self) -> int:
+        return sum(end - start for start, end, _, _ in self.timeline)
+
+    @property
     def busy(self) -> int:
-        return self.counters[OBS_BUSY]
+        return self.breakdown()[OBS_BUSY]
 
     def utilization(self) -> float:
         """Fraction of the booked cycles this component was busy."""
-        return self.busy / self.cycles if self.cycles > 0 else 0.0
+        states = self.breakdown()
+        return states[OBS_BUSY] / max(1, sum(states.values()))
 
     def breakdown(self) -> Dict[str, int]:
         """State -> cycles; always sums to :attr:`cycles`."""
-        return {state: self.counters[state] for state in OBS_STATES}
+        states = dict.fromkeys(OBS_STATES, 0)
+        for start, end, state, _ in self.timeline:
+            states[state] += end - start
+        return states
 
     def stall_reasons(self) -> Dict[str, int]:
         """Stall tag -> cycles attributed to it."""
-        return {key[len(REASON_PREFIX):]: count
-                for key, count in self.counters.items()
-                if key.startswith(REASON_PREFIX)}
+        reasons: Dict[str, int] = {}
+        for start, end, _, reason in self.timeline:
+            if reason is not None:
+                reasons[reason] = reasons.get(reason, 0) + end - start
+        return reasons
 
     def as_dict(self) -> dict:
         out = {"cycles": self.cycles, "utilization": self.utilization()}
@@ -123,23 +121,19 @@ class CycleLedger:
 class ChannelProbe:
     """Per-channel occupancy instrumentation.
 
-    Sampled after the channel commits: a depth histogram, the number of
-    cycles the channel sat full (producer-visible backpressure), the
-    peak depth, and a change-compressed occupancy timeline for the trace
-    exporter's counter tracks.
+    Sampled after the channel commits, it keeps a change-compressed occupancy
+    timeline (the exporter's counter track) and where its back-to-back runs end;
+    the depth histogram, peak, mean and cycles spent full are read from those.
     """
 
     def __init__(self, channel):
         self.channel = channel
-        self.histogram: Counter = Counter()
-        self.backpressure_cycles = 0
-        self.peak_depth = 0
-        self.samples = 0
         #: (cycle, occupancy) recorded only on change — bounded by traffic
         self.occupancy_timeline: List[Tuple[int, int]] = []
         #: the open run: occupancy ``current`` since cycle ``_since``
         self.current: Optional[int] = None
         self._since = 0
+        self._end = 0  # where the booked runs end (exclusive)
 
     @property
     def name(self) -> str:
@@ -161,26 +155,40 @@ class ChannelProbe:
     def record(self, cycle: int):
         self.record_span(cycle, 1)
 
-    def record_span(self, start: int, span: int,
-                    occupancy: Optional[int] = None):
+    def record_span(self, start: int, span: int, occupancy: Optional[int] = None):
         """Book ``span`` cycles at one occupancy (default: the current)."""
         if span <= 0:
             return
         occ = self.channel.occupancy if occupancy is None else occupancy
-        self.samples += span
-        self.histogram[occ] += span
-        if occ > self.peak_depth:
-            self.peak_depth = occ
-        if occ >= self.channel.capacity:
-            self.backpressure_cycles += span
         tl = self.occupancy_timeline
         if not tl or tl[-1][1] != occ:
             tl.append((start, occ))
+        self._end = start + span
+        self.__dict__.pop("histogram", None)  # read anew from the runs
+
+    @cached_property
+    def histogram(self) -> Dict[int, int]:
+        """Occupancy -> cycles spent at it (read, do not modify)."""
+        tl, counts = self.occupancy_timeline, {}
+        for (start, occ), (end, _) in zip(tl, tl[1:] + [(self._end, None)]):
+            counts[occ] = counts.get(occ, 0) + end - start
+        return counts
+
+    @property
+    def samples(self) -> int:
+        return sum(self.histogram.values())
+
+    @property
+    def peak_depth(self) -> int:
+        return max(self.histogram, default=0)
+
+    @property
+    def backpressure_cycles(self) -> int:
+        return sum(n for occ, n in self.histogram.items() if occ >= self.channel.capacity)
 
     def mean_occupancy(self) -> float:
-        if not self.samples:
-            return 0.0
-        return sum(d * n for d, n in self.histogram.items()) / self.samples
+        samples = self.samples
+        return sum(d * n for d, n in self.histogram.items()) / samples if samples else 0.0
 
     def as_dict(self) -> dict:
         return {

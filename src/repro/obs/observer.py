@@ -23,22 +23,12 @@ from repro.obs.accounting import ChannelProbe, CycleLedger
 from repro.sim.component import OBS_BUSY, OBS_STALL_IN, OBS_STALL_OUT
 
 
-def _classified(components, cycle: int):
-    """``(name, group, (state, reason))`` of each component, each
-    followed by its subunits (a unit's tiles, grouped under the unit)."""
-    for component in components:
-        name = component.name
-        yield name, name, component.obs_classify(cycle)
-        for child_name, state, reason in component.obs_children(cycle):
-            yield child_name, name, (state, reason)
-
-
 class Observer:
     """Change-driven sampler building ledgers and channel probes.
 
-    Ledgers and probes are created lazily at sample time, and the first
-    sample after a component or channel was registered covers everything,
-    so late registrations (between runs or mid-run) are picked up.
+    The first sample after a registration covers everything and binds each
+    component to its ledger (its subunits to theirs) and channel to its probe,
+    so late registrations are picked up and a sample is one classification.
     """
 
     def __init__(self):
@@ -48,6 +38,7 @@ class Observer:
         self.first_cycle: Optional[int] = None
         self.last_cycle: Optional[int] = None
         self._shape = None  # (components, channels) when last sampled in full
+        self._bound: dict = {}  # component -> (ledger, tile ledgers); channel -> probe
 
     # -- engine interface --------------------------------------------------
 
@@ -60,24 +51,38 @@ class Observer:
         channel commit in ``cycle`` and the ``channels`` that committed;
         the rest extend their open runs. Over-sampling is harmless."""
         shape = (len(sim.components), len(sim.channels))
+        bound = self._bound  # each recorder's ``sample`` is inlined below
         if shape != self._shape:  # also true of the very first sample
             self._shape = shape
             components, channels = sim.components, sim.channels
+            for component in components:
+                group = component.name
+                names = [group, *(n for n, _, _ in component.obs_children(cycle))]
+                ledger, *tiles = [self.ledgers.setdefault(n, CycleLedger(n, group))
+                                  for n in names]
+                bound[component] = (ledger, tiles)
+            for channel in channels:
+                bound[channel] = self.probes.setdefault(channel.name, ChannelProbe(channel))
             if self.first_cycle is None:
                 self.first_cycle = cycle
-        ledgers = self.ledgers
-        for name, group, now in _classified(components, cycle):
-            ledger = ledgers.get(name)
-            if ledger is None:
-                ledger = ledgers[name] = CycleLedger(name, group)
-            if now != ledger.current:  # four in five are not: skip the call
-                ledger.sample(cycle, *now)
-        probes = self.probes
+        for component in components:
+            ledger, tiles = bound[component]
+            now = component.obs_classify(cycle)
+            if now != ledger.current:
+                ledger.flush(cycle)
+                ledger.current = now
+            if tiles:
+                for tile, (_, state, reason) in zip(tiles, component.obs_children(cycle)):
+                    now = (state, reason)
+                    if now != tile.current:
+                        tile.flush(cycle)
+                        tile.current = now
         for channel in channels:
-            probe = probes.get(channel.name)
-            if probe is None:
-                probe = probes[channel.name] = ChannelProbe(channel)
-            probe.sample(cycle)
+            probe = bound[channel]
+            now = channel.occupancy
+            if now != probe.current:
+                probe.flush(cycle)
+                probe.current = now
 
     def flush(self, sim):
         """Book every open run up to the simulator's clock: the engine
@@ -142,9 +147,9 @@ def stall_snapshot(sim) -> dict:
     per-component state/reason attribution plus every channel holding
     stuck data.
     """
-    components = [
-        {"name": name, "state": state, "reason": reason}
-        for name, _, (state, reason) in _classified(sim.components, sim.cycle)]
+    components = [{"name": name, "state": state, "reason": reason}
+                  for c in sim.components for name, state, reason in (
+                      (c.name, *c.obs_classify(sim.cycle)), *c.obs_children(sim.cycle))]
     channels = [{"name": ch.name, "occupancy": ch.occupancy,
                  "capacity": ch.capacity, "pushed": ch.total_pushed,
                  "popped": ch.total_popped}

@@ -18,14 +18,18 @@ Mapping:
 
 File layout: a ``{"traceEvents":[`` line, one trace event per line
 (metadata, then events by timestamp) and a closing line with the other
-keys — plain JSON that diffs line by line.
+keys — plain JSON that diffs line by line; each line is the encoder's text.
 """
 
 from __future__ import annotations
 
+import copy
+import gc
+import itertools
 import json
+import math
 import os
-from typing import IO, List, Union
+from typing import IO, Iterator, List, Union
 
 from repro.sim.component import OBS_IDLE
 
@@ -36,6 +40,16 @@ _EVENTS_PID = 1_000_001
 #: synthetic pid for host-side toolchain spans (repro.telemetry spans:
 #: parse -> IR build -> passes -> elaboration -> simulation)
 _HOST_PID = 1_000_002
+#: the C encoder (``indent=`` would select the pure-Python one)
+_encode = json.JSONEncoder().encode
+#: the document's keys after ``traceEvents``
+_OTHER_KEYS = {"displayTimeUnit": "ms", "otherData": {
+    "generator": "repro-obs", "time_unit": "1 trace us == 1 accelerator cycle"}}
+
+
+def _quoted(value) -> str:
+    """``value`` JSON-encoded for a %-template (its ``%`` doubled)."""
+    return _encode(value).replace("%", "%%")
 
 
 def _json_safe(value):
@@ -65,8 +79,15 @@ def chrome_trace(observer=None, trace=None,
     cycles land in one document (host timestamps are microseconds since
     the first span; guest timestamps stay 1 us == 1 cycle).
     """
-    events: List[dict] = []
+    return _walk(observer, trace, include_idle, host_spans)[0]
+
+
+def _walk(observer, trace, include_idle: bool, host_spans):
+    """The document, its metadata events and a row per timed event in document order:
+    (ts, pid, tid, insertion order), event, line %-template (None: encode), value after ts."""
     meta: List[dict] = []
+    rows: List[tuple] = []
+    order = itertools.count()
     track: dict = {}  # source name -> (pid, tid)
 
     if host_spans is not None and getattr(host_spans, "spans", None):
@@ -74,46 +95,48 @@ def chrome_trace(observer=None, trace=None,
 
         host_events = host_trace_events(host_spans, _HOST_PID)
         if host_events:
-            meta.append(_track_name("process_name", _HOST_PID, 0,
-                                    "host toolchain"))
+            meta.append(_track_name("process_name", _HOST_PID, 0, "host toolchain"))
             for tid in sorted({e["tid"] for e in host_events}):
-                meta.append(_track_name("thread_name", _HOST_PID, tid,
-                                        f"host thread {tid}"))
-            events.extend(host_events)
+                meta.append(_track_name("thread_name", _HOST_PID, tid, f"host thread {tid}"))
+            rows += [(e["ts"], e["pid"], e["tid"], next(order), e, None, None) for e in host_events]
 
     if observer is not None:
-        groups = dict.fromkeys(ledger.group
-                               for ledger in observer.ledgers.values())
+        groups = dict.fromkeys(ledger.group for ledger in observer.ledgers.values())
         for pid, group in enumerate(groups):
             meta.append(_track_name("process_name", pid, 0, group))
-            members = [ledger for ledger in observer.ledgers.values()
-                       if ledger.group == group]
+            members = [ledger for ledger in observer.ledgers.values() if ledger.group == group]
             # the component itself first, then its tiles in name order
             members.sort(key=lambda ledger: (ledger.name != group, ledger.name))
             for tid, ledger in enumerate(members):
                 track[ledger.name] = (pid, tid)
                 meta.append(_track_name("thread_name", pid, tid, ledger.name))
+                forms: dict = {}  # (state, reason) -> (name, template of the encoder's line)
                 for start, end, state, reason in ledger.timeline:
                     if state == OBS_IDLE and not include_idle:
                         continue
-                    name = state if reason is None else f"{state}:{reason}"
-                    events.append({
-                        "ph": "X", "cat": "state", "name": name,
-                        "ts": start, "dur": end - start,
-                        "pid": pid, "tid": tid,
-                        "args": {"state": state, "reason": reason},
-                    })
+                    if (state, reason) not in forms:
+                        name = state if reason is None else f"{state}:{reason}"
+                        forms[state, reason] = name, (
+                            '{"ph": "X", "cat": "state", "name": %s, "ts": %%d, "dur": %%d, '
+                            '"pid": %d, "tid": %d, "args": {"state": %s, "reason": %s}}'
+                            % (_quoted(name), pid, tid, _quoted(state), _quoted(reason)))
+                    name, template = forms[state, reason]
+                    rows.append((start, pid, tid, next(order), {
+                        "ph": "X", "cat": "state", "name": name, "ts": start, "dur": end - start,
+                        "pid": pid, "tid": tid, "args": {"state": state, "reason": reason},
+                    }, template if type(start) is type(end) is int else None, end - start))
         meta.append(_track_name("process_name", _CHANNELS_PID, 0, "channels"))
         for probe in observer.probes.values():
             if not probe.channel.total_pushed:
                 continue
-            for cycle, occupancy in probe.occupancy_timeline:
-                events.append({
-                    "ph": "C", "cat": "channel",
-                    "name": f"occ:{probe.name}", "ts": cycle,
-                    "pid": _CHANNELS_PID,
-                    "args": {"occupancy": occupancy},
-                })
+            name = f"occ:{probe.name}"
+            template = ('{"ph": "C", "cat": "channel", "name": %s, "ts": %%d, "pid": %d, '
+                        '"args": {"occupancy": %%d}}' % (_quoted(name), _CHANNELS_PID))
+            rows += [(cycle, _CHANNELS_PID, 0, next(order), {
+                "ph": "C", "cat": "channel", "name": name, "ts": cycle,
+                "pid": _CHANNELS_PID, "args": {"occupancy": occupancy},
+            }, template if type(cycle) is type(occupancy) is int else None, occupancy)
+                for cycle, occupancy in probe.occupancy_timeline]
 
     if trace is not None and len(trace):
         used_events_pid = False
@@ -123,24 +146,17 @@ def chrome_trace(observer=None, trace=None,
             args = {"detail": event.detail, "seq": event.seq}
             if event.payload:
                 args.update(_json_safe(event.payload))
-            events.append({
-                "ph": "i", "s": "t", "cat": "event", "name": event.kind,
-                "ts": event.cycle, "pid": pid, "tid": tid, "args": args,
-            })
+            rows.append((event.cycle, pid, tid, next(order), {
+                "ph": "i", "s": "t", "cat": "event", "name": event.kind, "ts": event.cycle,
+                "pid": pid, "tid": tid, "args": args}, None, None))
         if used_events_pid:
             meta.append(_track_name("process_name", _EVENTS_PID, 0, "events"))
 
     # Perfetto tolerates any order, but monotonic timestamps keep the
     # export diffable and make well-formedness trivially checkable.
-    events.sort(key=lambda e: (e["ts"], e["pid"], e.get("tid", 0)))
-    return {
-        "traceEvents": meta + events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "generator": "repro-obs",
-            "time_unit": "1 trace us == 1 accelerator cycle",
-        },
-    }
+    rows.sort()
+    document = {"traceEvents": meta + [row[4] for row in rows], **copy.deepcopy(_OTHER_KEYS)}
+    return document, meta, rows
 
 
 def export_chrome_trace(destination: Union[str, IO],
@@ -149,15 +165,23 @@ def export_chrome_trace(destination: Union[str, IO],
     """Write the trace-event JSON to a path or file object. A path is
     written to a sibling temp file that is renamed into place, so a
     failing export leaves the previous file (if any), never a torn one."""
-    document = chrome_trace(observer=observer, trace=trace,
-                            include_idle=include_idle, host_spans=host_spans)
+    collecting = gc.isenabled()
+    gc.disable()  # all the walk allocates is kept: collecting would only rescan it
+    try:
+        document, meta, rows = _walk(observer, trace, include_idle, host_spans)
+    finally:
+        if collecting:
+            gc.enable()
+    lines = itertools.chain(map(_encode, meta), (
+        _encode(event) if template is None else template % (ts, value)
+        for ts, _, _, _, event, template, value in rows))
     if hasattr(destination, "write"):
-        _write_document(destination, document)
+        _write_document(destination, lines)
         return document
     scratch = f"{destination}.{os.getpid()}.tmp"
     try:
         with open(scratch, "w") as handle:
-            _write_document(handle, document)
+            _write_document(handle, lines)
         os.replace(scratch, destination)
     finally:
         if os.path.exists(scratch):  # the export failed part-way
@@ -165,16 +189,11 @@ def export_chrome_trace(destination: Union[str, IO],
     return document
 
 
-def _write_document(handle: IO, document: dict) -> None:
-    """One trace event per line through the C encoder (``indent=`` would
-    select the pure-Python one), handed to the file's buffer line by line
-    rather than joined into one string."""
-    encode = json.JSONEncoder().encode
-    rest = dict(document)
-    lines = map(encode, rest.pop("traceEvents"))
+def _write_document(handle: IO, lines: Iterator[str]) -> None:
+    """``lines`` between the opening and closing line, one by one, never joined."""
     handle.write('{"traceEvents":[\n' + next(lines, ""))
     handle.writelines(",\n" + line for line in lines)
-    handle.write("\n]," + encode(rest)[1:] + "\n")
+    handle.write("\n]," + _encode(_OTHER_KEYS)[1:] + "\n")
 
 
 def validate_chrome_trace(document: dict) -> List[str]:
@@ -183,25 +202,32 @@ def validate_chrome_trace(document: dict) -> List[str]:
     Used by ``repro profile --trace-out`` and the test suite: every
     event needs a phase and a non-negative timestamp (metadata aside),
     and timestamps must be monotonically non-decreasing in file order.
+    Whatever the document holds, the answer is a list, never an error.
     """
     problems = []
-    events = document.get("traceEvents")
+    events = document.get("traceEvents") if isinstance(document, dict) else None
     if not isinstance(events, list) or not events:
         return ["traceEvents missing or empty"]
     last_ts = None
     for i, event in enumerate(events):
+        if not isinstance(event, dict):
+            problems.append(f"event {i}: not an object")
+            continue
         if "ph" not in event:
             problems.append(f"event {i}: missing ph")
             continue
         if event["ph"] == "M":
             continue
         ts = event.get("ts")
-        if not isinstance(ts, (int, float)) or ts < 0:
+        if not (type(ts) is int or type(ts) is float and math.isfinite(ts)) or ts < 0:
             problems.append(f"event {i}: bad ts {ts!r}")
             continue
         if last_ts is not None and ts < last_ts:
             problems.append(f"event {i}: ts {ts} < previous {last_ts}")
         last_ts = ts
-        if event["ph"] == "X" and event.get("dur", 0) < 0:
+        dur = event.get("dur", 0) if event["ph"] == "X" else 0
+        if not (type(dur) is int or type(dur) is float and math.isfinite(dur)):
+            problems.append(f"event {i}: bad dur {dur!r}")
+        elif dur < 0:
             problems.append(f"event {i}: negative dur")
     return problems

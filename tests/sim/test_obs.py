@@ -186,8 +186,13 @@ class TestChromeTrace:
         ([{"ph": "i", "ts": 5}, {"ph": "M"}, {"ph": "i", "ts": 4}],
          "event 2: ts 4 < previous 5"),
         ([{"ph": "X", "ts": 0, "dur": -2}], "event 0: negative dur"),
+        # what once raised, or passed, instead of naming a problem
+        ([{"ph": "X", "ts": 1, "dur": None}], "event 0: bad dur None"),
+        ([{"ph": "X", "ts": 1, "dur": "3"}], "event 0: bad dur '3'"),
+        (["graph"], "event 0: not an object"),
+        ([{"ph": "i", "ts": float("nan")}], "event 0: bad ts nan"),
     ], ids=["empty", "no-ph", "text-ts", "negative-ts", "decreasing-ts",
-            "negative-dur"])
+            "negative-dur", "null-dur", "text-dur", "non-object", "nan-ts"])
     def test_validator_names_what_is_malformed(self, events, problem):
         assert validate_chrome_trace({"traceEvents": events}) == [problem]
 

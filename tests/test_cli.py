@@ -256,6 +256,16 @@ class TestObservability:
                      "--trace-out", str(tmp_path / "trace.json")]) == 1
         assert "missing ph" in capsys.readouterr().err
 
+    def test_run_invalid_trace_exits_nonzero(self, tmp_path, capsys,
+                                             monkeypatch):
+        import repro.obs
+
+        monkeypatch.setattr(repro.obs, "validate_chrome_trace",
+                            lambda document: ["event 0: missing ph"])
+        assert main(["run", "fibonacci",
+                     "--trace-out", str(tmp_path / "trace.json")]) == 1
+        assert "missing ph" in capsys.readouterr().err
+
     def test_run_stats_json_schema(self, tmp_path, capsys):
         import json
 
