@@ -3,10 +3,16 @@
 Timing is modelled by the cache/DRAM components; *data* always lives here,
 so host and accelerator observe one coherent memory image — the paper's
 shared-memory programming model (§III-E).
+
+The image is a private anonymous mapping: the OS supplies zero pages on
+first touch, so building a memory costs what the program touches, not
+its size. Private, because sweep workers are forked and must not write
+into their parent's image. (A mapping cannot be pickled.)
 """
 
 from __future__ import annotations
 
+import mmap
 import struct
 
 from repro.errors import MemoryError_
@@ -17,10 +23,11 @@ class MainMemory:
     """Flat byte-addressed memory with a bump allocator for host data."""
 
     def __init__(self, size_bytes: int = 1 << 22):
-        if size_bytes <= 0:
-            raise MemoryError_("memory size must be positive")
+        if not isinstance(size_bytes, int) or size_bytes <= 0:
+            raise MemoryError_(
+                f"memory size must be a positive int, not {size_bytes!r}")
         self.size = size_bytes
-        self.data = bytearray(size_bytes)
+        self.data = mmap.mmap(-1, size_bytes, flags=mmap.MAP_PRIVATE)
         # address 0 is kept unmapped so null pointers fault loudly
         self._next_free = 64
 
@@ -51,7 +58,7 @@ class MainMemory:
 
     def read_bytes(self, addr: int, size: int) -> bytes:
         self._check(addr, size)
-        return bytes(self.data[addr:addr + size])
+        return self.data[addr:addr + size]
 
     def write_bytes(self, addr: int, payload: bytes):
         self._check(addr, len(payload))

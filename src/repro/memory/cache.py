@@ -48,11 +48,17 @@ class CacheParams:
     banks: int = 1
 
     def __post_init__(self):
+        for name, least in (("size_bytes", 1), ("line_bytes", 1),
+                            ("associativity", 1), ("mshr_count", 1),
+                            ("hit_latency", 0), ("subword_penalty", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"cache {name} must be >= {least}, "
+                                  f"not {getattr(self, name)}")
         if self.banks < 1 or self.banks & (self.banks - 1):
             raise ConfigError("cache banks must be a power of two")
         if self.size_bytes % (self.line_bytes * self.associativity * self.banks):
             raise ConfigError("cache size must divide into banks*lines*ways")
-        self.num_sets = self.size_bytes // (
+        self.sets = self.size_bytes // (
             self.line_bytes * self.associativity * self.banks)
 
     def bank_params(self) -> "CacheParams":
@@ -65,10 +71,6 @@ class CacheParams:
             mshr_count=self.mshr_count,
             subword_penalty=self.subword_penalty,
             banks=1)
-
-    @property
-    def sets(self) -> int:
-        return self.num_sets
 
 
 @dataclass
@@ -104,10 +106,8 @@ class Cache(Component):
         self.dram_request = dram_request
         self.dram_response = dram_response
 
-        self._sets: List[List[_Way]] = [
-            [_Way() for _ in range(params.associativity)]
-            for _ in range(params.sets)
-        ]
+        #: set index -> its ways, created at the set's first fill
+        self._sets: Dict[int, List[_Way]] = {}
         self._mshrs: Dict[int, _MSHR] = {}
         self._ready_responses: Deque[Tuple[int, MemResponse]] = deque()
         self._pending_writebacks: Deque[object] = deque()
@@ -127,7 +127,7 @@ class Cache(Component):
         return (line_addr >> self.index_shift) % self.params.sets
 
     def _lookup(self, line_addr: int) -> Optional[_Way]:
-        for way in self._sets[self._set_index(line_addr)]:
+        for way in self._sets.get(self._set_index(line_addr), ()):
             if way.valid and way.tag == line_addr:
                 return way
         return None
@@ -184,7 +184,11 @@ class Cache(Component):
                 way.dirty = True
 
     def _install(self, line_addr: int, cycle: int):
-        ways = self._sets[self._set_index(line_addr)]
+        index = self._set_index(line_addr)
+        ways = self._sets.get(index)
+        if ways is None:
+            ways = self._sets[index] = [
+                _Way() for _ in range(self.params.associativity)]
         victim = None
         for way in ways:
             if not way.valid:

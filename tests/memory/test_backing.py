@@ -1,10 +1,41 @@
 """Tests for the functional backing memory."""
 
+import os
+
 import pytest
 
 from repro.errors import MemoryError_
 from repro.ir.types import F32, I8, I32, I64, ptr
 from repro.memory import MainMemory
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("size", [0, -1, 1024.0, "1024", None])
+    def test_bad_size_rejected(self, size):
+        with pytest.raises(MemoryError_, match="positive int"):
+            MainMemory(size)
+
+    def test_fresh_memory_reads_zero(self):
+        mem = MainMemory(1 << 16)
+        assert mem.read_bytes(64, 1 << 15) == bytes(1 << 15)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_writes_stay_private(self):
+        """Sweep workers are forked: a child's writes into an inherited
+        memory must not reach the parent's image."""
+        mem = MainMemory(1 << 16)
+        addr = mem.alloc(4)
+        mem.write_int(addr, 4, 7)
+        pid = os.fork()
+        if pid == 0:
+            try:
+                mem.write_int(addr, 4, 99)
+                os._exit(0 if mem.read_int(addr, 4) == 99 else 1)
+            finally:
+                os._exit(2)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert mem.read_int(addr, 4) == 7
 
 
 class TestAllocation:

@@ -155,6 +155,23 @@ class TestCacheParams:
         with pytest.raises(ConfigError):
             CacheParams(size_bytes=1000, line_bytes=32, associativity=4)
 
+    @pytest.mark.parametrize("field, value", [
+        ("size_bytes", 0), ("line_bytes", 0), ("associativity", 0),
+        ("mshr_count", 0), ("hit_latency", -1), ("subword_penalty", -1),
+    ])
+    def test_out_of_range_field_rejected(self, field, value):
+        """Fail closed at construction: a zero divisor, an L1 with no sets
+        or no MSHR must not reach the first access (or a deadlock)."""
+        with pytest.raises(ConfigError, match=field):
+            CacheParams(**{field: value})
+
+    def test_fresh_cache_holds_no_sets(self):
+        h = CacheHarness()
+        assert h.cache._sets == {}
+        addr = h.mem.alloc(4)
+        h.run_requests([load(addr, tag=1), load(addr, tag=2)])
+        assert len(h.cache._sets) == 1
+
     def test_paper_configuration(self):
         p = CacheParams()  # the paper's 16K L1
         assert p.size_bytes == 16 * 1024
