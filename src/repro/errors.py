@@ -85,3 +85,7 @@ class MemoryError_(SimulationError):
 
 class ConfigError(TapasError):
     """Invalid hardware parameterisation (Stage 3)."""
+
+
+class CacheError(TapasError):
+    """The sweep result cache cannot store an entry under its root."""

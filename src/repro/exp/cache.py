@@ -12,10 +12,17 @@ the SHA-256 of exactly that tuple in canonical JSON, so:
   for the benchmarks to cache by default),
 * a new repro release changes the version → same rollover.
 
+Canonical JSON sorts keys, so the payload opens with the code, evaluator
+and program fields, which a sweep repeats across all its points. The
+hash state after that head is kept per (code, evaluator, program,
+version) and copied per point, which then hashes only its spec and the
+version tail: the digest is the one the whole payload gives.
+
 Layout: ``<root>/sweep/<key[:2]>/<key>.json`` — two-level fanout keeps
 directories small. Writes are atomic (tmp file + rename), so a killed
 sweep never leaves a half-written entry; a corrupted or unreadable
-entry is evicted and recomputed, never fatal.
+entry is evicted and recomputed, never fatal. A root that cannot be
+written raises :class:`~repro.errors.CacheError`.
 """
 
 from __future__ import annotations
@@ -25,9 +32,10 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro import __version__
+from repro.errors import CacheError
 
 #: environment override for the cache root (the CLI's --cache-dir wins)
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -61,12 +69,42 @@ def code_fingerprint() -> str:
     return _fingerprint
 
 
+#: ``json.dumps`` builds an encoder per call; this one is built once
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                              allow_nan=False)
+
+
 def canonical_json(obj: Any) -> str:
     """Deterministic JSON: sorted keys, no whitespace, no NaN. Raises
     ``TypeError`` on non-JSON values — a spec that cannot serialise
     canonically cannot be cached (or shipped to a worker) correctly."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False)
+    return _CANONICAL.encode(obj)
+
+
+#: how many key heads stay hashed; a sweep compiles a handful of
+#: programs, a bench file's evaluators a few more
+PREFIX_MEMO_SIZE = 64
+#: (code, evaluator, program, version) -> (SHA-256 state after
+#: ``{"code":…,"evaluator":…,"program":…,"spec":``, the encoded
+#: ``,"version":…}`` tail)
+_PREFIXES: Dict[Tuple[str, str, str, str], Tuple[Any, bytes]] = {}
+
+
+def _key_parts(code: str, evaluator: str, program_text: str,
+               version: str) -> Tuple[Any, bytes]:
+    """What every key payload of one program shares around its spec."""
+    memo = (code, evaluator, program_text, version)
+    parts = _PREFIXES.get(memo)
+    if parts is None:
+        head = canonical_json({"code": code, "evaluator": evaluator,
+                               "program": program_text})
+        parts = (hashlib.sha256(head[:-1].encode("utf-8") + b',"spec":'),
+                 b',"version":' + canonical_json(version).encode("utf-8")
+                 + b"}")
+        if len(_PREFIXES) >= PREFIX_MEMO_SIZE:
+            del _PREFIXES[next(iter(_PREFIXES))]
+        _PREFIXES[memo] = parts
+    return parts
 
 
 class ResultCache:
@@ -74,6 +112,7 @@ class ResultCache:
 
     def __init__(self, root: Optional[Union[str, Path]] = None):
         self.root = Path(root) if root is not None else default_cache_dir()
+        self._entries = os.path.join(self.root, "sweep", "")
         self.hits = 0       # get() served a valid entry
         self.misses = 0     # get() found nothing usable
         self.evictions = 0  # corrupted entries dropped
@@ -82,17 +121,20 @@ class ResultCache:
 
     def key(self, evaluator: str, spec: Dict[str, Any],
             program_text: str = "") -> str:
-        payload = canonical_json({
-            "evaluator": evaluator,
-            "spec": spec,
-            "program": program_text,
-            "version": __version__,
-            "code": code_fingerprint(),
-        })
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        """``sha256(canonical_json({"evaluator", "spec", "program",
+        "version", "code"}))``, hashing the program's head once."""
+        head, tail = _key_parts(code_fingerprint(), evaluator, program_text,
+                                __version__)
+        state = head.copy()
+        state.update(canonical_json(spec).encode("utf-8"))
+        state.update(tail)
+        return state.hexdigest()
+
+    def _entry(self, key: str) -> str:
+        return f"{self._entries}{key[:2]}{os.sep}{key}.json"
 
     def path_for(self, key: str) -> Path:
-        return self.root / "sweep" / key[:2] / (key + ".json")
+        return Path(self._entry(key))
 
     # -- entries ----------------------------------------------------------
 
@@ -100,17 +142,15 @@ class ResultCache:
         """The cached record for ``key``, or None. A missing entry is a
         plain miss; an unreadable one is evicted and reported as a miss
         (it will be recomputed and rewritten)."""
-        path = self.path_for(key)
+        path = self._entry(key)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
+            with open(path, "rb", buffering=0) as fh:
+                entry = json.loads(fh.read().decode("utf-8"))
         except FileNotFoundError:
             self.misses += 1
             return None
         except (OSError, ValueError):
-            self._evict(path)
-            self.misses += 1
-            return None
+            entry = None
         if not isinstance(entry, dict) or entry.get("key") != key \
                 or "record" not in entry:
             self._evict(path)
@@ -127,23 +167,31 @@ class ResultCache:
     def put(self, key: str, record: Dict[str, Any]) -> None:
         """Store ``record`` atomically (tmp + rename: concurrent workers
         racing on the same key both write complete entries, last one
-        wins — they are identical by construction)."""
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {"key": key, "version": __version__, "record": record}
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+        wins — they are identical by construction). Raises
+        :class:`CacheError` when the root cannot hold the entry."""
+        path = self._entry(key)
+        directory = os.path.dirname(path)
+        data = json.dumps({"key": key, "version": __version__,
+                           "record": record})
+        tmp = None
         try:
+            os.makedirs(directory, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh)
+                fh.write(data)
             os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+            tmp = None
+        except OSError as exc:
+            raise CacheError(f"cannot write the result cache at "
+                             f"{self.root}: {exc}") from exc
+        finally:
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
 
-    def _evict(self, path: Path) -> None:
+    def _evict(self, path: str) -> None:
         self.evictions += 1
         try:
             os.unlink(path)

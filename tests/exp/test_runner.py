@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.errors import TapasError
+from repro.errors import CacheError, TapasError
 from repro.exp import (
     ResultCache,
     SweepRunner,
@@ -262,6 +262,16 @@ def test_errors_never_cached(tmp_path):
     assert second.summary["cache_hits"] == 1
     assert second.records[0]["status"] == "error"
     assert second.records[0]["cache_hit"] is False
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unwritable_cache_fails_the_sweep_closed(tmp_path, jobs):
+    """A root that is an existing regular file cannot hold entries: the
+    first computed point's write raises ``CacheError``, not ``OSError``."""
+    root = tmp_path / "occupied"
+    root.write_text("", encoding="utf-8")
+    with pytest.raises(CacheError, match="occupied"):
+        SweepRunner(jobs=jobs, cache=ResultCache(root)).run(_toy_points(2))
 
 
 def test_partial_sweep_resumes(tmp_path):

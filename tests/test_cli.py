@@ -451,6 +451,17 @@ class TestErrors:
             assert done.returncode == status, done.stderr
             assert expected in done.stdout
 
+    def test_sweep_into_unwritable_cache_is_one_error_line(self, tmp_path,
+                                                            capsys):
+        root = tmp_path / "occupied"
+        root.write_text("", encoding="utf-8")
+        assert main(["sweep", "--workloads", "fibonacci", "--tiles", "1",
+                     "--cache-dir", str(root)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write the result cache at "
+                              f"{root}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_missing_file(self, capsys):
         assert main(["compile", "/nonexistent.tapas"]) == 1
         assert "error:" in capsys.readouterr().err
