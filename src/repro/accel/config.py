@@ -124,12 +124,6 @@ class AcceleratorConfig:
         """The bound Stage-3 parameters of ``task``'s unit in ``design``."""
         return self.params_for(task.name).bind(design.sizing[task])
 
-    def with_tiles(self, ntiles: int) -> "AcceleratorConfig":
-        """A copy with a uniform tile count — the Fig 15 sweep knob."""
-        return replace(self, default_ntiles=ntiles,
-                       unit_params={k: replace(v, ntiles=ntiles)
-                                    for k, v in self.unit_params.items()})
-
     def effective_dram_latency(self) -> int:
         if self.dram_latency_cycles is not None:
             return self.dram_latency_cycles

@@ -111,9 +111,10 @@ class GeneratedDesign:
 def generate(module: Module, optimize: bool = True) -> GeneratedDesign:
     """Run Stage 1 and Stage 2 over a verified module.
 
-    ``optimize`` runs the Fig 3 "opt" boxes first (constant folding,
-    CSE, dead-code elimination) — every surviving operation becomes a
-    real functional unit, so cleanup directly shrinks the TXUs.
+    ``optimize`` runs the Fig 3 "opt" boxes first (one value-numbering
+    walk that folds constants and shares duplicate pure operations, then
+    dead-code elimination) — every surviving operation becomes a real
+    functional unit, so cleanup directly shrinks the TXUs.
     """
     from repro.telemetry.spans import TRACER
 

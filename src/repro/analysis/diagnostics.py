@@ -159,11 +159,6 @@ class DiagnosticReport:
     def warnings(self) -> List[Diagnostic]:
         return [d for d in self.diagnostics if d.severity == SEVERITY_WARNING]
 
-    def max_severity(self) -> Optional[str]:
-        if not self.diagnostics:
-            return None
-        return max((d.severity for d in self.diagnostics), key=severity_rank)
-
     def fails(self, threshold: str) -> bool:
         """True if any diagnostic is at/above ``threshold`` severity."""
         bar = severity_rank(threshold)

@@ -477,22 +477,6 @@ def cmd_profile(args) -> int:
     return 0 if trace_ok else 1
 
 
-def _channel_drivers(sim) -> dict:
-    """Channel name -> name of the component that pushes into it, from
-    the components' declared ``ports()`` wiring (opaque components are
-    simply absent)."""
-    drivers = {}
-    for component in sim.components:
-        ports = component.ports()
-        if not ports:
-            continue
-        _inputs, outputs = ports
-        for channel in outputs:
-            if channel is not None:
-                drivers.setdefault(channel.name, component.name)
-    return drivers
-
-
 def _first_movement_divergence(base_log, other_log, base_name, other_name,
                                drivers):
     """First cycle where two movement logs disagree, described as the
@@ -540,6 +524,8 @@ def cmd_diff(args) -> int:
     the first cycle the engines disagree on, naming the channel(s) and
     the component driving them.
     """
+    from repro.analysis.netlist import build_channel_graph
+
     module = _load_module(args.source)
     function = _entry_function(module, args)
     engines = ([e.strip() for e in args.engines.split(",") if e.strip()]
@@ -552,17 +538,19 @@ def cmd_diff(args) -> int:
 
     outcomes = {}
     logs = {}
-    drivers = {}
     for engine in engines:
         config = AcceleratorConfig(default_ntiles=args.tiles, engine=engine)
         accel = build_accelerator(module, config)
         logs[engine] = accel.sim.enable_movement_log()
-        drivers = _channel_drivers(accel.sim)
         entry_args = _default_profile_args(function, accel.memory, args.size)
         result = accel.run(function.name, entry_args)
         stats = dict(result.stats)
         stats.pop("engine", None)  # host-side numbers legitimately differ
         outcomes[engine] = (result.cycles, result.retval, stats)
+    drivers = {}  # channel name -> its first declared producer's name
+    for channel, producers in build_channel_graph(accel.sim).producers.items():
+        if channel is not None:
+            drivers.setdefault(channel.name, producers[0].name)
 
     baseline = engines[0]
     label = f"{module.name}:{function.name}"

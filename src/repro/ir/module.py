@@ -47,9 +47,6 @@ class Module:
         del self._functions_by_name[function.name]
         function.parent = None
 
-    def global_(self, name: str) -> Optional[GlobalVariable]:
-        return self._globals_by_name.get(name)
-
     def __repr__(self):
         return (f"<Module {self.name}: {len(self.functions)} functions, "
                 f"{len(self.globals)} globals>")

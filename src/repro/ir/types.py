@@ -26,9 +26,6 @@ class Type:
         """Size of a value of this type in the simulated byte-addressed memory."""
         raise NotImplementedError
 
-    def is_integer(self) -> bool:
-        return isinstance(self, IntType)
-
     def is_float(self) -> bool:
         return isinstance(self, FloatType)
 

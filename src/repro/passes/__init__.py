@@ -18,12 +18,10 @@ from repro.passes.inline import (
 )
 from repro.passes.loops import Loop, find_loops
 from repro.passes.optimize import (
-    common_subexpression_elimination,
-    constant_fold,
     eliminate_dead_code,
-    global_value_numbering,
     optimize_function,
     optimize_module,
+    value_number,
 )
 from repro.passes.task_extraction import extract_tasks
 from repro.passes.taskgraph import (
@@ -43,9 +41,8 @@ __all__ = [
     "region_live_ins",
     "Loop", "find_loops",
     "inline_call", "inline_calls", "prune_unreachable_functions",
-    "common_subexpression_elimination", "constant_fold",
-    "eliminate_dead_code", "global_value_numbering",
-    "optimize_function", "optimize_module",
+    "eliminate_dead_code", "optimize_function", "optimize_module",
+    "value_number",
     "extract_tasks",
     "DETACHED", "FUNCTION_ROOT", "DirectSpawn", "Task", "TaskGraph",
 ]

@@ -68,9 +68,6 @@ class DominatorInfo:
         """True if ``a`` dominates ``b`` (reflexive)."""
         return a in self.dominators.get(b, set())
 
-    def strictly_dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
-        return a is not b and self.dominates(a, b)
-
 
 def compute_dominators(function: Function) -> DominatorInfo:
     return DominatorInfo(function)

@@ -1,22 +1,19 @@
 """IR optimisations: the "Concurrency Opt" / "Task Opt" boxes of Fig 3.
 
-Four conservative, hardware-motivated transforms:
+Two conservative, hardware-motivated transforms:
 
-* **constant folding** — a folded operation is a wire, not a functional
-  unit: it costs zero ALMs and zero latency in the TXU;
+* **value numbering** — one preorder walk of the dominator tree folds
+  every all-constant pure operation (a folded operation is a wire, not
+  a functional unit: zero ALMs, zero latency in the TXU) and replaces a
+  pure operation by an identical one that dominates it (one functional
+  unit with fan-out, exactly what a Chisel elaborator would share; no
+  code motion).  Detached regions are a sharing barrier: a value
+  computed outside a region is never forwarded into it, so task live-in
+  sets (and the marshalled spawn arguments) are unchanged;
 * **dead-code elimination** — unused pure operations would synthesise
-  real hardware (the elaborator instantiates every DFG node);
-* **block-local CSE** — duplicate pure operations in one block become a
-  single functional unit with fan-out, which is exactly what a Chisel
-  elaborator would share;
-* **dominator-scoped value numbering (GVN)** — duplicate pure
-  operations whose first occurrence dominates the later ones collapse
-  across blocks too, without any code motion.  Detached regions are a
-  sharing barrier: a value computed outside a region is never forwarded
-  into it, so task live-in sets (and the marshalled spawn arguments)
-  are unchanged.
+  real hardware (the elaborator instantiates every DFG node).
 
-All four preserve the parallel markers untouched and never touch memory
+Both preserve the parallel markers untouched and never touch memory
 operations, calls, or anything with side effects.
 """
 
@@ -39,6 +36,7 @@ from repro.ir.instructions import (
 from repro.ir.module import Module
 from repro.ir.opsem import PURE, eval_pure
 from repro.ir.values import Constant, Value
+from repro.passes.dominators import compute_dominators
 
 
 def _fold(inst: Instruction):
@@ -52,63 +50,26 @@ def _fold(inst: Instruction):
         return None  # e.g. constant division by zero: leave it to run time
 
 
-def _replace_everywhere(function: Function, old: Instruction, new: Value) -> int:
-    count = 0
-    for block in function.blocks:
-        for inst in block.instructions:
-            count += inst.replace_operand(old, new)
-    return count
-
-
-def constant_fold(function: Function) -> int:
-    """Fold constant expressions; returns the number of folds."""
-    folded = 0
-    changed = True
-    while changed:
-        changed = False
-        for block in function.blocks:
-            for inst in list(block.body()):
-                if not isinstance(inst, PURE):
-                    continue
-                replacement = _fold(inst)
-                if replacement is None:
-                    continue
-                _replace_everywhere(function, inst, replacement)
-                block.instructions.remove(inst)
-                folded += 1
-                changed = True
-    return folded
-
-
 def eliminate_dead_code(function: Function) -> int:
     """Remove pure instructions whose results are never used."""
     removed = 0
-    changed = True
-    while changed:
-        changed = False
-        used: Set[Value] = set()
+    while True:
+        used = {op for inst in function.instructions() for op in inst.operands}
+        dead = 0
         for block in function.blocks:
-            for inst in block.instructions:
-                for op in inst.operands:
-                    used.add(op)
-        for block in function.blocks:
-            for inst in list(block.body()):
-                if isinstance(inst, PURE) and inst not in used:
-                    block.instructions.remove(inst)
-                    removed += 1
-                    changed = True
-    return removed
+            kept = [inst for inst in block.instructions
+                    if inst in used or not isinstance(inst, PURE)]
+            dead += len(block.instructions) - len(kept)
+            block.instructions[:] = kept
+        if not dead:
+            return removed
+        removed += dead
 
 
 def _value_index(function: Function) -> Dict[Value, int]:
-    """Stable per-function ordinal for every value an operand can name.
-
-    Arguments come first (by position), then instructions in program
-    order.  The ordinal is what commutative operand sorting keys on, so
-    CSE results are identical across runs and interpreters — unlike the
-    previous ``id()``-based sort, which ordered operands by memory
-    address.
-    """
+    """Stable per-function ordinal for every value an operand can name:
+    arguments by position, then instructions in program order.  Commutative
+    operands sort on it, so keys never depend on ``id()``."""
     index: Dict[Value, int] = {}
     for arg in function.arguments:
         index[arg] = len(index)
@@ -148,111 +109,83 @@ def _cse_key(inst: Instruction, index: Dict[Value, int]):
         return ("cast", inst.kind, str(inst.type), ids)
     if isinstance(inst, GEP):
         return ("gep", tuple(inst.strides), ids)
-    return None
+    raise TypeError(f"no value-numbering key for {inst.opcode}")
 
 
-def common_subexpression_elimination(function: Function) -> int:
-    """Share duplicate pure operations within each block."""
-    shared = 0
-    index = _value_index(function)
-    for block in function.blocks:
-        seen: Dict[tuple, Instruction] = {}
-        for inst in list(block.body()):
-            if not isinstance(inst, PURE):
-                continue
-            key = _cse_key(inst, index)
-            if key is None:
-                continue
-            original = seen.get(key)
-            if original is None:
-                seen[key] = inst
-                continue
-            _replace_everywhere(function, inst, original)
-            block.instructions.remove(inst)
-            shared += 1
-    return shared
+def value_number(function: Function) -> Tuple[int, int]:
+    """Fold and share pure operations in one dominator-order walk;
+    returns ``(folded, shared)``.
 
-
-def global_value_numbering(function: Function) -> int:
-    """Share duplicate pure operations across dominated blocks.
-
-    A preorder walk of the dominator tree carries a scoped table of
-    available expressions: a pure op whose key already has an entry in a
-    dominating block is replaced by that entry (pure fan-out, no code
-    motion, so this is always safe for ``PURE`` ops).
-
-    Detach edges are a sharing barrier.  The walk enters a detached
-    region's entry block with an *empty* table, so a value computed in
-    the parent region is never forwarded into the spawned task — that
-    would add a live-in and change the marshalled spawn arguments.
+    Blocks are visited in preorder of the dominator tree, children in
+    function order, so every operand's definition is visited before its
+    uses.  Each instruction first has its operands rewritten through the
+    ``replaced`` map; an all-constant pure op then becomes its folded
+    Constant, and a pure op whose key is in the scoped table becomes the
+    dominating op recorded there.  The table starts empty at the entry
+    of every detached region.  Blocks no edge reaches get the same step
+    afterwards, in function order, each with an empty table; a use that
+    precedes its definition in that order is rewritten at the end.
     """
-    from repro.passes.dominators import compute_dominators
-
     if not function.blocks:
-        return 0
-    dom = compute_dominators(function)
-    order = {b: i for i, b in enumerate(function.blocks)}
+        return 0, 0
+    idom = compute_dominators(function).idom
     children: Dict[BasicBlock, List[BasicBlock]] = {b: [] for b in function.blocks}
-    for block, parent in dom.idom.items():
-        if parent is not None:
-            children[parent].append(block)
-    for kids in children.values():
-        kids.sort(key=lambda b: order[b])
-
     detach_entries: Set[BasicBlock] = set()
     for block in function.blocks:
-        term = block.terminator
-        if isinstance(term, Detach):
-            detach_entries.add(term.detached)
+        if idom.get(block) is not None:
+            children[idom[block]].append(block)
+        if isinstance(block.terminator, Detach):
+            detach_entries.add(block.terminator.detached)
 
     index = _value_index(function)
-    shared = 0
-    # Explicit stack: (block, inherited-table).  Tables are shared down
-    # the tree by copy-on-entry, which is fine at these CFG sizes.
-    stack: List[Tuple[BasicBlock, Dict[tuple, Instruction]]] = [
-        (function.entry, {})]
+    replaced: Dict[Value, Value] = {}
+
+    def rewrite(inst: Instruction):
+        ops = inst.operands
+        for i, op in enumerate(ops):
+            if op in replaced:
+                ops[i] = replaced[op]
+
+    def visit(block: BasicBlock, table: Dict[tuple, Instruction]):
+        kept = []
+        for inst in block.instructions:
+            rewrite(inst)
+            new = _fold(inst) if isinstance(inst, PURE) else inst
+            if new is None:
+                new = table.setdefault(_cse_key(inst, index), inst)
+            if new is inst:
+                kept.append(inst)
+            else:
+                replaced[inst] = new
+        block.instructions[:] = kept
+
+    stack = [(function.entry, {})]
     while stack:
         block, inherited = stack.pop()
         table = {} if block in detach_entries else dict(inherited)
-        for inst in list(block.body()):
-            if not isinstance(inst, PURE):
-                continue
-            key = _cse_key(inst, index)
-            if key is None:
-                continue
-            original = table.get(key)
-            if original is None:
-                table[key] = inst
-                continue
-            _replace_everywhere(function, inst, original)
-            block.instructions.remove(inst)
-            shared += 1
-        for child in reversed(children[block]):
-            stack.append((child, table))
-    return shared
+        visit(block, table)
+        stack.extend((child, table) for child in reversed(children[block]))
+    unreached = [b for b in function.blocks if b not in idom]
+    for block in unreached:
+        visit(block, {})
+    for block in unreached:
+        for inst in block.instructions:
+            rewrite(inst)
+    folded = sum(isinstance(new, Constant) for new in replaced.values())
+    return folded, len(replaced) - folded
 
 
 def optimize_function(function: Function) -> Dict[str, int]:
-    """Run the full pipeline to a fixpoint; returns per-pass counts."""
-    totals = {"folded": 0, "cse": 0, "gvn": 0, "dce": 0}
-    while True:
-        folded = constant_fold(function)
-        cse = common_subexpression_elimination(function)
-        gvn = global_value_numbering(function)
-        dce = eliminate_dead_code(function)
-        totals["folded"] += folded
-        totals["cse"] += cse
-        totals["gvn"] += gvn
-        totals["dce"] += dce
-        if folded + cse + gvn + dce == 0:
-            return totals
+    """Value-number, then drop dead code; returns per-step counts."""
+    folded, shared = value_number(function)
+    return {"folded": folded, "shared": shared,
+            "dce": eliminate_dead_code(function)}
 
 
 def optimize_module(module: Module) -> Dict[str, int]:
-    """Optimise every function; returns summed per-pass counts."""
-    totals = {"folded": 0, "cse": 0, "gvn": 0, "dce": 0}
+    """Optimise every function; returns summed per-step counts."""
+    totals = {"folded": 0, "shared": 0, "dce": 0}
     for function in module.functions:
-        counts = optimize_function(function)
-        for key in totals:
-            totals[key] += counts[key]
+        for key, count in optimize_function(function).items():
+            totals[key] += count
     return totals

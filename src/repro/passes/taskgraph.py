@@ -80,16 +80,6 @@ class Task:
     def spawns_anything(self) -> bool:
         return bool(self.region_spawns or self.direct_spawns or self.calls)
 
-    def is_recursive(self) -> bool:
-        """True if this task (transitively through direct spawns/calls)
-        can spawn its own function again — mergesort/fib style."""
-        graph = self.graph
-        if graph is None:
-            return False
-        return graph.is_recursive_function(self.function)
-
-    graph: Optional["TaskGraph"] = None
-
     def __repr__(self):
         return f"<Task sid={self.sid} {self.name} [{self.kind}]>"
 
@@ -106,7 +96,6 @@ class TaskGraph:
     def new_task(self, name: str, function: Function, entry: BasicBlock,
                  kind: str) -> Task:
         task = Task(self._sid_counter, name, function, entry, kind)
-        task.graph = self
         self._sid_counter += 1
         self.tasks.append(task)
         if kind == FUNCTION_ROOT:

@@ -103,10 +103,6 @@ class SpanTracer:
 
     # -- views ------------------------------------------------------------
 
-    def total_seconds(self, name: Optional[str] = None) -> float:
-        return sum(span.seconds for span in self.spans
-                   if name is None or span.name == name)
-
     def phase_totals(self) -> Dict[str, float]:
         """name -> total seconds, top-level spans only (depth 0), so the
         report never double-counts a phase inside its parent."""

@@ -81,13 +81,17 @@ class TestConfig:
         assert config.params_for("x").ntiles == 7
         assert config.params_for("x").queue_depth == 9
 
-    def test_with_tiles_rewrites_everything(self):
-        config = AcceleratorConfig(
-            unit_params={"x": TaskUnitParams(ntiles=2)})
-        swept = config.with_tiles(8)
-        assert swept.default_ntiles == 8
-        assert swept.params_for("x").ntiles == 8
-        assert config.params_for("x").ntiles == 2  # original untouched
+    def test_sweep_tiles_reach_every_unit(self):
+        """The Fig 15 sweep knob: a point's tile count is every unit's
+        default, and an explicit unit override still wins."""
+        from repro.exp import config_from_spec
+        from repro.workloads import REGISTRY
+
+        config = config_from_spec(REGISTRY.get("matrix_add"), {
+            "tiles": 8, "overrides": {"unit_params": {"x": {"ntiles": 2}}}})
+        assert config.default_ntiles == 8
+        assert config.params_for("anything").ntiles == 8
+        assert config.params_for("x").ntiles == 2
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ConfigError):

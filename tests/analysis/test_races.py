@@ -93,7 +93,7 @@ class TestVerdicts:
                              ("phased", CLEAN_SYNCED),
                              ("fib", CLEAN_FIB)):
             report = analyze(source, name)
-            assert report.max_severity() is None, \
+            assert report.diagnostics == [], \
                 f"{name}: {report.render_text(name)}"
 
     def test_all_registered_workloads_error_free(self):

@@ -70,6 +70,6 @@ class TestPointers:
 
     def test_classification(self):
         assert ptr(I32).is_pointer()
-        assert I32.is_integer()
+        assert isinstance(I32, IntType)
         assert F32.is_float()
-        assert not F32.is_integer()
+        assert not isinstance(F32, IntType)

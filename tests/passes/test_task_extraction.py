@@ -111,7 +111,6 @@ class TestRecursiveExtraction:
     def test_recursion_detected(self):
         root = self.graph.tasks[0]
         assert self.graph.is_recursive_function(root.function)
-        assert root.is_recursive()
 
     def test_memory_ops_counted(self):
         root = self.graph.tasks[0]

@@ -97,3 +97,15 @@ def test_write_only_state_stays_deleted():
     assert not _hits(r"\b(block_entry_cycle|last_completion_cycle"
                      r"|frame_offset|unit_index|_used_fallback)\b"
                      r"|\binst\.spawned\b|\bself\.spawned\b")
+
+
+def test_optimizer_is_one_walk():
+    """``passes/optimize.py`` folds and shares in one dominator-order walk,
+    ``value_number``: the separate fold, block-local CSE and GVN passes
+    and the per-replacement whole-function rewrite stay deleted, and the
+    walk's fold and key stay private to it."""
+    assert not _hits(r"\b(constant_fold|common_subexpression_elimination"
+                     r"|global_value_numbering|_replace_everywhere)\b")
+    optimize = {os.path.join("passes", "optimize.py")}
+    assert set(_hits(r"(?<!def )\b_fold\(")) == optimize
+    assert set(_hits(r"(?<!def )\b_cse_key\(")) == optimize
