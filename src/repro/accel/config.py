@@ -80,7 +80,9 @@ class AcceleratorConfig:
     #: "function.tN" for detached-region tasks)
     unit_params: Dict[str, TaskUnitParams] = field(default_factory=dict)
     cache: CacheParams = field(default_factory=CacheParams)
-    latencies: Dict[str, int] = field(default_factory=lambda: dict(DEFAULT_LATENCIES))
+    #: node latency per functional-unit class, merged onto
+    #: ``DEFAULT_LATENCIES``: a partial table overrides only what it names
+    latencies: Dict[str, int] = field(default_factory=dict)
     memory_bytes: int = 1 << 22
     dram_latency_cycles: Optional[int] = None  # None -> board default
     #: "cache" (the paper's evaluated model: shared L1 + AXI DRAM) or
@@ -102,6 +104,14 @@ class AcceleratorConfig:
     engine: str = DEFAULT_ENGINE
 
     def __post_init__(self):
+        for kind, cycles in (self.latencies or {}).items():
+            if kind not in DEFAULT_LATENCIES:
+                raise ConfigError(f"unknown latency class {kind!r} (expected "
+                                  f"one of {', '.join(DEFAULT_LATENCIES)})")
+            if type(cycles) is not int or cycles < 0:
+                raise ConfigError(f"latency of {kind!r} must be an integer "
+                                  f">= 0, not {cycles!r}")
+        self.latencies = {**DEFAULT_LATENCIES, **(self.latencies or {})}
         if self.memory_model not in ("cache", "scratchpad"):
             raise ConfigError(
                 f"unknown memory model {self.memory_model!r}")

@@ -47,7 +47,6 @@ from repro.memory.arbiter import tree_levels
 from repro.passes.cfg import predecessor_map
 from repro.passes.dominators import compute_dominators
 from repro.passes.loops import Loop, cell_updates, find_loops, match_counted_loop
-from repro.task.txu import DEFAULT_LATENCIES
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +299,7 @@ class PerfModel:
         latencies, new lines per access its cache line size. One table
         per distinct pair, so a sweep over tiles or cache size shares
         the one built with the model."""
-        latencies = dict(DEFAULT_LATENCIES)
-        latencies.update(config.latencies or {})
+        latencies = config.latencies
         line_bytes = config.cache.line_bytes
         key = (line_bytes, tuple(sorted(latencies.items())))
         table = self._block_tables.get(key)

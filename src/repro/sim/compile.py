@@ -24,14 +24,14 @@ the *real* simulator objects (channels, task queues, instances,
 messages), so any state it leaves behind is exactly the state the dense
 engine would have produced.
 
-One thing the kernel does not mirror is the dense tile's polling: a TXU
-instance whose stepper call ended blocked-only is *parked* on the
+Every engine schedules TXU instances the same way: ``TXUTile.tick`` and
+``_schedule`` are the one instance scheduler, and the kernel derives its
+tile sections and instance loops from them (:mod:`repro.sim.derive`) with
+the generated steppers in place of the interpreted step. A blocked-only instance is *parked* on the
 resource that refused it (``Instance.park``: the tile's memory port or
-the unit's spawn out-buffer) and its stepper is not called again until
-that resource has room or a response reset its ``wake_at`` -- the
-skipped calls could only have re-found the resource taken and set the
-tile's stall marker, which the instance loop sets for them.
-``stats()["engine"]`` reports the calls made and skipped
+the unit's spawn out-buffer) and is not stepped again until that resource
+has room or a response reset its ``wake_at``.
+``stats()["engine"]`` reports the steps made and skipped
 (``instance_steps`` / ``parked_skips``).
 
 Caching: each generated module is content-addressed. The digest folds
@@ -88,9 +88,10 @@ from repro.ir.values import Constant, GlobalVariable
 from repro.memory import (Cache, DataBox, Demux, DRAMModel,
                           RoundRobinArbiter, Scratchpad)
 from repro.sim import engine as _engine
-from repro.sim.derive import UnsupportedDesign, expression, section
+from repro.sim.derive import (UnsupportedDesign, expression, section,
+                              tile_loop, tile_section)
 from repro.task.task_unit import OUTBOUND_BUFFER, TaskUnit
-from repro.task.txu import TXUTile
+from repro.task.txu import CALL, GO, OUTBUF, PARKED, PORT, TXUTile
 
 __all__ = [
     "prepare_kernel",
@@ -262,7 +263,7 @@ def generate_source(sim) -> str:
 #         (_o0, _o1, ...) = ctx["objects"]   # per-sim object references
 #         (_mk0, ...) = ctx["steppers"]      # one factory per task unit
 #         def kernel(sim, done, start, max_cycles, mlog):
-#             <aliases, one _mk<j>(...) call per tile>
+#             <aliases, one u<k>_t<ti>k = _mk<j>(...) per tile>
 #             try:
 #                 while True:           # one iteration per executed cycle
 #                     <guarded component ticks, registration order>
@@ -278,8 +279,10 @@ def generate_source(sim) -> str:
 #     def make_steppers(ctx, objs):
 #         (_o0, _o1, ...) = objs             # numbered within the unit
 #         def mk(T, Tf, Tfc, Tsu, cRi, R, TI, CP, dl, U, Uso, ev, act):
-#             <epilogue-store closure _e, one stepper _s<b> per owned block>
-#             return _e, {block: stepper}
+#             <epilogue-store closure Te, one stepper _s<b> per owned block,
+#              Td = {block: stepper}>
+#             <def k(cycle, room): TXUTile._schedule, derived, calling Td / Te>
+#             return k
 #         return mk
 #
 # Everything design-shaped is baked in as literals, everything
@@ -288,7 +291,8 @@ def generate_source(sim) -> str:
 # cached module serves every sim that generates its text. A stepper
 # module's text is a function of the task program (node indices,
 # dependency chains, wrap masks, frame layout, global addresses), SID/port,
-# node latencies, request-channel capacity and the trace flag -- not of
+# node latencies, request-channel capacity and the trace flag (and of
+# ``TXUTile.tick``, the scheduler it holds) -- not of
 # Ntiles, queues or the memory system: every design point of a program
 # shares it. The shell's is a function of the netlist: components, tile
 # counts, channel indices, capacities and fan-ins and the queue policy are
@@ -300,10 +304,9 @@ def generate_source(sim) -> str:
 #: what the hand-written kernel text (``_emit_unit``, the loop of
 #: ``_generate``) assigns per cycle; a derived section brings its own. CPython
 #: reaches only a frame's first 256 locals in one instruction and the aliases
-#: (a dozen per tile) outnumber that, so the kernel names these first
-_TEMPORARIES = ("inst st gap wk_ msg dyid_ en_ ix_ _ tt_ rs_ resp rm_ mw nw_ "
-                "fin wa pk ph _w k v nm busy tw w w2 span").split()
-_PARKED = 1 << 60  # txu PARKED == the missing-dep sentinel (1 << 60)
+#: (eight per tile) outnumber that, so the kernel names these first
+_TEMPORARIES = ("st gap msg dyid_ en_ ix_ _ tt_ k v nm busy tw w w2 "
+                "span").split()
 
 
 class _Emitter:
@@ -392,17 +395,22 @@ def _fmt_const(value) -> Optional[str]:
 class _StepperGen:
     """Emits one specialized stepper function per owned block of a task
     unit: the straight-line unrolling of ``TXUTile._step_instance`` +
-    ``_maybe_transition`` for that block's dataflow graph. The steppers
-    live inside the unit's ``mk`` factory (see :func:`_stepper_module`),
-    so everything tile- or kernel-bound is written as a factory parameter
-    — ``T`` (the tile), ``Tf``/``Tfc``/``Tsu`` (its ``_fired`` set,
-    ``_fire_call``, ``_suspend``), ``cRi``/``R`` (request channel deque
-    and flat index), ``TI`` (tile index), ``CP``/``dl``/``act`` (the
-    kernel's pending pushes, moved-list and one-cell activity flag),
-    ``U``/``Uso``/``ev`` (the unit, its spawn out-buffer and its
-    ``analysis_event``, called only when ``traced``) and ``_e`` (the
-    epilogue-store closure) — while SID, port and capacities are baked in
-    so ``_fire_memory`` and ``_finish`` are inlined flat ops."""
+    ``_maybe_transition`` for that block's dataflow graph. A stepper, like
+    ``_step_instance``, only reports what the step did (``GO``, ``QUIET``,
+    or the resource that refused it: ``PORT``, ``OUTBUF``, ``CALL``); the
+    instance loop that called it, ``TXUTile._schedule`` derived into the
+    same module, turns that into the instance's wake time and park. The
+    steppers live inside the unit's ``mk`` factory (see
+    :func:`_stepper_module`), so everything tile- or kernel-bound is
+    written as a factory parameter — ``T`` (the tile), ``Tf``/``Tfc``/
+    ``Tsu`` (its ``_fired`` set, ``_fire_call``, ``_suspend``),
+    ``cRi``/``R`` (request channel deque and flat index), ``TI`` (tile
+    index), ``CP``/``dl``/``act`` (the kernel's pending pushes, moved-list
+    and one-cell activity flag), ``U``/``Uso``/``ev`` (the unit, its spawn
+    out-buffer and its ``analysis_event``, called only when ``traced``) and
+    ``Te`` (the epilogue-store closure) — while SID, port and capacities
+    are baked in so ``_fire_memory`` and ``_finish`` are inlined flat
+    ops."""
 
     def __init__(self, em: _Emitter, unit, traced: bool):
         self.em = em          # the stepper module's own object table
@@ -576,7 +584,7 @@ class _StepperGen:
         then the flat push of the request."""
         ir = node.inst
         L = [ind + "elif T._mem_issued_this_cycle:",
-             ind + "    b = 1",
+             ind + "    b |= %d" % PORT,
              ind + "elif len(cRi) < %d and CP[R] is None:" % self.rocap]
         ptr = ir.pointer
         if isinstance(ptr, (Constant, GlobalVariable)):
@@ -613,7 +621,7 @@ class _StepperGen:
         L.append(ind + "    f = 1")
         L.append(ind + "else:")
         L.append(ind + "    T._mem_blocked = True")
-        L.append(ind + "    b = 1")
+        L.append(ind + "    b |= %d" % PORT)
         return L
 
     def finish_lines(self, retval_expr: str, ind: str) -> List[str]:
@@ -627,7 +635,7 @@ class _StepperGen:
                 ind + "if inst.entry.ret_ptr is not None "
                       "and rv_ is not None:",
                 ind + '    inst.phase = "epilogue_issue"',
-                ind + "    _e(inst, cycle)",
+                ind + "    Te(inst, cycle)",
                 ind + "else:",
                 ind + '    inst.phase = "done"']
 
@@ -663,8 +671,7 @@ class _StepperGen:
             L.append("    pm = inst.pending_mem")
         if has_call:
             L.append("    pc = inst.pending_call")
-        L.extend(["    f = 0", "    d = 0", "    b = 0",
-                  "    m = 0", "    blk = 0"])
+        L.append("    f = d = b = 0")
         # hoist every body node's done-cycle into a local with one unpack
         # of the block's node_done list (its last slot is the terminator's,
         # never written); a node that has not fired holds the sentinel B
@@ -695,7 +702,7 @@ class _StepperGen:
                 L.append("            fired.add(%s)" % key)
                 L.append("            f = 1")
                 L.append("        else:")
-                L.append("            b = blk = 1")  # call-blocked: no park
+                L.append("            b = %d" % CALL)
             else:
                 L.append("        else:")
                 L.extend(self.fire_lines(node, "            "))
@@ -729,7 +736,7 @@ class _StepperGen:
                        if spec.ret_ptr_value is not None else "None")
             L.append("        if len(Uso) >= %d:" % OUTBOUND_BUFFER)
             L.append("            T._spawn_blocked = True")
-            L.append("            blk = 1")
+            L.append("            b = %d" % OUTBUF)
             L.append("        else:")
             L.append("            en_ = inst.entry")
             seq = "None"
@@ -746,7 +753,7 @@ class _StepperGen:
             L.append("            en_.child_count += 1")
             L.append("            U.spawns_issued += 1")
             L.extend(self.enter_lines(term.continuation, "            "))
-            L.append("            m = 1")
+            L.append("            f = 1")
         elif isinstance(term, Sync):
             L.append("        if inst.entry.child_count > 0:")
             L.append("            Tsu(inst, %s)"
@@ -756,89 +763,53 @@ class _StepperGen:
                 L.append('            ev("sync-pass", f"gid={inst.entry.gid}", '
                          '{"gid": inst.entry.gid})')
             L.extend(self.enter_lines(term.continuation, "            "))
-            L.append("        m = 1")
+            L.append("        f = 1")
         elif isinstance(term, Br):
             L.extend(self.enter_lines(term.dest, "        "))
-            L.append("        m = 1")
+            L.append("        f = 1")
         elif isinstance(term, CondBr):
             L.append("        if %s:" % self.rv(term.cond))
             L.extend(self.enter_lines(term.if_true, "            "))
             L.append("        else:")
             L.extend(self.enter_lines(term.if_false, "            "))
-            L.append("        m = 1")
+            L.append("        f = 1")
         elif isinstance(term, Reattach):
             L.extend(self.finish_lines("None", "        "))
-            L.append("        m = 1")
+            L.append("        f = 1")
         elif isinstance(term, Ret):
             retval = (self.rv(term.value)
                       if term.value is not None else "None")
             L.extend(self.finish_lines(retval, "        "))
-            L.append("        m = 1")
+            L.append("        f = 1")
         else:
             raise UnsupportedDesign(
                 f"terminator {type(term).__name__} not supported")
 
-        # -- wake bookkeeping (mirrors _step_instance's epilogue) ----------
-        L.extend([
-            "    if f or m:",
-            "        act[0] = 1",
-            '    if m or f or d or b or blk or inst.phase != "run":',
-            "        inst.wake_at = cycle + 1",
-            '        if inst.phase != "run":',
-            "            return P",
-            "        if m or f or d:",
-            "            return cycle + 1",
-        ])
-        # blocked-only (b or blk, nothing fired, moved or deferred): until
-        # a response resets wake_at, the next call can differ only once the
-        # blocking resource frees up, so park on it -- the instance loop
-        # skips the call while it stays taken. Memory-blocked nodes wait on
-        # the tile's port, unless a multi-cycle node is still maturing (a
-        # timer wait); a spawn-blocked terminator waits on the out-buffer;
-        # a call-blocked node (b and blk) keeps polling.
-        kw = "if"
-        if has_mem:
-            slow = " or ".join("cycle < dn%d < B" % n.index for n in body
-                               if n.kind not in ("load", "store", "call")
-                               and self._lat(n.kind) >= 2)
-            L.append("        if not blk%s:"
-                     % (" and not (%s)" % slow if slow else ""))
-            L.append("            inst.park = 1")
-            kw = "elif"
-        if isinstance(term, Detach):
-            L.append("        %s not b:" % kw)
-            L.append("            inst.park = 2")
-        L.extend([
-            "        return P",
-            "    w = P",
-            "    for x in nd:",
-            "        if x > cycle and x < w:",
-            "            w = x",
-            "    if w is P and not inst.pending_mem and not inst.pending_call:",
-            "        w = cycle + 1",
-            "    inst.wake_at = w",
-            "    return w",
-        ])
+        # -- the report (mirrors _step_instance's): the scheduler it returns
+        # to, TXUTile.tick, sets wake_at and park from it
+        L.extend(["    if f:",
+                  "        act[0] = 1",
+                  "        return %d" % GO,
+                  "    return %d if d else b" % GO])
         return L
 
 
 def _stepper_module(gen: _StepperGen) -> str:
     """Source of one task unit's stepper module. A task unit is ONE TXU
     design replicated Ntiles times and instantiated by every design point
-    of its program: the epilogue closure and the per-block steppers are
-    generated and compiled once, with everything tile- or kernel-bound
-    arriving as ``mk``'s arguments and objects numbered within the unit."""
+    of its program: the epilogue closure, the per-block steppers and the
+    tile's instance loop that calls them are generated and compiled once,
+    with everything tile- or kernel-bound arriving as ``mk``'s arguments
+    and objects numbered within the unit."""
     unit, compiled, ref = gen.unit, gen.compiled, gen.em.ref
     rettype = compiled.task.function.return_type
     body: List[str] = []
     w = body.append
-    w("def _e(inst, cycle):")
+    w("def Te(inst, cycle):")
     if rettype.is_void():
         # unreachable: a void task never has (ret_ptr, retval) set
         w("    raise SimulationError(%r)" % ("epilogue store for void task",))
     else:
-        # a blocked epilogue store is the memory-port wait: park on it
-        w("    inst.park = 1")
         w("    if T._mem_issued_this_cycle:")
         w("        return")
         w("    if len(cRi) < %d and CP[R] is None:" % gen.rocap)
@@ -856,7 +827,6 @@ def _stepper_module(gen: _StepperGen) -> str:
         w("        dl.append(R)")
         w("        T._mem_issued_this_cycle = True")
         w('        inst.phase = "epilogue_wait"')
-        w("        inst.park = 0")
         w("    else:")
         w("        T._mem_blocked = True")
     entries = []
@@ -864,14 +834,19 @@ def _stepper_module(gen: _StepperGen) -> str:
         if compiled.owns_block(block):
             body.extend(gen.stepper("_s%d" % bi, block))
             entries.append("%s: _s%d" % (ref(block), bi))
-    w("return _e, {%s}" % ", ".join(entries))
+    w("Td = {%s}" % ", ".join(entries))
+    # the instance loop that calls them: TXUTile._schedule, derived
+    loop = tile_loop(gen.em, unit.tiles[0])
+    body.extend(gen.em.pre)
+    body.extend(loop)
+    w("return k")
     lines = ['"""Autogenerated TXU steppers of one task unit (see '
              'repro.sim.compile)."""',
              "def make_steppers(ctx, objs):",
              "    (%s) = objs" % "".join(
                  "_o%d, " % i for i in range(len(gen.em.objs)))]
     lines.extend(_CTX_NAMES)
-    lines.append("    P = B = %d" % _PARKED)
+    lines.append("    B = %d" % PARKED)
     lines.append("    def mk(T, Tf, Tfc, Tsu, cRi, R, TI, CP, dl, U, Uso, ev, "
                  "act):")
     lines.extend("        " + line for line in body)
@@ -881,8 +856,10 @@ def _stepper_module(gen: _StepperGen) -> str:
 
 def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs, mods):
     """Fully inlined TaskUnit tick: queue/join plumbing via guarded real
-    helper calls, tile instance stepping via the per-block steppers of
-    the unit's stepper module (appended to ``mods``)."""
+    helper calls, then each tile's section -- ``TXUTile.tick``, the gate of
+    the instance scheduler, derived by :func:`tile_section` -- calling the
+    tile's instance loop from the unit's stepper module (appended to
+    ``mods``)."""
     compiled = unit.tiles[0].compiled if unit.tiles else None
     if compiled is None:
         raise UnsupportedDesign(f"{unit.name}: task unit has no tiles")
@@ -910,7 +887,6 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs, mods):
     em.pre.append("%sas = %s._apply_spawn" % (u, u))
     em.pre.append("%sqe = %sq.entries" % (u, u))
     em.pre.append("%ssj = %s._send_join" % (u, u))
-    em.pre.append("%sfi = %s.instance_finished" % (u, u))
     traced = unit.trace is not None and unit.trace.enabled
     si, ji = em.ci(unit.spawn_in), em.ci(unit.join_in)
     so, jo = em.ci(unit.spawn_out), em.ci(unit.join_out)
@@ -920,24 +896,17 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs, mods):
         tn = "%s_t%d" % (u, ti)
         em.pre.append("%s = %s" % (tn, em.ref(t)))
         em.pre.append("%si = %s.instances" % (tn, tn))
-        em.pre.append("%sf = %s._fired" % (tn, tn))
-        em.pre.append("%spr = %s._apply_response" % (tn, tn))
         tiles.append((tn, em.ci(t.response_in), t))
 
-    # parks do not outlive a kernel call (dense ticks in between ignore
-    # them): the first tick runs every instance loop, which re-parks
-    em.pre.append("for t_ in %s.tiles:" % u)
-    em.pre.append("    for inst in t_.instances:")
-    em.pre.append("        inst.park = 0")
-
-    # -- the unit's stepper factory, instantiated once per tile ------------
+    # -- the unit's stepper factory, instantiated once per tile: <tile>k is
+    # the tile's instance loop, which calls the unit's steppers
     gen = _StepperGen(_Emitter(), unit, traced)
-    for ti, (tn, _rc, t) in enumerate(tiles):
+    for ti, (tn, rc, t) in enumerate(tiles):
         ro = em.ci(t.request_out)
         sdefs.append(
-            "_e%d_%d, %sd = _mk%d(%s, %sf, %s._fire_call, %s._suspend, c%di, "
-            "%d, %d, CP, dl, %s, %sso, %s, act)"
-            % (k, ti, tn, len(mods), tn, tn, tn, tn, ro, ro, ti, u, u,
+            "%sk = _mk%d(%s, %s._fired, %s._fire_call, %s._suspend, "
+            "c%di, %d, %d, CP, dl, %s, %sso, %s, act)"
+            % (tn, len(mods), tn, tn, tn, tn, ro, ro, ti, u, u,
                u + ".analysis_event" if traced else "None"))
     mods.append((_stepper_module(gen), tuple(gen.em.objs)))
 
@@ -954,13 +923,11 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs, mods):
         tick.append("        if %si:" % tn)
         tick.append("            %s.busy_cycles += gap" % tn)
     tick.append("    %s._synced_to = cycle" % u)
-    tick.append("    wk_ = 0")
     tick.append("    if c%di and not CQ[%d]:" % (ji, ji))
     tick.append("        msg = c%di[0]" % ji)
     tick.append("        CQ[%d] = 1" % ji)
     tick.append("        dl.append(%d)" % ji)
     tick.append("        %saj(msg, cycle)" % u)
-    tick.append("        wk_ = 1")
     tick.append("    if c%di and not CQ[%d] and %sqf:" % (si, si, u))
     tick.append("        msg = c%di[0]" % si)
     tick.append("        CQ[%d] = 1" % si)
@@ -988,115 +955,15 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs, mods):
     tick.append('                en_.state = "EXE"')
     tick.append("                tt_[0].start(%s._uid_counter, en_)" % u)
     tick.append("                %s._uid_counter += 1" % u)
-    tick.append("                wk_ = 1")
     tick.append("                %s._dispatch_rr = ix_ + 1 if ix_ + 1 "
                 "< %d else 0" % (u, nt))
     tick.append("                if %s.first_dispatch_cycle is None:" % u)
     tick.append("                    %s.first_dispatch_cycle = cycle" % u)
     tick.append("                break")
     tick.append("            ix_ = ix_ + 1 if ix_ + 1 < %d else 0" % nt)
-    full = "len(%sso) >= %d" % (u, OUTBOUND_BUFFER)
-    for ti, (tn, rc, t) in enumerate(tiles):
-        # the instance loop is a pure no-op (each instance would hit its
-        # cycle < wake_at early-out, or re-find its port / out-buffer
-        # taken) unless a wake event happened: a memory response or join
-        # arrived, a dispatch started/resumed an instance, a node-latency
-        # deadline (<tile>n) is due, or a resource someone is parked on has
-        # room again. <tile>p ORs the park reasons of the tile's instances
-        # (1 memory port, 2 spawn out-buffer), <tile>c counts them; both
-        # are recomputed on every loop run.
-        ro = em.ci(t.request_out)
-        room = "len(c%di) < %d and CP[%d] is None" % (ro, gen.rocap, ro)
-        em.pre.append("%sn = %sp = %sc = 0" % (tn, tn, tn))
-        tick.append("    if %sf:" % tn)
-        tick.append("        %sf.clear()" % tn)
-        tick.append("    %s._mem_issued_this_cycle = False" % tn)
-        tick.append("    %s._mem_blocked = False" % tn)
-        tick.append("    %s._spawn_blocked = False" % tn)
-        tick.append("    rs_ = wk_")
-        tick.append("    if c%di and not CQ[%d]:" % (rc, rc))
-        tick.append("        resp = c%di[0]" % rc)
-        tick.append("        CQ[%d] = 1" % rc)
-        tick.append("        dl.append(%d)" % rc)
-        tick.append("        %spr(resp, cycle)" % tn)
-        tick.append("        rs_ = 1")
+    for tn, _rc, t in tiles:
         tick.append("    if %si:" % tn)
-        tick.append("        %s.busy_cycles += 1" % tn)
-        tick.append("        if rs_ or cycle >= %sn or %sp and (%sp & 1 and %s"
-                    % (tn, tn, tn, room))
-        tick.append("                or %sp & 2 and len(%sso) < %d):"
-                    % (tn, u, OUTBOUND_BUFFER))
-        tick.append("            rm_ = %s" % room)
-        tick.append("            %sp = %sc = 0" % (tn, tn))
-        tick.append("            mw = P")
-        tick.append("            nw_ = P")
-        tick.append("            fin = None")
-        tick.append("            for inst in %si[:]:" % tn)
-        # (a non-"run" phase never has wake_at ahead of the clock)
-        tick.append("                wa = inst.wake_at")
-        tick.append("                if cycle < wa:")
-        tick.append("                    if wa < mw:")
-        tick.append("                        mw = wa")
-        tick.append("                    if wa < nw_:")
-        tick.append("                        nw_ = wa")
-        tick.append("                    continue")
-        # parked, no response has reset wake_at, resource still taken:
-        # the call would change nothing but the tile's stall marker
-        tick.append("                pk = inst.park")
-        tick.append("                if pk:")
-        tick.append("                    if wa and (%s if pk == 2 else not rm_"
-                    % full)
-        tick.append("                            or %s._mem_issued_this_cycle):"
-                    % tn)
-        tick.append("                        %sp |= pk" % tn)
-        tick.append("                        %sc += 1" % tn)
-        tick.append("                        nsk += 1")
-        tick.append("                        continue")
-        tick.append("                    inst.park = 0")
-        tick.append("                ph = inst.phase")
-        tick.append("                _w = P")
-        tick.append('                if ph == "run":')
-        tick.append("                    nst += 1")
-        tick.append("                    _w = %sd[inst.block](inst, cycle)"
-                    % tn)
-        tick.append('                elif ph == "epilogue_issue":')
-        tick.append("                    _e%d_%d(inst, cycle)" % (k, ti))
-        tick.append("                ph = inst.phase")
-        tick.append('                if ph == "done":')
-        tick.append("                    if fin is None:")
-        tick.append("                        fin = [inst]")
-        tick.append("                    else:")
-        tick.append("                        fin.append(inst)")
-        tick.append("                else:")
-        tick.append("                    pk = inst.park")
-        tick.append("                    if pk:")
-        tick.append("                        %sp |= pk" % tn)
-        tick.append("                        %sc += 1" % tn)
-        tick.append('                    elif ph == "run":')
-        tick.append("                        wa = inst.wake_at")
-        tick.append("                        if wa < nw_:")
-        tick.append("                            nw_ = wa")
-        tick.append("                    if _w < mw:")
-        tick.append("                        mw = _w")
-        tick.append("            %sn = nw_" % tn)
-        tick.append("            %s._min_wake = mw" % tn)
-        tick.append("            if fin is not None:")
-        tick.append("                for inst in fin:")
-        tick.append("                    %si.remove(inst)" % tn)
-        tick.append("                    del %s._by_uid[inst.uid]" % tn)
-        tick.append("                    %s.completed_instances += 1" % tn)
-        tick.append("                    %sfi(inst)" % u)
-        tick.append("        else:")
-        tick.append("            rm_ = 0")  # or the loop would have run
-        tick.append("            nsk += %sc" % tn)
-        # the markers _fire_memory / _fire_spawn set on whoever stays parked
-        tick.append("        if %sp:" % tn)
-        tick.append("            if %sp & 1 and not rm_:" % tn)
-        tick.append("                %s._mem_blocked = True" % tn)
-        tick.append("            if %sp & 2:" % tn)
-        tick.append("                %s._spawn_blocked = True" % tn)
-        tick.append("    else:")
-        tick.append("        %s._min_wake = P" % tn)
+        tick.extend("    " + line for line in tile_section(em, tn, t))
     tick.append("    if %sjr:" % u)
     tick.append("        %ssj()" % u)
     tick.append("    if %sso and len(c%di) < %d and CP[%d] is None:"
@@ -1195,7 +1062,7 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
     body: List[str] = []
     w = body.append
     w("%s = None" % " = ".join(em.temps))  # hotter than any alias
-    w("P = %d" % _PARKED)
+    w("P = %d" % PARKED)
     w("limit = start + max_cycles")
     w("cycle = sim.cycle")
     w("idle = sim._idle_cycles")
@@ -1204,8 +1071,6 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
     w("sim._activity_flag = False")
     w("ticks = 0")
     w("ff = 0")
-    w("nst = 0")  # stepper calls made / skipped on a parked instance
-    w("nsk = 0")
     w("dirty = sim._dirty_channels")
     # flat channel state: item deques, pending push/pop, moved counters
     w("CI = tuple([c._items for c in CH])")
@@ -1362,8 +1227,6 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
     w("    sim._ticks_executed += ticks")
     w("    sim._component_ticks += ticks * %d" % len(comps))
     w("    sim._fast_forwarded_cycles += ff")
-    w("    sim._instance_steps += nst")
-    w("    sim._parked_skips += nsk")
     w("    _sync_totals()")
     # error-state parity: a mid-cycle exception leaves this cycle's
     # pending pushes/pops on the real channel objects, exactly as the

@@ -7,9 +7,12 @@ become the kernel's flat ``c<K>i`` / ``CQ`` / ``CP`` / ``dl`` ops, helpers
 that touch a channel are inlined, attribute chains no method assigns are
 hoisted into the preamble, module globals go through the object table, and
 ``next_wake`` is evaluated at ``cycle - 1`` (the skip runs after the cycle
-increment). docs/simulator.md ("Writing a compilable component") lists the
-subset; anything else raises :class:`UnsupportedDesign` naming class,
-method, construct and line, and the design runs on the dense oracle.
+increment). :func:`tile_section` and :func:`tile_loop` read the TXU's
+instance scheduler, ``TXUTile.tick`` and ``_schedule``, the same way, with
+the generated steppers in place of its interpreted step. docs/simulator.md
+("Writing a compilable component") lists the subset; anything else raises
+:class:`UnsupportedDesign` naming class, method, construct and line, and
+the design runs on the dense oracle.
 :func:`expression` reads a one-``return`` function the same way for the
 TXU steppers: ``ir/opsem.py``'s operations, ``IntType.wrap`` and
 ``to_f32``.
@@ -19,8 +22,8 @@ from __future__ import annotations
 
 import ast
 import builtins
-import copy
 import linecache
+import pickle
 import re
 from functools import lru_cache
 from types import FunctionType
@@ -33,6 +36,10 @@ _HANDSHAKES = ("can_pop", "peek", "can_push", "push")
 _STATEMENTS = (ast.Assign, ast.AugAssign, ast.Expr, ast.Raise, ast.If,
                ast.While, ast.For, ast.Break, ast.Continue, ast.Pass)
 _POP = "CQ[%s] = 1", "dl.append(%s)"
+#: what the compiled instance loop calls in place of the TXU's interpreted
+#: step: the unit's generated stepper for the instance's block, and its
+#: epilogue closure
+_STEPPERS = {"_step_instance": "Td[{0}.block]", "_issue_epilogue_store": "Te"}
 
 
 class UnsupportedDesign(Exception):
@@ -51,6 +58,12 @@ def _defs(filename: str) -> dict:
                 scopes.append(node)
                 found[node.name, node.lineno] = node
     return found
+
+
+def _copy(node):
+    """A deep copy of a parsed definition, which the rewrite may mutate
+    (``copy.deepcopy`` is 2.5 times the cost)."""
+    return pickle.loads(pickle.dumps(node, pickle.HIGHEST_PROTOCOL))
 
 
 def _find(fn):
@@ -86,7 +99,7 @@ def expression(fn) -> str:
                 return ast.Name(id="@%s@" % ".".join(chain))
             return super().visit(node)
 
-    return ast.unparse(Marked().visit(copy.deepcopy(node)))
+    return ast.unparse(Marked().visit(_copy(node)))
 
 
 def _chain(node) -> list:
@@ -119,10 +132,13 @@ class _Template(ast.NodeTransformer):
     """One class's section as text: ``@x`` stands for the component alias,
     ``@<kind>:<name>@`` for a channel's index (k) / capacity (c), a channel
     list's length (n) / table (t) or an object-table reference (g). Which
-    attributes are channels is read off ``comp``, the first instance seen."""
+    attributes are channels is read off ``comp``, the first instance seen.
+    A call of a method named in ``calls`` becomes that text, formatted with
+    the argument texts, applied to them."""
 
-    def __init__(self, comp):
+    def __init__(self, comp, method="tick", calls=None):
         self.cls = cls = type(comp)
+        self.calls = calls or {}
         self.channels = {name for name, value in vars(comp).items()
                          if isinstance(value, Channel)}
         self.lists = {name for name, value in vars(comp).items()
@@ -130,32 +146,37 @@ class _Template(ast.NodeTransformer):
                       and all(isinstance(ch, Channel) for ch in value)}
         self.hoisted, self.globals, self.handles = {}, {}, set()
         self.scope, self.fn, self.method, self.line = {}, None, "", 0
-        self.stack, self.stored = [], set()
-        for klass in cls.__mro__[:cls.__mro__.index(Component)]:
-            for name, fn in vars(klass).items():
-                if isinstance(fn, FunctionType) and name != "__init__":
-                    self.stored |= {  # attribute names some method assigns
-                        n.attr for n in ast.walk(self.source(fn))
-                        if isinstance(n, ast.Attribute)
-                        and not isinstance(n.ctx, ast.Load)}
-        for fn in (cls.is_busy, cls.next_wake):
-            if _returned(fn) is None:
-                self.source(fn)
-                raise self.fail("anything but one `return <expression>`")
-        tick = ["    " + line for line in self.derive(cls.tick, "cycle")]
-        busy = self.derive(cls.is_busy)
-        wake, = self.derive(cls.next_wake, "(cycle - 1)")
-        skip = ["w = " + wake, "if w < tw:", "    tw = w"] * (wake not in [
-            "@g:%s@" % name for name in self.globals
-            if self.globals[name] == NEVER])  # no timer: nothing to clamp
+        self.stack = []
+        if cls not in _STORED:  # attribute names some method assigns
+            _STORED[cls] = {
+                n.attr for klass in set(cls.__mro__) - set(Component.__mro__)
+                for name, fn in vars(klass).items()
+                if isinstance(fn, FunctionType) and name != "__init__"
+                for n in ast.walk(self.source(fn))
+                if isinstance(n, ast.Attribute)
+                and not isinstance(n.ctx, ast.Load)}
+        self.stored = _STORED[cls]
+        busy, skip = [], []
+        if isinstance(comp, Component):
+            for fn in (cls.is_busy, cls.next_wake):
+                if _returned(fn) is None:
+                    self.source(fn)
+                    raise self.fail("anything but one `return <expression>`")
+            busy = self.derive(cls.is_busy)
+            wake, = self.derive(cls.next_wake, "(cycle - 1)")
+            skip = ["w = " + wake, "if w < tw:", "    tw = w"] * (wake not in [
+                "@g:%s@" % name for name in self.globals
+                if self.globals[name] == NEVER])  # no timer: nothing to clamp
+        fn = getattr(cls, method)
+        tick = ["    " + line for line in self.derive(
+            fn, *fn.__code__.co_varnames[1:fn.__code__.co_argcount])]
         pre = ["%s = %s" % item for item in self.hoisted.items()]
         #: preamble, held-work terms, tick body and skip lines, NUL-separated
         self.text = "\0".join("\n".join(part) for part in (
             pre, busy * (busy != ["False"]), tick, skip))
         self.temps = dict.fromkeys(re.findall(r"\bz\d+_\w+", self.text))
         self.origin = "%s.%s (line %d)" % (
-            cls.tick.__module__, cls.tick.__qualname__,
-            cls.tick.__code__.co_firstlineno)
+            fn.__module__, fn.__qualname__, fn.__code__.co_firstlineno)
 
     def fail(self, construct: str):
         return UnsupportedDesign(
@@ -231,6 +252,10 @@ class _Template(ast.NodeTransformer):
 
     def visit_Call(self, node):
         func, helper = node.func, _self_attr(node.func)
+        if helper in self.calls:
+            args = [self.text(arg) for arg in node.args]
+            return ast.Name(id="%s(%s)" % (self.calls[helper].format(*args),
+                                           ", ".join(args)))
         channel = self.channel(getattr(func, "value", None))
         if channel is not None:
             items, index, capacity = channel
@@ -273,9 +298,11 @@ class _Template(ast.NodeTransformer):
             return [_raw("CP[%s] = %s" % (channel[1],
                                           self.text(value.args[0]))),
                     _raw("dl.append(%s)" % channel[1])]
-        helper = getattr(self.cls, _self_attr(func) or "", None)
+        name = _self_attr(func) or ""
+        helper = getattr(self.cls, name, None)
         if isinstance(helper, FunctionType) and _returned(helper) is None \
-                and self.touches(func.attr):  # the kernel owns the handshakes
+                and name not in self.calls \
+                and self.touches(name):  # the kernel owns the handshakes
             return self.inline(helper, value)
         return self.generic_visit(node)
 
@@ -302,7 +329,7 @@ class _Template(ast.NodeTransformer):
                 else "(%s)" % ast.unparse(arg)
                 for arg in map(self.visit, call.args)]
         saved = self.scope, self.fn, self.method, self.line
-        node = copy.deepcopy(self.source(fn))
+        node = _copy(self.source(fn))
         params = [a.arg for a in node.args.args][skip:]
         scope = {n.id: "z%d_%s" % (len(self.stack), n.id)
                  for n in ast.walk(node) if isinstance(n, ast.Name)
@@ -333,20 +360,19 @@ class _Template(ast.NodeTransformer):
 
 
 _TEMPLATES: dict = {}
+#: per class, what :class:`_Template` hoists nothing of (two templates of a
+#: class, ``TXUTile.tick`` and ``_schedule``, share it)
+_STORED: dict = {}
 
 
-def section(em, alias: str, comp):
-    """``(tick lines, busy terms, skip lines)`` of one component, preamble and
-    temporaries added to ``em``: its class's template (derived once per
-    process) with this instance's channels, fan-ins and objects substituted.
-    The tick lines: a comment naming their one definition, the no-op guard
-    (work held, or an input to pop), then the derived body."""
-    tpl = _TEMPLATES.get(type(comp)) \
-        or _TEMPLATES.setdefault(type(comp), _Template(comp))
-    ports = comp.ports()
-    if ports is None:
-        raise UnsupportedDesign(
-            f"{type(comp).__name__} {comp.name} declares no ports")
+def _instantiate(em, alias: str, comp, method="tick", calls=None):
+    """``(template, (busy terms, body lines, skip lines))`` of one
+    component: its class's template of ``method`` (derived once per
+    process) with this instance's channels, fan-ins and objects
+    substituted, preamble and temporaries added to ``em``."""
+    key = type(comp), method
+    tpl = _TEMPLATES.get(key) \
+        or _TEMPLATES.setdefault(key, _Template(comp, method, calls))
 
     def fill(match):
         kind, name = match.groups()
@@ -361,11 +387,43 @@ def section(em, alias: str, comp):
         return str(em.ci(value) if kind == "k" else value.capacity)
 
     text = re.sub(r"@(\w):(\w+)@", fill, tpl.text).replace("@x", alias)
-    pre, held, tick, skip = (part.split("\n") if part else []
-                             for part in text.split("\0"))
-    em.pre.extend(pre)
+    parts = [part.split("\n") if part else [] for part in text.split("\0")]
+    em.pre.extend(parts[0])
     em.temps.update(tpl.temps)
+    return tpl, parts[1:]
+
+
+def section(em, alias: str, comp):
+    """``(tick lines, busy terms, skip lines)`` of one component. The tick
+    lines: a comment naming their one definition, the no-op guard (work
+    held, or an input to pop), then the derived body."""
+    ports = comp.ports()
+    if ports is None:
+        raise UnsupportedDesign(
+            f"{type(comp).__name__} {comp.name} declares no ports")
+    tpl, (held, tick, skip) = _instantiate(em, alias, comp)
     guard = ["(%s)" % term for term in held] \
         + ["c%di" % em.ci(ch) for ch in ports[0]]
     return (["# " + tpl.origin, "if %s:" % (" or ".join(guard) or "False")]
             + tick, held, skip)
+
+
+def tile_section(em, alias: str, tile) -> list:
+    """The tick lines of one TXU tile, inside its unit's section: the
+    class's ``tick`` -- the gate of the instance scheduler -- with
+    ``<alias>k`` (:func:`tile_loop`, instantiated for this tile) in place
+    of ``_schedule``."""
+    tpl, (_held, tick, _skip) = _instantiate(em, alias, tile, "tick",
+                                             {"_schedule": "@xk"})
+    return ["    # " + tpl.origin] + tick
+
+
+def tile_loop(em, tile) -> list:
+    """``def k(cycle, room)`` for a task unit's stepper factory: the tile
+    class's ``_schedule`` -- the instance loop -- on the tile ``T``, with
+    ``Td[block]`` (the unit's generated steppers) and ``Te`` (its epilogue
+    closure) in place of the interpreted step; the aliases it hoists go to
+    ``em.pre``."""
+    tpl, (_held, loop, _skip) = _instantiate(em, "T", tile, "_schedule",
+                                             _STEPPERS)
+    return ["# " + tpl.origin, "def k(cycle, room):"] + loop

@@ -30,10 +30,7 @@ from repro.task.task_queue import (
     TaskEntry,
     TaskQueue,
 )
-from repro.task.txu import PARKED, TXUTile
-
-#: bound on buffered outbound messages before spawn sites see backpressure
-OUTBOUND_BUFFER = 4
+from repro.task.txu import OUTBOUND_BUFFER, PARKED, TXUTile
 
 
 class TaskUnit(Component):
@@ -172,7 +169,8 @@ class TaskUnit(Component):
         self._accept_spawn(cycle)
         self._dispatch(cycle)
         for tile in self.tiles:
-            tile.tick(cycle)
+            if tile.instances:  # a response always has its instance
+                tile.tick(cycle)
         self._send_join()
         self._drain_outbound()
 

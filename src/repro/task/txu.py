@@ -51,10 +51,25 @@ DEFAULT_LATENCIES = {
 
 _EPILOGUE_NODE = -1  # synthetic node id for the ret_ptr store
 
-#: wake_at value of an instance that can only be unblocked by a memory or
-#: call response (those reset wake_at to 0 on arrival); the task unit's
-#: next_wake treats parked instances as channel-driven, not timer-driven
+#: the done-cycle of a node that has not fired, and the timer contribution
+#: of an instance only channel movement (a memory or call response, a
+#: resource with room again) can unblock; the task unit's next_wake treats
+#: it as channel-driven, not timer-driven
 PARKED = 1 << 60
+
+#: bound on a unit's buffered outbound messages before spawn and call
+#: sites see backpressure
+OUTBOUND_BUFFER = 4
+
+#: what one step of an instance reports to the scheduler (the interpreted
+#: :meth:`TXUTile._step_instance` and every generated stepper alike);
+#: PORT and OUTBUF double as the :attr:`Instance.park` value of an
+#: instance parked on that resource
+QUIET = 0   # nothing fired, moved, was deferred or refused
+PORT = 1    # a memory node was refused the tile's request port
+OUTBUF = 2  # the detach terminator was refused the unit's spawn out-buffer
+CALL = 3    # a call node was refused the out-buffer: it polls, never parks
+GO = 4      # a node fired or was deferred, or the block moved on
 
 RUN = "run"
 EPILOGUE_ISSUE = "epilogue_issue"
@@ -86,9 +101,10 @@ class Instance:
         #: scheduling hint: no dataflow progress possible before this cycle
         #: (purely a simulation fast path, not architectural state)
         self.wake_at = 0
-        #: compiled kernel only: the resource a blocked instance waits on
-        #: (0 none, 1 the tile's memory port, 2 the unit's spawn out-buffer);
-        #: the dense and event engines poll and never read it
+        #: the resource a blocked instance is parked on -- 0 none, PORT the
+        #: tile's request port, OUTBUF the unit's spawn out-buffer: the
+        #: scheduler (:meth:`TXUTile._schedule`) does not step it again until
+        #: that resource has room or a response resets ``wake_at``
         self.park = 0
 
 
@@ -126,8 +142,18 @@ class TXUTile:
         self.completed_instances = 0
         #: earliest cycle any instance on this tile can make progress
         #: without new channel traffic (PARKED = channel-driven only);
-        #: recomputed every tick, read by TaskUnit.next_wake
+        #: recomputed by the instance loop, read by TaskUnit.next_wake
         self._min_wake = PARKED
+        #: the instance loop's own gate: the earliest ``wake_at`` of an
+        #: unparked running instance (0 after a start, a memory response or
+        #: a call return), the park reasons ORed and the instances parked
+        self._due = 0
+        self._parked = 0
+        self._parked_count = 0
+        #: scheduler calls of a stepper, and steps skipped on a parked
+        #: instance whose resource stayed taken (host-side, not timing)
+        self.instance_steps = 0
+        self.parked_skips = 0
 
     # -- capacity ------------------------------------------------------------
 
@@ -153,6 +179,7 @@ class TXUTile:
                     self.value_probe(value, arg)
         self.instances.append(inst)
         self._by_uid[inst.uid] = inst
+        self._due = 0
         return inst
 
     # -- value resolution -----------------------------------------------------
@@ -177,42 +204,124 @@ class TXUTile:
     # -- clocked behaviour -----------------------------------------------------
 
     def tick(self, cycle: int):
-        self._fired.clear()
+        """One cycle of a tile holding an instance (its unit ticks no
+        other): retire a memory response, then run the instance scheduler
+        when something can have changed since it last ran -- ``_due`` has
+        come, or a resource an instance is parked on has room -- or else
+        set the stall markers of the parked instances.
+
+        The scheduler, this method and :meth:`_schedule`, is written once,
+        here, for every engine: :mod:`repro.sim.derive` inlines this method
+        into the compiled kernel and compiles ``_schedule`` into the unit's
+        stepper module, with the generated steppers in place of
+        ``_step_instance`` and ``_issue_epilogue_store``."""
+        if self._fired:
+            self._fired.clear()
         self._mem_issued_this_cycle = False
         self._mem_blocked = False
         self._spawn_blocked = False
-        self._pop_memory_response(cycle)
-        if self.instances:
-            self.busy_cycles += 1
-        finished: List[Instance] = []
-        min_wake = PARKED
-        for inst in list(self.instances):
-            if inst.phase == RUN and cycle < inst.wake_at:
-                # nothing can fire before wake_at — skip without the call
-                # (same early-return _step_instance would take)
-                if inst.wake_at < min_wake:
-                    min_wake = inst.wake_at
+        if self.response_in.can_pop():
+            response = self.response_in.pop()
+            self._apply_response(response, cycle)
+        self.busy_cycles += 1
+        parked = self._parked
+        if cycle >= self._due or parked & PORT and self.request_out.can_push() \
+                or parked & OUTBUF \
+                and len(self.unit._spawn_outbuf) < OUTBOUND_BUFFER:
+            self._schedule(cycle, self.request_out.can_push())
+        elif parked:  # every parked instance's resource is still taken
+            self.parked_skips += self._parked_count
+            if parked & PORT:
+                self._mem_blocked = True
+            if parked & OUTBUF:
+                self._spawn_blocked = True
+
+    def _schedule(self, cycle: int, room: bool):
+        """The instance loop. A step reports what happened (:data:`GO`,
+        :data:`QUIET`, or the resource that refused it) and the loop turns
+        that into the instance's ``wake_at``, its timer contribution and
+        its park. An instance refused only the request port or the spawn
+        out-buffer, with no node maturing, is *parked* on it: its step
+        could only re-find the resource taken, and set the stall marker, so
+        it is not taken again until the resource has room (``room``: the
+        port's, at the start of the cycle) or a response resets
+        ``wake_at``. A refused instance with a node still maturing
+        contributes that node's done cycle."""
+        parked = count = steps = 0
+        due = timer = PARKED
+        finished = []
+        for inst in self.instances[:]:
+            wake = inst.wake_at
+            if cycle < wake:
+                if wake < timer:
+                    timer = wake
+                if wake < due:
+                    due = wake
                 continue
-            wake = self._step_instance(inst, cycle)
-            if inst.phase == DONE:
-                finished.append(inst)
-            elif wake < min_wake:
-                min_wake = wake
-        self._min_wake = min_wake
+            park = inst.park
+            if park:
+                if wake and (
+                        len(self.unit._spawn_outbuf) >= OUTBOUND_BUFFER
+                        if park == OUTBUF else not room
+                        or self._mem_issued_this_cycle):
+                    # the stall marker its step would set
+                    if park == OUTBUF:
+                        self._spawn_blocked = True
+                    elif not room:
+                        self._mem_blocked = True
+                    parked |= park
+                    count += 1
+                    self.parked_skips += 1
+                    continue
+                inst.park = park = 0
+            phase = inst.phase
+            if phase == RUN:
+                steps += 1
+                report = self._step_instance(inst, cycle)
+                inst.wake_at = wake = cycle + 1
+                if report == GO:
+                    phase = inst.phase
+                else:  # waiting on its earliest maturing node, if any
+                    wake = min(filter(cycle.__lt__, inst.node_done),
+                               default=PARKED)
+                    if report == QUIET:
+                        if wake == PARKED and not inst.pending_mem \
+                                and not inst.pending_call:
+                            wake = cycle + 1
+                        inst.wake_at = wake
+                    elif wake == PARKED and report != CALL:
+                        inst.park = park = report
+            elif phase == EPILOGUE_ISSUE:
+                self._issue_epilogue_store(inst, cycle)
+                phase = inst.phase
+            if phase != RUN:
+                if phase == DONE:
+                    finished.append(inst)
+                    continue
+                wake = PARKED
+                if phase == EPILOGUE_ISSUE:  # its store was refused the port
+                    inst.park = park = PORT
+            if park:
+                parked |= park
+                count += 1
+            elif phase == RUN and inst.wake_at < due:
+                due = inst.wake_at
+            if wake < timer:
+                timer = wake
+        self.instance_steps += steps
+        self._parked = parked
+        self._parked_count = count
+        self._due = due
         for inst in finished:
             self.instances.remove(inst)
-            del self._by_uid[inst.uid]
+            self._by_uid.pop(inst.uid)
             self.completed_instances += 1
             self.unit.instance_finished(inst)
-
-    def _pop_memory_response(self, cycle: int):
-        if not self.response_in.can_pop():
-            return
-        self._apply_response(self.response_in.pop(), cycle)
+        self._min_wake = timer if self.instances else PARKED
 
     def _apply_response(self, resp, cycle: int):
-        """Retire a popped memory response (channel-free: the compiled
-        engine pops the channel itself and delegates here)."""
+        """Retire a popped memory response."""
+        self._due = 0
         inst = self._by_uid.get(resp.tag.instance)
         if inst is None:
             raise SimulationError(
@@ -242,6 +351,7 @@ class TXUTile:
             {"gid": inst.entry.gid, "child_gid": child_gid})
         inst.pending_call.discard(node_idx)
         inst.wake_at = 0
+        self._due = 0
         node = self.compiled.dfg(inst.block).nodes[node_idx]
         if not node.inst.type.is_void():
             inst.env[node.inst] = retval
@@ -252,28 +362,14 @@ class TXUTile:
     # -- per-instance dataflow step ------------------------------------------
 
     def _step_instance(self, inst: Instance, cycle: int) -> int:
-        """Advance one instance; returns its event-engine timer
-        contribution: the earliest cycle it can progress without new
-        channel traffic, or :data:`PARKED` when only channel movement (a
-        memory/call response, a backpressure release) can unblock it."""
-        if inst.phase == EPILOGUE_ISSUE:
-            self._issue_epilogue_store(inst, cycle)
-            # either the store was pushed (our own channel movement wakes
-            # the unit) or request_out is full (its pop wakes the unit)
-            return PARKED
-        if inst.phase != RUN:
-            return PARKED  # EPILOGUE_WAIT: response_in wakes the unit
-        if cycle < inst.wake_at:
-            return inst.wake_at  # fast path: nothing fires before wake_at
-
+        """One dataflow step of a running instance: fire every ready node,
+        then try the block's terminator. Reports what happened to the
+        scheduler (:meth:`tick`), which alone sets ``wake_at`` and
+        ``park``: GO, QUIET, or the resource that refused a node."""
         dfg = self.compiled.dfg(inst.block)
-        nodes = dfg.nodes
-        body_count = len(nodes) - 1  # terminator handled at transition
-
-        fired_any = False
-        deferred = False     # structural hazard: the node frees next cycle
-        blocked_io = False   # backpressure: a no-op until a channel moves
-        for node in nodes[:body_count]:
+        fired = deferred = False
+        refused = QUIET
+        for node in dfg.nodes[:-1]:  # the terminator fires at transition
             idx = node.index
             if inst.node_done[idx] != PARKED or idx in inst.pending_mem \
                     or idx in inst.pending_call:
@@ -284,37 +380,18 @@ class TXUTile:
             if key in self._fired:
                 deferred = True
                 continue  # structural hazard: one firing per node per cycle
-            if self._fire(inst, node, cycle):
+            report = self._fire(inst, node, cycle)
+            if report == GO:
                 self._fired.add(key)
-                fired_any = True
+                fired = True
             else:
-                blocked_io = True  # full channel/buffer: retry when freed
-
-        outcome = self._maybe_transition(inst, dfg, cycle)
-        if (fired_any or outcome == "moved") and self.unit.sim is not None:
-            self.unit.sim.note_activity()
-        if inst.phase != RUN or outcome == "moved" or fired_any or deferred \
-                or blocked_io or outcome == "blocked":
-            # wake_at stays hot so any unit wake re-steps the instance;
-            # the timer contribution distinguishes real next-cycle work
-            # from backpressure retries that cannot succeed until the
-            # blocking channel moves (which itself wakes the unit)
-            inst.wake_at = cycle + 1
-            if inst.phase != RUN:
-                return PARKED
-            if outcome == "moved" or fired_any or deferred:
-                return cycle + 1
-            return PARKED  # blocked_io / spawn-blocked terminator
-        # quiescent: wake when the earliest in-flight node finishes, or on
-        # a memory/call response (those reset wake_at to 0 on arrival)
-        future = [d for d in inst.node_done if cycle < d < PARKED]
-        if future:
-            inst.wake_at = min(future)
-        elif inst.pending_mem or inst.pending_call:
-            inst.wake_at = PARKED
-        else:
-            inst.wake_at = cycle + 1
-        return inst.wake_at
+                refused |= report  # a refused call outranks the port
+        moved = self._maybe_transition(inst, dfg, cycle)
+        if fired or moved == GO:
+            if self.unit.sim is not None:
+                self.unit.sim.note_activity()
+            return GO
+        return GO if deferred else moved or refused
 
     def _deps_ready(self, inst: Instance, node, cycle: int) -> bool:
         done = inst.node_done
@@ -326,9 +403,9 @@ class TXUTile:
     def _latency(self, kind: str) -> int:
         return self.latencies.get(kind, 1)
 
-    def _fire(self, inst: Instance, node, cycle: int) -> bool:
-        """Execute one dataflow node; returns False if it must retry
-        (e.g. a full memory channel)."""
+    def _fire(self, inst: Instance, node, cycle: int) -> int:
+        """Execute one dataflow node: GO, or the resource that refused it
+        (PORT, CALL) and must be retried."""
         ir = node.inst
         kind = node.kind
         env = inst.env
@@ -360,14 +437,14 @@ class TXUTile:
                 self.value_probe(ir, env[ir])
 
         inst.node_done[node.index] = cycle + self._latency(kind)
-        return True
+        return GO
 
-    def _fire_memory(self, inst: Instance, node, cycle: int) -> bool:
+    def _fire_memory(self, inst: Instance, node, cycle: int) -> int:
         if self._mem_issued_this_cycle:
-            return False
+            return PORT
         if not self.request_out.can_push():
             self._mem_blocked = True
-            return False
+            return PORT
         ir = node.inst
         addr_val = self._resolve(inst, ir.pointer)
         if isinstance(addr_val, RegSlot):
@@ -390,40 +467,40 @@ class TXUTile:
         self.request_out.push(req)
         self._mem_issued_this_cycle = True
         inst.pending_mem.add(node.index)
-        return True
+        return GO
 
-    def _fire_call(self, inst: Instance, node, cycle: int) -> bool:
+    def _fire_call(self, inst: Instance, node, cycle: int) -> int:
         ir = node.inst
         spec = self.compiled.call_specs[ir]
         args = tuple(self._resolve(inst, v) for v in spec.arg_values)
         token = (self.tile_index, inst.uid, node.index)
         if not self.unit.issue_call(spec.dest_sid, args, inst.entry, token):
             self._spawn_blocked = True
-            return False
+            return CALL
         inst.pending_call.add(node.index)
-        return True
+        return GO
 
     # -- block transition ------------------------------------------------------
 
-    def _maybe_transition(self, inst: Instance, dfg, cycle: int) -> Optional[str]:
-        """Returns "moved" on a state change, "blocked" when the terminator
-        is ready but back-pressured, None when the block is still draining."""
+    def _maybe_transition(self, inst: Instance, dfg, cycle: int) -> int:
+        """GO on a state change, OUTBUF when a detach terminator is ready
+        but back-pressured, QUIET while the block is still draining."""
         nodes = dfg.nodes
         term_node = nodes[-1]
         # every body node must be complete
         for node in nodes[:-1]:
             if inst.node_done[node.index] > cycle:
-                return None
+                return QUIET
         if inst.pending_mem or inst.pending_call:
-            return None
+            return QUIET
         # terminator dependencies (spawn-arg marshalling etc.)
         if not self._deps_ready(inst, term_node, cycle):
-            return None
+            return QUIET
 
         term = term_node.inst
         if isinstance(term, Detach):
             if not self._fire_spawn(inst, term):
-                return "blocked"  # spawn network backpressure
+                return OUTBUF  # spawn network backpressure
             self._enter_block(inst, term.continuation)
         elif isinstance(term, Sync):
             if inst.entry.child_count > 0:
@@ -447,7 +524,7 @@ class TXUTile:
             self._finish(inst, retval, cycle)
         else:
             raise SimulationError(f"TXU cannot handle terminator {term.opcode}")
-        return "moved"
+        return GO
 
     def _fire_spawn(self, inst: Instance, detach: Detach) -> bool:
         spec = self.compiled.spawn_specs[detach]

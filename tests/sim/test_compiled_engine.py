@@ -32,6 +32,7 @@ from repro.sim.compile import (
     prepare_kernel,
 )
 from repro.task.task_unit import TaskUnit
+from repro.task.txu import TXUTile
 from repro.workloads import REGISTRY
 
 FIB = """
@@ -143,7 +144,7 @@ def test_loop_temporaries_take_the_low_local_slots():
         for name in targets.split(", ") if not re.match(r"[cux]\d", name)}
     slots = {name: slot for slot, name
              in enumerate(kernel.__code__.co_varnames)}
-    assert len(slots) > 256 and {"wa", "k", "tw", "z0_msg"} <= assigned
+    assert len(slots) > 256 and {"ix_", "k", "tw", "z0_msg"} <= assigned
     assert {name: slots[name] for name in assigned
             if slots[name] >= 256} == {}
 
@@ -476,7 +477,6 @@ class TestFallbackMatrix:
         assert "engine=dense (compiled declined: host profiling" in report
 
     def test_value_probe_falls_back(self, monkeypatch):
-        from repro.task.txu import TXUTile
 
         monkeypatch.setattr(TXUTile, "value_probe",
                             staticmethod(lambda value, observed: None))
@@ -540,6 +540,34 @@ class TestFallbackMatrix:
         assert any(f"(line {line + offset})" in reason for offset in range(8))
         assert prepare_kernel(accel.sim) == (None, reason)
 
+    def test_tile_scheduler_outside_the_subset_falls_back(self):
+        """The kernel's tile tick is derived from the tile class's own
+        ``tick``: a scheduler the derivation cannot read runs the design
+        on the dense oracle, with the reason naming it."""
+        class EarlyOut(TXUTile):
+            def tick(self, cycle):
+                if not self.instances:
+                    return
+                TXUTile.tick(self, cycle)
+
+        outcomes = {}
+        for engine in ("dense", "compiled"):
+            workload = REGISTRY.get("fibonacci")
+            accel = workload.build(workload.default_config(2, engine=engine))
+            for unit in accel.units:
+                for tile in unit.tiles:
+                    tile.__class__ = EarlyOut
+            prepared = workload.prepare(accel.memory, 1)
+            result = accel.run(prepared.function, prepared.args)
+            assert prepared.check(accel.memory, result.retval)
+            stats = dict(result.stats)
+            stats.pop("engine")
+            outcomes[engine] = (result.cycles, stats)
+        assert outcomes["dense"] == outcomes["compiled"]
+        reason = accel.sim.compiled_fallback
+        assert "EarlyOut.tick: `return` statement" in reason
+        assert "derivable subset" in reason
+
     def test_class_without_source_falls_back(self):
         namespace = {"Demux": Demux}
         exec("class Sourceless(Demux):\n"
@@ -556,15 +584,21 @@ class TestFallbackMatrix:
     def test_derived_sections_name_their_one_definition(self):
         """Each plumbing section of the shell opens with a comment naming
         ``<module>.<Class>.tick`` and its source line, the guard follows
-        it, and an attached observer's ``tk.append`` the guard."""
+        it, and an attached observer's ``tk.append`` the guard; each
+        tile's section names ``TXUTile.tick``."""
         accel = _build()
         accel.sim.attach_observer(Observer())
         lines = [line.strip() for line
                  in generate_modules(accel.sim)[0].splitlines()]
         plumbing = [comp for comp in accel.sim.components
                     if not isinstance(comp, TaskUnit)]
+        tiles = [tile for unit in accel.units for tile in unit.tiles]
+        tile_origin = "# %s.%s (line %d)" % (
+            TXUTile.tick.__module__, TXUTile.tick.__qualname__,
+            TXUTile.tick.__code__.co_firstlineno)
+        assert lines.count(tile_origin) == len(tiles) > 0
         named = [at for at, line in enumerate(lines)
-                 if line.startswith("# repro.")]
+                 if line.startswith("# repro.") and line != tile_origin]
         assert len(named) == len(plumbing) > 0
         for at, comp in zip(named, plumbing):
             tick = type(comp).tick

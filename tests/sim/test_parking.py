@@ -1,10 +1,12 @@
-"""Parked TXU instances in the compiled kernel.
+"""Parked TXU instances.
 
 A blocked-only instance (memory port taken, spawn out-buffer full) is
-not re-stepped by the generated kernel until its resource has room or a
-response reset its ``wake_at``; the dense oracle keeps polling. These
-are the configurations where that difference would show: every one must
-stay bit-identical, including stall markers, failures and what a run
+not re-stepped until its resource has room or a response reset its
+``wake_at``. Every engine parks the same way, through the one scheduler
+``TXUTile.tick`` (the kernel's tile tick is derived from it), and
+parking is cycle-accurate: these are the configurations where a wrong
+park, wake or stall marker would show, so the engines must stay
+bit-identical on each, including ledgers, failures and what a run
 leaves behind on the channels.
 """
 
@@ -112,11 +114,13 @@ func calls(x: i32*, y: i32*, n: i32) {
     (POLY, "poly", dict(default_ntiles=2)),
     (POLY, "poly", dict(default_ntiles=2,
                         latencies={**DEFAULT_LATENCIES, "mul": 9})),
+    (POLY, "poly", dict(default_ntiles=2, **MEMBOUND)),
     (CALLS, "calls", dict(unit_params={
         "calls.t0": TaskUnitParams(ntiles=2, queue_depth=64)})),
     (CALLS, "calls", dict(unit_params={
         "calls.t0": TaskUnitParams(ntiles=4, queue_depth=64)}, **MEMBOUND)),
-], ids=["poly-1", "poly-2", "poly-2-mul9", "calls-2", "calls-4-membound"])
+], ids=["poly-1", "poly-2", "poly-2-mul9", "poly-2-membound", "calls-2",
+        "calls-4-membound"])
 def test_observed_ledgers_agree_with_timers_and_calls_in_the_block(
         source, entry, config):
     """``poly``'s multiply chain must keep firing while the block's load
@@ -130,7 +134,7 @@ def test_observed_ledgers_agree_with_timers_and_calls_in_the_block(
     from repro.obs import Observer
 
     views = {}
-    for engine in ("dense", "compiled"):
+    for engine in ("dense", "event", "compiled"):
         observer = Observer()
         accel = build_accelerator(
             compile_source(source, entry),
@@ -139,17 +143,17 @@ def test_observed_ledgers_agree_with_timers_and_calls_in_the_block(
         y = accel.memory.alloc_array(I32, [0] * 48)
         result = accel.run(entry, [x, y, 48])
         stats = dict(result.stats)
-        engine_stats = stats.pop("engine")
+        assert stats.pop("engine").get("compiled_fallback") is None
         views[engine] = (
             result.cycles, stats, accel.memory.read_array(y, I32, 48),
             {name: ledger.timeline
              for name, ledger in observer.ledgers.items()})
-    assert engine_stats["compiled_fallback"] is None
-    assert views["dense"] == views["compiled"]
+    assert views["event"] == views["dense"]
+    assert views["compiled"] == views["dense"]
 
 
 def test_membound_steps_fewer_instances_than_cycles():
-    """The poll/park split is reported, compiled engine only."""
+    """The step/skip split is reported, compiled engine only."""
     workload = REGISTRY.get("saxpy")
     result = workload.run(
         workload.default_config(4, engine="compiled", **MEMBOUND), scale=4)

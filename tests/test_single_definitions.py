@@ -109,3 +109,26 @@ def test_optimizer_is_one_walk():
     optimize = {os.path.join("passes", "optimize.py")}
     assert set(_hits(r"(?<!def )\b_fold\(")) == optimize
     assert set(_hits(r"(?<!def )\b_cse_key\(")) == optimize
+
+
+def test_instance_scheduler_is_written_once():
+    """``TXUTile.tick`` and ``_schedule`` in ``task/txu.py`` are the one
+    TXU instance scheduler: the instance loop, its gate, the wake/park
+    rule and the stall markers of parked instances. The kernel derives its
+    tile sections and loops from them (``sim/derive.py::tile_section`` /
+    ``tile_loop``), so the unit emitter holds no instance loop and the
+    generated steppers only report what a step did."""
+    import ast
+
+    with open(os.path.join(SRC, "sim", "compile.py")) as handle:
+        source = handle.read()
+    found = {node.name: ast.get_source_segment(source, node)
+             for node in ast.walk(ast.parse(source))
+             if getattr(node, "name", None) in (
+                 "_emit_unit", "_StepperGen", "_stepper_module")}
+    assert len(found) == 3
+    assert "for inst in" not in found["_emit_unit"]
+    for emitter in ("_StepperGen", "_stepper_module"):
+        assert not re.search(r"\.(wake_at|park) *=", found[emitter])
+    assert set(_hits(r"\.(wake_at|park) = ")) == {
+        os.path.join("task", "txu.py")}
