@@ -58,6 +58,8 @@ class TaskUnitParams:
             raise ConfigError("queue_depth must be >= 1")
         if self.max_inflight_per_tile < 1:
             raise ConfigError("max_inflight_per_tile must be >= 1")
+        if self.databox_entries < 1:
+            raise ConfigError("databox_entries must be >= 1")
 
     def bind(self, sizing) -> "TaskUnitParams":
         """These knobs with the late-bound ones resolved against the
@@ -115,6 +117,11 @@ class AcceleratorConfig:
         if self.memory_model not in ("cache", "scratchpad"):
             raise ConfigError(
                 f"unknown memory model {self.memory_model!r}")
+        if self.scratchpad_latency < 1:
+            raise ConfigError("scratchpad_latency must be >= 1")
+        if self.dram_latency_cycles is not None \
+                and self.dram_latency_cycles < 0:
+            raise ConfigError("dram_latency_cycles must be >= 0")
         if self.engine not in ENGINES:
             raise ConfigError(
                 f"unknown engine {self.engine!r} "

@@ -428,7 +428,7 @@ class PerfModel:
             if acc.mem:
                 bound(f"databox[{ct.sid}]", f"u{ct.sid}.databox",
                       "allocator-full",
-                      acc.mem * round_trip / max(1, tp.databox_entries))
+                      acc.mem * round_trip / tp.databox_entries)
                 bound(f"memport[{ct.sid}]", unit, "memory",
                       acc.mem / max(1, tp.ntiles))
             bound(f"tiles[{ct.sid}]", unit, "execute",

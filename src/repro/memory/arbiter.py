@@ -42,7 +42,6 @@ class RoundRobinArbiter(Component):
         self.levels = tree_levels(len(inputs)) if levels is None else max(0, levels)
         self._next = 0  # round-robin pointer
         self._pipe: Deque[Tuple[int, object]] = deque()
-        self.grants = 0
 
     def tick(self, cycle: int):
         # drain the pipeline head into the output
@@ -59,7 +58,6 @@ class RoundRobinArbiter(Component):
                     msg = source.pop()
                     self._pipe.append((cycle + self.levels, msg))
                     self._next = idx
-                    self.grants += 1
                     break
 
     def ports(self):
@@ -80,7 +78,7 @@ class RoundRobinArbiter(Component):
         return OBS_IDLE, None
 
     def stats(self):
-        return {"grants": self.grants}
+        return {"grants": sum(ch.total_popped for ch in self.inputs)}
 
 
 class Demux(Component):
@@ -101,7 +99,6 @@ class Demux(Component):
         self.levels = tree_levels(len(outputs)) if levels is None else max(0, levels)
         self.route = route or (lambda msg: msg.port)
         self._pipe: Deque[Tuple[int, object]] = deque()
-        self.routed = 0
 
     def tick(self, cycle: int):
         if self._pipe and self._pipe[0][0] <= cycle:
@@ -114,7 +111,6 @@ class Demux(Component):
             if out.can_push():
                 self._pipe.popleft()
                 out.push(msg)
-                self.routed += 1
 
         if self.input.can_pop() and len(self._pipe) <= self.levels:
             msg = self.input.pop()
@@ -140,4 +136,4 @@ class Demux(Component):
         return OBS_IDLE, None
 
     def stats(self):
-        return {"routed": self.routed}
+        return {"routed": sum(ch.total_pushed for ch in self.outputs)}

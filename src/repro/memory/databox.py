@@ -51,7 +51,7 @@ class DataBox(Component):
         super().__init__(name)
         self.to_cache = to_cache
         self.from_cache = from_cache
-        self.entries = max(1, entries)
+        self.entries = entries
 
         self.tile_request: List[Channel] = [
             sim.add_channel(f"{name}.req{i}", capacity=2)
@@ -65,24 +65,14 @@ class DataBox(Component):
 
         self._rr = 0
         self._outstanding = 0
-        self.forwarded = 0
         self.peak_outstanding = 0
-        self.stalled_cycles = 0
-        #: last cycle whose stalled_cycles accounting is complete — the
-        #: event engine may skip ticks while the allocator table is full
-        #: (state frozen), so the per-cycle counter is caught up in bulk
-        self._synced_to = -1
-
-    def _catch_up(self, through_cycle: int):
-        gap = through_cycle - self._synced_to
-        if gap > 0:
-            if self._outstanding >= self.entries:
-                self.stalled_cycles += gap
-            self._synced_to = through_cycle
+        #: stalls on a full allocator table: the cycles of the closed spans,
+        #: and the first cycle of the open one (the grant that fills the
+        #: table opens it, the response that frees an entry closes it)
+        self._stalled_closed = 0
+        self._full_since = 0
 
     def tick(self, cycle: int):
-        self._catch_up(cycle - 1)
-        self._synced_to = cycle
         # response path: free a staging entry, route back by tile tag
         if self.from_cache.can_pop():
             resp = self.from_cache.peek()
@@ -90,12 +80,12 @@ class DataBox(Component):
             if out.can_push():
                 self.from_cache.pop()
                 out.push(resp)
+                if self._outstanding == self.entries:
+                    self._stalled_closed += cycle - self._full_since
                 self._outstanding -= 1
 
         # request path: round-robin grant, bounded by the allocator table
-        if self._outstanding >= self.entries:
-            self.stalled_cycles += 1
-        elif self.to_cache.can_push():
+        if self._outstanding < self.entries and self.to_cache.can_push():
             idx = self._rr
             for _ in range(len(self.tile_request)):
                 source = self.tile_request[idx]
@@ -105,7 +95,8 @@ class DataBox(Component):
                     self.to_cache.push(request)
                     self._rr = idx
                     self._outstanding += 1
-                    self.forwarded += 1
+                    if self._outstanding == self.entries:
+                        self._full_since = cycle + 1
                     if self._outstanding > self.peak_outstanding:
                         self.peak_outstanding = self._outstanding
                     break
@@ -134,10 +125,13 @@ class DataBox(Component):
         return OBS_IDLE, None
 
     def stats(self):
-        if self.sim is not None:
-            self._catch_up(self.sim.cycle - 1)
+        stalled = self._stalled_closed
+        if self._outstanding == self.entries:
+            # the open span: empty when the grant that opened it came in
+            # the cycle an exception cut short
+            stalled += max(0, self.sim.cycle - self._full_since)
         return {
-            "forwarded": self.forwarded,
+            "forwarded": self.to_cache.total_pushed,
             "peak_outstanding": self.peak_outstanding,
-            "stalled_cycles": self.stalled_cycles,
+            "stalled_cycles": stalled,
         }

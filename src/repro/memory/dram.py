@@ -33,7 +33,6 @@ class DRAMModel(Component):
         self.response_out = response_out
         self.latency = latency
         self._in_flight: Deque[Tuple[int, object]] = deque()
-        self.accesses = 0
 
     def tick(self, cycle: int):
         # retire finished accesses; only reads produce a response (write
@@ -53,7 +52,6 @@ class DRAMModel(Component):
         if self.request_in.can_pop():
             msg = self.request_in.pop()
             self._in_flight.append((cycle + self.latency, msg))
-            self.accesses += 1
 
     def ports(self):
         return ((self.request_in,), (self.response_out,))
@@ -74,4 +72,4 @@ class DRAMModel(Component):
         return OBS_IDLE, None
 
     def stats(self):
-        return {"accesses": self.accesses}
+        return {"accesses": self.request_in.total_popped}

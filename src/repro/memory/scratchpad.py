@@ -22,9 +22,8 @@ class Scratchpad(Component):
         self.backing = backing
         self.request_in = request_in
         self.response_out = response_out
-        self.latency = max(1, latency)
+        self.latency = latency
         self._pipe: Deque[Tuple[int, MemResponse]] = deque()
-        self.accesses = 0
 
     def tick(self, cycle: int):
         if (self._pipe and self._pipe[0][0] <= cycle
@@ -33,7 +32,6 @@ class Scratchpad(Component):
 
         if self.request_in.can_pop():
             req = self.request_in.pop()
-            self.accesses += 1
             if req.op == LOAD:
                 data = self.backing.read_int(req.addr, req.size, signed=False)
             else:
@@ -61,4 +59,4 @@ class Scratchpad(Component):
         return OBS_IDLE, None
 
     def stats(self):
-        return {"accesses": self.accesses}
+        return {"accesses": self.request_in.total_popped}

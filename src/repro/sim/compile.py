@@ -278,7 +278,7 @@ def generate_source(sim) -> str:
 #
 #     def make_steppers(ctx, objs):
 #         (_o0, _o1, ...) = objs             # numbered within the unit
-#         def mk(T, Tf, Tfc, Tsu, cRi, R, TI, CP, dl, U, Uso, ev, act):
+#         def mk(T, Tf, Tfc, Tsu, cRi, R, TI, CP, dl, Uso, ev, act):
 #             <epilogue-store closure Te, one stepper _s<b> per owned block,
 #              Td = {block: stepper}>
 #             <def k(cycle, room): TXUTile._schedule, derived, calling Td / Te>
@@ -305,7 +305,7 @@ def generate_source(sim) -> str:
 #: ``_generate``) assigns per cycle; a derived section brings its own. CPython
 #: reaches only a frame's first 256 locals in one instruction and the aliases
 #: (eight per tile) outnumber that, so the kernel names these first
-_TEMPORARIES = ("st gap msg dyid_ en_ ix_ _ tt_ k v nm busy tw w w2 "
+_TEMPORARIES = ("msg dyid_ en_ ix_ _ tt_ k v nm busy tw w w2 "
                 "span").split()
 
 
@@ -406,8 +406,8 @@ class _StepperGen:
     ``Tsu`` (its ``_fired`` set, ``_fire_call``, ``_suspend``),
     ``cRi``/``R`` (request channel deque and flat index), ``TI`` (tile
     index), ``CP``/``dl``/``act`` (the kernel's pending pushes, moved-list
-    and one-cell activity flag), ``U``/``Uso``/``ev`` (the unit, its spawn
-    out-buffer and its ``analysis_event``, called only when ``traced``) and
+    and one-cell activity flag), ``Uso``/``ev`` (the unit's spawn out-buffer
+    and its ``analysis_event``, called only when ``traced``) and
     ``Te`` (the epilogue-store closure) — while SID, port and capacities
     are baked in so ``_fire_memory`` and ``_finish`` are inlined flat
     ops."""
@@ -751,7 +751,6 @@ class _StepperGen:
                      "spawn_seq=%s))"
                      % (spec.dest_sid, args, self.unit.sid, ret_ptr, seq))
             L.append("            en_.child_count += 1")
-            L.append("            U.spawns_issued += 1")
             L.extend(self.enter_lines(term.continuation, "            "))
             L.append("            f = 1")
         elif isinstance(term, Sync):
@@ -847,8 +846,7 @@ def _stepper_module(gen: _StepperGen) -> str:
                  "_o%d, " % i for i in range(len(gen.em.objs)))]
     lines.extend(_CTX_NAMES)
     lines.append("    B = %d" % PARKED)
-    lines.append("    def mk(T, Tf, Tfc, Tsu, cRi, R, TI, CP, dl, U, Uso, ev, "
-                 "act):")
+    lines.append("    def mk(T, Tf, Tfc, Tsu, cRi, R, TI, CP, dl, Uso, ev, act):")
     lines.extend("        " + line for line in body)
     lines.append("    return mk")
     return "\n".join(lines) + "\n"
@@ -905,8 +903,8 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs, mods):
         ro = em.ci(t.request_out)
         sdefs.append(
             "%sk = _mk%d(%s, %s._fired, %s._fire_call, %s._suspend, "
-            "c%di, %d, %d, CP, dl, %s, %sso, %s, act)"
-            % (tn, len(mods), tn, tn, tn, tn, ro, ro, ti, u, u,
+            "c%di, %d, %d, CP, dl, %sso, %s, act)"
+            % (tn, len(mods), tn, tn, tn, tn, ro, ro, ti, u,
                u + ".analysis_event" if traced else "None"))
     mods.append((_stepper_module(gen), tuple(gen.em.objs)))
 
@@ -916,13 +914,6 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs, mods):
     for tn, rc, _t in tiles:
         guard.extend([tn + "i", "c%di" % rc, "%s._min_wake <= cycle" % tn])
     tick.append("if %s:" % " or ".join(guard))
-    tick.append("    st = %s._synced_to" % u)
-    tick.append("    if st < cycle - 1:")
-    tick.append("        gap = cycle - 1 - st")
-    for tn, _rc, _t in tiles:
-        tick.append("        if %si:" % tn)
-        tick.append("            %s.busy_cycles += gap" % tn)
-    tick.append("    %s._synced_to = cycle" % u)
     tick.append("    if c%di and not CQ[%d]:" % (ji, ji))
     tick.append("        msg = c%di[0]" % ji)
     tick.append("        CQ[%d] = 1" % ji)
@@ -932,7 +923,7 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs, mods):
     tick.append("        msg = c%di[0]" % si)
     tick.append("        CQ[%d] = 1" % si)
     tick.append("        dl.append(%d)" % si)
-    tick.append("        %sas(msg, cycle)" % u)
+    tick.append("        %sas(msg)" % u)
     # inlined TaskUnit._dispatch: round-robin over the (static) tile
     # list for a tile with capacity, pop one READY entry, start it
     take = ("%sqr.pop()" if unit.queue.policy == "lifo"
@@ -953,7 +944,8 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs, mods):
                 'entry %%d in state %%s" %% (%sq.name, dyid_, en_.state))'
                 % u)
     tick.append('                en_.state = "EXE"')
-    tick.append("                tt_[0].start(%s._uid_counter, en_)" % u)
+    tick.append("                tt_[0].start(%s._uid_counter, en_, cycle)"
+                % u)
     tick.append("                %s._uid_counter += 1" % u)
     tick.append("                %s._dispatch_rr = ix_ + 1 if ix_ + 1 "
                 "< %d else 0" % (u, nt))

@@ -56,6 +56,6 @@ class TaskNetwork:
 
     def stats(self):
         return {
-            "spawns_routed": self.spawn_demux.routed,
-            "joins_routed": self.join_demux.routed,
+            "spawns_routed": self.spawn_demux.stats()["routed"],
+            "joins_routed": self.join_demux.stats()["routed"],
         }

@@ -42,7 +42,6 @@ class TaskEntry:
     saved_env: Optional[dict] = None
     saved_regs: Optional[dict] = None
     resume_block: Any = None
-    spawn_seq: int = 0  # allocation order, for FIFO/LIFO scheduling
     #: globally-unique instance id (sid, counter) — dyids are recycled,
     #: so the dynamic race checker needs its own identity
     gid: Any = None
@@ -71,7 +70,7 @@ class TaskQueue:
         self.entries: List[Optional[TaskEntry]] = [None] * depth
         self._free: Deque[int] = deque(range(depth))
         self._ready: Deque[int] = deque()
-        self._seq = 0
+        #: spawns accepted so far: the unit's spawn count and gid source
         self.total_allocated = 0
         self.peak_occupancy = 0
 
@@ -104,8 +103,6 @@ class TaskQueue:
         entry.gid = None  # stamped by the owning TaskUnit
         entry.parent_gid = getattr(msg, "parent_gid", None)
         entry.origin_seq = getattr(msg, "spawn_seq", None)
-        entry.spawn_seq = self._seq
-        self._seq += 1
         self.total_allocated += 1
         self.peak_occupancy = max(self.peak_occupancy, self.occupancy)
         self._ready.append(entry.dyid)

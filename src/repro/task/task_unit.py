@@ -63,7 +63,6 @@ class TaskUnit(Component):
             for i in range(len(tile_requests))
         ]
         self._uid_counter = 0
-        self._gid_counter = 0
         self._dispatch_rr = 0
         self._spawn_outbuf: Deque[SpawnMessage] = deque()
         self._join_outbuf: Deque[JoinMessage] = deque()
@@ -73,14 +72,7 @@ class TaskUnit(Component):
         self.root_done = False
         self.root_retval: Any = None
 
-        self.spawns_accepted = 0
-        self.spawns_issued = 0
         self.first_dispatch_cycle: Optional[int] = None
-        #: last cycle whose tile busy_cycles accounting is complete — the
-        #: event engine may skip ticks while every instance is parked on a
-        #: memory/call response (state frozen), and the dense engine counts
-        #: those as busy tile cycles, so they are caught up in bulk
-        self._synced_to = -1
         #: (cycle, tile classifications) handed from obs_classify to the
         #: obs_children call of the same sample — tiles classify once
         self._obs_tiles: tuple = (None, None)
@@ -117,7 +109,6 @@ class TaskUnit(Component):
             parent_gid=entry.gid,
             spawn_seq=event.seq if event is not None else None))
         entry.child_count += 1
-        self.spawns_issued += 1
         return True
 
     def issue_call(self, dest_sid: int, args: tuple, entry: TaskEntry,
@@ -133,7 +124,6 @@ class TaskUnit(Component):
             join_kind=JOIN_CALL, call_token=token,
             parent_gid=entry.gid,
             spawn_seq=event.seq if event is not None else None))
-        self.spawns_issued += 1
         return True
 
     def instance_finished(self, inst):
@@ -142,31 +132,16 @@ class TaskUnit(Component):
         entry.state = COMPLETE
         if entry.child_count == 0:
             self._join_ready.append(entry.dyid)
-        if self.trace is not None:
-            self.trace.emit(self.sim.cycle if self.sim else 0, self.name,
-                            "complete", f"dyid={entry.dyid}")
+        self.analysis_event("complete", f"dyid={entry.dyid}")
 
     def instance_suspended(self, inst):
-        if self.trace is not None:
-            self.trace.emit(self.sim.cycle if self.sim else 0, self.name,
-                            "suspend", f"dyid={inst.entry.dyid}")
+        self.analysis_event("suspend", f"dyid={inst.entry.dyid}")
 
     # -- clocked behaviour -----------------------------------------------------
 
-    def _catch_up(self, through_cycle: int):
-        gap = through_cycle - self._synced_to
-        if gap > 0:
-            for tile in self.tiles:
-                if tile.instances:
-                    tile.busy_cycles += gap
-            self._synced_to = through_cycle
-
     def tick(self, cycle: int):
-        if self._synced_to < cycle - 1:  # only after an event-engine skip
-            self._catch_up(cycle - 1)
-        self._synced_to = cycle
         self._accept_join(cycle)
-        self._accept_spawn(cycle)
+        self._accept_spawn()
         self._dispatch(cycle)
         for tile in self.tiles:
             if tile.instances:  # a response always has its instance
@@ -197,14 +172,14 @@ class TaskUnit(Component):
             elif entry.state == COMPLETE:
                 self._join_ready.append(entry.dyid)
 
-    def _accept_spawn(self, cycle: int):
+    def _accept_spawn(self):
         if not self.spawn_in.can_pop():
             return
         if not self.queue.has_free_entry():
             return  # backpressure: spawn waits in the network
-        self._apply_spawn(self.spawn_in.pop(), cycle)
+        self._apply_spawn(self.spawn_in.pop())
 
-    def _apply_spawn(self, msg: "SpawnMessage", cycle: int):
+    def _apply_spawn(self, msg: "SpawnMessage"):
         """Allocate a popped spawn message (channel-free: the compiled
         engine pops the channel itself and delegates here)."""
         if msg.dest_sid != self.sid:
@@ -212,17 +187,14 @@ class TaskUnit(Component):
                 f"{self.name}: spawn for SID {msg.dest_sid} routed to "
                 f"SID {self.sid}")
         entry = self.queue.allocate(msg)
-        entry.gid = (self.sid, self._gid_counter)
-        self._gid_counter += 1
-        self.spawns_accepted += 1
-        if self.trace is not None:
-            self.trace.emit(cycle, self.name, "spawn-in",
+        entry.gid = (self.sid, self.queue.total_allocated - 1)
+        self.analysis_event("spawn-in",
                             f"from T{msg.parent_sid}:{msg.parent_dyid}")
-            self.analysis_event(
-                "task-start", f"gid={entry.gid}",
-                {"gid": entry.gid, "parent_gid": entry.parent_gid,
-                 "origin_seq": entry.origin_seq,
-                 "call": msg.join_kind == JOIN_CALL})
+        self.analysis_event(
+            "task-start", f"gid={entry.gid}",
+            {"gid": entry.gid, "parent_gid": entry.parent_gid,
+             "origin_seq": entry.origin_seq,
+             "call": msg.join_kind == JOIN_CALL})
 
     def _dispatch(self, cycle: int):
         if not self.queue.has_ready():
@@ -236,7 +208,7 @@ class TaskUnit(Component):
                 if entry is None:
                     return
                 entry.state = EXE
-                tile.start(self._uid_counter, entry)
+                tile.start(self._uid_counter, entry, cycle)
                 self._uid_counter += 1
                 self._dispatch_rr = (self._dispatch_rr + offset + 1) % n
                 if self.first_dispatch_cycle is None:
@@ -351,12 +323,12 @@ class TaskUnit(Component):
                 for tile, (state, reason) in zip(self.tiles, tile_states)]
 
     def stats(self):
-        if self.sim is not None:
-            self._catch_up(self.sim.cycle - 1)
         tile_stats = [t.stats() for t in self.tiles]
         return {
-            "spawns_accepted": self.spawns_accepted,
-            "spawns_issued": self.spawns_issued,
+            "spawns_accepted": self.queue.total_allocated,
+            # a spawn or call leaves through the out-buffer
+            "spawns_issued": self.spawn_out.total_pushed
+            + len(self._spawn_outbuf),
             "queue": self.queue.stats(),
             "tiles": tile_stats,
             "completed": sum(t["completed_instances"] for t in tile_stats),

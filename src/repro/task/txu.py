@@ -138,7 +138,11 @@ class TXUTile:
         # per-cycle stall markers read by obs_classify (never by timing)
         self._mem_blocked = False
         self._spawn_blocked = False
-        self.busy_cycles = 0
+        #: occupancy: the cycles of the closed spans, and the first cycle of
+        #: the open one (a span opens when an instance starts on the empty
+        #: tile and closes in the cycle the tile empties)
+        self._busy_closed = 0
+        self._busy_since = 0
         self.completed_instances = 0
         #: earliest cycle any instance on this tile can make progress
         #: without new channel traffic (PARKED = channel-driven only);
@@ -160,8 +164,10 @@ class TXUTile:
     def has_capacity(self) -> bool:
         return len(self.instances) < self.max_inflight
 
-    def start(self, uid: int, entry: TaskEntry) -> Instance:
+    def start(self, uid: int, entry: TaskEntry, cycle: int) -> Instance:
         """Begin a fresh instance or resume a suspended one."""
+        if not self.instances:
+            self._busy_since = cycle
         resumed = entry.resume_block is not None
         block = entry.resume_block if resumed else self.compiled.entry_block
         inst = Instance(uid, entry, block,
@@ -223,7 +229,6 @@ class TXUTile:
         if self.response_in.can_pop():
             response = self.response_in.pop()
             self._apply_response(response, cycle)
-        self.busy_cycles += 1
         parked = self._parked
         if cycle >= self._due or parked & PORT and self.request_out.can_push() \
                 or parked & OUTBUF \
@@ -317,7 +322,11 @@ class TXUTile:
             self._by_uid.pop(inst.uid)
             self.completed_instances += 1
             self.unit.instance_finished(inst)
-        self._min_wake = timer if self.instances else PARKED
+        if self.instances:
+            self._min_wake = timer
+        else:
+            self._min_wake = PARKED
+            self._busy_closed += cycle + 1 - self._busy_since
 
     def _apply_response(self, resp, cycle: int):
         """Retire a popped memory response."""
@@ -617,8 +626,11 @@ class TXUTile:
         return OBS_BUSY, None
 
     def stats(self) -> dict:
+        busy = self._busy_closed
+        if self.instances:  # the open span, through the last cycle run
+            busy += self.unit.sim.cycle - self._busy_since
         return {
-            "busy_cycles": self.busy_cycles,
+            "busy_cycles": busy,
             "completed_instances": self.completed_instances,
             "in_flight": len(self.instances),
         }

@@ -100,6 +100,16 @@ class TestConfig:
             TaskUnitParams(queue_depth=0)
         with pytest.raises(ConfigError):
             TaskUnitParams(max_inflight_per_tile=0)
+        with pytest.raises(ConfigError, match="databox_entries"):
+            TaskUnitParams(databox_entries=0)
+        for latency in (0, -5):
+            with pytest.raises(ConfigError, match="scratchpad_latency"):
+                AcceleratorConfig(memory_model="scratchpad",
+                                  scratchpad_latency=latency)
+        with pytest.raises(ConfigError, match="dram_latency_cycles"):
+            AcceleratorConfig(dram_latency_cycles=-50)
+        assert AcceleratorConfig(
+            dram_latency_cycles=0).effective_dram_latency() == 0
 
     def test_boards_registry(self):
         assert BOARDS["Cyclone V"] is CYCLONE_V

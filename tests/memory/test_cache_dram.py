@@ -101,7 +101,7 @@ class TestCacheTiming:
         # one fill serves all three: far less than 3 full round trips
         assert cycles < 2 * 40
         assert h.cache.misses == 3
-        assert h.dram.accesses == 1
+        assert h.dram.stats()["accesses"] == 1
 
     def test_mshr_limit_serialises_independent_misses(self):
         params = CacheParams(mshr_count=1, line_bytes=32)

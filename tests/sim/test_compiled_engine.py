@@ -323,7 +323,7 @@ class PushInExpression(Demux):
         if self._pipe and self._pipe[0][0] <= cycle:
             out = self.outputs[self.route(self._pipe[0][1])]
             if out.can_push() and out.push(self._pipe.popleft()[1]) is None:
-                self.routed += 1
+                pass
         if self.input.can_pop() and len(self._pipe) <= self.levels:
             msg = self.input.pop()
             self._pipe.append((cycle + self.levels, msg))

@@ -254,3 +254,33 @@ def test_timeout_leaves_the_same_state_behind():
             assert any(inst.park for unit in accel.units
                        for tile in unit.tiles for inst in tile.instances)
     assert left["dense"] == left["compiled"]
+
+
+@pytest.mark.parametrize("tiles", [2, 4])
+@pytest.mark.parametrize("cut", [488, 1555, 3001])
+def test_open_spans_read_the_same_under_every_engine(tiles, cut):
+    """Busy and stall cycles are spans of occupancy: a tile's open span
+    runs from the cycle an instance started on the empty tile, a data
+    box's from the grant that filled its allocator table. A run stopped
+    by ``max_cycles`` while tiles hold parked instances and a table is
+    full reads both open spans; every engine must report the same stats,
+    and reading them twice must change nothing."""
+    workload = REGISTRY.get("saxpy")
+    views = {}
+    for engine in ("dense", "event", "compiled"):
+        accel = workload.build(
+            workload.default_config(tiles, engine=engine, **MEMBOUND))
+        prepared = workload.prepare(accel.memory, 1)
+        with pytest.raises(SimulationError, match="exceeded"):
+            accel.run(prepared.function, prepared.args, max_cycles=cut)
+        assert any(inst.park for unit in accel.units
+                   for tile in unit.tiles for inst in tile.instances)
+        assert any(box._outstanding == box.entries
+                   for box in accel.databoxes)
+        first, second = accel.sim.stats(), accel.sim.stats()
+        assert first.pop("engine").get("compiled_fallback") is None
+        second.pop("engine")
+        assert first == second
+        views[engine] = first
+    assert views["event"] == views["dense"]
+    assert views["compiled"] == views["dense"]

@@ -132,3 +132,22 @@ def test_instance_scheduler_is_written_once():
         assert not re.search(r"\.(wake_at|park) *=", found[emitter])
     assert set(_hits(r"\.(wake_at|park) = ")) == {
         os.path.join("task", "txu.py")}
+
+
+def test_counts_are_derived_not_ticked():
+    """Busy and stall cycles are read off occupancy spans and traffic
+    counts off channel totals, so no engine rebuilds a count a skipped
+    tick missed: the catch-up accounting stays deleted and the generated
+    kernel assigns none of the derived counts."""
+    from repro.sim.compile import generate_modules
+    from repro.workloads import REGISTRY
+    from tests.sim.grid_corpus import MEMORIES
+
+    assert not _hits(r"\b(_catch_up|_synced_to)\b")
+    assigned = re.compile(r"\b(busy_cycles|stalled_cycles|grants|routed"
+                          r"|accesses|forwarded|spawns_issued)\s*[-+]?=(?!=)")
+    workload = REGISTRY.get("saxpy")
+    for memory in MEMORIES.values():
+        accel = workload.build(workload.default_config(2, **memory))
+        for text in generate_modules(accel.sim):
+            assert not assigned.search(text)
