@@ -42,15 +42,19 @@ event engine on always-hot workloads live in docs/simulator.md):
 ========================  =======================  ====================
 case                      compiled vs event        compiled vs dense
 ========================  =======================  ====================
-fib                       >= 1.4x  (meas. ~2.0x)   --
+fib                       >= 1.4x  (meas. ~1.8x)   --
 mergesort                 >= 1.7x  (meas. ~2.4x)   --
-stencil                   >= 1.6x  (meas. ~2.3x)   --
-saxpy-membound            >= 1.6x  (meas. ~2.5x)   >= 11x (meas. ~17x)
-saxpy-membound-t4         >= 2.3x  (meas. ~3.5x)   >= 21x (meas. ~33x)
+stencil                   >= 1.6x  (meas. ~2.6x)   --
+saxpy-membound            >= 1.6x  (meas. ~2.0x)   >= 3.8x (meas. ~5.8x)
+saxpy-membound-t4         >= 1.3x  (meas. ~1.9x)   >= 4.2x (meas. ~6.4x)
 ========================  =======================  ====================
 
-The event engine keeps its original gates: >= 5x over dense on the
-memory-bound cases, within 5% of dense on always-hot ones.
+The memory-bound floors were re-based once dense and event parked a
+blocked instance the way the compiled kernel does: the kernel's
+``Steps`` / ``Parked`` columns did not move, its denominators got faster
+(they were 11x / 21x and 2.3x, measured when only the kernel parked).
+The event engine must stay >= 1.9x over dense on the memory-bound cases
+(meas. ~2.9x and ~3.3x) and within 5% of dense on always-hot ones.
 
 The cases run through the SweepRunner like every other bench, but with
 the result cache disabled and a single worker: this bench measures host
@@ -88,16 +92,16 @@ COMPILED_MIN_SPEEDUP = {
     "mergesort": 1.7,
     "stencil": 1.6,
     "saxpy-membound": 1.6,
-    "saxpy-membound-t4": 2.3,
+    "saxpy-membound-t4": 1.3,
 }
 
 #: compiled-vs-dense floors on the memory-bound cases: fast-forward and
 #: specialization compose, so the product gate is the headline number
-COMPILED_MEMBOUND_VS_DENSE = {"saxpy-membound": 11.0,
-                              "saxpy-membound-t4": 21.0}
+COMPILED_MEMBOUND_VS_DENSE = {"saxpy-membound": 3.8,
+                              "saxpy-membound-t4": 4.2}
 
 #: event-vs-dense gate for the memory-bound cases (observers detached)
-MEMBOUND_MIN_SPEEDUP = 5.0
+MEMBOUND_MIN_SPEEDUP = 1.9
 
 #: even on always-hot workloads (fib: something fires nearly every
 #: cycle) the event engine's wake-cycle scan must keep its overhead
@@ -216,8 +220,8 @@ def test_sim_throughput(benchmark, save_result, save_json):
         for record in result.records], sweep=result.summary)
 
     by_name = {r["name"]: r for r in rows}
-    # event-engine gates (unchanged from the two-engine bench): the
-    # fast-forward pays off where cycles are quiet ...
+    # event-engine gates: the fast-forward pays off where cycles are
+    # quiet ...
     for name in COMPILED_MEMBOUND_VS_DENSE:
         membound = by_name[name]
         assert membound["event_speedup"] >= MEMBOUND_MIN_SPEEDUP, (

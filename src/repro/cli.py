@@ -46,7 +46,7 @@ from repro.accel import (
     build_accelerator,
     generate,
 )
-from repro.errors import TapasError
+from repro.errors import LexError, TapasError
 from repro.frontend import compile_source
 from repro.ir import print_module
 from repro.obs import Observer, export_chrome_trace
@@ -65,8 +65,13 @@ from repro.telemetry.spans import TRACER
 
 
 def _load_module(path: str):
-    with open(path) as handle:
-        source = handle.read()
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        source = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise LexError(f"{path}: not UTF-8 at byte offset {exc.start}") \
+            from None
     name = os.path.splitext(os.path.basename(path))[0]
     return compile_source(source, name)
 

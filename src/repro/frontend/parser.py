@@ -22,11 +22,19 @@ _PRECEDENCE = {
     "*": 10, "/": 10, "%": 10,
 }
 
+#: the deepest expression nesting accepted: each parenthesis, bracket, call
+#: and unary operator of an operand, and each operator linking operands, is
+#: one level until that operand or expression ends. Every later stage
+#: recurses over the expression tree; this bound keeps them all well under
+#: Python's default recursion limit
+MAX_EXPRESSION_DEPTH = 100
+
 
 class Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # expression nesting levels open
 
     # -- token helpers ---------------------------------------------------------
 
@@ -56,6 +64,14 @@ class Parser:
             raise ParseError(f"expected {want!r}, found {token.text!r}",
                              token.line, token.column)
         return self._advance()
+
+    def _nest(self, token: Token):
+        """Open one more expression nesting level, at ``token``."""
+        self.depth += 1
+        if self.depth > MAX_EXPRESSION_DEPTH:
+            raise ParseError(f"expression nested deeper than "
+                             f"{MAX_EXPRESSION_DEPTH} levels",
+                             token.line, token.column)
 
     # -- types --------------------------------------------------------------
 
@@ -157,7 +173,7 @@ class Parser:
         if self._match("op", "="):
             if self._check("keyword", "spawn"):
                 self._advance()
-                call = self.parse_primary()
+                call = self.parse_postfix()
                 if not isinstance(call, ast.CallExpr):
                     raise ParseError("spawn initialiser must be a call",
                                      start.line, start.column)
@@ -250,26 +266,27 @@ class Parser:
     # -- expressions -----------------------------------------------------------
 
     def parse_expression(self, min_precedence: int = 1) -> ast.Expr:
+        depth = self.depth
         lhs = self.parse_unary()
         while True:
             token = self._peek()
-            if token.kind != "op":
-                return lhs
-            precedence = _PRECEDENCE.get(token.text)
+            precedence = _PRECEDENCE.get(token.text) \
+                if token.kind == "op" else None
             if precedence is None or precedence < min_precedence:
+                self.depth = depth
                 return lhs
-            self._advance()
+            self._nest(self._advance())
             rhs = self.parse_expression(precedence + 1)
             lhs = ast.Binary(line=token.line, op=token.text, lhs=lhs, rhs=rhs)
 
     def parse_unary(self) -> ast.Expr:
         token = self._peek()
         if token.kind == "op" and token.text in ("-", "!"):
-            self._advance()
+            self._nest(self._advance())
             operand = self.parse_unary()
             return ast.Unary(line=token.line, op=token.text, operand=operand)
         if token.kind == "op" and token.text == "&":
-            self._advance()
+            self._nest(self._advance())
             target = self.parse_postfix()
             if not isinstance(target, (ast.Index, ast.VarRef)):
                 raise ParseError("'&' needs a variable or array element",
@@ -278,12 +295,15 @@ class Parser:
         return self.parse_postfix()
 
     def parse_postfix(self) -> ast.Expr:
+        depth = self.depth
         expr = self.parse_primary()
         while self._check("op", "["):
             bracket = self._advance()
+            self._nest(bracket)  # released with the operand
             index = self.parse_expression()
             self._expect("op", "]")
             expr = ast.Index(line=bracket.line, base=expr, index=index)
+        self.depth = depth
         return expr
 
     def parse_primary(self) -> ast.Expr:
@@ -297,7 +317,7 @@ class Parser:
         if token.kind == "ident":
             self._advance()
             if self._check("op", "("):
-                self._advance()
+                self._nest(self._advance())
                 args = []
                 while not self._check("op", ")"):
                     if args:
@@ -307,7 +327,7 @@ class Parser:
                 return ast.CallExpr(line=token.line, callee=token.text, args=args)
             return ast.VarRef(line=token.line, name=token.text)
         if token.kind == "op" and token.text == "(":
-            self._advance()
+            self._nest(self._advance())
             expr = self.parse_expression()
             self._expect("op", ")")
             return expr

@@ -6,7 +6,8 @@ design -- a netlist shell plus one stepper module per task unit, shared
 by every design point of the program: every task unit / TXU tile is
 inlined down to straight-line per-dataflow-node code (operand reads,
 handshake checks and latency literals baked in as constants, each pure
-node's arithmetic specialised from :mod:`repro.ir.opsem`), while the
+node's arithmetic specialised from :mod:`repro.ir.opsem`; a spawn, a
+call, a suspend or a finish is the tile's own method), while the
 plumbing components (arbiters, demuxes, cache, DRAM, scratchpad, data
 boxes) are inlined too — each section derived from the class's own
 ``tick()`` source by :mod:`repro.sim.derive`, channel handshakes turned
@@ -45,7 +46,9 @@ write-only, to ``<cache-dir>/kernels/<digest>.py`` for inspection.
 Instrumentation is generated, not interpreted: with a change-driven
 observer attached every guard block reports its component and the kernel
 hands ``on_change`` what ticked or moved after each commit; a traced task
-unit's steppers call ``analysis_event`` at the four sites they inline.
+unit's stepper module calls ``analysis_event`` at the three sites it
+inlines (a memory node's issue, a sync with no children outstanding, the
+return-value store); the tile's own methods it calls emit the rest.
 Both fold into the source (hence the digest), and an uninstrumented
 design's source contains neither. What the codegen does not cover (host
 profiling, value probes, observers without ``on_change``, unrecognized
@@ -87,11 +90,13 @@ from repro.ir.types import FloatType, IntType
 from repro.ir.values import Constant, GlobalVariable
 from repro.memory import (Cache, DataBox, Demux, DRAMModel,
                           RoundRobinArbiter, Scratchpad)
+from repro.memory.databox import MemTag
+from repro.memory.messages import MemRequest
 from repro.sim import engine as _engine
 from repro.sim.derive import (UnsupportedDesign, expression, section,
                               tile_loop, tile_section)
-from repro.task.task_unit import OUTBOUND_BUFFER, TaskUnit
-from repro.task.txu import CALL, GO, OUTBUF, PARKED, PORT, TXUTile
+from repro.task.task_unit import TaskUnit
+from repro.task.txu import AWAIT_MEM, CALL, GO, OUTBUF, PARKED, PORT, TXUTile
 
 __all__ = [
     "prepare_kernel",
@@ -278,10 +283,9 @@ def generate_source(sim) -> str:
 #
 #     def make_steppers(ctx, objs):
 #         (_o0, _o1, ...) = objs             # numbered within the unit
-#         def mk(T, Tf, Tfc, Tsu, cRi, R, TI, CP, dl, Uso, ev, act):
-#             <epilogue-store closure Te, one stepper _s<b> per owned block,
-#              Td = {block: stepper}>
-#             <def k(cycle, room): TXUTile._schedule, derived, calling Td / Te>
+#         def mk(T, Tf, Tfc, Tfs, Tfi, Tsu, cRi, R, TI, CP, dl, ev, act):
+#             <one stepper _s<b> per owned block, Td = {block: stepper}>
+#             <def k(cycle, room): TXUTile._schedule, derived, calling Td>
 #             return k
 #         return mk
 #
@@ -321,16 +325,18 @@ class _Emitter:
     is ``CP[K] = msg`` plus appending K to the moved-list ``dl``; a pop
     is ``CQ[K] = 1`` plus the same append — the end-of-cycle commit
     walks ``dl`` only. A stepper module's emitter has none: whatever is
-    channel-shaped reaches its text as a factory argument."""
+    channel-shaped reaches its text as a factory argument, ``named``
+    (``(channel, name)`` pairs) spelling ``c<name>i`` and ``<name>``."""
 
-    def __init__(self, channels=()):
+    def __init__(self, channels=(), named=()):
         self.objs: List[object] = []
         self._obj_names: Dict[int, str] = {}
         self.pre: List[str] = []    # kernel preamble (aliases, bound methods)
         self.temps = dict.fromkeys(_TEMPORARIES)  # named ahead of it, in order
         self.channels = list(channels)
         self._chan_idx = {id(ch): k for k, ch in enumerate(self.channels)}
-        self._chan_alias: set = set()
+        self._chan_idx.update((id(ch), name) for ch, name in named)
+        self._chan_alias = {name for _ch, name in named}
 
     def ref(self, obj) -> str:
         """Name of ``obj`` in the module's object tuple (registered on
@@ -345,7 +351,7 @@ class _Emitter:
 
     # -- flat channel ops --------------------------------------------------
 
-    def ci(self, ch) -> int:
+    def ci(self, ch):
         """Flat index of ``ch`` (emits its item-deque alias on first use)."""
         k = self._chan_idx.get(id(ch))
         if k is None:
@@ -395,22 +401,24 @@ def _fmt_const(value) -> Optional[str]:
 class _StepperGen:
     """Emits one specialized stepper function per owned block of a task
     unit: the straight-line unrolling of ``TXUTile._step_instance`` +
-    ``_maybe_transition`` for that block's dataflow graph. A stepper, like
-    ``_step_instance``, only reports what the step did (``GO``, ``QUIET``,
-    or the resource that refused it: ``PORT``, ``OUTBUF``, ``CALL``); the
-    instance loop that called it, ``TXUTile._schedule`` derived into the
-    same module, turns that into the instance's wake time and park. The
+    ``_maybe_transition`` for that block's dataflow graph -- readiness, the
+    one-firing-per-node hazard, node firing and block entry; everything
+    else (a call, a spawn, a suspend, a finish) is the tile's own method.
+    A stepper, like ``_step_instance``, only reports what the step did
+    (``GO``, ``QUIET``, or the resource that refused it: ``PORT``,
+    ``OUTBUF``, ``CALL``); the instance loop that called it,
+    ``TXUTile._schedule`` derived into the same module, turns that into the
+    instance's wake time and park and issues a return-value store. The
     steppers live inside the unit's ``mk`` factory (see
     :func:`_stepper_module`), so everything tile- or kernel-bound is
     written as a factory parameter — ``T`` (the tile), ``Tf``/``Tfc``/
-    ``Tsu`` (its ``_fired`` set, ``_fire_call``, ``_suspend``),
-    ``cRi``/``R`` (request channel deque and flat index), ``TI`` (tile
-    index), ``CP``/``dl``/``act`` (the kernel's pending pushes, moved-list
-    and one-cell activity flag), ``Uso``/``ev`` (the unit's spawn out-buffer
-    and its ``analysis_event``, called only when ``traced``) and
-    ``Te`` (the epilogue-store closure) — while SID, port and capacities
-    are baked in so ``_fire_memory`` and ``_finish`` are inlined flat
-    ops."""
+    ``Tfs``/``Tfi``/``Tsu`` (its ``_fired`` set, ``_fire_call``,
+    ``_fire_spawn``, ``_finish``, ``_suspend``), ``cRi``/``R`` (request
+    channel deque and flat index), ``TI`` (tile index), ``CP``/``dl``/
+    ``act`` (the kernel's pending pushes, moved-list and one-cell activity
+    flag) and ``ev`` (the unit's ``analysis_event``, called only when
+    ``traced``) — while SID, port and capacities are baked in so
+    ``_fire_memory`` is inlined flat ops."""
 
     def __init__(self, em: _Emitter, unit, traced: bool):
         self.em = em          # the stepper module's own object table
@@ -451,9 +459,6 @@ class _StepperGen:
         return "float(%s)" % self.rv(v)
 
     # -- helpers -----------------------------------------------------------
-
-    def _lat(self, kind: str) -> int:
-        return self.latencies.get(kind, 1)
 
     def opsem_lines(self, ir, tgt: str, ind: str) -> List[str]:
         """A BinaryOp / ICmp / FCmp / Cast node: its opsem table entry and
@@ -541,7 +546,8 @@ class _StepperGen:
                              % (tgt, self.unit.frame_base,
                                 self.unit.frame_size, offset))
             else:
-                L.append(ind + "%s = _RegSlot(%s)" % (tgt, self.em.ref(ir)))
+                L.append(ind + "%s = %s(%s)" % (tgt, self.em.ref(opsem.RegSlot),
+                                                self.em.ref(ir)))
         elif isinstance(ir, Select):
             cond, if_true, if_false = ir.operands
             L.append(ind + "%s = (%s) if (%s) else (%s)"
@@ -555,7 +561,7 @@ class _StepperGen:
         # chained assignment keeps the hoisted per-node local in sync so a
         # 0-latency dependent sees the fresh deadline within the same call
         L.append(ind + "nd[%d] = dn%d = cycle + %d"
-                 % (node.index, node.index, self._lat(kind)))
+                 % (node.index, node.index, self.latencies.get(kind, 1)))
         return L
 
     def _gep_lines(self, ir, tgt: str, ind: str) -> List[str]:
@@ -568,7 +574,7 @@ class _StepperGen:
             expr = " + ".join([self.rvi(base)] + terms)
             return [ind + "%s = %s" % (tgt, expr)]
         L = [ind + "ba = %s" % self.rv(base),
-             ind + "if type(ba) is _RegSlot:",
+             ind + "if type(ba) is %s:" % self.em.ref(opsem.RegSlot),
              ind + "    raise SimulationError(%r)"
              % ("address arithmetic on a register slot — scalar allocas "
                 "may only be loaded/stored directly",)]
@@ -576,7 +582,7 @@ class _StepperGen:
         L.append(ind + "%s = %s" % (tgt, expr))
         return L
 
-    # -- inlined _fire_memory / _finish ------------------------------------
+    # -- inlined _fire_memory ----------------------------------------------
 
     def mem_fire_lines(self, node, key: str, ind: str) -> List[str]:
         """The ``elif``-chain tail of a load/store node attempt (mirrors
@@ -591,20 +597,24 @@ class _StepperGen:
             addr = self.rvi(ptr)
         else:
             L.append(ind + "    a_ = %s" % self.rv(ptr))
-            L.append(ind + "    if type(a_) is _RegSlot:")
+            L.append(ind + "    if type(a_) is %s:"
+                     % self.em.ref(opsem.RegSlot))
             L.append(ind + "        raise SimulationError(%r)"
                      % ("register access classified as memory op",))
             addr = "int(a_)"
-        tag = "MemTag(%d, TI, inst.uid, %d)" % (self.unit.sid, node.index)
+        ref = self.em.ref
+        tag = "%s(%d, TI, inst.uid, %d)" % (ref(MemTag), self.unit.sid,
+                                            node.index)
         if isinstance(ir, Load):
-            req = ('MemRequest(tag=%s, op="load", addr=%s, size=%d, port=%d)'
-                   % (tag, addr, ir.type.size_bytes, self.unit.port))
-        else:
-            req = ('MemRequest(tag=%s, op="store", addr=%s, size=%d, '
-                   'data=_v2r(%s, %s), port=%d)'
-                   % (tag, addr, ir.value.type.size_bytes,
-                      self.em.ref(ir.value.type), self.rv(ir.value),
+            req = ('%s(tag=%s, op="load", addr=%s, size=%d, port=%d)'
+                   % (ref(MemRequest), tag, addr, ir.type.size_bytes,
                       self.unit.port))
+        else:
+            req = ('%s(tag=%s, op="store", addr=%s, size=%d, '
+                   'data=%s(%s, %s), port=%d)'
+                   % (ref(MemRequest), tag, addr, ir.value.type.size_bytes,
+                      ref(opsem.value_to_raw), ref(ir.value.type),
+                      self.rv(ir.value), self.unit.port))
         if self.traced:
             L.append(ind + "    rq_ = %s" % req)
             L.append(ind + '    ev("mem", "%s addr=%%d" %% rq_.addr, '
@@ -616,28 +626,13 @@ class _StepperGen:
         L.append(ind + "    CP[R] = %s" % req)
         L.append(ind + "    dl.append(R)")
         L.append(ind + "    T._mem_issued_this_cycle = True")
-        L.append(ind + "    pm.add(%d)" % node.index)
+        L.append(ind + "    nd[%d] = %d" % (node.index, AWAIT_MEM))
         L.append(ind + "    fired.add(%s)" % key)
         L.append(ind + "    f = 1")
         L.append(ind + "else:")
         L.append(ind + "    T._mem_blocked = True")
         L.append(ind + "    b |= %d" % PORT)
         return L
-
-    def finish_lines(self, retval_expr: str, ind: str) -> List[str]:
-        """Inlined ``TXUTile._finish``: record the return value and either
-        enter the epilogue store (shared-cache return) or complete."""
-        if retval_expr == "None":
-            return [ind + "inst.retval = None",
-                    ind + 'inst.phase = "done"']
-        return [ind + "rv_ = %s" % retval_expr,
-                ind + "inst.retval = rv_",
-                ind + "if inst.entry.ret_ptr is not None "
-                      "and rv_ is not None:",
-                ind + '    inst.phase = "epilogue_issue"',
-                ind + "    Te(inst, cycle)",
-                ind + "else:",
-                ind + '    inst.phase = "done"']
 
     # -- block entry (mirrors TXUTile._enter_block) ------------------------
 
@@ -648,9 +643,7 @@ class _StepperGen:
                        f"region into {target.name}",)]
         return [ind + "inst.block = %s" % self.em.ref(target),
                 ind + "inst.node_done = [B] * %d"
-                % len(self.compiled.dfg(target).nodes),
-                ind + "inst.pending_mem = set()",
-                ind + "inst.pending_call = set()"]
+                % len(self.compiled.dfg(target).nodes)]
 
     # -- the whole stepper -------------------------------------------------
 
@@ -660,21 +653,16 @@ class _StepperGen:
         nodes = dfg.nodes
         body = nodes[:-1]
         term_node = nodes[-1]
-        has_mem = any(n.kind in ("load", "store") for n in body)
-        has_call = any(n.kind == "call" for n in body)
 
         L = ["def %s(inst, cycle):" % name,
              "    nd = inst.node_done",
              "    env = inst.env",
-             "    fired = Tf"]
-        if has_mem:
-            L.append("    pm = inst.pending_mem")
-        if has_call:
-            L.append("    pc = inst.pending_call")
-        L.append("    f = d = b = 0")
+             "    fired = Tf",
+             "    f = d = b = 0"]
         # hoist every body node's done-cycle into a local with one unpack
         # of the block's node_done list (its last slot is the terminator's,
-        # never written); a node that has not fired holds the sentinel B
+        # never written); a node that has not fired holds the sentinel B,
+        # an issued memory or call node AWAIT_MEM / AWAIT_CALL
         L.append("    (%s_) = nd" % "".join("dn%d, " % n.index for n in body))
 
         def deps(node) -> str:
@@ -685,10 +673,6 @@ class _StepperGen:
             idx = node.index
             key = em.ref((block, idx))
             cond = "dn%d == B" % idx
-            if node.kind in ("load", "store"):
-                cond += " and %d not in pm" % idx
-            elif node.kind == "call":
-                cond += " and %d not in pc" % idx
             dc = deps(node)
             if dc:
                 cond += " and " + dc
@@ -710,49 +694,19 @@ class _StepperGen:
                 L.append("            f = 1")
 
         # -- transition (mirrors _maybe_transition) ------------------------
+        # (an issued memory or call node's AWAIT_* exceeds every cycle)
         trans = ["dn%d <= cycle" % n.index for n in body]
-        if has_mem:
-            trans.append("not pm")
-        else:
-            trans.append("not inst.pending_mem")
-        if has_call:
-            trans.append("not pc")
-        else:
-            trans.append("not inst.pending_call")
         tdeps = deps(term_node)
         if tdeps:
             trans.append(tdeps)
-        L.append("    if %s:" % " and ".join(trans))
+        L.append("    if %s:" % " and ".join(trans or ["True"]))
         term = term_node.inst
         if isinstance(term, Detach):
-            # inlined _fire_spawn + TaskUnit.issue_spawn: the spawn spec
-            # (dest SID, marshalled args, ret pointer) is static, so the
-            # SpawnMessage fields are baked in as literals/env reads.
-            spec = self.compiled.spawn_specs[term]
-            args = ", ".join(self.rv(v) for v in spec.arg_values)
-            if args:
-                args += ","
-            ret_ptr = ("int(%s)" % self.rv(spec.ret_ptr_value)
-                       if spec.ret_ptr_value is not None else "None")
-            L.append("        if len(Uso) >= %d:" % OUTBOUND_BUFFER)
-            L.append("            T._spawn_blocked = True")
-            L.append("            b = %d" % OUTBUF)
-            L.append("        else:")
-            L.append("            en_ = inst.entry")
-            seq = "None"
-            if self.traced:
-                L.append('            ev_ = ev("spawn-issue", "-> T%d", '
-                         '{"gid": en_.gid, "dest_sid": %d})'
-                         % (spec.dest_sid, spec.dest_sid))
-                seq = "ev_.seq if ev_ is not None else None"
-            L.append("            Uso.append(SpawnMessage(dest_sid=%d, "
-                     "args=(%s), parent_sid=%d, parent_dyid=en_.dyid, "
-                     'join_kind="sync", ret_ptr=%s, parent_gid=en_.gid, '
-                     "spawn_seq=%s))"
-                     % (spec.dest_sid, args, self.unit.sid, ret_ptr, seq))
-            L.append("            en_.child_count += 1")
+            L.append("        if Tfs(inst, %s):" % em.ref(term))
             L.extend(self.enter_lines(term.continuation, "            "))
             L.append("            f = 1")
+            L.append("        else:")
+            L.append("            b = %d" % OUTBUF)
         elif isinstance(term, Sync):
             L.append("        if inst.entry.child_count > 0:")
             L.append("            Tsu(inst, %s)"
@@ -772,13 +726,10 @@ class _StepperGen:
             L.append("        else:")
             L.extend(self.enter_lines(term.if_false, "            "))
             L.append("        f = 1")
-        elif isinstance(term, Reattach):
-            L.extend(self.finish_lines("None", "        "))
-            L.append("        f = 1")
-        elif isinstance(term, Ret):
-            retval = (self.rv(term.value)
-                      if term.value is not None else "None")
-            L.extend(self.finish_lines(retval, "        "))
+        elif isinstance(term, (Reattach, Ret)):
+            retval = self.rv(term.value) if isinstance(term, Ret) \
+                and term.value is not None else "None"
+            L.append("        Tfi(inst, %s)" % retval)
             L.append("        f = 1")
         else:
             raise UnsupportedDesign(
@@ -796,38 +747,13 @@ class _StepperGen:
 def _stepper_module(gen: _StepperGen) -> str:
     """Source of one task unit's stepper module. A task unit is ONE TXU
     design replicated Ntiles times and instantiated by every design point
-    of its program: the epilogue closure, the per-block steppers and the
-    tile's instance loop that calls them are generated and compiled once,
-    with everything tile- or kernel-bound arriving as ``mk``'s arguments
-    and objects numbered within the unit."""
+    of its program: the per-block steppers and the tile's instance loop
+    that calls them are generated and compiled once, with everything tile-
+    or kernel-bound arriving as ``mk``'s arguments and objects numbered
+    within the unit."""
     unit, compiled, ref = gen.unit, gen.compiled, gen.em.ref
-    rettype = compiled.task.function.return_type
     body: List[str] = []
     w = body.append
-    w("def Te(inst, cycle):")
-    if rettype.is_void():
-        # unreachable: a void task never has (ret_ptr, retval) set
-        w("    raise SimulationError(%r)" % ("epilogue store for void task",))
-    else:
-        w("    if T._mem_issued_this_cycle:")
-        w("        return")
-        w("    if len(cRi) < %d and CP[R] is None:" % gen.rocap)
-        if gen.traced:
-            w('        ev("mem", "store addr=%%d (ret)" %% '
-              'int(inst.entry.ret_ptr), {"gid": inst.entry.gid, '
-              '"op": "store", "addr": int(inst.entry.ret_ptr), "size": %d, '
-              '"sid": %d, "node": -1, "inst": None})'
-              % (rettype.size_bytes, unit.sid))
-        w('        CP[R] = MemRequest(tag=MemTag(%d, TI, '
-          'inst.uid, -1), op="store", '
-          "addr=int(inst.entry.ret_ptr), size=%d, "
-          "data=_v2r(%s, inst.retval), port=%d)"
-          % (unit.sid, rettype.size_bytes, ref(rettype), unit.port))
-        w("        dl.append(R)")
-        w("        T._mem_issued_this_cycle = True")
-        w('        inst.phase = "epilogue_wait"')
-        w("    else:")
-        w("        T._mem_blocked = True")
     entries = []
     for bi, block in enumerate(compiled.blocks):
         if compiled.owns_block(block):
@@ -835,7 +761,7 @@ def _stepper_module(gen: _StepperGen) -> str:
             entries.append("%s: _s%d" % (ref(block), bi))
     w("Td = {%s}" % ", ".join(entries))
     # the instance loop that calls them: TXUTile._schedule, derived
-    loop = tile_loop(gen.em, unit.tiles[0])
+    loop = tile_loop(gen.em, unit.tiles[0], gen.traced)
     body.extend(gen.em.pre)
     body.extend(loop)
     w("return k")
@@ -844,9 +770,10 @@ def _stepper_module(gen: _StepperGen) -> str:
              "def make_steppers(ctx, objs):",
              "    (%s) = objs" % "".join(
                  "_o%d, " % i for i in range(len(gen.em.objs)))]
-    lines.extend(_CTX_NAMES)
+    lines.append(_CTX_ERROR)
     lines.append("    B = %d" % PARKED)
-    lines.append("    def mk(T, Tf, Tfc, Tsu, cRi, R, TI, CP, dl, Uso, ev, act):")
+    lines.append("    def mk(T, Tf, Tfc, Tfs, Tfi, Tsu, cRi, R, TI, CP, dl, ev, "
+                 "act):")
     lines.extend("        " + line for line in body)
     lines.append("    return mk")
     return "\n".join(lines) + "\n"
@@ -898,13 +825,14 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs, mods):
 
     # -- the unit's stepper factory, instantiated once per tile: <tile>k is
     # the tile's instance loop, which calls the unit's steppers
-    gen = _StepperGen(_Emitter(), unit, traced)
+    gen = _StepperGen(_Emitter(named=((unit.tiles[0].request_out, "R"),)),
+                      unit, traced)
     for ti, (tn, rc, t) in enumerate(tiles):
         ro = em.ci(t.request_out)
         sdefs.append(
-            "%sk = _mk%d(%s, %s._fired, %s._fire_call, %s._suspend, "
-            "c%di, %d, %d, CP, dl, %sso, %s, act)"
-            % (tn, len(mods), tn, tn, tn, tn, ro, ro, ti, u,
+            "%sk = _mk%d(%s, %s._fired, %s._fire_call, %s._fire_spawn, "
+            "%s._finish, %s._suspend, c%di, %d, %d, CP, dl, %s, act)"
+            % (tn, len(mods), tn, tn, tn, tn, tn, tn, ro, ro, ti,
                u + ".analysis_event" if traced else "None"))
     mods.append((_stepper_module(gen), tuple(gen.em.objs)))
 
@@ -995,11 +923,9 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs, mods):
     skip.append("        tw = w")
 
 
-#: what both module kinds bind from ctx before their defs
-_CTX_NAMES = ['    %s = ctx["%s"]' % pair for pair in (
-    ("SimulationError", "SimulationError"), ("_RegSlot", "RegSlot"),
-    ("MemRequest", "MemRequest"), ("MemTag", "MemTag"), ("_v2r", "v2r"),
-    ("SpawnMessage", "SpawnMessage"))]
+#: what both module kinds bind from ctx before their defs; every other
+#: object their text names is in the module's object table
+_CTX_ERROR = '    SimulationError = ctx["SimulationError"]'
 
 
 def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
@@ -1009,11 +935,6 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
     given design: iteration is over registration-order lists only, names
     are assigned by traversal index, and nothing depends on id()/hash
     ordering."""
-    from repro.ir.opsem import RegSlot as _RegSlotCls
-    from repro.ir.opsem import value_to_raw as _value_to_raw
-    from repro.memory.databox import MemTag as _MemTagCls
-    from repro.memory.messages import MemRequest as _MemRequestCls
-    from repro.task.messages import SpawnMessage as _SpawnMessageCls
 
     em = _Emitter(sim.channels)
     tick: List[str] = []   # per-cycle component sections (base indent 0)
@@ -1245,7 +1166,7 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
     lines.append('    (%s) = ctx["steppers"]'
                  % "".join("_mk%d, " % j for j in range(len(mods))))
     lines.append('    CH = ctx["channels"]')
-    lines.extend(_CTX_NAMES)
+    lines.append(_CTX_ERROR)
     lines.append("    import gc as _gc")
     lines.append("    def kernel(sim, done, start, max_cycles, mlog):")
     lines.extend("        " + line for line in body)
@@ -1255,10 +1176,5 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
         "objects": tuple(em.objs),
         "channels": tuple(em.channels),
         "SimulationError": SimulationError,
-        "RegSlot": _RegSlotCls,
-        "MemRequest": _MemRequestCls,
-        "MemTag": _MemTagCls,
-        "v2r": _value_to_raw,
-        "SpawnMessage": _SpawnMessageCls,
     }
     return source, mods, ctx

@@ -36,10 +36,6 @@ _HANDSHAKES = ("can_pop", "peek", "can_push", "push")
 _STATEMENTS = (ast.Assign, ast.AugAssign, ast.Expr, ast.Raise, ast.If,
                ast.While, ast.For, ast.Break, ast.Continue, ast.Pass)
 _POP = "CQ[%s] = 1", "dl.append(%s)"
-#: what the compiled instance loop calls in place of the TXU's interpreted
-#: step: the unit's generated stepper for the instance's block, and its
-#: epilogue closure
-_STEPPERS = {"_step_instance": "Td[{0}.block]", "_issue_epilogue_store": "Te"}
 
 
 class UnsupportedDesign(Exception):
@@ -133,8 +129,9 @@ class _Template(ast.NodeTransformer):
     ``@<kind>:<name>@`` for a channel's index (k) / capacity (c), a channel
     list's length (n) / table (t) or an object-table reference (g). Which
     attributes are channels is read off ``comp``, the first instance seen.
-    A call of a method named in ``calls`` becomes that text, formatted with
-    the argument texts, applied to them."""
+    A call of a method named in ``calls`` (by its chain after ``self``)
+    becomes that text, formatted with the argument texts, applied to them;
+    a statement calling one mapped to None is dropped."""
 
     def __init__(self, comp, method="tick", calls=None):
         self.cls = cls = type(comp)
@@ -252,9 +249,10 @@ class _Template(ast.NodeTransformer):
 
     def visit_Call(self, node):
         func, helper = node.func, _self_attr(node.func)
-        if helper in self.calls:
+        mapped = self.calls.get(".".join(_self_chain(func)))
+        if mapped is not None:
             args = [self.text(arg) for arg in node.args]
-            return ast.Name(id="%s(%s)" % (self.calls[helper].format(*args),
+            return ast.Name(id="%s(%s)" % (mapped.format(*args),
                                            ", ".join(args)))
         channel = self.channel(getattr(func, "value", None))
         if channel is not None:
@@ -290,6 +288,8 @@ class _Template(ast.NodeTransformer):
         func = getattr(value, "func", None)
         if isinstance(value, ast.Constant):
             return None  # a docstring
+        if self.calls.get(".".join(_self_chain(func)), "") is None:
+            return None  # a hook this template drops
         channel = self.popped(value)
         if channel:  # a bare pop(): the side effect is all of it
             return [_raw(line % channel[1]) for line in _POP]
@@ -370,7 +370,7 @@ def _instantiate(em, alias: str, comp, method="tick", calls=None):
     component: its class's template of ``method`` (derived once per
     process) with this instance's channels, fan-ins and objects
     substituted, preamble and temporaries added to ``em``."""
-    key = type(comp), method
+    key = type(comp), method, tuple((calls or {}).items())
     tpl = _TEMPLATES.get(key) \
         or _TEMPLATES.setdefault(key, _Template(comp, method, calls))
 
@@ -418,12 +418,14 @@ def tile_section(em, alias: str, tile) -> list:
     return ["    # " + tpl.origin] + tick
 
 
-def tile_loop(em, tile) -> list:
+def tile_loop(em, tile, traced: bool) -> list:
     """``def k(cycle, room)`` for a task unit's stepper factory: the tile
     class's ``_schedule`` -- the instance loop -- on the tile ``T``, with
-    ``Td[block]`` (the unit's generated steppers) and ``Te`` (its epilogue
-    closure) in place of the interpreted step; the aliases it hoists go to
-    ``em.pre``."""
-    tpl, (_held, loop, _skip) = _instantiate(em, "T", tile, "_schedule",
-                                             _STEPPERS)
+    ``Td[block]`` (the unit's generated steppers) in place of the
+    interpreted step and its helpers inlined: the return-value store, its
+    request channel ``em`` names, calls the factory's ``ev`` when
+    ``traced``. The aliases it hoists go to ``em.pre``."""
+    tpl, (_held, loop, _skip) = _instantiate(em, "T", tile, "_schedule", {
+        "_step_instance": "Td[{0}.block]",
+        "unit.analysis_event": "ev" if traced else None})
     return ["# " + tpl.origin, "def k(cycle, room):"] + loop

@@ -96,39 +96,27 @@ class TaskUnit(Component):
     # -- interface used by tiles ---------------------------------------------
 
     def issue_spawn(self, dest_sid: int, args: tuple, entry: TaskEntry,
-                    ret_ptr: Optional[int]) -> bool:
-        """A detach fired: enqueue the spawn and count the child."""
+                    ret_ptr: Optional[int] = None, token=None) -> bool:
+        """A detach fired: enqueue the spawn and count the child. With a
+        call ``token``, a serial call fired: spawn the callee and expect a
+        valued join."""
         if len(self._spawn_outbuf) >= OUTBOUND_BUFFER:
             return False
-        event = self.analysis_event("spawn-issue", f"-> T{dest_sid}",
-                                    {"gid": entry.gid, "dest_sid": dest_sid})
+        event = self.analysis_event(
+            "spawn-issue" if token is None else "call-issue",
+            f"-> T{dest_sid}", {"gid": entry.gid, "dest_sid": dest_sid})
         self._spawn_outbuf.append(SpawnMessage(
             dest_sid=dest_sid, args=args,
             parent_sid=self.sid, parent_dyid=entry.dyid,
-            join_kind=JOIN_SYNC, ret_ptr=ret_ptr,
-            parent_gid=entry.gid,
+            join_kind=JOIN_SYNC if token is None else JOIN_CALL,
+            call_token=token, ret_ptr=ret_ptr, parent_gid=entry.gid,
             spawn_seq=event.seq if event is not None else None))
-        entry.child_count += 1
-        return True
-
-    def issue_call(self, dest_sid: int, args: tuple, entry: TaskEntry,
-                   token) -> bool:
-        """A serial call fired: spawn the callee, expect a valued join."""
-        if len(self._spawn_outbuf) >= OUTBOUND_BUFFER:
-            return False
-        event = self.analysis_event("call-issue", f"-> T{dest_sid}",
-                                    {"gid": entry.gid, "dest_sid": dest_sid})
-        self._spawn_outbuf.append(SpawnMessage(
-            dest_sid=dest_sid, args=args,
-            parent_sid=self.sid, parent_dyid=entry.dyid,
-            join_kind=JOIN_CALL, call_token=token,
-            parent_gid=entry.gid,
-            spawn_seq=event.seq if event is not None else None))
+        if token is None:
+            entry.child_count += 1
         return True
 
     def instance_finished(self, inst):
         entry = inst.entry
-        entry.retval = inst.retval
         entry.state = COMPLETE
         if entry.child_count == 0:
             self._join_ready.append(entry.dyid)

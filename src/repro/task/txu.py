@@ -57,6 +57,11 @@ _EPILOGUE_NODE = -1  # synthetic node id for the ret_ptr store
 #: it as channel-driven, not timer-driven
 PARKED = 1 << 60
 
+#: the done-cycle of an issued memory or call node until its response
+#: overwrites it: later than every cycle, below PARKED, never a wake time
+AWAIT_MEM = PARKED - 2
+AWAIT_CALL = PARKED - 1
+
 #: bound on a unit's buffered outbound messages before spawn and call
 #: sites see backpressure
 OUTBOUND_BUFFER = 4
@@ -81,8 +86,8 @@ class Instance:
     """One dynamic task instance in flight on a tile."""
 
     __slots__ = (
-        "uid", "entry", "block", "env", "regs", "node_done", "pending_mem",
-        "pending_call", "phase", "retval", "wake_at", "park",
+        "uid", "entry", "block", "env", "regs", "node_done", "phase",
+        "wake_at", "park",
     )
 
     def __init__(self, uid: int, entry: TaskEntry, block, nodes: int):
@@ -92,12 +97,12 @@ class Instance:
         self.env: Dict[Value, Any] = {}
         self.regs: Dict[Alloca, Any] = {}
         #: per node of ``block``'s dataflow graph, the cycle at which its
-        #: result is available (:data:`PARKED` until it has fired)
+        #: result is available: :data:`PARKED` until it fires,
+        #: :data:`AWAIT_MEM` / :data:`AWAIT_CALL` from an issued memory or
+        #: call node until its response -- the instance's whole progress
+        #: record in the block
         self.node_done: List[int] = [PARKED] * nodes
-        self.pending_mem: Set[int] = set()
-        self.pending_call: Set[int] = set()
         self.phase = RUN
-        self.retval: Any = None
         #: scheduling hint: no dataflow progress possible before this cycle
         #: (purely a simulation fast path, not architectural state)
         self.wake_at = 0
@@ -202,11 +207,6 @@ class TXUTile:
         raise SimulationError(
             f"value {value.short()} not available in task {self.compiled.name}")
 
-    def _frame_addr(self, inst: Instance, alloca: Alloca) -> int:
-        base = self.unit.frame_address(inst.entry.dyid)
-        offset = self.compiled.frame_offsets[alloca]
-        return base + offset
-
     # -- clocked behaviour -----------------------------------------------------
 
     def tick(self, cycle: int):
@@ -220,7 +220,7 @@ class TXUTile:
         here, for every engine: :mod:`repro.sim.derive` inlines this method
         into the compiled kernel and compiles ``_schedule`` into the unit's
         stepper module, with the generated steppers in place of
-        ``_step_instance`` and ``_issue_epilogue_store``."""
+        ``_step_instance``."""
         if self._fired:
             self._fired.clear()
         self._mem_issued_this_cycle = False
@@ -287,17 +287,17 @@ class TXUTile:
                 if report == GO:
                     phase = inst.phase
                 else:  # waiting on its earliest maturing node, if any
-                    wake = min(filter(cycle.__lt__, inst.node_done),
-                               default=PARKED)
+                    soonest = min(filter(cycle.__lt__, inst.node_done),
+                                  default=PARKED)
+                    wake = soonest if soonest < AWAIT_MEM else PARKED
                     if report == QUIET:
-                        if wake == PARKED and not inst.pending_mem \
-                                and not inst.pending_call:
+                        if soonest == PARKED:  # nothing matures or awaits
                             wake = cycle + 1
                         inst.wake_at = wake
                     elif wake == PARKED and report != CALL:
                         inst.park = park = report
-            elif phase == EPILOGUE_ISSUE:
-                self._issue_epilogue_store(inst, cycle)
+            if phase == EPILOGUE_ISSUE:  # a return value to store
+                self._issue_epilogue_store(inst)
                 phase = inst.phase
             if phase != RUN:
                 if phase == DONE:
@@ -340,7 +340,6 @@ class TXUTile:
         if node_idx == _EPILOGUE_NODE:
             inst.phase = DONE
             return
-        inst.pending_mem.discard(node_idx)
         inst.wake_at = 0
         node = self.compiled.dfg(inst.block).nodes[node_idx]
         if isinstance(node.inst, Load):
@@ -358,7 +357,6 @@ class TXUTile:
         self.unit.analysis_event(
             "call-return", f"gid={inst.entry.gid}",
             {"gid": inst.entry.gid, "child_gid": child_gid})
-        inst.pending_call.discard(node_idx)
         inst.wake_at = 0
         self._due = 0
         node = self.compiled.dfg(inst.block).nodes[node_idx]
@@ -380,8 +378,7 @@ class TXUTile:
         refused = QUIET
         for node in dfg.nodes[:-1]:  # the terminator fires at transition
             idx = node.index
-            if inst.node_done[idx] != PARKED or idx in inst.pending_mem \
-                    or idx in inst.pending_call:
+            if inst.node_done[idx] != PARKED:
                 continue
             if not self._deps_ready(inst, node, cycle):
                 continue
@@ -409,9 +406,6 @@ class TXUTile:
                 return False
         return True
 
-    def _latency(self, kind: str) -> int:
-        return self.latencies.get(kind, 1)
-
     def _fire(self, inst: Instance, node, cycle: int) -> int:
         """Execute one dataflow node: GO, or the resource that refused it
         (PORT, CALL) and must be retried."""
@@ -433,7 +427,8 @@ class TXUTile:
         elif kind == "nop":  # alloca
             if isinstance(ir, Alloca):
                 if ir.in_frame:
-                    env[ir] = self._frame_addr(inst, ir)
+                    env[ir] = self.unit.frame_address(inst.entry.dyid) \
+                        + self.compiled.frame_offsets[ir]
                 else:
                     env[ir] = RegSlot(ir)
         else:
@@ -445,7 +440,7 @@ class TXUTile:
             elif kind != "nop" and ir in env:
                 self.value_probe(ir, env[ir])
 
-        inst.node_done[node.index] = cycle + self._latency(kind)
+        inst.node_done[node.index] = cycle + self.latencies.get(kind, 1)
         return GO
 
     def _fire_memory(self, inst: Instance, node, cycle: int) -> int:
@@ -475,7 +470,7 @@ class TXUTile:
              "inst": ir})
         self.request_out.push(req)
         self._mem_issued_this_cycle = True
-        inst.pending_mem.add(node.index)
+        inst.node_done[node.index] = AWAIT_MEM
         return GO
 
     def _fire_call(self, inst: Instance, node, cycle: int) -> int:
@@ -483,10 +478,11 @@ class TXUTile:
         spec = self.compiled.call_specs[ir]
         args = tuple(self._resolve(inst, v) for v in spec.arg_values)
         token = (self.tile_index, inst.uid, node.index)
-        if not self.unit.issue_call(spec.dest_sid, args, inst.entry, token):
+        if not self.unit.issue_spawn(spec.dest_sid, args, inst.entry,
+                                     token=token):
             self._spawn_blocked = True
             return CALL
-        inst.pending_call.add(node.index)
+        inst.node_done[node.index] = AWAIT_CALL
         return GO
 
     # -- block transition ------------------------------------------------------
@@ -500,8 +496,6 @@ class TXUTile:
         for node in nodes[:-1]:
             if inst.node_done[node.index] > cycle:
                 return QUIET
-        if inst.pending_mem or inst.pending_call:
-            return QUIET
         # terminator dependencies (spawn-arg marshalling etc.)
         if not self._deps_ready(inst, term_node, cycle):
             return QUIET
@@ -526,11 +520,11 @@ class TXUTile:
             taken = self._resolve(inst, term.cond)
             self._enter_block(inst, term.if_true if taken else term.if_false)
         elif isinstance(term, Reattach):
-            self._finish(inst, None, cycle)
+            self._finish(inst, None)
         elif isinstance(term, Ret):
             retval = (self._resolve(inst, term.value)
                       if term.value is not None else None)
-            self._finish(inst, retval, cycle)
+            self._finish(inst, retval)
         else:
             raise SimulationError(f"TXU cannot handle terminator {term.opcode}")
         return GO
@@ -552,8 +546,6 @@ class TXUTile:
                 f"into {block.name}")
         inst.block = block
         inst.node_done = [PARKED] * len(self.compiled.dfg(block).nodes)
-        inst.pending_mem = set()
-        inst.pending_call = set()
 
     def _suspend(self, inst: Instance, continuation):
         """Vacate the tile while waiting for children (queue state SYNC)."""
@@ -566,35 +558,37 @@ class TXUTile:
         del self._by_uid[inst.uid]
         self.unit.instance_suspended(inst)
 
-    def _finish(self, inst: Instance, retval, cycle: int):
-        inst.retval = retval
+    def _finish(self, inst: Instance, retval):
+        """Record the return value on the task entry: :meth:`_schedule`
+        stores it through ret_ptr (shared-cache return) in the same
+        iteration, if it has one."""
+        inst.entry.retval = retval
         if inst.entry.ret_ptr is not None and retval is not None:
             inst.phase = EPILOGUE_ISSUE
-            self._issue_epilogue_store(inst, cycle)
         else:
             inst.phase = DONE
 
-    def _issue_epilogue_store(self, inst: Instance, cycle: int):
-        """Write the return value through ret_ptr (shared-cache return)."""
-        if self._mem_issued_this_cycle:
-            return
-        if not self.request_out.can_push():
-            self._mem_blocked = True
-            return
-        rettype = self.compiled.task.function.return_type
-        tag = MemTag(self.unit.sid, self.tile_index, inst.uid, _EPILOGUE_NODE)
-        self.unit.analysis_event(
-            "mem", f"store addr={int(inst.entry.ret_ptr)} (ret)",
-            {"gid": inst.entry.gid, "op": "store",
-             "addr": int(inst.entry.ret_ptr), "size": rettype.size_bytes,
-             "sid": self.unit.sid, "node": _EPILOGUE_NODE, "inst": None})
-        self.request_out.push(MemRequest(
-            tag=tag, op="store", addr=int(inst.entry.ret_ptr),
-            size=rettype.size_bytes,
-            data=value_to_raw(rettype, inst.retval),
-            port=self.unit.port))
-        self._mem_issued_this_cycle = True
-        inst.phase = EPILOGUE_WAIT
+    def _issue_epilogue_store(self, inst: Instance):
+        """Write the return value through ret_ptr."""
+        if not self._mem_issued_this_cycle:
+            if self.request_out.can_push():
+                rettype = self.compiled.task.function.return_type
+                addr = int(inst.entry.ret_ptr)
+                self.unit.analysis_event(
+                    "mem", f"store addr={addr} (ret)",
+                    {"gid": inst.entry.gid, "op": "store", "addr": addr,
+                     "size": rettype.size_bytes, "sid": self.unit.sid,
+                     "node": _EPILOGUE_NODE, "inst": None})
+                self.request_out.push(MemRequest(
+                    tag=MemTag(self.unit.sid, self.tile_index, inst.uid,
+                               _EPILOGUE_NODE),
+                    op="store", addr=addr, size=rettype.size_bytes,
+                    data=value_to_raw(rettype, inst.entry.retval),
+                    port=self.unit.port))
+                self._mem_issued_this_cycle = True
+                inst.phase = EPILOGUE_WAIT
+            else:
+                self._mem_blocked = True
 
     # -- reporting --------------------------------------------------------
 
@@ -612,16 +606,17 @@ class TXUTile:
             return OBS_BUSY, None
         for inst in self.instances:
             for done in inst.node_done:
-                if cycle < done < PARKED:
+                if cycle < done < AWAIT_MEM:
                     return OBS_BUSY, "execute"
         if self._spawn_blocked:
             return OBS_STALL_OUT, "spawn-backpressure"
         if self._mem_blocked:
             return OBS_STALL_OUT, "mem-backpressure"
-        if any(inst.pending_mem or inst.phase in (EPILOGUE_ISSUE, EPILOGUE_WAIT)
+        if any(AWAIT_MEM in inst.node_done
+               or inst.phase in (EPILOGUE_ISSUE, EPILOGUE_WAIT)
                for inst in self.instances):
             return OBS_STALL_IN, "memory"
-        if any(inst.pending_call for inst in self.instances):
+        if any(AWAIT_CALL in inst.node_done for inst in self.instances):
             return OBS_STALL_IN, "call-join"
         return OBS_BUSY, None
 

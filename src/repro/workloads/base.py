@@ -9,11 +9,12 @@ which runs identical Cilk programs everywhere (§V).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.accel import Accelerator, AcceleratorConfig, build_accelerator
-from repro.errors import TapasError
+from repro.errors import ConfigError, TapasError
 from repro.frontend import compile_source
 from repro.ir.module import Module
 from repro.memory.backing import MainMemory
@@ -54,6 +55,19 @@ class Workload:
     challenge = ""            # Table II "HLS Challenge"
     memory_pattern = ""       # Table II "Memory Pattern"
     paper_tiles = 1           # Table IV tile count
+
+    def __init_subclass__(cls, **kwargs):
+        """Every workload's ``prepare`` refuses a scale below 1."""
+        super().__init_subclass__(**kwargs)
+        prepare = cls.__dict__.get("prepare")
+        if prepare is not None:
+            @functools.wraps(prepare)
+            def checked(self, memory, scale=1):
+                if scale < 1:
+                    raise ConfigError(f"{self.name}: scale must be at least "
+                                      f"1, got {scale}")
+                return prepare(self, memory, scale)
+            cls.prepare = checked
 
     def fresh_module(self) -> Module:
         """Compile a fresh module (global addresses are per-accelerator)."""

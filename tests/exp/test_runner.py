@@ -314,6 +314,16 @@ def test_unknown_evaluator_is_structured_error():
     assert result.records[0]["error"]["type"] == "TapasError"
 
 
+def test_scale_below_one_is_a_config_error_record():
+    result = SweepRunner(jobs=1).run(
+        [{"evaluator": "workload", "workload": "saxpy", "tiles": 1,
+          "scale": 0}])
+    error = result.records[0]["error"]
+    assert result.records[0]["status"] == "error"
+    assert error["type"] == "ConfigError"
+    assert "scale must be at least 1" in error["message"]
+
+
 def test_duplicate_registration_rejected():
     with pytest.raises(TapasError):
         register_evaluator("toy", _toy)

@@ -176,3 +176,36 @@ class TestSemanticCorners:
     def test_pointer_comparison_rejected(self):
         with pytest.raises(SemanticError, match="pointer comparison"):
             compile_source("func f(a: i32*, b: i32*) { if (a == b) { } }", "m")
+
+
+class TestExpressionDepth:
+    """Expression nesting is bounded: parentheses, unary operators and
+    operator chains each count one level, so no later stage can run out
+    of Python recursion on a deep expression."""
+
+    @staticmethod
+    def programs(levels):
+        return {
+            "parens": "(" * levels + "a" + ")" * levels,
+            "unary": "-" * levels + "a",
+            "chain": "a" + " + a" * levels,
+        }
+
+    def test_program_at_the_bound_compiles_through_generate(self):
+        from repro.accel import generate
+        from repro.frontend.parser import MAX_EXPRESSION_DEPTH
+
+        for name, expr in self.programs(MAX_EXPRESSION_DEPTH).items():
+            design = generate(compile_source(
+                f"func f(a: i32) -> i32 {{ return {expr}; }}", name))
+            assert design.compiled, name
+
+    def test_one_level_past_it_is_a_parse_error(self):
+        from repro.errors import ParseError
+        from repro.frontend.parser import MAX_EXPRESSION_DEPTH
+
+        for name, expr in self.programs(MAX_EXPRESSION_DEPTH + 1).items():
+            with pytest.raises(ParseError, match=r"^line 1:\d+: expression "
+                               r"nested deeper than \d+ levels"):
+                compile_source(f"func f(a: i32) -> i32 {{ return {expr}; }}",
+                               name)

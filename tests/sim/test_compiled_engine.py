@@ -428,15 +428,31 @@ class TestFallbackMatrix:
 
     def test_traced_units_emit_their_events_inline(self):
         plain = _build()
-        traced = _build(trace=Trace(enabled=True))
+        trace = Trace(enabled=True)
+        traced = _build(trace=trace)
         source = generate_source(traced.sim)
         assert source != generate_source(plain.sim)
-        for kind in ('"mem"', '"spawn-issue"', '"sync-pass"'):
+        for kind in ('"mem"', '"sync-pass"'):
             assert kind in source, kind
-        assert "spawn_seq=ev_.seq" in source
         assert "tk.append(" not in source  # no observer: no hand-over
         kernel, reason = prepare_kernel(traced.sim)
         assert kernel is not None and reason is None
+        # TaskUnit.issue_spawn issues a spawn under every engine: the same
+        # spawn-issue events, and each child's task-start carries its seq
+        oracle_trace = Trace(enabled=True)
+        oracle = _build(engine="dense", trace=oracle_trace)
+
+        def spawns(accel, events):
+            assert accel.run("fib", [10]).retval == 55
+            return ([(e.cycle, e.source, e.detail, e.payload, e.seq)
+                     for e in events if e.kind == "spawn-issue"],
+                    [e.payload["origin_seq"]
+                     for e in events if e.kind == "task-start"])
+
+        issued, origins = spawns(traced, trace.events)
+        assert traced.sim.executed_engine == "compiled"
+        assert (issued, origins) == spawns(oracle, oracle_trace.events)
+        assert issued and {e[-1] for e in issued} <= set(origins)
 
     @pytest.mark.parametrize("trace", [Trace(enabled=False), NULL_TRACE],
                              ids=["disabled", "null"])

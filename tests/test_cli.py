@@ -476,6 +476,32 @@ class TestErrors:
         assert main(["run", "nope"]) == 1
         assert "unknown workload" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, data", [
+        ("latin1", b"// caf\xe9\nfunc f() -> i32 { return 1; }\n"),
+        ("parens", b"func f(a: i32) -> i32 { return " + b"(" * 3000 + b"a"
+         + b")" * 3000 + b"; }\n"),
+        ("chain", b"func f(a: i32) -> i32 { return a" + b" + a" * 599
+         + b"; }\n"),
+    ])
+    def test_malformed_source_is_one_error_line(self, tmp_path, capsys,
+                                                name, data):
+        """Undecodable bytes and expressions nested past the parser's
+        bound fail closed: a frontend error, never a traceback."""
+        path = tmp_path / (name + ".cilk")
+        path.write_bytes(data)
+        assert main(["compile", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        if name == "latin1":
+            assert "byte offset 6" in err
+
+    @pytest.mark.parametrize("scale", ["0", "-1"])
+    def test_run_rejects_a_scale_below_one(self, capsys, scale):
+        assert main(["run", "saxpy", "--scale", scale]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: saxpy: scale must be at least 1, got {scale}\n"
+
 
 class TestLint:
     @staticmethod

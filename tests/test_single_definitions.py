@@ -151,3 +151,33 @@ def test_counts_are_derived_not_ticked():
         accel = workload.build(workload.default_config(2, **memory))
         for text in generate_modules(accel.sim):
             assert not assigned.search(text)
+
+
+def test_stepper_specialises_nodes_only():
+    """The generated steppers specialise what runs per node per step --
+    readiness, the one-firing hazard, firing and block entry -- and call
+    ``TXUTile``'s own code for a spawn and a finish; the return-value store
+    reaches the kernel derived with the rest of ``_schedule``. An issued
+    memory or call node's done-cycle is its pending record, so neither an
+    ``Instance`` nor a stepper keeps a pending set."""
+    import ast
+
+    from repro.sim.compile import generate_modules
+    from repro.sim.trace import Trace
+    from repro.task.txu import Instance
+    from repro.workloads import REGISTRY
+
+    for name in ("fibonacci", "dedup"):
+        workload = REGISTRY.get(name)
+        for trace in (None, Trace(enabled=True)):
+            accel = workload.build(workload.default_config(2), trace=trace)
+            for text in generate_modules(accel.sim)[1:]:
+                for needle in ("SpawnMessage(", "def Te(", "pending_"):
+                    assert needle not in text, (name, needle)
+    assert not [slot for slot in Instance.__slots__ if "pending" in slot]
+    with open(os.path.join(SRC, "sim", "compile.py")) as handle:
+        tree = ast.parse(handle.read())
+    gen, = [node for node in ast.walk(tree)
+            if getattr(node, "name", None) == "_StepperGen"]
+    assert "finish_lines" not in {node.name for node in gen.body
+                                  if isinstance(node, ast.FunctionDef)}

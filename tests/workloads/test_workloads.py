@@ -19,6 +19,16 @@ class TestRegistry:
     def test_all_seven_registered_in_table2_order(self):
         assert REGISTRY.names() == ALL_NAMES
 
+    def test_every_prepare_rejects_a_scale_below_one(self):
+        from repro.errors import ConfigError
+        from repro.memory.backing import MainMemory
+
+        for workload in REGISTRY.all():
+            for scale in (0, -1):
+                with pytest.raises(ConfigError, match="scale must be at "
+                                   f"least 1, got {scale}"):
+                    workload.prepare(MainMemory(), scale)
+
     def test_lookup_unknown_raises(self):
         from repro.errors import TapasError
 
