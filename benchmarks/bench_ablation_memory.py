@@ -30,9 +30,9 @@ def _eval_databox(spec):
 
     design = generate(workload.fresh_module())
     config.unit_params = {
-        ct.name: TaskUnitParams(ntiles=ntiles,
-                                databox_entries=spec["databox_entries"])
-        for ct in design.compiled
+        task.name: TaskUnitParams(ntiles=ntiles,
+                                  databox_entries=spec["databox_entries"])
+        for task in design.graph.tasks
     }
     result = workload.run(config=config, scale=spec["scale"])
     assert result.correct, spec["workload"]

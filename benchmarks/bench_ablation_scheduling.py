@@ -118,8 +118,8 @@ def _eval_inflight(spec):
     from repro.accel.generator import generate
 
     design_units = {}
-    for ct in generate(workload.fresh_module()).compiled:
-        design_units[ct.name] = TaskUnitParams(
+    for task in generate(workload.fresh_module()).graph.tasks:
+        design_units[task.name] = TaskUnitParams(
             ntiles=spec["tiles"],
             max_inflight_per_tile=spec["inflight"])
     config = AcceleratorConfig(unit_params=design_units)

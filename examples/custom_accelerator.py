@@ -96,8 +96,8 @@ def main():
     # peek at the generated dataflow for the worker
     design = generate(compile_source(SOURCE, "histogram_rtl"))
     print("\n=== Worker TXU (first lines of generated RTL) ===")
-    print("\n".join(emit_txu(design.compiled_for("count_bucket"))
-                    .splitlines()[:14]))
+    worker = next(t for t in design.graph.tasks if t.name == "count_bucket")
+    print("\n".join(emit_txu(worker).splitlines()[:14]))
 
 
 if __name__ == "__main__":

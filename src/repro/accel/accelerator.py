@@ -52,7 +52,7 @@ class Accelerator:
         self.memory = MainMemory(config.memory_bytes)
         self._assign_globals(design.module)
 
-        num_units = len(design.compiled)
+        num_units = len(design.graph.tasks)
         self.network = TaskNetwork(self.sim, "tasknet", num_units)
 
         # -- shared memory backend: single-ported L1+DRAM (the evaluated
@@ -100,8 +100,8 @@ class Accelerator:
         # -- task units -------------------------------------------------------
         self.units: List[TaskUnit] = []
         self.databoxes: List[DataBox] = []
-        for i, compiled in enumerate(design.compiled):
-            params = config.bind_unit(design, compiled.task)
+        for i, task in enumerate(design.graph.tasks):
+            params = config.bind_unit(design, task)
 
             box = DataBox(self.sim, f"u{i}.databox", params.ntiles,
                           unit_req[i], unit_resp[i],
@@ -109,12 +109,12 @@ class Accelerator:
             self.databoxes.append(box)
 
             frame_base = 0
-            if compiled.frame_size > 0:
+            if task.frame_size > 0:
                 frame_base = self.memory.reserve_region(
-                    params.queue_depth * compiled.frame_size)
+                    params.queue_depth * task.frame_size)
 
             unit = TaskUnit(
-                f"T{i}:{compiled.name}", compiled,
+                f"T{i}:{task.name}", task,
                 spawn_in=self.network.spawn_in[i],
                 join_in=self.network.join_in[i],
                 spawn_out=self.network.spawn_out[i],
@@ -123,12 +123,12 @@ class Accelerator:
                 tile_responses=box.tile_response,
                 queue_depth=params.queue_depth, policy=params.policy,
                 max_inflight_per_tile=params.max_inflight_per_tile,
-                frame_base=frame_base, frame_size=compiled.frame_size,
-                port=i, latencies=config.latencies, trace=trace)
+                frame_base=frame_base, port=i, latencies=config.latencies,
+                trace=trace)
             self.sim.add_component(unit)
             self.units.append(unit)
 
-        self._unit_by_name = {u.compiled.name: u for u in self.units}
+        self._unit_by_name = {u.task.name: u for u in self.units}
 
     # -- host interface ---------------------------------------------------
 

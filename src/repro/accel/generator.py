@@ -1,24 +1,24 @@
 """The TAPAS HLS generator: Stage 1 + Stage 2 lowering (paper Fig 3).
 
-Stage 1 extracts the task graph and concurrency hints; Stage 2 lowers each
-task into a :class:`~repro.task.program.CompiledTask` — per-block dataflow
-graphs, spawn/call specifications and frame layout. Stage 3 (elaboration
-into a simulatable accelerator) lives in :mod:`repro.accel.accelerator`.
+Stage 1 extracts the task graph (every spawn and call site resolved into
+one :class:`~repro.passes.taskgraph.SpawnEdge`) and concurrency hints;
+Stage 2 attaches per-block dataflow graphs and the frame layout to each
+:class:`~repro.passes.taskgraph.Task`. Stage 3 (elaboration into a
+simulatable accelerator) lives in :mod:`repro.accel.accelerator`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.errors import SynthesisError
-from repro.ir.instructions import Alloca, Call, Detach
+from repro.ir.instructions import Alloca
 from repro.ir.module import Module
 from repro.ir.verifier import verify_module
 from repro.passes.concurrency_opt import TaskSizing, analyze_concurrency
 from repro.passes.dataflow_graph import build_block_dfg
 from repro.passes.task_extraction import extract_tasks
 from repro.passes.taskgraph import Task, TaskGraph
-from repro.task.program import CallSpec, CompiledTask, SpawnSpec
 
 
 def _frame_layout(task: Task) -> (int, dict):
@@ -38,74 +38,32 @@ def _frame_layout(task: Task) -> (int, dict):
     return frame_size, offsets
 
 
-def compile_task(graph: TaskGraph, task: Task) -> CompiledTask:
-    """Stage 2 for one task: spawn specs, call specs, DFGs, frame layout."""
-    spawn_specs: Dict[Detach, SpawnSpec] = {}
-    for detach, child in task.region_spawns.items():
-        spawn_specs[detach] = SpawnSpec(
-            dest_sid=child.sid, arg_values=list(child.args))
-    for detach, direct in task.direct_spawns.items():
-        dest = graph.root_for_function[direct.callee]
-        spawn_specs[detach] = SpawnSpec(
-            dest_sid=dest.sid, arg_values=list(direct.args),
-            ret_ptr_value=direct.ret_ptr)
-
-    call_specs: Dict[Call, CallSpec] = {}
-    for call in task.calls:
-        dest = graph.root_for_function[call.callee]
-        call_specs[call] = CallSpec(dest_sid=dest.sid,
-                                    arg_values=list(call.args))
-
-    # spawn-argument marshalling becomes a dependency of each detach
-    spawn_deps = {}
-    for detach, spec in spawn_specs.items():
-        values = list(spec.arg_values)
-        if spec.ret_ptr_value is not None:
-            values.append(spec.ret_ptr_value)
-        spawn_deps[detach] = values
-
-    dfgs = {}
+def compile_task(task: Task) -> None:
+    """Stage 2 for one task: per-block DFGs (a detach's spawn-argument
+    marshalling becomes a dependency of its terminator node) and the
+    frame layout, attached to the task itself."""
     for block in task.blocks:
-        term = block.terminator
-        extra = spawn_deps.get(term, ()) if term is not None else ()
-        dfgs[block] = build_block_dfg(block, extra)
-
-    frame_size, frame_offsets = _frame_layout(task)
-
-    return CompiledTask(
-        sid=task.sid,
-        name=task.name,
-        task=task,
-        entry_block=task.entry,
-        blocks=list(task.blocks),
-        dfgs=dfgs,
-        arg_values=list(task.args),
-        spawn_specs=spawn_specs,
-        call_specs=call_specs,
-        frame_size=frame_size,
-        frame_offsets=frame_offsets,
-    )
+        edge = task.spawns.get(block.terminator)
+        extra = ()
+        if edge is not None:
+            extra = edge.args if edge.ret_ptr is None \
+                else [*edge.args, edge.ret_ptr]
+        task.dfgs[block] = build_block_dfg(block, extra)
+    task.frame_size, task.frame_offsets = _frame_layout(task)
 
 
 class GeneratedDesign:
-    """Output of Stages 1+2: the architecture blueprint before elaboration."""
+    """Output of Stages 1+2: the architecture blueprint before elaboration.
+    Task ``i`` of ``graph.tasks`` is the program of task unit ``i``."""
 
     def __init__(self, module: Module, graph: TaskGraph,
-                 compiled: List[CompiledTask],
                  sizing: Dict[Task, TaskSizing]):
         self.module = module
         self.graph = graph
-        self.compiled = compiled
         self.sizing = sizing
 
-    def compiled_for(self, name: str) -> CompiledTask:
-        for ct in self.compiled:
-            if ct.name == name:
-                return ct
-        raise SynthesisError(f"no task named {name}")
-
     def __repr__(self):
-        return f"<GeneratedDesign {self.module.name}: {len(self.compiled)} units>"
+        return f"<GeneratedDesign {self.module.name}: {len(self.graph.tasks)} units>"
 
 
 def generate(module: Module, optimize: bool = True) -> GeneratedDesign:
@@ -132,9 +90,6 @@ def generate(module: Module, optimize: bool = True) -> GeneratedDesign:
         if not graph.tasks:
             raise SynthesisError(f"module {module.name} has no functions")
         sizing = analyze_concurrency(graph)
-        compiled = [compile_task(graph, task) for task in graph.tasks]
-    # SIDs must be dense and positional: unit i serves SID i
-    for i, ct in enumerate(compiled):
-        if ct.sid != i:
-            raise SynthesisError("task SIDs are not dense")
-    return GeneratedDesign(module, graph, compiled, sizing)
+        for task in graph.tasks:
+            compile_task(task)
+    return GeneratedDesign(module, graph, sizing)

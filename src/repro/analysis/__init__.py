@@ -3,10 +3,10 @@
 TAPAS synthesizes one accelerator per *static task graph*; a determinacy
 race in the source program becomes a silicon-level data race between task
 units sharing the cache. This package analyses the extracted task graph
-*before* accelerator generation:
+*before* accelerator generation, on the may-happen-in-parallel windows of
+:mod:`repro.passes.mhp` (which spawn subtrees overlap in time, from the
+detach/sync structure — the same walk the task graph's MHP pairs use):
 
-* :mod:`repro.analysis.mhp`     — may-happen-in-parallel facts from the
-  detach/sync structure (which spawn subtrees overlap in time).
 * :mod:`repro.analysis.memdep`  — affine memory-dependence / alias
   analysis over load/store/GEP chains, with per-function effect
   summaries so recursion (fib, mergesort) is handled.

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import AnalysisError
 from repro.ir.instructions import Store
+from repro.passes.mhp import region_blocks
 
 _EPILOGUE_NODE = -1
 
@@ -231,18 +232,15 @@ def _ret_store_keys(graph) -> Dict[int, tuple]:
     elided ret_ptr stores of direct spawns: the simulator performs them
     as hardware epilogues (node == -1), so the static instruction and the
     dynamic event must be matched by the callee unit instead."""
-    from repro.analysis.mhp import region_blocks
-
     keys: Dict[int, tuple] = {}
     for task in graph.tasks:
-        for spawn in task.direct_spawns.values():
-            if spawn.ret_ptr is None:
+        for edge in task.spawns.values():
+            if edge.ret_ptr is None:
                 continue
-            callee_sid = graph.root_for_function[spawn.callee].sid
-            for block in region_blocks(spawn.detach):
+            for block in region_blocks(edge.site):
                 for inst in block.instructions:
-                    if isinstance(inst, Store) and inst.pointer is spawn.ret_ptr:
-                        keys[id(inst)] = ("ret", callee_sid)
+                    if isinstance(inst, Store) and inst.pointer is edge.ret_ptr:
+                        keys[id(inst)] = ("ret", edge.target.sid)
     return keys
 
 

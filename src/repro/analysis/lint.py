@@ -162,9 +162,11 @@ def _check_endpoint_types(ctx: LintContext) -> List[Diagnostic]:
     pointer's pointee against the callee's return type."""
     out: List[Diagnostic] = []
     for task in ctx.graph.tasks:
-        for spawn in task.direct_spawns.values():
+        for spawn in task.spawns.values():
             callee = spawn.callee
-            loc = spawn.detach.loc
+            if callee is None or spawn.is_call:
+                continue  # direct spawns only
+            loc = spawn.site.loc
             if len(spawn.args) != len(callee.arguments):
                 out.append(Diagnostic(
                     code="TAP-NET-001",
@@ -219,7 +221,6 @@ def _check_dead_tasks(ctx: LintContext) -> List[Diagnostic]:
     for function in ctx.module.functions:
         if function in reachable:
             continue
-        task = ctx.graph.root_for_function.get(function)
         out.append(Diagnostic(
             code="TAP-NET-002",
             message=(f"task unit for '{function.name}' is never spawned or "
@@ -227,7 +228,7 @@ def _check_dead_tasks(ctx: LintContext) -> List[Diagnostic]:
             function=function.name,
             suggestion="remove the function or spawn it from the entry",
             data={"entry": ctx.entry.name,
-                  "task": task.name if task else function.name},
+                  "task": function.name},  # its root task's name
         ))
     return out
 
@@ -295,16 +296,8 @@ def _check_cycle_buffering(ctx: LintContext) -> List[Diagnostic]:
     return out
 
 
-def _detach_callees(graph) -> Dict[Detach, Function]:
-    callees: Dict[Detach, Function] = {}
-    for task in graph.tasks:
-        for detach, spawn in task.direct_spawns.items():
-            callees[detach] = spawn.callee
-    return callees
-
-
 def _can_complete(function: Function, diverging: Set[Function],
-                  detach_callees: Dict[Detach, Function],
+                  callees: Dict[object, Optional[Function]],
                   ranges: Optional[ModuleRanges]) -> bool:
     """True if some CFG path through ``function`` reaches a return without
     calling or spawning into ``diverging``.
@@ -335,7 +328,7 @@ def _can_complete(function: Function, diverging: Set[Function],
         if isinstance(term, Ret):
             return True
         if isinstance(term, Detach):
-            callee = detach_callees.get(term)
+            callee = callees.get(term)
             if callee is not None and callee in diverging:
                 continue  # the spawned child never joins
             stack.extend(term.successors())
@@ -366,11 +359,13 @@ def diverging_functions(design, ranges: Optional[ModuleRanges] = None
     it can never complete.
     """
     functions = list(design.module.functions)
-    detach_callees = _detach_callees(design.graph)
+    #: spawn/call site -> the function it starts (None: a region spawn)
+    callees = {site: spawn.callee for task in design.graph.tasks
+               for site, spawn in task.spawns.items()}
     diverging: Set[Function] = set(functions)
     for _ in range(len(functions) + 1):
         discharged = [f for f in diverging
-                      if _can_complete(f, diverging, detach_callees, ranges)]
+                      if _can_complete(f, diverging, callees, ranges)]
         if not discharged:
             break
         diverging.difference_update(discharged)
@@ -440,12 +435,8 @@ def _check_occupancy_bounds(ctx: LintContext) -> List[Diagnostic]:
     # spawn/call sites targeting each task, caller task alongside
     sites: Dict[object, List[object]] = {task: [] for task in graph.tasks}
     for task in graph.tasks:
-        for child in task.region_spawns.values():
-            sites[child].append(task)
-        for spawn in task.direct_spawns.values():
-            sites[graph.root_for_function[spawn.callee]].append(task)
-        for call in task.calls:
-            sites[graph.root_for_function[call.callee]].append(task)
+        for spawn in task.spawns.values():
+            sites[spawn.target].append(task)
 
     bounds: Dict[object, Optional[int]] = {}
 

@@ -263,7 +263,7 @@ class PerfModel:
             self.module = design.module
             self.params = params or PerfParams()
             self._ref_config = config or AcceleratorConfig()
-            self.num_units = len(design.compiled)
+            self.num_units = len(design.graph.tasks)
 
             # -- network depth: arbiter-tree levels follow from the unit count
             self.spawn_levels = tree_levels(self.num_units + 1)
@@ -306,8 +306,8 @@ class PerfModel:
         if table is None:
             table = self._block_tables[key] = {
                 block: self._block_facts(dfg, latencies, line_bytes)
-                for ct in self.design.compiled
-                for block, dfg in ct.dfgs.items()}
+                for task in self.graph.tasks
+                for block, dfg in task.dfgs.items()}
         return table
 
     def _block_facts(self, dfg, latencies: Dict[str, int],
@@ -400,12 +400,12 @@ class PerfModel:
         total_misses = 0.0
         total_msgs = 0.0
         estimates: Dict[str, TaskEstimate] = {}
-        for ct in self.design.compiled:
-            acc = totals.get(ct.sid)
+        for task in self.graph.tasks:
+            acc = totals.get(task.sid)
             if acc is None or acc.instances <= 0:
                 continue
-            unit = f"T{ct.sid}:{ct.name}"
-            tp = config.params_for(ct.name)
+            unit = f"T{task.sid}:{task.name}"
+            tp = config.params_for(task.name)
             misses = acc.lines * params.secondary_miss_factor
             miss_frac = min(0.9, misses / acc.mem) if acc.mem else 0.0
             round_trip = (params.hit_round_trip
@@ -420,22 +420,22 @@ class PerfModel:
             # TXU interleaves them node-by-node, so the steady-state
             # initiation interval is latency / inflight
             overlap = tp.max_inflight_per_tile
-            estimates[ct.name] = TaskEstimate(
-                sid=ct.sid, name=ct.name, instances=acc.instances,
+            estimates[task.name] = TaskEstimate(
+                sid=task.sid, name=task.name, instances=acc.instances,
                 mem_ops=acc.mem, est_misses=misses,
                 serial_cycles=acc.serial, hot_node_execs=acc.hot,
                 loop_iters_per_instance=loop_iters)
             if acc.mem:
-                bound(f"databox[{ct.sid}]", f"u{ct.sid}.databox",
+                bound(f"databox[{task.sid}]", f"u{task.sid}.databox",
                       "allocator-full",
                       acc.mem * round_trip / tp.databox_entries)
-                bound(f"memport[{ct.sid}]", unit, "memory",
+                bound(f"memport[{task.sid}]", unit, "memory",
                       acc.mem / max(1, tp.ntiles))
-            bound(f"tiles[{ct.sid}]", unit, "execute",
+            bound(f"tiles[{task.sid}]", unit, "execute",
                   acc.serial / (max(1, tp.ntiles) * max(1.0, overlap)))
-            bound(f"struct[{ct.sid}]", unit, "tiles-full",
+            bound(f"struct[{task.sid}]", unit, "tiles-full",
                   acc.hot / max(1, tp.ntiles))
-            bound(f"dispatch[{ct.sid}]", unit, "dispatch", acc.instances)
+            bound(f"dispatch[{task.sid}]", unit, "dispatch", acc.instances)
 
         # -- shared resources --------------------------------------------
         if total_mem:
@@ -478,12 +478,13 @@ class PerfModel:
     def _span_attribution(self, root, evaluation: "_Evaluation",
                           totals) -> Tuple[str, str]:
         """Name the span bound the way the ledgers would see it."""
-        call_heavy = any(t.calls for t in self.graph.tasks
-                         if totals.get(t.sid)
-                         and totals[t.sid].instances > 0)
+        callers = [t for t in self.graph.tasks
+                   if any(edge.is_call for edge in t.spawns.values())]
+        call_heavy = any(totals.get(t.sid) and totals[t.sid].instances > 0
+                         for t in callers)
         if call_heavy:
             # callers park in call-join while the serial callee runs
-            caller = next((t for t in self.graph.tasks if t.calls), root)
+            caller = callers[0]
             return f"T{caller.sid}:{caller.name}", "call-join"
         acc = totals.get(root.sid)
         if acc is not None and acc.serial > 0 and acc.mem > 0 and \
@@ -693,24 +694,16 @@ class _Evaluation:
         own.loop_iters = max(0.0, total_execs - visited)
 
         # spawn/call sites weighted by their block
-        compiled = model.design.compiled[task.sid]
-        for detach, spec in compiled.spawn_specs.items():
-            site = detach.parent
-            w = weights.get(site, 0.0)
+        for edge in task.spawns.values():
+            w = weights.get(edge.site.parent, 0.0)
             if w <= 0.0:
                 continue
-            child = model.graph.task_by_sid(spec.dest_sid)
-            child_env = self._child_env(child, spec.arg_values, env)
-            prof.spawns.append(
-                (child, child_env, w, spec.ret_ptr_value is not None))
-        for call, spec in compiled.call_specs.items():
-            site = call.parent
-            w = weights.get(site, 0.0)
-            if w <= 0.0:
-                continue
-            callee = model.graph.task_by_sid(spec.dest_sid)
-            callee_env = self._child_env(callee, spec.arg_values, env)
-            prof.calls.append((callee, callee_env, w))
+            child_env = self._child_env(edge.target, edge.args, env)
+            if edge.is_call:
+                prof.calls.append((edge.target, child_env, w))
+            else:
+                prof.spawns.append(
+                    (edge.target, child_env, w, edge.ret_ptr is not None))
         return prof
 
     def _child_env(self, child, arg_values, env) -> Dict[Value, Optional[float]]:

@@ -39,9 +39,9 @@ from repro.analysis.memdep import (
     compute_summaries,
     effects_of_blocks,
 )
-from repro.analysis.mhp import SpawnContext, region_blocks, spawn_contexts
 from repro.ir.instructions import Detach
 from repro.ir.module import Module
+from repro.passes.mhp import SpawnContext, region_blocks, spawn_contexts
 from repro.passes.taskgraph import TaskGraph
 
 # Overlap kinds, in the order they are searched.

@@ -905,7 +905,8 @@ def infer_module_ranges(module, design=None, entry: Optional[str] = None) -> Mod
         functions = module.functions
         entry_fn = next((f for f in functions if f.name == entry), None)
         spawns = ([(task.function, spawn) for task in design.graph.tasks
-                   for spawn in task.direct_spawns.values()]
+                   for spawn in task.spawns.values()
+                   if spawn.callee is not None and not spawn.is_call]
                   if design is not None else [])
         #: (caller, callee, args) of every call and direct spawn whose
         #: argument ranges join into the callee's (none without an entry)

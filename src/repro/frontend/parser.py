@@ -22,19 +22,23 @@ _PRECEDENCE = {
     "*": 10, "/": 10, "%": 10,
 }
 
-#: the deepest expression nesting accepted: each parenthesis, bracket, call
-#: and unary operator of an operand, and each operator linking operands, is
-#: one level until that operand or expression ends. Every later stage
-#: recurses over the expression tree; this bound keeps them all well under
-#: Python's default recursion limit
-MAX_EXPRESSION_DEPTH = 100
+#: the deepest nesting accepted: each statement that holds a body (a
+#: block, ``if``, ``else if``, ``while``, ``for``, ``cilk_for`` or
+#: ``spawn``), each parenthesis, bracket, call and unary operator of an
+#: operand, and each operator linking operands, is one level until it
+#: ends. Every later stage recurses over the syntax tree; this bound keeps
+#: them all well under Python's default recursion limit
+MAX_NESTING_DEPTH = 100
+
+#: statements that open a nesting level (their first token's text)
+_NESTING_STATEMENTS = ("{", "if", "while", "for", "cilk_for", "spawn")
 
 
 class Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.pos = 0
-        self.depth = 0  # expression nesting levels open
+        self.depth = 0  # statement and expression nesting levels open
 
     # -- token helpers ---------------------------------------------------------
 
@@ -65,12 +69,13 @@ class Parser:
                              token.line, token.column)
         return self._advance()
 
-    def _nest(self, token: Token):
-        """Open one more expression nesting level, at ``token``."""
+    def _nest(self, token: Token, what: str = "expression"):
+        """Open one more nesting level, at ``token``."""
         self.depth += 1
-        if self.depth > MAX_EXPRESSION_DEPTH:
-            raise ParseError(f"expression nested deeper than "
-                             f"{MAX_EXPRESSION_DEPTH} levels",
+        if self.depth > MAX_NESTING_DEPTH:
+            raise ParseError(f"{what} nested deeper than "
+                             f"{MAX_NESTING_DEPTH} levels (statements and "
+                             "expressions count together)",
                              token.line, token.column)
 
     # -- types --------------------------------------------------------------
@@ -146,22 +151,23 @@ class Parser:
 
     def parse_statement(self) -> ast.Stmt:
         token = self._peek()
-        if token.kind == "keyword":
-            handler = {
-                "var": self.parse_var_decl,
-                "if": self.parse_if,
-                "while": self.parse_while,
-                "for": lambda: self.parse_for(parallel=False),
-                "cilk_for": lambda: self.parse_for(parallel=True),
-                "spawn": self.parse_spawn,
-                "sync": self.parse_sync,
-                "return": self.parse_return,
-            }.get(token.text)
-            if handler is not None:
-                return handler()
-        if token.kind == "op" and token.text == "{":
-            return self.parse_block()
-        return self.parse_assign_or_call()
+        depth = self.depth
+        if token.text in _NESTING_STATEMENTS:
+            self._nest(token, "statement")
+        # keywords and "{" are never an identifier's text
+        stmt = {
+            "{": self.parse_block,
+            "var": self.parse_var_decl,
+            "if": self.parse_if,
+            "while": self.parse_while,
+            "for": lambda: self.parse_for(parallel=False),
+            "cilk_for": lambda: self.parse_for(parallel=True),
+            "spawn": self.parse_spawn,
+            "sync": self.parse_sync,
+            "return": self.parse_return,
+        }.get(token.text, self.parse_assign_or_call)()
+        self.depth = depth
+        return stmt
 
     def parse_var_decl(self) -> ast.VarDecl:
         start = self._expect("keyword", "var")
@@ -193,6 +199,7 @@ class Parser:
         else_body = None
         if self._match("keyword", "else"):
             if self._check("keyword", "if"):
+                self._nest(self._peek(), "statement")
                 else_body = self.parse_if()
             else:
                 else_body = self.parse_block()

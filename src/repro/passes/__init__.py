@@ -27,7 +27,7 @@ from repro.passes.task_extraction import extract_tasks
 from repro.passes.taskgraph import (
     DETACHED,
     FUNCTION_ROOT,
-    DirectSpawn,
+    SpawnEdge,
     Task,
     TaskGraph,
 )
@@ -44,5 +44,5 @@ __all__ = [
     "eliminate_dead_code", "optimize_function", "optimize_module",
     "value_number",
     "extract_tasks",
-    "DETACHED", "FUNCTION_ROOT", "DirectSpawn", "Task", "TaskGraph",
+    "DETACHED", "FUNCTION_ROOT", "SpawnEdge", "Task", "TaskGraph",
 ]

@@ -57,12 +57,9 @@ def analyze_concurrency(graph: TaskGraph) -> Dict[Task, TaskSizing]:
     # which tasks are spawned from inside a loop?
     spawned_in_loop = set()
     for task in graph.tasks:
-        for detach, child in task.region_spawns.items():
-            if detach in loop_sites:
-                spawned_in_loop.add(child)
-        for detach, spawn in task.direct_spawns.items():
-            if detach in loop_sites:
-                spawned_in_loop.add(graph.root_for_function[spawn.callee])
+        for site, edge in task.spawns.items():
+            if site in loop_sites:
+                spawned_in_loop.add(edge.target)
 
     sizing: Dict[Task, TaskSizing] = {}
     for task in graph.tasks:

@@ -20,16 +20,23 @@ Recursive parallelism (fib/mergesort spawning themselves) needs no
 special casing here: it surfaces as sibling or self-parallel spawn sites
 whose subtree *effects* are function summaries (see
 :mod:`repro.analysis.memdep`).
+
+:func:`spawn_context` is that one walk. The task-level pairs
+(:meth:`repro.passes.taskgraph.TaskGraph.mhp_pairs`) and the
+instruction-level race detector (:mod:`repro.analysis.races`) both read
+its windows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import TYPE_CHECKING, List
 
 from repro.ir.basicblock import BasicBlock
 from repro.ir.instructions import Detach, Reattach, Ret, Sync
-from repro.passes.taskgraph import Task, TaskGraph
+
+if TYPE_CHECKING:
+    from repro.passes.taskgraph import Task, TaskGraph
 
 
 def region_blocks(detach: Detach) -> List[BasicBlock]:
@@ -96,6 +103,6 @@ def spawn_context(task: Task, detach: Detach) -> SpawnContext:
 
 def spawn_contexts(graph: TaskGraph) -> List[SpawnContext]:
     """One :class:`SpawnContext` per spawn site in the task graph."""
-    return [spawn_context(task, detach)
+    return [spawn_context(task, edge.site)
             for task in graph.tasks
-            for detach in task.spawn_sites()]
+            for edge in task.spawns.values() if not edge.is_call]

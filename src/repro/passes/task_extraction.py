@@ -5,11 +5,15 @@ reattach edges close it. A region that consists of nothing but a single
 call (plus an optional store of its result) collapses to a *direct spawn*
 of the callee's task unit — this is how ``cilk_spawn f(...)`` and recursive
 parallelism (mergesort, fib) map onto hardware without intermediate units.
+
+Every spawn and call site is resolved here, once, into the
+:class:`~repro.passes.taskgraph.SpawnEdge` that Stage 2, elaboration, the
+simulators, the RTL emitters and the analyses all read.
 """
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import PassError
 from repro.ir.basicblock import BasicBlock
@@ -23,15 +27,19 @@ from repro.ir.instructions import (
     Store,
 )
 from repro.ir.module import Module
-from repro.ir.values import Argument
+from repro.ir.values import Argument, Value
 from repro.passes.liveness import region_live_ins
 from repro.passes.taskgraph import (
     DETACHED,
     FUNCTION_ROOT,
-    DirectSpawn,
+    SpawnEdge,
     Task,
     TaskGraph,
 )
+
+#: a direct spawn (its detach, the call it wraps, its ret_ptr) or a call
+#: (the call twice, no ret_ptr): a site whose target is a function's root
+_Site = Tuple[Instruction, Call, Optional[Value]]
 
 
 def _region_blocks(entry: BasicBlock, continuation: BasicBlock) -> List[BasicBlock]:
@@ -72,9 +80,10 @@ def _region_blocks(entry: BasicBlock, continuation: BasicBlock) -> List[BasicBlo
     return owned
 
 
-def _match_direct_spawn(region: List[BasicBlock], detach: Detach):
+def _match_direct_spawn(region: List[BasicBlock]):
     """Recognise a region of shape ``[call f(...) (, store result, ptr)?,
-    reattach]`` in a single block; returns a DirectSpawn or None."""
+    reattach]`` in a single block; returns ``(call, ret_ptr or None)`` or
+    None."""
     if len(region) != 1:
         return None
     block = region[0]
@@ -82,7 +91,7 @@ def _match_direct_spawn(region: List[BasicBlock], detach: Detach):
     if not isinstance(block.terminator, Reattach):
         return None
     if len(body) == 1 and isinstance(body[0], Call):
-        return DirectSpawn(detach, body[0].callee, list(body[0].args))
+        return body[0], None
     if (len(body) == 2 and isinstance(body[0], Call)
             and isinstance(body[1], Store) and body[1].value is body[0]):
         ptr = body[1].pointer
@@ -90,7 +99,7 @@ def _match_direct_spawn(region: List[BasicBlock], detach: Detach):
         # has real local computation and must stay a task of its own.
         if isinstance(ptr, Instruction) and ptr.parent is block:
             return None
-        return DirectSpawn(detach, body[0].callee, list(body[0].args), ret_ptr=ptr)
+        return body[0], ptr
     return None
 
 
@@ -110,27 +119,32 @@ def _value_order_key(function: Function):
     return key
 
 
-def _extract_region(graph: TaskGraph, task: Task, continuation):
-    """Populate ``task`` with its blocks, then recurse into nested detaches."""
+def _extract_region(graph: TaskGraph, task: Task, continuation,
+                    sites: Dict[Task, List[_Site]]):
+    """Populate ``task`` with its blocks and region spawns, recurse into
+    nested detaches, and leave its direct spawns, then its calls, in
+    ``sites`` (their targets may not exist yet)."""
     task.blocks = _region_blocks(task.entry, continuation)
+    direct: List[_Site] = []
+    calls: List[_Site] = []
     for block in task.blocks:
         term = block.terminator
         if isinstance(term, Detach):
             child_region = _region_blocks(term.detached, term.continuation)
-            direct = _match_direct_spawn(child_region, term)
-            if direct is not None:
-                task.direct_spawns[term] = direct
-                continue
-            child = graph.new_task(
-                f"{task.name}.t{len(task.children)}", task.function,
-                term.detached, DETACHED)
-            child.parent = task
-            task.children.append(child)
-            task.region_spawns[term] = child
-            _extract_region(graph, child, term.continuation)
-        for inst in block.body():
-            if isinstance(inst, Call):
-                task.calls.append(inst)
+            match = _match_direct_spawn(child_region)
+            if match is not None:
+                direct.append((term, *match))
+            else:
+                child = graph.new_task(
+                    f"{task.name}.t{len(task.children)}", task.function,
+                    term.detached, DETACHED)
+                child.parent = task
+                task.children.append(child)
+                _extract_region(graph, child, term.continuation, sites)
+                task.spawns[term] = SpawnEdge(term, child, child.args)
+        calls += [(inst, inst, None) for inst in block.body()
+                  if isinstance(inst, Call)]
+    sites[task] = direct + calls
 
     # Task arguments: live-ins of the region *including* nested regions —
     # a value a grandchild needs must flow through this task's Args RAM.
@@ -150,18 +164,20 @@ def _extract_region(graph: TaskGraph, task: Task, continuation):
 def extract_tasks(module: Module) -> TaskGraph:
     """Run Stage-1 task extraction over a whole module."""
     graph = TaskGraph(module)
+    sites: Dict[Task, List[_Site]] = {}
     for function in module.functions:
         root = graph.new_task(function.name, function, function.entry,
                               FUNCTION_ROOT)
-        _extract_region(graph, root, None)
+        _extract_region(graph, root, None, sites)
 
-    # sanity: every direct spawn / call target must be in the module
+    # every function root exists now: resolve each site's target once
     for task in graph.tasks:
-        for spawn in task.direct_spawns.values():
-            if spawn.callee not in graph.root_for_function:
+        for site, call, ret_ptr in sites[task]:
+            target = graph.root_for_function.get(call.callee)
+            if target is None:
+                kind = "call to" if site is call else "direct spawn of"
                 raise PassError(
-                    f"direct spawn of unknown function {spawn.callee.name}")
-        for call in task.calls:
-            if call.callee not in graph.root_for_function:
-                raise PassError(f"call to unknown function {call.callee.name}")
+                    f"{kind} unknown function {call.callee.name}")
+            task.spawns[site] = SpawnEdge(site, target, list(call.args),
+                                          ret_ptr)
     return graph

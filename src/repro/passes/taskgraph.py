@@ -12,24 +12,42 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
-from repro.ir.instructions import Call, Detach, Load, Store
+from repro.ir.instructions import Alloca, Call, Instruction, Load, Store
 from repro.ir.values import Value
+from repro.passes.dataflow_graph import BlockDFG, is_register_access
+from repro.passes.mhp import spawn_contexts
 
 FUNCTION_ROOT = "function"
 DETACHED = "detached"
 
 
 @dataclass
-class DirectSpawn:
-    """A detach whose region is just ``call f(args) [; store result]`` —
-    lowered to a direct spawn of ``f``'s task unit instead of an
-    intermediate unit. ``ret_ptr`` (if any) is where the child's return
-    value is written on completion, the shared-cache return path of §IV-C."""
+class SpawnEdge:
+    """One spawn or call site, resolved once by extraction.
 
-    detach: Detach
-    callee: Function
+    ``site`` is a ``detach`` or a serial ``call``; ``target`` is the task
+    it starts and ``args`` the values marshalled into that task's Args
+    RAM. A detach whose region is just ``call f(args) [; store result]``
+    is a *direct spawn* of ``f``'s task unit instead of an intermediate
+    unit, and ``ret_ptr`` (if any) is where the child's return value is
+    written on completion, the shared-cache return path of §IV-C."""
+
+    site: Instruction
+    target: "Task"
     args: List[Value]
     ret_ptr: Optional[Value] = None
+
+    @property
+    def is_call(self) -> bool:
+        """A serial (blocking) call: spawn, then wait for the return."""
+        return isinstance(self.site, Call)
+
+    @property
+    def callee(self) -> Optional[Function]:
+        """The function spawned or called; None for a region spawn."""
+        if self.target.kind == FUNCTION_ROOT:
+            return self.target.function
+        return None
 
 
 class Task:
@@ -47,14 +65,17 @@ class Task:
         self.parent: Optional[Task] = None
         #: nested detached-region child tasks
         self.children: List[Task] = []
-        #: spawn site -> child Task (for region spawns)
-        self.region_spawns: Dict[Detach, "Task"] = {}
-        #: spawn site -> DirectSpawn (for function spawns)
-        self.direct_spawns: Dict[Detach, DirectSpawn] = {}
+        #: spawn/call site -> its edge: region spawns, then direct
+        #: spawns, then serial calls, each in block order
+        self.spawns: Dict[Instruction, SpawnEdge] = {}
         #: ordered live-in values = Args RAM layout of the task unit
         self.args: List[Value] = []
-        #: serial (blocking) calls made from this task's region
-        self.calls: List[Call] = []
+        # -- Stage 2 (accel.generator.compile_task) -----------------------
+        #: per owned block, its dataflow graph
+        self.dfgs: Dict[BasicBlock, BlockDFG] = {}
+        #: per-instance frame bytes (0 if the task never uses frame slots)
+        self.frame_size = 0
+        self.frame_offsets: Dict[Alloca, int] = {}
 
     # -- Table II style metrics ------------------------------------------------
 
@@ -65,20 +86,12 @@ class Task:
     def memory_op_count(self) -> int:
         """Per-task #Mem (Table II): loads/stores that reach real memory
         (register-file accesses to scalar allocas are excluded)."""
-        from repro.passes.dataflow_graph import is_register_access
-
         count = 0
         for block in self.blocks:
             for inst in block.instructions:
                 if isinstance(inst, (Load, Store)) and not is_register_access(inst):
                     count += 1
         return count
-
-    def spawn_sites(self) -> List[Detach]:
-        return list(self.region_spawns) + list(self.direct_spawns)
-
-    def spawns_anything(self) -> bool:
-        return bool(self.region_spawns or self.direct_spawns or self.calls)
 
     def __repr__(self):
         return f"<Task sid={self.sid} {self.name} [{self.kind}]>"
@@ -102,29 +115,15 @@ class TaskGraph:
             self.root_for_function[function] = task
         return task
 
-    def task_by_sid(self, sid: int) -> Task:
-        return self.tasks[sid]
-
     # -- graph-level queries -----------------------------------------------
-
-    def spawn_targets(self, task: Task) -> List[Task]:
-        """Tasks that ``task`` can spawn (region children + function roots
-        of direct spawns), plus callees of serial calls."""
-        targets = list(task.region_spawns.values())
-        for spawn in task.direct_spawns.values():
-            targets.append(self.root_for_function[spawn.callee])
-        for call in task.calls:
-            targets.append(self.root_for_function[call.callee])
-        return targets
 
     def function_edges(self) -> Dict[Function, List[Function]]:
         """Function-level call/spawn graph, for recursion detection."""
         edges: Dict[Function, List[Function]] = {f: [] for f in self.module.functions}
         for task in self.tasks:
-            for spawn in task.direct_spawns.values():
-                edges[task.function].append(spawn.callee)
-            for call in task.calls:
-                edges[task.function].append(call.callee)
+            for edge in task.spawns.values():
+                if edge.callee is not None:
+                    edges[task.function].append(edge.callee)
         return edges
 
     def is_recursive_function(self, function: Function) -> bool:
@@ -153,65 +152,35 @@ class TaskGraph:
             if current in seen:
                 continue
             seen.add(current)
-            stack.extend(self.spawn_targets(current))
+            stack.extend(edge.target for edge in current.spawns.values())
         return sorted(seen, key=lambda t: t.sid)
-
-    def _detach_target(self, task: Task, detach: Detach) -> Task:
-        child = task.region_spawns.get(detach)
-        if child is not None:
-            return child
-        return self.root_for_function[task.direct_spawns[detach].callee]
-
-    def unsynced_sibling_spawns(self, task: Task, detach: Detach) -> List[Detach]:
-        """Spawn sites of ``task`` reachable from ``detach``'s continuation
-        without crossing a ``sync`` — their subtrees may run in parallel
-        with ``detach``'s subtree. Includes ``detach`` itself when a loop
-        re-reaches it (self-parallel spawns, e.g. cilk_for bodies)."""
-        from repro.ir.instructions import Sync
-
-        owned = set(task.blocks)
-        found: List[Detach] = []
-        seen: Set[BasicBlock] = set()
-        stack = [detach.continuation]
-        while stack:
-            block = stack.pop()
-            if block in seen or block not in owned:
-                continue
-            seen.add(block)
-            term = block.terminator
-            if term is None or isinstance(term, Sync):
-                continue  # sync joins every outstanding child: stop here
-            if isinstance(term, Detach):
-                found.append(term)
-                stack.append(term.continuation)
-                continue
-            stack.extend(term.successors())
-        return found
 
     def mhp_pairs(self) -> List[Tuple[Task, Task]]:
         """Task-level may-happen-in-parallel pairs, derived from the
         series-parallel spawn/sync structure. A pair ``(a, b)`` (with
         ``a.sid <= b.sid``; ``a is b`` means self-parallelism) says
         instances of the two static tasks may execute concurrently.
-        The fine-grained race analysis in :mod:`repro.analysis` refines
-        this to instruction pairs."""
+        Each spawn site's window comes from the one continuation walk,
+        :func:`repro.passes.mhp.spawn_context`; the fine-grained race
+        analysis in :mod:`repro.analysis` refines the same windows to
+        instruction pairs."""
         pairs: Set[Tuple[int, int]] = set()
 
         def add(a: Task, b: Task):
             pairs.add((min(a.sid, b.sid), max(a.sid, b.sid)))
 
-        for task in self.tasks:
-            for detach in task.spawn_sites():
-                subtree = self.spawn_closure(self._detach_target(task, detach))
-                # the spawning task keeps running in parallel with the child
-                for spawned in subtree:
-                    add(task, spawned)
-                for sibling in self.unsynced_sibling_spawns(task, detach):
-                    sibling_subtree = self.spawn_closure(
-                        self._detach_target(task, sibling))
+        for ctx in spawn_contexts(self):
+            spawns = ctx.task.spawns
+            subtree = self.spawn_closure(spawns[ctx.detach].target)
+            # the spawning task keeps running in parallel with the child
+            for spawned in subtree:
+                add(ctx.task, spawned)
+            overlapping = ctx.siblings + ([ctx.detach] if ctx.self_parallel
+                                          else [])
+            for sibling in overlapping:
+                for b in self.spawn_closure(spawns[sibling].target):
                     for a in subtree:
-                        for b in sibling_subtree:
-                            add(a, b)
+                        add(a, b)
         return [(self.tasks[a], self.tasks[b]) for a, b in sorted(pairs)]
 
     def describe(self) -> str:
@@ -222,15 +191,15 @@ class TaskGraph:
                 f"  T{task.sid} {task.name} [{task.kind}] "
                 f"insts={task.instruction_count()} mem={task.memory_op_count()} "
                 f"args={len(task.args)}")
-            for detach, child in task.region_spawns.items():
-                lines.append(f"    spawns T{child.sid} ({child.name})")
-            for spawn in task.direct_spawns.values():
-                root = self.root_for_function[spawn.callee]
-                ret = " ->ret_ptr" if spawn.ret_ptr is not None else ""
-                lines.append(f"    spawns T{root.sid} (@{spawn.callee.name}){ret}")
-            for call in task.calls:
-                root = self.root_for_function[call.callee]
-                lines.append(f"    calls  T{root.sid} (@{call.callee.name})")
+            for edge in task.spawns.values():
+                target = edge.target
+                if edge.callee is None:
+                    lines.append(f"    spawns T{target.sid} ({target.name})")
+                elif edge.is_call:
+                    lines.append(f"    calls  T{target.sid} (@{target.name})")
+                else:
+                    ret = " ->ret_ptr" if edge.ret_ptr is not None else ""
+                    lines.append(f"    spawns T{target.sid} (@{target.name}){ret}")
         pairs = self.mhp_pairs()
         if pairs:
             rendered = ", ".join(f"(T{a.sid},T{b.sid})" for a, b in pairs)

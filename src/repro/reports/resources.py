@@ -161,10 +161,10 @@ def _op_cost(node, table, default, ranges) -> int:
 
 def _unit_resources(unit, include_suspend_state: bool = True,
                     ranges=None) -> UnitResources:
-    compiled = unit.compiled
+    task = unit.task
     op_alms = 0
     op_regs = 0
-    for dfg in compiled.dfgs.values():
+    for dfg in task.dfgs.values():
         for node in dfg.nodes:
             op_alms += _op_cost(node, ALM_PER_OP, 30, ranges)
             op_regs += _op_cost(node, REG_PER_OP, 40, ranges)
@@ -176,15 +176,15 @@ def _unit_resources(unit, include_suspend_state: bool = True,
     memnet_regs = ntiles * REG_MEMNET_PER_TILE
 
     # queue storage: Args RAM + metadata + suspended context, in M20Ks
-    args_bytes = sum(_value_bytes(v, ranges) for v in compiled.arg_values)
+    args_bytes = sum(_value_bytes(v, ranges) for v in task.args)
     entry_bytes = args_bytes + QUEUE_META_BYTES
-    if include_suspend_state and compiled.task.spawns_anything():
+    if include_suspend_state and task.spawns:
         entry_bytes += SUSPEND_STATE_BYTES
     queue_bits = unit.queue.depth * entry_bytes * 8
-    frame_bits = unit.queue.depth * compiled.frame_size * 8
+    frame_bits = unit.queue.depth * task.frame_size * 8
 
     return UnitResources(
-        name=compiled.name,
+        name=task.name,
         ntiles=ntiles,
         ctrl_alms=ALM_UNIT_CTRL,
         tile_alms=tile_alms,
@@ -193,7 +193,7 @@ def _unit_resources(unit, include_suspend_state: bool = True,
         tile_regs=tile_regs,
         memnet_regs=memnet_regs,
         ram_bits=queue_bits + frame_bits,
-        is_spawner=compiled.task.spawns_anything(),
+        is_spawner=bool(task.spawns),
     )
 
 

@@ -26,17 +26,15 @@ def task_graph_dot(graph: TaskGraph) -> str:
                  f"{task.memory_op_count()} mem ops")
         lines.append(f'  t{task.sid} [label="{label}"];')
     for task in graph.tasks:
-        for child in task.region_spawns.values():
-            lines.append(f'  t{task.sid} -> t{child.sid} [label="spawn"];')
-        for spawn in task.direct_spawns.values():
-            dest = graph.root_for_function[spawn.callee]
-            style = ' style=dashed' if dest.sid == task.sid else ""
-            lines.append(
-                f'  t{task.sid} -> t{dest.sid} [label="spawn"{style}];')
-        for call in task.calls:
-            dest = graph.root_for_function[call.callee]
-            lines.append(
-                f'  t{task.sid} -> t{dest.sid} [label="call", color=gray];')
+        for edge in task.spawns.values():
+            dest = edge.target
+            if edge.is_call:
+                lines.append(
+                    f'  t{task.sid} -> t{dest.sid} [label="call", color=gray];')
+            else:
+                style = ' style=dashed' if dest is task else ""
+                lines.append(
+                    f'  t{task.sid} -> t{dest.sid} [label="spawn"{style}];')
     lines.append("}")
     return "\n".join(lines)
 

@@ -21,27 +21,27 @@ from __future__ import annotations
 
 from repro.accel.config import AcceleratorConfig
 from repro.accel.generator import GeneratedDesign
+from repro.passes.taskgraph import Task
 from repro.rtl.components import component_for_kind
-from repro.task.program import CompiledTask
 
 
 def bound_units(design: GeneratedDesign, config=None):
     """The top-level walk: ``config`` (default ``AcceleratorConfig()``)
     and ``(task, bound TaskUnitParams)`` for every unit of ``design``."""
     config = config or AcceleratorConfig()
-    return config, [(ct, config.bind_unit(design, ct.task))
-                    for ct in design.compiled]
+    return config, [(task, config.bind_unit(design, task))
+                    for task in design.graph.tasks]
 
 
-def txu_nodes(compiled: CompiledTask):
+def txu_nodes(task: Task):
     """The TXU walk: per block its name and, per dataflow node, ``(node,
     library component, <block>_n<idx> label, labels it depends on)``."""
-    for block in compiled.blocks:
+    for block in task.blocks:
         prefix = ident(block.name)
         yield block.name, [
             (node, component_for_kind(node.kind).name,
              f"{prefix}_n{node.index}", [f"{prefix}_n{d}" for d in node.deps])
-            for node in compiled.dfgs[block].nodes]
+            for node in task.dfgs[block].nodes]
 
 
 def ident(name: str) -> str:
@@ -65,36 +65,38 @@ def emit_top(design: GeneratedDesign, config=None) -> str:
         "",
         "  // task units (one per static task)",
     ]
-    for ct, params in units:
-        args_bits = sum(max(1, v.type.size_bytes) * 8 for v in ct.arg_values)
+    for task, params in units:
+        args_bits = sum(max(1, v.type.size_bytes) * 8 for v in task.args)
         lines.append(
-            f"  val Task{ct.sid} = Module(new TaskUnit(Nt={params.queue_depth}, "
+            f"  val Task{task.sid} = Module(new TaskUnit(Nt={params.queue_depth}, "
             f"Ntiles={params.ntiles}, ArgsBits={args_bits}, "
-            f"dataflow=new {_camel(ct.name)}TXU()))  // {ct.name}")
+            f"dataflow=new {_camel(task.name)}TXU()))  // {task.name}")
     lines += ["", "  // spawn / sync wiring (SID-routed network)"]
-    for ct in design.compiled:
-        for spec in ct.spawn_specs.values():
-            lines.append(
-                f"  Task{spec.dest_sid}.io.detach.in <> "
-                f"Task{ct.sid}.io.spawn.out  // {ct.name} spawns T{spec.dest_sid}")
-            lines.append(
-                f"  Task{ct.sid}.io.sync.in <> Task{spec.dest_sid}.io.out")
-        for spec in ct.call_specs.values():
-            lines.append(
-                f"  Task{spec.dest_sid}.io.detach.in <> "
-                f"Task{ct.sid}.io.call.out  // {ct.name} calls T{spec.dest_sid}")
+    for task, _ in units:
+        for edge in task.spawns.values():
+            dest = edge.target.sid
+            if edge.is_call:
+                lines.append(
+                    f"  Task{dest}.io.detach.in <> "
+                    f"Task{task.sid}.io.call.out  // {task.name} calls T{dest}")
+            else:
+                lines.append(
+                    f"  Task{dest}.io.detach.in <> "
+                    f"Task{task.sid}.io.spawn.out  // {task.name} spawns T{dest}")
+                lines.append(
+                    f"  Task{task.sid}.io.sync.in <> Task{dest}.io.out")
     lines += ["", "  // data boxes -> shared cache"]
-    lines += [f"  SharedL1cache.io.cpu({ct.sid}) <> Task{ct.sid}.io.mem"
-              for ct in design.compiled]
+    lines += [f"  SharedL1cache.io.cpu({task.sid}) <> Task{task.sid}.io.mem"
+              for task, _ in units]
     return "\n".join(lines + ["}"])
 
 
-def emit_txu(compiled: CompiledTask) -> str:
+def emit_txu(task: Task) -> str:
     """Render a Fig 6-style TXU module: one node per operation, decoupled
     links along the dataflow edges."""
-    lines = [f"class {_camel(compiled.name)}TXU(implicit p: Parameters) "
+    lines = [f"class {_camel(task.name)}TXU(implicit p: Parameters) "
              "extends TaskDataflow {"]
-    for block_name, nodes in txu_nodes(compiled):
+    for block_name, nodes in txu_nodes(task):
         lines.append(f"  // ---- block {block_name} ----")
         lines += [f"  val {label} = Module(new {comp}(ID={node.index}))"
                   f"  // {node.inst.opcode}" for node, comp, label, _ in nodes]
@@ -107,7 +109,7 @@ def emit_design(design: GeneratedDesign, config=None) -> str:
     """The complete RTL dump: top level plus every TXU."""
     return "\n\n".join(
         [f"// TAPAS-generated RTL for module '{design.module.name}'",
-         emit_top(design, config), *map(emit_txu, design.compiled)])
+         emit_top(design, config), *map(emit_txu, design.graph.tasks)])
 
 
 def _camel(name: str) -> str:

@@ -13,8 +13,8 @@ parameter here).
 from __future__ import annotations
 
 from repro.accel.generator import GeneratedDesign
+from repro.passes.taskgraph import Task
 from repro.rtl.emit import bound_units, ident, txu_nodes
-from repro.task.program import CompiledTask
 
 _TXU_PORTS = """\
 module {name}_txu (
@@ -50,10 +50,10 @@ module {name}_accelerator (
 );
 """
 
-def emit_txu_verilog(compiled: CompiledTask) -> str:
+def emit_txu_verilog(task: Task) -> str:
     """One TXU as a structural Verilog module."""
     wires, insts = [], []
-    for block_name, nodes in txu_nodes(compiled):
+    for block_name, nodes in txu_nodes(task):
         insts.append(f"  // ---- block {block_name} ----")
         for node, comp, label, deps in nodes:
             width = max(1, getattr(node.inst.type, "size_bytes", 4) * 8)
@@ -67,7 +67,7 @@ def emit_txu_verilog(compiled: CompiledTask) -> str:
             insts += [f"  tapas_{comp.lower()} #(.ID({node.index})) {label} (",
                       "    " + ",\n    ".join(ports),
                       "  );  // " + node.inst.opcode]
-    return "\n".join([_TXU_PORTS.format(name=ident(compiled.name)),
+    return "\n".join([_TXU_PORTS.format(name=ident(task.name)),
                       *wires, "", *insts, "endmodule"])
 
 
@@ -84,16 +84,16 @@ def emit_top_verilog(design: GeneratedDesign, config=None) -> str:
         "(.clock(clock), .reset(reset));",
         "",
     ]
-    for ct, params in units:
+    for task, params in units:
         lines += [
-            f"  tapas_taskunit #(.SID({ct.sid}), .NTASKS({params.queue_depth}), "
-            f".NTILES({params.ntiles})) u_{ident(ct.name)} (",
+            f"  tapas_taskunit #(.SID({task.sid}), .NTASKS({params.queue_depth}), "
+            f".NTILES({params.ntiles})) u_{ident(task.name)} (",
             "    .clock(clock), .reset(reset),",
-            f"    .spawn_in(net.spawn_out[{ct.sid}]),",
-            f"    .join_in(net.join_out[{ct.sid}]),",
-            f"    .mem(l1.cpu[{ct.sid}])",
-            f"  );  // task {ct.name}"]
+            f"    .spawn_in(net.spawn_out[{task.sid}]),",
+            f"    .join_in(net.join_out[{task.sid}]),",
+            f"    .mem(l1.cpu[{task.sid}])",
+            f"  );  // task {task.name}"]
     return "\n\n".join(
         [f"// TAPAS-generated Verilog for '{design.module.name}'",
          "\n".join(lines + ["endmodule"]),
-         *map(emit_txu_verilog, design.compiled)])
+         *map(emit_txu_verilog, design.graph.tasks)])

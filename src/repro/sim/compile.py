@@ -96,7 +96,7 @@ from repro.sim import engine as _engine
 from repro.sim.derive import (UnsupportedDesign, expression, section,
                               tile_loop, tile_section)
 from repro.task.task_unit import TaskUnit
-from repro.task.txu import AWAIT_MEM, CALL, GO, OUTBUF, PARKED, PORT, TXUTile
+from repro.task.txu import AWAIT_MEM, CALL, GO, OUTBUF, PARKED, PORT
 
 __all__ = [
     "prepare_kernel",
@@ -185,7 +185,8 @@ def _fallback_reason(sim) -> Optional[str]:
                 f"(per-cycle sampling needs real ticks)")
     if sim.host_profile is not None:
         return "host profiling enabled (per-component attribution)"
-    if TXUTile.value_probe is not None:
+    if any(tile.value_probe is not None for comp in sim.components
+           if isinstance(comp, TaskUnit) for tile in comp.tiles):
         return "TXU value probe installed (range checker)"
     # explicit: a no-op guard is a semantic contract, diff-tested per class
     known = (RoundRobinArbiter, Demux, Cache, DRAMModel, Scratchpad,
@@ -425,7 +426,7 @@ class _StepperGen:
         self.unit = unit
         self.traced = traced
         # _emit_unit has checked that every tile agrees on these three
-        self.compiled = unit.tiles[0].compiled
+        self.task = unit.tiles[0].task
         self.latencies = unit.tiles[0].latencies
         self.rocap = unit.tiles[0].request_out.capacity
 
@@ -541,7 +542,7 @@ class _StepperGen:
                              % (f"{self.unit.name}: task has no frame "
                                 f"storage",))
                 else:
-                    offset = self.compiled.frame_offsets[ir]
+                    offset = self.task.frame_offsets[ir]
                     L.append(ind + "%s = %d + inst.entry.dyid * %d + %d"
                              % (tgt, self.unit.frame_base,
                                 self.unit.frame_size, offset))
@@ -637,19 +638,19 @@ class _StepperGen:
     # -- block entry (mirrors TXUTile._enter_block) ------------------------
 
     def enter_lines(self, target, ind: str) -> List[str]:
-        if not self.compiled.owns_block(target):
+        dfg = self.task.dfgs.get(target)
+        if dfg is None:
             return [ind + "raise SimulationError(%r)"
-                    % (f"task {self.compiled.name}: control left the task "
+                    % (f"task {self.task.name}: control left the task "
                        f"region into {target.name}",)]
         return [ind + "inst.block = %s" % self.em.ref(target),
-                ind + "inst.node_done = [B] * %d"
-                % len(self.compiled.dfg(target).nodes)]
+                ind + "inst.node_done = [B] * %d" % len(dfg.nodes)]
 
     # -- the whole stepper -------------------------------------------------
 
     def stepper(self, name: str, block) -> List[str]:
         em = self.em
-        dfg = self.compiled.dfg(block)
+        dfg = self.task.dfgs[block]
         nodes = dfg.nodes
         body = nodes[:-1]
         term_node = nodes[-1]
@@ -751,14 +752,13 @@ def _stepper_module(gen: _StepperGen) -> str:
     that calls them are generated and compiled once, with everything tile-
     or kernel-bound arriving as ``mk``'s arguments and objects numbered
     within the unit."""
-    unit, compiled, ref = gen.unit, gen.compiled, gen.em.ref
+    unit, ref = gen.unit, gen.em.ref
     body: List[str] = []
     w = body.append
     entries = []
-    for bi, block in enumerate(compiled.blocks):
-        if compiled.owns_block(block):
-            body.extend(gen.stepper("_s%d" % bi, block))
-            entries.append("%s: _s%d" % (ref(block), bi))
+    for bi, block in enumerate(gen.task.blocks):
+        body.extend(gen.stepper("_s%d" % bi, block))
+        entries.append("%s: _s%d" % (ref(block), bi))
     w("Td = {%s}" % ", ".join(entries))
     # the instance loop that calls them: TXUTile._schedule, derived
     loop = tile_loop(gen.em, unit.tiles[0], gen.traced)
@@ -785,13 +785,11 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs, mods):
     the instance scheduler, derived by :func:`tile_section` -- calling the
     tile's instance loop from the unit's stepper module (appended to
     ``mods``)."""
-    compiled = unit.tiles[0].compiled if unit.tiles else None
-    if compiled is None:
+    if not unit.tiles:
         raise UnsupportedDesign(f"{unit.name}: task unit has no tiles")
     for t in unit.tiles:
-        if t.compiled is not compiled:
-            raise UnsupportedDesign(
-                f"{unit.name}: tiles disagree on compiled task")
+        if t.task is not unit.tiles[0].task:
+            raise UnsupportedDesign(f"{unit.name}: tiles disagree on task")
         if t.latencies != unit.tiles[0].latencies:
             raise UnsupportedDesign(
                 f"{unit.name}: tiles disagree on latency table")

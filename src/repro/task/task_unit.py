@@ -12,6 +12,7 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
 from repro.errors import SimulationError
+from repro.passes.taskgraph import Task
 from repro.sim import (
     NEVER,
     OBS_BUSY,
@@ -21,7 +22,6 @@ from repro.sim import (
     Channel,
     Component,
 )
-from repro.task.program import CompiledTask
 from repro.task.messages import JOIN_CALL, JOIN_SYNC, JoinMessage, SpawnMessage
 from repro.task.task_queue import (
     COMPLETE,
@@ -36,29 +36,29 @@ from repro.task.txu import OUTBOUND_BUFFER, PARKED, TXUTile
 class TaskUnit(Component):
     """The execution engine for one static task."""
 
-    def __init__(self, name: str, compiled: CompiledTask,
+    def __init__(self, name: str, task: Task,
                  spawn_in: Channel, join_in: Channel,
                  spawn_out: Channel, join_out: Channel,
                  tile_requests: List[Channel], tile_responses: List[Channel],
                  queue_depth: int = 32, policy: str = "fifo",
                  max_inflight_per_tile: int = 8,
-                 frame_base: int = 0, frame_size: int = 0,
-                 port: int = 0, latencies=None, trace=None):
+                 frame_base: int = 0, port: int = 0, latencies=None,
+                 trace=None):
         super().__init__(name)
-        self.compiled = compiled
-        self.sid = compiled.sid
+        self.task = task
+        self.sid = task.sid
         self.port = port
         self.spawn_in = spawn_in
         self.join_in = join_in
         self.spawn_out = spawn_out
         self.join_out = join_out
         self.frame_base = frame_base
-        self.frame_size = frame_size
+        self.frame_size = task.frame_size
         self.trace = trace
 
         self.queue = TaskQueue(f"{name}.queue", queue_depth, policy)
         self.tiles: List[TXUTile] = [
-            TXUTile(self, i, compiled, tile_requests[i], tile_responses[i],
+            TXUTile(self, i, task, tile_requests[i], tile_responses[i],
                     max_inflight=max_inflight_per_tile, latencies=latencies)
             for i in range(len(tile_requests))
         ]

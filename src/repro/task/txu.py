@@ -28,8 +28,8 @@ from repro.ir.opsem import RegSlot, eval_pure, raw_to_value, value_to_raw
 from repro.ir.values import Constant, GlobalVariable, Value
 from repro.memory.databox import MemTag
 from repro.memory.messages import MemRequest
+from repro.passes.taskgraph import Task
 from repro.sim.component import OBS_BUSY, OBS_IDLE, OBS_STALL_IN, OBS_STALL_OUT
-from repro.task.program import CompiledTask
 from repro.task.task_queue import SYNC, TaskEntry
 
 #: dataflow-node latencies by functional-unit class (cycles)
@@ -124,14 +124,14 @@ class TXUTile:
     #: default) costs one attribute test per fired node.
     value_probe = None
 
-    def __init__(self, unit, tile_index: int, compiled: CompiledTask,
+    def __init__(self, unit, tile_index: int, task: Task,
                  request_out, response_in, max_inflight: int = 8,
                  latencies: Optional[Dict[str, int]] = None):
         self.unit = unit
         self.tile_index = tile_index
         #: ledger / trace-track name of this tile
         self.obs_name = f"{unit.name}.tile{tile_index}"
-        self.compiled = compiled
+        self.task = task
         self.request_out = request_out
         self.response_in = response_in
         self.max_inflight = max_inflight
@@ -174,9 +174,9 @@ class TXUTile:
         if not self.instances:
             self._busy_since = cycle
         resumed = entry.resume_block is not None
-        block = entry.resume_block if resumed else self.compiled.entry_block
+        block = entry.resume_block if resumed else self.task.entry
         inst = Instance(uid, entry, block,
-                        len(self.compiled.dfg(block).nodes))
+                        len(self.task.dfgs[block].nodes))
         if resumed:
             inst.env = entry.saved_env or {}
             inst.regs = entry.saved_regs or {}
@@ -184,7 +184,7 @@ class TXUTile:
             entry.saved_env = None
             entry.saved_regs = None
         else:
-            for value, arg in zip(self.compiled.arg_values, entry.args):
+            for value, arg in zip(self.task.args, entry.args):
                 inst.env[value] = arg
                 if self.value_probe is not None:
                     self.value_probe(value, arg)
@@ -205,7 +205,7 @@ class TXUTile:
         if value in inst.env:
             return inst.env[value]
         raise SimulationError(
-            f"value {value.short()} not available in task {self.compiled.name}")
+            f"value {value.short()} not available in task {self.task.name}")
 
     # -- clocked behaviour -----------------------------------------------------
 
@@ -341,7 +341,7 @@ class TXUTile:
             inst.phase = DONE
             return
         inst.wake_at = 0
-        node = self.compiled.dfg(inst.block).nodes[node_idx]
+        node = self.task.dfgs[inst.block].nodes[node_idx]
         if isinstance(node.inst, Load):
             inst.env[node.inst] = raw_to_value(node.inst.type, resp.data or 0)
             if self.value_probe is not None:
@@ -359,7 +359,7 @@ class TXUTile:
             {"gid": inst.entry.gid, "child_gid": child_gid})
         inst.wake_at = 0
         self._due = 0
-        node = self.compiled.dfg(inst.block).nodes[node_idx]
+        node = self.task.dfgs[inst.block].nodes[node_idx]
         if not node.inst.type.is_void():
             inst.env[node.inst] = retval
             if self.value_probe is not None:
@@ -373,7 +373,7 @@ class TXUTile:
         then try the block's terminator. Reports what happened to the
         scheduler (:meth:`tick`), which alone sets ``wake_at`` and
         ``park``: GO, QUIET, or the resource that refused a node."""
-        dfg = self.compiled.dfg(inst.block)
+        dfg = self.task.dfgs[inst.block]
         fired = deferred = False
         refused = QUIET
         for node in dfg.nodes[:-1]:  # the terminator fires at transition
@@ -428,7 +428,7 @@ class TXUTile:
             if isinstance(ir, Alloca):
                 if ir.in_frame:
                     env[ir] = self.unit.frame_address(inst.entry.dyid) \
-                        + self.compiled.frame_offsets[ir]
+                        + self.task.frame_offsets[ir]
                 else:
                     env[ir] = RegSlot(ir)
         else:
@@ -475,10 +475,10 @@ class TXUTile:
 
     def _fire_call(self, inst: Instance, node, cycle: int) -> int:
         ir = node.inst
-        spec = self.compiled.call_specs[ir]
-        args = tuple(self._resolve(inst, v) for v in spec.arg_values)
+        edge = self.task.spawns[ir]
+        args = tuple(self._resolve(inst, v) for v in edge.args)
         token = (self.tile_index, inst.uid, node.index)
-        if not self.unit.issue_spawn(spec.dest_sid, args, inst.entry,
+        if not self.unit.issue_spawn(edge.target.sid, args, inst.entry,
                                      token=token):
             self._spawn_blocked = True
             return CALL
@@ -530,22 +530,24 @@ class TXUTile:
         return GO
 
     def _fire_spawn(self, inst: Instance, detach: Detach) -> bool:
-        spec = self.compiled.spawn_specs[detach]
-        args = tuple(self._resolve(inst, v) for v in spec.arg_values)
-        ret_ptr = (int(self._resolve(inst, spec.ret_ptr_value))
-                   if spec.ret_ptr_value is not None else None)
-        if not self.unit.issue_spawn(spec.dest_sid, args, inst.entry, ret_ptr):
+        edge = self.task.spawns[detach]
+        args = tuple(self._resolve(inst, v) for v in edge.args)
+        ret_ptr = (int(self._resolve(inst, edge.ret_ptr))
+                   if edge.ret_ptr is not None else None)
+        if not self.unit.issue_spawn(edge.target.sid, args, inst.entry,
+                                     ret_ptr):
             self._spawn_blocked = True
             return False
         return True
 
     def _enter_block(self, inst: Instance, block):
-        if not self.compiled.owns_block(block):
+        dfg = self.task.dfgs.get(block)
+        if dfg is None:
             raise SimulationError(
-                f"task {self.compiled.name}: control left the task region "
+                f"task {self.task.name}: control left the task region "
                 f"into {block.name}")
         inst.block = block
-        inst.node_done = [PARKED] * len(self.compiled.dfg(block).nodes)
+        inst.node_done = [PARKED] * len(dfg.nodes)
 
     def _suspend(self, inst: Instance, continuation):
         """Vacate the tile while waiting for children (queue state SYNC)."""
@@ -572,7 +574,7 @@ class TXUTile:
         """Write the return value through ret_ptr."""
         if not self._mem_issued_this_cycle:
             if self.request_out.can_push():
-                rettype = self.compiled.task.function.return_type
+                rettype = self.task.function.return_type
                 addr = int(inst.entry.ret_ptr)
                 self.unit.analysis_event(
                     "mem", f"store addr={addr} (ret)",

@@ -17,56 +17,50 @@ from tests.irprograms import (
 class TestGenerate:
     def test_design_has_one_compiled_task_per_graph_task(self):
         design = generate(build_matrix_add_module())
-        assert len(design.compiled) == len(design.graph.tasks)
-        assert [ct.sid for ct in design.compiled] == [0, 1, 2]
+        assert [task.sid for task in design.graph.tasks] == [0, 1, 2]
+        assert all(task.dfgs for task in design.graph.tasks)
 
-    def test_compiled_for_lookup(self):
-        design = generate(build_matrix_add_module())
-        assert design.compiled_for("matrix_add").sid == 0
-        from repro.errors import SynthesisError
-
-        with pytest.raises(SynthesisError, match="no task named"):
-            design.compiled_for("ghost")
-
-    def test_spawn_specs_carry_child_argument_order(self):
+    def test_spawn_edges_carry_child_argument_order(self):
         design = generate(build_scale_module())
-        root = design.compiled[0]
-        child = design.compiled[1]
-        (spec,) = root.spawn_specs.values()
-        assert spec.dest_sid == child.sid
-        assert spec.arg_values == child.arg_values
+        root, child = design.graph.tasks
+        (edge,) = root.spawns.values()
+        assert not edge.is_call and edge.callee is None   # a region spawn
+        assert edge.target is child
+        assert edge.args == child.args
 
-    def test_direct_spawn_specs_for_recursion(self):
+    def test_direct_spawn_edges_for_recursion(self):
         design = generate(build_fib_module())
-        root = design.compiled[0]
-        assert len(root.spawn_specs) == 2
-        for spec in root.spawn_specs.values():
-            assert spec.dest_sid == root.sid      # self-spawn
-            assert spec.ret_ptr_value is not None
+        root = design.graph.tasks[0]
+        assert len(root.spawns) == 2
+        for edge in root.spawns.values():
+            assert not edge.is_call
+            assert edge.target is root      # self-spawn
+            assert edge.ret_ptr is not None
 
     def test_frame_layout_distinct_aligned_offsets(self):
         design = generate(build_fib_module())
-        root = design.compiled[0]
+        root = design.graph.tasks[0]
         offsets = sorted(root.frame_offsets.values())
         assert offsets == [0, 4]
         assert root.frame_size == 8  # rounded to 8 bytes
 
     def test_no_frames_for_loop_tasks(self):
         design = generate(build_scale_module())
-        assert all(ct.frame_size == 0 for ct in design.compiled)
+        assert all(task.frame_size == 0 for task in design.graph.tasks)
 
     def test_dfgs_cover_every_owned_block(self):
         design = generate(build_matrix_add_module())
-        for ct in design.compiled:
-            assert set(ct.dfgs) == set(ct.blocks)
-            assert ct.entry_block in ct.dfgs
+        for task in design.graph.tasks:
+            assert set(task.dfgs) == set(task.blocks)
+            assert task.entry in task.dfgs
 
-    def test_call_specs(self):
+    def test_call_edges(self):
         design = generate(REGISTRY.get("mergesort").fresh_module())
-        ms = design.compiled_for("mergesort")
-        (spec,) = ms.call_specs.values()
-        assert spec.dest_sid == design.compiled_for("merge").sid
-        assert len(spec.arg_values) == 4
+        ms, merge = (next(t for t in design.graph.tasks if t.name == name)
+                     for name in ("mergesort", "merge"))
+        (edge,) = [e for e in ms.spawns.values() if e.is_call]
+        assert edge.target is merge
+        assert len(edge.args) == 4
 
 
 class TestConfig:

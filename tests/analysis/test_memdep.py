@@ -130,7 +130,7 @@ class TestPointerResolver:
         """a[i] vs a[i] across instances is disjoint (the induction term
         shifts by the step); a[i] vs a[i+1] collides with the neighbour
         instance."""
-        from repro.analysis.mhp import spawn_contexts
+        from repro.passes.mhp import spawn_contexts
         from repro.passes import extract_tasks
 
         module, f = first_function("""

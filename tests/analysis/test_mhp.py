@@ -1,7 +1,7 @@
 """May-happen-in-parallel analysis: spawn contexts and task-level pairs."""
 
 from repro.frontend import compile_source
-from repro.analysis.mhp import spawn_contexts
+from repro.passes.mhp import spawn_contexts
 from repro.passes import extract_tasks
 
 
@@ -68,7 +68,7 @@ class TestMhpPairs:
     def test_cilk_for_instances_overlap(self):
         graph = graph_of(CILK_FOR)
         root = graph.root_for_function[graph.module.function("double_all")]
-        body = next(iter(root.region_spawns.values()))
+        body = next(iter(root.spawns.values())).target
         # spawned body runs against the spawner AND against other
         # instances of itself (the loop re-reaches the detach)
         assert pair_sids(graph) == {(root.sid, body.sid),
@@ -96,8 +96,8 @@ class TestMhpPairs:
         graph = graph_of(NESTED)
         sids = pair_sids(graph)
         root = graph.root_for_function[graph.module.function("grid")]
-        outer = next(iter(root.region_spawns.values()))
-        inner = next(iter(outer.region_spawns.values()))
+        outer = next(iter(root.spawns.values())).target
+        inner = next(iter(outer.spawns.values())).target
         # the inner body overlaps the outer body, other inner instances,
         # and the root's continuation (via the spawn subtree)
         assert (outer.sid, inner.sid) in sids

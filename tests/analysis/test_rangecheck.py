@@ -75,15 +75,21 @@ def test_checker_survives_multi_tile_runs():
 @pytest.mark.parametrize("name", ["saxpy", "matrix_add"])
 def test_workloads_stay_in_static_ranges(name):
     """The paper workloads run through the same probe: build, attach,
-    offload at a small scale, assert the oracle result AND the ranges."""
+    offload at a small scale, assert the oracle result AND the ranges.
+    The default engine sees every value the dense oracle does."""
     workload = REGISTRY.get(name)
-    accel = workload.build(workload.default_config(ntiles=1,
-                                                   analysis_level="none"))
-    checker = RangeChecker.for_accelerator(accel, entry=workload.entry)
-    prepared = workload.prepare(accel.memory, scale=1)
-    result = accel.run(prepared.function, prepared.args)
-    assert prepared.check(accel.memory, result.retval)
-    checker.assert_clean()
+    checked = {}
+    for engine in (None, "dense"):
+        overrides = {} if engine is None else {"engine": engine}
+        accel = workload.build(workload.default_config(
+            ntiles=1, analysis_level="none", **overrides))
+        checker = RangeChecker.for_accelerator(accel, entry=workload.entry)
+        prepared = workload.prepare(accel.memory, scale=1)
+        result = accel.run(prepared.function, prepared.args)
+        assert prepared.check(accel.memory, result.retval)
+        checker.assert_clean()
+        checked[engine] = checker.checked
+    assert checked[None] == checked["dense"]
 
 
 # -- deadlock verdict cross-validation ---------------------------------------

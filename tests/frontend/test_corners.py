@@ -179,33 +179,50 @@ class TestSemanticCorners:
 
 
 class TestExpressionDepth:
-    """Expression nesting is bounded: parentheses, unary operators and
-    operator chains each count one level, so no later stage can run out
-    of Python recursion on a deep expression."""
+    """Nesting is bounded: parentheses, unary operators, operator chains
+    and statements holding a body each count one level of one budget, so
+    no later stage can run out of Python recursion on a deep program."""
 
     @staticmethod
     def programs(levels):
-        return {
+        """``{name: (what overflows, source)}``, each ``levels`` deep."""
+        expressions = {
             "parens": "(" * levels + "a" + ")" * levels,
             "unary": "-" * levels + "a",
             "chain": "a" + " + a" * levels,
         }
+        statements = {
+            "if": ("if (a) { ", "} "),
+            "while": ("while (a) { ", "} "),
+            "block": ("{ ", "} "),
+            "spawn": ("spawn { ", "} "),
+            "for": ("for (var i: i32 = 0; i; i = a) { ", "} "),
+            "else-if": ("if (a) { } else ", ""),
+        }
+        programs = {name: ("expression",
+                           f"func f(a: i32) -> i32 {{ return {expr}; }}")
+                    for name, expr in expressions.items()}
+        for name, (head, tail) in statements.items():
+            programs[name] = ("statement", (
+                "func f(a: i32) -> i32 { " + head * (levels - 1)
+                + head.replace("else ", "") + "var y: i32 = a; "
+                + tail * levels + "sync; return a; }"))
+        return programs
 
     def test_program_at_the_bound_compiles_through_generate(self):
         from repro.accel import generate
-        from repro.frontend.parser import MAX_EXPRESSION_DEPTH
+        from repro.frontend.parser import MAX_NESTING_DEPTH
 
-        for name, expr in self.programs(MAX_EXPRESSION_DEPTH).items():
-            design = generate(compile_source(
-                f"func f(a: i32) -> i32 {{ return {expr}; }}", name))
-            assert design.compiled, name
+        for name, (_, source) in self.programs(MAX_NESTING_DEPTH).items():
+            design = generate(compile_source(source, name))
+            assert design.graph.tasks, name
 
     def test_one_level_past_it_is_a_parse_error(self):
         from repro.errors import ParseError
-        from repro.frontend.parser import MAX_EXPRESSION_DEPTH
+        from repro.frontend.parser import MAX_NESTING_DEPTH
 
-        for name, expr in self.programs(MAX_EXPRESSION_DEPTH + 1).items():
-            with pytest.raises(ParseError, match=r"^line 1:\d+: expression "
+        for name, (what, source) in self.programs(
+                MAX_NESTING_DEPTH + 1).items():
+            with pytest.raises(ParseError, match=rf"^line 1:\d+: {what} "
                                r"nested deeper than \d+ levels"):
-                compile_source(f"func f(a: i32) -> i32 {{ return {expr}; }}",
-                               name)
+                compile_source(source, name)

@@ -63,8 +63,10 @@ class TestIRStructure:
         """)
         graph = extract_tasks(m)
         root = graph.root_for_function[m.function("f")]
-        assert len(root.direct_spawns) == 1
-        assert not root.region_spawns
+        (edge,) = root.spawns.values()
+        # a direct spawn: not a serial call, and not a region spawn
+        assert not edge.is_call
+        assert edge.callee is m.function("work")
 
     def test_captured_variable_loaded_before_detach(self):
         m = compile_source("""

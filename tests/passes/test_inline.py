@@ -118,13 +118,13 @@ class TestEndToEndEffect:
 
         workload = Mergesort()
         module = workload.fresh_module()
-        baseline_units = len(generate(module, optimize=False).compiled)
+        baseline_units = len(generate(module, optimize=False).graph.tasks)
 
         module2 = workload.fresh_module()
         assert inline_calls(module2, max_insts=200) == 1
         assert prune_unreachable_functions(module2, ["mergesort"]) == 1
         verify_module(module2)
-        inlined_units = len(generate(module2, optimize=False).compiled)
+        inlined_units = len(generate(module2, optimize=False).graph.tasks)
         assert inlined_units == baseline_units - 1
 
         accel = build_accelerator(module2)

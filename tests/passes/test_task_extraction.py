@@ -66,10 +66,13 @@ class TestNestedExtraction:
 
     def test_spawn_edges(self):
         t0, t1, t2 = self.graph.tasks
-        assert list(t0.region_spawns.values()) == [t1]
-        assert list(t1.region_spawns.values()) == [t2]
-        assert self.graph.spawn_targets(t0) == [t1]
-        assert self.graph.spawn_targets(t1) == [t2]
+        assert [e.target for e in t0.spawns.values()] == [t1]
+        assert [e.target for e in t1.spawns.values()] == [t2]
+        # both are region spawns: detaches of nested child tasks
+        for task in (t0, t1):
+            (edge,) = task.spawns.values()
+            assert not edge.is_call and edge.callee is None
+        assert self.graph.spawn_closure(t1) == [t1, t2]
 
     def test_body_task_args_include_both_indices(self):
         t2 = self.graph.tasks[2]
@@ -102,8 +105,9 @@ class TestRecursiveExtraction:
 
     def test_direct_spawns_recorded(self):
         root = self.graph.tasks[0]
-        assert len(root.direct_spawns) == 2
-        for spawn in root.direct_spawns.values():
+        assert len(root.spawns) == 2
+        for spawn in root.spawns.values():
+            assert not spawn.is_call
             assert spawn.callee.name == "fib"
             assert spawn.ret_ptr is not None
             assert len(spawn.args) == 1
@@ -123,7 +127,7 @@ class TestSerialExtraction:
         graph = extract_tasks(build_serial_sum_module())
         assert len(graph.tasks) == 1
         root = graph.tasks[0]
-        assert not root.spawns_anything()
+        assert not root.spawns
         assert root.kind == FUNCTION_ROOT
 
     def test_register_accesses_not_counted_as_memory(self):
@@ -131,6 +135,36 @@ class TestSerialExtraction:
         root = graph.tasks[0]
         # only the a[i] load touches real memory per iteration
         assert root.memory_op_count() == 1
+
+
+class TestSpawnEdges:
+    SOURCE = """
+    func g(a: i32) -> i32 { return a + 1; }
+    func f(a: i32) -> i32 { return a * 2; }
+    func top(n: i32) -> i32 {
+      var x: i32 = g(n);
+      var y: i32 = spawn f(x);
+      sync;
+      return y;
+    }
+    """
+
+    def test_call_in_a_block_ending_in_a_direct_spawn_is_an_edge(self):
+        """The call to g shares its block with the detach of f: both sites
+        get an edge, spawns before calls, and the accelerator runs it."""
+        from repro.accel import AcceleratorConfig, build_accelerator
+        from repro.frontend import compile_source
+
+        graph = extract_tasks(compile_source(self.SOURCE, "m"))
+        g, f, top = graph.tasks
+        spawn, call = top.spawns.values()
+        assert spawn.target is f and not spawn.is_call
+        assert spawn.ret_ptr is not None
+        assert call.target is g and call.is_call
+        for engine in ("dense", "compiled"):
+            accel = build_accelerator(compile_source(self.SOURCE, "m"),
+                                      AcceleratorConfig(engine=engine))
+            assert accel.run("top", [3]).retval == 8
 
 
 class TestConcurrencyOpt:

@@ -209,7 +209,7 @@ def test_random_accelerator_configs_bit_identical(
     units = {task.name: TaskUnitParams(ntiles=tiles,
                                        max_inflight_per_tile=inflight,
                                        databox_entries=databox_entries)
-             for task in generate(workload.fresh_module()).compiled}
+             for task in generate(workload.fresh_module()).graph.tasks}
     outcomes = {}
     for engine in ("dense", "event", "compiled"):
         config = workload.default_config(

@@ -49,7 +49,7 @@ class TestTopLevel:
 class TestTXU:
     def test_fig6_style_nodes(self):
         design = generate(build_matrix_add_module())
-        body = design.compiled[2]  # the add body task
+        body = design.graph.tasks[2]  # the add body task
         txu = emit_txu(body)
         assert "Module(new Load(" in txu
         assert "Module(new Store(" in txu
@@ -61,7 +61,7 @@ class TestTXU:
             design = generate(w.fresh_module())
             text = emit_design(design)
             assert f"module '{w.name}'" in text
-            for ct in design.compiled:
+            for task in design.graph.tasks:
                 assert "TXU" in text
 
     def test_dedup_heterogeneous_units_named(self):

@@ -14,7 +14,7 @@ from tests.irprograms import build_matrix_add_module, build_scale_module
 class TestTXUVerilog:
     def setup_method(self):
         self.design = generate(build_matrix_add_module())
-        self.body = self.design.compiled[2]
+        self.body = self.design.graph.tasks[2]
         self.text = emit_txu_verilog(self.body)
 
     def test_module_declared_and_closed(self):
@@ -55,4 +55,4 @@ class TestTopVerilog:
         design = generate(REGISTRY.get(name).fresh_module())
         text = emit_top_verilog(design)
         assert text.count("module ") == text.count("endmodule")
-        assert text.count("module ") == 1 + len(design.compiled)
+        assert text.count("module ") == 1 + len(design.graph.tasks)

@@ -500,6 +500,13 @@ class TestFallbackMatrix:
         kernel, reason = prepare_kernel(accel.sim)
         assert kernel is None and "value probe" in reason
         _assert_ran_dense(accel, _build(engine="dense"), "value probe")
+        monkeypatch.undo()
+        # a probe on one tile, the way RangeChecker.attach installs it
+        accel = _build()
+        accel.units[-1].tiles[-1].value_probe = lambda value, observed: None
+        kernel, reason = prepare_kernel(accel.sim)
+        assert kernel is None and "value probe" in reason
+        _assert_ran_dense(accel, _build(engine="dense"), "value probe")
 
     def test_unknown_component_falls_back(self):
         from repro.sim import Component

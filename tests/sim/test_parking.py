@@ -27,7 +27,7 @@ MEMBOUND = dict(board=ARRIA_10, dram_latency_cycles=270,
 def _uniform_units(workload, **params):
     """The same ``TaskUnitParams`` for every task unit of ``workload``."""
     return {task.name: TaskUnitParams(**params)
-            for task in generate(workload.fresh_module()).compiled}
+            for task in generate(workload.fresh_module()).graph.tasks}
 
 
 def _outcome(result):

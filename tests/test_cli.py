@@ -482,11 +482,18 @@ class TestErrors:
          + b")" * 3000 + b"; }\n"),
         ("chain", b"func f(a: i32) -> i32 { return a" + b" + a" * 599
          + b"; }\n"),
+        ("ifs", b"func f(a: i32) -> i32 { " + b"if (a) { " * 400
+         + b"} " * 400 + b"return a; }\n"),
+        ("whiles", b"func f(a: i32) -> i32 { " + b"while (a) { " * 400
+         + b"} " * 400 + b"return a; }\n"),
+        ("blocks", b"func f(a: i32) -> i32 { " + b"{ " * 1000 + b"} " * 1000
+         + b"return a; }\n"),
     ])
     def test_malformed_source_is_one_error_line(self, tmp_path, capsys,
                                                 name, data):
-        """Undecodable bytes and expressions nested past the parser's
-        bound fail closed: a frontend error, never a traceback."""
+        """Undecodable bytes, and expressions or statements nested past
+        the parser's bound, fail closed: a frontend error, never a
+        traceback."""
         path = tmp_path / (name + ".cilk")
         path.write_bytes(data)
         assert main(["compile", str(path)]) == 1

@@ -181,3 +181,21 @@ def test_stepper_specialises_nodes_only():
             if getattr(node, "name", None) == "_StepperGen"]
     assert "finish_lines" not in {node.name for node in gen.body
                                   if isinstance(node, ast.FunctionDef)}
+
+
+def test_spawn_targets_are_resolved_once():
+    """Extraction resolves each spawn and call site once, into the
+    ``SpawnEdge`` every later stage reads: outside ``passes/`` only
+    ``PerfModel.entry_task`` looks a function's task up, Stage 2 keeps no
+    second copy of the task, and task-level MHP reads the one continuation
+    walk, ``passes/mhp.py::spawn_context``."""
+    assert _hits(r"\broot_for_function(\[|\.get\()") == {
+        os.path.join("passes", "taskgraph.py"): 1,       # new_task
+        os.path.join("passes", "task_extraction.py"): 1,  # extract_tasks
+        os.path.join("analysis", "perf.py"): 1}           # entry_task
+    assert not _hits(r"\b(CompiledTask|SpawnSpec|CallSpec|compiled_for"
+                     r"|spawn_specs|call_specs|unsynced_sibling_spawns"
+                     r"|_detach_target|_detach_callees)\b")
+    assert not os.path.exists(os.path.join(SRC, "task", "program.py"))
+    assert _hits(r"^def spawn_context\b") == {
+        os.path.join("passes", "mhp.py"): 1}

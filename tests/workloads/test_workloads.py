@@ -96,7 +96,7 @@ class TestDedupSpecifics:
 
     def test_three_heterogeneous_units(self):
         acc = Dedup().build()
-        names = {u.compiled.name for u in acc.units}
+        names = {u.task.name for u in acc.units}
         assert names == {"dedup", "process_chunk", "compress_chunk"}
 
 
