@@ -39,39 +39,13 @@ def save_json():
     ``records`` is a list of dicts from
     :func:`repro.reports.benchjson.bench_record`; the document schema is
     validated on write so every bench stays comparable across PRs.
-
-    Every saved bench also appends one record to the persistent run
-    registry (``results/history/runs.jsonl``), so ``repro history``
-    tracks the bench trajectory across commits; the document embeds the
-    registry pointer under its ``history`` key.
     """
     from repro.reports.benchjson import write_bench_json
-    from repro.telemetry.history import append_run, run_record
 
     def _save(name: str, records, sweep=None, telemetry=None):
         os.makedirs(RESULTS_DIR, exist_ok=True)
-        path = os.path.join(RESULTS_DIR, f"{name}.json")
-        cycles = [r.get("cycles") for r in records]
-        host = [r.get("host_seconds") for r in records]
-        engines = {(r.get("engine") or {}).get("name") for r in records}
-        engines.discard(None)
-        history = None
-        try:
-            history = append_run(run_record(
-                "bench", name,
-                engine=engines.pop() if len(engines) == 1 else None,
-                cycles=(sum(c for c in cycles if c is not None)
-                        if any(c is not None for c in cycles) else None),
-                host_seconds=(sum(h for h in host if h is not None)
-                              if any(h is not None for h in host) else None),
-                config={"records": len(records)},
-                metrics={"sweep": {k: sweep[k] for k in
-                                   ("points", "errors", "wall_seconds")}
-                         if sweep else None}))
-        except OSError:
-            pass  # an unwritable registry never fails a bench
-        write_bench_json(path, name, records, sweep=sweep,
-                         telemetry=telemetry, history=history)
+        write_bench_json(os.path.join(RESULTS_DIR, f"{name}.json"), name,
+                         records, sweep=sweep, telemetry=telemetry)
 
     return _save
 

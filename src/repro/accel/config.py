@@ -60,6 +60,9 @@ class TaskUnitParams:
             raise ConfigError("max_inflight_per_tile must be >= 1")
         if self.databox_entries < 1:
             raise ConfigError("databox_entries must be >= 1")
+        if self.policy not in (None, "fifo", "lifo"):
+            raise ConfigError(f"unknown policy {self.policy!r} "
+                              "(expected fifo/lifo, or None)")
 
     def bind(self, sizing) -> "TaskUnitParams":
         """These knobs with the late-bound ones resolved against the
@@ -114,6 +117,11 @@ class AcceleratorConfig:
                 raise ConfigError(f"latency of {kind!r} must be an integer "
                                   f">= 0, not {cycles!r}")
         self.latencies = {**DEFAULT_LATENCIES, **(self.latencies or {})}
+        if self.default_ntiles < 1:
+            raise ConfigError("default_ntiles must be >= 1")
+        if type(self.memory_bytes) is not int or self.memory_bytes < 1:
+            raise ConfigError("memory_bytes must be a positive integer, "
+                              f"not {self.memory_bytes!r}")
         if self.memory_model not in ("cache", "scratchpad"):
             raise ConfigError(
                 f"unknown memory model {self.memory_model!r}")

@@ -21,15 +21,14 @@ Subcommands mirror the toolchain stages:
   host seconds go while simulating this design?)
 * ``diff``      — run a source file under both simulation engines and
   fail unless cycle counts and stats are bit-identical
-* ``history``   — list the persistent run registry
-  (``results/history/runs.jsonl``), diff each series' newest run
-  against its predecessor and flag regressions beyond a drift threshold
+* ``history``   — the committed end-to-end ledger (``results/e2e/``):
+  per PR and workload, each metric's change/parent ratio, marked where
+  it is worse than its ``BENCHMARK.json`` bound
 * ``workloads`` — list the paper's benchmark suite
 
 Every command runs with the host-side span tracer enabled, so
 ``--trace-out`` exports carry the toolchain phases (parse -> lower ->
-passes -> elaborate -> simulate) next to the guest cycle timeline, and
-``--stats-json`` runs append a record to the run registry.
+passes -> elaborate -> simulate) next to the guest cycle timeline.
 """
 
 from __future__ import annotations
@@ -180,26 +179,11 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _append_history(kind: str, name: str, **fields):
-    """Append one record (``run_record``'s ``fields``) to the persistent
-    run registry. Never fatal: an unwritable registry costs the pointer,
-    not the command."""
-    from repro.telemetry.history import append_run, run_record
-
-    record = run_record(kind, name, **fields)
-    try:
-        return append_run(record)
-    except OSError as error:
-        print(f"warning: run history not recorded: {error}", file=sys.stderr)
-        return None
-
-
 def _write_stats_json(path: str, workload_name: str, config, cycles: int,
                       stats: dict, observer=None, extra=None,
-                      host_profile=None, kind: str = "run"):
+                      host_profile=None):
     """The ``--stats-json`` document: the BENCH_*.json record schema,
-    plus the run's ``stats`` dump, the optional host-profile block and
-    the pointer to the run-registry record this write appends."""
+    plus the run's ``stats`` dump and the optional host-profile block."""
     from repro.reports.benchjson import (
         bench_record,
         utilization_from_stats,
@@ -219,13 +203,6 @@ def _write_stats_json(path: str, workload_name: str, config, cycles: int,
     record["stats"] = _json_safe_stats(stats)
     if host_profile is not None:
         record["host_profile"] = host_profile
-    engine = record.get("engine") or {}
-    record["history"] = _append_history(
-        kind, workload_name, engine=engine.get("name"), cycles=cycles,
-        host_seconds=engine.get("host_seconds"),
-        sim_cycles_per_host_second=engine.get("sim_cycles_per_host_second"),
-        config=record.get("config"),
-        metrics=_json_safe_stats(extra) if extra else None)
     with open(path, "w") as handle:
         json.dump(record, handle, indent=1)
         handle.write("\n")
@@ -376,21 +353,7 @@ def cmd_sweep(args) -> int:
                                  "engine": record["spec"]["engine"],
                                  "scale": record["spec"]["scale"]})
             for record in result.records]
-        ok_cycles = [r["value"].get("cycles") for r in result.records
-                     if r["status"] == "ok" and r["value"]]
-        total_cycles = (sum(c for c in ok_cycles if c is not None)
-                        if any(c is not None for c in ok_cycles) else None)
-        wall = summary["wall_seconds"]
-        history = _append_history(
-            "sweep", args.workloads, engine=args.engines,
-            cycles=total_cycles, host_seconds=wall,
-            config={"workloads": names, "tiles": tiles, "engines": engines,
-                    "scales": scales, "evaluator": args.evaluator},
-            metrics={"points": summary["points"],
-                     "errors": summary["errors"],
-                     "cache_hits": summary["cache_hits"]})
-        write_bench_json(args.out, "sweep", records, sweep=summary,
-                         history=history)
+        write_bench_json(args.out, "sweep", records, sweep=summary)
         print(f"results written to {args.out}")
     return 1 if summary["errors"] else 0
 
@@ -476,8 +439,7 @@ def cmd_profile(args) -> int:
         _write_stats_json(args.stats_json, label, config, result.cycles,
                           result.stats, observer=observer,
                           host_profile=(profiler.as_dict()
-                                        if profiler is not None else None),
-                          kind="profile")
+                                        if profiler is not None else None))
         print(f"stats written to {args.stats_json}")
     return 0 if trace_ok else 1
 
@@ -582,70 +544,26 @@ def cmd_diff(args) -> int:
     return 0
 
 
-def cmd_history(args) -> int:
-    """List the run registry; with ``--diff`` compare each series'
-    newest record against its predecessor and flag drift."""
-    import datetime
+def cmd_history(_args) -> int:
+    """The committed ledger as PR pairs; exit 1 if any ratio is marked."""
+    from repro.telemetry.history import LEDGER_DIR, ledger_history
 
-    from repro.telemetry.history import (
-        default_history_dir,
-        diff_history,
-        load_history,
-    )
-
-    records = load_history(args.dir)
-    want_diff = args.diff or args.fail_on_regression
-    threshold = args.threshold / 100.0
-    diffs = (diff_history(records, last=args.last or None,
-                          threshold=threshold, metric=args.metric)
-             if want_diff else [])
-    regressions = [d for d in diffs if d["regression"]]
-    shown = records[-args.last:] if args.last else records
-
-    if args.format == "json":
-        print(json.dumps({"records": shown, "diffs": diffs,
-                          "regressions": len(regressions)}, indent=1))
-    elif not records:
-        print(f"no run history in {args.dir or default_history_dir()}")
-    else:
-        rows = []
-        for record in shown:
-            when = datetime.datetime.fromtimestamp(
-                record.get("ts", 0)).strftime("%Y-%m-%d %H:%M:%S")
-            host_s = record.get("host_seconds")
-            rows.append([
-                when, record.get("kind"), record.get("name"),
-                record.get("engine") or "-", record.get("git_rev") or "-",
-                record.get("cycles") if record.get("cycles") is not None
-                else "-",
-                f"{host_s:.3f}" if host_s is not None else "-",
-                record.get("fingerprint") or "-"])
-        print(render_table(
-            ["When", "Kind", "Name", "Engine", "Rev", "Cycles", "Host s",
-             "Config"],
-            rows, title=f"Run history ({len(records)} record(s), "
-                        f"showing {len(shown)})"))
-        if want_diff:
-            diff_rows = [[d["kind"], d["name"], d["engine"] or "-",
-                          d["old"], d["new"], f"{100 * d['drift']:+.1f}%",
-                          "REGRESSION" if d["regression"] else "ok"]
-                         for d in diffs]
-            print()
-            if diff_rows:
-                print(render_table(
-                    ["Kind", "Name", "Engine", "Old", "New", "Drift",
-                     "Status"],
-                    diff_rows,
-                    title=f"{args.metric} vs predecessor "
-                          f"(threshold {args.threshold:g}%)"))
-            else:
-                print("no comparable series (a diff needs two records of "
-                      "the same kind/name/engine/config)")
-    if args.fail_on_regression and regressions:
-        print(f"error: {len(regressions)} series regressed beyond "
-              f"{args.threshold:g}% on {args.metric}", file=sys.stderr)
-        return 1
-    return 0
+    declaration, documents, rows = ledger_history()
+    metrics = [m["name"] for m in declaration["end_to_end"]]
+    table = [[f"PR {row['pr']}", row["parent"], row["workload"]]
+             + [f"{row['ratios'][m]:.3f}" + (" !" if m in row["marked"]
+                                              else "")
+                for m in metrics]
+             for row in rows]
+    marked = sum(len(row["marked"]) for row in rows)
+    print(render_table(
+        ["PR", "Parent", "Workload"] + metrics, table,
+        title=f"{LEDGER_DIR}: {documents} document(s), "
+              f"{len({row['change'] for row in rows})} PR pair(s); "
+              f"ratio = change / parent"))
+    print(f"{marked} ratio(s) marked ! (worse than the BENCHMARK.json "
+          f"bound)")
+    return 1 if marked else 0
 
 
 def cmd_workloads(_args) -> int:
@@ -769,9 +687,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cache", action="store_true",
                    help="recompute every point, read/write no cache")
     p.add_argument("--out", metavar="FILE",
-                   help="write the schema-4 results document as JSON "
-                        "(records + sweep summary + telemetry + history "
-                        "pointer)")
+                   help="write the schema-5 results document as JSON "
+                        "(records + sweep summary + telemetry)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(
@@ -801,26 +718,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "history",
-        help="list recorded runs and flag cycle/host-time regressions")
-    p.add_argument("--dir", metavar="DIR",
-                   help="registry directory (default: $REPRO_HISTORY_DIR "
-                        "or results/history)")
-    p.add_argument("--last", type=int, default=0,
-                   help="show/diff only the newest N records (default: all)")
-    p.add_argument("--diff", action="store_true",
-                   help="diff each series' newest record against its "
-                        "predecessor")
-    p.add_argument("--threshold", type=float, default=10.0,
-                   help="drift percent flagged as a regression (default: 10)")
-    p.add_argument("--metric",
-                   choices=["cycles", "host_seconds",
-                            "sim_cycles_per_host_second"],
-                   default="cycles",
-                   help="which recorded metric to diff (default: cycles)")
-    p.add_argument("--fail-on-regression", action="store_true",
-                   help="exit 1 if any series regressed beyond the "
-                        "threshold (implies --diff)")
-    p.add_argument("--format", choices=["text", "json"], default="text")
+        help="committed end-to-end ledger: change/parent ratio per PR, "
+             "marked beyond the BENCHMARK.json bounds")
     p.set_defaults(func=cmd_history)
 
     p = sub.add_parser("workloads", help="list the benchmark suite")

@@ -4,12 +4,11 @@ Every ``benchmarks/bench_*.py`` writes, next to its ``results/*.txt``
 table, a ``results/*.json`` document so the performance trajectory can
 be tracked across PRs. The schema is one document per bench::
 
-    {"bench": str, "schema": 4,
+    {"bench": str, "schema": 5,
      "sweep": {"wall_seconds": float, "jobs": int, "points": int,
                "cache_hits": int, "cache_misses": int,
                "errors": int}|null,
      "telemetry": {...}|null,
-     "history": {"path": str, "seq": int}|null,
      "records": [{"workload": str, "config": {...}, "cycles": int|null,
                   "utilization": {...}|null, "stalls": {...}|null,
                   "engine": {...}|null, "cache_hit": bool|null,
@@ -29,10 +28,10 @@ surfaces host-time telemetry: per-record ``host_seconds`` /
 ``sim_cycles_per_host_second`` (lifted out of ``engine`` so they are
 flat, greppable and diffable), a top-level ``telemetry`` block (the
 sweep runner's worker-utilization/queue-wait/latency histograms, see
-:mod:`repro.exp.runner`) and a top-level ``history`` pointer into the
-persistent run registry (:mod:`repro.telemetry.history`).
-:func:`read_bench_json` reads schema 4 only: every committed
-``results/*.json`` is regenerated at it.
+:mod:`repro.exp.runner`). Schema 5 dropped schema 4's top-level
+``history`` pointer.
+:func:`read_bench_json` reads schema 5 only: every committed
+``results/*.json`` is at it.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
-BENCH_SCHEMA_VERSION = 4
+BENCH_SCHEMA_VERSION = 5
 
 #: keys every record must carry (value may be None)
 RECORD_KEYS = ("workload", "config", "cycles", "utilization", "stalls",
@@ -177,8 +176,7 @@ def sweep_record(point_record: Dict[str, Any], workload: str,
 
 def bench_document(bench: str, records: List[dict],
                    sweep: Optional[Dict[str, Any]] = None,
-                   telemetry: Optional[Dict[str, Any]] = None,
-                   history: Optional[Dict[str, Any]] = None
+                   telemetry: Optional[Dict[str, Any]] = None
                    ) -> Dict[str, Any]:
     for record in records:
         missing = [k for k in RECORD_KEYS if k not in record]
@@ -194,8 +192,7 @@ def bench_document(bench: str, records: List[dict],
             telemetry = sweep.get("telemetry")
         sweep = {key: sweep[key] for key in SWEEP_KEYS}
     return {"bench": bench, "schema": BENCH_SCHEMA_VERSION,
-            "sweep": sweep, "telemetry": telemetry, "history": history,
-            "records": records}
+            "sweep": sweep, "telemetry": telemetry, "records": records}
 
 
 def read_bench_json(path: str) -> Dict[str, Any]:
@@ -213,10 +210,9 @@ def read_bench_json(path: str) -> Dict[str, Any]:
 
 def write_bench_json(path: str, bench: str, records: List[dict],
                      sweep: Optional[Dict[str, Any]] = None,
-                     telemetry: Optional[Dict[str, Any]] = None,
-                     history: Optional[Dict[str, Any]] = None) -> dict:
+                     telemetry: Optional[Dict[str, Any]] = None) -> dict:
     document = bench_document(bench, records, sweep=sweep,
-                              telemetry=telemetry, history=history)
+                              telemetry=telemetry)
     with open(path, "w") as handle:
         json.dump(document, handle, indent=1, sort_keys=False)
         handle.write("\n")

@@ -96,6 +96,13 @@ class TestConfig:
             TaskUnitParams(max_inflight_per_tile=0)
         with pytest.raises(ConfigError, match="databox_entries"):
             TaskUnitParams(databox_entries=0)
+        with pytest.raises(ConfigError, match="policy"):
+            TaskUnitParams(policy="bogus")
+        for size in (0, -5):
+            with pytest.raises(ConfigError, match="memory_bytes"):
+                AcceleratorConfig(memory_bytes=size)
+        with pytest.raises(ConfigError, match="default_ntiles"):
+            AcceleratorConfig(default_ntiles=0)
         for latency in (0, -5):
             with pytest.raises(ConfigError, match="scratchpad_latency"):
                 AcceleratorConfig(memory_model="scratchpad",

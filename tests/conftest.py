@@ -1,10 +1,8 @@
 """Make the repository root importable so tests can share IR builders.
 
-Also points the persistent run registry and the cache root at throwaway
-directories: tests exercising ``--stats-json`` / ``repro history`` must
-never append to the checkout's real ``results/history/runs.jsonl``, and
-the kernel-source mirror and sweep result cache (~19 MB a run) must not
-pile up in the developer's ``~/.cache/repro``.
+Also points the cache root at a throwaway directory: the kernel-source
+mirror and sweep result cache (~19 MB a run) must not pile up in the
+developer's ``~/.cache/repro``.
 """
 
 import atexit
@@ -15,8 +13,7 @@ import tempfile
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-for _variable in ("REPRO_HISTORY_DIR", "REPRO_CACHE_DIR"):
-    if _variable not in os.environ:
-        os.environ[_variable] = tempfile.mkdtemp(prefix="repro-test-")
-        atexit.register(shutil.rmtree, os.environ[_variable],
-                        ignore_errors=True)
+if "REPRO_CACHE_DIR" not in os.environ:
+    os.environ["REPRO_CACHE_DIR"] = tempfile.mkdtemp(prefix="repro-test-")
+    atexit.register(shutil.rmtree, os.environ["REPRO_CACHE_DIR"],
+                    ignore_errors=True)

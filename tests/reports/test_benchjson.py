@@ -1,4 +1,4 @@
-"""Bench-results schema: records, sweep summary, the schema-4 reader."""
+"""Bench-results schema: records, sweep summary, the schema-5 reader."""
 
 import json
 
@@ -37,10 +37,10 @@ def test_record_lifts_host_time_out_of_engine():
 
 def test_document_schema_and_sweep_block():
     doc = bench_document("b", [bench_record("w", cycles=1)], sweep=SWEEP)
-    assert doc["schema"] == BENCH_SCHEMA_VERSION == 4
+    assert doc["schema"] == BENCH_SCHEMA_VERSION == 5
     assert doc["sweep"]["cache_hits"] == 1
     assert doc["telemetry"] is None
-    assert doc["history"] is None
+    assert "history" not in doc
     # no sweep block is legal (non-sweep benches)
     assert bench_document("b", [])["sweep"] is None
 
@@ -85,17 +85,16 @@ def test_sweep_record_structured_error():
 def test_write_then_read_roundtrip(tmp_path):
     path = tmp_path / "doc.json"
     write_bench_json(str(path), "b", [bench_record("w", cycles=9)],
-                     sweep=SWEEP, history={"path": "h.jsonl", "seq": 3})
+                     sweep=SWEEP)
     doc = read_bench_json(str(path))
-    assert doc["schema"] == 4
+    assert doc["schema"] == 5
     assert doc["records"][0]["cycles"] == 9
     assert doc["sweep"] == SWEEP
-    assert doc["history"] == {"path": "h.jsonl", "seq": 3}
 
 
 def test_reader_rejects_unknown_schema(tmp_path):
     path = tmp_path / "future.json"
-    for schema in (3, 99):
+    for schema in (4, 99):
         path.write_text(
             json.dumps({"bench": "b", "schema": schema, "records": []}))
         with pytest.raises(ValueError):

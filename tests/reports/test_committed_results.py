@@ -17,7 +17,7 @@ DOCUMENTS = sorted(glob.glob(os.path.join(RESULTS, "*.json")))
 
 @pytest.mark.parametrize("path", DOCUMENTS, ids=map(os.path.basename, DOCUMENTS))
 def test_document_is_schema_4_under_the_default_engine(path):
-    document = read_bench_json(path)  # rejects anything but schema 4
+    document = read_bench_json(path)  # rejects anything but schema 5
     assert document["records"]
     # sim_throughput.json is the one bench that compares the engines
     compares_engines = os.path.basename(path) == "sim_throughput.json"

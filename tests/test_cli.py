@@ -281,11 +281,10 @@ class TestObservability:
         assert record["cycles"] > 0
         assert record["utilization"]
         assert isinstance(record["stalls"], dict)
-        # schema-4 host telemetry: flat keys plus the registry pointer
+        # flat host-telemetry keys, and no registry pointer
         assert record["host_seconds"] > 0
         assert record["sim_cycles_per_host_second"] > 0
-        assert record["history"]["path"].endswith("runs.jsonl")
-        assert isinstance(record["history"]["seq"], int)
+        assert "history" not in record
 
     def test_run_trace_out(self, tmp_path, capsys):
         import json
@@ -323,14 +322,14 @@ class TestObservability:
         cold = capsys.readouterr().out
         assert "2 points" in cold and "0 cache hit(s)" in cold
         document = json.loads(out_path.read_text())
-        assert document["schema"] == 4
+        assert document["schema"] == 5
         assert document["sweep"]["cache_misses"] == 2
         assert all(r["cycles"] > 0 for r in document["records"])
-        # schema-4 document blocks: sweep telemetry + history pointer
+        # document blocks: sweep telemetry, and no registry pointer
         assert document["telemetry"]["point_seconds"]["count"] == 2
         assert document["telemetry"]["workers"]
         assert document["telemetry"]["cache"]["misses"] >= 2
-        assert document["history"]["path"].endswith("runs.jsonl")
+        assert "history" not in document
         # second run: every point served from the cache
         assert main(argv) == 0
         warm = capsys.readouterr().out
@@ -339,6 +338,23 @@ class TestObservability:
         assert warm_doc["sweep"]["cache_hits"] == 2
         assert [r["cycles"] for r in warm_doc["records"]] == \
             [r["cycles"] for r in document["records"]]
+
+    def test_run_and_sweep_write_only_their_named_outputs(
+            self, tmp_path, capsys, monkeypatch):
+        """In a user's shell (no REPRO_* variable but the cache root,
+        which lives outside the working directory) ``run --stats-json``
+        and ``sweep --out`` create exactly the files they are given."""
+        for name in [n for n in os.environ
+                     if n.startswith("REPRO_") and n != "REPRO_CACHE_DIR"]:
+            monkeypatch.delenv(name)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "fibonacci", "--stats-json", "out.json"]) == 0
+        assert main(["sweep", "--workloads", "fibonacci", "--out",
+                     "s.json"]) == 0
+        capsys.readouterr()
+        created = sorted(str(path.relative_to(tmp_path))
+                         for path in tmp_path.rglob("*"))
+        assert created == ["out.json", "s.json"]
 
     def test_sweep_no_cache(self, tmp_path, capsys):
         argv = ["sweep", "--workloads", "saxpy", "--no-cache",

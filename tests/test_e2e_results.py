@@ -5,11 +5,12 @@ One document per measured revision, written by
 (``<rev>`` is the commit measured; a PR measures its parent under the
 parent's hash and its own working tree under ``<parent>-pr<N>``, since a
 commit cannot name itself). The files are only worth committing if
-``benchmarks/e2e/compare.py`` can still read them.
+``benchmarks/e2e/compare.py`` and ``repro history`` can still read them.
 """
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,3 +41,16 @@ def test_every_committed_ledger_result_is_readable_by_compare():
                 path.name, name)
             assert end_to_end | {"sim_cycles"} <= set(side["metrics"]), (
                 path.name, name)
+
+
+def test_repro_history_renders_every_committed_pair(monkeypatch, capsys):
+    from repro.cli import main
+
+    monkeypatch.chdir(ROOT)
+    assert main(["history"]) == 0
+    out = capsys.readouterr().out
+    assert "16 document(s), 8 PR pair(s)" in out
+    rows = [line for line in out.splitlines() if re.match(r"PR \d", line)]
+    assert len(rows) == 8 * len(DECLARATION["workloads"])
+    assert not any("!" in row for row in rows)
+    assert "0 ratio(s) marked" in out
