@@ -12,7 +12,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.accel.config import AcceleratorConfig
 from repro.accel.generator import GeneratedDesign, generate
-from repro.errors import SynthesisError
+from repro.errors import ConfigError, SynthesisError
 from repro.ir.module import Module
 from repro.memory.arbiter import Demux, RoundRobinArbiter
 from repro.memory.backing import MainMemory
@@ -98,6 +98,12 @@ class Accelerator:
                 "memnet.demux", cache_resp, unit_resp))
 
         # -- task units -------------------------------------------------------
+        tasks = [task.name for task in design.graph.tasks]
+        unknown = sorted(set(config.unit_params) - set(tasks))
+        if unknown:
+            raise ConfigError(
+                f"unit_params names no task of {design.module.name}: "
+                f"{', '.join(unknown)} (its tasks: {', '.join(tasks)})")
         self.units: List[TaskUnit] = []
         self.databoxes: List[DataBox] = []
         for i, task in enumerate(design.graph.tasks):

@@ -41,6 +41,14 @@ ARRIA_10 = Board("Arria 10", base_mhz=308.0, alm_capacity=251680,
 BOARDS = {b.name: b for b in (CYCLONE_V, ARRIA_10)}
 
 
+def _check_int(name: str, value, least: int) -> None:
+    """Stage-3 sizes are integers (a ``bool`` is not one) of at least
+    ``least``."""
+    if type(value) is not int or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, "
+                          f"not {value!r}")
+
+
 @dataclass
 class TaskUnitParams:
     """Per-task-unit knobs bound at Stage 3."""
@@ -52,14 +60,11 @@ class TaskUnitParams:
     policy: Optional[str] = None         # None -> lifo iff recursive
 
     def __post_init__(self):
-        if self.ntiles < 1:
-            raise ConfigError("ntiles must be >= 1")
-        if self.queue_depth is not None and self.queue_depth < 1:
-            raise ConfigError("queue_depth must be >= 1")
-        if self.max_inflight_per_tile < 1:
-            raise ConfigError("max_inflight_per_tile must be >= 1")
-        if self.databox_entries < 1:
-            raise ConfigError("databox_entries must be >= 1")
+        _check_int("ntiles", self.ntiles, 1)
+        if self.queue_depth is not None:
+            _check_int("queue_depth", self.queue_depth, 1)
+        _check_int("max_inflight_per_tile", self.max_inflight_per_tile, 1)
+        _check_int("databox_entries", self.databox_entries, 1)
         if self.policy not in (None, "fifo", "lifo"):
             raise ConfigError(f"unknown policy {self.policy!r} "
                               "(expected fifo/lifo, or None)")
@@ -113,23 +118,16 @@ class AcceleratorConfig:
             if kind not in DEFAULT_LATENCIES:
                 raise ConfigError(f"unknown latency class {kind!r} (expected "
                                   f"one of {', '.join(DEFAULT_LATENCIES)})")
-            if type(cycles) is not int or cycles < 0:
-                raise ConfigError(f"latency of {kind!r} must be an integer "
-                                  f">= 0, not {cycles!r}")
+            _check_int(f"latency of {kind!r}", cycles, 0)
         self.latencies = {**DEFAULT_LATENCIES, **(self.latencies or {})}
-        if self.default_ntiles < 1:
-            raise ConfigError("default_ntiles must be >= 1")
-        if type(self.memory_bytes) is not int or self.memory_bytes < 1:
-            raise ConfigError("memory_bytes must be a positive integer, "
-                              f"not {self.memory_bytes!r}")
+        _check_int("default_ntiles", self.default_ntiles, 1)
+        _check_int("memory_bytes", self.memory_bytes, 1)
         if self.memory_model not in ("cache", "scratchpad"):
             raise ConfigError(
                 f"unknown memory model {self.memory_model!r}")
-        if self.scratchpad_latency < 1:
-            raise ConfigError("scratchpad_latency must be >= 1")
-        if self.dram_latency_cycles is not None \
-                and self.dram_latency_cycles < 0:
-            raise ConfigError("dram_latency_cycles must be >= 0")
+        _check_int("scratchpad_latency", self.scratchpad_latency, 1)
+        if self.dram_latency_cycles is not None:
+            _check_int("dram_latency_cycles", self.dram_latency_cycles, 0)
         if self.engine not in ENGINES:
             raise ConfigError(
                 f"unknown engine {self.engine!r} "

@@ -108,11 +108,12 @@ def render_host_profile_report(name: str, profiler,
     """The ``repro profile --host`` text report: where do host seconds
     go while the simulator runs this design?
 
-    Ranks component *classes* (every instance of e.g. ``TaskUnit``
-    aggregated) by host time, then the engine-level phases (channel
-    commit, observer, scheduling residual). ``coverage`` is the fraction
-    of simulator wall-clock attributed to a named class or phase —
-    near 1.0 when the attribution is healthy. When a
+    Ranks the compiled kernel's rows by host time -- component *classes*
+    (every instance of e.g. ``Cache`` aggregated) and each task's
+    instance loop -- then the engine-level phases (channel commit,
+    observer, scheduling residual). ``coverage`` is the fraction of
+    simulator wall-clock attributed to a named row or phase. The
+    reference engines report wall time only. When a
     :class:`~repro.telemetry.spans.SpanTracer` is supplied, the
     toolchain phases around the simulation (parse/lower/generate/
     elaborate) are appended so compile time is visible next to sim time.
@@ -130,12 +131,12 @@ def render_host_profile_report(name: str, profiler,
     def _share(seconds):
         return f"{100.0 * seconds / wall:.1f}%" if wall else "0.0%"
 
-    rows = [[row["class"], f"{row['seconds']:.4f}", _share(row["seconds"]),
-             row["ticks"], row["ns_per_tick"]]
+    rows = [[row["class"], f"{row['seconds']:.4f}", _share(row["seconds"])]
             for row in profiler.ranked_classes()]
     sections.append(render_table(
-        ["component class", "seconds", "% wall", "ticks", "ns/tick"],
-        rows, title="Host seconds by component class"))
+        ["component class", "seconds", "% wall"],
+        rows, title="Host seconds by component class") if rows else
+        f"No per-class attribution on the {engine} engine: wall time only.")
 
     phase_rows = [[phase, f"{seconds:.4f}", _share(seconds)]
                   for phase, seconds in sorted(profiler.phases().items(),

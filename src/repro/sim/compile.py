@@ -176,15 +176,13 @@ def _store_kernel_source(digest: str, source: str) -> Optional[Path]:
 
 def _fallback_reason(sim) -> Optional[str]:
     """Instrumentation / topology checks that force the dense engine:
-    what needs a real tick of every component every cycle (host-time
-    attribution, value probes, an observer with only ``on_cycle``) or is
-    structurally unknown to the codegen."""
+    what needs a real tick of every component every cycle (value probes,
+    an observer with only ``on_cycle``) or is structurally unknown to the
+    codegen."""
     if (sim.observer is not None
             and getattr(sim.observer, "on_change", None) is None):
         return (f"observer {type(sim.observer).__name__} has no on_change "
                 f"(per-cycle sampling needs real ticks)")
-    if sim.host_profile is not None:
-        return "host profiling enabled (per-component attribution)"
     if any(tile.value_probe is not None for comp in sim.components
            if isinstance(comp, TaskUnit) for tile in comp.tiles):
         return "TXU value probe installed (range checker)"
@@ -779,12 +777,13 @@ def _stepper_module(gen: _StepperGen) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs, mods):
+def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs, mods,
+               clock):
     """Fully inlined TaskUnit tick: queue/join plumbing via guarded real
     helper calls, then each tile's section -- ``TXUTile.tick``, the gate of
     the instance scheduler, derived by :func:`tile_section` -- calling the
     tile's instance loop from the unit's stepper module (appended to
-    ``mods``)."""
+    ``mods``), which a profiled shell ``clock``s as its task's row."""
     if not unit.tiles:
         raise UnsupportedDesign(f"{unit.name}: task unit has no tiles")
     for t in unit.tiles:
@@ -881,7 +880,14 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs, mods):
     tick.append("            ix_ = ix_ + 1 if ix_ + 1 < %d else 0" % nt)
     for tn, _rc, t in tiles:
         tick.append("    if %si:" % tn)
-        tick.extend("    " + line for line in tile_section(em, tn, t))
+        for line in tile_section(em, tn, t):
+            if line.lstrip().startswith(tn + "k("):  # the instance loop
+                ind = "    " + line[:len(line) - len(line.lstrip())]
+                tick.extend(clock("TaskUnit", ind))
+                tick.append("    " + line)
+                tick.extend(clock("TXUTile[%s]" % unit.task.name, ind))
+            else:
+                tick.append("    " + line)
     tick.append("    if %sjr:" % u)
     tick.append("        %ssj()" % u)
     tick.append("    if %sso and len(c%di) < %d and CP[%d] is None:"
@@ -945,11 +951,24 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
     # component, and SUB[k] lists who watches channel k (sensitivity())
     observed = getattr(sim.observer, "on_change", None) is not None
     subs: List[List[str]] = [[] for _ in em.channels]
+    # a host profiler is installed: the time since the last clock reading
+    # goes to a row per component class, per task's instance loop and per
+    # engine phase (the idle/skip tail is measured engine.schedule)
+    profiled = sim.host_profile is not None
+    rows: Dict[str, int] = {}
+
+    def clock(row: str, ind: str) -> List[str]:
+        if not profiled:
+            return []
+        slot = rows.setdefault(row, len(rows))
+        return [ind + "h1 = _ns()", ind + "ht%d += h1 - h0" % slot,
+                ind + "h0 = h1"]
+
     comps = list(sim.components)
     for k, comp in enumerate(comps):
         guard = len(tick)  # every section opens with its ``if <guard>:``
         if isinstance(comp, TaskUnit):
-            _emit_unit(em, k, comp, tick, busy, skip, sdefs, mods)
+            _emit_unit(em, k, comp, tick, busy, skip, sdefs, mods, clock)
         else:
             # derived from the class's own tick / is_busy / next_wake
             em.pre.append("x%d = %s" % (k, em.ref(comp)))
@@ -962,6 +981,7 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
             tick.insert(guard + 1, "    tk.append(%s)" % em.ref(comp))
             for ch in dict.fromkeys(comp.sensitivity()):
                 subs[em.ci(ch)].append(em.ref(comp))
+        tick.extend(clock(type(comp).__name__, ""))
 
     busy_expr = " or ".join("(%s)" % t for t in busy) if busy else "0"
     nch = len(em.channels)
@@ -1050,6 +1070,8 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
     w('                f"simulation exceeded {max_cycles} cycles '
       'without finishing")')
     w("        act[0] = 0")
+    if profiled:
+        w("        h0 = _ns()")
     body.extend("        " + line for line in tick)
     w("        ticks += 1")
     w("        if dl:")
@@ -1079,15 +1101,19 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
     w("                    nm.add(CN[k])")
     w("                if len(mlog) < %d:" % _engine.MOVEMENT_LOG_CAP)
     w("                    mlog.append((cycle, tuple(sorted(nm))))")
+    body.extend(clock("channels.commit", " " * 12))
     if observed:
         w("            _obs(cycle)")
+        body.extend(clock("observer", " " * 12))
     w("            del dl[:]")
     w("            cycle += 1")
     w("            quiet = 0")
     w("            idle = 0")
+    body.extend(clock("engine.schedule", " " * 12))
     w("            continue")
     if observed:
         w("        _obs(cycle)")
+        body.extend(clock("observer", " " * 8))
     w("        cycle += 1")
     w("        if act[0]:")
     w("            quiet = 0")
@@ -1106,6 +1132,7 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
     w("            _sync_totals()")
     w("            sim._check_stalls()")
     w("        if act[0]:")
+    body.extend(clock("engine.schedule", " " * 12))
     w("            continue")
     w("        tw = limit")
     body.extend("        " + line for line in skip)
@@ -1129,7 +1156,14 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
     w("                sim._quiet_cycles = quiet")
     w("                _sync_totals()")
     w("                sim._check_stalls()")
+    body.extend(clock("engine.schedule", " " * 8))
     w("finally:")
+    if profiled:
+        slots = ["ht%d" % slot for slot in range(len(rows))]
+        w("    sim.host_profile.add(%r, (%s))"
+          % (tuple(rows), "".join(name + ", " for name in slots)))
+        body[1:1] = ["h0 = h1 = %s = 0" % " = ".join(slots),
+                     "from time import perf_counter_ns as _ns"]
     w("    if _gc_on:")
     w("        _gc.enable()")
     w("    sim.cycle = cycle")

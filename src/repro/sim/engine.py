@@ -10,9 +10,9 @@ Three engines share one contract:
   handshakes and per-component tick bodies specialized on their static
   configuration, ``exec``'d and cached content-addressed by design
   fingerprint. A change-driven observer and analysis traces are
-  generated into the kernel; what the codegen does not support (host
-  profiling, value probes, ``on_cycle``-only observers, unknown
-  component classes) runs on the dense oracle instead
+  generated into the kernel, and so is host-time attribution; what the
+  codegen does not support (value probes, ``on_cycle``-only observers,
+  unknown component classes) runs on the dense oracle instead
   (``Simulator.compiled_fallback`` records why).
 * ``engine="event"`` — one wake-cycle scan, run only when named. Components
   declare *sensitivity* (the channels they read/write) and an optional
@@ -84,9 +84,8 @@ class Simulator:
         #: at a single pointer test per cycle
         self.observer = None
         self._on_change = None  # its change-driven hook, bound per run
-        #: optional host-time attribution (repro.telemetry.HostProfiler);
-        #: None keeps both engines' commit paths at one pointer test per
-        #: cycle — sim cycles are bit-identical either way
+        #: optional host-time attribution (repro.telemetry.HostProfiler),
+        #: read by the compiled engine's code generator only
         self.host_profile = None
         #: optional movement trace for differential debugging: when set to
         #: a list, every cycle with channel movement appends
@@ -140,8 +139,8 @@ class Simulator:
 
     def enable_host_profile(self, profiler=None):
         """Install per-component-class host-time attribution (see
-        :mod:`repro.telemetry.hostprof`). Call after construction is
-        complete — the profiler wraps the components registered so far."""
+        :mod:`repro.telemetry.hostprof`): compiled runs generate a profiled
+        kernel; the reference engines report wall time only."""
         from repro.telemetry.hostprof import HostProfiler
 
         profiler = profiler or HostProfiler()
@@ -167,17 +166,13 @@ class Simulator:
         self._ticks_executed += 1
         self._component_ticks += len(components)
         moved = False
-        profile = self.host_profile
         log = self._movement_log
         names = None if log is None else []
-        t0 = 0 if profile is None else time.perf_counter_ns()
         for channel in self.channels:
             if channel.commit():
                 moved = True
                 if names is not None:
                     names.append(channel.name)
-        if profile is not None:
-            profile.commit_ns += time.perf_counter_ns() - t0
         if names and len(log) < MOVEMENT_LOG_CAP:
             log.append((executed, tuple(sorted(names))))
         self._dirty_channels.clear()
@@ -219,11 +214,8 @@ class Simulator:
         finally:
             if self._on_change is not None:  # book the observer's open runs
                 self.observer.flush(self)
-            elapsed = time.perf_counter() - t0
-            self.host_seconds += elapsed
+            self.host_seconds += time.perf_counter() - t0
             self._cycles_simulated += self.cycle - start
-            if self.host_profile is not None:
-                self.host_profile.wall_ns += int(elapsed * 1e9)
         return self.cycle - start
 
     def _check_stalls(self):
@@ -259,10 +251,11 @@ class Simulator:
         The codegen pass lives in :mod:`repro.sim.compile`. An observer
         with ``on_change`` (bound to ``_on_change`` by :meth:`run`, which
         also flushes it) and traced task units are part of the generated
-        text; what it cannot specialize (host profiling, value probes,
-        observers with only ``on_cycle``, unrecognized component classes)
-        runs on the dense oracle — total and bit-identical, just slower —
-        with the reason recorded in :attr:`compiled_fallback`."""
+        text, and so is a host profiler's clock; what it cannot specialize
+        (value probes, observers with only ``on_cycle``, unrecognized
+        component classes) runs on the dense oracle — total and
+        bit-identical, just slower — with the reason recorded in
+        :attr:`compiled_fallback`."""
         from repro.sim.compile import prepare_kernel
 
         kernel, self.compiled_fallback = prepare_kernel(self)
@@ -327,10 +320,8 @@ class Simulator:
         moved = False
         dirty = self._dirty_channels
         if dirty:
-            profile = self.host_profile
             log = self._movement_log
             names = None if log is None else []
-            t0 = 0 if profile is None else time.perf_counter_ns()
             self._dirty_channels = []
             for channel in dirty:
                 if channel.commit():
@@ -341,8 +332,6 @@ class Simulator:
                         if next_cycle < subscriber._wake_cycle:
                             subscriber._wake_cycle = next_cycle
                             due = True
-            if profile is not None:
-                profile.commit_ns += time.perf_counter_ns() - t0
             if names and len(log) < MOVEMENT_LOG_CAP:
                 log.append((executed, tuple(sorted(names))))
         self.cycle = next_cycle

@@ -10,8 +10,8 @@ stall attribution, Perfetto traces); this package does the same for the
   simulation), exported as host-thread tracks into the same
   Chrome-trace document as the guest cycle timeline,
 * :class:`HostProfiler` — per-component-class ``perf_counter_ns``
-  attribution inside the simulation engines ("where do host seconds
-  go"), bit-identical sim cycles on or off,
+  attribution read off the compiled kernel that ran ("where do host
+  seconds go"), bit-identical sim cycles on or off,
 * :func:`ledger_history` — the committed end-to-end ledger
   (``results/e2e/``) as parent/change ratios against the
   ``BENCHMARK.json`` bounds, behind ``repro history``.

@@ -111,6 +111,31 @@ class TestConfig:
             AcceleratorConfig(dram_latency_cycles=-50)
         assert AcceleratorConfig(
             dram_latency_cycles=0).effective_dram_latency() == 0
+        # Stage-3 sizes are integers: a float or a bool names its field
+        for field, value in (("default_ntiles", 2.0),
+                             ("default_ntiles", True),
+                             ("scratchpad_latency", 2.5),
+                             ("dram_latency_cycles", 1.5)):
+            with pytest.raises(ConfigError, match=field):
+                AcceleratorConfig(memory_model="scratchpad",
+                                  **{field: value})
+        for field, value in (("ntiles", 2.5), ("ntiles", True),
+                             ("queue_depth", 4.0),
+                             ("max_inflight_per_tile", 8.0),
+                             ("databox_entries", False)):
+            with pytest.raises(ConfigError, match=field):
+                TaskUnitParams(**{field: value})
+
+    def test_unknown_unit_params_key_rejected(self):
+        """A ``unit_params`` key that names no task of the design fails
+        elaboration, naming the key and the design's tasks."""
+        from repro.workloads import REGISTRY
+
+        workload = REGISTRY.get("fibonacci")
+        config = AcceleratorConfig(unit_params={
+            "fibb": TaskUnitParams(ntiles=2), "fib": TaskUnitParams()})
+        with pytest.raises(ConfigError, match=r"fibb \(its tasks: fib\)"):
+            workload.build(config)
 
     def test_boards_registry(self):
         assert BOARDS["Cyclone V"] is CYCLONE_V

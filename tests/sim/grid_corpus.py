@@ -44,14 +44,18 @@ def _sha(value) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def outcome(name: str, tiles: int, memory: str, engine: str):
-    """``(digests, engine stats)`` of one instrumented run at scale 1."""
+def outcome(name: str, tiles: int, memory: str, engine: str,
+            host_profile: bool = False):
+    """``(digests, engine stats)`` of one instrumented run at scale 1,
+    with a host profiler installed if ``host_profile``."""
     workload = REGISTRY.get(name)
     observer = Observer()
     accel = workload.build(
         workload.default_config(tiles, engine=engine, **MEMORIES[memory]),
         observer=observer)
     movement = accel.sim.enable_movement_log()
+    if host_profile:
+        accel.sim.enable_host_profile()
     prepared = workload.prepare(accel.memory, 1)
     result = accel.run(prepared.function, prepared.args)
     assert prepared.check(accel.memory, result.retval)

@@ -477,20 +477,26 @@ class TestFallbackMatrix:
         # the exact per-cycle view, as the sample-everything oracle gives it
         assert watcher.cycles == oracle_watcher.cycles == cycles
 
-    def test_host_profile_falls_back(self):
+    def test_host_profile_runs_compiled(self):
+        """A host profiler is generated into the shell: the profiled run is
+        a compiled run, equal to the dense oracle's, and the profile says
+        so."""
         accel = _build()
         profiler = accel.sim.enable_host_profile()
         kernel, reason = prepare_kernel(accel.sim)
-        assert kernel is None and "host profiling" in reason
-        oracle = _build(engine="dense")
-        oracle.sim.enable_host_profile()
-        _assert_ran_dense(accel, oracle, "host profiling")
-        # the profile says which engine it was taken on, and why
+        assert kernel is not None and reason is None
+        result = accel.run("fib", [10])
+        expected = _build(engine="dense").run("fib", [10])
+        assert accel.sim.executed_engine == "compiled"
+        assert result.stats.pop("engine")["compiled_fallback"] is None
+        expected.stats.pop("engine")
+        assert ((result.cycles, result.retval, result.stats)
+                == (expected.cycles, expected.retval, expected.stats))
         payload = profiler.as_dict()
-        assert payload["engine"] == "dense"
-        assert "host profiling" in payload["compiled_fallback"]
+        assert payload["engine"] == "compiled"
+        assert payload["compiled_fallback"] is None
         report = render_host_profile_report("fib", profiler)
-        assert "engine=dense (compiled declined: host profiling" in report
+        assert "engine=compiled\n" in report and "declined" not in report
 
     def test_value_probe_falls_back(self, monkeypatch):
 
@@ -633,9 +639,9 @@ class TestFallbackMatrix:
 
     def test_fallback_reason_recorded_on_run(self):
         accel = _build()
-        accel.sim.enable_host_profile()
+        accel.sim.attach_observer(OnCycleOnly())
         accel.run("fib", [10])
-        assert "host profiling" in accel.sim.compiled_fallback
+        assert "OnCycleOnly" in accel.sim.compiled_fallback
         assert accel.sim.stats()["engine"]["compiled_fallback"] \
             == accel.sim.compiled_fallback
 

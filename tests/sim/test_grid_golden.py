@@ -1,9 +1,10 @@
 """Every engine reproduces the grid pinned in ``data/grid_golden.json``.
 
 The golden was taken on the dense engine (see ``grid_corpus.py``). The
-compiled kernel runs all 84 configurations without falling back; dense
-and event run the 28 two-tile ones, so the oracle itself is held to the
-numbers it produced before it shared the kernel's instance scheduler.
+compiled kernel runs all 84 configurations without falling back, plain
+and with a host profiler's clock generated in; dense and event run the
+28 two-tile ones, so the oracle itself is held to the numbers it
+produced before it shared the kernel's instance scheduler.
 """
 
 import json
@@ -25,6 +26,15 @@ def test_golden_covers_the_grid():
                          ids=[grid_id(*point) for point in GRID])
 def test_compiled_matches_golden(name, tiles, memory):
     digests, engine = outcome(name, tiles, memory, "compiled")
+    assert engine["compiled_fallback"] is None
+    assert digests == GOLDEN[grid_id(name, tiles, memory)]
+
+
+@pytest.mark.parametrize("name, tiles, memory", GRID,
+                         ids=[grid_id(*point) for point in GRID])
+def test_profiled_kernel_matches_golden(name, tiles, memory):
+    digests, engine = outcome(name, tiles, memory, "compiled",
+                              host_profile=True)
     assert engine["compiled_fallback"] is None
     assert digests == GOLDEN[grid_id(name, tiles, memory)]
 

@@ -1,11 +1,14 @@
-"""Host-time attribution: bit-identical cycles, coverage, uninstall."""
+"""Host-time attribution: the compiled kernel that ran is the one timed,
+cycles are bit-identical, the rows sum to the wall, and the reference
+engines report wall time only."""
 
 import pytest
 
 from repro.accel import AcceleratorConfig, build_accelerator
 from repro.errors import SimulationError
 from repro.frontend import compile_source
-from repro.telemetry.hostprof import HostProfiler
+from repro.sim.compile import generate_modules
+from repro.telemetry.hostprof import PHASES, HostProfiler
 
 SOURCE = """
 func work(a: i32*, n: i32) -> i32 {
@@ -21,71 +24,92 @@ func work(a: i32*, n: i32) -> i32 {
 """
 
 
-def _run(engine, profiled):
-    accel = build_accelerator(
-        compile_source(SOURCE, "hostprof"),
-        AcceleratorConfig(default_ntiles=2, engine=engine))
-    profiler = accel.sim.enable_host_profile() if profiled else None
-    n = 6
+def _build(engine="compiled", observer=None, name="hostprof"):
+    return build_accelerator(
+        compile_source(SOURCE, name),
+        AcceleratorConfig(default_ntiles=2, engine=engine),
+        observer=observer)
+
+
+def _run(accel, n=6):
     addr = accel.memory.alloc_array(
         accel.design.module.functions[0].arguments[0].type.pointee,
         [3] * n)
-    result = accel.run("work", [addr, n])
-    return result, profiler
+    return accel.run("work", [addr, n])
 
 
-@pytest.mark.parametrize("engine", ["dense", "event"])
+@pytest.mark.parametrize("engine", ["dense", "event", "compiled"])
 def test_cycles_bit_identical_with_profiler(engine):
-    """The tentpole invariant: host attribution is pure instrumentation
-    — the simulated machine cannot tell whether it is being profiled."""
-    plain, _ = _run(engine, profiled=False)
-    profiled, profiler = _run(engine, profiled=True)
-    assert plain.cycles == profiled.cycles
-    assert plain.retval == profiled.retval
+    """Host attribution is pure instrumentation: the simulated machine
+    cannot tell whether it is being profiled."""
+    plain = _run(_build(engine))
+    accel = _build(engine)
+    profiler = accel.sim.enable_host_profile()
+    profiled = _run(accel)
+    assert accel.sim.compiled_fallback is None
+    plain.stats.pop("engine")
+    profiled.stats.pop("engine")
+    assert (plain.cycles, plain.retval, plain.stats) \
+        == (profiled.cycles, profiled.retval, profiled.stats)
     assert profiler.wall_ns > 0
 
 
-@pytest.mark.parametrize("engine", ["dense", "event"])
+@pytest.mark.parametrize("engine", ["dense", "event", "compiled"])
 def test_attribution_covers_the_run(engine):
-    _, profiler = _run(engine, profiled=True)
-    # every wrapped class shows up with real tick counts
-    classes = {row["class"]: row for row in profiler.ranked_classes()}
-    assert "TaskUnit" in classes
-    assert classes["TaskUnit"]["ticks"] > 0
-    assert len(classes) >= 3
-    # attribution is exhaustive: named classes + phases cover the wall
-    assert profiler.coverage() >= 0.9
-    assert 0.0 < profiler.measured_fraction() <= 1.0
-    phases = profiler.phases()
-    assert set(phases) == {"channels.commit", "observer", "engine.schedule"}
+    accel = _build(engine)
+    profiler = accel.sim.enable_host_profile()
+    _run(accel)
     payload = profiler.as_dict()
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert payload["engine"] == engine
     assert payload["wall_seconds"] > 0
+    assert set(profiler.phases()) == set(PHASES)
+    # exhaustive: rows plus phases (engine.schedule the residual) are the
+    # wall, on every engine
+    assert profiler.coverage() == 1.0
+    named = sum(row["seconds"] for row in profiler.ranked_classes()) \
+        + sum(profiler.phases().values())
+    assert named == pytest.approx(profiler.wall_ns / 1e9, abs=1e-9)
+    classes = [row["class"] for row in payload["classes"]]
+    if engine != "compiled":  # the reference engines: wall time only
+        assert classes == [] and profiler.measured_fraction() == 0.0
+        return
+    tasks = ["TXUTile[%s]" % unit.task.name for unit in accel.units]
+    plumbing = {type(c).__name__ for c in accel.sim.components} - {"TaskUnit"}
+    assert sorted(classes) == sorted(["TaskUnit", *tasks, *plumbing])
+    assert 0.0 < profiler.measured_fraction() <= 1.0
 
 
-def test_uninstall_restores_methods():
-    accel = build_accelerator(
-        compile_source(SOURCE, "hostprof_un"),
-        AcceleratorConfig(default_ntiles=1))
+def test_profiled_shell_is_a_separate_text():
+    """The profiler changes the shell's text only; the steppers, and the
+    plain shell, are what an unprofiled design generates."""
+    plain = generate_modules(_build().sim)
+    accel = _build()
+    accel.sim.enable_host_profile()
+    profiled = generate_modules(accel.sim)
+    assert profiled[1:] == plain[1:]
+    assert "perf_counter_ns" in profiled[0]
+    assert "perf_counter_ns" not in "".join(plain)
+
+
+def test_uninstall_restores_the_plain_kernel():
+    accel = _build(name="hostprof_un")
+    plain = _build(name="hostprof_un")
+    _run(plain)
     profiler = accel.sim.enable_host_profile()
-    component = accel.sim.components[0]
-    assert "tick" in component.__dict__  # instance shadow installed
+    assert _run(accel).retval == 6 * 4
+    assert accel.sim.compiled_digest != plain.sim.compiled_digest
     profiler.uninstall()
-    assert "tick" not in component.__dict__
     assert accel.sim.host_profile is None
-    # the design still runs after uninstall
-    n = 4
-    addr = accel.memory.alloc_array(
-        accel.design.module.functions[0].arguments[0].type.pointee, [1] * n)
-    result = accel.run("work", [addr, n])
-    assert result.retval == n * 2
+    wall = profiler.wall_ns
+    # the next run is the plain kernel, and its time is not the profile's
+    _run(accel)
+    assert accel.sim.compiled_digest == plain.sim.compiled_digest
+    assert profiler.wall_ns == wall
 
 
 def test_double_install_refused():
-    accel = build_accelerator(
-        compile_source(SOURCE, "hostprof_dbl"),
-        AcceleratorConfig(default_ntiles=1))
+    accel = _build(name="hostprof_dbl")
     profiler = HostProfiler()
     accel.sim.enable_host_profile(profiler)
     with pytest.raises(SimulationError):
@@ -93,38 +117,22 @@ def test_double_install_refused():
 
 
 def test_observer_time_lands_in_observer_phase():
-    for engine in ("dense", "event"):
-        _check_observer_is_timed(engine)
-
-
-def _check_observer_is_timed(engine):
-    """Whatever hook the engine calls — ``on_cycle`` from the dense
-    loop, ``on_change`` and ``flush`` from the event engine — is timed
-    into ``observer_ns`` once, and ``uninstall`` puts the methods back."""
+    """The kernel's hand-over to a change-driven observer is its own
+    phase, and the observer sees every cycle."""
     from repro.obs import Observer
 
     observer = Observer()
-    accel = build_accelerator(
-        compile_source(SOURCE, "hostprof_obs"),
-        AcceleratorConfig(default_ntiles=1, engine=engine),
-        observer=observer)
+    accel = _build(observer=observer, name="hostprof_obs")
     profiler = accel.sim.enable_host_profile()
-    n = 4
-    addr = accel.memory.alloc_array(
-        accel.design.module.functions[0].arguments[0].type.pointee, [1] * n)
-    result = accel.run("work", [addr, n])
-    assert 0 < profiler.observer_ns <= profiler.wall_ns
+    result = _run(accel)
+    assert accel.sim.executed_engine == "compiled"
+    assert 0 < profiler.phases()["observer"] * 1e9 <= profiler.wall_ns
     assert observer.cycles_observed == result.cycles
-    profiler.uninstall()
-    assert not {"on_cycle", "on_change", "flush"} & set(vars(observer))
-    # the observer keeps working, untimed, on the next run
-    timed = profiler.observer_ns
-    accel.run("work", [addr, n])
-    assert observer.cycles_observed == accel.sim.cycle
-    assert profiler.observer_ns == timed
 
 
-def test_third_party_observer_is_timed_through_on_cycle():
+def test_third_party_observer_profile_is_wall_only():
+    """An ``on_cycle``-only observer sends the run to the dense oracle,
+    which reports wall time only, and the profile says why."""
     class Minimal:
         def __init__(self):
             self.cycles = 0
@@ -136,15 +144,11 @@ def test_third_party_observer_is_timed_through_on_cycle():
             return {"cycles_observed": self.cycles}
 
     observer = Minimal()
-    accel = build_accelerator(
-        compile_source(SOURCE, "hostprof_min"),
-        AcceleratorConfig(default_ntiles=1), observer=observer)
+    accel = _build(observer=observer, name="hostprof_min")
     profiler = accel.sim.enable_host_profile()
-    n = 4
-    addr = accel.memory.alloc_array(
-        accel.design.module.functions[0].arguments[0].type.pointee, [1] * n)
-    result = accel.run("work", [addr, n])
+    result = _run(accel)
     assert observer.cycles == result.cycles
-    assert profiler.observer_ns > 0
-    profiler.uninstall()
-    assert "on_cycle" not in vars(observer)
+    payload = profiler.as_dict()
+    assert payload["engine"] == "dense"
+    assert "Minimal" in payload["compiled_fallback"]
+    assert payload["classes"] == [] and payload["measured_fraction"] == 0.0

@@ -223,10 +223,28 @@ class TestObservability:
         capsys.readouterr()
         record = json.loads(stats_path.read_text())
         profile = record["host_profile"]
-        assert profile["schema"] == 1
-        assert profile["coverage"] >= 0.9
+        assert profile["schema"] == 2
+        assert profile["coverage"] == 1.0
         assert profile["wall_seconds"] > 0
         assert any(row["class"] == "TaskUnit" for row in profile["classes"])
+
+    def test_profile_host_times_the_compiled_kernel(self, tmp_path, capsys):
+        """``profile --host`` profiles the default engine: one row per
+        plumbing class and one instance-loop row per task, no fallback."""
+        import json
+
+        stats_path = tmp_path / "stats.json"
+        program = os.path.join(REPO, "examples", "programs", "fib.cilk")
+        assert main(["profile", program, "--host",
+                     "--stats-json", str(stats_path)]) == 0
+        out = capsys.readouterr().out
+        assert "engine=compiled\n" in out and "compiled declined" not in out
+        profile = json.loads(stats_path.read_text())["host_profile"]
+        assert profile["engine"] == "compiled"
+        assert profile["compiled_fallback"] is None
+        assert sorted(row["class"] for row in profile["classes"]) == [
+            "Cache", "DRAMModel", "DataBox", "Demux", "RoundRobinArbiter",
+            "TXUTile[fib]", "TaskUnit"]
 
     def test_profile_trace_out_carries_host_spans(self, kernel_file,
                                                   tmp_path, capsys):

@@ -199,3 +199,20 @@ def test_spawn_targets_are_resolved_once():
     assert not os.path.exists(os.path.join(SRC, "task", "program.py"))
     assert _hits(r"^def spawn_context\b") == {
         os.path.join("passes", "mhp.py"): 1}
+
+
+def test_host_time_is_attributed_in_the_kernel():
+    """Host time has one producer, the compiled kernel's clock: the engine
+    times no commit, tick or run loop of its own beyond ``host_seconds``,
+    and the profiler wraps no component's ``tick``."""
+    import ast
+
+    with open(os.path.join(SRC, "sim", "engine.py")) as handle:
+        assert "perf_counter_ns" not in handle.read()
+    with open(os.path.join(SRC, "telemetry", "hostprof.py")) as handle:
+        tree = ast.parse(handle.read())
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "tick"
+                and isinstance(node.ctx, ast.Store)]
+    assert "setattr" not in {node.id for node in ast.walk(tree)
+                             if isinstance(node, ast.Name)}
