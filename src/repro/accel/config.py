@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_int
 from repro.memory.cache import CacheParams
 from repro.sim.engine import DEFAULT_ENGINE, ENGINES
 from repro.task.txu import DEFAULT_LATENCIES
@@ -41,14 +41,6 @@ ARRIA_10 = Board("Arria 10", base_mhz=308.0, alm_capacity=251680,
 BOARDS = {b.name: b for b in (CYCLONE_V, ARRIA_10)}
 
 
-def _check_int(name: str, value, least: int) -> None:
-    """Stage-3 sizes are integers (a ``bool`` is not one) of at least
-    ``least``."""
-    if type(value) is not int or value < least:
-        raise ConfigError(f"{name} must be an integer >= {least}, "
-                          f"not {value!r}")
-
-
 @dataclass
 class TaskUnitParams:
     """Per-task-unit knobs bound at Stage 3."""
@@ -60,11 +52,11 @@ class TaskUnitParams:
     policy: Optional[str] = None         # None -> lifo iff recursive
 
     def __post_init__(self):
-        _check_int("ntiles", self.ntiles, 1)
+        check_int("ntiles", self.ntiles, 1)
         if self.queue_depth is not None:
-            _check_int("queue_depth", self.queue_depth, 1)
-        _check_int("max_inflight_per_tile", self.max_inflight_per_tile, 1)
-        _check_int("databox_entries", self.databox_entries, 1)
+            check_int("queue_depth", self.queue_depth, 1)
+        check_int("max_inflight_per_tile", self.max_inflight_per_tile, 1)
+        check_int("databox_entries", self.databox_entries, 1)
         if self.policy not in (None, "fifo", "lifo"):
             raise ConfigError(f"unknown policy {self.policy!r} "
                               "(expected fifo/lifo, or None)")
@@ -73,7 +65,8 @@ class TaskUnitParams:
         """These knobs with the late-bound ones resolved against the
         task's concurrency-opt ``sizing``: an unset queue depth is the
         recommended one, an unset policy is lifo iff the task recurses.
-        Elaboration, both RTL emitters and the lint all read this."""
+        Elaboration and the lint read this; the RTL renders what
+        elaboration built."""
         return replace(
             self,
             queue_depth=self.queue_depth or sizing.recommended_queue_depth,
@@ -118,16 +111,16 @@ class AcceleratorConfig:
             if kind not in DEFAULT_LATENCIES:
                 raise ConfigError(f"unknown latency class {kind!r} (expected "
                                   f"one of {', '.join(DEFAULT_LATENCIES)})")
-            _check_int(f"latency of {kind!r}", cycles, 0)
+            check_int(f"latency of {kind!r}", cycles, 0)
         self.latencies = {**DEFAULT_LATENCIES, **(self.latencies or {})}
-        _check_int("default_ntiles", self.default_ntiles, 1)
-        _check_int("memory_bytes", self.memory_bytes, 1)
+        check_int("default_ntiles", self.default_ntiles, 1)
+        check_int("memory_bytes", self.memory_bytes, 1)
         if self.memory_model not in ("cache", "scratchpad"):
             raise ConfigError(
                 f"unknown memory model {self.memory_model!r}")
-        _check_int("scratchpad_latency", self.scratchpad_latency, 1)
+        check_int("scratchpad_latency", self.scratchpad_latency, 1)
         if self.dram_latency_cycles is not None:
-            _check_int("dram_latency_cycles", self.dram_latency_cycles, 0)
+            check_int("dram_latency_cycles", self.dram_latency_cycles, 0)
         if self.engine not in ENGINES:
             raise ConfigError(
                 f"unknown engine {self.engine!r} "

@@ -87,5 +87,13 @@ class ConfigError(TapasError):
     """Invalid hardware parameterisation (Stage 3)."""
 
 
+def check_int(name: str, value, least: int) -> None:
+    """Stage-3 sizes are integers (a ``bool`` is not one) of at least
+    ``least``; anything else is a :class:`ConfigError` naming ``name``."""
+    if type(value) is not int or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, "
+                          f"not {value!r}")
+
+
 class CacheError(TapasError):
     """The sweep result cache cannot store an entry under its root."""

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError, SimulationError, check_int
 from repro.memory.backing import MainMemory
 from repro.memory.messages import LOAD, MemRequest, MemResponse
 from repro.sim import (
@@ -50,11 +50,10 @@ class CacheParams:
     def __post_init__(self):
         for name, least in (("size_bytes", 1), ("line_bytes", 1),
                             ("associativity", 1), ("mshr_count", 1),
-                            ("hit_latency", 0), ("subword_penalty", 0)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"cache {name} must be >= {least}, "
-                                  f"not {getattr(self, name)}")
-        if self.banks < 1 or self.banks & (self.banks - 1):
+                            ("hit_latency", 0), ("subword_penalty", 0),
+                            ("banks", 1)):
+            check_int(f"cache {name}", getattr(self, name), least)
+        if self.banks & (self.banks - 1):
             raise ConfigError("cache banks must be a power of two")
         if self.size_bytes % (self.line_bytes * self.associativity * self.banks):
             raise ConfigError("cache size must divide into banks*lines*ways")

@@ -8,7 +8,7 @@ parallelism (mergesort, fib) map onto hardware without intermediate units.
 
 Every spawn and call site is resolved here, once, into the
 :class:`~repro.passes.taskgraph.SpawnEdge` that Stage 2, elaboration, the
-simulators, the RTL emitters and the analyses all read.
+simulators and the analyses all read.
 """
 
 from __future__ import annotations

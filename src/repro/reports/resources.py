@@ -21,6 +21,7 @@ from typing import Dict, List, Optional
 
 from repro.accel.accelerator import Accelerator
 from repro.ir.values import Value
+from repro.memory.cache import Cache
 
 M20K_BITS = 20 * 1024
 
@@ -203,8 +204,8 @@ def estimate_resources(accel: Accelerator,
                        ranges=None) -> ResourceReport:
     """Estimate post-synthesis resources for an elaborated accelerator.
 
-    ``include_cache`` adds the shared L1's data-array M20Ks (Table V
-    reports them; Table III/IV count only the task logic).
+    ``include_cache`` adds the data-array M20Ks of every elaborated L1
+    bank (Table V reports them; Table III/IV count only the task logic).
 
     ``width_aware`` sizes integer datapaths and Args RAM entries by the
     bitwidths the value-range analysis proves sufficient instead of the
@@ -225,9 +226,10 @@ def estimate_resources(accel: Accelerator,
     # queue/frame storage pools into shared M20K blocks at design level
     brams = max(1, -(-sum(u.ram_bits for u in units) // M20K_BITS))
     cache_brams = 0
-    if include_cache and accel.cache is not None:
-        cache_bits = accel.cache.params.size_bytes * 8
-        cache_brams = -(-cache_bits // M20K_BITS)
+    if include_cache:
+        # each L1 (or L1 bank) elaborated has its own data array
+        cache_brams = sum(-(-c.params.size_bytes * 8 // M20K_BITS)
+                          for c in accel.sim.components if isinstance(c, Cache))
         brams += cache_brams
     return ResourceReport(alms=alms, regs=regs, brams=brams, units=units,
                           cache_brams=cache_brams)

@@ -1,36 +1,65 @@
 """Chisel-flavoured RTL emission for a generated design.
 
 TAPAS's final artifact is parameterised Chisel (paper Fig 4/Fig 6). This
-emitter renders the same two views from our Stage-1/2 output:
+emitter renders the same two views from our Stage-1/2/3 output:
 
-* the **top level** — task units declared with their (Ntasks, Ntiles)
-  parameters, wired spawn->detach / sync->reattach, data boxes merged
-  into the shared L1, L1 on the AXI DRAM master;
+* the **top level** — the netlist ``Accelerator(design, config)``
+  elaborates: one library module per component (task units, data boxes,
+  the SID-routed arbiter/demux network, the L1 banks or scratchpad, the
+  DRAM) with the parameters it was built with, one wire per channel;
 * a **per-task TXU module** — one dataflow node instance per operation,
   connected by decoupled (ready/valid) links following the DFG edges.
 
-Each view is walked once (:func:`bound_units`, :func:`txu_nodes`) and
+Each view is walked once (:func:`netlist`, :func:`txu_nodes`) and
 rendered twice: as Chisel here, as Verilog in :mod:`repro.rtl.verilog`.
-Every parameter printed is the one ``config`` binds, hence the one
-``Accelerator`` elaborates; only the shared-L1 memory model is rendered.
 The output is for inspection and diffing — the cycle model in
 :mod:`repro.sim` is the executable form of the same netlist.
 """
 
 from __future__ import annotations
 
+from weakref import WeakKeyDictionary
+
+from repro.accel.accelerator import Accelerator
 from repro.accel.config import AcceleratorConfig
 from repro.accel.generator import GeneratedDesign
+from repro.analysis.netlist import build_channel_graph
 from repro.passes.taskgraph import Task
-from repro.rtl.components import component_for_kind
+from repro.rtl.components import LIBRARY, TEMPLATES, component_for_kind
+
+#: design -> (repr of the config of its last walk, that walk)
+_WALKS = WeakKeyDictionary()
 
 
-def bound_units(design: GeneratedDesign, config=None):
-    """The top-level walk: ``config`` (default ``AcceleratorConfig()``)
-    and ``(task, bound TaskUnitParams)`` for every unit of ``design``."""
+def netlist(design: GeneratedDesign, config=None):
+    """The top-level walk over ``Accelerator(design, config)`` (default
+    ``AcceleratorConfig()``): its channels as ``(wire, kind)`` — kind
+    ``"wire"``, or ``"input"``/``"output"`` for a top-level port — and
+    per component ``(instance, library module, [(param, value)], [(port,
+    wire)])``, ports ``in<i>``/``out<j>`` in ``Component.ports()`` order.
+    The Chisel and the Verilog top of one design and config share it."""
     config = config or AcceleratorConfig()
-    return config, [(task, config.bind_unit(design, task))
-                    for task in design.graph.tasks]
+    key = repr(config)
+    last = _WALKS.get(design)
+    if last is not None and last[0] == key:
+        return last[1]
+    acc = Accelerator(design, config)
+    graph = build_channel_graph(acc.sim, external=[acc.network.host_spawn])
+    wire = {ch: ident(ch.name) for ch in graph.channels}
+    wires = [(wire[ch], "wire" if ch not in graph.external else
+              "input" if ch in graph.consumers else "output")
+             for ch in graph.channels]
+    instances = []
+    for component in graph.components:
+        inputs, outputs = component.ports()
+        module, values = TEMPLATES[type(component)]
+        instances.append((
+            ident(component.name), module,
+            list(zip(LIBRARY[module].params, values(component))),
+            [(f"in{i}", wire[ch]) for i, ch in enumerate(inputs)]
+            + [(f"out{i}", wire[ch]) for i, ch in enumerate(outputs)]))
+    _WALKS[design] = key, (wires, instances)
+    return wires, instances
 
 
 def txu_nodes(task: Task):
@@ -45,49 +74,24 @@ def txu_nodes(task: Task):
 
 
 def ident(name: str) -> str:
-    return name.replace(".", "_").replace("-", "_")
+    return name.replace(".", "_").replace("-", "_").replace(":", "_")
+
+
+_CHANNEL = {"wire": "Wire(Decoupled(UInt()))",
+            "input": "IO(Flipped(Decoupled(UInt())))",
+            "output": "IO(Decoupled(UInt()))"}
 
 
 def emit_top(design: GeneratedDesign, config=None) -> str:
     """Render the Fig 4-style top level in Chisel-flavoured pseudocode."""
-    config, units = bound_units(design, config)
-    cache = config.cache
-    lines = [
-        f"class {_camel(design.module.name)}Accelerator(implicit p: Parameters) "
-        "extends Module {",
-        "  // shared memory system",
-        f"  val SharedL1cache = Module(new Cache(SizeBytes={cache.size_bytes}, "
-        f"LineBytes={cache.line_bytes}, Ways={cache.associativity}, "
-        f"MSHRs={cache.mshr_count}))",
-        "  val DRAM = Module(new NastiMemSlave("
-        f"LatencyCycles={config.effective_dram_latency()}))",
-        "  DRAM.io <> SharedL1cache.io.axi",
-        "",
-        "  // task units (one per static task)",
-    ]
-    for task, params in units:
-        args_bits = sum(max(1, v.type.size_bytes) * 8 for v in task.args)
-        lines.append(
-            f"  val Task{task.sid} = Module(new TaskUnit(Nt={params.queue_depth}, "
-            f"Ntiles={params.ntiles}, ArgsBits={args_bits}, "
-            f"dataflow=new {_camel(task.name)}TXU()))  // {task.name}")
-    lines += ["", "  // spawn / sync wiring (SID-routed network)"]
-    for task, _ in units:
-        for edge in task.spawns.values():
-            dest = edge.target.sid
-            if edge.is_call:
-                lines.append(
-                    f"  Task{dest}.io.detach.in <> "
-                    f"Task{task.sid}.io.call.out  // {task.name} calls T{dest}")
-            else:
-                lines.append(
-                    f"  Task{dest}.io.detach.in <> "
-                    f"Task{task.sid}.io.spawn.out  // {task.name} spawns T{dest}")
-                lines.append(
-                    f"  Task{task.sid}.io.sync.in <> Task{dest}.io.out")
-    lines += ["", "  // data boxes -> shared cache"]
-    lines += [f"  SharedL1cache.io.cpu({task.sid}) <> Task{task.sid}.io.mem"
-              for task, _ in units]
+    wires, instances = netlist(design, config)
+    lines = [f"class {_camel(design.module.name)}Accelerator(implicit p: Parameters) "
+             "extends Module {"]
+    lines += [f"  val {wire} = {_CHANNEL[kind]}" for wire, kind in wires]
+    for name, module, params, ports in instances:
+        args = ", ".join([f"{param}={value}" for param, value in params])
+        lines.append(f"  val {name} = Module(new {module}({args}))")
+        lines += [f"  {name}.io.{port} <> {wire}" for port, wire in ports]
     return "\n".join(lines + ["}"])
 
 

@@ -1,20 +1,26 @@
 """Structural Verilog emission: the post-Chisel view of a design.
 
 The paper's Stage 3 runs "Chisel to Verilog" before bitstream generation
-(Fig 3). This renders the walks of :mod:`repro.rtl.emit` — same units,
-same bound parameters, same nodes, labels and edges — as
+(Fig 3). This renders the walks of :mod:`repro.rtl.emit` — same
+components, parameters and channels, same nodes, labels and edges — as
 synthesisable-looking structural Verilog: one module per TXU with one
 instantiated primitive per dataflow node and ready/valid wiring along the
-DFG edges, and a top module instantiating the task units, network and L1
-(the DRAM sits behind the AXI master port, so its latency is not a
-parameter here).
+DFG edges, and a top module with one instance per elaborated component
+and one wire per channel.
 """
 
 from __future__ import annotations
 
+import re
+
 from repro.accel.generator import GeneratedDesign
 from repro.passes.taskgraph import Task
-from repro.rtl.emit import bound_units, ident, txu_nodes
+from repro.rtl.components import LIBRARY
+from repro.rtl.emit import ident, netlist, txu_nodes
+
+#: library parameter -> its Verilog name (``SizeBytes`` -> ``SIZE_BYTES``)
+_PARAM = {param: re.sub(r"(?<=[a-z])(?=[A-Z])", "_", param).upper()
+          for module in LIBRARY.values() for param in module.params}
 
 _TXU_PORTS = """\
 module {name}_txu (
@@ -30,23 +36,6 @@ module {name}_txu (
   input  wire        mem_req_ready,
   input  wire        mem_resp_valid,
   output wire        mem_resp_ready
-);
-"""
-
-_TOP_PORTS = """\
-module {name}_accelerator (
-  input  wire clock,
-  input  wire reset,
-  // AXI master to DRAM
-  output wire axi_arvalid,
-  input  wire axi_arready,
-  input  wire axi_rvalid,
-  output wire axi_rready,
-  // host mailbox
-  input  wire host_spawn_valid,
-  output wire host_spawn_ready,
-  output wire host_done_valid,
-  input  wire host_done_ready
 );
 """
 
@@ -72,27 +61,19 @@ def emit_txu_verilog(task: Task) -> str:
 
 
 def emit_top_verilog(design: GeneratedDesign, config=None) -> str:
-    """The accelerator top: task units + network + shared L1 + AXI."""
-    config, units = bound_units(design, config)
-    cache = config.cache
-    lines = [
-        _TOP_PORTS.format(name=ident(design.module.name)),
-        f"  tapas_cache #(.SIZE_BYTES({cache.size_bytes}), "
-        f".LINE_BYTES({cache.line_bytes}), .WAYS({cache.associativity}), "
-        f".MSHRS({cache.mshr_count})) l1 (.clock(clock), .reset(reset));",
-        f"  tapas_tasknetwork #(.UNITS({len(units)})) net "
-        "(.clock(clock), .reset(reset));",
-        "",
-    ]
-    for task, params in units:
-        lines += [
-            f"  tapas_taskunit #(.SID({task.sid}), .NTASKS({params.queue_depth}), "
-            f".NTILES({params.ntiles})) u_{ident(task.name)} (",
-            "    .clock(clock), .reset(reset),",
-            f"    .spawn_in(net.spawn_out[{task.sid}]),",
-            f"    .join_in(net.join_out[{task.sid}]),",
-            f"    .mem(l1.cpu[{task.sid}])",
-            f"  );  // task {task.name}"]
+    """The accelerator top: the elaborated netlist, one instance per
+    component and one wire per channel, plus every TXU module."""
+    wires, instances = netlist(design, config)
+    io = ["input  wire clock", "input  wire reset"]
+    io += [f"{kind:6} wire {wire}" for wire, kind in wires if kind != "wire"]
+    lines = [f"module {ident(design.module.name)}_accelerator (",
+             ",\n".join(f"  {port}" for port in io), ");"]
+    lines += [f"  wire {wire};" for wire, kind in wires if kind == "wire"]
+    for name, module, params, ports in instances:
+        args = ", ".join([f".{_PARAM[param]}({value})" for param, value in params])
+        connections = ", ".join([f".{port}({wire})" for port, wire in ports])
+        lines += [f"  tapas_{module.lower()} #({args}) {name} (",
+                  f"    .clock(clock), .reset(reset), {connections});"]
     return "\n\n".join(
         [f"// TAPAS-generated Verilog for '{design.module.name}'",
          "\n".join(lines + ["endmodule"]),

@@ -158,10 +158,14 @@ class TestCacheParams:
     @pytest.mark.parametrize("field, value", [
         ("size_bytes", 0), ("line_bytes", 0), ("associativity", 0),
         ("mshr_count", 0), ("hit_latency", -1), ("subword_penalty", -1),
+        ("hit_latency", 1.5), ("hit_latency", True), ("mshr_count", 2.0),
+        ("size_bytes", 16384.0), ("subword_penalty", 0.5), ("banks", True),
     ])
     def test_out_of_range_field_rejected(self, field, value):
         """Fail closed at construction: a zero divisor, an L1 with no sets
-        or no MSHR must not reach the first access (or a deadlock)."""
+        or no MSHR must not reach the first access (or a deadlock), and a
+        size that is no integer (a float, a bool) must not reach the
+        simulator or the RTL."""
         with pytest.raises(ConfigError, match=field):
             CacheParams(**{field: value})
 

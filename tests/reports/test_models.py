@@ -9,6 +9,7 @@ from repro.accel import (
     TaskUnitParams,
     build_accelerator,
 )
+from repro.memory.cache import CacheParams
 from repro.reports import (
     TABLE4_ROWS,
     estimate_mhz,
@@ -93,6 +94,17 @@ class TestResourceModelVsTable3:
         without = estimate_resources(acc, include_cache=False)
         with_cache = estimate_resources(acc, include_cache=True)
         assert with_cache.brams - without.brams == 7  # 16KB / 20Kb blocks
+
+    @pytest.mark.parametrize("banks, cache_brams", [(1, 7), (2, 8), (4, 8)])
+    def test_every_l1_bank_data_array_counted(self, banks, cache_brams):
+        """A banked L1 elaborates one cache per bank, each with its own
+        data array: 2 x 8 KB and 4 x 4 KB round up to 4 and 2 M20Ks."""
+        w = REGISTRY.get("saxpy")
+        acc = build_accelerator(w.fresh_module(), w.default_config(
+            1, cache=CacheParams(banks=banks)))
+        report = estimate_resources(acc, include_cache=True)
+        assert report.cache_brams == cache_brams
+        assert report.brams == estimate_resources(acc).brams + cache_brams
 
     def test_width_aware_sizing_shrinks_a_narrow_datapath(self):
         """``narrow_sum.cilk`` keeps an 11-bit sum and a 4-bit counter in

@@ -1,9 +1,10 @@
 """The RTL prints the design its config describes.
 
 Every Stage-3 parameter is parsed back out of both RTL languages and
-compared with the :class:`Accelerator` elaborated from the same design
-and config — the emitters and the simulator read one binding
-(``AcceleratorConfig.bind_unit``), so they cannot disagree.
+compared with the components of the :class:`Accelerator` elaborated from
+the same design and config: each unit's Ntasks/Ntiles, each cache's (per
+bank) geometry, the DRAM latency and the scratchpad latency. Both
+emitters render that elaborated netlist, so they cannot disagree with it.
 """
 
 import glob
@@ -14,7 +15,7 @@ import pytest
 
 from repro.accel import Accelerator, AcceleratorConfig, TaskUnitParams, generate
 from repro.frontend import compile_source
-from repro.memory.cache import CacheParams
+from repro.memory.cache import Cache, CacheParams
 from repro.rtl import emit_design, emit_top_verilog
 
 PROGRAMS = sorted(glob.glob(os.path.join(
@@ -22,24 +23,17 @@ PROGRAMS = sorted(glob.glob(os.path.join(
         os.path.abspath(__file__)))), "examples", "programs", "*.cilk")))
 assert PROGRAMS, "examples/programs/*.cilk fixtures missing"
 
-CACHES = {"default": CacheParams,
-          "1KB-1MSHR": lambda: CacheParams(size_bytes=1024, mshr_count=1)}
+CACHES = {"default": {},
+          "1KB-1MSHR": dict(cache=CacheParams(size_bytes=1024, mshr_count=1)),
+          "banked": dict(cache=CacheParams(banks=4)),
+          "scratchpad": dict(memory_model="scratchpad")}
 
-#: per language: task units as (Ntasks, Ntiles) in SID order, the L1 as
-#: (size, line, ways, MSHRs), and the DRAM latency where it is printed
-#: (the Verilog top reaches DRAM through its AXI master port)
-PATTERNS = {
-    "chisel": (
-        r"val Task(\d+) = Module\(new TaskUnit\(Nt=(\d+), Ntiles=(\d+),",
-        r"new Cache\(SizeBytes=(\d+), LineBytes=(\d+), Ways=(\d+), "
-        r"MSHRs=(\d+)\)",
-        r"new NastiMemSlave\(LatencyCycles=(\d+)\)"),
-    "verilog": (
-        r"tapas_taskunit #\(\.SID\((\d+)\), \.NTASKS\((\d+)\), "
-        r"\.NTILES\((\d+)\)\)",
-        r"tapas_cache #\(\.SIZE_BYTES\((\d+)\), \.LINE_BYTES\((\d+)\), "
-        r"\.WAYS\((\d+)\), \.MSHRS\((\d+)\)\)",
-        None),
+#: per language: where the top ends, one instantiation as (library
+#: module, parameter list), and one integer parameter value
+SYNTAX = {
+    "chisel": ("\n}", r"= Module\(new (\w+)\((.*)\)\)$", r"\w+=(\d+)"),
+    "verilog": ("endmodule", r"^  tapas_(\w+) #\((.*)\) \w+ \($",
+                r"\.\w+\((\d+)\)"),
 }
 EMITTERS = {"chisel": emit_design, "verilog": emit_top_verilog}
 
@@ -50,47 +44,57 @@ def _design(path):
 
 
 def _parse(language, text):
-    unit_re, cache_re, dram_re = PATTERNS[language]
-    units = [tuple(map(int, m)) for m in re.findall(unit_re, text)]
-    assert [sid for sid, _, _ in units] == list(range(len(units)))
-    (cache,) = re.findall(cache_re, text)
-    dram = None
-    if dram_re is not None:
-        (dram,) = map(int, re.findall(dram_re, text))
-    return [u[1:] for u in units], tuple(map(int, cache)), dram
+    """Library module (lower case) -> integer parameters per instance."""
+    end, instance, value = SYNTAX[language]
+    found = {}
+    for module, args in re.findall(instance, text[:text.index(end)], re.M):
+        found.setdefault(module.lower(), []).append(
+            tuple(map(int, re.findall(value, args))))
+    # a unit's SID, Ntasks and Ntiles (ArgsBits is no Stage-3 knob)
+    found["taskunit"] = [unit[:3] for unit in found.get("taskunit", ())]
+    return found
 
 
 def _elaborated(acc):
-    params = acc.cache.params
-    return ([(u.queue.depth, len(u.tiles)) for u in acc.units],
-            (params.size_bytes, params.line_bytes, params.associativity,
-             params.mshr_count),
-            acc.dram.latency)
+    caches = [c.params for c in acc.sim.components if isinstance(c, Cache)]
+    expected = {
+        "taskunit": [(u.sid, u.queue.depth, len(u.tiles)) for u in acc.units],
+        "cache": [(p.size_bytes, p.line_bytes, p.associativity, p.mshr_count,
+                   p.hit_latency) for p in caches],
+        "nastimemslave": [(acc.dram.latency,)] if acc.dram else [],
+        "scratchpad": ([(acc.scratchpad.latency,)]
+                       if acc.scratchpad else []),
+    }
+    return {module: found for module, found in expected.items() if found}
 
 
-@pytest.mark.parametrize("language", sorted(PATTERNS))
+def _printed(language, design, config):
+    found = _parse(language, EMITTERS[language](design, config))
+    return {module: found[module]
+            for module in ("taskunit", "cache", "nastimemslave", "scratchpad")
+            if found.get(module)}
+
+
+@pytest.mark.parametrize("language", sorted(SYNTAX))
 @pytest.mark.parametrize("cache", sorted(CACHES))
 @pytest.mark.parametrize("tiles", [1, 4])
 @pytest.mark.parametrize("path", PROGRAMS, ids=os.path.basename)
 def test_rtl_parameters_are_the_elaborated_ones(path, tiles, cache, language):
     design = _design(path)
-    config = AcceleratorConfig(default_ntiles=tiles, cache=CACHES[cache]())
-    units, l1, dram = _elaborated(Accelerator(design, config))
-    got_units, got_l1, got_dram = _parse(
-        language, EMITTERS[language](design, config))
-    assert got_units == units
-    assert got_l1 == l1
-    assert got_dram == (dram if language == "chisel" else None)
+    config = AcceleratorConfig(default_ntiles=tiles, **CACHES[cache])
+    expected = _elaborated(Accelerator(design, config))
+    assert len(expected.get("cache", ())) == {
+        "banked": 4, "scratchpad": 0}.get(cache, 1)
+    assert _printed(language, design, config) == expected
 
 
-@pytest.mark.parametrize("language", sorted(PATTERNS))
+@pytest.mark.parametrize("language", sorted(SYNTAX))
 def test_per_unit_overrides_and_dram_latency_reach_the_rtl(language):
     design = _design(next(p for p in PROGRAMS if p.endswith("saxpy.cilk")))
     config = AcceleratorConfig(
         unit_params={"saxpy.t0": TaskUnitParams(ntiles=3, queue_depth=48)},
         dram_latency_cycles=270)
     expected = _elaborated(Accelerator(design, config))
-    assert expected[0][1] == (48, 3) and expected[2] == 270
-    got = _parse(language, EMITTERS[language](design, config))
-    assert got[:2] == expected[:2]
-    assert got[2] == (270 if language == "chisel" else None)
+    assert expected["taskunit"][1] == (1, 48, 3)
+    assert expected["nastimemslave"] == [(270,)]
+    assert _printed(language, design, config) == expected

@@ -40,8 +40,9 @@ class TestTopVerilog:
         design = generate(build_matrix_add_module())
         text = emit_top_verilog(design)
         assert text.count("tapas_taskunit") == 3
-        assert "tapas_cache" in text
-        assert "tapas_tasknetwork" in text
+        assert text.count("tapas_cache ") == 1
+        assert text.count("tapas_arbiter ") == 3   # spawn, join, memory
+        assert text.count("tapas_demux ") == 3
 
     def test_stage3_parameters_in_instantiations(self):
         design = generate(build_scale_module())

@@ -28,8 +28,8 @@ def _hits(pattern, root=SRC):
 
 
 def test_queue_depth_hint_is_read_by_the_one_binder():
-    """Stage 3 binds Ntasks in ``TaskUnitParams.bind``; elaboration, both
-    RTL emitters and the lint take the bound value from there."""
+    """Stage 3 binds Ntasks in ``TaskUnitParams.bind``; elaboration and
+    the lint take the bound value from there, the RTL from elaboration."""
     assert sorted(_hits(r"\brecommended_queue_depth\b")) == [
         os.path.join("accel", "config.py"),
         os.path.join("passes", "concurrency_opt.py")]
@@ -43,9 +43,13 @@ def test_sensitivity_is_derived_from_ports():
 
 
 def test_rtl_structure_is_walked_once():
-    """One walk maps dataflow nodes to library components; the Chisel
-    and Verilog renderers consume it."""
+    """One walk maps dataflow nodes to library components and one walk
+    reads the elaborated netlist; the Chisel and Verilog renderers consume
+    both, and neither re-derives Stage 3 or the spawn wiring."""
     rtl = os.path.join(SRC, "rtl")
+    assert _hits(r"\.spawns\b|\bbind_unit\b", rtl) == {}
+    assert _hits(r"\bbuild_channel_graph\(", rtl) == {
+        os.path.join("rtl", "emit.py"): 1}          # netlist
     assert _hits(r"\bKIND_TO_COMPONENT\b(?! = )", rtl) == {
         os.path.join("rtl", "__init__.py"): 2,      # re-export
         os.path.join("rtl", "components.py"): 1}    # component_for_kind
