@@ -8,10 +8,10 @@ busy / stalled-on-input / stalled-on-output / idle, and a
 :class:`ChannelProbe` per channel recording occupancy histograms,
 backpressure cycles and peak depth.
 
-Both record *runs*, not cycles: ``sample`` says "this holds from
-``cycle`` on" and only a sample that differs from the open run books it
-(``record_span``); ``flush`` books the open run up to a given cycle, as
-the simulator does whenever ``run`` returns or raises. Counts are derived
+Both keep a *change log*: ``sample`` appends ``(cycle, value)`` only when
+the value differs from the open run's, and the runs between log entries
+are booked into the timeline when it is read or flushed (the simulator
+flushes whenever ``run`` returns or raises). Counts are derived
 from the runs on read, as if every cycle had been recorded on its own.
 
 Everything here is written to, never read from, the simulation — the
@@ -21,13 +21,36 @@ instrumentation cannot change cycle counts (enforced by test).
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.sim.component import OBS_BUSY, OBS_STATES
 
 
-class CycleLedger:
+class _ChangeLog:
+    """Runs kept as a change log: ``(cycle, value)`` at each change, the
+    last entry the open run. :meth:`flush`, and every read of the booked
+    runs, books the closed ones through the subclass's ``_book``."""
+
+    def __init__(self):
+        #: ``(cycle, value)`` at each change; the last is the open run
+        self.log: List[tuple] = []
+        #: the open run's value
+        self.current = None
+
+    def flush(self, end: int):
+        """Book the change log up to (excluding) ``end``; the open run stays
+        open from ``end``."""
+        if self.log:
+            self._book(self.log, end)
+            self.log[:] = [(end, self.log[-1][1])]
+
+    def _book_closed(self):
+        """Book every run of the change log but the open one."""
+        if len(self.log) > 1:
+            self.flush(self.log[-1][0])
+
+
+class CycleLedger(_ChangeLog):
     """Per-component cycle attribution.
 
     Keeps a run-length-encoded state timeline, which the trace export reads
@@ -38,52 +61,54 @@ class CycleLedger:
         self.name = name
         #: track grouping for trace export (a tile's group is its unit)
         self.group = group or name
-        #: RLE state runs: [start, end_exclusive, state, reason]
-        self.timeline: List[list] = []
-        #: the open run: ``current`` holds since cycle ``_since``, unbooked
-        self.current: Optional[Tuple[str, Optional[str]]] = None
-        self._since = 0
+        super().__init__()  # values: (state, reason)
+        self._runs: List[list] = []
+
+    @property
+    def timeline(self) -> List[list]:
+        """RLE state runs: [start, end_exclusive, state, reason]."""
+        self._book_closed()
+        return self._runs
 
     def sample(self, cycle: int, state: str, reason: Optional[str] = None):
-        """``(state, reason)`` holds from ``cycle`` on: books the open
-        run and opens a new one if this sample differs from it."""
-        if (state, reason) != self.current:
-            self.flush(cycle)
-            self.current = (state, reason)
-
-    def flush(self, end: int):
-        """Book the open run up to (excluding) ``end``; it stays open."""
-        if self.current is not None:
-            self.record_span(self._since, end - self._since, *self.current)
-        self._since = end
+        """``(state, reason)`` holds from ``cycle`` on: logged if it differs
+        from the open run."""
+        now = (state, reason)
+        if now != self.current:
+            self.current = now
+            self.log.append((cycle, now))
 
     def record(self, cycle: int, state: str, reason: Optional[str] = None):
         self.record_span(cycle, 1, state, reason)
 
     def record_span(self, start: int, span: int, state: str,
                     reason: Optional[str] = None):
-        """Book ``span`` consecutive cycles of one constant state; a span
-        that continues the previous run (adjacent, equal) extends it."""
-        if span <= 0:
-            return
-        if state not in OBS_STATES:
-            raise ValueError(f"ledger {self.name}: unknown state {state!r}")
-        runs = self.timeline
-        if runs and runs[-1][1] == start and runs[-1][2] == state \
-                and runs[-1][3] == reason:
-            runs[-1][1] = start + span
-        else:
-            runs.append([start, start + span, state, reason])
+        """Book ``span`` consecutive cycles of one constant state."""
+        self._book_closed()
+        self._book([(start, (state, reason))], start + span)
+
+    def _book(self, log: list, end):
+        """Book each logged run up to the next entry (the last up to
+        ``end``); a run that continues the previous one (adjacent, equal)
+        extends it."""
+        runs = self._runs
+        last = runs[-1] if runs else [None] * 4
+        for (start, (state, reason)), (stop, _) in zip(log, [*log[1:], (end, None)]):
+            if start >= stop:
+                continue
+            if last[1] == start and last[2] == state and last[3] == reason:
+                last[1] = stop
+            elif state in OBS_STATES:
+                last = [start, stop, state, reason]
+                runs.append(last)
+            else:
+                raise ValueError(f"ledger {self.name}: unknown state {state!r}")
 
     # -- derived views -----------------------------------------------------
 
     @property
     def cycles(self) -> int:
         return sum(end - start for start, end, _, _ in self.timeline)
-
-    @property
-    def busy(self) -> int:
-        return self.breakdown()[OBS_BUSY]
 
     def utilization(self) -> float:
         """Fraction of the booked cycles this component was busy."""
@@ -106,8 +131,10 @@ class CycleLedger:
         return reasons
 
     def as_dict(self) -> dict:
-        out = {"cycles": self.cycles, "utilization": self.utilization()}
-        out.update(self.breakdown())
+        states = self.breakdown()
+        cycles = sum(states.values())
+        out = {"cycles": cycles, "utilization": states[OBS_BUSY] / max(1, cycles)}
+        out.update(states)
         reasons = self.stall_reasons()
         if reasons:
             out["stall_reasons"] = reasons
@@ -118,7 +145,7 @@ class CycleLedger:
                 f"{100 * self.utilization():.1f}% busy>")
 
 
-class ChannelProbe:
+class ChannelProbe(_ChangeLog):
     """Per-channel occupancy instrumentation.
 
     Sampled after the channel commits, it keeps a change-compressed occupancy
@@ -128,51 +155,57 @@ class ChannelProbe:
 
     def __init__(self, channel):
         self.channel = channel
-        #: (cycle, occupancy) recorded only on change — bounded by traffic
-        self.occupancy_timeline: List[Tuple[int, int]] = []
-        #: the open run: occupancy ``current`` since cycle ``_since``
-        self.current: Optional[int] = None
-        self._since = 0
+        super().__init__()  # values: occupancies
+        self._changes: List[Tuple[int, int]] = []
         self._end = 0  # where the booked runs end (exclusive)
+        self._histogram: Optional[Dict[int, int]] = None  # read from the runs
 
     @property
     def name(self) -> str:
         return self.channel.name
 
+    @property
+    def occupancy_timeline(self) -> List[Tuple[int, int]]:
+        """(cycle, occupancy) where a booked run starts at a new occupancy
+        — bounded by traffic."""
+        self._book_closed()
+        return self._changes
+
     def sample(self, cycle: int):
         """The occupancy read now holds from ``cycle`` on."""
         occ = self.channel.occupancy
         if occ != self.current:
-            self.flush(cycle)
             self.current = occ
-
-    def flush(self, end: int):
-        """Book the open run up to (excluding) ``end``; it stays open."""
-        if self.current is not None:
-            self.record_span(self._since, end - self._since, self.current)
-        self._since = end
+            self.log.append((cycle, occ))
 
     def record(self, cycle: int):
         self.record_span(cycle, 1)
 
     def record_span(self, start: int, span: int, occupancy: Optional[int] = None):
         """Book ``span`` cycles at one occupancy (default: the current)."""
-        if span <= 0:
-            return
         occ = self.channel.occupancy if occupancy is None else occupancy
-        tl = self.occupancy_timeline
-        if not tl or tl[-1][1] != occ:
-            tl.append((start, occ))
-        self._end = start + span
-        self.__dict__.pop("histogram", None)  # read anew from the runs
+        self._book_closed()
+        self._book([(start, occ)], start + span)
 
-    @cached_property
+    def _book(self, log: list, end):
+        """Book each logged run up to the next entry (the last up to ``end``)."""
+        changes = self._changes
+        for entry, (stop, _) in zip(log, [*log[1:], (end, None)]):
+            if entry[0] < stop:
+                if not changes or changes[-1][1] != entry[1]:
+                    changes.append(entry)
+                self._end = stop
+        self._histogram = None
+
+    @property
     def histogram(self) -> Dict[int, int]:
         """Occupancy -> cycles spent at it (read, do not modify)."""
-        tl, counts = self.occupancy_timeline, {}
-        for (start, occ), (end, _) in zip(tl, tl[1:] + [(self._end, None)]):
-            counts[occ] = counts.get(occ, 0) + end - start
-        return counts
+        tl = self.occupancy_timeline
+        if self._histogram is None:
+            counts = self._histogram = {}
+            for (start, occ), (end, _) in zip(tl, tl[1:] + [(self._end, None)]):
+                counts[occ] = counts.get(occ, 0) + end - start
+        return self._histogram
 
     @property
     def samples(self) -> int:

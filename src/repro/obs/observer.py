@@ -9,9 +9,11 @@ cycle counts are bit-identical either way.
 Sampling contract: a component's ``obs_classify`` can differ from the
 previous cycle's only if it ticked this cycle or one of its
 ``sensitivity()`` channels committed, a channel's occupancy only if it
-committed. The event engine hands :meth:`Observer.on_change` just those;
-the dense engine, the oracle, samples everything every cycle. Both give
-identical views once ``Simulator.run`` has flushed the open runs.
+committed. The default compiled kernel hands :meth:`Observer.on_change`
+just those after each commit (the event engine, run only when named,
+makes the same call); the dense engine, the oracle, samples everything
+every cycle. All give identical views once ``Simulator.run`` has
+flushed the change logs.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class Observer:
         self.first_cycle: Optional[int] = None
         self.last_cycle: Optional[int] = None
         self._shape = None  # (components, channels) when last sampled in full
-        self._bound: dict = {}  # component -> (ledger, tile ledgers); channel -> probe
+        self._bound: dict = {}  # component -> (ledger, tiles); channel -> probe
 
     # -- engine interface --------------------------------------------------
 
@@ -60,7 +62,7 @@ class Observer:
                 names = [group, *(n for n, _, _ in component.obs_children(cycle))]
                 ledger, *tiles = [self.ledgers.setdefault(n, CycleLedger(n, group))
                                   for n in names]
-                bound[component] = (ledger, tiles)
+                bound[component] = (ledger, tiles and [tiles, None])
             for channel in channels:
                 bound[channel] = self.probes.setdefault(channel.name, ChannelProbe(channel))
             if self.first_cycle is None:
@@ -69,20 +71,23 @@ class Observer:
             ledger, tiles = bound[component]
             now = component.obs_classify(cycle)
             if now != ledger.current:
-                ledger.flush(cycle)
                 ledger.current = now
-            if tiles:
-                for tile, (_, state, reason) in zip(tiles, component.obs_children(cycle)):
-                    now = (state, reason)
-                    if now != tile.current:
-                        tile.flush(cycle)
-                        tile.current = now
+                ledger.log.append((cycle, now))
+            if tiles:  # [tile ledgers, the children last sampled]
+                children = tuple(component.obs_children(cycle))
+                if children != tiles[1]:
+                    tiles[1] = children
+                    for tile, (_, state, reason) in zip(tiles[0], children):
+                        now = (state, reason)
+                        if now != tile.current:
+                            tile.current = now
+                            tile.log.append((cycle, now))
         for channel in channels:
             probe = bound[channel]
             now = channel.occupancy
             if now != probe.current:
-                probe.flush(cycle)
                 probe.current = now
+                probe.log.append((cycle, now))
 
     def flush(self, sim):
         """Book every open run up to the simulator's clock: the engine

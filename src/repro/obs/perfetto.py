@@ -29,6 +29,7 @@ import itertools
 import json
 import math
 import os
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import IO, Iterator, List, Union
 
 from repro.sim.component import OBS_IDLE
@@ -40,16 +41,21 @@ _EVENTS_PID = 1_000_001
 #: synthetic pid for host-side toolchain spans (repro.telemetry spans:
 #: parse -> IR build -> passes -> elaboration -> simulation)
 _HOST_PID = 1_000_002
-#: the C encoder (``indent=`` would select the pure-Python one)
-_encode = json.JSONEncoder().encode
+#: types ``_json_safe`` returns as they are
+_SCALARS = frozenset((type(None), bool, int, float, str))
 #: the document's keys after ``traceEvents``
 _OTHER_KEYS = {"displayTimeUnit": "ms", "otherData": {
     "generator": "repro-obs", "time_unit": "1 trace us == 1 accelerator cycle"}}
+#: the C encoder ``json.JSONEncoder().encode`` builds for every value, built
+#: once (no circular-reference check: an export holds no cycles)
+_chunks = c_make_encoder and c_make_encoder(
+    None, json.JSONEncoder().default, encode_basestring_ascii, None, ": ", ", ",
+    False, False, True)
 
 
-def _quoted(value) -> str:
-    """``value`` JSON-encoded for a %-template (its ``%`` doubled)."""
-    return _encode(value).replace("%", "%%")
+def _encode(value) -> str:
+    """``json.JSONEncoder().encode(value)``."""
+    return "".join(_chunks(value, 0)) if _chunks else json.JSONEncoder().encode(value)
 
 
 def _json_safe(value):
@@ -57,9 +63,10 @@ def _json_safe(value):
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
+        return [v if type(v) in _SCALARS else _json_safe(v) for v in value]
     if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
+        return {str(k): v if type(v) in _SCALARS else _json_safe(v)
+                for k, v in value.items()}
     return str(value)
 
 
@@ -84,7 +91,8 @@ def chrome_trace(observer=None, trace=None,
 
 def _walk(observer, trace, include_idle: bool, host_spans):
     """The document, its metadata events and a row per timed event in document order:
-    (ts, pid, tid, insertion order), event, line %-template (None: encode), value after ts."""
+    (ts, pid, tid, insertion order), event, the encoder's line as ``(head, mid, tail)``
+    around ts and value (None: encode the event), value (a trace event's: its args' text)."""
     meta: List[dict] = []
     rows: List[tuple] = []
     order = itertools.count()
@@ -110,45 +118,55 @@ def _walk(observer, trace, include_idle: bool, host_spans):
             for tid, ledger in enumerate(members):
                 track[ledger.name] = (pid, tid)
                 meta.append(_track_name("thread_name", pid, tid, ledger.name))
-                forms: dict = {}  # (state, reason) -> (name, template of the encoder's line)
+                forms: dict = {}  # (state, reason) -> (name, form of the encoder's line)
                 for start, end, state, reason in ledger.timeline:
                     if state == OBS_IDLE and not include_idle:
                         continue
-                    if (state, reason) not in forms:
+                    form = forms.get((state, reason))
+                    if form is None:
                         name = state if reason is None else f"{state}:{reason}"
-                        forms[state, reason] = name, (
-                            '{"ph": "X", "cat": "state", "name": %s, "ts": %%d, "dur": %%d, '
-                            '"pid": %d, "tid": %d, "args": {"state": %s, "reason": %s}}'
-                            % (_quoted(name), pid, tid, _quoted(state), _quoted(reason)))
-                    name, template = forms[state, reason]
+                        form = forms[state, reason] = name, (
+                            ',\n{"ph": "X", "cat": "state", "name": %s, "ts": ' % _encode(name),
+                            ', "dur": ',
+                            ', "pid": %d, "tid": %d, "args": {"state": %s, "reason": %s}}'
+                            % (pid, tid, _encode(state), _encode(reason)))
+                    name, line = form
                     rows.append((start, pid, tid, next(order), {
                         "ph": "X", "cat": "state", "name": name, "ts": start, "dur": end - start,
                         "pid": pid, "tid": tid, "args": {"state": state, "reason": reason},
-                    }, template if type(start) is type(end) is int else None, end - start))
+                    }, line if type(start) is type(end) is int else None, end - start))
         meta.append(_track_name("process_name", _CHANNELS_PID, 0, "channels"))
         for probe in observer.probes.values():
             if not probe.channel.total_pushed:
                 continue
             name = f"occ:{probe.name}"
-            template = ('{"ph": "C", "cat": "channel", "name": %s, "ts": %%d, "pid": %d, '
-                        '"args": {"occupancy": %%d}}' % (_quoted(name), _CHANNELS_PID))
-            rows += [(cycle, _CHANNELS_PID, 0, next(order), {
+            line = (',\n{"ph": "C", "cat": "channel", "name": %s, "ts": ' % _encode(name),
+                    ', "pid": %d, "args": {"occupancy": ' % _CHANNELS_PID, '}}')
+            rows += [(cycle, _CHANNELS_PID, 0, n, {
                 "ph": "C", "cat": "channel", "name": name, "ts": cycle,
                 "pid": _CHANNELS_PID, "args": {"occupancy": occupancy},
-            }, template if type(cycle) is type(occupancy) is int else None, occupancy)
-                for cycle, occupancy in probe.occupancy_timeline]
+            }, line if type(cycle) is type(occupancy) is int else None, occupancy)
+                for (cycle, occupancy), n in zip(probe.occupancy_timeline, order)]
 
     if trace is not None and len(trace):
         used_events_pid = False
+        forms: dict = {}  # (kind, pid, tid) -> form of the encoder's line
         for event in trace.events:
             pid, tid = track.get(event.source, (_EVENTS_PID, 0))
             used_events_pid = used_events_pid or pid == _EVENTS_PID
             args = {"detail": event.detail, "seq": event.seq}
             if event.payload:
                 args.update(_json_safe(event.payload))
-            rows.append((event.cycle, pid, tid, next(order), {
-                "ph": "i", "s": "t", "cat": "event", "name": event.kind, "ts": event.cycle,
-                "pid": pid, "tid": tid, "args": args}, None, None))
+            kind, cycle = event.kind, event.cycle
+            line = forms.get((kind, pid, tid))
+            if line is None:
+                line = forms[kind, pid, tid] = (
+                    ',\n{"ph": "i", "s": "t", "cat": "event", "name": %s, "ts": ' % _encode(kind),
+                    ', "pid": %d, "tid": %d, "args": ' % (pid, tid), '}')
+            rows.append((cycle, pid, tid, next(order), {
+                "ph": "i", "s": "t", "cat": "event", "name": kind, "ts": cycle,
+                "pid": pid, "tid": tid, "args": args,
+            }, line if type(cycle) is int else None, _encode(args)))
         if used_events_pid:
             meta.append(_track_name("process_name", _EVENTS_PID, 0, "events"))
 
@@ -172,9 +190,9 @@ def export_chrome_trace(destination: Union[str, IO],
     finally:
         if collecting:
             gc.enable()
-    lines = itertools.chain(map(_encode, meta), (
-        _encode(event) if template is None else template % (ts, value)
-        for ts, _, _, _, event, template, value in rows))
+    lines = itertools.chain((",\n" + _encode(event) for event in meta), (
+        ",\n" + _encode(event) if form is None else f"{form[0]}{ts}{form[1]}{value}{form[2]}"
+        for ts, _, _, _, event, form, value in rows))  # each led by its separator
     if hasattr(destination, "write"):
         _write_document(destination, lines)
         return document
@@ -191,8 +209,8 @@ def export_chrome_trace(destination: Union[str, IO],
 
 def _write_document(handle: IO, lines: Iterator[str]) -> None:
     """``lines`` between the opening and closing line, one by one, never joined."""
-    handle.write('{"traceEvents":[\n' + next(lines, ""))
-    handle.writelines(",\n" + line for line in lines)
+    handle.write('{"traceEvents":[\n' + next(lines, ",\n")[2:])
+    handle.writelines(lines)
     handle.write("\n]," + _encode(_OTHER_KEYS)[1:] + "\n")
 
 

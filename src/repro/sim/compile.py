@@ -50,12 +50,12 @@ unit's stepper module calls ``analysis_event`` at the three sites it
 inlines (a memory node's issue, a sync with no children outstanding, the
 return-value store); the tile's own methods it calls emit the rest.
 Both fold into the source (hence the digest), and an uninstrumented
-design's source contains neither. What the codegen does not cover (host
-profiling, value probes, observers without ``on_change``, unrecognized
-component classes or ones written outside the derivable subset, exotic IR)
-runs on the dense oracle — total and
-bit-identical, just slower — with the reason recorded in
-``Simulator.compiled_fallback``.
+design's source contains neither. A host profiler's clock is generated
+too, into a profiled shell of its own. What the codegen does not cover
+(value probes, observers without ``on_change``, unrecognized component
+classes or ones written outside the derivable subset, exotic IR) runs on
+the dense oracle — total and bit-identical, just slower — with the reason
+recorded in ``Simulator.compiled_fallback``.
 """
 
 from __future__ import annotations
@@ -947,8 +947,9 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
     sdefs: List[str] = []  # per-tile stepper instantiations
     mods: List[Tuple[str, tuple]] = []  # stepper modules, unit order
 
-    # a change-driven observer is attached: every guard block reports its
-    # component, and SUB[k] lists who watches channel k (sensitivity())
+    # a change-driven observer is attached: every guard block adds its
+    # component to the set tk, and SUB[k] holds who watches channel k
+    # (sensitivity()) as a dict to merge into it
     observed = getattr(sim.observer, "on_change", None) is not None
     subs: List[List[str]] = [[] for _ in em.channels]
     # a host profiler is installed: the time since the last clock reading
@@ -978,7 +979,7 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
             skip.extend(wake)
             guard += 1  # ... after a comment naming that definition
         if observed:
-            tick.insert(guard + 1, "    tk.append(%s)" % em.ref(comp))
+            tick.insert(guard + 1, "    tk[%s] = 0" % em.ref(comp))
             for ch in dict.fromkeys(comp.sensitivity()):
                 subs[em.ci(ch)].append(em.ref(comp))
         tick.extend(clock(type(comp).__name__, ""))
@@ -1041,19 +1042,19 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
     body.extend(em.pre)
     body.extend(sdefs)
     if observed:
-        # Simulator._tick_event's hand-over, after the commit: whoever
-        # ticked or watches a channel that moved, and those channels
-        w("tk = []")
+        # the hand-over after the commit (Simulator._tick_event's call):
+        # whoever ticked or watches a channel that moved (an ordered set), and
+        # those channels (one moved twice is sampled twice, harmlessly)
+        w("tk = {}")
         w("SUB = (%s)" % "".join(
-            "(%s), " % "".join(n + ", " for n in names) for names in subs))
+            "{%s}, " % "".join(n + ": 0, " for n in names) for names in subs))
         w("_oc = sim._on_change")
         w("def _obs(cycle):")
         w("    sim.cycle = cycle + 1")
-        w("    ks = dict.fromkeys(dl)")
-        w("    for k in ks:")
-        w("        tk.extend(SUB[k])")
-        w("    _oc(sim, cycle, dict.fromkeys(tk), [CH[k] for k in ks])")
-        w("    del tk[:]")
+        w("    for k in dl:")
+        w("        tk.update(SUB[k])")
+        w("    _oc(sim, cycle, tk, map(CH.__getitem__, dl))")
+        w("    tk.clear()")
     # the hot loop allocates only acyclic objects (messages, instances,
     # small lists); pausing the cyclic collector avoids threshold-driven
     # generation-0 sweeps every few hundred cycles

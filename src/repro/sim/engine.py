@@ -251,18 +251,22 @@ class Simulator:
         The codegen pass lives in :mod:`repro.sim.compile`. An observer
         with ``on_change`` (bound to ``_on_change`` by :meth:`run`, which
         also flushes it) and traced task units are part of the generated
-        text, and so is a host profiler's clock; what it cannot specialize
+        text, and so is a host profiler's clock (which books this call's
+        kernel load as ``kernel.load``); what it cannot specialize
         (value probes, observers with only ``on_cycle``, unrecognized
         component classes) runs on the dense oracle — total and
         bit-identical, just slower — with the reason recorded in
         :attr:`compiled_fallback`."""
         from repro.sim.compile import prepare_kernel
 
+        loading = time.perf_counter_ns()
         kernel, self.compiled_fallback = prepare_kernel(self)
         if kernel is None:
             self._run_dense(done, start, max_cycles)
-        else:
-            kernel(self, done, start, max_cycles, self._movement_log)
+            return
+        if self.host_profile is not None:  # generation and compile when cold
+            self.host_profile.add(("kernel.load",), (time.perf_counter_ns() - loading,))
+        kernel(self, done, start, max_cycles, self._movement_log)
 
     @property
     def executed_engine(self) -> str:

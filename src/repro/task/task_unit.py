@@ -9,7 +9,7 @@ return values to waiting dataflow nodes.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, List, Optional
 
 from repro.errors import SimulationError
 from repro.passes.taskgraph import Task
@@ -73,9 +73,10 @@ class TaskUnit(Component):
         self.root_retval: Any = None
 
         self.first_dispatch_cycle: Optional[int] = None
-        #: (cycle, tile classifications) handed from obs_classify to the
-        #: obs_children call of the same sample — tiles classify once
-        self._obs_tiles: tuple = (None, None)
+        #: the ``obs_children`` triples obs_classify found in ``_obs_cycle``,
+        #: handed to the obs_children call of the same sample
+        self._obs_tiles: list = []
+        self._obs_cycle: Optional[int] = None
 
     # -- addresses ---------------------------------------------------------
 
@@ -274,22 +275,24 @@ class TaskUnit(Component):
         return any(t.instances for t in self.tiles)
 
     def obs_classify(self, cycle):
-        tile_states = [tile.obs_classify(cycle) for tile in self.tiles]
-        self._obs_tiles = (cycle, tile_states)
-        if any(state == OBS_BUSY for state, _ in tile_states):
+        children = self._obs_tiles = []
+        self._obs_cycle = cycle
+        stalls, busy = [], False
+        for tile in self.tiles:
+            state, reason = tile.obs_classify(cycle)
+            children.append((tile.obs_name, state, reason))
+            if state == OBS_BUSY:
+                busy = True
+            elif state != OBS_IDLE:
+                stalls.append((state, reason))
+        if busy:
             return OBS_BUSY, None
         if self._spawn_outbuf and not self.spawn_out.can_push():
             return OBS_STALL_OUT, "spawn-network"
         if self._join_outbuf and not self.join_out.can_push():
             return OBS_STALL_OUT, "join-network"
-        stalls = [(state, reason) for state, reason in tile_states
-                  if state in (OBS_STALL_IN, OBS_STALL_OUT)]
-        if stalls:
-            # the unit stalls for whatever most of its tiles stall for
-            counts: Dict[tuple, int] = {}
-            for pair in stalls:
-                counts[pair] = counts.get(pair, 0) + 1
-            return max(counts, key=counts.get)
+        if stalls:  # whatever most of its tiles stall for, the first on a tie
+            return max(stalls, key=stalls.count)
         if self.queue.has_ready():
             if any(tile.has_capacity() for tile in self.tiles):
                 return OBS_BUSY, "dispatch"
@@ -303,12 +306,10 @@ class TaskUnit(Component):
         return OBS_IDLE, None
 
     def obs_children(self, cycle):
-        sampled_at, tile_states = self._obs_tiles
-        self._obs_tiles = (None, None)
-        if sampled_at != cycle:  # not preceded by obs_classify(cycle)
-            tile_states = [tile.obs_classify(cycle) for tile in self.tiles]
-        return [(tile.obs_name, state, reason)
-                for tile, (state, reason) in zip(self.tiles, tile_states)]
+        if self._obs_cycle != cycle:  # not preceded by obs_classify(cycle)
+            self.obs_classify(cycle)
+        self._obs_cycle = None
+        return self._obs_tiles
 
     def stats(self):
         tile_stats = [t.stats() for t in self.tiles]

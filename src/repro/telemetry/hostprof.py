@@ -9,8 +9,10 @@ tile's instance-loop call and after the commit, the observer hand-over
 and the idle/skip tail, and hands the nanoseconds of each row to
 :meth:`HostProfiler.add` when the run ends. Rows are component classes
 (``TaskUnit`` excludes its tiles' instance loops, which are one
-``TXUTile[<task>]`` row per task); the phases are ``channels.commit``,
-``observer`` and ``engine.schedule``, the residual of the wall time.
+``TXUTile[<task>]`` row per task); the phases are ``kernel.load`` (the
+engine's ``prepare_kernel`` call: generation and ``compile`` when the
+kernel is not cached), ``channels.commit``, ``observer`` and
+``engine.schedule``, the residual of the wall time.
 Wall time is the engine's own ``host_seconds``. The dense and event
 engines, and a compiled run that fell back to dense, report wall time
 only. Uninstalled, nothing is generated: the plain kernel text is
@@ -24,7 +26,7 @@ from typing import Dict, List
 from repro.errors import SimulationError
 
 #: the engine phases; every other kernel row is a component class
-PHASES = ("channels.commit", "observer", "engine.schedule")
+PHASES = ("kernel.load", "channels.commit", "observer", "engine.schedule")
 
 
 class HostProfiler:
@@ -95,14 +97,12 @@ class HostProfiler:
         return rows
 
     def phases(self) -> Dict[str, float]:
-        """Engine phases (seconds): the commit and observer hand-over as
-        timed, ``engine.schedule`` as the rest of the wall-clock."""
-        return {
-            "channels.commit": self._rows.get("channels.commit", 0) / 1e9,
-            "observer": self._rows.get("observer", 0) / 1e9,
-            "engine.schedule":
-                max(0, self.wall_ns - self._attributed_ns()) / 1e9,
-        }
+        """Engine phases (seconds): the kernel load, commit and observer
+        hand-over as timed, ``engine.schedule`` as the rest of the
+        wall-clock."""
+        phases = {name: self._rows.get(name, 0) / 1e9 for name in PHASES}
+        phases["engine.schedule"] = max(0, self.wall_ns - self._attributed_ns()) / 1e9
+        return phases
 
     def _attributed_ns(self) -> int:
         """Kernel time outside the ``engine.schedule`` residual."""

@@ -379,12 +379,15 @@ class TestFallbackMatrix:
         assert result.stats["engine"]["compiled_fallback"] is None
 
     def test_uninstrumented_source_has_no_hook_lines(self):
-        """Zero cost when off: neither the observer hand-over nor an
-        ``analysis_event`` call appears in a plain design's kernel."""
-        source = generate_source(_build().sim)
-        for needle in ("_obs(", "tk.append(", "SUB", "_on_change",
-                       "analysis_event"):
-            assert needle not in source, needle
+        """Zero cost when off: no name the observer hand-over defines or
+        calls, and no ``analysis_event`` call, appears in a plain design's
+        kernel, on any registry workload."""
+        for workload in REGISTRY.names():
+            w = REGISTRY.get(workload)
+            for tiles in (1, 4):
+                source = generate_source(w.build(w.default_config(tiles)).sim)
+                for name in ("tk", "SUB", "_oc", "_obs", "_on_change", "analysis_event"):
+                    assert not re.search(r"\b%s\b" % name, source), (workload, tiles, name)
 
     def test_observer_is_generated_into_the_kernel(self):
         accel = _build()
@@ -396,7 +399,7 @@ class TestFallbackMatrix:
         assert kernel is not None and reason is None
         assert accel.sim.compiled_digest != plain_digest
         observed = generate_source(accel.sim)
-        assert observed.count("tk.append(") == len(accel.sim.components)
+        assert observed.count("    tk[_o") == len(accel.sim.components)
         assert observed.count("_obs(cycle)") == 3  # the def and two calls
         assert "analysis_event" not in observed
         accel.sim.observer = None  # detached: the plain kernel again
@@ -613,7 +616,7 @@ class TestFallbackMatrix:
     def test_derived_sections_name_their_one_definition(self):
         """Each plumbing section of the shell opens with a comment naming
         ``<module>.<Class>.tick`` and its source line, the guard follows
-        it, and an attached observer's ``tk.append`` the guard; each
+        it, and an attached observer's ``tk[<component>] = 0`` the guard; each
         tile's section names ``TXUTile.tick``."""
         accel = _build()
         accel.sim.attach_observer(Observer())
@@ -635,7 +638,7 @@ class TestFallbackMatrix:
                 tick.__module__, tick.__qualname__,
                 tick.__code__.co_firstlineno)
             assert lines[at + 1].startswith("if ")
-            assert lines[at + 2].startswith("tk.append(")
+            assert lines[at + 2].startswith("tk[_o")
 
     def test_fallback_reason_recorded_on_run(self):
         accel = _build()

@@ -7,7 +7,7 @@ import pytest
 from repro.accel import AcceleratorConfig, build_accelerator
 from repro.errors import SimulationError
 from repro.frontend import compile_source
-from repro.sim.compile import generate_modules
+from repro.sim.compile import clear_kernel_cache, generate_modules
 from repro.telemetry.hostprof import PHASES, HostProfiler
 
 SOURCE = """
@@ -78,6 +78,22 @@ def test_attribution_covers_the_run(engine):
     plumbing = {type(c).__name__ for c in accel.sim.components} - {"TaskUnit"}
     assert sorted(classes) == sorted(["TaskUnit", *tasks, *plumbing])
     assert 0.0 < profiler.measured_fraction() <= 1.0
+
+
+def test_kernel_load_is_its_own_phase():
+    """A cold run books generating and compiling its kernel to
+    ``kernel.load``, not to the ``engine.schedule`` residual; a warm one
+    finds the modules cached and books little there."""
+    clear_kernel_cache()
+    phases = []
+    for _ in range(2):  # cold, then warm
+        accel = _build(name="hostprof_load")
+        profiler = accel.sim.enable_host_profile()
+        _run(accel)
+        phases.append(profiler.phases())
+    cold, warm = phases
+    assert cold["engine.schedule"] < cold["kernel.load"]
+    assert 0 < warm["kernel.load"] < cold["kernel.load"] / 4
 
 
 def test_profiled_shell_is_a_separate_text():
