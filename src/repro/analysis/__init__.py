@@ -14,8 +14,6 @@ detach/sync structure — the same walk the task graph's MHP pairs use):
   joins the two: MHP pairs whose footprints may alias with >=1 write.
 * :mod:`repro.analysis.diagnostics` — structured diagnostics (codes,
   severities, source locations, text/JSON renderers).
-* :mod:`repro.analysis.dynamic` — a trace-based dynamic checker that
-  cross-validates the static verdicts against a simulation run.
 
 A second, hardware-facing layer lints the design that would be generated
 (surfaced as ``repro lint``):

@@ -7,10 +7,9 @@ infers, for every integer IR value and every register/frame cell, a sound
 interval of the values it can take at runtime, and from that a minimal
 bitwidth.  The results feed
 
-* the width-aware resource/power models (:mod:`repro.reports.resources`),
-* the ``TAP-WIDTH-*`` lint rules (:mod:`repro.analysis.lint`), and
-* the dynamic cross-validator that asserts every simulated value stays
-  inside its static interval (:mod:`repro.analysis.rangecheck`).
+the width-aware resource/power models (:mod:`repro.reports.resources`)
+and the ``TAP-WIDTH-*`` lint rules (:mod:`repro.analysis.lint`); the
+test suite checks every simulated value against its interval.
 
 Design: a classic flow-sensitive interval analysis per function CFG with
 per-bound widening at natural-loop headers, a few narrowing passes, branch

@@ -14,12 +14,7 @@ into infrastructure:
   unchanged points are near-instant and interrupted sweeps resume.
 """
 
-from repro.exp.cache import (
-    ResultCache,
-    canonical_json,
-    code_fingerprint,
-    default_cache_dir,
-)
+from repro.exp.cache import ResultCache, canonical_json
 from repro.exp.grid import config_from_spec, expand_grid, workload_points
 from repro.exp.runner import (
     SweepResult,
@@ -28,6 +23,7 @@ from repro.exp.runner import (
     progress_printer,
     register_evaluator,
 )
+from repro.fingerprint import code_fingerprint, default_cache_dir
 
 __all__ = [
     "ResultCache", "canonical_json", "code_fingerprint", "default_cache_dir",

@@ -36,38 +36,7 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 from repro import __version__
 from repro.errors import CacheError
-
-#: environment override for the cache root (the CLI's --cache-dir wins)
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-
-def default_cache_dir() -> Path:
-    env = os.environ.get(CACHE_DIR_ENV)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "repro"
-
-
-_fingerprint: Optional[str] = None
-
-
-def code_fingerprint() -> str:
-    """SHA-256 over the contents of every ``repro`` source file,
-    computed once per process. Folding this into every cache key means
-    a result can only ever be replayed by the exact code that produced
-    it — local edits between releases cannot serve stale results."""
-    global _fingerprint
-    if _fingerprint is None:
-        root = Path(__file__).resolve().parent.parent
-        digest = hashlib.sha256()
-        for path in sorted(root.rglob("*.py")):
-            digest.update(str(path.relative_to(root)).encode("utf-8"))
-            digest.update(b"\0")
-            digest.update(path.read_bytes())
-            digest.update(b"\0")
-        _fingerprint = digest.hexdigest()
-    return _fingerprint
-
+from repro.fingerprint import code_fingerprint, default_cache_dir
 
 #: ``json.dumps`` builds an encoder per call; this one is built once
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"),

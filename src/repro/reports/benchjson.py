@@ -30,8 +30,6 @@ flat, greppable and diffable), a top-level ``telemetry`` block (the
 sweep runner's worker-utilization/queue-wait/latency histograms, see
 :mod:`repro.exp.runner`). Schema 5 dropped schema 4's top-level
 ``history`` pointer.
-:func:`read_bench_json` reads schema 5 only: every committed
-``results/*.json`` is at it.
 """
 
 from __future__ import annotations
@@ -193,19 +191,6 @@ def bench_document(bench: str, records: List[dict],
         sweep = {key: sweep[key] for key in SWEEP_KEYS}
     return {"bench": bench, "schema": BENCH_SCHEMA_VERSION,
             "sweep": sweep, "telemetry": telemetry, "records": records}
-
-
-def read_bench_json(path: str) -> Dict[str, Any]:
-    """Load a results document; any schema but the current one is
-    rejected."""
-    with open(path) as handle:
-        document = json.load(handle)
-    schema = document.get("schema")
-    if schema != BENCH_SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: unsupported bench schema {schema!r} "
-            f"(readable: {BENCH_SCHEMA_VERSION})")
-    return document
 
 
 def write_bench_json(path: str, bench: str, records: List[dict],

@@ -34,18 +34,6 @@ def render_series(title: str, x_label: str, xs: Sequence,
     return render_table(headers, rows, title=title)
 
 
-def bar_chart(title: str, labels: Sequence[str], values: Sequence[float],
-              width: int = 50, unit: str = "") -> str:
-    """ASCII horizontal bars — the quick-look form of the paper's figures."""
-    peak = max(values) if values else 1.0
-    label_w = max(len(label) for label in labels) if labels else 0
-    lines = [title]
-    for label, value in zip(labels, values):
-        bar = "#" * max(1, int(width * value / peak)) if peak > 0 else ""
-        lines.append(f"{label.ljust(label_w)}  {value:>10.2f}{unit}  {bar}")
-    return "\n".join(lines)
-
-
 def _fmt(cell) -> str:
     if isinstance(cell, float):
         return f"{cell:.2f}"

@@ -37,7 +37,7 @@ has room or a response reset its ``wake_at``.
 
 Caching: each generated module is content-addressed. The digest folds
 its source (a pure function of what it describes: the netlist, or one
-task's program) together with :func:`repro.exp.cache.code_fingerprint`
+task's program) together with :func:`repro.fingerprint.code_fingerprint`
 — the same discipline as ``ResultCache`` — so editing anything under
 ``src/repro`` rolls every module over and a stale one can never be
 replayed. Modules are kept in an in-process cache and mirrored,
@@ -52,9 +52,9 @@ return-value store); the tile's own methods it calls emit the rest.
 Both fold into the source (hence the digest), and an uninstrumented
 design's source contains neither. A host profiler's clock is generated
 too, into a profiled shell of its own. What the codegen does not cover
-(value probes, observers without ``on_change``, unrecognized component
-classes or ones written outside the derivable subset, exotic IR) runs on
-the dense oracle — total and bit-identical, just slower — with the reason
+(observers without ``on_change``, unrecognized component classes or
+ones written outside the derivable subset, exotic IR) runs on the dense
+oracle — total and bit-identical, just slower — with the reason
 recorded in ``Simulator.compiled_fallback``.
 """
 
@@ -69,6 +69,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
+from repro.fingerprint import code_fingerprint, default_cache_dir
 from repro.ir import opsem
 from repro.ir.instructions import (
     GEP,
@@ -120,8 +121,6 @@ _CACHE_INFO = {"shells_compiled": 0, "shells_reused": 0,
 
 def kernel_cache_dir() -> Path:
     """On-disk home of generated kernel sources (content-addressed)."""
-    from repro.exp.cache import default_cache_dir
-
     return default_cache_dir() / "kernels"
 
 
@@ -130,8 +129,6 @@ def kernel_digest(source: str) -> str:
     (a pure function of the elaborated design) plus the ``src/repro``
     code fingerprint, so editing the simulator invalidates every cached
     kernel — the ``ResultCache`` hashing discipline."""
-    from repro.exp.cache import code_fingerprint
-
     digest = hashlib.sha256()
     digest.update(source.encode("utf-8"))
     digest.update(b"\0")
@@ -176,16 +173,12 @@ def _store_kernel_source(digest: str, source: str) -> Optional[Path]:
 
 def _fallback_reason(sim) -> Optional[str]:
     """Instrumentation / topology checks that force the dense engine:
-    what needs a real tick of every component every cycle (value probes,
-    an observer with only ``on_cycle``) or is structurally unknown to the
-    codegen."""
+    an observer with only ``on_cycle`` (it needs a real tick of every
+    component every cycle) or a component unknown to the codegen."""
     if (sim.observer is not None
             and getattr(sim.observer, "on_change", None) is None):
         return (f"observer {type(sim.observer).__name__} has no on_change "
                 f"(per-cycle sampling needs real ticks)")
-    if any(tile.value_probe is not None for comp in sim.components
-           if isinstance(comp, TaskUnit) for tile in comp.tiles):
-        return "TXU value probe installed (range checker)"
     # explicit: a no-op guard is a semantic contract, diff-tested per class
     known = (RoundRobinArbiter, Demux, Cache, DRAMModel, Scratchpad,
              DataBox, TaskUnit)

@@ -11,8 +11,8 @@ Three engines share one contract:
   configuration, ``exec``'d and cached content-addressed by design
   fingerprint. A change-driven observer and analysis traces are
   generated into the kernel, and so is host-time attribution; what the
-  codegen does not support (value probes, ``on_cycle``-only observers,
-  unknown component classes) runs on the dense oracle instead
+  codegen does not support (``on_cycle``-only observers, unknown
+  component classes) runs on the dense oracle instead
   (``Simulator.compiled_fallback`` records why).
 * ``engine="event"`` — one wake-cycle scan, run only when named. Components
   declare *sensitivity* (the channels they read/write) and an optional
@@ -253,8 +253,8 @@ class Simulator:
         also flushes it) and traced task units are part of the generated
         text, and so is a host profiler's clock (which books this call's
         kernel load as ``kernel.load``); what it cannot specialize
-        (value probes, observers with only ``on_cycle``, unrecognized
-        component classes) runs on the dense oracle — total and
+        (observers with only ``on_cycle``, unrecognized component
+        classes) runs on the dense oracle — total and
         bit-identical, just slower — with the reason recorded in
         :attr:`compiled_fallback`."""
         from repro.sim.compile import prepare_kernel

@@ -4,9 +4,8 @@ execution-flow figures (paper Fig 5 / Fig 7 style traces).
 Besides the human-readable ``detail`` string, events may carry a
 machine-readable ``payload`` dict. The task units and TXU tiles use
 payloads to record the spawn tree, sync/join points and every shared-
-memory access of a run — enough for the dynamic determinacy-race checker
-(:mod:`repro.analysis.dynamic`) to reconstruct the happens-before
-relation and cross-validate the static analysis.
+memory access of a run: the Perfetto export carries them, and they are
+enough to reconstruct the run's happens-before relation.
 """
 
 from __future__ import annotations
@@ -45,17 +44,6 @@ class Trace:
         self._seq += 1
         self.events.append(event)
         return event
-
-    def race_check(self, graph=None):
-        """Run the dynamic determinacy-race checker over this trace.
-
-        Returns the list of observed unordered conflicting access pairs
-        (empty for a race-free execution). Requires the trace to have
-        been enabled for the whole run. ``graph`` (a TaskGraph) adds
-        static provenance to epilogue stores when available."""
-        from repro.analysis.dynamic import DynamicRaceChecker
-
-        return DynamicRaceChecker(self, graph).conflicts()
 
     def render(self, limit: int = 200) -> str:
         lines = [str(e) for e in self.events[:limit]]

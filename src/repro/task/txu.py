@@ -117,13 +117,6 @@ class TXUTile:
     """One execution tile. Not a Component itself — the owning TaskUnit
     ticks it so unit-level arbitration stays in one place."""
 
-    #: optional hook ``(ir_value, observed) -> None`` called whenever a
-    #: dataflow node produces a value (or a register cell is written —
-    #: then ``ir_value`` is the Alloca).  Used by the range checker to
-    #: cross-validate static intervals against execution; None (the
-    #: default) costs one attribute test per fired node.
-    value_probe = None
-
     def __init__(self, unit, tile_index: int, task: Task,
                  request_out, response_in, max_inflight: int = 8,
                  latencies: Optional[Dict[str, int]] = None):
@@ -186,8 +179,6 @@ class TXUTile:
         else:
             for value, arg in zip(self.task.args, entry.args):
                 inst.env[value] = arg
-                if self.value_probe is not None:
-                    self.value_probe(value, arg)
         self.instances.append(inst)
         self._by_uid[inst.uid] = inst
         self._due = 0
@@ -344,8 +335,6 @@ class TXUTile:
         node = self.task.dfgs[inst.block].nodes[node_idx]
         if isinstance(node.inst, Load):
             inst.env[node.inst] = raw_to_value(node.inst.type, resp.data or 0)
-            if self.value_probe is not None:
-                self.value_probe(node.inst, inst.env[node.inst])
         inst.node_done[node_idx] = cycle
 
     def deliver_call_return(self, uid: int, node_idx: int, retval, cycle: int,
@@ -362,8 +351,6 @@ class TXUTile:
         node = self.task.dfgs[inst.block].nodes[node_idx]
         if not node.inst.type.is_void():
             inst.env[node.inst] = retval
-            if self.value_probe is not None:
-                self.value_probe(node.inst, retval)
         inst.node_done[node_idx] = cycle
 
     # -- per-instance dataflow step ------------------------------------------
@@ -433,12 +420,6 @@ class TXUTile:
                     env[ir] = RegSlot(ir)
         else:
             env[ir] = eval_pure(ir, lambda value: self._resolve(inst, value))
-
-        if self.value_probe is not None:
-            if kind == "regwrite":
-                self.value_probe(ir.pointer, inst.regs[ir.pointer])
-            elif kind != "nop" and ir in env:
-                self.value_probe(ir, env[ir])
 
         inst.node_done[node.index] = cycle + self.latencies.get(kind, 1)
         return GO

@@ -1,47 +1,28 @@
 """Dynamic race checking over traced simulations, and cross-validation of
 the static verdicts against what actually happened on the accelerator."""
 
+import os
+
 import pytest
 
 from repro.accel import AcceleratorConfig, build_accelerator
 from repro.analysis import analyze_design
-from repro.analysis.dynamic import DynamicRaceChecker, cross_validate
 from repro.analysis.races import find_races
 from repro.errors import AnalysisError
 from repro.frontend import compile_source
 from repro.ir.types import I32
 from repro.sim.trace import Trace
+from tests.oracles.races import DynamicRaceChecker, cross_validate, race_check
 
-RACY_ACCUMULATOR = """
-func racy_sum(a: i32*, out: i32*, n: i32) {
-  cilk_for (var i: i32 = 0; i < n; i = i + 1) {
-    out[0] = out[0] + a[i];
-  }
-}
-"""
-
-CLEAN_DISJOINT = """
-func double_all(a: i32*, n: i32) {
-  cilk_for (var i: i32 = 0; i < n; i = i + 1) {
-    a[i] = a[i] * 2;
-  }
-}
-"""
-
-FIB = """
-func fib(n: i32) -> i32 {
-  if (n < 2) { return n; }
-  var x: i32 = spawn fib(n - 1);
-  var y: i32 = spawn fib(n - 2);
-  sync;
-  return x + y;
-}
-"""
+EXAMPLES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "..", "..", "examples", "programs")
 
 
-def traced_run(source, name, setup):
-    """Build with tracing, run, return (accelerator, trace, retval)."""
-    module = compile_source(source, name)
+def traced_run(fixture, setup):
+    """Build an example program with tracing, run, return (accelerator,
+    trace, retval)."""
+    with open(os.path.join(EXAMPLES, fixture + ".cilk")) as handle:
+        module = compile_source(handle.read(), fixture)
     trace = Trace(enabled=True)
     acc = build_accelerator(module, AcceleratorConfig(default_ntiles=2),
                             trace=trace)
@@ -63,8 +44,8 @@ def clean_setup(memory):
 
 class TestDynamicChecker:
     def test_racy_run_observes_conflicts(self):
-        acc, trace, _ = traced_run(RACY_ACCUMULATOR, "racy_sum", racy_setup)
-        conflicts = trace.race_check(acc.design.graph)
+        acc, trace, _ = traced_run("racy_sum", racy_setup)
+        conflicts = race_check(trace, acc.design.graph)
         assert conflicts
         # every conflict involves the out cell, with at least one write
         for conflict in conflicts:
@@ -73,17 +54,16 @@ class TestDynamicChecker:
             assert conflict.a.gid != conflict.b.gid
 
     def test_clean_run_is_conflict_free(self):
-        acc, trace, _ = traced_run(CLEAN_DISJOINT, "double_all", clean_setup)
-        assert trace.race_check(acc.design.graph) == []
+        acc, trace, _ = traced_run("double_all", clean_setup)
+        assert race_check(trace, acc.design.graph) == []
 
     def test_recursive_run_is_conflict_free(self):
         """fib stresses the happens-before reconstruction: recursive direct
         spawns, per-instance ret_ptr epilogue stores, frame-slot reads of
         both children after the sync — none of it may be misreported."""
-        acc, trace, retval = traced_run(FIB, "fib",
-                                        lambda _mem: ("fib", [10]))
+        acc, trace, retval = traced_run("fib", lambda _mem: ("fib", [10]))
         assert retval == 55
-        assert trace.race_check(acc.design.graph) == []
+        assert race_check(trace, acc.design.graph) == []
 
     def test_untraced_run_is_rejected(self):
         trace = Trace(enabled=True)
@@ -97,7 +77,7 @@ class TestDynamicChecker:
 
 class TestCrossValidation:
     def test_static_findings_confirmed_dynamically(self):
-        acc, trace, _ = traced_run(RACY_ACCUMULATOR, "racy_sum", racy_setup)
+        acc, trace, _ = traced_run("racy_sum", racy_setup)
         findings, _ = find_races(acc.design.graph)
         outcome = cross_validate(findings, trace, acc.design.graph)
         assert outcome.sound
@@ -105,7 +85,7 @@ class TestCrossValidation:
         assert outcome.unobserved == []
 
     def test_clean_program_nothing_to_confirm(self):
-        acc, trace, _ = traced_run(CLEAN_DISJOINT, "double_all", clean_setup)
+        acc, trace, _ = traced_run("double_all", clean_setup)
         findings, _ = find_races(acc.design.graph)
         assert findings == []
         outcome = cross_validate(findings, trace, acc.design.graph)
@@ -114,7 +94,7 @@ class TestCrossValidation:
 
     def test_diagnostic_ops_also_accepted(self):
         """cross_validate takes rendered diagnostics (with .ops) too."""
-        acc, trace, _ = traced_run(RACY_ACCUMULATOR, "racy_sum", racy_setup)
+        acc, trace, _ = traced_run("racy_sum", racy_setup)
         report = analyze_design(acc.design)
         outcome = cross_validate(report.errors, trace, acc.design.graph)
         assert outcome.sound
@@ -135,4 +115,4 @@ class TestWorkloadsUnderTracing:
         assert result.correct
         # Workload.run built its own accelerator, so check with graph=None
         # (pure happens-before reconstruction, no static matching)
-        assert trace.race_check() == []
+        assert race_check(trace) == []

@@ -15,6 +15,7 @@ import pytest
 
 import repro
 import repro.exp.cache as cache_mod
+import repro.fingerprint as fingerprint_mod
 from repro.errors import CacheError
 from repro.exp import ResultCache, canonical_json
 from repro.workloads import REGISTRY
@@ -83,16 +84,16 @@ def test_code_fingerprint_changes_key(cache, monkeypatch):
     """Any edit to src/repro rolls every key: a cached cycle count can
     only ever be replayed by the exact code that produced it."""
     a = cache.key("workload", SPEC)
-    monkeypatch.setattr(repro.exp.cache, "_fingerprint", "f" * 64)
+    monkeypatch.setattr(fingerprint_mod, "_fingerprint", "f" * 64)
     b = cache.key("workload", SPEC)
     assert a != b
-    assert repro.exp.cache.code_fingerprint() == "f" * 64
+    assert fingerprint_mod.code_fingerprint() == "f" * 64
 
 
 def test_code_fingerprint_is_stable_and_hexdigest(monkeypatch):
-    monkeypatch.setattr(repro.exp.cache, "_fingerprint", None)
-    first = repro.exp.cache.code_fingerprint()
-    assert first == repro.exp.cache.code_fingerprint()
+    monkeypatch.setattr(fingerprint_mod, "_fingerprint", None)
+    first = fingerprint_mod.code_fingerprint()
+    assert first == fingerprint_mod.code_fingerprint()
     assert len(first) == 64 and int(first, 16) >= 0
 
 
@@ -150,7 +151,8 @@ def test_canonical_json_rejects_non_json():
 ], ids=["workload", "static", "nested", "static-empty", "empty",
         "odd-spec", "odd-program"])
 def test_key_is_the_reference_definition(cache, evaluator, spec, program):
-    version, code = repro.exp.cache.__version__, cache_mod.code_fingerprint()
+    version = repro.exp.cache.__version__
+    code = fingerprint_mod.code_fingerprint()
     assert canonical_json(spec) == json.dumps(
         spec, sort_keys=True, separators=(",", ":"), allow_nan=False)
     for _ in range(2):  # the first call fills the prefix memo, the next reads it
@@ -163,13 +165,13 @@ def test_key_follows_version_and_fingerprint_past_the_memo(cache,
     """The same instance, the same (evaluator, program) already memoised:
     the key must still be the reference one after either global moves."""
     program = REGISTRY.get("saxpy").source
-    code = cache_mod.code_fingerprint()
+    code = fingerprint_mod.code_fingerprint()
     assert cache.key("workload", NESTED, program) == reference_key(
         "workload", NESTED, program, repro.__version__, code)
     monkeypatch.setattr(cache_mod, "__version__", "0.0.0-other")
     assert cache.key("workload", NESTED, program) == reference_key(
         "workload", NESTED, program, "0.0.0-other", code)
-    monkeypatch.setattr(cache_mod, "_fingerprint", "f" * 64)
+    monkeypatch.setattr(fingerprint_mod, "_fingerprint", "f" * 64)
     assert cache.key("workload", NESTED, program) == reference_key(
         "workload", NESTED, program, "0.0.0-other", "f" * 64)
     monkeypatch.undo()
@@ -178,7 +180,7 @@ def test_key_follows_version_and_fingerprint_past_the_memo(cache,
 
 
 def test_prefix_memo_stays_bounded(cache):
-    code = cache_mod.code_fingerprint()
+    code = fingerprint_mod.code_fingerprint()
     for n in range(10_000):
         program = f"func f{n}() {{}}"
         key = cache.key("workload", SPEC, program)
@@ -299,20 +301,19 @@ def test_fingerprint_covers_analysis_package(tmp_path, monkeypatch):
     lint-rule change."""
     import shutil
 
-    import repro.exp.cache as cache_mod
-
     copy = tmp_path / "repro"
-    shutil.copytree(Path(cache_mod.__file__).resolve().parent.parent, copy)
-    monkeypatch.setattr(cache_mod, "__file__", str(copy / "exp" / "cache.py"))
+    shutil.copytree(Path(fingerprint_mod.__file__).resolve().parent, copy)
+    monkeypatch.setattr(fingerprint_mod, "__file__",
+                        str(copy / "fingerprint.py"))
 
-    monkeypatch.setattr(cache_mod, "_fingerprint", None)
-    before = cache_mod.code_fingerprint()
+    monkeypatch.setattr(fingerprint_mod, "_fingerprint", None)
+    before = fingerprint_mod.code_fingerprint()
 
     lint = copy / "analysis" / "lint.py"
     assert lint.exists()  # the analysis package is inside the covered tree
     lint.write_text(lint.read_text(encoding="utf-8") + "\n# edited\n",
                     encoding="utf-8")
 
-    monkeypatch.setattr(cache_mod, "_fingerprint", None)
-    after = cache_mod.code_fingerprint()
+    monkeypatch.setattr(fingerprint_mod, "_fingerprint", None)
+    after = fingerprint_mod.code_fingerprint()
     assert before != after

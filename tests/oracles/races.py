@@ -15,14 +15,11 @@ physical timing):
 * two accesses unordered by those edges, touching overlapping bytes,
   with at least one write, are a **dynamic determinacy race**.
 
-The checker is used two ways:
-
-* :meth:`Trace.race_check` — standalone: did this run race?
-* :func:`cross_validate` — compare against the static verdicts of
-  :mod:`repro.analysis.races`. A dynamic conflict the static analysis
-  did not flag is an analyzer soundness bug (the property test asserts
-  there are none); a static MUST race that never manifests in a given
-  run is merely unexercised, not wrong.
+:func:`race_check` asks whether a run raced; :func:`cross_validate`
+compares a run with the static verdicts of :mod:`repro.analysis.races`,
+where a dynamic conflict the static analysis did not flag is an analyzer
+soundness bug and a static MUST race that never manifests is merely
+unexercised, not wrong.
 """
 
 from __future__ import annotations
@@ -95,8 +92,7 @@ class _Instance:
 class DynamicRaceChecker:
     """Reconstructs happens-before from a traced run and finds races."""
 
-    def __init__(self, trace, graph=None):
-        self.graph = graph
+    def __init__(self, trace):
         self.instances: Dict[tuple, _Instance] = {}
         #: per-gid sorted seqs of sync join points (resume or pass)
         self.syncs: Dict[tuple, List[int]] = {}
@@ -223,9 +219,13 @@ class DynamicRaceChecker:
         return found
 
 
-# ---------------------------------------------------------------------------
-# Static/dynamic cross-validation
-# ---------------------------------------------------------------------------
+def race_check(trace, graph=None) -> List[DynamicConflict]:
+    """The unordered conflicting access pairs of a run traced from its
+    start. ``graph`` is not read: happens-before comes from the trace."""
+    return DynamicRaceChecker(trace).conflicts()
+
+
+# -- static/dynamic cross-validation ------------------------------------------
 
 def _ret_store_keys(graph) -> Dict[int, tuple]:
     """Map id(store-instruction) -> ("ret", callee_root_sid) for the
@@ -269,7 +269,7 @@ def cross_validate(findings, trace, graph) -> CrossValidation:
     (or diagnostics carrying ``.ops``); ``graph`` must be the *same*
     TaskGraph the executed design was generated from, so instruction
     identities line up."""
-    checker = DynamicRaceChecker(trace, graph)
+    checker = DynamicRaceChecker(trace)
     dynamic = checker.conflicts()
     ret_keys = _ret_store_keys(graph)
 

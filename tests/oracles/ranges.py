@@ -2,14 +2,12 @@
 
 The interval analysis in :mod:`repro.analysis.ranges` claims soundness:
 every value a task unit ever computes lies inside its inferred interval.
-This module checks that claim against real simulations by attaching a
-probe to every TXU tile (``TXUTile.value_probe``) and comparing each
-dynamically produced integer — dataflow results, register-cell writes,
-loaded values, call returns, spawn arguments — against the static
-interval.  A violation is an analysis bug, never a program bug, which is
-exactly what makes it a good regression oracle: the engine-diff test
-matrix runs every example program through the checker and asserts zero
-violations.
+This oracle checks that claim against dense-engine simulations: it wraps
+the four :class:`~repro.task.txu.TXUTile` methods where a value is
+produced and compares each integer — dataflow results, register-cell
+writes, loaded values, call returns, spawn arguments — against the
+static interval.  A violation is an analysis bug, never a program bug,
+which is exactly what makes it a good regression oracle.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ class RangeChecker:
 
     Usage::
 
-        accel = build_accelerator(module, config)
+        accel = build_accelerator(module, AcceleratorConfig(engine="dense"))
         checker = RangeChecker.for_accelerator(accel, entry="fib")
         ... accel.run(...) ...
         checker.assert_clean()
@@ -59,15 +57,60 @@ class RangeChecker:
                         ) -> "RangeChecker":
         """Infer ranges for the accelerator's design and attach to every
         tile of every task unit."""
-        checker = cls(infer_design_ranges(accel.design, entry=entry))
-        checker.attach(accel)
-        return checker
+        return cls(infer_design_ranges(accel.design, entry=entry)).attach(accel)
 
     def attach(self, accel) -> "RangeChecker":
+        """Wrap every tile of a dense-engine accelerator. The compiled
+        kernel inlines what these methods do, so any other engine is
+        refused instead of quietly checking nothing."""
+        if accel.sim.engine != "dense":
+            raise ValueError(f"RangeChecker observes the dense engine only, "
+                             f"not {accel.sim.engine!r}")
         for unit in accel.units:
             for tile in unit.tiles:
-                tile.value_probe = self.probe
+                self._wrap(tile)
         return self
+
+    def _wrap(self, tile):
+        """Probe what each method left in ``inst.env``/``inst.regs``."""
+        probe, task, by_uid = self.probe, tile.task, tile._by_uid
+        start, respond = tile.start, tile._apply_response
+        deliver, fire = tile.deliver_call_return, tile._fire
+
+        def produced(inst, ir):
+            if ir in inst.env:  # a store or a void call leaves none
+                probe(ir, inst.env[ir])
+
+        def ir_at(inst, node_idx):
+            return task.dfgs[inst.block].nodes[node_idx].inst
+
+        def start_(uid, entry, cycle):
+            fresh = entry.resume_block is None
+            inst = start(uid, entry, cycle)
+            for value, _ in zip(task.args, entry.args) if fresh else ():
+                produced(inst, value)
+            return inst
+
+        def respond_(resp, cycle):
+            respond(resp, cycle)
+            if resp.tag.node >= 0:  # not the return-value store
+                inst = by_uid[resp.tag.instance]
+                produced(inst, ir_at(inst, resp.tag.node))
+
+        def deliver_(uid, node_idx, retval, cycle, **kwargs):
+            deliver(uid, node_idx, retval, cycle, **kwargs)
+            produced(by_uid[uid], ir_at(by_uid[uid], node_idx))
+
+        def fire_(inst, node, cycle):
+            report = fire(inst, node, cycle)
+            if node.kind == "regwrite":
+                probe(node.inst.pointer, inst.regs[node.inst.pointer])
+            elif node.kind not in ("nop", "load", "store", "call"):
+                produced(inst, node.inst)
+            return report
+
+        tile.start, tile._apply_response = start_, respond_
+        tile.deliver_call_return, tile._fire = deliver_, fire_
 
     def probe(self, value, observed):
         # non-integers (floats, register-slot markers, None writebacks)

@@ -12,11 +12,11 @@ model is conservative); false negatives are analyzer bugs.
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.accel import AcceleratorConfig, build_accelerator
-from repro.analysis.dynamic import cross_validate
 from repro.analysis.races import find_races
 from repro.frontend import compile_source
 from repro.ir.types import I32
 from repro.sim.trace import Trace
+from tests.oracles.races import cross_validate, race_check
 
 ARRAY_LEN = 8
 
@@ -100,6 +100,6 @@ def test_disjoint_only_programs_are_race_free_both_ways(data):
 
     findings, _ = find_races(acc.design.graph)
     assert findings == []
-    assert trace.race_check(acc.design.graph) == []
+    assert race_check(trace, acc.design.graph) == []
     expected = [v + sum(increments) for v in range(ARRAY_LEN)]
     assert acc.memory.read_array(base, I32, ARRAY_LEN) == expected

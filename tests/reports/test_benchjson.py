@@ -1,6 +1,4 @@
-"""Bench-results schema: records, sweep summary, the schema-5 reader."""
-
-import json
+"""Bench-results schema: records and the sweep summary."""
 
 import pytest
 
@@ -9,9 +7,7 @@ from repro.reports.benchjson import (
     RECORD_KEYS,
     bench_document,
     bench_record,
-    read_bench_json,
     sweep_record,
-    write_bench_json,
 )
 
 SWEEP = {"points": 2, "jobs": 2, "wall_seconds": 1.5,
@@ -80,22 +76,3 @@ def test_sweep_record_structured_error():
     record = sweep_record(point, "w")
     assert record["cycles"] is None
     assert record["metrics"]["error"]["type"] == "ValueError"
-
-
-def test_write_then_read_roundtrip(tmp_path):
-    path = tmp_path / "doc.json"
-    write_bench_json(str(path), "b", [bench_record("w", cycles=9)],
-                     sweep=SWEEP)
-    doc = read_bench_json(str(path))
-    assert doc["schema"] == 5
-    assert doc["records"][0]["cycles"] == 9
-    assert doc["sweep"] == SWEEP
-
-
-def test_reader_rejects_unknown_schema(tmp_path):
-    path = tmp_path / "future.json"
-    for schema in (4, 99):
-        path.write_text(
-            json.dumps({"bench": "b", "schema": schema, "records": []}))
-        with pytest.raises(ValueError):
-            read_bench_json(str(path))

@@ -3,16 +3,48 @@ must be readable, recorded under the default engine and still
 reproducible from the code they sit beside."""
 
 import glob
+import json
 import os
 
 import pytest
 
-from repro.reports.benchjson import RECORD_KEYS, read_bench_json
+from repro.reports.benchjson import (BENCH_SCHEMA_VERSION, RECORD_KEYS,
+                                    bench_record, write_bench_json)
 from repro.sim import DEFAULT_ENGINE
 from repro.workloads import REGISTRY
+from tests.reports.test_benchjson import SWEEP
 
 RESULTS = os.path.join(os.path.dirname(__file__), "..", "..", "results")
 DOCUMENTS = sorted(glob.glob(os.path.join(RESULTS, "*.json")))
+
+
+def read_bench_json(path):
+    """Load a results document; any schema but the current one fails."""
+    with open(path) as handle:
+        document = json.load(handle)
+    if document.get("schema") != BENCH_SCHEMA_VERSION:
+        raise ValueError(f"{path}: unsupported bench schema "
+                         f"{document.get('schema')!r}")
+    return document
+
+
+def test_write_then_read_roundtrip(tmp_path):
+    path = tmp_path / "doc.json"
+    write_bench_json(str(path), "b", [bench_record("w", cycles=9)],
+                     sweep=SWEEP)
+    doc = read_bench_json(str(path))
+    assert doc["schema"] == 5
+    assert doc["records"][0]["cycles"] == 9
+    assert doc["sweep"] == SWEEP
+
+
+def test_reader_rejects_unknown_schema(tmp_path):
+    path = tmp_path / "future.json"
+    for schema in (4, 99):
+        path.write_text(
+            json.dumps({"bench": "b", "schema": schema, "records": []}))
+        with pytest.raises(ValueError):
+            read_bench_json(str(path))
 
 
 @pytest.mark.parametrize("path", DOCUMENTS, ids=map(os.path.basename, DOCUMENTS))

@@ -9,11 +9,14 @@ about *how* the kernel is produced, cached and bypassed.
 """
 
 import contextlib
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
-import repro.exp.cache
+import repro.fingerprint
 from repro.accel import AcceleratorConfig, build_accelerator
 from repro.frontend import compile_source
 from repro.obs import Observer
@@ -156,9 +159,25 @@ class TestKernelCache:
         stale kernel can never be replayed against newer semantics."""
         source = generate_source(_build().sim)
         before = kernel_digest(source)
-        monkeypatch.setattr(repro.exp.cache, "_fingerprint", "f" * 64)
+        monkeypatch.setattr(repro.fingerprint, "_fingerprint", "f" * 64)
         after = kernel_digest(source)
         assert before != after
+
+    def test_compiled_run_does_not_import_the_sweep_stack(self):
+        """The kernel digest needs only the leaf fingerprint module:
+        running a compiled design never imports ``repro.exp``."""
+        src = os.path.dirname(os.path.dirname(repro.fingerprint.__file__))
+        script = ("import sys\nfrom repro.workloads import REGISTRY\n"
+                  "r = REGISTRY.get('fibonacci').run()\n"
+                  "assert r.correct, r\n"
+                  "assert r.stats['engine']['compiled_fallback'] is None\n"
+                  "print([m for m in sys.modules"
+                  " if m.startswith('repro.exp')])\n")
+        done = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
     def test_digest_folds_source(self):
         assert (kernel_digest("cycle = 0\n")
@@ -182,7 +201,7 @@ class TestKernelCache:
         <cache-dir>/kernels/<digest>.py — stale, corrupt or hostile — is
         never read back, for the shell or for a stepper module; the run
         executes the texts it just generated."""
-        monkeypatch.setenv(repro.exp.cache.CACHE_DIR_ENV, str(tmp_path))
+        monkeypatch.setenv(repro.fingerprint.CACHE_DIR_ENV, str(tmp_path))
         accel = _build()
         tampered = "raise RuntimeError('kernel mirror was executed')\n"
         planted = [tmp_path / "kernels" / (kernel_digest(text) + ".py")
@@ -214,7 +233,7 @@ class TestKernelCache:
             return shell + "def make_kernel(:\n", steppers, ctx
 
         monkeypatch.setattr(compile_mod, "_generate", broken)
-        monkeypatch.setenv(repro.exp.cache.CACHE_DIR_ENV, str(tmp_path))
+        monkeypatch.setenv(repro.fingerprint.CACHE_DIR_ENV, str(tmp_path))
         digest = kernel_digest(broken(accel.sim)[0])
         with pytest.raises(SimulationError) as excinfo:
             accel.run("fib", [5])
@@ -500,22 +519,6 @@ class TestFallbackMatrix:
         assert payload["compiled_fallback"] is None
         report = render_host_profile_report("fib", profiler)
         assert "engine=compiled\n" in report and "declined" not in report
-
-    def test_value_probe_falls_back(self, monkeypatch):
-
-        monkeypatch.setattr(TXUTile, "value_probe",
-                            staticmethod(lambda value, observed: None))
-        accel = _build()
-        kernel, reason = prepare_kernel(accel.sim)
-        assert kernel is None and "value probe" in reason
-        _assert_ran_dense(accel, _build(engine="dense"), "value probe")
-        monkeypatch.undo()
-        # a probe on one tile, the way RangeChecker.attach installs it
-        accel = _build()
-        accel.units[-1].tiles[-1].value_probe = lambda value, observed: None
-        kernel, reason = prepare_kernel(accel.sim)
-        assert kernel is None and "value probe" in reason
-        _assert_ran_dense(accel, _build(engine="dense"), "value probe")
 
     def test_unknown_component_falls_back(self):
         from repro.sim import Component

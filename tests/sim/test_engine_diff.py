@@ -19,6 +19,7 @@ from repro.ir.types import I32
 from repro.obs import Observer
 from repro.task.task_unit import TaskUnit
 from repro.workloads import REGISTRY
+from tests.oracles.races import race_check
 
 EXAMPLES = sorted(
     path for path in glob.glob(os.path.join(
@@ -292,7 +293,7 @@ def _instrumented_views(accel, observer, trace):
         "exported": exported.getvalue(),
         "events": events,
         "races": [conflict.describe()
-                  for conflict in trace.race_check(accel.design.graph)],
+                  for conflict in race_check(trace, accel.design.graph)],
     }
 
 
@@ -428,7 +429,7 @@ def test_race_check_agrees_on_racy_program():
         if engine == "compiled":
             assert accel.sim.compiled_fallback is None
         found[engine] = [conflict.describe() for conflict
-                         in trace.race_check(accel.design.graph)]
+                         in race_check(trace, accel.design.graph)]
     assert found["dense"]
     assert found["dense"] == found["event"] == found["compiled"]
 

@@ -1,4 +1,4 @@
-"""Tests for the error hierarchy, tracing and small report helpers."""
+"""Tests for the error hierarchy and tracing."""
 
 
 from repro.errors import (
@@ -12,7 +12,6 @@ from repro.errors import (
     TapasError,
     VerificationError,
 )
-from repro.reports import bar_chart
 from repro.sim import NULL_TRACE, Trace, TraceEvent
 
 
@@ -61,19 +60,3 @@ class TestTrace:
     def test_event_format(self):
         event = TraceEvent(5, "unit", "spawn", "detail")
         assert "unit" in str(event) and "spawn" in str(event)
-
-
-class TestBarChart:
-    def test_bars_scale_to_peak(self):
-        text = bar_chart("T", ["a", "bb"], [1.0, 2.0], width=10)
-        lines = text.splitlines()
-        assert lines[0] == "T"
-        assert lines[2].count("#") == 10       # the peak fills the width
-        assert 0 < lines[1].count("#") <= 5
-
-    def test_empty_values(self):
-        assert bar_chart("T", [], []) == "T"
-
-    def test_zero_peak(self):
-        text = bar_chart("T", ["a"], [0.0])
-        assert "0.00" in text

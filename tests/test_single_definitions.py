@@ -225,3 +225,11 @@ def test_host_time_is_attributed_in_the_kernel():
                 and isinstance(node.ctx, ast.Store)]
     assert "setattr" not in {node.id for node in ast.walk(tree)
                              if isinstance(node, ast.Name)}
+
+
+def test_test_oracles_stay_out_of_the_product():
+    """The race and range oracles live in ``tests/oracles``: the product
+    imports nothing from ``tests`` and keeps no module or hook for them."""
+    assert not _hits(r"^\s*(from|import)\s+tests\b|\bvalue_probe\b")
+    assert not {"dynamic.py", "rangecheck.py"} & set(
+        os.listdir(os.path.join(SRC, "analysis")))
