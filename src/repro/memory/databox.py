@@ -14,9 +14,9 @@ costs in hardware at these fan-ins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
+from repro.memory.messages import Fields
 from repro.sim import (
     NEVER,
     OBS_BUSY,
@@ -29,14 +29,22 @@ from repro.sim import (
 )
 
 
-@dataclass(frozen=True)
-class MemTag:
-    """Routing tag carried through the memory network."""
+class MemTag(Fields):
+    """Routing tag carried through the memory network: the issuing unit,
+    tile, instance and dataflow node (the out-demux network routes on
+    ``tile``). Allocated per memory node issue, never mutated once built,
+    and hashed by its fields."""
 
-    unit: int
-    tile: int
-    instance: int
-    node: int
+    __slots__ = ("unit", "tile", "instance", "node")
+
+    def __init__(self, unit: int, tile: int, instance: int, node: int):
+        self.unit = unit
+        self.tile = tile
+        self.instance = instance
+        self.node = node
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
 class DataBox(Component):
@@ -111,7 +119,11 @@ class DataBox(Component):
         return NEVER
 
     def obs_classify(self, cycle):
-        pending = any(ch.can_pop() for ch in self.tile_request)
+        pending = False
+        for ch in self.tile_request:
+            if ch.can_pop():
+                pending = True
+                break
         if pending and self._outstanding >= self.entries:
             # allocator table full: input blocked until responses drain
             return OBS_STALL_IN, "allocator-full"

@@ -1,16 +1,41 @@
-"""Message types flowing through the memory network."""
+"""Message types flowing through the memory network.
+
+Like the task network's messages (:mod:`repro.task.messages`) these are
+``__slots__`` types: every memory node issue allocates a request and its
+tag, and the flat layout keeps that allocation cheap. :class:`Fields`
+gives them a dataclass's equality and ``repr`` over their slots; a
+request or response is mutable and does not hash.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional
 
 LOAD = "load"
 STORE = "store"
 
 
-@dataclass
-class MemRequest:
+class Fields:
+    """Equality and ``repr`` over ``__slots__``, as a dataclass has them."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # mutable
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+
+
+class MemRequest(Fields):
     """A memory operation issued by a TXU dataflow node.
 
     ``tag`` is opaque routing state (unit, tile, instance, node indices);
@@ -19,21 +44,27 @@ class MemRequest:
     buffers' alignment logic.
     """
 
-    tag: Any
-    op: str
-    addr: int
-    size: int
-    data: Optional[int] = None      # raw payload for stores
-    port: int = 0                   # response routing hint
+    __slots__ = ("tag", "op", "addr", "size", "data", "port")
+
+    def __init__(self, tag: Any, op: str, addr: int, size: int,
+                 data: Optional[int] = None, port: int = 0):
+        self.tag = tag
+        self.op = op
+        self.addr = addr
+        self.size = size
+        self.data = data    # raw payload for stores
+        self.port = port    # response routing hint
 
     def is_load(self) -> bool:
         return self.op == LOAD
 
 
-@dataclass
-class MemResponse:
+class MemResponse(Fields):
     """Completion message routed back to the requesting dataflow node."""
 
-    tag: Any
-    data: Optional[int] = None      # raw payload for loads
-    port: int = 0
+    __slots__ = ("tag", "data", "port")
+
+    def __init__(self, tag: Any, data: Optional[int] = None, port: int = 0):
+        self.tag = tag
+        self.data = data    # raw payload for loads
+        self.port = port

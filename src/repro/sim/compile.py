@@ -264,7 +264,7 @@ def generate_source(sim) -> str:
 #             try:
 #                 while True:           # one iteration per executed cycle
 #                     <guarded component ticks, registration order>
-#                     <inline commit over sim._dirty_channels>
+#                     <inline commit: pop the channels in dq, push dl's>
 #                     <idle/quiet accounting, stall check>
 #                     <quiescent fast-forward>
 #             finally:
@@ -277,6 +277,7 @@ def generate_source(sim) -> str:
 #         (_o0, _o1, ...) = objs             # numbered within the unit
 #         def mk(T, Tf, Tfc, Tfs, Tfi, Tsu, cRi, R, TI, CP, dl, ev, act):
 #             <one stepper _s<b> per owned block, Td = {block: stepper}>
+#             <its maturing-node scans _w<b>, Tw = {block: scan or _wp}>
 #             <def k(cycle, room): TXUTile._schedule, derived, calling Td>
 #             return k
 #         return mk
@@ -301,7 +302,7 @@ def generate_source(sim) -> str:
 #: ``_generate``) assigns per cycle; a derived section brings its own. CPython
 #: reaches only a frame's first 256 locals in one instruction and the aliases
 #: (eight per tile) outnumber that, so the kernel names these first
-_TEMPORARIES = ("msg dyid_ en_ ix_ _ tt_ k v nm busy tw w w2 "
+_TEMPORARIES = ("msg dyid_ en_ ix_ _ tt_ k v busy tw w w2 "
                 "span").split()
 
 
@@ -311,14 +312,18 @@ class _Emitter:
 
     Channels are addressed by their index in ``sim.channels``
     (registration order): the kernel keeps pending-push / pending-pop /
-    moved-counter state in flat preallocated lists (``CP``/``CQ``/``CU``/
-    ``CO``) indexed by that integer, and ``c<K>i`` aliases channel K's
-    item deque (``_items`` is assigned once in the constructor). A push
-    is ``CP[K] = msg`` plus appending K to the moved-list ``dl``; a pop
-    is ``CQ[K] = 1`` plus the same append — the end-of-cycle commit
-    walks ``dl`` only. A stepper module's emitter has none: whatever is
-    channel-shaped reaches its text as a factory argument, ``named``
-    (``(channel, name)`` pairs) spelling ``c<name>i`` and ``<name>``."""
+    push-counter state in flat preallocated lists (``CP``/``CQ``/``CU``)
+    indexed by that integer, and ``c<K>i`` aliases channel K's item
+    deque (``_items`` is assigned once in the constructor). A push is
+    ``CP[K] = msg`` plus appending K to the push list ``dl``; a pop is
+    ``CQ[K] = 1`` plus appending K to the pop list ``dq`` — the
+    end-of-cycle commit pops the channels in ``dq`` and appends to those
+    in ``dl``, and nothing else. No pop is counted: ``_sync_totals``
+    derives ``total_popped`` from the pushes and the change in queue
+    length (``CL``, the lengths at the last sync). A stepper module's
+    emitter has none: whatever is channel-shaped reaches its text as a
+    factory argument, ``named`` (``(channel, name)`` pairs) spelling
+    ``c<name>i`` and ``<name>``."""
 
     def __init__(self, channels=(), named=()):
         self.objs: List[object] = []
@@ -407,7 +412,7 @@ class _StepperGen:
     ``Tfs``/``Tfi``/``Tsu`` (its ``_fired`` set, ``_fire_call``,
     ``_fire_spawn``, ``_finish``, ``_suspend``), ``cRi``/``R`` (request
     channel deque and flat index), ``TI`` (tile index), ``CP``/``dl``/
-    ``act`` (the kernel's pending pushes, moved-list and one-cell activity
+    ``act`` (the kernel's pending pushes, push list and one-cell activity
     flag) and ``ev`` (the unit's ``analysis_event``, called only when
     ``traced``) — while SID, port and capacities are baked in so
     ``_fire_memory`` is inlined flat ops."""
@@ -598,12 +603,12 @@ class _StepperGen:
         tag = "%s(%d, TI, inst.uid, %d)" % (ref(MemTag), self.unit.sid,
                                             node.index)
         if isinstance(ir, Load):
-            req = ('%s(tag=%s, op="load", addr=%s, size=%d, port=%d)'
+            # positional: a keyword call costs twice the allocation
+            req = ('%s(%s, "load", %s, %d, None, %d)'
                    % (ref(MemRequest), tag, addr, ir.type.size_bytes,
                       self.unit.port))
         else:
-            req = ('%s(tag=%s, op="store", addr=%s, size=%d, '
-                   'data=%s(%s, %s), port=%d)'
+            req = ('%s(%s, "store", %s, %d, %s(%s, %s), %d)'
                    % (ref(MemRequest), tag, addr, ir.value.type.size_bytes,
                       ref(opsem.value_to_raw), ref(ir.value.type),
                       self.rv(ir.value), self.unit.port))
@@ -686,11 +691,10 @@ class _StepperGen:
                 L.append("            f = 1")
 
         # -- transition (mirrors _maybe_transition) ------------------------
-        # (an issued memory or call node's AWAIT_* exceeds every cycle)
-        trans = ["dn%d <= cycle" % n.index for n in body]
-        tdeps = deps(term_node)
-        if tdeps:
-            trans.append(tdeps)
+        # (an issued memory or call node's AWAIT_* exceeds every cycle);
+        # the latest node, the likeliest still pending, is tested first,
+        # and the terminator's deps, all body nodes, need no test of their own
+        trans = ["dn%d <= cycle" % n.index for n in reversed(body)]
         L.append("    if %s:" % " and ".join(trans or ["True"]))
         term = term_node.inst
         if isinstance(term, Detach):
@@ -735,6 +739,30 @@ class _StepperGen:
                   "    return %d if d else b" % GO])
         return L
 
+    # -- the maturing-node scan (mirrors TXUTile._soonest) -----------------
+
+    def soonest(self, name: str, block) -> List[str]:
+        """``TXUTile._soonest`` for ``block``, over only the nodes that can
+        still be ahead of ``cycle`` after a step that fired nothing: one of
+        latency 2 or more (fired at most a cycle before), or a memory or
+        call node (issued, or retired at ``cycle``). No such node: no def,
+        and the block maps to ``_wp``, which returns PARKED."""
+        nodes = [n.index for n in self.task.dfgs[block].nodes[:-1]
+                 if n.kind in ("load", "store", "call")
+                 or self.latencies.get(n.kind, 1) >= 2]
+        if not nodes:
+            return []
+        L = ["def %s(inst, cycle):" % name, "    nd = inst.node_done"]
+        if len(nodes) == 1:
+            return L + ["    w = nd[%d]" % nodes[0],
+                        "    return w if w > cycle else B"]
+        L.append("    w = B")
+        for idx in nodes:
+            L.extend(["    d = nd[%d]" % idx,
+                      "    if cycle < d < w:",
+                      "        w = d"])
+        return L + ["    return w"]
+
 
 def _stepper_module(gen: _StepperGen) -> str:
     """Source of one task unit's stepper module. A task unit is ONE TXU
@@ -746,11 +774,15 @@ def _stepper_module(gen: _StepperGen) -> str:
     unit, ref = gen.unit, gen.em.ref
     body: List[str] = []
     w = body.append
-    entries = []
+    entries, scans = [], []
     for bi, block in enumerate(gen.task.blocks):
         body.extend(gen.stepper("_s%d" % bi, block))
         entries.append("%s: _s%d" % (ref(block), bi))
+        scan = gen.soonest("_w%d" % bi, block)
+        body.extend(scan)
+        scans.append("%s: %s" % (ref(block), "_w%d" % bi if scan else "_wp"))
     w("Td = {%s}" % ", ".join(entries))
+    w("Tw = {%s}" % ", ".join(scans))
     # the instance loop that calls them: TXUTile._schedule, derived
     loop = tile_loop(gen.em, unit.tiles[0], gen.traced)
     body.extend(gen.em.pre)
@@ -763,6 +795,8 @@ def _stepper_module(gen: _StepperGen) -> str:
                  "_o%d, " % i for i in range(len(gen.em.objs)))]
     lines.append(_CTX_ERROR)
     lines.append("    B = %d" % PARKED)
+    lines.append("    def _wp(inst, cycle):")
+    lines.append("        return B")
     lines.append("    def mk(T, Tf, Tfc, Tfs, Tfi, Tsu, cRi, R, TI, CP, dl, ev, "
                  "act):")
     lines.extend("        " + line for line in body)
@@ -835,21 +869,24 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs, mods,
     tick.append("    if c%di and not CQ[%d]:" % (ji, ji))
     tick.append("        msg = c%di[0]" % ji)
     tick.append("        CQ[%d] = 1" % ji)
-    tick.append("        dl.append(%d)" % ji)
+    tick.append("        dq.append(%d)" % ji)
     tick.append("        %saj(msg, cycle)" % u)
     tick.append("    if c%di and not CQ[%d] and %sqf:" % (si, si, u))
     tick.append("        msg = c%di[0]" % si)
     tick.append("        CQ[%d] = 1" % si)
-    tick.append("        dl.append(%d)" % si)
+    tick.append("        dq.append(%d)" % si)
     tick.append("        %sas(msg)" % u)
     # inlined TaskUnit._dispatch: round-robin over the (static) tile
-    # list for a tile with capacity, pop one READY entry, start it
+    # list for a tile with capacity, pop one READY entry, start it; the
+    # loop is not entered when every tile is full
     take = ("%sqr.pop()" if unit.queue.policy == "lifo"
             else "%sqr.popleft()") % u
     nt = len(unit.tiles)
     em.pre.append("%stl = (%s,)" % (u, ", ".join(
         "(%s, %si, %d)" % (tn, tn, t.max_inflight) for tn, _rc, t in tiles)))
-    tick.append("    if %sqr:" % u)
+    caps = " or ".join("len(%si) < %d" % (tn, t.max_inflight)
+                       for tn, _rc, t in tiles)
+    tick.append("    if %sqr and (%s):" % (u, caps))
     tick.append("        ix_ = %s._dispatch_rr" % u)
     tick.append("        for _ in range(%d):" % nt)
     tick.append("            tt_ = %stl[ix_]" % u)
@@ -899,8 +936,6 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs, mods,
     busy.append(" or ".join(terms))
 
     # -- fast-forward contribution (mirrors TaskUnit.next_wake) ------------
-    caps = " or ".join("len(%si) < %d" % (tn, t.max_inflight)
-                       for tn, _rc, t in tiles)
     skip.append("if %sjr or (c%di and %sqf) or (%sqr and (%s)):"
                 % (u, si, u, u, caps))
     skip.append("    tw = cycle")
@@ -997,14 +1032,15 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
     w("ticks = 0")
     w("ff = 0")
     w("dirty = sim._dirty_channels")
-    # flat channel state: item deques, pending push/pop, moved counters
+    # flat channel state: item deques, pending push/pop, push counters,
+    # and the pushes and pops of this cycle
     w("CI = tuple([c._items for c in CH])")
     w("CN = tuple([c.name for c in CH])")
     w("CP = [None] * %d" % nch)
     w("CQ = [0] * %d" % nch)
     w("CU = [0] * %d" % nch)
-    w("CO = [0] * %d" % nch)
     w("dl = []")
+    w("dq = []")
     # absorb pre-existing pending channel state (the host pushes the
     # root spawn before run()) into the flat arrays so the first commit
     # sees it exactly like the dense engine's dirty list would
@@ -1014,7 +1050,7 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
     w("    if c._pending_pop:")
     w("        CQ[i] = 1")
     w("        c._pending_pop = False")
-    w("        dl.append(i)")
+    w("        dq.append(i)")
     w("    v = c._pending_push")
     w("    if v is not None:")
     w("        CP[i] = v")
@@ -1022,15 +1058,19 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
     w("        dl.append(i)")
     w("    i += 1")
     w("del dirty[:]")
-    # cold-path helper: fold the flat moved-counters back into the real
-    # channel objects (stall post-mortems and stats() read them there)
+    # cold-path helper: fold the flat push counters back into the real
+    # channel objects (stall post-mortems and stats() read them there);
+    # what was popped since the last sync is what was pushed less what the
+    # queue grew by
+    w("CL = [len(d) for d in CI]")
     w("def _sync_totals():")
     w("    i = 0")
     w("    for c in CH:")
+    w("        n = len(CI[i])")
     w("        c.total_pushed += CU[i]")
+    w("        c.total_popped += CU[i] + CL[i] - n")
     w("        CU[i] = 0")
-    w("        c.total_popped += CO[i]")
-    w("        CO[i] = 0")
+    w("        CL[i] = n")
     w("        i += 1")
     body.extend(em.pre)
     body.extend(sdefs)
@@ -1044,9 +1084,10 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
         w("_oc = sim._on_change")
         w("def _obs(cycle):")
         w("    sim.cycle = cycle + 1")
-        w("    for k in dl:")
+        w("    moved = dq + dl")
+        w("    for k in moved:")
         w("        tk.update(SUB[k])")
-        w("    _oc(sim, cycle, tk, map(CH.__getitem__, dl))")
+        w("    _oc(sim, cycle, tk, map(CH.__getitem__, moved))")
         w("    tk.clear()")
     # the hot loop allocates only acyclic objects (messages, instances,
     # small lists); pausing the cyclic collector avoids threshold-driven
@@ -1068,37 +1109,23 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
         w("        h0 = _ns()")
     body.extend("        " + line for line in tick)
     w("        ticks += 1")
-    w("        if dl:")
-    w("            if mlog is None:")
-    w("                for k in dl:")
-    w("                    if CQ[k]:")
-    w("                        CI[k].popleft()")
-    w("                        CO[k] += 1")
-    w("                        CQ[k] = 0")
-    w("                    v = CP[k]")
-    w("                    if v is not None:")
-    w("                        CI[k].append(v)")
-    w("                        CU[k] += 1")
-    w("                        CP[k] = None")
-    w("            else:")
-    w("                nm = set()")
-    w("                for k in dl:")
-    w("                    if CQ[k]:")
-    w("                        CI[k].popleft()")
-    w("                        CO[k] += 1")
-    w("                        CQ[k] = 0")
-    w("                    v = CP[k]")
-    w("                    if v is not None:")
-    w("                        CI[k].append(v)")
-    w("                        CU[k] += 1")
-    w("                        CP[k] = None")
-    w("                    nm.add(CN[k])")
-    w("                if len(mlog) < %d:" % _engine.MOVEMENT_LOG_CAP)
-    w("                    mlog.append((cycle, tuple(sorted(nm))))")
+    w("        if dl or dq:")
+    w("            for k in dq:")
+    w("                CI[k].popleft()")
+    w("                CQ[k] = 0")
+    w("            for k in dl:")
+    w("                CI[k].append(CP[k])")
+    w("                CU[k] += 1")
+    w("                CP[k] = None")
+    w("            if mlog is not None and len(mlog) < %d:"
+      % _engine.MOVEMENT_LOG_CAP)
+    w("                mlog.append((cycle, tuple(sorted(set(map(CN.__getitem__, "
+      "dq + dl))))))")
     body.extend(clock("channels.commit", " " * 12))
     if observed:
         w("            _obs(cycle)")
         body.extend(clock("observer", " " * 12))
+    w("            del dq[:]")
     w("            del dl[:]")
     w("            cycle += 1")
     w("            quiet = 0")
@@ -1170,15 +1197,17 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
     # error-state parity: a mid-cycle exception leaves this cycle's
     # pending pushes/pops on the real channel objects, exactly as the
     # dense engine would (uncommitted, marked dirty)
-    w("    for k in dl:")
-    w("        c = CH[k]")
+    w("    for k in dq:")
     w("        if CQ[k]:")
-    w("            c._pending_pop = True")
+    w("            CH[k]._pending_pop = True")
     w("            CQ[k] = 0")
+    w("    for k in dl:")
     w("        v = CP[k]")
     w("        if v is not None:")
-    w("            c._pending_push = v")
+    w("            CH[k]._pending_push = v")
     w("            CP[k] = None")
+    w("    for k in dq + dl:")
+    w("        c = CH[k]")
     w("        if not c._dirty:")
     w("            c._dirty = True")
     w("            dirty.append(c)")

@@ -3,13 +3,14 @@ from the class's own ``tick`` / ``is_busy`` / ``next_wake`` source.
 
 :func:`section` rewrites ``type(comp)``'s methods once per class into a text
 template and instantiates it per component by substitution: handshakes
-become the kernel's flat ``c<K>i`` / ``CQ`` / ``CP`` / ``dl`` ops, helpers
-that touch a channel are inlined, attribute chains no method assigns are
-hoisted into the preamble, module globals go through the object table, and
-``next_wake`` is evaluated at ``cycle - 1`` (the skip runs after the cycle
-increment). :func:`tile_section` and :func:`tile_loop` read the TXU's
-instance scheduler, ``TXUTile.tick`` and ``_schedule``, the same way, with
-the generated steppers in place of its interpreted step. docs/simulator.md
+become the kernel's flat ``c<K>i`` / ``CQ`` / ``CP`` / ``dq`` / ``dl`` ops,
+helpers that touch a channel are inlined, attribute chains no method
+assigns are hoisted into the preamble, module globals go through the
+object table, and ``next_wake`` is evaluated at ``cycle - 1`` (the skip
+runs after the cycle increment). :func:`tile_section` and :func:`tile_loop`
+read the TXU's instance scheduler, ``TXUTile.tick`` and ``_schedule``, the
+same way, with the generated steppers in place of its interpreted step
+and their per-block scans in place of ``_soonest``. docs/simulator.md
 ("Writing a compilable component") lists the subset; anything else raises
 :class:`UnsupportedDesign` naming class, method, construct and line, and
 the design runs on the dense oracle.
@@ -35,7 +36,7 @@ from repro.sim.component import NEVER, Component
 _HANDSHAKES = ("can_pop", "peek", "can_push", "push")
 _STATEMENTS = (ast.Assign, ast.AugAssign, ast.Expr, ast.Raise, ast.If,
                ast.While, ast.For, ast.Break, ast.Continue, ast.Pass)
-_POP = "CQ[%s] = 1", "dl.append(%s)"
+_POP = "CQ[%s] = 1", "dq.append(%s)"
 
 
 class UnsupportedDesign(Exception):
@@ -172,8 +173,10 @@ class _Template(ast.NodeTransformer):
         self.text = "\0".join("\n".join(part) for part in (
             pre, busy * (busy != ["False"]), tick, skip))
         self.temps = dict.fromkeys(re.findall(r"\bz\d+_\w+", self.text))
-        self.origin = "%s.%s (line %d)" % (
-            fn.__module__, fn.__qualname__, fn.__code__.co_firstlineno)
+        #: the definition the section is derived from, by name only: a line
+        #: number would change every kernel's text whenever code above the
+        #: method moves
+        self.origin = "%s.%s" % (fn.__module__, fn.__qualname__)
 
     def fail(self, construct: str):
         return UnsupportedDesign(
@@ -422,10 +425,13 @@ def tile_loop(em, tile, traced: bool) -> list:
     """``def k(cycle, room)`` for a task unit's stepper factory: the tile
     class's ``_schedule`` -- the instance loop -- on the tile ``T``, with
     ``Td[block]`` (the unit's generated steppers) in place of the
-    interpreted step and its helpers inlined: the return-value store, its
-    request channel ``em`` names, calls the factory's ``ev`` when
-    ``traced``. The aliases it hoists go to ``em.pre``."""
+    interpreted step, ``Tw[block]`` (their per-block scans of the nodes
+    that can mature) in place of ``_soonest``, and its helpers inlined:
+    the return-value store, its request channel ``em`` names, calls the
+    factory's ``ev`` when ``traced``. The aliases it hoists go to
+    ``em.pre``."""
     tpl, (_held, loop, _skip) = _instantiate(em, "T", tile, "_schedule", {
         "_step_instance": "Td[{0}.block]",
+        "_soonest": "Tw[{0}.block]",
         "unit.analysis_event": "ev" if traced else None})
     return ["# " + tpl.origin, "def k(cycle, room):"] + loop

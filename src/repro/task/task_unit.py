@@ -88,7 +88,9 @@ class TaskUnit(Component):
     # -- dynamic-checker events --------------------------------------------
 
     def analysis_event(self, kind: str, detail: str = "", payload=None):
-        """Emit a structured trace event (returns it, or None untraced)."""
+        """Emit a structured trace event (returns it, or None untraced).
+        The per-spawn and per-instance hooks test ``self.trace`` first, so
+        an untraced unit builds no event text or payload."""
         if self.trace is None:
             return None
         cycle = self.sim.cycle if self.sim else 0
@@ -103,9 +105,11 @@ class TaskUnit(Component):
         valued join."""
         if len(self._spawn_outbuf) >= OUTBOUND_BUFFER:
             return False
-        event = self.analysis_event(
-            "spawn-issue" if token is None else "call-issue",
-            f"-> T{dest_sid}", {"gid": entry.gid, "dest_sid": dest_sid})
+        event = None
+        if self.trace is not None:
+            event = self.analysis_event(
+                "spawn-issue" if token is None else "call-issue",
+                f"-> T{dest_sid}", {"gid": entry.gid, "dest_sid": dest_sid})
         self._spawn_outbuf.append(SpawnMessage(
             dest_sid=dest_sid, args=args,
             parent_sid=self.sid, parent_dyid=entry.dyid,
@@ -121,10 +125,12 @@ class TaskUnit(Component):
         entry.state = COMPLETE
         if entry.child_count == 0:
             self._join_ready.append(entry.dyid)
-        self.analysis_event("complete", f"dyid={entry.dyid}")
+        if self.trace is not None:
+            self.analysis_event("complete", f"dyid={entry.dyid}")
 
     def instance_suspended(self, inst):
-        self.analysis_event("suspend", f"dyid={inst.entry.dyid}")
+        if self.trace is not None:
+            self.analysis_event("suspend", f"dyid={inst.entry.dyid}")
 
     # -- clocked behaviour -----------------------------------------------------
 
@@ -177,13 +183,14 @@ class TaskUnit(Component):
                 f"SID {self.sid}")
         entry = self.queue.allocate(msg)
         entry.gid = (self.sid, self.queue.total_allocated - 1)
-        self.analysis_event("spawn-in",
-                            f"from T{msg.parent_sid}:{msg.parent_dyid}")
-        self.analysis_event(
-            "task-start", f"gid={entry.gid}",
-            {"gid": entry.gid, "parent_gid": entry.parent_gid,
-             "origin_seq": entry.origin_seq,
-             "call": msg.join_kind == JOIN_CALL})
+        if self.trace is not None:
+            self.analysis_event("spawn-in",
+                                f"from T{msg.parent_sid}:{msg.parent_dyid}")
+            self.analysis_event(
+                "task-start", f"gid={entry.gid}",
+                {"gid": entry.gid, "parent_gid": entry.parent_gid,
+                 "origin_seq": entry.origin_seq,
+                 "call": msg.join_kind == JOIN_CALL})
 
     def _dispatch(self, cycle: int):
         if not self.queue.has_ready():

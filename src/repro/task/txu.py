@@ -236,14 +236,19 @@ class TXUTile:
         """The instance loop. A step reports what happened (:data:`GO`,
         :data:`QUIET`, or the resource that refused it) and the loop turns
         that into the instance's ``wake_at``, its timer contribution and
-        its park. An instance refused only the request port or the spawn
-        out-buffer, with no node maturing, is *parked* on it: its step
-        could only re-find the resource taken, and set the stall marker, so
-        it is not taken again until the resource has room (``room``: the
-        port's, at the start of the cycle) or a response resets
-        ``wake_at``. A refused instance with a node still maturing
-        contributes that node's done cycle."""
-        parked = count = steps = 0
+        its park. An instance that moved (GO) and is still running wakes at
+        ``cycle + 1``, the least contribution any instance can make, so it
+        sets the loop's ``due`` and timer outright. An instance refused
+        only the request port or the spawn out-buffer, with no node
+        maturing, is *parked* on it: its step could only re-find the
+        resource taken, and set the stall marker, so it is not taken again
+        until the resource has room (``room``: the port's, at the start of
+        the cycle) or a response resets ``wake_at``. A refused instance
+        with a node still maturing contributes that node's done cycle
+        (:meth:`_soonest`). An instance whose return-value store is out
+        sleeps at ``wake_at = PARKED`` until :meth:`_apply_response`
+        retires the store."""
+        parked = count = steps = skips = 0
         due = timer = PARKED
         finished = []
         for inst in self.instances[:]:
@@ -267,7 +272,7 @@ class TXUTile:
                         self._mem_blocked = True
                     parked |= park
                     count += 1
-                    self.parked_skips += 1
+                    skips += 1
                     continue
                 inst.park = park = 0
             phase = inst.phase
@@ -277,9 +282,11 @@ class TXUTile:
                 inst.wake_at = wake = cycle + 1
                 if report == GO:
                     phase = inst.phase
+                    if phase == RUN:
+                        due = timer = wake
+                        continue
                 else:  # waiting on its earliest maturing node, if any
-                    soonest = min(filter(cycle.__lt__, inst.node_done),
-                                  default=PARKED)
+                    soonest = self._soonest(inst, cycle)
                     wake = soonest if soonest < AWAIT_MEM else PARKED
                     if report == QUIET:
                         if soonest == PARKED:  # nothing matures or awaits
@@ -305,6 +312,7 @@ class TXUTile:
             if wake < timer:
                 timer = wake
         self.instance_steps += steps
+        self.parked_skips += skips
         self._parked = parked
         self._parked_count = count
         self._due = due
@@ -319,6 +327,15 @@ class TXUTile:
             self._min_wake = PARKED
             self._busy_closed += cycle + 1 - self._busy_since
 
+    def _soonest(self, inst: Instance, cycle: int) -> int:
+        """The earliest done cycle of ``inst``'s nodes still ahead of
+        ``cycle`` (:data:`AWAIT_MEM` / :data:`AWAIT_CALL` for an issued
+        memory or call node), or :data:`PARKED`. Read after a step that
+        fired nothing, when only a node of latency 2 or more, or a memory
+        or call node, can be ahead: the generated kernel scans just those
+        nodes of the block."""
+        return min(filter(cycle.__lt__, inst.node_done), default=PARKED)
+
     def _apply_response(self, resp, cycle: int):
         """Retire a popped memory response."""
         self._due = 0
@@ -327,11 +344,11 @@ class TXUTile:
             raise SimulationError(
                 f"tile {self.tile_index}: response for unknown instance "
                 f"{resp.tag.instance}")
+        inst.wake_at = 0
         node_idx = resp.tag.node
         if node_idx == _EPILOGUE_NODE:
             inst.phase = DONE
             return
-        inst.wake_at = 0
         node = self.task.dfgs[inst.block].nodes[node_idx]
         if isinstance(node.inst, Load):
             inst.env[node.inst] = raw_to_value(node.inst.type, resp.data or 0)
@@ -358,7 +375,7 @@ class TXUTile:
     def _step_instance(self, inst: Instance, cycle: int) -> int:
         """One dataflow step of a running instance: fire every ready node,
         then try the block's terminator. Reports what happened to the
-        scheduler (:meth:`tick`), which alone sets ``wake_at`` and
+        scheduler (:meth:`_schedule`), which alone sets ``wake_at`` and
         ``park``: GO, QUIET, or the resource that refused a node."""
         dfg = self.task.dfgs[inst.block]
         fired = deferred = False
@@ -562,14 +579,16 @@ class TXUTile:
                     {"gid": inst.entry.gid, "op": "store", "addr": addr,
                      "size": rettype.size_bytes, "sid": self.unit.sid,
                      "node": _EPILOGUE_NODE, "inst": None})
+                # positional (tag, op, addr, size, data, port): the kernel
+                # inlines this call, and keywords double its cost
                 self.request_out.push(MemRequest(
-                    tag=MemTag(self.unit.sid, self.tile_index, inst.uid,
-                               _EPILOGUE_NODE),
-                    op="store", addr=addr, size=rettype.size_bytes,
-                    data=value_to_raw(rettype, inst.entry.retval),
-                    port=self.unit.port))
+                    MemTag(self.unit.sid, self.tile_index, inst.uid,
+                           _EPILOGUE_NODE),
+                    "store", addr, rettype.size_bytes,
+                    value_to_raw(rettype, inst.entry.retval), self.unit.port))
                 self._mem_issued_this_cycle = True
                 inst.phase = EPILOGUE_WAIT
+                inst.wake_at = PARKED  # until the store's response
             else:
                 self._mem_blocked = True
 

@@ -44,8 +44,8 @@ def clean_setup(memory):
 
 class TestDynamicChecker:
     def test_racy_run_observes_conflicts(self):
-        acc, trace, _ = traced_run("racy_sum", racy_setup)
-        conflicts = race_check(trace, acc.design.graph)
+        _, trace, _ = traced_run("racy_sum", racy_setup)
+        conflicts = race_check(trace)
         assert conflicts
         # every conflict involves the out cell, with at least one write
         for conflict in conflicts:
@@ -54,16 +54,16 @@ class TestDynamicChecker:
             assert conflict.a.gid != conflict.b.gid
 
     def test_clean_run_is_conflict_free(self):
-        acc, trace, _ = traced_run("double_all", clean_setup)
-        assert race_check(trace, acc.design.graph) == []
+        _, trace, _ = traced_run("double_all", clean_setup)
+        assert race_check(trace) == []
 
     def test_recursive_run_is_conflict_free(self):
         """fib stresses the happens-before reconstruction: recursive direct
         spawns, per-instance ret_ptr epilogue stores, frame-slot reads of
         both children after the sync — none of it may be misreported."""
-        acc, trace, retval = traced_run("fib", lambda _mem: ("fib", [10]))
+        _, trace, retval = traced_run("fib", lambda _mem: ("fib", [10]))
         assert retval == 55
-        assert race_check(trace, acc.design.graph) == []
+        assert race_check(trace) == []
 
     def test_untraced_run_is_rejected(self):
         trace = Trace(enabled=True)

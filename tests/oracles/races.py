@@ -219,9 +219,9 @@ class DynamicRaceChecker:
         return found
 
 
-def race_check(trace, graph=None) -> List[DynamicConflict]:
+def race_check(trace) -> List[DynamicConflict]:
     """The unordered conflicting access pairs of a run traced from its
-    start. ``graph`` is not read: happens-before comes from the trace."""
+    start (happens-before comes from the trace alone)."""
     return DynamicRaceChecker(trace).conflicts()
 
 

@@ -100,6 +100,6 @@ def test_disjoint_only_programs_are_race_free_both_ways(data):
 
     findings, _ = find_races(acc.design.graph)
     assert findings == []
-    assert race_check(trace, acc.design.graph) == []
+    assert race_check(trace) == []
     expected = [v + sum(increments) for v in range(ARRAY_LEN)]
     assert acc.memory.read_array(base, I32, ARRAY_LEN) == expected

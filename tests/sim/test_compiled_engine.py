@@ -618,9 +618,9 @@ class TestFallbackMatrix:
 
     def test_derived_sections_name_their_one_definition(self):
         """Each plumbing section of the shell opens with a comment naming
-        ``<module>.<Class>.tick`` and its source line, the guard follows
-        it, and an attached observer's ``tk[<component>] = 0`` the guard; each
-        tile's section names ``TXUTile.tick``."""
+        ``<module>.<Class>.tick`` (by name, with no source line), the guard
+        follows it, and an attached observer's ``tk[<component>] = 0`` the
+        guard; each tile's section names ``TXUTile.tick``."""
         accel = _build()
         accel.sim.attach_observer(Observer())
         lines = [line.strip() for line
@@ -628,20 +628,38 @@ class TestFallbackMatrix:
         plumbing = [comp for comp in accel.sim.components
                     if not isinstance(comp, TaskUnit)]
         tiles = [tile for unit in accel.units for tile in unit.tiles]
-        tile_origin = "# %s.%s (line %d)" % (
-            TXUTile.tick.__module__, TXUTile.tick.__qualname__,
-            TXUTile.tick.__code__.co_firstlineno)
+        tile_origin = "# %s.%s" % (TXUTile.tick.__module__,
+                                   TXUTile.tick.__qualname__)
         assert lines.count(tile_origin) == len(tiles) > 0
         named = [at for at, line in enumerate(lines)
                  if line.startswith("# repro.") and line != tile_origin]
         assert len(named) == len(plumbing) > 0
         for at, comp in zip(named, plumbing):
             tick = type(comp).tick
-            assert lines[at] == "# %s.%s (line %d)" % (
-                tick.__module__, tick.__qualname__,
-                tick.__code__.co_firstlineno)
+            assert lines[at] == "# %s.%s" % (tick.__module__,
+                                             tick.__qualname__)
             assert lines[at + 1].startswith("if ")
             assert lines[at + 2].startswith("tk[_o")
+
+    @pytest.mark.parametrize("form", ["plain", "observed", "traced",
+                                      "profiled"])
+    def test_kernel_text_cites_no_source_line(self, form):
+        """Provenance comments name methods only: a line number would
+        change every kernel's text (and digest) whenever any line above a
+        derived method moved."""
+        from repro.telemetry.hostprof import HostProfiler
+
+        for workload in REGISTRY.all():
+            accel = workload.build(
+                workload.default_config(2, engine="compiled"),
+                trace=Trace(enabled=True) if form == "traced" else None,
+                observer=Observer() if form == "observed" else None)
+            if form == "profiled":
+                HostProfiler().install(accel.sim)
+            modules = generate_modules(accel.sim)
+            assert any("# repro." in text for text in modules)
+            assert not any("(line " in text for text in modules), \
+                workload.name
 
     def test_fallback_reason_recorded_on_run(self):
         accel = _build()

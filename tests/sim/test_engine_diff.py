@@ -293,7 +293,7 @@ def _instrumented_views(accel, observer, trace):
         "exported": exported.getvalue(),
         "events": events,
         "races": [conflict.describe()
-                  for conflict in race_check(trace, accel.design.graph)],
+                  for conflict in race_check(trace)],
     }
 
 
@@ -429,7 +429,7 @@ def test_race_check_agrees_on_racy_program():
         if engine == "compiled":
             assert accel.sim.compiled_fallback is None
         found[engine] = [conflict.describe() for conflict
-                         in race_check(trace, accel.design.graph)]
+                         in race_check(trace)]
     assert found["dense"]
     assert found["dense"] == found["event"] == found["compiled"]
 

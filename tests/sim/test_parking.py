@@ -10,6 +10,8 @@ bit-identical on each, including ledgers, failures and what a run
 leaves behind on the channels.
 """
 
+import re
+
 import pytest
 
 from repro.accel import ARRIA_10, AcceleratorConfig, TaskUnitParams
@@ -17,7 +19,7 @@ from repro.accel.generator import generate
 from repro.errors import SimulationError
 from repro.memory.cache import CacheParams
 from repro.task.messages import SpawnMessage
-from repro.task.txu import DEFAULT_LATENCIES
+from repro.task.txu import DEFAULT_LATENCIES, EPILOGUE_WAIT, PARKED
 from repro.workloads import REGISTRY
 
 MEMBOUND = dict(board=ARRIA_10, dram_latency_cycles=270,
@@ -283,4 +285,93 @@ def test_open_spans_read_the_same_under_every_engine(tiles, cut):
         assert first == second
         views[engine] = first
     assert views["event"] == views["dense"]
+    assert views["compiled"] == views["dense"]
+
+
+def test_epilogue_wait_sleeps_until_its_store_lands():
+    """An instance whose return-value store is out is not rescanned: it
+    sleeps at ``wake_at == PARKED`` until the store's response, and it is
+    finished in the tick that response is popped. The responses land in
+    the same cycles, and their instances finish, under both engines."""
+    workload = REGISTRY.get("fibonacci")  # every child returns through ret_ptr
+    landings = {}
+    for engine in ("dense", "compiled"):
+        accel = workload.build(workload.default_config(2, engine=engine))
+        prepared = workload.prepare(accel.memory, 2)
+        landed, waiting, asleep = [], [], []
+
+        def probe(accel):
+            for tile, uid in waiting:  # their response was popped last tick
+                assert uid not in tile._by_uid
+            del waiting[:]
+            for unit in accel.units:
+                for tile in unit.tiles:
+                    for inst in tile.instances:
+                        if inst.phase == EPILOGUE_WAIT:
+                            assert inst.wake_at == PARKED
+                            asleep.append(inst.uid)
+                    if tile.response_in.can_pop():
+                        tag = tile.response_in.peek().tag
+                        if tag.node == -1:
+                            waiting.append((tile, tag.instance))
+                            landed.append((accel.sim.cycle, tile.obs_name,
+                                           tag.instance))
+
+        _run_watched(accel, prepared.function, prepared.args, probe)
+        assert landed and asleep
+        landings[engine] = (accel.sim.cycle, landed)
+    assert landings["compiled"] == landings["dense"]
+
+
+#: every kind at latency 0 or 1: a block without a memory or call node has
+#: no node that can still be maturing after a step that fired nothing
+FLAT_LATENCIES = {kind: index % 2
+                  for index, kind in enumerate(DEFAULT_LATENCIES)}
+
+
+@pytest.mark.parametrize("name, latencies", [
+    ("fibonacci", FLAT_LATENCIES),
+    ("fibonacci", {**FLAT_LATENCIES, "alu": 2}),
+    ("dedup", FLAT_LATENCIES),
+    ("dedup", {**FLAT_LATENCIES, "alu": 2}),
+], ids=["fibonacci-flat", "fibonacci-alu2", "dedup-flat", "dedup-alu2"])
+def test_maturing_node_scans_agree(name, latencies):
+    """The kernel's per-block scan for the next maturing node (``Tw``):
+    a block with none of latency 2 or more, and no memory or call node,
+    maps to the constant ``_wp``, the others to a ``_w<b>`` over exactly
+    those nodes. Both forms are generated for each table, and dense and
+    compiled agree with ``alu`` nodes maturing (2) and not (0 or 1)."""
+    from repro.sim.compile import generate_modules
+
+    workload = REGISTRY.get(name)
+    accel = workload.build(workload.default_config(
+        2, engine="compiled", latencies=latencies))
+    steppers = "".join(generate_modules(accel.sim)[1:])
+    assert ": _wp" in steppers
+    assert re.search(r"def _w\d+\(inst, cycle\):", steppers)
+    _agree(name, 1, default_ntiles=2, latencies=latencies)
+
+
+def test_rerun_after_timeout_keeps_channel_totals():
+    """``total_popped`` is derived from the pushes and the queue lengths
+    at each sync: a run cut short by ``max_cycles`` and continued by a
+    second ``Simulator.run`` on the same simulator (the kernel is entered
+    again) counts every push and pop exactly as the dense engine does."""
+    workload = REGISTRY.get("saxpy")
+    views = {}
+    for engine in ("dense", "compiled"):
+        accel = workload.build(
+            workload.default_config(2, engine=engine, **MEMBOUND))
+        prepared = workload.prepare(accel.memory, 2)
+        with pytest.raises(SimulationError, match="exceeded"):
+            accel.run(prepared.function, prepared.args, max_cycles=2500)
+        cut = [(ch.total_pushed, ch.total_popped) for ch in accel.sim.channels]
+        root = accel.unit(prepared.function)
+        accel.sim.run(lambda: root.root_done, max_cycles=10_000_000)
+        assert accel.sim.compiled_fallback is None
+        assert prepared.check(accel.memory, root.root_retval)
+        views[engine] = (cut, accel.sim.cycle, [
+            (ch.name, ch.total_pushed, ch.total_popped, len(ch))
+            for ch in accel.sim.channels])
+        assert any(popped for _name, _pushed, popped, _n in views[engine][2])
     assert views["compiled"] == views["dense"]
