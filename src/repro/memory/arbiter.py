@@ -82,28 +82,29 @@ class RoundRobinArbiter(Component):
 
 
 class Demux(Component):
-    """1-to-N router: forwards each message to ``outputs[route(msg)]``.
-
-    The default route key is ``msg.port`` (global network, routing by task
-    unit); a custom key supports the unit-internal level of the network
-    (routing a response to the requesting tile by tag).
-    """
+    """1-to-N router: forwards each message to ``outputs[port_of(msg)]``,
+    by a declared key ``(field, divisor, mask)`` that the RTL tops print.
+    The default ``("port", 1, -1)`` routes by ``msg.port``; a mask of -1
+    leaves the field unreduced, so a stray value is a bad port."""
 
     def __init__(self, name: str, input_: Channel, outputs: List[Channel],
-                 levels: int = None, route=None):
+                 levels: int = None, key=("port", 1, -1)):
         super().__init__(name)
         if not outputs:
             raise SimulationError(f"demux {name}: needs at least one output")
         self.input = input_
         self.outputs = outputs
         self.levels = tree_levels(len(outputs)) if levels is None else max(0, levels)
-        self.route = route or (lambda msg: msg.port)
+        self.field, self.divisor, self.mask = key
         self._pipe: Deque[Tuple[int, object]] = deque()
+
+    def port_of(self, msg) -> int:
+        return getattr(msg, self.field) // self.divisor & self.mask
 
     def tick(self, cycle: int):
         if self._pipe and self._pipe[0][0] <= cycle:
             _, msg = self._pipe[0]
-            port = self.route(msg)
+            port = self.port_of(msg)
             if port < 0 or port >= len(self.outputs):
                 raise SimulationError(
                     f"demux {self.name}: bad port {port} of {len(self.outputs)}")
@@ -127,7 +128,7 @@ class Demux(Component):
 
     def obs_classify(self, cycle):
         if self._pipe and self._pipe[0][0] <= cycle:
-            port = self.route(self._pipe[0][1])
+            port = self.port_of(self._pipe[0][1])
             if 0 <= port < len(self.outputs) and \
                     not self.outputs[port].can_push():
                 return OBS_STALL_OUT, "output-backpressure"

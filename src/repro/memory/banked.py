@@ -17,7 +17,6 @@ All banks share one AXI DRAM channel.
 
 from __future__ import annotations
 
-import math
 from typing import List
 
 from repro.memory.arbiter import Demux, RoundRobinArbiter
@@ -38,8 +37,6 @@ class BankedMemorySystem:
                  memory: MainMemory, num_units: int, dram_latency: int):
         self.params = params
         banks = params.banks
-        line = params.line_bytes
-        shift = int(math.log2(banks))
 
         self.unit_request: List[Channel] = [
             sim.add_channel(f"membank.u{u}.req", 2) for u in range(num_units)]
@@ -52,8 +49,7 @@ class BankedMemorySystem:
         for u in range(num_units):
             sim.add_component(Demux(
                 f"membank.u{u}.bankrouter", self.unit_request[u], unit_bank_req[u],
-                route=lambda msg, _line=line, _banks=banks:
-                    (msg.addr // _line) % _banks))
+                key=("addr", params.line_bytes, banks - 1)))
 
         # shared DRAM behind all banks
         dram_req = sim.add_channel("membank.dram.req", 4)
@@ -68,7 +64,7 @@ class BankedMemorySystem:
             "membank.dram.arb", bank_dram_req, dram_req))
         sim.add_component(Demux(
             "membank.dram.demux", dram_resp, bank_dram_resp,
-            route=lambda msg, _banks=banks: msg.tag % _banks))
+            key=("tag", 1, banks - 1)))
 
         # banks: arbiter over units -> cache -> demux back to units
         self.caches: List[Cache] = []
@@ -83,7 +79,7 @@ class BankedMemorySystem:
             cache = Cache(f"L1.bank{b}", params.bank_params(), memory,
                           bank_req, bank_resp,
                           bank_dram_req[b], bank_dram_resp[b],
-                          index_shift=shift)
+                          index_shift=banks.bit_length() - 1)
             sim.add_component(cache)
             self.caches.append(cache)
             sim.add_component(Demux(

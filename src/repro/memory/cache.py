@@ -176,7 +176,7 @@ class Cache(Component):
             latency = self.params.hit_latency + self._subword(req)
             self._ready_responses.append(
                 (cycle + latency,
-                 MemResponse(req.tag, data, port=req.port)))
+                 MemResponse(req.tag, data, req.port)))
         if any(not r.is_load() for r, _ in mshr.waiters):
             way = self._lookup(line_addr)
             if way:
@@ -199,9 +199,9 @@ class Cache(Component):
             if victim.dirty:
                 # timing-only writeback of the victim line
                 self._pending_writebacks.append(
-                    MemRequest(tag=victim.tag, op="store",
-                               addr=victim.tag * self.params.line_bytes,
-                               size=self.params.line_bytes))
+                    MemRequest(victim.tag, "store",
+                               victim.tag * self.params.line_bytes,
+                               self.params.line_bytes))
         victim.tag = line_addr
         victim.valid = True
         victim.dirty = False
@@ -229,7 +229,7 @@ class Cache(Component):
                 self.hits += 1
                 latency = self.params.hit_latency + self._subword(req)
                 self._ready_responses.append(
-                    (cycle + latency, MemResponse(req.tag, data, port=req.port)))
+                    (cycle + latency, MemResponse(req.tag, data, req.port)))
 
     def _miss(self, req, line_addr: int):
         mshr = self._mshrs.get(line_addr)
@@ -248,9 +248,9 @@ class Cache(Component):
             data = self._functional(req)
             self._mshrs[line_addr] = _MSHR(line_addr, [(req, data)])
             self.dram_request.push(
-                MemRequest(tag=line_addr, op="load",
-                           addr=line_addr * self.params.line_bytes,
-                           size=self.params.line_bytes))
+                MemRequest(line_addr, "load",
+                           line_addr * self.params.line_bytes,
+                           self.params.line_bytes))
             self.misses += 1
 
     def _send_response(self, cycle: int):

@@ -38,7 +38,7 @@ class Scratchpad(Component):
                 self.backing.write_int(req.addr, req.size, req.data or 0)
                 data = None
             self._pipe.append(
-                (cycle + self.latency, MemResponse(req.tag, data, port=req.port)))
+                (cycle + self.latency, MemResponse(req.tag, data, req.port)))
 
     def ports(self):
         return ((self.request_in,), (self.response_out,))

@@ -38,7 +38,9 @@ LIBRARY: Dict[str, ComponentDef] = {
     "DataBox": ComponentDef(
         "DataBox", ("Ports", "Entries"), "in-arbiter tree + allocator table + out-demux (Fig 8)"),
     "Arbiter": ComponentDef("Arbiter", ("Inputs", "Levels"), "N-to-1 round-robin, tree stages"),
-    "Demux": ComponentDef("Demux", ("Outputs", "Levels"), "1-to-N router by SID, tag or bank"),
+    "Demux": ComponentDef(
+        "Demux", ("Outputs", "Levels", "RouteField", "RouteDivisor", "RouteMask"),
+        "1-to-N router to out[field / divisor & mask]: by SID, port, tag or bank"),
     "Cache": ComponentDef(
         "Cache", ("SizeBytes", "LineBytes", "Ways", "MSHRs", "HitLatency"),
         "write-back L1 (or one bank of it), AXI master to DRAM"),
@@ -67,7 +69,7 @@ TEMPLATES = {
         sum(max(1, v.type.size_bytes) * 8 for v in unit.task.args))),
     DataBox: ("DataBox", lambda box: (len(box.tile_request), box.entries)),
     RoundRobinArbiter: ("Arbiter", lambda arb: (len(arb.inputs), arb.levels)),
-    Demux: ("Demux", lambda demux: (len(demux.outputs), demux.levels)),
+    Demux: ("Demux", lambda d: (len(d.outputs), d.levels, d.field, d.divisor, d.mask)),
     Cache: ("Cache", lambda cache: (
         cache.params.size_bytes, cache.params.line_bytes,
         cache.params.associativity, cache.params.mshr_count,

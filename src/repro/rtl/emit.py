@@ -18,6 +18,7 @@ The output is for inspection and diffing — the cycle model in
 
 from __future__ import annotations
 
+import json
 from weakref import WeakKeyDictionary
 
 from repro.accel.accelerator import Accelerator
@@ -35,7 +36,7 @@ def netlist(design: GeneratedDesign, config=None):
     """The top-level walk over ``Accelerator(design, config)`` (default
     ``AcceleratorConfig()``): its channels as ``(wire, kind)`` — kind
     ``"wire"``, or ``"input"``/``"output"`` for a top-level port — and
-    per component ``(instance, library module, [(param, value)], [(port,
+    per component ``(instance, library module, [(param, literal)], [(port,
     wire)])``, ports ``in<i>``/``out<j>`` in ``Component.ports()`` order.
     The Chisel and the Verilog top of one design and config share it."""
     config = config or AcceleratorConfig()
@@ -55,7 +56,7 @@ def netlist(design: GeneratedDesign, config=None):
         module, values = TEMPLATES[type(component)]
         instances.append((
             ident(component.name), module,
-            list(zip(LIBRARY[module].params, values(component))),
+            list(zip(LIBRARY[module].params, map(json.dumps, values(component)))),
             [(f"in{i}", wire[ch]) for i, ch in enumerate(inputs)]
             + [(f"out{i}", wire[ch]) for i, ch in enumerate(outputs)]))
     _WALKS[design] = key, (wires, instances)

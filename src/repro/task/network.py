@@ -47,12 +47,12 @@ class TaskNetwork:
             spawn_merged, levels=levels))
         self.spawn_demux = sim.add_component(Demux(
             f"{name}.spawn_demux", spawn_merged, self.spawn_in,
-            levels=levels, route=lambda m: m.dest_sid))
+            levels=levels, key=("dest_sid", 1, -1)))
         self.join_arbiter = sim.add_component(RoundRobinArbiter(
             f"{name}.join_arb", self.join_out, join_merged, levels=levels))
         self.join_demux = sim.add_component(Demux(
             f"{name}.join_demux", join_merged, self.join_in,
-            levels=levels, route=lambda m: m.parent_sid))
+            levels=levels, key=("parent_sid", 1, -1)))
 
     def stats(self):
         return {

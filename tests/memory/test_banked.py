@@ -1,11 +1,15 @@
 """Tests for the banked shared-L1 (§VI future-work extension)."""
 
+import re
+
 import pytest
 
 from dataclasses import replace
 
+from repro.accel import generate
 from repro.errors import ConfigError
 from repro.memory.cache import CacheParams
+from repro.rtl import emit_top_verilog
 from repro.workloads import REGISTRY
 
 
@@ -66,3 +70,19 @@ class TestBankDistribution:
         assert all(count > 0 for count in per_bank), per_bank
         # traffic is roughly balanced (within 4x of each other)
         assert max(per_bank) < 4 * max(1, min(per_bank))
+
+
+@pytest.mark.parametrize("banks", [2, 4])
+def test_bank_routers_divide_by_the_line_size(banks):
+    """24-byte lines (``test_engine_diff`` runs them on every engine): each
+    unit's bank router prints ``addr // 24 & (banks - 1)``, a route no
+    shift can express."""
+    workload = REGISTRY.get("saxpy")
+    config = workload.default_config(2, cache=CacheParams(
+        size_bytes=12288, line_bytes=24, banks=banks))
+    top = emit_top_verilog(generate(workload.fresh_module()), config)
+    routers = re.findall(r"tapas_demux #\((.*)\) membank_u\d+_bankrouter ", top)
+    assert len(routers) == len(workload.build(config).banked.unit_request)
+    assert set(routers) == {'.OUTPUTS(%d), .LEVELS(1), .ROUTE_FIELD("addr"), '
+                            '.ROUTE_DIVISOR(24), .ROUTE_MASK(%d)'
+                            % (banks, banks - 1)}

@@ -7,19 +7,24 @@ model and a two-bank L1), the sha256 of the cycle count, the return
 value, the stats (minus ``engine``), the movement log and every observer
 ledger timeline of an instrumented run at scale 1. It was taken on the
 dense engine before TXU instances were scheduled by one written
-scheduler; ``test_grid_golden.py`` holds every engine to it. Regenerate
-only when a change is *meant* to move a cycle, stat or ledger::
+scheduler; ``test_grid_golden.py`` holds every engine to it. Each run
+also holds every message a demux routes to the route key the RTL top
+prints for it (:func:`check_routes`). Regenerate only when a change is
+*meant* to move a cycle, stat or ledger::
 
     PYTHONPATH=src python -m tests.sim.grid_corpus
 """
 
 import hashlib
 import json
+from collections import deque
 from pathlib import Path
 
 from repro.accel import ARRIA_10
+from repro.memory.arbiter import Demux
 from repro.memory.cache import CacheParams
 from repro.obs import Observer
+from repro.rtl.components import LIBRARY, TEMPLATES
 from repro.workloads import REGISTRY
 
 GRID_GOLDEN = Path(__file__).resolve().parent / "data" / "grid_golden.json"
@@ -44,21 +49,59 @@ def _sha(value) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+class Routed(deque):
+    """The queue of a demux's output ``j``: every engine commits a pushed
+    message with ``append``, and each must satisfy the route key the RTL
+    top prints for the demux (``TEMPLATES``' ``RouteField``,
+    ``RouteDivisor`` and ``RouteMask``)."""
+
+    def __init__(self, j, key, log):
+        super().__init__()
+        self.j, self.key, self.log = j, key, log
+
+    def append(self, message):
+        field, divisor, mask = self.key
+        assert getattr(message, field) // divisor & mask == self.j, message
+        self.log.append(self.j)
+        super().append(message)
+
+
+def check_routes(sim) -> list:
+    """Put a :class:`Routed` queue behind every demux output of ``sim``
+    (before it runs); returns the log of the messages they check."""
+    log = []
+    for demux in sim.components:
+        if type(demux) is Demux:
+            printed = dict(zip(LIBRARY["Demux"].params,
+                               TEMPLATES[Demux][1](demux)))
+            key = (printed["RouteField"], printed["RouteDivisor"],
+                   printed["RouteMask"])
+            for j, channel in enumerate(demux.outputs):
+                assert not channel._items
+                channel._items = Routed(j, key, log)
+    return log
+
+
 def outcome(name: str, tiles: int, memory: str, engine: str,
             host_profile: bool = False):
     """``(digests, engine stats)`` of one instrumented run at scale 1,
-    with a host profiler installed if ``host_profile``."""
+    with a host profiler installed if ``host_profile``. Every message a
+    demux routes is checked against its printed route key."""
     workload = REGISTRY.get(name)
     observer = Observer()
     accel = workload.build(
         workload.default_config(tiles, engine=engine, **MEMORIES[memory]),
         observer=observer)
     movement = accel.sim.enable_movement_log()
+    routed = check_routes(accel.sim)
     if host_profile:
         accel.sim.enable_host_profile()
     prepared = workload.prepare(accel.memory, 1)
     result = accel.run(prepared.function, prepared.args)
     assert prepared.check(accel.memory, result.retval)
+    assert len(routed) == sum(demux.stats()["routed"]
+                              for demux in accel.sim.components
+                              if type(demux) is Demux) > 0
     stats = dict(result.stats)
     engine_stats = stats.pop("engine")
     return {

@@ -340,7 +340,7 @@ class ChannelAsValue(Demux):
 class PushInExpression(Demux):
     def tick(self, cycle):
         if self._pipe and self._pipe[0][0] <= cycle:
-            out = self.outputs[self.route(self._pipe[0][1])]
+            out = self.outputs[self.port_of(self._pipe[0][1])]
             if out.can_push() and out.push(self._pipe.popleft()[1]) is None:
                 pass
         if self.input.can_pop() and len(self._pipe) <= self.levels:

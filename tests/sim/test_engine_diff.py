@@ -16,10 +16,12 @@ from repro.accel import AcceleratorConfig, build_accelerator
 from repro.accel.config import TaskUnitParams
 from repro.frontend import compile_source
 from repro.ir.types import I32
+from repro.memory.cache import CacheParams
 from repro.obs import Observer
 from repro.task.task_unit import TaskUnit
 from repro.workloads import REGISTRY
 from tests.oracles.races import race_check
+from tests.sim.grid_corpus import check_routes
 
 EXAMPLES = sorted(
     path for path in glob.glob(os.path.join(
@@ -299,7 +301,6 @@ def _instrumented_views(accel, observer, trace):
 
 def _instrumented_configs():
     from repro.accel import ARRIA_10
-    from repro.memory.cache import CacheParams
 
     configs = [(name, 1, {"ntiles": tiles})
                for name in REGISTRY.names() for tiles in (1, 2, 3)]
@@ -313,8 +314,11 @@ def _instrumented_configs():
                    for tiles in (1, 4))
     # the Fig 8 backend: the scratchpad's own sensitivity / wake / classify
     configs.append(("saxpy", 1, {"ntiles": 2, "memory_model": "scratchpad"}))
-    # the banked L1: address- and tag-routed demux lambdas, index_shift
+    # the banked L1: address- and tag-keyed demux routes, index_shift; and
+    # 24-byte lines, which the bank router divides by (no shift can)
     configs.append(("saxpy", 2, {"ntiles": 2, "cache": CacheParams(banks=2)}))
+    configs.extend(("saxpy", 1, {"ntiles": 2, "cache": CacheParams(
+        size_bytes=12288, line_bytes=24, banks=banks)}) for banks in (2, 4))
     # a direct-mapped 512 B / 2 MSHR cache: dirty evictions (the writeback
     # path) and both structural stalls of the request port (CACHE_CORNERS)
     configs.append(("mergesort", 1, {"ntiles": 4, "cache": CacheParams(
@@ -332,8 +336,11 @@ def _instrumented_id(name, scale, overrides):
     if "cache" not in overrides:
         return f"{name}-{overrides['ntiles']}"
     if "board" not in overrides:
-        return f"{name}-banked" if overrides["cache"].banks > 1 \
-            else f"{name}-writebacks"
+        cache = overrides["cache"]
+        if cache.banks == 1:
+            return f"{name}-writebacks"
+        return f"{name}-banked" + f"{cache.banks}-line{cache.line_bytes}" * (
+            cache.line_bytes != CacheParams.line_bytes)
     return f"{name}-membound" + f"-{overrides['ntiles']}" * (scale != 4)
 
 
@@ -349,7 +356,8 @@ def test_instrumented_views_agree(name, scale, overrides):
     race checker's happens-before) and the movement log are one thing
     under all three engines; the compiled leg produces them from the
     generated kernel itself, every plumbing section of it derived from the
-    component's own ``tick``."""
+    component's own ``tick``. Every message a demux routes follows the
+    route key its RTL top prints."""
     from repro.sim import Trace
 
     workload = REGISTRY.get(name)
@@ -360,6 +368,7 @@ def test_instrumented_views_agree(name, scale, overrides):
             workload.default_config(engine=engine, **overrides),
             trace=trace, observer=observer)
         movement = accel.sim.enable_movement_log()
+        routes = check_routes(accel.sim)
         prepared = workload.prepare(accel.memory, scale)
         result = accel.run(prepared.function, prepared.args)
         assert prepared.check(accel.memory, result.retval)
@@ -367,6 +376,7 @@ def test_instrumented_views_agree(name, scale, overrides):
             assert result.stats["engine"]["compiled_fallback"] is None
         views[engine] = _instrumented_views(accel, observer, trace)
         views[engine]["movement"] = list(movement)
+        views[engine]["routes"] = routes
         views[engine]["result"] = (result.cycles, result.retval,
                                    _strip(result.stats))
     for engine in ("event", "compiled"):
@@ -382,8 +392,10 @@ def test_instrumented_views_agree(name, scale, overrides):
 def test_pipe_depths_and_fan_ins_agree(levels, fan):
     """Arbiter and demux pipes at the depths no shipped design elaborates
     (``tree_levels`` is 1 up to four inputs) and at fan-in / fan-out 1 and
-    3, through a one-slot channel that backpressures the arbiter."""
+    3, through a one-slot channel that backpressures the arbiter. Message
+    ``n`` carries port ``n % fan``, which the demux's default key reads."""
     from repro.memory.arbiter import Demux, RoundRobinArbiter
+    from repro.memory.messages import MemResponse
     from repro.sim import Simulator
 
     def run(engine):
@@ -394,11 +406,10 @@ def test_pipe_depths_and_fan_ins_agree(levels, fan):
         outputs = [sim.add_channel(f"out{i}", 8) for i in range(fan)]
         sim.add_component(RoundRobinArbiter(
             "arbiter", inputs, middle, levels=levels))
-        sim.add_component(Demux("demux", middle, outputs, levels=levels,
-                                route=lambda message: message % fan))
+        sim.add_component(Demux("demux", middle, outputs, levels=levels))
         for i, channel in enumerate(inputs):
             for j in range(4):
-                channel.push(4 * i + j)
+                channel.push(MemResponse(4 * i + j, None, (4 * i + j) % fan))
                 channel.commit()
         cycles = sim.run(lambda: sum(map(len, outputs)) == 4 * fan)
         if engine == "compiled":
@@ -439,7 +450,6 @@ def test_memory_bound_config_agrees():
     latency. Exactly the regime where a scheduling bug would skew
     counts."""
     from repro.accel import ARRIA_10
-    from repro.memory.cache import CacheParams
 
     workload = REGISTRY.get("saxpy")
     outcomes = {}

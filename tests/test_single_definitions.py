@@ -233,3 +233,15 @@ def test_test_oracles_stay_out_of_the_product():
     assert not _hits(r"^\s*(from|import)\s+tests\b|\bvalue_probe\b")
     assert not {"dynamic.py", "rangecheck.py"} & set(
         os.listdir(os.path.join(SRC, "analysis")))
+
+
+def test_demux_routes_are_data():
+    """A demux routes by its declared key ``(field, divisor, mask)``, which
+    the kernel and both RTL tops read: no route is a callable, and one
+    method, ``Demux.port_of``, turns a message into a port for ``tick``
+    and ``obs_classify`` alike."""
+    assert not _hits(r"\bDemux\((?:[^()]|\([^()]*\))*\blambda\b")
+    assert not _hits(r"\broute=|\.route\(")
+    assert _hits(r"\bdef port_of\b|// self\.divisor & self\.mask\b") == {
+        os.path.join("memory", "arbiter.py"): 2}
+    assert _hits(r"\.port_of\(") == {os.path.join("memory", "arbiter.py"): 2}
