@@ -29,10 +29,9 @@ from repro.sim import (
     Trace,
 )
 from repro.telemetry.spans import SpanTracer
-from repro.workloads import REGISTRY
-from tests.sim.obs_corpus import OBS_GOLDEN, TILES, digests, observed
+from tests.sim.obs_corpus import OBS_GOLDEN, RUNS, digests, observed, run_id
 
-RUNS = [(name, tiles) for name in REGISTRY.names() for tiles in TILES]
+RUN_IDS = [run_id(*run) for run in RUNS]
 _observed = functools.lru_cache(maxsize=None)(observed)
 
 
@@ -55,14 +54,18 @@ def _exported_lines_are_encoder_output(**sources):
     return document
 
 
-@pytest.mark.parametrize("name, tiles", RUNS,
-                         ids=[f"{n}@t{t}" for n, t in RUNS])
-def test_every_line_is_the_encoders(name, tiles):
-    observer, trace = _observed(name, tiles)
+@pytest.mark.parametrize("name, scale, tiles", RUNS, ids=RUN_IDS)
+def test_every_line_is_the_encoders(name, scale, tiles, tmp_path):
+    observer, trace = _observed(name, tiles, scale)
     document = _exported_lines_are_encoder_output(observer=observer,
                                                   trace=trace)
     phases = {event["ph"] for event in document["traceEvents"]}
     assert {"M", "X", "C", "i"} <= phases
+    # a path destination writes the same document the call returns
+    path = tmp_path / "trace.json"
+    assert export_chrome_trace(str(path), observer=observer,
+                               trace=trace) == document
+    assert json.loads(path.read_text()) == document
 
 
 def test_idle_runs_and_host_spans_are_the_encoders():
@@ -160,11 +163,10 @@ def test_hand_built_observer_and_trace_are_the_encoders():
         assert 'occ:q"ü\\%d' in names
 
 
-@pytest.mark.parametrize("name, tiles", RUNS,
-                         ids=[f"{n}@t{t}" for n, t in RUNS])
-def test_observer_output_matches_golden(name, tiles):
+@pytest.mark.parametrize("name, scale, tiles", RUNS, ids=RUN_IDS)
+def test_observer_output_matches_golden(name, scale, tiles):
     """The exported bytes and ``Observer.as_dict()`` of the compiled
-    engine, as they were before the exporter and the ledgers were
+    engine, as they were before the exporter and the sampler were
     rewritten (regenerate: ``python -m tests.sim.obs_corpus``)."""
     golden = json.loads(OBS_GOLDEN.read_text())
-    assert digests(*_observed(name, tiles)) == golden[f"{name}@t{tiles}"]
+    assert digests(*_observed(name, tiles, scale)) == golden[run_id(name, scale, tiles)]
