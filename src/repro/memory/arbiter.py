@@ -73,8 +73,11 @@ class RoundRobinArbiter(Component):
         if (self._pipe and self._pipe[0][0] <= cycle
                 and not self.output.can_push()):
             return OBS_STALL_OUT, "output-backpressure"
-        if self._pipe or any(ch.can_pop() for ch in self.inputs):
+        if self._pipe:
             return OBS_BUSY, None
+        for ch in self.inputs:
+            if ch.can_pop():
+                return OBS_BUSY, None
         return OBS_IDLE, None
 
     def stats(self):

@@ -8,8 +8,10 @@ busy / stalled-on-input / stalled-on-output / idle, and a
 :class:`ChannelProbe` per channel recording occupancy histograms,
 backpressure cycles and peak depth.
 
-Both keep a *change log*: ``sample`` appends ``(cycle, value)`` only when
-the value differs from the open run's, and the runs between log entries
+Both keep a *change log*, appended to only by the observer's sampler
+(:meth:`repro.obs.observer.Observer.on_change`): it appends
+``(cycle, value)`` only when the value differs from the open run's
+``current``, and the runs between log entries
 are booked into the timeline when it is read or flushed (the simulator
 flushes whenever ``run`` returns or raises). Counts are derived
 from the runs on read, as if every cycle had been recorded on its own.
@@ -69,14 +71,6 @@ class CycleLedger(_ChangeLog):
         """RLE state runs: [start, end_exclusive, state, reason]."""
         self._book_closed()
         return self._runs
-
-    def sample(self, cycle: int, state: str, reason: Optional[str] = None):
-        """``(state, reason)`` holds from ``cycle`` on: logged if it differs
-        from the open run."""
-        now = (state, reason)
-        if now != self.current:
-            self.current = now
-            self.log.append((cycle, now))
 
     def record(self, cycle: int, state: str, reason: Optional[str] = None):
         self.record_span(cycle, 1, state, reason)
@@ -155,6 +149,8 @@ class ChannelProbe(_ChangeLog):
 
     def __init__(self, channel):
         self.channel = channel
+        #: the channel's item queue: its length is the occupancy
+        self.queue = channel._items
         super().__init__()  # values: occupancies
         self._changes: List[Tuple[int, int]] = []
         self._end = 0  # where the booked runs end (exclusive)
@@ -170,13 +166,6 @@ class ChannelProbe(_ChangeLog):
         — bounded by traffic."""
         self._book_closed()
         return self._changes
-
-    def sample(self, cycle: int):
-        """The occupancy read now holds from ``cycle`` on."""
-        occ = self.channel.occupancy
-        if occ != self.current:
-            self.current = occ
-            self.log.append((cycle, occ))
 
     def record(self, cycle: int):
         self.record_span(cycle, 1)

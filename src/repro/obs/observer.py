@@ -28,9 +28,10 @@ from repro.sim.component import OBS_BUSY, OBS_STALL_IN, OBS_STALL_OUT
 class Observer:
     """Change-driven sampler building ledgers and channel probes.
 
-    The first sample after a registration covers everything and binds each
-    component to its ledger (its subunits to theirs) and channel to its probe,
-    so late registrations are picked up and a sample is one classification.
+    The first sample after a registration covers everything and binds, once
+    per netlist, each component to its bound ``obs_classify`` and its ledger
+    (its subunits to theirs) and each channel to its probe, so late
+    registrations are picked up and a sample is one classification.
     """
 
     def __init__(self):
@@ -39,8 +40,10 @@ class Observer:
         self.cycles_observed = 0
         self.first_cycle: Optional[int] = None
         self.last_cycle: Optional[int] = None
-        self._shape = None  # (components, channels) when last sampled in full
-        self._bound: dict = {}  # component -> (ledger, tiles); channel -> probe
+        self._shape = None  # (components, channels) when last bound
+        #: component -> (its obs_classify, its ledger, [its tiles' ledgers,
+        #: the children last sampled] or None); channel -> (probe, its queue)
+        self._bound: dict = {}
 
     # -- engine interface --------------------------------------------------
 
@@ -52,29 +55,18 @@ class Observer:
         """Sample the ``components`` that ticked or saw a sensitivity
         channel commit in ``cycle`` and the ``channels`` that committed;
         the rest extend their open runs. Over-sampling is harmless."""
-        shape = (len(sim.components), len(sim.channels))
-        bound = self._bound  # each recorder's ``sample`` is inlined below
-        if shape != self._shape:  # also true of the very first sample
-            self._shape = shape
+        if (len(sim.components), len(sim.channels)) != self._shape:
+            self._bind(sim, cycle)  # also true of the very first sample
             components, channels = sim.components, sim.channels
-            for component in components:
-                group = component.name
-                names = [group, *(n for n, _, _ in component.obs_children(cycle))]
-                ledger, *tiles = [self.ledgers.setdefault(n, CycleLedger(n, group))
-                                  for n in names]
-                bound[component] = (ledger, tiles and [tiles, None])
-            for channel in channels:
-                bound[channel] = self.probes.setdefault(channel.name, ChannelProbe(channel))
-            if self.first_cycle is None:
-                self.first_cycle = cycle
+        bound = self._bound
         for component in components:
-            ledger, tiles = bound[component]
-            now = component.obs_classify(cycle)
+            classify, ledger, tiles = bound[component]
+            now = classify(cycle)
             if now != ledger.current:
                 ledger.current = now
                 ledger.log.append((cycle, now))
-            if tiles:  # [tile ledgers, the children last sampled]
-                children = tuple(component.obs_children(cycle))
+            if tiles is not None:  # [tile ledgers, the children last sampled]
+                children = component.obs_children(cycle)  # what classify built
                 if children != tiles[1]:
                     tiles[1] = children
                     for tile, (_, state, reason) in zip(tiles[0], children):
@@ -83,11 +75,27 @@ class Observer:
                             tile.current = now
                             tile.log.append((cycle, now))
         for channel in channels:
-            probe = bound[channel]
-            now = channel.occupancy
+            probe, queue = bound[channel]
+            now = len(queue)
             if now != probe.current:
                 probe.current = now
                 probe.log.append((cycle, now))
+
+    def _bind(self, sim, cycle: int):
+        self._shape = (len(sim.components), len(sim.channels))
+        bound = self._bound
+        for component in sim.components:
+            group = component.name
+            names = [group, *(n for n, _, _ in component.obs_children(cycle))]
+            ledger, *tiles = [self.ledgers.setdefault(n, CycleLedger(n, group))
+                              for n in names]
+            bound[component] = (component.obs_classify, ledger,
+                                [tiles, None] if tiles else None)
+        for channel in sim.channels:
+            probe = self.probes.setdefault(channel.name, ChannelProbe(channel))
+            bound[channel] = probe, probe.queue
+        if self.first_cycle is None:
+            self.first_cycle = cycle
 
     def flush(self, sim):
         """Book every open run up to the simulator's clock: the engine

@@ -30,7 +30,8 @@ import json
 import math
 import os
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import IO, Iterator, List, Union
+from operator import attrgetter, itemgetter
+from typing import IO, List, Union
 
 from repro.sim.component import OBS_IDLE
 
@@ -43,6 +44,13 @@ _EVENTS_PID = 1_000_001
 _HOST_PID = 1_000_002
 #: types ``_json_safe`` returns as they are
 _SCALARS = frozenset((type(None), bool, int, float, str))
+_INT = {int}
+#: an absent key
+_MISSING = object()
+#: a trace event's timestamp
+_CYCLE = attrgetter("cycle")
+#: lines joined per write
+_BATCH = 4096
 #: the document's keys after ``traceEvents``
 _OTHER_KEYS = {"displayTimeUnit": "ms", "otherData": {
     "generator": "repro-obs", "time_unit": "1 trace us == 1 accelerator cycle"}}
@@ -86,28 +94,43 @@ def chrome_trace(observer=None, trace=None,
     cycles land in one document (host timestamps are microseconds since
     the first span; guest timestamps stay 1 us == 1 cycle).
     """
-    return _walk(observer, trace, include_idle, host_spans)[0]
+    meta, events, _ = _walk(observer, trace, include_idle, host_spans)
+    return _document(meta, events)
+
+
+def _document(meta: List[dict], events: List[dict]) -> dict:
+    return {"traceEvents": meta + events, **copy.deepcopy(_OTHER_KEYS)}
 
 
 def _walk(observer, trace, include_idle: bool, host_spans):
-    """The document, its metadata events and a row per timed event in document order:
-    (ts, pid, tid, insertion order), event, the encoder's line as ``(head, mid, tail)``
-    around ts and value (None: encode the event), value (a trace event's: its args' text)."""
-    meta: List[dict] = []
-    rows: List[tuple] = []
-    order = itertools.count()
-    track: dict = {}  # source name -> (pid, tid)
+    """The document's metadata events, then its timed events in document
+    order with each one's line of the file, led by its separator.
 
+    Each track is rendered in one pass from what it booked, the tracks in
+    ``(pid, tid, insertion)`` order: a ledger's state runs then the trace
+    instants of its source, the channels' counters, the instants of no
+    ledger, the host spans. One stable sort by timestamp then merges the
+    tracks, each already time-ordered, into the ``(ts, pid, tid,
+    insertion)`` order of the document.
+    """
+    meta: List[dict] = []
+    events: List[dict] = []
+    lines: List[str] = []
+    stamps: list = []
+
+    host: List[dict] = []
     if host_spans is not None and getattr(host_spans, "spans", None):
         from repro.telemetry.spans import host_trace_events
 
-        host_events = host_trace_events(host_spans, _HOST_PID)
-        if host_events:
+        host = host_trace_events(host_spans, _HOST_PID)
+        if host:
             meta.append(_track_name("process_name", _HOST_PID, 0, "host toolchain"))
-            for tid in sorted({e["tid"] for e in host_events}):
+            for tid in sorted({e["tid"] for e in host}):
                 meta.append(_track_name("thread_name", _HOST_PID, tid, f"host thread {tid}"))
-            rows += [(e["ts"], e["pid"], e["tid"], next(order), e, None, None) for e in host_events]
+            host.sort(key=itemgetter("tid"))
 
+    tracks = []  # (pid, tid, ledger)
+    placed: dict = {}  # a ledger's name -> the trace events its track shows
     if observer is not None:
         groups = dict.fromkeys(ledger.group for ledger in observer.ledgers.values())
         for pid, group in enumerate(groups):
@@ -116,65 +139,106 @@ def _walk(observer, trace, include_idle: bool, host_spans):
             # the component itself first, then its tiles in name order
             members.sort(key=lambda ledger: (ledger.name != group, ledger.name))
             for tid, ledger in enumerate(members):
-                track[ledger.name] = (pid, tid)
+                tracks.append((pid, tid, ledger))
+                placed[ledger.name] = []
                 meta.append(_track_name("thread_name", pid, tid, ledger.name))
-                forms: dict = {}  # (state, reason) -> (name, form of the encoder's line)
-                for start, end, state, reason in ledger.timeline:
-                    if state == OBS_IDLE and not include_idle:
-                        continue
-                    form = forms.get((state, reason))
-                    if form is None:
-                        name = state if reason is None else f"{state}:{reason}"
-                        form = forms[state, reason] = name, (
-                            ',\n{"ph": "X", "cat": "state", "name": %s, "ts": ' % _encode(name),
-                            ', "dur": ',
-                            ', "pid": %d, "tid": %d, "args": {"state": %s, "reason": %s}}'
-                            % (pid, tid, _encode(state), _encode(reason)))
-                    name, line = form
-                    rows.append((start, pid, tid, next(order), {
-                        "ph": "X", "cat": "state", "name": name, "ts": start, "dur": end - start,
-                        "pid": pid, "tid": tid, "args": {"state": state, "reason": reason},
-                    }, line if type(start) is type(end) is int else None, end - start))
         meta.append(_track_name("process_name", _CHANNELS_PID, 0, "channels"))
-        for probe in observer.probes.values():
-            if not probe.channel.total_pushed:
-                continue
-            name = f"occ:{probe.name}"
-            line = (',\n{"ph": "C", "cat": "channel", "name": %s, "ts": ' % _encode(name),
-                    ', "pid": %d, "args": {"occupancy": ' % _CHANNELS_PID, '}}')
-            rows += [(cycle, _CHANNELS_PID, 0, n, {
-                "ph": "C", "cat": "channel", "name": name, "ts": cycle,
-                "pid": _CHANNELS_PID, "args": {"occupancy": occupancy},
-            }, line if type(cycle) is type(occupancy) is int else None, occupancy)
-                for (cycle, occupancy), n in zip(probe.occupancy_timeline, order)]
-
+    unplaced: list = []
     if trace is not None and len(trace):
-        used_events_pid = False
-        forms: dict = {}  # (kind, pid, tid) -> form of the encoder's line
         for event in trace.events:
-            pid, tid = track.get(event.source, (_EVENTS_PID, 0))
-            used_events_pid = used_events_pid or pid == _EVENTS_PID
-            args = {"detail": event.detail, "seq": event.seq}
-            if event.payload:
-                args.update(_json_safe(event.payload))
-            kind, cycle = event.kind, event.cycle
-            line = forms.get((kind, pid, tid))
-            if line is None:
-                line = forms[kind, pid, tid] = (
-                    ',\n{"ph": "i", "s": "t", "cat": "event", "name": %s, "ts": ' % _encode(kind),
-                    ', "pid": %d, "tid": %d, "args": ' % (pid, tid), '}')
-            rows.append((cycle, pid, tid, next(order), {
-                "ph": "i", "s": "t", "cat": "event", "name": kind, "ts": cycle,
-                "pid": pid, "tid": tid, "args": args,
-            }, line if type(cycle) is int else None, _encode(args)))
-        if used_events_pid:
+            placed.get(event.source, unplaced).append(event)
+        if unplaced:
             meta.append(_track_name("process_name", _EVENTS_PID, 0, "events"))
+
+    for pid, tid, ledger in tracks:
+        _states(events, lines, stamps, pid, tid, ledger.timeline, include_idle)
+        _instants(events, lines, stamps, pid, tid, placed[ledger.name])
+    if observer is not None:
+        for probe in observer.probes.values():
+            if probe.channel.total_pushed:
+                _counters(events, lines, stamps, probe.name, probe.occupancy_timeline)
+    _instants(events, lines, stamps, _EVENTS_PID, 0, unplaced)
+    events += host
+    lines += [",\n" + _encode(event) for event in host]
+    stamps += map(itemgetter("ts"), host)
 
     # Perfetto tolerates any order, but monotonic timestamps keep the
     # export diffable and make well-formedness trivially checkable.
-    rows.sort()
-    document = {"traceEvents": meta + [row[4] for row in rows], **copy.deepcopy(_OTHER_KEYS)}
-    return document, meta, rows
+    order = sorted(range(len(stamps)), key=stamps.__getitem__)
+    return meta, list(map(events.__getitem__, order)), list(map(lines.__getitem__, order))
+
+
+def _ints(values) -> bool:
+    """Whether every value is exactly an ``int`` (the encoder's text of
+    one is ``str``'s; not so for a bool or a float)."""
+    return set(map(type, values)) <= _INT
+
+
+def _states(events, lines, stamps, pid: int, tid: int, timeline, include_idle: bool) -> None:
+    """A ledger's state runs: one complete event each. A line is the
+    encoder's text of its event, written out from a template around ts and
+    dur when both are exactly ``int``."""
+    if not include_idle:
+        timeline = [run for run in timeline if run[2] != OBS_IDLE]
+    forms: dict = {}  # (state, reason) -> (name, the text around ts and dur)
+    event, line = events.append, lines.append
+    fast = _ints(map(itemgetter(0), timeline)) and _ints(map(itemgetter(1), timeline))
+    for start, end, state, reason in timeline:
+        form = forms.get((state, reason))
+        if form is None:
+            name = state if reason is None else f"{state}:{reason}"
+            form = forms[state, reason] = (
+                name, ',\n{"ph": "X", "cat": "state", "name": %s, "ts": ' % _encode(name),
+                ', "dur": ', ', "pid": %d, "tid": %d, "args": {"state": %s, "reason": %s}}'
+                % (pid, tid, _encode(state), _encode(reason)))
+        name, head, mid, tail = form
+        dur = end - start
+        event({"ph": "X", "cat": "state", "name": name, "ts": start, "dur": dur,
+               "pid": pid, "tid": tid, "args": {"state": state, "reason": reason}})
+        if fast:
+            line(f"{head}{start}{mid}{dur}{tail}")
+    if not fast:
+        lines += [",\n" + _encode(event) for event in events[len(lines):]]
+    stamps += map(itemgetter(0), timeline)
+
+
+def _counters(events, lines, stamps, channel: str, timeline) -> None:
+    """A channel's occupancy changes: one counter event each."""
+    name = f"occ:{channel}"
+    events += [{"ph": "C", "cat": "channel", "name": name, "ts": cycle,
+                "pid": _CHANNELS_PID, "args": {"occupancy": occupancy}}
+               for cycle, occupancy in timeline]
+    if _ints(itertools.chain.from_iterable(timeline)):
+        head = ',\n{"ph": "C", "cat": "channel", "name": %s, "ts": ' % _encode(name)
+        mid = ', "pid": %d, "args": {"occupancy": ' % _CHANNELS_PID
+        lines += [f"{head}{cycle}{mid}{occupancy}}}}}" for cycle, occupancy in timeline]
+    else:
+        lines += [",\n" + _encode(event) for event in events[len(lines):]]
+    stamps += map(itemgetter(0), timeline)
+
+
+def _instants(events, lines, stamps, pid: int, tid: int, batch) -> None:
+    """Trace events on one track: one instant each, its args the event's
+    detail, seq and payload (anything not JSON-native stringified)."""
+    heads: dict = {}  # kind -> the text before ts
+    mid = ', "pid": %d, "tid": %d, "args": ' % (pid, tid)
+    event, line = events.append, lines.append
+    for traced in batch:
+        kind, cycle = traced.kind, traced.cycle
+        args = {"detail": traced.detail, "seq": traced.seq}
+        if traced.payload:
+            for key, value in traced.payload.items():
+                args[key if type(key) is str else str(key)] = (
+                    value if type(value) in _SCALARS else _json_safe(value))
+        head = heads.get(kind)
+        if head is None:
+            head = heads[kind] = (
+                ',\n{"ph": "i", "s": "t", "cat": "event", "name": %s, "ts": ' % _encode(kind))
+        event({"ph": "i", "s": "t", "cat": "event", "name": kind, "ts": cycle,
+               "pid": pid, "tid": tid, "args": args})
+        line(f"{head}{cycle}{mid}{_encode(args)}}}" if type(cycle) is int
+             else ",\n" + _encode(events[-1]))
+    stamps += map(_CYCLE, batch)
 
 
 def export_chrome_trace(destination: Union[str, IO],
@@ -186,16 +250,14 @@ def export_chrome_trace(destination: Union[str, IO],
     collecting = gc.isenabled()
     gc.disable()  # all the walk allocates is kept: collecting would only rescan it
     try:
-        document, meta, rows = _walk(observer, trace, include_idle, host_spans)
+        meta, events, lines = _walk(observer, trace, include_idle, host_spans)
     finally:
         if collecting:
             gc.enable()
-    lines = itertools.chain((",\n" + _encode(event) for event in meta), (
-        ",\n" + _encode(event) if form is None else f"{form[0]}{ts}{form[1]}{value}{form[2]}"
-        for ts, _, _, _, event, form, value in rows))  # each led by its separator
+    lines[:0] = [",\n" + _encode(event) for event in meta]
     if hasattr(destination, "write"):
         _write_document(destination, lines)
-        return document
+        return _document(meta, events)
     scratch = f"{destination}.{os.getpid()}.tmp"
     try:
         with open(scratch, "w") as handle:
@@ -204,13 +266,15 @@ def export_chrome_trace(destination: Union[str, IO],
     finally:
         if os.path.exists(scratch):  # the export failed part-way
             os.unlink(scratch)
-    return document
+    return _document(meta, events)
 
 
-def _write_document(handle: IO, lines: Iterator[str]) -> None:
-    """``lines`` between the opening and closing line, one by one, never joined."""
-    handle.write('{"traceEvents":[\n' + next(lines, ",\n")[2:])
-    handle.writelines(lines)
+def _write_document(handle: IO, lines: List[str]) -> None:
+    """``lines``, each led by its separator, between the opening and the
+    closing line, joined a bounded batch at a time."""
+    handle.write('{"traceEvents":[\n' + (lines[0][2:] if lines else ""))
+    for at in range(1, len(lines), _BATCH):
+        handle.write("".join(lines[at:at + _BATCH]))
     handle.write("\n]," + _encode(_OTHER_KEYS)[1:] + "\n")
 
 
@@ -226,26 +290,28 @@ def validate_chrome_trace(document: dict) -> List[str]:
     events = document.get("traceEvents") if isinstance(document, dict) else None
     if not isinstance(events, list) or not events:
         return ["traceEvents missing or empty"]
-    last_ts = None
+    last_ts = -math.inf
     for i, event in enumerate(events):
         if not isinstance(event, dict):
             problems.append(f"event {i}: not an object")
             continue
-        if "ph" not in event:
+        ph = event.get("ph", _MISSING)
+        if ph == "M":
+            continue
+        if ph is _MISSING:
             problems.append(f"event {i}: missing ph")
             continue
-        if event["ph"] == "M":
-            continue
         ts = event.get("ts")
-        if not (type(ts) is int or type(ts) is float and math.isfinite(ts)) or ts < 0:
+        if type(ts) is not int and not (type(ts) is float and math.isfinite(ts)) or ts < 0:
             problems.append(f"event {i}: bad ts {ts!r}")
             continue
-        if last_ts is not None and ts < last_ts:
+        if ts < last_ts:
             problems.append(f"event {i}: ts {ts} < previous {last_ts}")
         last_ts = ts
-        dur = event.get("dur", 0) if event["ph"] == "X" else 0
-        if not (type(dur) is int or type(dur) is float and math.isfinite(dur)):
-            problems.append(f"event {i}: bad dur {dur!r}")
-        elif dur < 0:
-            problems.append(f"event {i}: negative dur")
+        if ph == "X":
+            dur = event.get("dur", 0)
+            if type(dur) is not int and not (type(dur) is float and math.isfinite(dur)):
+                problems.append(f"event {i}: bad dur {dur!r}")
+            elif dur < 0:
+                problems.append(f"event {i}: negative dur")
     return problems

@@ -44,9 +44,11 @@ replayed. Modules are kept in an in-process cache and mirrored,
 write-only, to ``<cache-dir>/kernels/<digest>.py`` for inspection.
 
 Instrumentation is generated, not interpreted: with a change-driven
-observer attached every guard block reports its component and the kernel
-hands ``on_change`` what ticked or moved after each commit; a traced task
-unit's stepper module calls ``analysis_event`` at the three sites it
+observer attached every guard block reports its component, and after
+each commit the kernel hands ``on_change``, written out where it is
+made, what ticked or watches a channel that moved and the channels whose
+occupancy changed (one both popped and pushed keeps its own); a traced
+task unit's stepper module calls ``analysis_event`` at the three sites it
 inlines (a memory node's issue, a sync with no children outstanding, the
 return-value store); the tile's own methods it calls emit the rest.
 Both fold into the source (hence the digest), and an uninstrumented
@@ -1075,20 +1077,16 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
     body.extend(em.pre)
     body.extend(sdefs)
     if observed:
-        # the hand-over after the commit (Simulator._tick_event's call):
-        # whoever ticked or watches a channel that moved (an ordered set), and
-        # those channels (one moved twice is sampled twice, harmlessly)
+        # the hand-over after the commit (Simulator._tick_event's call),
+        # written out where it is made: whoever ticked or watches a channel
+        # that moved (an ordered set), and the channels whose occupancy the
+        # commit changed (one both popped and pushed holds its occupancy)
         w("tk = {}")
         w("SUB = (%s)" % "".join(
             "{%s}, " % "".join(n + ": 0, " for n in names) for names in subs))
         w("_oc = sim._on_change")
-        w("def _obs(cycle):")
-        w("    sim.cycle = cycle + 1")
-        w("    moved = dq + dl")
-        w("    for k in moved:")
-        w("        tk.update(SUB[k])")
-        w("    _oc(sim, cycle, tk, map(CH.__getitem__, moved))")
-        w("    tk.clear()")
+        w("from collections import deque")
+        w("_drain = deque((), 0).extend  # runs an iterator out in C")
     # the hot loop allocates only acyclic objects (messages, instances,
     # small lists); pausing the cyclic collector avoids threshold-driven
     # generation-0 sweeps every few hundred cycles
@@ -1123,7 +1121,11 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
       "dq + dl))))))")
     body.extend(clock("channels.commit", " " * 12))
     if observed:
-        w("            _obs(cycle)")
+        w("            sim.cycle = cycle + 1")
+        w("            _drain(map(tk.update, map(SUB.__getitem__, dq + dl)))")
+        w("            _oc(sim, cycle, tk, map(CH.__getitem__, "
+          "set(dq).symmetric_difference(dl)))")
+        w("            tk.clear()")
         body.extend(clock("observer", " " * 12))
     w("            del dq[:]")
     w("            del dl[:]")
@@ -1133,7 +1135,9 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
     body.extend(clock("engine.schedule", " " * 12))
     w("            continue")
     if observed:
-        w("        _obs(cycle)")
+        w("        sim.cycle = cycle + 1")
+        w("        _oc(sim, cycle, tk, ())")
+        w("        tk.clear()")
         body.extend(clock("observer", " " * 8))
     w("        cycle += 1")
     w("        if act[0]:")

@@ -127,6 +127,9 @@ class Component:
         Yields ``(name, state, reason)`` triples; the observer keeps a
         separate ledger (and trace track) per subunit name. Called right
         after :meth:`obs_classify` for the same cycle, under its rules.
+        The observer keeps what it returns to compare with the next
+        sample's, so a component returns a new sequence each time it
+        classifies, never one it changes later.
         """
         return ()
 

@@ -14,15 +14,28 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 
-@dataclass
+@dataclass(init=False)
 class TraceEvent:
+    """One traced event; slotted, as a run emits one per spawn, sync and
+    memory access."""
+
+    __slots__ = ("cycle", "source", "kind", "detail", "payload", "seq")
     cycle: int
     source: str
     kind: str
     detail: str
-    payload: Optional[dict] = None
+    payload: Optional[dict]
     #: global emission order
-    seq: int = 0
+    seq: int
+
+    def __init__(self, cycle: int, source: str, kind: str, detail: str,
+                 payload: Optional[dict] = None, seq: int = 0):
+        self.cycle = cycle
+        self.source = source
+        self.kind = kind
+        self.detail = detail
+        self.payload = payload
+        self.seq = seq
 
     def __str__(self):
         return f"[{self.cycle:>8}] {self.source:<20} {self.kind:<10} {self.detail}"

@@ -32,6 +32,15 @@ from repro.task.task_queue import (
 )
 from repro.task.txu import OUTBOUND_BUFFER, PARKED, TXUTile
 
+# what ``TaskUnit.obs_classify`` returns, built once
+_OBS_IDLE = (OBS_IDLE, None)
+_OBS_BUSY = (OBS_BUSY, None)
+_OBS_DISPATCH = (OBS_BUSY, "dispatch")
+_OBS_SPAWN_NETWORK = (OBS_STALL_OUT, "spawn-network")
+_OBS_JOIN_NETWORK = (OBS_STALL_OUT, "join-network")
+_OBS_TILES_FULL = (OBS_STALL_IN, "tiles-full")
+_OBS_SYNC_WAIT = (OBS_STALL_IN, "sync-wait")
+
 
 class TaskUnit(Component):
     """The execution engine for one static task."""
@@ -286,31 +295,32 @@ class TaskUnit(Component):
         self._obs_cycle = cycle
         stalls, busy = [], False
         for tile in self.tiles:
-            state, reason = tile.obs_classify(cycle)
+            state, reason = now = tile.obs_classify(cycle)
             children.append((tile.obs_name, state, reason))
             if state == OBS_BUSY:
                 busy = True
             elif state != OBS_IDLE:
-                stalls.append((state, reason))
+                stalls.append(now)
         if busy:
-            return OBS_BUSY, None
+            return _OBS_BUSY
         if self._spawn_outbuf and not self.spawn_out.can_push():
-            return OBS_STALL_OUT, "spawn-network"
+            return _OBS_SPAWN_NETWORK
         if self._join_outbuf and not self.join_out.can_push():
-            return OBS_STALL_OUT, "join-network"
+            return _OBS_JOIN_NETWORK
         if stalls:  # whatever most of its tiles stall for, the first on a tie
             return max(stalls, key=stalls.count)
         if self.queue.has_ready():
-            if any(tile.has_capacity() for tile in self.tiles):
-                return OBS_BUSY, "dispatch"
-            return OBS_STALL_IN, "tiles-full"
+            for tile in self.tiles:
+                if tile.has_capacity():
+                    return _OBS_DISPATCH
+            return _OBS_TILES_FULL
         if self._join_ready or self._spawn_outbuf or self._join_outbuf:
-            return OBS_BUSY, None
+            return _OBS_BUSY
         if self.queue.occupancy > 0:
             # every live entry is suspended at a sync, waiting on children
             # executing in other units
-            return OBS_STALL_IN, "sync-wait"
-        return OBS_IDLE, None
+            return _OBS_SYNC_WAIT
+        return _OBS_IDLE
 
     def obs_children(self, cycle):
         if self._obs_cycle != cycle:  # not preceded by obs_classify(cycle)

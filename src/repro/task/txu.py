@@ -80,6 +80,16 @@ RUN = "run"
 EPILOGUE_ISSUE = "epilogue_issue"
 EPILOGUE_WAIT = "epilogue_wait"
 DONE = "done"
+_EPILOGUE = (EPILOGUE_ISSUE, EPILOGUE_WAIT)
+
+# what ``TXUTile.obs_classify`` returns, built once
+_OBS_IDLE = (OBS_IDLE, None)
+_OBS_BUSY = (OBS_BUSY, None)
+_OBS_EXECUTE = (OBS_BUSY, "execute")
+_OBS_SPAWN_BACKPRESSURE = (OBS_STALL_OUT, "spawn-backpressure")
+_OBS_MEM_BACKPRESSURE = (OBS_STALL_OUT, "mem-backpressure")
+_OBS_MEMORY = (OBS_STALL_IN, "memory")
+_OBS_CALL_JOIN = (OBS_STALL_IN, "call-join")
 
 
 class Instance:
@@ -600,27 +610,29 @@ class TXUTile:
         Priority: dataflow fired or a functional unit is mid-latency ->
         busy; a spawn/call or memory issue hit backpressure this cycle ->
         stalled-on-output; otherwise every live instance is parked
-        waiting on memory responses or child joins -> stalled-on-input.
+        waiting on memory responses or child joins -> stalled-on-input
+        (memory before a join, over all instances).
         """
-        if not self.instances:
-            return OBS_IDLE, None
+        instances = self.instances
+        if not instances:
+            return _OBS_IDLE
         if self._fired:
-            return OBS_BUSY, None
-        for inst in self.instances:
+            return _OBS_BUSY
+        for inst in instances:
             for done in inst.node_done:
                 if cycle < done < AWAIT_MEM:
-                    return OBS_BUSY, "execute"
+                    return _OBS_EXECUTE
         if self._spawn_blocked:
-            return OBS_STALL_OUT, "spawn-backpressure"
+            return _OBS_SPAWN_BACKPRESSURE
         if self._mem_blocked:
-            return OBS_STALL_OUT, "mem-backpressure"
-        if any(AWAIT_MEM in inst.node_done
-               or inst.phase in (EPILOGUE_ISSUE, EPILOGUE_WAIT)
-               for inst in self.instances):
-            return OBS_STALL_IN, "memory"
-        if any(AWAIT_CALL in inst.node_done for inst in self.instances):
-            return OBS_STALL_IN, "call-join"
-        return OBS_BUSY, None
+            return _OBS_MEM_BACKPRESSURE
+        joining = False
+        for inst in instances:
+            done = inst.node_done
+            if AWAIT_MEM in done or inst.phase in _EPILOGUE:
+                return _OBS_MEMORY
+            joining = joining or AWAIT_CALL in done
+        return _OBS_CALL_JOIN if joining else _OBS_BUSY
 
     def stats(self) -> dict:
         busy = self._busy_closed

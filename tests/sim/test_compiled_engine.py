@@ -419,7 +419,7 @@ class TestFallbackMatrix:
         assert accel.sim.compiled_digest != plain_digest
         observed = generate_source(accel.sim)
         assert observed.count("    tk[_o") == len(accel.sim.components)
-        assert observed.count("_obs(cycle)") == 3  # the def and two calls
+        assert observed.count("_oc(sim, cycle, tk, ") == 2  # after a commit, and not
         assert "analysis_event" not in observed
         accel.sim.observer = None  # detached: the plain kernel again
         assert generate_source(accel.sim) == plain
