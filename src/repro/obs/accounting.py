@@ -9,9 +9,9 @@ busy / stalled-on-input / stalled-on-output / idle, and a
 backpressure cycles and peak depth.
 
 Both keep a *change log*, appended to only by the observer's sampler
-(:meth:`repro.obs.observer.Observer.on_change`): it appends
-``(cycle, value)`` only when the value differs from the open run's
-``current``, and the runs between log entries
+(:meth:`repro.obs.observer.Observer.on_change`): it appends a cycle to
+``log_cycles`` and the value to ``log_values`` only when the value
+differs from the open run's ``current``, and the runs between log entries
 are booked into the timeline when it is read or flushed (the simulator
 flushes whenever ``run`` returns or raises). Counts are derived
 from the runs on read, as if every cycle had been recorded on its own.
@@ -23,33 +23,62 @@ instrumentation cannot change cycle counts (enforced by test).
 
 from __future__ import annotations
 
+from operator import itemgetter, lt, ne, sub
 from typing import Dict, List, Optional, Tuple
 
 from repro.sim.component import OBS_BUSY, OBS_STATES
 
 
 class _ChangeLog:
-    """Runs kept as a change log: ``(cycle, value)`` at each change, the
-    last entry the open run. :meth:`flush`, and every read of the booked
-    runs, books the closed ones through the subclass's ``_book``."""
+    """Runs kept as a change log in two columns, the cycle of each change
+    and the value it changed to, the last entry the open run. :meth:`flush`,
+    and every read of the booked runs, books the closed ones through the
+    subclass's ``_book``."""
 
     def __init__(self):
-        #: ``(cycle, value)`` at each change; the last is the open run
-        self.log: List[tuple] = []
+        #: the cycle of each change and the value it changed to; the last
+        #: pair is the open run (flushing empties both in place)
+        self.log_cycles: List[int] = []
+        self.log_values: list = []
         #: the open run's value
         self.current = None
 
     def flush(self, end: int):
         """Book the change log up to (excluding) ``end``; the open run stays
         open from ``end``."""
-        if self.log:
-            self._book(self.log, end)
-            self.log[:] = [(end, self.log[-1][1])]
+        cycles, values = self.log_cycles, self.log_values
+        if cycles:
+            self._book(cycles, values, end)
+            cycles[:] = [end]
+            values[:] = values[-1:]
 
     def _book_closed(self):
         """Book every run of the change log but the open one."""
-        if len(self.log) > 1:
-            self.flush(self.log[-1][0])
+        if len(self.log_cycles) > 1:
+            self.flush(self.log_cycles[-1])
+
+
+def _ends(starts: list, end) -> list:
+    """Where each run ends: at the next one's start, the last at ``end``."""
+    stops = starts[1:]
+    stops.append(end)
+    return stops
+
+
+def _totals(keys: list, weights) -> dict:
+    """Key -> the sum of its weights, the keys in order of first
+    appearance."""
+    totals: dict = {}
+    get = totals.get
+    for key, weight in zip(keys, weights):
+        totals[key] = get(key, 0) + weight
+    return totals
+
+
+def _distinct_runs(starts: list, stops: list, values: list) -> bool:
+    """Whether every run is at least a cycle long and differs from the one
+    before: the runs book as they are, none empty, none merged."""
+    return all(map(lt, starts, stops)) and all(map(ne, values, values[1:]))
 
 
 class CycleLedger(_ChangeLog):
@@ -64,13 +93,22 @@ class CycleLedger(_ChangeLog):
         #: track grouping for trace export (a tile's group is its unit)
         self.group = group or name
         super().__init__()  # values: (state, reason)
-        self._runs: List[list] = []
+        # the booked runs, a column per field
+        self._starts: List[int] = []
+        self._ends: List[int] = []
+        self._states: List[str] = []
+        self._reasons: List[Optional[str]] = []
 
     @property
     def timeline(self) -> List[list]:
         """RLE state runs: [start, end_exclusive, state, reason]."""
+        return list(map(list, zip(*self.columns())))
+
+    def columns(self) -> Tuple[list, list, list, list]:
+        """The booked runs' starts, ends, states and reasons (read, do not
+        modify)."""
         self._book_closed()
-        return self._runs
+        return self._starts, self._ends, self._states, self._reasons
 
     def record(self, cycle: int, state: str, reason: Optional[str] = None):
         self.record_span(cycle, 1, state, reason)
@@ -79,22 +117,35 @@ class CycleLedger(_ChangeLog):
                     reason: Optional[str] = None):
         """Book ``span`` consecutive cycles of one constant state."""
         self._book_closed()
-        self._book([(start, (state, reason))], start + span)
+        self._book([start], [(state, reason)], start + span)
 
-    def _book(self, log: list, end):
+    def _book(self, cycles: list, values: list, end):
         """Book each logged run up to the next entry (the last up to
         ``end``); a run that continues the previous one (adjacent, equal)
         extends it."""
-        runs = self._runs
-        last = runs[-1] if runs else [None] * 4
-        for (start, (state, reason)), (stop, _) in zip(log, [*log[1:], (end, None)]):
+        starts, ends, states, reasons = self._starts, self._ends, self._states, self._reasons
+        stops = _ends(cycles, end)
+        if (_distinct_runs(cycles, stops, values)  # what the sampler logs: in C
+                and set(map(type, values)) == {tuple} and set(map(len, values)) == {2}
+                and set(map(itemgetter(0), values)).issubset(OBS_STATES)):
+            if ends and ends[-1] == cycles[0] and (states[-1], reasons[-1]) == values[0]:
+                ends[-1] = stops[0]
+                cycles, stops, values = cycles[1:], stops[1:], values[1:]
+            starts += cycles
+            ends += stops
+            states += map(itemgetter(0), values)
+            reasons += map(itemgetter(1), values)
+            return
+        for start, (state, reason), stop in zip(cycles, values, stops):
             if start >= stop:
                 continue
-            if last[1] == start and last[2] == state and last[3] == reason:
-                last[1] = stop
+            if ends and ends[-1] == start and states[-1] == state and reasons[-1] == reason:
+                ends[-1] = stop
             elif state in OBS_STATES:
-                last = [start, stop, state, reason]
-                runs.append(last)
+                starts.append(start)
+                ends.append(stop)
+                states.append(state)
+                reasons.append(reason)
             else:
                 raise ValueError(f"ledger {self.name}: unknown state {state!r}")
 
@@ -102,7 +153,8 @@ class CycleLedger(_ChangeLog):
 
     @property
     def cycles(self) -> int:
-        return sum(end - start for start, end, _, _ in self.timeline)
+        starts, ends, _, _ = self.columns()
+        return sum(ends) - sum(starts)
 
     def utilization(self) -> float:
         """Fraction of the booked cycles this component was busy."""
@@ -112,17 +164,20 @@ class CycleLedger(_ChangeLog):
     def breakdown(self) -> Dict[str, int]:
         """State -> cycles; always sums to :attr:`cycles`."""
         states = dict.fromkeys(OBS_STATES, 0)
-        for start, end, state, _ in self.timeline:
-            states[state] += end - start
+        states.update(self._cycles_by(2))
         return states
 
     def stall_reasons(self) -> Dict[str, int]:
         """Stall tag -> cycles attributed to it."""
-        reasons: Dict[str, int] = {}
-        for start, end, _, reason in self.timeline:
-            if reason is not None:
-                reasons[reason] = reasons.get(reason, 0) + end - start
+        reasons = self._cycles_by(3)
+        reasons.pop(None, None)
         return reasons
+
+    def _cycles_by(self, column: int) -> Dict[str, int]:
+        """The booked runs' cycles summed by their state (column 2) or
+        reason (column 3)."""
+        columns = self.columns()
+        return _totals(columns[column], map(sub, columns[1], columns[0]))
 
     def as_dict(self) -> dict:
         states = self.breakdown()
@@ -152,7 +207,9 @@ class ChannelProbe(_ChangeLog):
         #: the channel's item queue: its length is the occupancy
         self.queue = channel._items
         super().__init__()  # values: occupancies
-        self._changes: List[Tuple[int, int]] = []
+        # the booked changes: where each starts, and its occupancy
+        self._starts: List[int] = []
+        self._occupancies: List[int] = []
         self._end = 0  # where the booked runs end (exclusive)
         self._histogram: Optional[Dict[int, int]] = None  # read from the runs
 
@@ -164,8 +221,13 @@ class ChannelProbe(_ChangeLog):
     def occupancy_timeline(self) -> List[Tuple[int, int]]:
         """(cycle, occupancy) where a booked run starts at a new occupancy
         — bounded by traffic."""
+        return list(zip(*self.columns()))
+
+    def columns(self) -> Tuple[list, list]:
+        """The booked changes' cycles and occupancies (read, do not
+        modify)."""
         self._book_closed()
-        return self._changes
+        return self._starts, self._occupancies
 
     def record(self, cycle: int):
         self.record_span(cycle, 1)
@@ -174,26 +236,33 @@ class ChannelProbe(_ChangeLog):
         """Book ``span`` cycles at one occupancy (default: the current)."""
         occ = self.channel.occupancy if occupancy is None else occupancy
         self._book_closed()
-        self._book([(start, occ)], start + span)
+        self._book([start], [occ], start + span)
 
-    def _book(self, log: list, end):
+    def _book(self, cycles: list, values: list, end):
         """Book each logged run up to the next entry (the last up to ``end``)."""
-        changes = self._changes
-        for entry, (stop, _) in zip(log, [*log[1:], (end, None)]):
-            if entry[0] < stop:
-                if not changes or changes[-1][1] != entry[1]:
-                    changes.append(entry)
-                self._end = stop
+        starts, occupancies = self._starts, self._occupancies
+        stops = _ends(cycles, end)
         self._histogram = None
+        if _distinct_runs(cycles, stops, values):  # what the sampler logs: in C
+            if occupancies and occupancies[-1] == values[0]:
+                cycles, values = cycles[1:], values[1:]
+            starts += cycles
+            occupancies += values
+            self._end = end
+            return
+        for start, occupancy, stop in zip(cycles, values, stops):
+            if start < stop:
+                if not occupancies or occupancies[-1] != occupancy:
+                    starts.append(start)
+                    occupancies.append(occupancy)
+                self._end = stop
 
     @property
     def histogram(self) -> Dict[int, int]:
         """Occupancy -> cycles spent at it (read, do not modify)."""
-        tl = self.occupancy_timeline
+        starts, occupancies = self.columns()
         if self._histogram is None:
-            counts = self._histogram = {}
-            for (start, occ), (end, _) in zip(tl, tl[1:] + [(self._end, None)]):
-                counts[occ] = counts.get(occ, 0) + end - start
+            self._histogram = _totals(occupancies, map(sub, _ends(starts, self._end), starts))
         return self._histogram
 
     @property

@@ -10,9 +10,9 @@ Sampling contract: a component's ``obs_classify`` can differ from the
 previous cycle's only if it ticked this cycle or one of its
 ``sensitivity()`` channels committed, a channel's occupancy only if it
 committed. The default compiled kernel hands :meth:`Observer.on_change`
-just those after each commit (the event engine, run only when named,
-makes the same call); the dense engine, the oracle, samples everything
-every cycle. All give identical views once ``Simulator.run`` has
+just those after each commit, as bit sets over registration order (the
+event engine, run only when named, makes the same call); the dense
+engine, the oracle, samples everything every cycle. All give identical views once ``Simulator.run`` has
 flushed the change logs.
 """
 
@@ -30,8 +30,9 @@ class Observer:
 
     The first sample after a registration covers everything and binds, once
     per netlist, each component to its bound ``obs_classify`` and its ledger
-    (its subunits to theirs) and each channel to its probe, so late
-    registrations are picked up and a sample is one classification.
+    (a task unit also to its ``obs_children`` and its tiles' ledgers) and
+    each channel to its probe and item queue, so late registrations are
+    picked up and a sample is one classification.
     """
 
     def __init__(self):
@@ -41,59 +42,106 @@ class Observer:
         self.first_cycle: Optional[int] = None
         self.last_cycle: Optional[int] = None
         self._shape = None  # (components, channels) when last bound
-        #: component -> (its obs_classify, its ledger, [its tiles' ledgers,
-        #: the children last sampled] or None); channel -> (probe, its queue)
-        self._bound: dict = {}
+        #: per component in registration order, ``(obs_classify, ledger,
+        #: the appends of its change log's two columns)``, and for one with
+        #: children also ``obs_children``, its tiles' ledgers and ``[the
+        #: children last sampled]``
+        self._components: list = []
+        #: per channel in registration order, ``(probe, its item queue, the
+        #: appends of its change log's two columns)``
+        self._channels: list = []
+        #: a bit set handed to :meth:`on_change` -> the bound entries it
+        #: names, ``(without children, with children)``; and of channels
+        self._component_sets: dict = {}
+        self._channel_sets: dict = {}
 
     # -- engine interface --------------------------------------------------
 
     def on_cycle(self, sim, cycle: int):
         """Sample everything — what the dense engine calls every cycle."""
-        self.on_change(sim, cycle, sim.components, sim.channels)
+        self.on_change(sim, cycle, -1, -1)
 
-    def on_change(self, sim, cycle: int, components, channels):
-        """Sample the ``components`` that ticked or saw a sensitivity
-        channel commit in ``cycle`` and the ``channels`` that committed;
-        the rest extend their open runs. Over-sampling is harmless."""
+    def on_change(self, sim, cycle: int, components: int, channels: int):
+        """Sample the components that ticked or saw a sensitivity channel
+        commit in ``cycle`` and the channels that committed; the rest
+        extend their open runs. Both are bit sets over registration order
+        (bit ``i`` of ``components`` names ``sim.components[i]``; -1 names
+        everything). Over-sampling is harmless."""
         if (len(sim.components), len(sim.channels)) != self._shape:
             self._bind(sim, cycle)  # also true of the very first sample
-            components, channels = sim.components, sim.channels
-        bound = self._bound
-        for component in components:
-            classify, ledger, tiles = bound[component]
+            components = channels = -1
+        sampled = self._component_sets.get(components)
+        if sampled is None:
+            chosen = self._select(self._components, components)
+            sampled = self._component_sets[components] = (
+                tuple(entry for entry in chosen if len(entry) == 4),
+                tuple(entry for entry in chosen if len(entry) != 4))
+        plain, parents = sampled
+        for classify, ledger, log_cycle, log_value in plain:
             now = classify(cycle)
             if now != ledger.current:
                 ledger.current = now
-                ledger.log.append((cycle, now))
-            if tiles is not None:  # [tile ledgers, the children last sampled]
-                children = component.obs_children(cycle)  # what classify built
-                if children != tiles[1]:
-                    tiles[1] = children
-                    for tile, (_, state, reason) in zip(tiles[0], children):
+                log_cycle(cycle)
+                log_value(now)
+        for classify, ledger, log_cycle, log_value, children_of, tiles, seen in parents:
+            now = classify(cycle)
+            if now != ledger.current:
+                ledger.current = now
+                log_cycle(cycle)
+                log_value(now)
+            children = children_of(cycle)  # what classify built
+            if children is not seen[0]:  # a unit keeps an unchanged list
+                seen[0] = children
+                for tile, (_, state, reason) in zip(tiles, children):
+                    now = tile.current
+                    if now is None or state != now[0] or reason != now[1]:
                         now = (state, reason)
-                        if now != tile.current:
-                            tile.current = now
-                            tile.log.append((cycle, now))
-        for channel in channels:
-            probe, queue = bound[channel]
+                        tile.current = now
+                        tile.log_cycles.append(cycle)
+                        tile.log_values.append(now)
+        probes = self._channel_sets.get(channels)
+        if probes is None:
+            probes = self._channel_sets[channels] = self._select(
+                self._channels, channels)
+        for probe, queue, log_cycle, log_value in probes:
             now = len(queue)
             if now != probe.current:
                 probe.current = now
-                probe.log.append((cycle, now))
+                log_cycle(cycle)
+                log_value(now)
+
+    @staticmethod
+    def _select(entries: list, bits: int) -> tuple:
+        """The entries the bit set ``bits`` names, in registration order."""
+        if bits < 0:
+            return tuple(entries)
+        chosen = []
+        while bits:
+            low = bits & -bits
+            chosen.append(entries[low.bit_length() - 1])
+            bits ^= low
+        return tuple(chosen)
 
     def _bind(self, sim, cycle: int):
         self._shape = (len(sim.components), len(sim.channels))
-        bound = self._bound
+        self._components = []
         for component in sim.components:
             group = component.name
             names = [group, *(n for n, _, _ in component.obs_children(cycle))]
             ledger, *tiles = [self.ledgers.setdefault(n, CycleLedger(n, group))
                               for n in names]
-            bound[component] = (component.obs_classify, ledger,
-                                [tiles, None] if tiles else None)
+            entry = (component.obs_classify, ledger, ledger.log_cycles.append,
+                     ledger.log_values.append)
+            if tiles:
+                entry += (component.obs_children, tiles, [None])
+            self._components.append(entry)
+        self._channels = []
         for channel in sim.channels:
             probe = self.probes.setdefault(channel.name, ChannelProbe(channel))
-            bound[channel] = probe, probe.queue
+            self._channels.append((probe, probe.queue, probe.log_cycles.append,
+                                   probe.log_values.append))
+        self._component_sets.clear()
+        self._channel_sets.clear()
         if self.first_cycle is None:
             self.first_cycle = cycle
 

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import copy
 import gc
-import itertools
 import json
 import math
 import os
+from itertools import compress, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, ne
 from typing import IO, List, Union
 
 from repro.sim.component import OBS_IDLE
@@ -151,12 +151,12 @@ def _walk(observer, trace, include_idle: bool, host_spans):
             meta.append(_track_name("process_name", _EVENTS_PID, 0, "events"))
 
     for pid, tid, ledger in tracks:
-        _states(events, lines, stamps, pid, tid, ledger.timeline, include_idle)
+        _states(events, lines, stamps, pid, tid, ledger.columns(), include_idle)
         _instants(events, lines, stamps, pid, tid, placed[ledger.name])
     if observer is not None:
         for probe in observer.probes.values():
             if probe.channel.total_pushed:
-                _counters(events, lines, stamps, probe.name, probe.occupancy_timeline)
+                _counters(events, lines, stamps, probe.name, probe.columns())
     _instants(events, lines, stamps, _EVENTS_PID, 0, unplaced)
     events += host
     lines += [",\n" + _encode(event) for event in host]
@@ -174,53 +174,62 @@ def _ints(values) -> bool:
     return set(map(type, values)) <= _INT
 
 
-def _states(events, lines, stamps, pid: int, tid: int, timeline, include_idle: bool) -> None:
-    """A ledger's state runs: one complete event each. A line is the
-    encoder's text of its event, written out from a template around ts and
-    dur when both are exactly ``int``."""
+def _states(events, lines, stamps, pid: int, tid: int, columns, include_idle: bool) -> None:
+    """A ledger's state runs, given as its columns: one complete event each,
+    a copy of its (state, reason)'s template. A line is the encoder's text
+    of its event, written out from a template around ts and dur when both
+    are exactly ``int``."""
+    starts, ends, states, reasons = columns
     if not include_idle:
-        timeline = [run for run in timeline if run[2] != OBS_IDLE]
-    forms: dict = {}  # (state, reason) -> (name, the text around ts and dur)
+        shown = list(map(ne, states, repeat(OBS_IDLE)))
+        starts, ends, states, reasons = (list(compress(column, shown))
+                                         for column in columns)
+    forms: dict = {}  # (state, reason) -> (event template, text around ts and dur)
     event, line = events.append, lines.append
-    fast = _ints(map(itemgetter(0), timeline)) and _ints(map(itemgetter(1), timeline))
-    for start, end, state, reason in timeline:
+    fast = _ints(starts) and _ints(ends)
+    for start, end, state, reason in zip(starts, ends, states, reasons):
         form = forms.get((state, reason))
         if form is None:
             name = state if reason is None else f"{state}:{reason}"
             form = forms[state, reason] = (
-                name, ',\n{"ph": "X", "cat": "state", "name": %s, "ts": ' % _encode(name),
+                {"ph": "X", "cat": "state", "name": name, "ts": 0, "dur": 0,
+                 "pid": pid, "tid": tid, "args": None},
+                ',\n{"ph": "X", "cat": "state", "name": %s, "ts": ' % _encode(name),
                 ', "dur": ', ', "pid": %d, "tid": %d, "args": {"state": %s, "reason": %s}}'
                 % (pid, tid, _encode(state), _encode(reason)))
-        name, head, mid, tail = form
+        template, head, mid, tail = form
         dur = end - start
-        event({"ph": "X", "cat": "state", "name": name, "ts": start, "dur": dur,
-               "pid": pid, "tid": tid, "args": {"state": state, "reason": reason}})
+        event(dict(template, ts=start, dur=dur, args={"state": state, "reason": reason}))
         if fast:
             line(f"{head}{start}{mid}{dur}{tail}")
     if not fast:
         lines += [",\n" + _encode(event) for event in events[len(lines):]]
-    stamps += map(itemgetter(0), timeline)
+    stamps += starts
 
 
-def _counters(events, lines, stamps, channel: str, timeline) -> None:
-    """A channel's occupancy changes: one counter event each."""
+def _counters(events, lines, stamps, channel: str, columns) -> None:
+    """A channel's occupancy changes, given as its columns: one counter
+    event each."""
     name = f"occ:{channel}"
-    events += [{"ph": "C", "cat": "channel", "name": name, "ts": cycle,
-                "pid": _CHANNELS_PID, "args": {"occupancy": occupancy}}
-               for cycle, occupancy in timeline]
-    if _ints(itertools.chain.from_iterable(timeline)):
+    template = {"ph": "C", "cat": "channel", "name": name, "ts": 0,
+                "pid": _CHANNELS_PID, "args": None}
+    cycles, occupancies = columns
+    events += [dict(template, ts=cycle, args={"occupancy": occupancy})
+               for cycle, occupancy in zip(cycles, occupancies)]
+    if _ints(cycles) and _ints(occupancies):
         head = ',\n{"ph": "C", "cat": "channel", "name": %s, "ts": ' % _encode(name)
         mid = ', "pid": %d, "args": {"occupancy": ' % _CHANNELS_PID
-        lines += [f"{head}{cycle}{mid}{occupancy}}}}}" for cycle, occupancy in timeline]
+        lines += [f"{head}{cycle}{mid}{occupancy}}}}}"
+                  for cycle, occupancy in zip(cycles, occupancies)]
     else:
         lines += [",\n" + _encode(event) for event in events[len(lines):]]
-    stamps += map(itemgetter(0), timeline)
+    stamps += cycles
 
 
 def _instants(events, lines, stamps, pid: int, tid: int, batch) -> None:
     """Trace events on one track: one instant each, its args the event's
     detail, seq and payload (anything not JSON-native stringified)."""
-    heads: dict = {}  # kind -> the text before ts
+    forms: dict = {}  # kind -> (event template, the text before ts)
     mid = ', "pid": %d, "tid": %d, "args": ' % (pid, tid)
     event, line = events.append, lines.append
     for traced in batch:
@@ -230,13 +239,14 @@ def _instants(events, lines, stamps, pid: int, tid: int, batch) -> None:
             for key, value in traced.payload.items():
                 args[key if type(key) is str else str(key)] = (
                     value if type(value) in _SCALARS else _json_safe(value))
-        head = heads.get(kind)
-        if head is None:
-            head = heads[kind] = (
+        form = forms.get(kind)
+        if form is None:
+            form = forms[kind] = (
+                {"ph": "i", "s": "t", "cat": "event", "name": kind, "ts": 0,
+                 "pid": pid, "tid": tid, "args": None},
                 ',\n{"ph": "i", "s": "t", "cat": "event", "name": %s, "ts": ' % _encode(kind))
-        event({"ph": "i", "s": "t", "cat": "event", "name": kind, "ts": cycle,
-               "pid": pid, "tid": tid, "args": args})
-        line(f"{head}{cycle}{mid}{_encode(args)}}}" if type(cycle) is int
+        event(dict(form[0], ts=cycle, args=args))
+        line(f"{form[1]}{cycle}{mid}{_encode(args)}}}" if type(cycle) is int
              else ",\n" + _encode(events[-1]))
     stamps += map(_CYCLE, batch)
 
@@ -286,10 +296,43 @@ def validate_chrome_trace(document: dict) -> List[str]:
     and timestamps must be monotonically non-decreasing in file order.
     Whatever the document holds, the answer is a list, never an error.
     """
-    problems = []
     events = document.get("traceEvents") if isinstance(document, dict) else None
     if not isinstance(events, list) or not events:
         return ["traceEvents missing or empty"]
+    try:
+        if _well_formed(events):
+            return []
+    except KeyError:
+        pass
+    return _problems(events)
+
+
+def _well_formed(events: list) -> bool:
+    """Whether ``events`` is an export's common case, in one lean pass:
+    plain dicts, each with a ``ph``, integer timestamps in order from 0 up
+    and integer durations that are never negative. False (or a
+    ``KeyError``) leaves the verdict to :func:`_problems`."""
+    if set(map(type, events)) != {dict}:
+        return False
+    last = 0
+    for event in events:
+        ph = event["ph"]
+        if ph == "M":
+            continue
+        ts = event["ts"]
+        if type(ts) is not int or ts < last:
+            return False
+        last = ts
+        if ph == "X":
+            dur = event.get("dur", 0)
+            if type(dur) is not int or dur < 0:
+                return False
+    return True
+
+
+def _problems(events: list) -> List[str]:
+    """Every problem of ``events``, in file order."""
+    problems = []
     last_ts = -math.inf
     for i, event in enumerate(events):
         if not isinstance(event, dict):

@@ -44,10 +44,11 @@ replayed. Modules are kept in an in-process cache and mirrored,
 write-only, to ``<cache-dir>/kernels/<digest>.py`` for inspection.
 
 Instrumentation is generated, not interpreted: with a change-driven
-observer attached every guard block reports its component, and after
-each commit the kernel hands ``on_change``, written out where it is
-made, what ticked or watches a channel that moved and the channels whose
-occupancy changed (one both popped and pushed keeps its own); a traced
+observer attached every guard block sets its component's bit in a local
+integer, the commit loops set the bits of each moved channel's watchers
+and flip the channel's own bit in another (one both popped and pushed
+keeps its occupancy and ends clear), and the kernel hands ``on_change``
+the two bit sets after each cycle it executes; a traced
 task unit's stepper module calls ``analysis_event`` at the three sites it
 inlines (a memory node's issue, a sync with no children outstanding, the
 return-value store); the tile's own methods it calls emit the rest.
@@ -977,11 +978,11 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
     sdefs: List[str] = []  # per-tile stepper instantiations
     mods: List[Tuple[str, tuple]] = []  # stepper modules, unit order
 
-    # a change-driven observer is attached: every guard block adds its
-    # component to the set tk, and SUB[k] holds who watches channel k
-    # (sensitivity()) as a dict to merge into it
+    # a change-driven observer is attached: every guard block sets its
+    # component's bit (registration order) in tk, and SUB[k] holds the bits
+    # of who watches channel k (sensitivity())
     observed = getattr(sim.observer, "on_change", None) is not None
-    subs: List[List[str]] = [[] for _ in em.channels]
+    subs: List[int] = [0] * len(em.channels)
     # a host profiler is installed: the time since the last clock reading
     # goes to a row per component class, per task's instance loop and per
     # engine phase (the idle/skip tail is measured engine.schedule)
@@ -1009,9 +1010,9 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
             skip.extend(wake)
             guard += 1  # ... after a comment naming that definition
         if observed:
-            tick.insert(guard + 1, "    tk[%s] = 0" % em.ref(comp))
+            tick.insert(guard + 1, "    tk |= %d" % (1 << k))
             for ch in dict.fromkeys(comp.sensitivity()):
-                subs[em.ci(ch)].append(em.ref(comp))
+                subs[em.ci(ch)] |= 1 << k
         tick.extend(clock(type(comp).__name__, ""))
 
     busy_expr = " or ".join("(%s)" % t for t in busy) if busy else "0"
@@ -1077,16 +1078,13 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
     body.extend(em.pre)
     body.extend(sdefs)
     if observed:
-        # the hand-over after the commit (Simulator._tick_event's call),
-        # written out where it is made: whoever ticked or watches a channel
-        # that moved (an ordered set), and the channels whose occupancy the
-        # commit changed (one both popped and pushed holds its occupancy)
-        w("tk = {}")
-        w("SUB = (%s)" % "".join(
-            "{%s}, " % "".join(n + ": 0, " for n in names) for names in subs))
+        # the hand-over (Simulator._tick_event's call), as bit sets over
+        # registration order: tk, whoever ticked or watches a channel that
+        # moved, and cm, the channels whose occupancy the commit changed
+        # (one both popped and pushed holds its occupancy: its bit flips twice)
+        w("tk = cm = 0")
+        w("SUB = (%s)" % "".join("%d, " % bits for bits in subs))
         w("_oc = sim._on_change")
-        w("from collections import deque")
-        w("_drain = deque((), 0).extend  # runs an iterator out in C")
     # the hot loop allocates only acyclic objects (messages, instances,
     # small lists); pausing the cyclic collector avoids threshold-driven
     # generation-0 sweeps every few hundred cycles
@@ -1111,10 +1109,16 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
     w("            for k in dq:")
     w("                CI[k].popleft()")
     w("                CQ[k] = 0")
+    if observed:
+        w("                tk |= SUB[k]")
+        w("                cm ^= 1 << k")
     w("            for k in dl:")
     w("                CI[k].append(CP[k])")
     w("                CU[k] += 1")
     w("                CP[k] = None")
+    if observed:
+        w("                tk |= SUB[k]")
+        w("                cm ^= 1 << k")
     w("            if mlog is not None and len(mlog) < %d:"
       % _engine.MOVEMENT_LOG_CAP)
     w("                mlog.append((cycle, tuple(sorted(set(map(CN.__getitem__, "
@@ -1122,10 +1126,8 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
     body.extend(clock("channels.commit", " " * 12))
     if observed:
         w("            sim.cycle = cycle + 1")
-        w("            _drain(map(tk.update, map(SUB.__getitem__, dq + dl)))")
-        w("            _oc(sim, cycle, tk, map(CH.__getitem__, "
-          "set(dq).symmetric_difference(dl)))")
-        w("            tk.clear()")
+        w("            _oc(sim, cycle, tk, cm)")
+        w("            tk = cm = 0")
         body.extend(clock("observer", " " * 12))
     w("            del dq[:]")
     w("            del dl[:]")
@@ -1136,8 +1138,8 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
     w("            continue")
     if observed:
         w("        sim.cycle = cycle + 1")
-        w("        _oc(sim, cycle, tk, ())")
-        w("        tk.clear()")
+        w("        _oc(sim, cycle, tk, 0)")
+        w("        tk = 0")
         body.extend(clock("observer", " " * 8))
     w("        cycle += 1")
     w("        if act[0]:")

@@ -128,8 +128,9 @@ class Component:
         separate ledger (and trace track) per subunit name. Called right
         after :meth:`obs_classify` for the same cycle, under its rules.
         The observer keeps what it returns to compare with the next
-        sample's, so a component returns a new sequence each time it
-        classifies, never one it changes later.
+        sample's and skips the comparison when it gets the same object
+        back, so a component may return its last sequence again only while
+        no child's state moved, and never changes one it returned.
         """
         return ()
 

@@ -99,6 +99,8 @@ class Simulator:
         #: channels with a pending push/pop this cycle (self-registered)
         self._dirty_channels: List[Channel] = []
         self._finalized_shape = (-1, -1)      # (n components, n channels)
+        #: channel -> (its bit, its subscribers' bits), for on_change
+        self._observed_bits: dict = {}
         # -- host wall-clock accounting ----------------------------------
         self.host_seconds = 0.0
         self._cycles_simulated = 0
@@ -294,6 +296,12 @@ class Simulator:
             if aware:
                 for channel in channels:
                     channel._subscribers.append(component)
+        # what a change-driven observer is handed, as bit sets over
+        # registration order: per channel, its own bit and its subscribers'
+        bit = {component: 1 << i for i, component in enumerate(self.components)}
+        self._observed_bits = {
+            channel: (1 << j, sum(bit[c] for c in channel._subscribers))
+            for j, channel in enumerate(self.channels)}
         self._finalized_shape = (len(self.components), len(self.channels))
 
     def _tick_event(self) -> bool:
@@ -308,7 +316,10 @@ class Simulator:
         due = False
         observer = self.observer
         if observer is not None:
-            sampled = [c for c in self.components if c._wake_cycle <= executed]
+            sampled = 0
+            for i, component in enumerate(self.components):
+                if component._wake_cycle <= executed:
+                    sampled |= 1 << i
         for component in self.components:
             if component._wake_cycle <= executed:
                 component.tick(executed)
@@ -344,9 +355,13 @@ class Simulator:
             if self._on_change is None:  # third-party: the per-cycle view
                 observer.on_cycle(self, executed)
             else:  # whoever ticked, or watches a channel that committed
+                committed = 0
+                bits = self._observed_bits
                 for channel in dirty:
-                    sampled += channel._subscribers
-                self._on_change(self, executed, dict.fromkeys(sampled), dirty)
+                    own, watchers = bits[channel]
+                    committed |= own
+                    sampled |= watchers
+                self._on_change(self, executed, sampled, committed)
         return due
 
     def _fast_forward(self, start, max_cycles) -> bool:

@@ -45,6 +45,9 @@ _OBS_SYNC_WAIT = (OBS_STALL_IN, "sync-wait")
 class TaskUnit(Component):
     """The execution engine for one static task."""
 
+    #: the tiles' (state, reason) that ``_obs_tiles`` was built from
+    _obs_states: Optional[list] = None
+
     def __init__(self, name: str, task: Task,
                  spawn_in: Channel, join_in: Channel,
                  spawn_out: Channel, join_out: Channel,
@@ -83,7 +86,8 @@ class TaskUnit(Component):
 
         self.first_dispatch_cycle: Optional[int] = None
         #: the ``obs_children`` triples obs_classify found in ``_obs_cycle``,
-        #: handed to the obs_children call of the same sample
+        #: handed to the obs_children call of the same sample; a new list
+        #: only when a tile's state moved (``_obs_states``)
         self._obs_tiles: list = []
         self._obs_cycle: Optional[int] = None
 
@@ -103,7 +107,7 @@ class TaskUnit(Component):
         if self.trace is None:
             return None
         cycle = self.sim.cycle if self.sim else 0
-        return self.trace.emit(cycle, self.name, kind, detail, payload=payload)
+        return self.trace.emit(cycle, self.name, kind, detail, payload)
 
     # -- interface used by tiles ---------------------------------------------
 
@@ -291,16 +295,19 @@ class TaskUnit(Component):
         return any(t.instances for t in self.tiles)
 
     def obs_classify(self, cycle):
-        children = self._obs_tiles = []
-        self._obs_cycle = cycle
-        stalls, busy = [], False
+        states, stalls, busy = [], [], False
         for tile in self.tiles:
-            state, reason = now = tile.obs_classify(cycle)
-            children.append((tile.obs_name, state, reason))
-            if state == OBS_BUSY:
+            now = tile.obs_classify(cycle)
+            states.append(now)
+            if now[0] == OBS_BUSY:
                 busy = True
-            elif state != OBS_IDLE:
+            elif now[0] != OBS_IDLE:
                 stalls.append(now)
+        self._obs_cycle = cycle
+        if states != self._obs_states:  # the children move only with a tile
+            self._obs_states = states
+            self._obs_tiles = [(tile.obs_name, *now)
+                               for tile, now in zip(self.tiles, states)]
         if busy:
             return _OBS_BUSY
         if self._spawn_outbuf and not self.spawn_out.can_push():

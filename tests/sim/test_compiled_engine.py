@@ -418,7 +418,7 @@ class TestFallbackMatrix:
         assert kernel is not None and reason is None
         assert accel.sim.compiled_digest != plain_digest
         observed = generate_source(accel.sim)
-        assert observed.count("    tk[_o") == len(accel.sim.components)
+        assert len(re.findall(r"^ +tk \|= \d+$", observed, re.M)) == len(accel.sim.components)
         assert observed.count("_oc(sim, cycle, tk, ") == 2  # after a commit, and not
         assert "analysis_event" not in observed
         accel.sim.observer = None  # detached: the plain kernel again
@@ -619,8 +619,8 @@ class TestFallbackMatrix:
     def test_derived_sections_name_their_one_definition(self):
         """Each plumbing section of the shell opens with a comment naming
         ``<module>.<Class>.tick`` (by name, with no source line), the guard
-        follows it, and an attached observer's ``tk[<component>] = 0`` the
-        guard; each tile's section names ``TXUTile.tick``."""
+        follows it, and an attached observer's ``tk |= <component's bit>``
+        the guard; each tile's section names ``TXUTile.tick``."""
         accel = _build()
         accel.sim.attach_observer(Observer())
         lines = [line.strip() for line
@@ -639,7 +639,8 @@ class TestFallbackMatrix:
             assert lines[at] == "# %s.%s" % (tick.__module__,
                                              tick.__qualname__)
             assert lines[at + 1].startswith("if ")
-            assert lines[at + 2].startswith("tk[_o")
+            assert lines[at + 2] == "tk |= %d" % (
+                1 << accel.sim.components.index(comp))
 
     @pytest.mark.parametrize("form", ["plain", "observed", "traced",
                                       "profiled"])

@@ -635,3 +635,148 @@ def test_task_unit_classifies_each_tile_once_per_sample():
     unit.obs_classify(8)
     assert list(unit.obs_children(9)) == children  # other cycle: fresh
     assert len(calls) == 12
+
+
+def test_task_unit_keeps_its_children_list_while_no_tile_moves():
+    """The unit hands the same children list over for as long as no tile's
+    state moves, and a new one when one does; the observer reads an
+    unchanged list as nothing to compare."""
+    from repro.workloads import REGISTRY
+
+    workload = REGISTRY.get("saxpy")
+    unit = workload.build(workload.default_config(2)).units[0]
+    unit.obs_classify(1)
+    idle = unit.obs_children(1)
+    unit.obs_classify(2)
+    assert unit.obs_children(2) is idle
+    tile = unit.tiles[1]
+    tile.instances.append(object())  # a live instance, none of it maturing
+    tile._fired.add(("node", 0))     # that fired this cycle: busy
+    unit.obs_classify(3)
+    busy = unit.obs_children(3)
+    assert busy is not idle
+    assert list(busy) == [(unit.tiles[0].obs_name, OBS_IDLE, None),
+                          (tile.obs_name, OBS_BUSY, None)]
+    assert list(idle) == [(t.obs_name, OBS_IDLE, None) for t in unit.tiles]
+
+
+def test_on_change_samples_the_bits_it_is_handed():
+    """``on_change`` reads its components and channels as bit sets over
+    registration order (-1 for all): a bit that is not set leaves that
+    recorder's open run alone."""
+    sim = Simulator(engine="dense")
+    first, second = sim.add_channel("first"), sim.add_channel("second")
+    producers = [sim.add_component(Producer(f"p{i}", ch, 5))
+                 for i, ch in enumerate((first, second))]
+    observer = Observer()
+    observer.on_change(sim, 0, -1, -1)  # binds and samples everything
+    for producer in producers:
+        producer.remaining = 0
+    first.push(1)
+    first.commit()
+    second.push(2)
+    second.commit()
+    observer.on_change(sim, 1, 0b10, 0b01)  # p1 and the first channel only
+    sim.cycle = 3
+    observer.flush(sim)
+    assert observer.ledgers["p0"].timeline == [[0, 3, OBS_BUSY, None]]
+    assert observer.ledgers["p1"].timeline == [[0, 1, OBS_BUSY, None],
+                                               [1, 3, OBS_IDLE, None]]
+    assert observer.probes["first"].occupancy_timeline == [(0, 0), (1, 1)]
+    assert observer.probes["second"].occupancy_timeline == [(0, 0)]
+
+
+def _per_cycle_runs(entries, end):
+    """What a change log books, spelled out cycle by cycle: each cycle up to
+    ``end`` holds the value of the last entry at or before it."""
+    values = {}
+    for cycle, value in entries:
+        values[cycle] = value  # a later entry of the same cycle wins
+    current, held = None, []
+    for cycle in range(entries[0][0], end):
+        current = values.get(cycle, current)
+        held.append((cycle, current))
+    return held
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_change_logs_book_what_each_cycle_held(seed):
+    """Ledgers and probes book any change log — with repeated values,
+    several entries in one cycle and flushes at any point, which the
+    sampler never writes and the in-C booking hands to the loop — into
+    the runs a cycle-by-cycle record gives."""
+    import random
+
+    rng = random.Random(seed)
+    states = [(OBS_BUSY, None), (OBS_STALL_IN, "memory"), (OBS_IDLE, None)]
+    ledger, probe = CycleLedger("l"), ChannelProbe(Channel("c", 4))
+    cycle, entries, flushes = 0, [], []
+    for _ in range(rng.randrange(1, 30)):
+        cycle += rng.choice((0, 1, 1, 2, 5))
+        if entries and rng.random() < 0.3 and cycle > entries[-1][0]:
+            flushes.append(cycle)
+            ledger.flush(cycle)
+            probe.flush(cycle)
+        if rng.random() < (1.0 if not entries else 0.7):
+            index = rng.randrange(3)
+            entries.append((cycle, index))
+            for recorder, value in ((ledger, states[index]), (probe, index)):
+                recorder.log_cycles.append(cycle)
+                recorder.log_values.append(value)
+    end = cycle + rng.randrange(1, 4)
+    ledger.flush(end)
+    probe.flush(end)
+    held = _per_cycle_runs(entries, end)
+    runs = []
+    for at, index in held:
+        if runs and runs[-1][1] == at and runs[-1][2:] == list(states[index]):
+            runs[-1][1] = at + 1
+        else:
+            runs.append([at, at + 1, *states[index]])
+    assert ledger.timeline == runs
+    assert ledger.breakdown() == {state: sum(1 for _, i in held if states[i][0] == state)
+                                  for state in (OBS_BUSY, OBS_STALL_IN, OBS_STALL_OUT, OBS_IDLE)}
+    changes = []
+    for at, index in held:
+        if not changes or changes[-1][1] != index:
+            changes.append((at, index))
+    assert probe.occupancy_timeline == changes
+    assert probe.histogram == {index: sum(1 for _, i in held if i == index)
+                               for index in dict.fromkeys(i for _, i in held)}
+
+
+def test_validator_fast_path_agrees_with_the_full_check():
+    """The validator's lean pass over a well-formed export and its full
+    check give one verdict, on an export and on every way of breaking one
+    event of it."""
+    from repro.obs import perfetto
+
+    _, observer, trace = TestChromeTrace()._profiled_run()
+    events = chrome_trace(observer=observer, trace=trace)["traceEvents"]
+    assert validate_chrome_trace({"traceEvents": events}) == [] \
+        == perfetto._problems(events)
+    timed = [i for i, event in enumerate(events) if event["ph"] != "M"]
+    states = [i for i in timed if events[i]["ph"] == "X"]
+    breaks = [
+        (timed[0], lambda e: e.pop("ph")),
+        (timed[1], lambda e: e.update(ts=-1)),
+        (timed[-1], lambda e: e.update(ts=0)),
+        (timed[2], lambda e: e.update(ts=True)),
+        (timed[3], lambda e: e.update(ts=float(e["ts"]))),
+        (timed[4], lambda e: e.update(ts=float("inf"))),
+        (timed[5], lambda e: e.pop("ts")),
+        (states[0], lambda e: e.update(dur=-3)),
+        (states[1], lambda e: e.update(dur=2.5)),
+        (states[2], lambda e: e.update(dur="2")),
+        (states[3], lambda e: e.pop("dur")),
+        (0, lambda e: e.pop("ph")),
+    ]
+    for index, breaking in breaks:
+        broken = [dict(event) for event in events]
+        breaking(broken[index])
+        assert validate_chrome_trace({"traceEvents": broken}) \
+            == perfetto._problems(broken), index
+    for odd in (["event"], [("ph", "i")], [io.StringIO()]):
+        broken = events[:5] + odd + events[5:]
+        assert validate_chrome_trace({"traceEvents": broken}) \
+            == perfetto._problems(broken)

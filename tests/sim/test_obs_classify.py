@@ -27,9 +27,8 @@ class OracleChecked(Observer):
         self.checked = 0
 
     def on_change(self, sim, cycle, components, channels):
-        components = list(components)
-        for unit in components:
-            if isinstance(unit, TaskUnit):
+        for index, unit in enumerate(sim.components):
+            if components >> index & 1 and isinstance(unit, TaskUnit):
                 oracle = self.oracles.setdefault(unit, UnitOracle(unit))
                 assert unit.obs_classify(cycle) == oracle.obs_classify(cycle), (unit, cycle)
                 assert list(unit.obs_children(cycle)) == oracle.obs_children(cycle), (unit, cycle)

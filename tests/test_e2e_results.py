@@ -49,8 +49,8 @@ def test_repro_history_renders_every_committed_pair(monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     assert main(["history"]) == 0
     out = capsys.readouterr().out
-    assert "20 document(s), 10 PR pair(s)" in out
+    assert "22 document(s), 11 PR pair(s)" in out
     rows = [line for line in out.splitlines() if re.match(r"PR \d", line)]
-    assert len(rows) == 10 * len(DECLARATION["workloads"])
+    assert len(rows) == 11 * len(DECLARATION["workloads"])
     assert not any("!" in row for row in rows)
     assert "0 ratio(s) marked" in out
