@@ -49,6 +49,7 @@ from repro.errors import LexError, TapasError
 from repro.frontend import compile_source
 from repro.ir import print_module
 from repro.obs import Observer, export_chrome_trace
+from repro.obs.perfetto import json_safe
 from repro.reports import (
     estimate_mhz,
     estimate_resources,
@@ -200,23 +201,13 @@ def _write_stats_json(path: str, workload_name: str, config, cycles: int,
     record = bench_record(workload_name, config=config, cycles=cycles,
                           utilization=utilization, stalls=stalls,
                           engine=stats, **(extra or {}))
-    record["stats"] = _json_safe_stats(stats)
+    record["stats"] = json_safe(stats)
     if host_profile is not None:
         record["host_profile"] = host_profile
     with open(path, "w") as handle:
         json.dump(record, handle, indent=1)
         handle.write("\n")
     return record
-
-
-def _json_safe_stats(value):
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_json_safe_stats(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _json_safe_stats(v) for k, v in value.items()}
-    return str(value)
 
 
 def _instrumented(args):

@@ -8,13 +8,14 @@ busy / stalled-on-input / stalled-on-output / idle, and a
 :class:`ChannelProbe` per channel recording occupancy histograms,
 backpressure cycles and peak depth.
 
-Both keep a *change log*, appended to only by the observer's sampler
-(:meth:`repro.obs.observer.Observer.on_change`): it appends a cycle to
+Both are a :class:`_ChangeLog`: the observer's sampler
+(:meth:`repro.obs.observer.Observer.on_change`) appends a cycle to
 ``log_cycles`` and the value to ``log_values`` only when the value
-differs from the open run's ``current``, and the runs between log entries
-are booked into the timeline when it is read or flushed (the simulator
-flushes whenever ``run`` returns or raises). Counts are derived
-from the runs on read, as if every cycle had been recorded on its own.
+differs from the open run's ``current``, and one loop books the logged
+runs into a store of start, end and value columns when it is read or
+flushed (the simulator flushes whenever ``run`` returns or raises).
+Every count is summed from those runs, as if every cycle had been
+recorded on its own.
 
 Everything here is written to, never read from, the simulation — the
 observer samples component state *after* each tick, so attaching the
@@ -23,7 +24,7 @@ instrumentation cannot change cycle counts (enforced by test).
 
 from __future__ import annotations
 
-from operator import itemgetter, lt, ne, sub
+from operator import itemgetter, sub
 from typing import Dict, List, Optional, Tuple
 
 from repro.sim.component import OBS_BUSY, OBS_STATES
@@ -31,9 +32,8 @@ from repro.sim.component import OBS_BUSY, OBS_STATES
 
 class _ChangeLog:
     """Runs kept as a change log in two columns, the cycle of each change
-    and the value it changed to, the last entry the open run. :meth:`flush`,
-    and every read of the booked runs, books the closed ones through the
-    subclass's ``_book``."""
+    and the value it changed to, the last entry the open run, and booked
+    into three columns: each run's start, end (exclusive) and value."""
 
     def __init__(self):
         #: the cycle of each change and the value it changed to; the last
@@ -42,6 +42,10 @@ class _ChangeLog:
         self.log_values: list = []
         #: the open run's value
         self.current = None
+        self._starts: List[int] = []
+        self._ends: List[int] = []
+        self._values: list = []
+        self._sums: Optional[dict] = None  # read from the runs
 
     def flush(self, end: int):
         """Book the change log up to (excluding) ``end``; the open run stays
@@ -57,58 +61,70 @@ class _ChangeLog:
         if len(self.log_cycles) > 1:
             self.flush(self.log_cycles[-1])
 
+    def columns(self) -> Tuple[list, list, list]:
+        """The booked runs' starts, ends and values (read, do not modify)."""
+        self._book_closed()
+        return self._starts, self._ends, self._values
 
-def _ends(starts: list, end) -> list:
-    """Where each run ends: at the next one's start, the last at ``end``."""
-    stops = starts[1:]
-    stops.append(end)
-    return stops
+    def record_span(self, start: int, span: int, value):
+        """Book ``span`` consecutive cycles of one constant value."""
+        self._book_closed()
+        self._book([start], [value], start + span)
 
+    def _book(self, cycles: list, values: list, end):
+        """Book each logged run up to the next entry (the last up to
+        ``end``). An empty run is dropped — the sampler logs a cycle twice
+        when a second ``Simulator.run`` samples the cycle the first one
+        flushed at — and a run that continues the previous one (adjacent,
+        equal) extends it."""
+        self._check(values)
+        self._sums = None
+        starts, ends, held = self._starts, self._ends, self._values
+        stops = cycles[1:]
+        stops.append(end)
+        for start, value, stop in zip(cycles, values, stops):
+            if start >= stop:
+                continue
+            if ends and ends[-1] == start and held[-1] == value:
+                ends[-1] = stop
+            else:
+                starts.append(start)
+                ends.append(stop)
+                held.append(value)
 
-def _totals(keys: list, weights) -> dict:
-    """Key -> the sum of its weights, the keys in order of first
-    appearance."""
-    totals: dict = {}
-    get = totals.get
-    for key, weight in zip(keys, weights):
-        totals[key] = get(key, 0) + weight
-    return totals
+    def _check(self, values: list):
+        """Refuse a value the log cannot hold (a probe holds any)."""
 
-
-def _distinct_runs(starts: list, stops: list, values: list) -> bool:
-    """Whether every run is at least a cycle long and differs from the one
-    before: the runs book as they are, none empty, none merged."""
-    return all(map(lt, starts, stops)) and all(map(ne, values, values[1:]))
+    def _totals(self) -> dict:
+        """Value -> the cycles booked at it, the values in order of first
+        appearance (read, do not modify)."""
+        starts, ends, values = self.columns()
+        if self._sums is None:
+            self._sums = totals = {}
+            get = totals.get
+            for value, cycles in zip(values, map(sub, ends, starts)):
+                totals[value] = get(value, 0) + cycles
+        return self._sums
 
 
 class CycleLedger(_ChangeLog):
     """Per-component cycle attribution.
 
-    Keeps a run-length-encoded state timeline, which the trace export reads
-    and every count is summed from: the states sum to ``cycles`` by construction.
+    Its runs' values are ``(state, reason)``: the trace export reads them
+    and every count is summed from them, so the states sum to ``cycles``
+    by construction.
     """
 
     def __init__(self, name: str, group: Optional[str] = None):
         self.name = name
         #: track grouping for trace export (a tile's group is its unit)
         self.group = group or name
-        super().__init__()  # values: (state, reason)
-        # the booked runs, a column per field
-        self._starts: List[int] = []
-        self._ends: List[int] = []
-        self._states: List[str] = []
-        self._reasons: List[Optional[str]] = []
+        super().__init__()
 
     @property
     def timeline(self) -> List[list]:
         """RLE state runs: [start, end_exclusive, state, reason]."""
-        return list(map(list, zip(*self.columns())))
-
-    def columns(self) -> Tuple[list, list, list, list]:
-        """The booked runs' starts, ends, states and reasons (read, do not
-        modify)."""
-        self._book_closed()
-        return self._starts, self._ends, self._states, self._reasons
+        return [[start, end, *value] for start, end, value in zip(*self.columns())]
 
     def record(self, cycle: int, state: str, reason: Optional[str] = None):
         self.record_span(cycle, 1, state, reason)
@@ -116,45 +132,18 @@ class CycleLedger(_ChangeLog):
     def record_span(self, start: int, span: int, state: str,
                     reason: Optional[str] = None):
         """Book ``span`` consecutive cycles of one constant state."""
-        self._book_closed()
-        self._book([start], [(state, reason)], start + span)
+        super().record_span(start, span, (state, reason))
 
-    def _book(self, cycles: list, values: list, end):
-        """Book each logged run up to the next entry (the last up to
-        ``end``); a run that continues the previous one (adjacent, equal)
-        extends it."""
-        starts, ends, states, reasons = self._starts, self._ends, self._states, self._reasons
-        stops = _ends(cycles, end)
-        if (_distinct_runs(cycles, stops, values)  # what the sampler logs: in C
-                and set(map(type, values)) == {tuple} and set(map(len, values)) == {2}
-                and set(map(itemgetter(0), values)).issubset(OBS_STATES)):
-            if ends and ends[-1] == cycles[0] and (states[-1], reasons[-1]) == values[0]:
-                ends[-1] = stops[0]
-                cycles, stops, values = cycles[1:], stops[1:], values[1:]
-            starts += cycles
-            ends += stops
-            states += map(itemgetter(0), values)
-            reasons += map(itemgetter(1), values)
-            return
-        for start, (state, reason), stop in zip(cycles, values, stops):
-            if start >= stop:
-                continue
-            if ends and ends[-1] == start and states[-1] == state and reasons[-1] == reason:
-                ends[-1] = stop
-            elif state in OBS_STATES:
-                starts.append(start)
-                ends.append(stop)
-                states.append(state)
-                reasons.append(reason)
-            else:
-                raise ValueError(f"ledger {self.name}: unknown state {state!r}")
+    def _check(self, values: list):
+        if not set(map(itemgetter(0), values)).issubset(OBS_STATES):
+            state = next(state for state, _ in values if state not in OBS_STATES)
+            raise ValueError(f"ledger {self.name}: unknown state {state!r}")
 
     # -- derived views -----------------------------------------------------
 
     @property
     def cycles(self) -> int:
-        starts, ends, _, _ = self.columns()
-        return sum(ends) - sum(starts)
+        return sum(self._totals().values())
 
     def utilization(self) -> float:
         """Fraction of the booked cycles this component was busy."""
@@ -164,20 +153,17 @@ class CycleLedger(_ChangeLog):
     def breakdown(self) -> Dict[str, int]:
         """State -> cycles; always sums to :attr:`cycles`."""
         states = dict.fromkeys(OBS_STATES, 0)
-        states.update(self._cycles_by(2))
+        for (state, _), cycles in self._totals().items():
+            states[state] += cycles
         return states
 
     def stall_reasons(self) -> Dict[str, int]:
         """Stall tag -> cycles attributed to it."""
-        reasons = self._cycles_by(3)
-        reasons.pop(None, None)
+        reasons: dict = {}
+        for (_, reason), cycles in self._totals().items():
+            if reason is not None:
+                reasons[reason] = reasons.get(reason, 0) + cycles
         return reasons
-
-    def _cycles_by(self, column: int) -> Dict[str, int]:
-        """The booked runs' cycles summed by their state (column 2) or
-        reason (column 3)."""
-        columns = self.columns()
-        return _totals(columns[column], map(sub, columns[1], columns[0]))
 
     def as_dict(self) -> dict:
         states = self.breakdown()
@@ -197,21 +183,16 @@ class CycleLedger(_ChangeLog):
 class ChannelProbe(_ChangeLog):
     """Per-channel occupancy instrumentation.
 
-    Sampled after the channel commits, it keeps a change-compressed occupancy
-    timeline (the exporter's counter track) and where its back-to-back runs end;
-    the depth histogram, peak, mean and cycles spent full are read from those.
+    Sampled after the channel commits, its runs' values are occupancies
+    (the exporter's counter track); the depth histogram, peak, mean and
+    cycles spent full are read from those.
     """
 
     def __init__(self, channel):
         self.channel = channel
         #: the channel's item queue: its length is the occupancy
         self.queue = channel._items
-        super().__init__()  # values: occupancies
-        # the booked changes: where each starts, and its occupancy
-        self._starts: List[int] = []
-        self._occupancies: List[int] = []
-        self._end = 0  # where the booked runs end (exclusive)
-        self._histogram: Optional[Dict[int, int]] = None  # read from the runs
+        super().__init__()
 
     @property
     def name(self) -> str:
@@ -219,51 +200,23 @@ class ChannelProbe(_ChangeLog):
 
     @property
     def occupancy_timeline(self) -> List[Tuple[int, int]]:
-        """(cycle, occupancy) where a booked run starts at a new occupancy
-        — bounded by traffic."""
-        return list(zip(*self.columns()))
-
-    def columns(self) -> Tuple[list, list]:
-        """The booked changes' cycles and occupancies (read, do not
-        modify)."""
-        self._book_closed()
-        return self._starts, self._occupancies
+        """(cycle, occupancy) where a booked run starts — bounded by
+        traffic."""
+        starts, _, occupancies = self.columns()
+        return list(zip(starts, occupancies))
 
     def record(self, cycle: int):
         self.record_span(cycle, 1)
 
     def record_span(self, start: int, span: int, occupancy: Optional[int] = None):
         """Book ``span`` cycles at one occupancy (default: the current)."""
-        occ = self.channel.occupancy if occupancy is None else occupancy
-        self._book_closed()
-        self._book([start], [occ], start + span)
-
-    def _book(self, cycles: list, values: list, end):
-        """Book each logged run up to the next entry (the last up to ``end``)."""
-        starts, occupancies = self._starts, self._occupancies
-        stops = _ends(cycles, end)
-        self._histogram = None
-        if _distinct_runs(cycles, stops, values):  # what the sampler logs: in C
-            if occupancies and occupancies[-1] == values[0]:
-                cycles, values = cycles[1:], values[1:]
-            starts += cycles
-            occupancies += values
-            self._end = end
-            return
-        for start, occupancy, stop in zip(cycles, values, stops):
-            if start < stop:
-                if not occupancies or occupancies[-1] != occupancy:
-                    starts.append(start)
-                    occupancies.append(occupancy)
-                self._end = stop
+        super().record_span(start, span, self.channel.occupancy
+                            if occupancy is None else occupancy)
 
     @property
     def histogram(self) -> Dict[int, int]:
         """Occupancy -> cycles spent at it (read, do not modify)."""
-        starts, occupancies = self.columns()
-        if self._histogram is None:
-            self._histogram = _totals(occupancies, map(sub, _ends(starts, self._end), starts))
-        return self._histogram
+        return self._totals()
 
     @property
     def samples(self) -> int:

@@ -42,13 +42,15 @@ _EVENTS_PID = 1_000_001
 #: synthetic pid for host-side toolchain spans (repro.telemetry spans:
 #: parse -> IR build -> passes -> elaboration -> simulation)
 _HOST_PID = 1_000_002
-#: types ``_json_safe`` returns as they are
+#: types ``json_safe`` returns as they are
 _SCALARS = frozenset((type(None), bool, int, float, str))
 _INT = {int}
 #: an absent key
 _MISSING = object()
 #: a trace event's timestamp
 _CYCLE = attrgetter("cycle")
+#: a state run's state
+_STATE = itemgetter(0)
 #: lines joined per write
 _BATCH = 4096
 #: the document's keys after ``traceEvents``
@@ -66,14 +68,15 @@ def _encode(value) -> str:
     return "".join(_chunks(value, 0)) if _chunks else json.JSONEncoder().encode(value)
 
 
-def _json_safe(value):
-    """Payloads may carry IR objects; stringify anything non-primitive."""
+def json_safe(value):
+    """``value`` as JSON-native data, anything non-primitive stringified
+    (trace payloads may carry IR objects; ``--stats-json`` writes stats)."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, (list, tuple)):
-        return [v if type(v) in _SCALARS else _json_safe(v) for v in value]
+        return [v if type(v) in _SCALARS else json_safe(v) for v in value]
     if isinstance(value, dict):
-        return {str(k): v if type(v) in _SCALARS else _json_safe(v)
+        return {str(k): v if type(v) in _SCALARS else json_safe(v)
                 for k, v in value.items()}
     return str(value)
 
@@ -179,19 +182,19 @@ def _states(events, lines, stamps, pid: int, tid: int, columns, include_idle: bo
     a copy of its (state, reason)'s template. A line is the encoder's text
     of its event, written out from a template around ts and dur when both
     are exactly ``int``."""
-    starts, ends, states, reasons = columns
     if not include_idle:
-        shown = list(map(ne, states, repeat(OBS_IDLE)))
-        starts, ends, states, reasons = (list(compress(column, shown))
-                                         for column in columns)
+        shown = list(map(ne, map(_STATE, columns[2]), repeat(OBS_IDLE)))
+        columns = [list(compress(column, shown)) for column in columns]
+    starts, ends, values = columns
     forms: dict = {}  # (state, reason) -> (event template, text around ts and dur)
     event, line = events.append, lines.append
     fast = _ints(starts) and _ints(ends)
-    for start, end, state, reason in zip(starts, ends, states, reasons):
-        form = forms.get((state, reason))
+    for start, end, value in zip(starts, ends, values):
+        state, reason = value
+        form = forms.get(value)
         if form is None:
             name = state if reason is None else f"{state}:{reason}"
-            form = forms[state, reason] = (
+            form = forms[value] = (
                 {"ph": "X", "cat": "state", "name": name, "ts": 0, "dur": 0,
                  "pid": pid, "tid": tid, "args": None},
                 ',\n{"ph": "X", "cat": "state", "name": %s, "ts": ' % _encode(name),
@@ -213,7 +216,7 @@ def _counters(events, lines, stamps, channel: str, columns) -> None:
     name = f"occ:{channel}"
     template = {"ph": "C", "cat": "channel", "name": name, "ts": 0,
                 "pid": _CHANNELS_PID, "args": None}
-    cycles, occupancies = columns
+    cycles, _, occupancies = columns
     events += [dict(template, ts=cycle, args={"occupancy": occupancy})
                for cycle, occupancy in zip(cycles, occupancies)]
     if _ints(cycles) and _ints(occupancies):
@@ -238,7 +241,7 @@ def _instants(events, lines, stamps, pid: int, tid: int, batch) -> None:
         if traced.payload:
             for key, value in traced.payload.items():
                 args[key if type(key) is str else str(key)] = (
-                    value if type(value) in _SCALARS else _json_safe(value))
+                    value if type(value) in _SCALARS else json_safe(value))
         form = forms.get(kind)
         if form is None:
             form = forms[kind] = (
@@ -299,39 +302,6 @@ def validate_chrome_trace(document: dict) -> List[str]:
     events = document.get("traceEvents") if isinstance(document, dict) else None
     if not isinstance(events, list) or not events:
         return ["traceEvents missing or empty"]
-    try:
-        if _well_formed(events):
-            return []
-    except KeyError:
-        pass
-    return _problems(events)
-
-
-def _well_formed(events: list) -> bool:
-    """Whether ``events`` is an export's common case, in one lean pass:
-    plain dicts, each with a ``ph``, integer timestamps in order from 0 up
-    and integer durations that are never negative. False (or a
-    ``KeyError``) leaves the verdict to :func:`_problems`."""
-    if set(map(type, events)) != {dict}:
-        return False
-    last = 0
-    for event in events:
-        ph = event["ph"]
-        if ph == "M":
-            continue
-        ts = event["ts"]
-        if type(ts) is not int or ts < last:
-            return False
-        last = ts
-        if ph == "X":
-            dur = event.get("dur", 0)
-            if type(dur) is not int or dur < 0:
-                return False
-    return True
-
-
-def _problems(events: list) -> List[str]:
-    """Every problem of ``events``, in file order."""
     problems = []
     last_ts = -math.inf
     for i, event in enumerate(events):

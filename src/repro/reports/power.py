@@ -55,11 +55,18 @@ def perf_per_watt_gain(fpga_seconds: float, fpga_watts: float,
 
 def fit_to_table4() -> Tuple[float, float, float]:
     """Re-derive the model coefficients from Table IV (used by tests to
-    pin the stored constants to the data)."""
-    import numpy as np
+    pin the stored constants to the data): least squares through the
+    3x3 normal equations, solved by Cramer's rule."""
+    rows = [(1.0, alm * mhz * 1e-6, bram * mhz * 1e-3, watts)
+            for _, mhz, alm, _, bram, watts in TABLE4_ROWS]
+    gram = [[sum(row[i] * row[j] for row in rows) for j in range(3)] for i in range(3)]
+    moments = [sum(row[i] * row[3] for row in rows) for i in range(3)]
+    det = _det3(gram)
+    return tuple(_det3([[moments[i] if j == k else gram[i][j] for j in range(3)]
+                        for i in range(3)]) / det for k in range(3))
 
-    a = np.array([[1.0, alm * mhz * 1e-6, bram * mhz * 1e-3]
-                  for _, mhz, alm, _, bram, _ in TABLE4_ROWS])
-    b = np.array([p for *_, p in TABLE4_ROWS])
-    coef, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return tuple(coef)
+
+def _det3(m: List[List[float]]) -> float:
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))

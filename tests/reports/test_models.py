@@ -144,6 +144,26 @@ class TestPowerModel:
         assert c1 == pytest.approx(ALM_F_COEF, rel=1e-3)
         assert c2 == pytest.approx(BRAM_F_COEF, rel=1e-3)
 
+    def test_package_and_refit_need_no_numpy(self):
+        """The package has no runtime dependency: with ``import numpy``
+        blocked, ``import repro`` and the refit still run."""
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__)))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        script = ("import sys; sys.modules['numpy'] = None\n"
+                  "import repro\n"
+                  "from repro.reports.power import fit_to_table4\n"
+                  "print(*fit_to_table4())\n")
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert [float(c) for c in done.stdout.split()] == list(fit_to_table4())
+
     @pytest.mark.parametrize("row", TABLE4_ROWS, ids=lambda r: r[0])
     def test_predicts_table4_within_35_percent(self, row):
         name, mhz, alms, _regs, bram, watts = row

@@ -105,6 +105,18 @@ class TestChannelProbe:
         assert probe.mean_occupancy() == pytest.approx(2 / 3)
 
 
+def test_probe_books_what_it_was_given():
+    """A hand-booked probe counts the cycles of its spans, not the gap
+    between them, as a ledger does."""
+    ledger, probe = CycleLedger("l"), ChannelProbe(Channel("c", 2))
+    ledger.record_span(0, 2, OBS_BUSY)
+    ledger.record_span(5, 1, OBS_BUSY)
+    probe.record_span(0, 2, occupancy=1)
+    probe.record_span(5, 1, occupancy=1)
+    assert ledger.cycles == probe.samples == 3
+    assert probe.histogram == {1: 3}
+
+
 class TestObserver:
     def _run(self, stall_every=0, capacity=2):
         sim = Simulator()
@@ -745,38 +757,37 @@ def test_change_logs_book_what_each_cycle_held(seed):
                                for index in dict.fromkeys(i for _, i in held)}
 
 
-def test_validator_fast_path_agrees_with_the_full_check():
-    """The validator's lean pass over a well-formed export and its full
-    check give one verdict, on an export and on every way of breaking one
-    event of it."""
-    from repro.obs import perfetto
-
+def test_validator_names_each_broken_event():
+    """The validator answers ``[]`` on an export and, for every way of
+    breaking one event of it, exactly the problem that break makes (or
+    none, where the broken field is still well-formed)."""
     _, observer, trace = TestChromeTrace()._profiled_run()
     events = chrome_trace(observer=observer, trace=trace)["traceEvents"]
-    assert validate_chrome_trace({"traceEvents": events}) == [] \
-        == perfetto._problems(events)
+    assert validate_chrome_trace({"traceEvents": events}) == []
     timed = [i for i, event in enumerate(events) if event["ph"] != "M"]
     states = [i for i in timed if events[i]["ph"] == "X"]
+    last, before_last = timed[-1], events[timed[-2]]["ts"]
+    assert before_last > 0
     breaks = [
-        (timed[0], lambda e: e.pop("ph")),
-        (timed[1], lambda e: e.update(ts=-1)),
-        (timed[-1], lambda e: e.update(ts=0)),
-        (timed[2], lambda e: e.update(ts=True)),
-        (timed[3], lambda e: e.update(ts=float(e["ts"]))),
-        (timed[4], lambda e: e.update(ts=float("inf"))),
-        (timed[5], lambda e: e.pop("ts")),
-        (states[0], lambda e: e.update(dur=-3)),
-        (states[1], lambda e: e.update(dur=2.5)),
-        (states[2], lambda e: e.update(dur="2")),
-        (states[3], lambda e: e.pop("dur")),
-        (0, lambda e: e.pop("ph")),
+        (timed[0], lambda e: e.pop("ph"), "missing ph"),
+        (timed[1], lambda e: e.update(ts=-1), "bad ts -1"),
+        (last, lambda e: e.update(ts=0), f"ts 0 < previous {before_last}"),
+        (timed[2], lambda e: e.update(ts=True), "bad ts True"),
+        (timed[3], lambda e: e.update(ts=float(e["ts"])), None),
+        (timed[4], lambda e: e.update(ts=float("inf")), "bad ts inf"),
+        (timed[5], lambda e: e.pop("ts"), "bad ts None"),
+        (states[0], lambda e: e.update(dur=-3), "negative dur"),
+        (states[1], lambda e: e.update(dur=2.5), None),
+        (states[2], lambda e: e.update(dur="2"), "bad dur '2'"),
+        (states[3], lambda e: e.pop("dur"), None),
+        (0, lambda e: e.pop("ph"), "missing ph"),
     ]
-    for index, breaking in breaks:
+    for index, breaking, problem in breaks:
         broken = [dict(event) for event in events]
         breaking(broken[index])
-        assert validate_chrome_trace({"traceEvents": broken}) \
-            == perfetto._problems(broken), index
+        assert validate_chrome_trace({"traceEvents": broken}) == (
+            [] if problem is None else [f"event {index}: {problem}"]), index
     for odd in (["event"], [("ph", "i")], [io.StringIO()]):
         broken = events[:5] + odd + events[5:]
-        assert validate_chrome_trace({"traceEvents": broken}) \
-            == perfetto._problems(broken)
+        assert validate_chrome_trace({"traceEvents": broken}) == [
+            "event 5: not an object"]

@@ -245,3 +245,13 @@ def test_demux_routes_are_data():
     assert _hits(r"\bdef port_of\b|// self\.divisor & self\.mask\b") == {
         os.path.join("memory", "arbiter.py"): 2}
     assert _hits(r"\.port_of\(") == {os.path.join("memory", "arbiter.py"): 2}
+
+
+def test_observation_keeps_one_path_per_job():
+    """Ledgers and probes share one booking loop, ``_ChangeLog._book``, and
+    the validator is one pass: the whole-log fast paths and the lean
+    pre-check stay deleted."""
+    obs = os.path.join(SRC, "obs")
+    assert _hits(r"^\s*def _book\b", obs) == {os.path.join("obs", "accounting.py"): 1}
+    assert not _hits(r"\b_well_formed\b")
+    assert not _hits(r"\b_distinct_runs\b")
