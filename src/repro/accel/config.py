@@ -26,9 +26,8 @@ class Board:
     bram_capacity: int       # M20K block RAMs
     dram_latency_ns: float = 270.0   # Table V setup
 
-    def dram_latency_cycles(self, mhz: Optional[float] = None) -> int:
-        mhz = mhz or self.base_mhz
-        return max(1, round(self.dram_latency_ns * mhz / 1000.0))
+    def dram_latency_cycles(self) -> int:
+        return max(1, round(self.dram_latency_ns * self.base_mhz / 1000.0))
 
 
 #: Cyclone V 5CSEMA5: 32,070 ALMs, 397 M20Ks (DE1-SoC)

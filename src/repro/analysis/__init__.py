@@ -51,7 +51,6 @@ from repro.analysis.lint import LintRule, lint_design, lint_rules
 from repro.analysis.netlist import build_channel_graph, verify_netlist
 from repro.analysis.perf import (
     PerfModel,
-    PerfParams,
     PredictedBottleneck,
     Prediction,
     TaskEstimate,
@@ -88,7 +87,6 @@ __all__ = [
     "ModuleRanges",
     "PerfChecker",
     "PerfModel",
-    "PerfParams",
     "PredictedBottleneck",
     "Prediction",
     "RaceFinding",

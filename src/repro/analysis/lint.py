@@ -606,25 +606,22 @@ def _resolve_entry(module, entry) -> Optional[Function]:
 
 
 def lint_design(design, entry=None, config=None,
-                ranges: Optional[ModuleRanges] = None,
                 accelerator=None) -> DiagnosticReport:
     """Run every lint rule over ``design`` and return the report.
 
     ``entry`` (name or Function) designates the host-invocable function;
     without it the dead-task rule is skipped and deadlock verdicts harden
-    to errors (any never-completing task blocks the build).  ``ranges``
-    can be passed in to reuse an existing interval analysis; otherwise it
-    is computed here.  Passing ``accelerator`` additionally runs the
-    netlist-scope rules on its elaborated simulator.
+    to errors (any never-completing task blocks the build).  Passing
+    ``accelerator`` additionally runs the netlist-scope rules on its
+    elaborated simulator.
     """
     from repro.telemetry.spans import TRACER
 
     with TRACER.span("analysis.lint", category="analysis"):
         entry_fn = _resolve_entry(design.module, entry)
-        if ranges is None:
-            ranges = infer_module_ranges(
-                design.module, design=design,
-                entry=entry_fn.name if entry_fn is not None else None)
+        ranges = infer_module_ranges(
+            design.module, design=design,
+            entry=entry_fn.name if entry_fn is not None else None)
         if config is None and accelerator is not None:
             config = accelerator.config
         ctx = LintContext(design=design, entry=entry_fn, config=config,

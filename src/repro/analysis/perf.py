@@ -50,41 +50,35 @@ from repro.passes.loops import Loop, cell_updates, find_loops, match_counted_loo
 
 
 # ---------------------------------------------------------------------------
-# Model parameters
+# Model calibration
 # ---------------------------------------------------------------------------
+#
+# Fitted over the workload matrix (``benchmarks/bench_predict_accuracy.py``
+# holds the acceptance gates). They are *microarchitectural*, not
+# per-workload: round trips follow from channel hops + arbiter levels +
+# cache hit latency, the DRAM trip from the board's AXI latency.
 
-@dataclass
-class PerfParams:
-    """Calibration constants of the analytical model.
-
-    The defaults are fitted against the event-engine simulator over the
-    workload matrix (see ``benchmarks/bench_predict_accuracy.py`` for
-    the acceptance gates). They are *microarchitectural*, not
-    per-workload: round trips follow from channel hops + arbiter levels
-    + cache hit latency, the DRAM trip from the board's AXI latency.
-    """
-
-    #: load/store round trip through data box -> arbiter -> L1 on a hit
-    hit_round_trip: float = 12.0
-    #: extra cycles a miss adds to the average round trip
-    miss_extra: float = 25.0
-    #: full DRAM round trip for the MSHR-throughput bound
-    dram_round_trip: float = 58.0
-    #: secondary misses merge into MSHRs but still count; streaming
-    #: accesses therefore observe more misses than unique lines
-    secondary_miss_factor: float = 1.5
-    #: miss rate of frame / pointer-stationary traffic (frames recycle
-    #: through a small reserved region, so most of it hits)
-    frame_miss_rate: float = 0.05
-    #: pipeline drain between basic blocks of one instance
-    block_overhead: float = 0.5
-    #: host spawn -> first dispatch plus final join/drain
-    startup: float = 30.0
-    #: near-equal bounds interfere; credit this share of the runner-up
-    runnerup_weight: float = 0.15
-    #: fallback trip count when a loop bound is dynamic (e.g. loaded
-    #: from memory) and no ``size`` hint is given
-    default_size: int = 64
+#: load/store round trip through data box -> arbiter -> L1 on a hit
+HIT_ROUND_TRIP = 12.0
+#: extra cycles a miss adds to the average round trip
+MISS_EXTRA = 25.0
+#: full DRAM round trip for the MSHR-throughput bound
+DRAM_ROUND_TRIP = 58.0
+#: secondary misses merge into MSHRs but still count; streaming
+#: accesses therefore observe more misses than unique lines
+SECONDARY_MISS_FACTOR = 1.5
+#: miss rate of frame / pointer-stationary traffic (frames recycle
+#: through a small reserved region, so most of it hits)
+FRAME_MISS_RATE = 0.05
+#: pipeline drain between basic blocks of one instance
+BLOCK_OVERHEAD = 0.5
+#: host spawn -> first dispatch plus final join/drain
+STARTUP = 30.0
+#: near-equal bounds interfere; credit this share of the runner-up
+RUNNERUP_WEIGHT = 0.15
+#: fallback trip count when a loop bound is dynamic (e.g. loaded
+#: from memory) and no ``size`` hint is given
+DEFAULT_SIZE = 64
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +206,7 @@ class _LoopFacts:
         self.inits = inits
 
 
-def _stride_line_fraction(inst: Instruction, line_bytes: int,
-                          frame_miss_rate: float) -> float:
+def _stride_line_fraction(inst: Instruction, line_bytes: int) -> float:
     """Expected new-cache-lines per execution of one memory access."""
     pointer = inst.pointer
     from repro.ir.instructions import GEP
@@ -222,10 +215,10 @@ def _stride_line_fraction(inst: Instruction, line_bytes: int,
         stride = min(abs(s) for s in pointer.strides if s) if any(
             pointer.strides) else 0
         if stride <= 0:
-            return frame_miss_rate
+            return FRAME_MISS_RATE
         return min(1.0, stride / float(line_bytes))
     # frame slots / pointer-stationary accesses: mostly hits
-    return frame_miss_rate
+    return FRAME_MISS_RATE
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +239,7 @@ class PerfModel:
     default).
     """
 
-    def __init__(self, module=None, *, design=None,
-                 params: Optional[PerfParams] = None,
-                 config=None):
+    def __init__(self, module=None, *, design=None, config=None):
         from repro.accel.config import AcceleratorConfig
         from repro.accel.generator import generate
         from repro.telemetry.spans import TRACER
@@ -261,7 +252,6 @@ class PerfModel:
             self.design = design
             self.graph = design.graph
             self.module = design.module
-            self.params = params or PerfParams()
             self._ref_config = config or AcceleratorConfig()
             self.num_units = len(design.graph.tasks)
 
@@ -312,21 +302,18 @@ class PerfModel:
 
     def _block_facts(self, dfg, latencies: Dict[str, int],
                      line_bytes: int) -> _BlockFacts:
-        params = self.params
-
         def serial_latency(node) -> int:
             if node.kind in ("load", "store"):
-                return int(params.hit_round_trip)
+                return int(HIT_ROUND_TRIP)
             return latencies.get(node.kind, 1)
 
-        cp = dfg.critical_path(serial_latency) + params.block_overhead
+        cp = dfg.critical_path(serial_latency) + BLOCK_OVERHEAD
         mem = 0
         lines = 0.0
         for node in dfg.nodes:
             if node.kind in ("load", "store"):
                 mem += 1
-                lines += _stride_line_fraction(
-                    node.inst, line_bytes, params.frame_miss_rate)
+                lines += _stride_line_fraction(node.inst, line_bytes)
         return _BlockFacts(cp, mem, lines, len(dfg.nodes))
 
     def _index_single_stores(self, function) -> None:
@@ -377,16 +364,15 @@ class PerfModel:
         model cannot see (e.g. lengths loaded from memory).
         """
         config = config or self._ref_config
-        params = self.params
         root = self.entry_task(entry)
         env: Dict[Value, Optional[float]] = {}
         if args is not None:
             for value, arg in zip(root.args, args):
                 env[value] = arg if isinstance(arg, (int, float)) else None
         evaluation = _Evaluation(self, self._blocks_for(config),
-                                 env_size=size or params.default_size)
+                                 env_size=size or DEFAULT_SIZE)
         totals = evaluation.totals(root, env)
-        span = evaluation.span(root, env) + params.startup
+        span = evaluation.span(root, env) + STARTUP
 
         bounds: Dict[str, float] = {}
         ranked: List[PredictedBottleneck] = []
@@ -406,10 +392,10 @@ class PerfModel:
                 continue
             unit = f"T{task.sid}:{task.name}"
             tp = config.params_for(task.name)
-            misses = acc.lines * params.secondary_miss_factor
+            misses = acc.lines * SECONDARY_MISS_FACTOR
             miss_frac = min(0.9, misses / acc.mem) if acc.mem else 0.0
-            round_trip = (params.hit_round_trip
-                          + miss_frac * params.miss_extra
+            round_trip = (HIT_ROUND_TRIP
+                          + miss_frac * MISS_EXTRA
                           + (self.mem_levels - 1))
             total_mem += acc.mem
             total_misses += misses
@@ -444,8 +430,8 @@ class PerfModel:
             # secondary misses merge into an allocated MSHR, so the
             # DRAM-service bound scales with unique lines, not misses
             bound("mshr", "L1", "mshr-full",
-                  (total_misses / params.secondary_miss_factor)
-                  * params.dram_round_trip / max(1, cache.mshr_count))
+                  (total_misses / SECONDARY_MISS_FACTOR)
+                  * DRAM_ROUND_TRIP / max(1, cache.mshr_count))
             bound("dram", "DRAM", "dram-backpressure",
                   total_misses * 1.0)
         if total_msgs > 1:
@@ -460,7 +446,7 @@ class PerfModel:
         ranked.sort(key=lambda b: b.bound_cycles, reverse=True)
         top = ranked[0].bound_cycles if ranked else 0.0
         runner = ranked[1].bound_cycles if len(ranked) > 1 else 0.0
-        predicted = top + params.runnerup_weight * runner + params.startup
+        predicted = top + RUNNERUP_WEIGHT * runner + STARTUP
         total_bound = sum(b.bound_cycles for b in ranked) or 1.0
         for b in ranked:
             b.share = b.bound_cycles / total_bound
@@ -689,7 +675,7 @@ class _Evaluation:
             own.mem += w * facts.mem_ops
             own.lines += w * facts.line_fraction
             own.serial += w * facts.serial_cp
-            own.serial_mem += w * facts.mem_ops * model.params.hit_round_trip
+            own.serial_mem += w * facts.mem_ops * HIT_ROUND_TRIP
             own.hot = max(own.hot, w)
         own.loop_iters = max(0.0, total_execs - visited)
 
@@ -740,7 +726,7 @@ class _Evaluation:
                 # through the caller's frame: one store per spawn
                 result.setdefault(child.sid, _Totals()).mem += mult
                 result[child.sid].lines += (
-                    mult * self.model.params.frame_miss_rate)
+                    mult * FRAME_MISS_RATE)
         for callee, callee_env, mult in prof.calls:
             sub = self.totals(callee, callee_env, depth + 1)
             for sid, acc in sub.items():

@@ -25,9 +25,9 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
-from repro.analysis.perf import PerfModel, PerfParams, Prediction
+from repro.analysis.perf import PerfModel, Prediction
 from repro.memory.backing import MainMemory
 from repro.obs import Observer
 
@@ -213,8 +213,7 @@ class PerfChecker:
     analysis over many design points.
     """
 
-    def __init__(self, params: Optional[PerfParams] = None):
-        self.params = params
+    def __init__(self):
         self._models: Dict[str, Tuple[PerfModel, float]] = {}
 
     def model_for(self, workload) -> PerfModel:
@@ -222,17 +221,16 @@ class PerfChecker:
         if cached is not None:
             return cached[0]
         start = time.perf_counter()
-        model = PerfModel(workload.fresh_module(), params=self.params)
+        model = PerfModel(workload.fresh_module())
         elapsed = time.perf_counter() - start
         self._models[workload.name] = (model, elapsed)
         return model
 
-    def predict_point(self, workload, tiles: int,
-                      scale: int) -> Tuple[Prediction, float]:
-        """Static prediction for one point; returns (prediction, secs)."""
+    def predict_point(self, workload, config,
+                      prepared) -> Tuple[Prediction, float]:
+        """Static prediction of ``workload`` under ``config`` on the
+        ``prepared`` inputs; returns (prediction, secs)."""
         model = self.model_for(workload)
-        config = workload.default_config(ntiles=tiles)
-        prepared = workload.prepare(MainMemory(), scale)
         start = time.perf_counter()
         prediction = model.predict(entry=workload.entry, config=config,
                                    args=prepared.args,
@@ -242,11 +240,11 @@ class PerfChecker:
     def check_point(self, workload, tiles: int, scale: int,
                     max_cycles: int = 50_000_000) -> CheckRecord:
         """Predict, then simulate with an observer, then compare."""
+        config = workload.default_config(ntiles=tiles)
         prediction, predict_seconds = self.predict_point(
-            workload, tiles, scale)
+            workload, config, workload.prepare(MainMemory(), scale))
 
         observer = Observer()
-        config = workload.default_config(ntiles=tiles)
         start = time.perf_counter()
         result = workload.run(config, scale=scale, max_cycles=max_cycles,
                               observer=observer)

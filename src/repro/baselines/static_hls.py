@@ -20,7 +20,7 @@ trip count must be a loop bound, not a sentinel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import ConfigError
 
@@ -41,29 +41,29 @@ class StaticKernelSpec:
     depth: int = 12
 
 
-@dataclass
 class StaticHLSModel:
-    """Timing/resource model for the Intel-HLS-style flow."""
+    """Timing/resource model for the Intel-HLS-style flow, over fixed
+    calibration constants."""
 
     #: sustained words/cycle the DDR interface delivers across *all*
     #: stream buffers together (the shared-bus bound both flows hit)
-    stream_words_per_cycle: float = 1.0
+    stream_words_per_cycle = 1.0
     #: cycles of DDR latency hidden by the stream prefetcher at startup
-    dram_latency_cycles: int = 40
+    dram_latency_cycles = 40
     #: achievable clock (Table V: 155-181 MHz on Cyclone V)
-    base_mhz: float = 180.0
-    mhz_slowdown_per_unroll: float = 4.0
+    base_mhz = 180.0
+    mhz_slowdown_per_unroll = 4.0
 
     # resource cost table (ALMs), loosely calibrated to Table V
-    alm_base: int = 2600              # control + DDR masters
-    alm_per_alu: int = 30
-    alm_per_mul: int = 60
-    alm_per_fp: int = 220
-    alm_per_lsu: int = 260
-    reg_per_alm: float = 1.9
+    alm_base = 2600              # control + DDR masters
+    alm_per_alu = 30
+    alm_per_mul = 60
+    alm_per_fp = 220
+    alm_per_lsu = 260
+    reg_per_alm = 1.9
     #: stream buffers are the BRAM hogs (Table V: 38-67 M20Ks)
-    bram_per_stream: int = 11
-    bram_base: int = 5
+    bram_per_stream = 11
+    bram_base = 5
 
     def initiation_interval(self, spec: StaticKernelSpec, unroll: int) -> float:
         """II per *unrolled group* of ``unroll`` iterations."""
@@ -120,10 +120,10 @@ class StaticHLSReport:
     runtime_seconds: float
 
 
-def synthesize_static(spec: StaticKernelSpec, iterations: int, unroll: int,
-                      model: Optional[StaticHLSModel] = None) -> StaticHLSReport:
+def synthesize_static(spec: StaticKernelSpec, iterations: int,
+                      unroll: int) -> StaticHLSReport:
     """Run the static flow end to end for one kernel configuration."""
-    model = model or StaticHLSModel()
+    model = StaticHLSModel()
     return StaticHLSReport(
         name=spec.name,
         unroll=unroll,

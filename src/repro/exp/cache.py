@@ -30,13 +30,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
 from repro import __version__
 from repro.errors import CacheError
-from repro.fingerprint import code_fingerprint, default_cache_dir
+from repro.fingerprint import atomic_writer, code_fingerprint, default_cache_dir
 
 #: ``json.dumps`` builds an encoder per call; this one is built once
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
@@ -134,31 +133,20 @@ class ResultCache:
                 "corruption_evictions": self.evictions}
 
     def put(self, key: str, record: Dict[str, Any]) -> None:
-        """Store ``record`` atomically (tmp + rename: concurrent workers
-        racing on the same key both write complete entries, last one
-        wins — they are identical by construction). Raises
-        :class:`CacheError` when the root cannot hold the entry."""
+        """Store ``record`` atomically (concurrent workers racing on the
+        same key both write complete entries, last one wins — they are
+        identical by construction). Raises :class:`CacheError` when the
+        root cannot hold the entry."""
         path = self._entry(key)
-        directory = os.path.dirname(path)
         data = json.dumps({"key": key, "version": __version__,
                            "record": record})
-        tmp = None
         try:
-            os.makedirs(directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with atomic_writer(path) as fh:
                 fh.write(data)
-            os.replace(tmp, path)
-            tmp = None
         except OSError as exc:
             raise CacheError(f"cannot write the result cache at "
                              f"{self.root}: {exc}") from exc
-        finally:
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
 
     def _evict(self, path: str) -> None:
         self.evictions += 1

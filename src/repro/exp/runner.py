@@ -24,6 +24,7 @@ Execution contract:
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -106,9 +107,13 @@ register_evaluator("workload", _eval_workload,
 
 # -- the static-prediction evaluator ---------------------------------------
 
-#: per-process PerfModel memo — the static analysis is per *program*, so
-#: every (tiles, scale) point of one workload shares a model instance
-_STATIC_MODELS: Dict[str, Any] = {}
+@functools.lru_cache(maxsize=None)
+def _static_checker():
+    """The per-process predictor: the static analysis is per *program*,
+    so every (tiles, scale) point of one workload shares its model."""
+    from repro.analysis.perfcheck import PerfChecker
+
+    return PerfChecker()
 
 
 def _eval_static(spec: Dict[str, Any]) -> Dict[str, Any]:
@@ -119,20 +124,13 @@ def _eval_static(spec: Dict[str, Any]) -> Dict[str, Any]:
     tables and BENCH_*.json writers work unchanged, and adds the full
     ranked-bottleneck prediction under ``"prediction"``.
     """
-    from repro.analysis.perf import PerfModel
     from repro.memory.backing import MainMemory
     from repro.workloads import REGISTRY
 
     workload = REGISTRY.get(spec["workload"])
-    config = config_from_spec(workload, spec)
-    model = _STATIC_MODELS.get(workload.name)
-    if model is None:
-        model = _STATIC_MODELS[workload.name] = PerfModel(
-            workload.fresh_module(), config=config)
     prepared = workload.prepare(MainMemory(), spec.get("scale", 1))
-    prediction = model.predict(entry=workload.entry, config=config,
-                               args=prepared.args,
-                               size=prepared.work_items or None)
+    prediction, _seconds = _static_checker().predict_point(
+        workload, config_from_spec(workload, spec), prepared)
     top = prediction.top_bottleneck
     return {
         "workload": workload.name,

@@ -1,13 +1,15 @@
-"""The ``repro`` source fingerprint and the cache root, which key and
-hold every on-disk artifact: a leaf module, so the kernel codegen reaches
-them without importing the sweep stack of :mod:`repro.exp`."""
+"""The ``repro`` source fingerprint, the cache root and the atomic file
+writer, which key, hold and write every on-disk artifact: a leaf module,
+so the kernel codegen reaches them without importing the sweep stack of
+:mod:`repro.exp`."""
 
 from __future__ import annotations
 
 import hashlib
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional
+from typing import IO, Iterator, Optional, Union
 
 #: environment override for the cache root (the CLI's --cache-dir wins)
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -16,6 +18,24 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 def default_cache_dir() -> Path:
     env = os.environ.get(CACHE_DIR_ENV)
     return Path(env) if env else Path.home() / ".cache" / "repro"
+
+
+@contextmanager
+def atomic_writer(path: Union[str, Path]) -> Iterator[IO[str]]:
+    """A text handle whose contents replace ``path`` once the block exits
+    cleanly. It writes a sibling scratch file that is renamed into place,
+    so a failed write leaves the previous file (if any), never a torn one.
+    The scratch name carries the process id, so processes racing on one
+    path each rename a complete file; unlike ``mkstemp``'s 0600, the file
+    gets the mode the umask gives."""
+    scratch = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(scratch, "w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(scratch, path)
+    finally:
+        if os.path.exists(scratch):  # the write failed part-way
+            os.unlink(scratch)
 
 
 _fingerprint: Optional[str] = None

@@ -44,9 +44,10 @@ class MainMemory:
         self._next_free = base + nbytes
         return base
 
-    def reserve_region(self, nbytes: int, align: int = 64) -> int:
-        """Reserve a dedicated region (e.g. the task-frame stack)."""
-        return self.alloc(nbytes, align)
+    def reserve_region(self, nbytes: int) -> int:
+        """Reserve a dedicated region (e.g. the task-frame stack), aligned
+        to a 64-byte cache line."""
+        return self.alloc(nbytes, 64)
 
     # -- raw access -----------------------------------------------------------
 

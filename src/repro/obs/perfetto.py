@@ -27,12 +27,12 @@ import copy
 import gc
 import json
 import math
-import os
 from itertools import compress, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import attrgetter, itemgetter, ne
 from typing import IO, List, Union
 
+from repro.fingerprint import atomic_writer
 from repro.sim.component import OBS_IDLE
 
 #: synthetic pid for channel counter tracks
@@ -87,17 +87,16 @@ def _track_name(kind: str, pid: int, tid: int, name: str) -> dict:
             "args": {"name": name}}
 
 
-def chrome_trace(observer=None, trace=None,
-                 include_idle: bool = False, host_spans=None) -> dict:
+def chrome_trace(observer=None, trace=None, host_spans=None) -> dict:
     """Build the trace-event document as a Python dict.
 
     ``host_spans`` is a :class:`repro.telemetry.SpanTracer`: its
     toolchain-phase spans are emitted as a separate "host" process with
-    one thread track per host thread, so host wall-clock and guest
-    cycles land in one document (host timestamps are microseconds since
-    the first span; guest timestamps stay 1 us == 1 cycle).
+    one thread track, so host wall-clock and guest cycles land in one
+    document (host timestamps are microseconds since the first span;
+    guest timestamps stay 1 us == 1 cycle).
     """
-    meta, events, _ = _walk(observer, trace, include_idle, host_spans)
+    meta, events, _ = _walk(observer, trace, host_spans)
     return _document(meta, events)
 
 
@@ -105,7 +104,7 @@ def _document(meta: List[dict], events: List[dict]) -> dict:
     return {"traceEvents": meta + events, **copy.deepcopy(_OTHER_KEYS)}
 
 
-def _walk(observer, trace, include_idle: bool, host_spans):
+def _walk(observer, trace, host_spans):
     """The document's metadata events, then its timed events in document
     order with each one's line of the file, led by its separator.
 
@@ -128,9 +127,7 @@ def _walk(observer, trace, include_idle: bool, host_spans):
         host = host_trace_events(host_spans, _HOST_PID)
         if host:
             meta.append(_track_name("process_name", _HOST_PID, 0, "host toolchain"))
-            for tid in sorted({e["tid"] for e in host}):
-                meta.append(_track_name("thread_name", _HOST_PID, tid, f"host thread {tid}"))
-            host.sort(key=itemgetter("tid"))
+            meta.append(_track_name("thread_name", _HOST_PID, 0, "host thread 0"))
 
     tracks = []  # (pid, tid, ledger)
     placed: dict = {}  # a ledger's name -> the trace events its track shows
@@ -154,7 +151,7 @@ def _walk(observer, trace, include_idle: bool, host_spans):
             meta.append(_track_name("process_name", _EVENTS_PID, 0, "events"))
 
     for pid, tid, ledger in tracks:
-        _states(events, lines, stamps, pid, tid, ledger.columns(), include_idle)
+        _states(events, lines, stamps, pid, tid, ledger.columns())
         _instants(events, lines, stamps, pid, tid, placed[ledger.name])
     if observer is not None:
         for probe in observer.probes.values():
@@ -177,14 +174,13 @@ def _ints(values) -> bool:
     return set(map(type, values)) <= _INT
 
 
-def _states(events, lines, stamps, pid: int, tid: int, columns, include_idle: bool) -> None:
-    """A ledger's state runs, given as its columns: one complete event each,
-    a copy of its (state, reason)'s template. A line is the encoder's text
-    of its event, written out from a template around ts and dur when both
-    are exactly ``int``."""
-    if not include_idle:
-        shown = list(map(ne, map(_STATE, columns[2]), repeat(OBS_IDLE)))
-        columns = [list(compress(column, shown)) for column in columns]
+def _states(events, lines, stamps, pid: int, tid: int, columns) -> None:
+    """A ledger's state runs but its idle ones, given as its columns: one
+    complete event each, a copy of its (state, reason)'s template. A line
+    is the encoder's text of its event, written out from a template around
+    ts and dur when both are exactly ``int``."""
+    shown = list(map(ne, map(_STATE, columns[2]), repeat(OBS_IDLE)))
+    columns = [list(compress(column, shown)) for column in columns]
     starts, ends, values = columns
     forms: dict = {}  # (state, reason) -> (event template, text around ts and dur)
     event, line = events.append, lines.append
@@ -255,15 +251,14 @@ def _instants(events, lines, stamps, pid: int, tid: int, batch) -> None:
 
 
 def export_chrome_trace(destination: Union[str, IO],
-                        observer=None, trace=None,
-                        include_idle: bool = False, host_spans=None) -> dict:
+                        observer=None, trace=None, host_spans=None) -> dict:
     """Write the trace-event JSON to a path or file object. A path is
     written to a sibling temp file that is renamed into place, so a
     failing export leaves the previous file (if any), never a torn one."""
     collecting = gc.isenabled()
     gc.disable()  # all the walk allocates is kept: collecting would only rescan it
     try:
-        meta, events, lines = _walk(observer, trace, include_idle, host_spans)
+        meta, events, lines = _walk(observer, trace, host_spans)
     finally:
         if collecting:
             gc.enable()
@@ -271,14 +266,8 @@ def export_chrome_trace(destination: Union[str, IO],
     if hasattr(destination, "write"):
         _write_document(destination, lines)
         return _document(meta, events)
-    scratch = f"{destination}.{os.getpid()}.tmp"
-    try:
-        with open(scratch, "w") as handle:
-            _write_document(handle, lines)
-        os.replace(scratch, destination)
-    finally:
-        if os.path.exists(scratch):  # the export failed part-way
-            os.unlink(scratch)
+    with atomic_writer(destination) as handle:
+        _write_document(handle, lines)
     return _document(meta, events)
 
 

@@ -28,9 +28,12 @@ def _state_row(ledger, total: int):
             _pct(b[OBS_STALL_OUT], total), _pct(b[OBS_IDLE], total)]
 
 
+#: rows of the stall-source and channel tables
+TOP_ROWS = 8
+
+
 def render_profile_report(name: str, total_cycles: int, observer,
-                          trace=None, stats: Optional[dict] = None,
-                          top: int = 8) -> str:
+                          trace=None, stats: Optional[dict] = None) -> str:
     """The ``repro profile`` / ``repro run --profile`` text report."""
     sections = [f"Profile: {name} — {total_cycles} cycles "
                 f"({observer.cycles_observed} profiled)"]
@@ -54,7 +57,7 @@ def render_profile_report(name: str, total_cycles: int, observer,
 
     stall_rows = [[component, reason, cycles, _pct(cycles, total_cycles)]
                   for component, reason, cycles
-                  in observer.stall_sources()[:top]]
+                  in observer.stall_sources()[:TOP_ROWS]]
     if stall_rows:
         sections.append(render_table(
             ["component", "stall reason", "cycles", "% of run"],
@@ -63,7 +66,7 @@ def render_profile_report(name: str, total_cycles: int, observer,
     channel_rows = [[p.name, p.channel.total_pushed, p.channel.total_popped,
                      p.peak_depth, p.backpressure_cycles,
                      f"{p.mean_occupancy():.2f}"]
-                    for p in observer.busiest_channels(top)]
+                    for p in observer.busiest_channels(TOP_ROWS)]
     if channel_rows:
         sections.append(render_table(
             ["channel", "pushed", "popped", "peak", "full cycles", "mean occ"],
@@ -111,12 +114,11 @@ def render_host_profile_report(name: str, profiler,
     Ranks the compiled kernel's rows by host time -- component *classes*
     (every instance of e.g. ``Cache`` aggregated) and each task's
     instance loop -- then the engine-level phases (channel commit,
-    observer, scheduling residual). ``coverage`` is the fraction of
-    simulator wall-clock attributed to a named row or phase. The
-    reference engines report wall time only. When a
-    :class:`~repro.telemetry.spans.SpanTracer` is supplied, the
-    toolchain phases around the simulation (parse/lower/generate/
-    elaborate) are appended so compile time is visible next to sim time.
+    observer, scheduling residual). The reference engines report wall
+    time only. When a :class:`~repro.telemetry.spans.SpanTracer` is
+    supplied, the toolchain phases around the simulation (parse/lower/
+    generate/elaborate) are appended so compile time is visible next to
+    sim time.
     """
     wall = profiler.wall_ns / 1e9
     sim = profiler.sim
@@ -145,10 +147,9 @@ def render_host_profile_report(name: str, profiler,
         ["phase", "seconds", "% wall"],
         phase_rows, title="Host seconds by engine phase"))
 
-    # machine-greppable; the same fractions are in ``profiler.as_dict()``
+    # machine-greppable; the same fraction is in ``profiler.as_dict()``
     sections.append(
-        f"attribution: measured_fraction={profiler.measured_fraction():.4f} "
-        f"coverage={profiler.coverage():.4f}")
+        f"attribution: measured_fraction={profiler.measured_fraction():.4f}")
 
     if tracer is not None and getattr(tracer, "spans", None):
         totals = tracer.phase_totals()

@@ -160,8 +160,7 @@ def _op_cost(node, table, default, ranges) -> int:
     return max(1, round(cost * bits / 32.0))
 
 
-def _unit_resources(unit, include_suspend_state: bool = True,
-                    ranges=None) -> UnitResources:
+def _unit_resources(unit, ranges) -> UnitResources:
     task = unit.task
     op_alms = 0
     op_regs = 0
@@ -179,7 +178,7 @@ def _unit_resources(unit, include_suspend_state: bool = True,
     # queue storage: Args RAM + metadata + suspended context, in M20Ks
     args_bytes = sum(_value_bytes(v, ranges) for v in task.args)
     entry_bytes = args_bytes + QUEUE_META_BYTES
-    if include_suspend_state and task.spawns:
+    if task.spawns:
         entry_bytes += SUSPEND_STATE_BYTES
     queue_bits = unit.queue.depth * entry_bytes * 8
     frame_bits = unit.queue.depth * task.frame_size * 8
@@ -200,8 +199,7 @@ def _unit_resources(unit, include_suspend_state: bool = True,
 
 def estimate_resources(accel: Accelerator,
                        include_cache: bool = False,
-                       width_aware: bool = False,
-                       ranges=None) -> ResourceReport:
+                       width_aware: bool = False) -> ResourceReport:
     """Estimate post-synthesis resources for an elaborated accelerator.
 
     ``include_cache`` adds the data-array M20Ks of every elaborated L1
@@ -209,16 +207,14 @@ def estimate_resources(accel: Accelerator,
 
     ``width_aware`` sizes integer datapaths and Args RAM entries by the
     bitwidths the value-range analysis proves sufficient instead of the
-    declared (uniform 32/64-bit) type widths; pass ``ranges`` to reuse an
-    existing :class:`~repro.analysis.ranges.ModuleRanges`.
+    declared (uniform 32/64-bit) type widths.
     """
-    if width_aware and ranges is None:
+    ranges = None
+    if width_aware:
         from repro.analysis.ranges import infer_design_ranges
 
         ranges = infer_design_ranges(accel.design)
-    if not width_aware:
-        ranges = None
-    units = [_unit_resources(u, ranges=ranges) for u in accel.units]
+    units = [_unit_resources(u, ranges) for u in accel.units]
     alms = ALM_DESIGN_BASE + sum(u.ctrl_alms + u.tile_alms + u.memnet_alms
                                  for u in units)
     regs = REG_DESIGN_BASE + sum(u.ctrl_regs + u.tile_regs + u.memnet_regs

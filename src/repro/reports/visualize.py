@@ -7,7 +7,7 @@ the Fig 1 "task graph execution" picture, regenerated from real runs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.passes.taskgraph import TaskGraph
 from repro.sim.trace import Trace
@@ -39,9 +39,11 @@ def task_graph_dot(graph: TaskGraph) -> str:
     return "\n".join(lines)
 
 
-def execution_timeline(trace: Trace, total_cycles: int,
-                       width: int = 72, kinds=("spawn-in", "complete"),
-                       sources: Optional[List[str]] = None) -> str:
+#: characters per timeline row
+TIMELINE_WIDTH = 72
+
+
+def execution_timeline(trace: Trace, total_cycles: int) -> str:
     """ASCII timeline: one row per task unit, one mark per event.
 
     ``s`` marks a spawn arriving at the unit, ``c`` a completed instance,
@@ -51,12 +53,12 @@ def execution_timeline(trace: Trace, total_cycles: int,
         return "(empty run)"
     buckets: Dict[str, List[set]] = {}
     for event in trace.events:
-        if event.kind not in kinds:
+        if event.kind not in ("spawn-in", "complete"):
             continue
-        if sources is not None and event.source not in sources:
-            continue
-        row = buckets.setdefault(event.source, [set() for _ in range(width)])
-        slot = min(width - 1, event.cycle * width // max(1, total_cycles))
+        row = buckets.setdefault(event.source,
+                                 [set() for _ in range(TIMELINE_WIDTH)])
+        slot = min(TIMELINE_WIDTH - 1,
+                   event.cycle * TIMELINE_WIDTH // max(1, total_cycles))
         row[slot].add(event.kind)
 
     lines = [f"cycles 0..{total_cycles}  "

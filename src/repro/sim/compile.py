@@ -64,15 +64,13 @@ recorded in ``Simulator.compiled_fallback``.
 from __future__ import annotations
 
 import hashlib
-import os
 import re
-import tempfile
 from pathlib import Path
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.fingerprint import code_fingerprint, default_cache_dir
+from repro.fingerprint import atomic_writer, code_fingerprint, default_cache_dir
 from repro.ir import opsem
 from repro.ir.instructions import (
     GEP,
@@ -158,17 +156,8 @@ def _store_kernel_source(digest: str, source: str) -> Optional[Path]:
         if path.exists():
             return path
         root.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(root), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(source)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with atomic_writer(path) as fh:
+            fh.write(source)
         return path
     except OSError:
         return None

@@ -139,14 +139,13 @@ class Simulator:
             self._movement_log = []
         return self._movement_log
 
-    def enable_host_profile(self, profiler=None):
+    def enable_host_profile(self):
         """Install per-component-class host-time attribution (see
         :mod:`repro.telemetry.hostprof`): compiled runs generate a profiled
         kernel; the reference engines report wall time only."""
         from repro.telemetry.hostprof import HostProfiler
 
-        profiler = profiler or HostProfiler()
-        return profiler.install(self)
+        return HostProfiler().install(self)
 
     # -- clock ---------------------------------------------------------------
 

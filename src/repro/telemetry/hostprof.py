@@ -79,16 +79,6 @@ class HostProfiler:
         wall = self.wall_ns
         return min(1.0, sum(self._rows.values()) / wall) if wall else 0.0
 
-    def coverage(self) -> float:
-        """Share of the wall-clock attributed to a named class or phase.
-        ``engine.schedule`` names the residual, so a healthy profile
-        covers 1.0."""
-        wall = self.wall_ns
-        if not wall:
-            return 0.0
-        attributed = self._attributed_ns()
-        return min(1.0, (attributed + max(0, wall - attributed)) / wall)
-
     def ranked_classes(self) -> List[dict]:
         """Component classes and instance loops by descending host cost."""
         rows = [{"class": name, "seconds": ns / 1e9}
@@ -112,14 +102,13 @@ class HostProfiler:
     def as_dict(self) -> dict:
         sim = self.sim
         return {
-            "schema": 2,
+            "schema": 3,
             # the engine the profile was taken on, not the one asked for
             "engine": sim.executed_engine if sim is not None else None,
             "compiled_fallback":
                 sim.compiled_fallback if sim is not None else None,
             "wall_seconds": round(self.wall_ns / 1e9, 6),
             "measured_fraction": round(self.measured_fraction(), 4),
-            "coverage": round(self.coverage(), 4),
             "classes": [{"class": row["class"],
                          "seconds": round(row["seconds"], 6)}
                         for row in self.ranked_classes()],

@@ -19,7 +19,6 @@ two units.
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -35,7 +34,6 @@ class Span:
     start_ns: int
     end_ns: int
     depth: int
-    thread: int
     args: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -48,20 +46,18 @@ class Span:
 
 
 class SpanTracer:
-    """Records nested wall-clock spans; safe across threads.
+    """Records nested wall-clock spans of the one host thread.
 
-    Spans nest per thread (the exporter keeps one trace track per
-    thread), and the tracer is append-only: a span is recorded when its
-    ``with`` block exits, including on exceptions — a crashed phase
-    still shows its cost.
+    The tracer is append-only: a span is recorded when its ``with`` block
+    exits, including on exceptions — a crashed phase still shows its
+    cost.
     """
 
     def __init__(self, enabled: bool = False):
         self.enabled = enabled
         self.spans: List[Span] = []
         self.epoch_ns: Optional[int] = None
-        self._local = threading.local()
-        self._lock = threading.Lock()
+        self._depth = 0
 
     # -- lifecycle --------------------------------------------------------
 
@@ -85,8 +81,8 @@ class SpanTracer:
         if not self.enabled:
             yield None
             return
-        depth = getattr(self._local, "depth", 0)
-        self._local.depth = depth + 1
+        depth = self._depth
+        self._depth = depth + 1
         start = time.perf_counter_ns()
         if self.epoch_ns is None:
             self.epoch_ns = start
@@ -94,12 +90,10 @@ class SpanTracer:
             yield self
         finally:
             end = time.perf_counter_ns()
-            self._local.depth = depth
-            span = Span(name=name, category=category, start_ns=start,
-                        end_ns=end, depth=depth,
-                        thread=threading.get_ident(), args=dict(args))
-            with self._lock:
-                self.spans.append(span)
+            self._depth = depth
+            self.spans.append(Span(name=name, category=category,
+                                   start_ns=start, end_ns=end, depth=depth,
+                                   args=dict(args)))
 
     # -- views ------------------------------------------------------------
 
@@ -127,27 +121,23 @@ class SpanTracer:
         }
 
 
-def host_trace_events(tracer: SpanTracer, pid: int,
-                      first_tid: int = 0) -> List[dict]:
+def host_trace_events(tracer: SpanTracer, pid: int) -> List[dict]:
     """Chrome trace-event dicts for a tracer's spans (no metadata).
 
-    Timestamps are microseconds since the tracer's first span, one trace
-    ``tid`` per host thread in first-seen order starting at
-    ``first_tid``. The caller owns the ``pid`` and its process_name
-    metadata.
+    Timestamps are microseconds since the tracer's first span, all on
+    ``tid`` 0. The caller owns the ``pid`` and its process_name and
+    thread_name metadata.
     """
     if not tracer.spans or tracer.epoch_ns is None:
         return []
     epoch = tracer.epoch_ns
-    tids: Dict[int, int] = {}
     events = []
     for span in sorted(tracer.spans, key=lambda s: s.start_ns):
-        tid = tids.setdefault(span.thread, first_tid + len(tids))
         events.append({
             "ph": "X", "cat": f"host:{span.category}", "name": span.name,
             "ts": round((span.start_ns - epoch) / 1000.0, 3),
             "dur": round(span.duration_ns / 1000.0, 3),
-            "pid": pid, "tid": tid,
+            "pid": pid, "tid": 0,
             "args": dict(span.args, depth=span.depth),
         })
     return events

@@ -7,7 +7,8 @@ import os
 import pytest
 
 from repro.accel import AcceleratorConfig, build_accelerator
-from repro.analysis.perf import PerfModel, PerfParams, Prediction
+from repro.analysis import perf
+from repro.analysis.perf import PerfModel, Prediction
 from repro.cli import _default_profile_args, _load_module
 from repro.errors import TapasError
 from repro.memory.backing import MainMemory
@@ -149,18 +150,18 @@ class TestModelBehaviour:
                               args=prepared.args, size=prepared.work_items)
         assert first.cycles == again.cycles
 
-    def test_custom_params_change_the_prediction(self):
+    def test_custom_params_change_the_prediction(self, monkeypatch):
         workload = REGISTRY.get("saxpy")
-        slow = PerfParams(hit_round_trip=120)
-        base = PerfModel(workload.fresh_module())
-        heavy = PerfModel(workload.fresh_module(), params=slow)
         config = workload.default_config(ntiles=1)
         prepared = workload.prepare(MainMemory(), 1)
-        a = base.predict(entry=workload.entry, config=config,
-                         args=prepared.args, size=prepared.work_items)
-        b = heavy.predict(entry=workload.entry, config=config,
-                          args=prepared.args, size=prepared.work_items)
-        assert b.cycles > a.cycles
+        cycles = []
+        for hit_round_trip in (perf.HIT_ROUND_TRIP, 120):
+            monkeypatch.setattr(perf, "HIT_ROUND_TRIP", hit_round_trip)
+            model = PerfModel(workload.fresh_module())
+            cycles.append(model.predict(
+                entry=workload.entry, config=config, args=prepared.args,
+                size=prepared.work_items).cycles)
+        assert cycles[1] > cycles[0]
 
     def test_bottleneck_vocabulary_is_ledger_shaped(self):
         """Predicted reasons reuse the simulator's stall-ledger tags."""

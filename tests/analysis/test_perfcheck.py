@@ -12,6 +12,7 @@ from repro.analysis.perfcheck import (
     bottleneck_class,
     spearman,
 )
+from repro.memory.backing import MainMemory
 from repro.sim import DEFAULT_ENGINE
 from repro.workloads import REGISTRY
 
@@ -144,9 +145,11 @@ class TestPerfChecker:
     def test_model_reused_across_points(self):
         checker = PerfChecker()
         workload = REGISTRY.get("saxpy")
-        checker.predict_point(workload, 1, 1)
+        checker.predict_point(workload, workload.default_config(ntiles=1),
+                              workload.prepare(MainMemory(), 1))
         model = checker._models["saxpy"][0]
-        checker.predict_point(workload, 4, 2)
+        checker.predict_point(workload, workload.default_config(ntiles=4),
+                              workload.prepare(MainMemory(), 2))
         assert checker._models["saxpy"][0] is model
 
 

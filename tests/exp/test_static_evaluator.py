@@ -62,7 +62,7 @@ def test_static_and_workload_points_share_grid_shape():
             {k: v for k, v in b.items() if k != "evaluator"}
 
 
-def test_static_records_do_not_depend_on_evaluation_order(monkeypatch):
+def test_static_records_do_not_depend_on_evaluation_order():
     """The per-process model memo is keyed by program only, so the model
     must derive what depends on the configuration (cache line size here)
     per prediction — not keep what its first point happened to carry."""
@@ -74,7 +74,7 @@ def test_static_records_do_not_depend_on_evaluation_order(monkeypatch):
              "wide": dict(default, overrides={"cache": {"line_bytes": 128}})}
     runs = []
     for order in (("default", "wide"), ("wide", "default")):
-        monkeypatch.setattr(runner, "_STATIC_MODELS", {})
+        runner._static_checker.cache_clear()
         runs.append({name: _eval_static(specs[name]) for name in order})
     assert runs[0] == runs[1]
     assert runs[0]["default"]["cycles"] != runs[0]["wide"]["cycles"]

@@ -52,13 +52,6 @@ class TestTimeline:
         assert "T0:compress_chunk" in text
         assert "s" in text and "c" in text
 
-    def test_timeline_filters_by_source(self):
-        trace, result = self.run_traced()
-        text = execution_timeline(trace, result.cycles,
-                                  sources=["T1:process_chunk"])
-        assert "T1:process_chunk" in text
-        assert "T0:compress_chunk" not in text
-
     def test_empty_run(self):
         assert execution_timeline(Trace(enabled=True), 0) == "(empty run)"
 

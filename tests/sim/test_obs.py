@@ -234,7 +234,7 @@ class TestChromeTrace:
         _, observer, trace = self._profiled_run()
         path = tmp_path / "trace.json"
         document = export_chrome_trace(str(path), observer=observer,
-                                       trace=trace, include_idle=True)
+                                       trace=trace)
         with open(path) as handle:
             assert json.load(handle) == document
         assert validate_chrome_trace(document) == []
@@ -714,9 +714,8 @@ def _per_cycle_runs(entries, end):
 @pytest.mark.parametrize("seed", range(40))
 def test_change_logs_book_what_each_cycle_held(seed):
     """Ledgers and probes book any change log — with repeated values,
-    several entries in one cycle and flushes at any point, which the
-    sampler never writes and the in-C booking hands to the loop — into
-    the runs a cycle-by-cycle record gives."""
+    several entries in one cycle and flushes at any point — into the runs
+    a cycle-by-cycle record gives."""
     import random
 
     rng = random.Random(seed)

@@ -69,15 +69,17 @@ def test_every_line_is_the_encoders(name, scale, tiles, tmp_path):
 
 
 def test_idle_runs_and_host_spans_are_the_encoders():
+    """Host spans are written as the encoder writes them; idle runs are
+    not written at all."""
     observer, trace = _observed("saxpy", 2)
     spans = SpanTracer(enabled=True)
     with spans.span("compile", module="sä\"x"):
         with spans.span("lower"):
             pass
     document = _exported_lines_are_encoder_output(
-        observer=observer, trace=trace, include_idle=True, host_spans=spans)
-    assert any(e.get("args", {}).get("state") == OBS_IDLE
-               for e in document["traceEvents"])
+        observer=observer, trace=trace, host_spans=spans)
+    assert not any(e.get("args", {}).get("state") == OBS_IDLE
+                   for e in document["traceEvents"])
     assert any(e.get("cat", "").startswith("host:")
                for e in document["traceEvents"])
 
@@ -155,12 +157,11 @@ def test_hand_built_observer_and_trace_are_the_encoders():
     trace.emit(2, "nobody", "sync", payload={"ok": False})
     trace.emit(2.5, "hand ledger", "late", "")
 
-    for include_idle in (False, True):
-        document = _exported_lines_are_encoder_output(
-            observer=observer, trace=trace, include_idle=include_idle)
-        names = {e["name"] for e in document["traceEvents"]}
-        assert 'stall_out:fu"ll\\ 100% ∞' in names
-        assert 'occ:q"ü\\%d' in names
+    document = _exported_lines_are_encoder_output(observer=observer,
+                                                  trace=trace)
+    names = {e["name"] for e in document["traceEvents"]}
+    assert 'stall_out:fu"ll\\ 100% ∞' in names
+    assert 'occ:q"ü\\%d' in names
 
 
 @pytest.mark.parametrize("name, scale, tiles", RUNS, ids=RUN_IDS)

@@ -211,7 +211,7 @@ class TestObservability:
         assert "Host seconds by component class" in out
         assert "TaskUnit" in out
         assert "engine.schedule" in out
-        assert "coverage=" in out
+        assert "measured_fraction=" in out
         assert "Toolchain phases (host spans)" in out
 
     def test_profile_host_stats_json(self, kernel_file, tmp_path, capsys):
@@ -223,8 +223,7 @@ class TestObservability:
         capsys.readouterr()
         record = json.loads(stats_path.read_text())
         profile = record["host_profile"]
-        assert profile["schema"] == 2
-        assert profile["coverage"] == 1.0
+        assert profile["schema"] == 3
         assert profile["wall_seconds"] > 0
         assert any(row["class"] == "TaskUnit" for row in profile["classes"])
 

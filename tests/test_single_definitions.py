@@ -255,3 +255,45 @@ def test_observation_keeps_one_path_per_job():
     assert _hits(r"^\s*def _book\b", obs) == {os.path.join("obs", "accounting.py"): 1}
     assert not _hits(r"\b_well_formed\b")
     assert not _hits(r"\b_distinct_runs\b")
+
+
+def test_options_nothing_sets_stay_constants():
+    """Calibration and keyword options that no caller set are constants:
+    the predictor's and the static-HLS baseline's calibration, and each
+    keyword below, stay out of their functions' signatures."""
+    import dataclasses
+    import inspect
+
+    from repro.accel.config import Board
+    from repro.analysis import lint_design, perf
+    from repro.analysis.perfcheck import PerfChecker
+    from repro.baselines.static_hls import StaticHLSModel, synthesize_static
+    from repro.memory.backing import MainMemory
+    from repro.obs.perfetto import chrome_trace, export_chrome_trace
+    from repro.reports.profile import render_profile_report
+    from repro.reports.resources import _unit_resources, estimate_resources
+    from repro.reports.visualize import execution_timeline
+    from repro.sim.engine import Simulator
+    from repro.telemetry.spans import host_trace_events
+
+    dropped = [
+        (perf.PerfModel, {"params"}),
+        (PerfChecker, {"params"}),
+        (synthesize_static, {"model"}),
+        (chrome_trace, {"include_idle"}),
+        (export_chrome_trace, {"include_idle"}),
+        (estimate_resources, {"ranges"}),
+        (_unit_resources, {"include_suspend_state"}),
+        (lint_design, {"ranges"}),
+        (execution_timeline, {"width", "kinds", "sources"}),
+        (render_profile_report, {"top"}),
+        (MainMemory.reserve_region, {"align"}),
+        (Board.dram_latency_cycles, {"mhz"}),
+        (Simulator.enable_host_profile, {"profiler"}),
+        (host_trace_events, {"first_tid"}),
+    ]
+    for function, names in dropped:
+        kept = names & set(inspect.signature(function).parameters)
+        assert not kept, (function.__qualname__, kept)
+    assert not hasattr(perf, "PerfParams")
+    assert not dataclasses.is_dataclass(StaticHLSModel)
