@@ -20,8 +20,8 @@ version tail: the digest is the one the whole payload gives.
 
 Layout: ``<root>/sweep/<key[:2]>/<key>.json`` — two-level fanout keeps
 directories small. Writes are atomic (tmp file + rename), so a killed
-sweep never leaves a half-written entry; a corrupted or unreadable
-entry is evicted and recomputed, never fatal. A root that cannot be
+sweep never leaves a half-written entry; a corrupted, unreadable or
+mis-shaped entry is evicted and recomputed, never fatal. A root that cannot be
 written raises :class:`~repro.errors.CacheError`.
 """
 
@@ -108,8 +108,10 @@ class ResultCache:
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The cached record for ``key``, or None. A missing entry is a
-        plain miss; an unreadable one is evicted and reported as a miss
-        (it will be recomputed and rewritten)."""
+        plain miss; one that is unreadable, or whose record is not a dict
+        holding ``"value"`` (the only shape :meth:`put` is given), is
+        evicted and reported as a miss (it will be recomputed and
+        rewritten)."""
         path = self._entry(key)
         try:
             with open(path, "rb", buffering=0) as fh:
@@ -119,13 +121,14 @@ class ResultCache:
             return None
         except (OSError, ValueError):
             entry = None
-        if not isinstance(entry, dict) or entry.get("key") != key \
-                or "record" not in entry:
+        record = entry.get("record") if isinstance(entry, dict) \
+            and entry.get("key") == key else None
+        if not isinstance(record, dict) or "value" not in record:
             self._evict(path)
             self.misses += 1
             return None
         self.hits += 1
-        return entry["record"]
+        return record
 
     def counters(self) -> Dict[str, int]:
         """Hit/miss/corruption counters for the sweep telemetry block."""

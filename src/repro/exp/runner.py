@@ -187,6 +187,15 @@ def _execute_point(spec: Dict[str, Any]) -> Dict[str, Any]:
     return outcome
 
 
+def _unrun(spec: Dict[str, Any], exc: Exception) -> Dict[str, Any]:
+    """The error record of a point that fails before it is run: its
+    evaluator is unknown, or the cache cannot key its spec."""
+    return {"spec": spec, "cache_hit": False, "worker": None,
+            "seconds": 0.0, "status": "error", "value": None,
+            "error": {"type": type(exc).__name__, "message": str(exc),
+                      "traceback": traceback.format_exc()}}
+
+
 def choose_point(programs: Sequence[Any], mine: set, claimed: set) -> int:
     """Which pending point a freed lane runs next: ``programs`` names the
     program of each pending point in point order, ``mine`` the programs
@@ -240,18 +249,18 @@ class SweepRunner:
                 registration = get_evaluator(spec["evaluator"])
             except Exception as exc:
                 # a misnamed evaluator poisons one point, not the sweep
-                records[index] = {
-                    "spec": spec, "cache_hit": False, "worker": None,
-                    "seconds": 0.0, "status": "error", "value": None,
-                    "error": {"type": type(exc).__name__,
-                              "message": str(exc),
-                              "traceback": traceback.format_exc()}}
+                records[index] = _unrun(spec, exc)
                 continue
             key = None
             text = (registration.program_text(spec)
                     if registration.program_text else "")
             if self.cache is not None:
-                key = self.cache.key(registration.name, spec, text)
+                try:
+                    key = self.cache.key(registration.name, spec, text)
+                except (TypeError, ValueError) as exc:
+                    # a value canonical JSON cannot hold: nor can the cache
+                    records[index] = _unrun(spec, exc)
+                    continue
                 cached = self.cache.get(key)
                 if cached is not None:
                     hits += 1

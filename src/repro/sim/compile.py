@@ -299,8 +299,8 @@ _TEMPORARIES = ("msg dyid_ en_ ix_ _ tt_ k v busy tw w w2 "
 
 
 class _Emitter:
-    """Collects one module's ctx objects and source lines with
-    deterministic naming.
+    """Collects one module's ctx objects and preamble with deterministic
+    naming.
 
     Channels are addressed by their index in ``sim.channels``
     (registration order): the kernel keeps pending-push / pending-pop /
@@ -315,7 +315,9 @@ class _Emitter:
     length (``CL``, the lengths at the last sync). A stepper module's
     emitter has none: whatever is channel-shaped reaches its text as a
     factory argument, ``named`` (``(channel, name)`` pairs) spelling
-    ``c<name>i`` and ``<name>``."""
+    ``c<name>i`` and ``<name>``. Either module's preamble sits at the
+    same depth, eight spaces: ``pre`` holds its lines, or blocks of them,
+    already there."""
 
     def __init__(self, channels=(), named=()):
         self.objs: List[object] = []
@@ -333,8 +335,7 @@ class _Emitter:
         id() keys stay unique)."""
         name = self._obj_names.get(id(obj))
         if name is None:
-            name = "_o%d" % len(self.objs)
-            self._obj_names[id(obj)] = name
+            name = self._obj_names[id(obj)] = "_o%d" % len(self.objs)
             self.objs.append(obj)
         return name
 
@@ -348,11 +349,11 @@ class _Emitter:
                 f"channel {ch.name} not registered with the simulator")
         if k not in self._chan_alias:
             self._chan_alias.add(k)
-            self.pre.append("c%di = CI[%d]" % (k, k))
+            self.pre.append("        c%di = CI[%d]" % (k, k))
         return k
 
 
-#: (opsem function, operand type, result type) -> opsem_lines' plan
+#: (opsem function, operand type, result type) -> opsem_text's plan
 _PLANS: Dict[tuple, tuple] = {}
 
 
@@ -378,11 +379,14 @@ def _spell(fn, bound: dict, objects: list) -> str:
     return re.sub(r"@([\w.]+)@", fill, expression(fn))
 
 
+_INFINITIES = float("inf"), float("-inf")
+
+
 def _fmt_const(value) -> Optional[str]:
     """Literal source for a constant, or None when it cannot be spelled
     (bools and non-finite floats go through the object table instead)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or value != value or value in (float("inf"), float("-inf")):
+            or value != value or value in _INFINITIES:
         return None
     return "(%r)" % (value,)
 
@@ -449,7 +453,7 @@ class _StepperGen:
 
     # -- helpers -----------------------------------------------------------
 
-    def opsem_lines(self, ir, tgt: str, ind: str) -> List[str]:
+    def opsem_text(self, ir, tgt: str) -> str:
         """A BinaryOp / ICmp / FCmp / Cast node: its opsem table entry and
         the ``IntType.wrap`` / ``to_f32`` around it, spelled once per process
         and types, with the operand texts (coerced as ``eval_pure`` does)
@@ -493,105 +497,81 @@ class _StepperGen:
         expr, objects, read, operands, trap = plan
         for i, obj in enumerate(objects):
             expr = expr.replace("@#%d@" % i, self.em.ref(obj))
-        L, texts = [], []
+        lines, texts = [], []
         for (placeholder, local, uses), value in zip(operands, ir.operands):
             text = read(self, value)
             if uses > 1 and not (text.startswith("(") or text.isidentifier()):
-                L.append(ind + "%s = %s" % (local, text))
+                lines.append("                    %s = %s" % (local, text))
                 text = local
             expr = expr.replace(placeholder, text)
             texts.append(text)
         if trap is not None:
-            L.append(ind + "if %s == 0:" % texts[1])
-            L.append(ind + "    raise SimulationError(%r)" % trap)
-        L.append(ind + "%s = %s" % (tgt, expr))
-        return L
+            lines.append(_TRAP % (texts[1], trap))
+        lines.append("                    %s = %s" % (tgt, expr))
+        return "\n".join(lines)
 
     # -- node firing (TXUTile._fire; a pure node is opsem's) --------------
 
-    def fire_lines(self, node, ind: str) -> List[str]:
+    def fire(self, node) -> str:
+        """A pure node's value, at its depth in the stepper."""
         ir = node.inst
         kind = node.kind
-        tgt = "env[%s]" % self.em.ref(ir)
-        L: List[str] = []
-
+        ref = self.em.ref
+        tgt = "env[%s]" % ref(ir)
         if kind == "regread":
-            L.append(ind + "%s = inst.regs.get(%s, 0)"
-                     % (tgt, self.em.ref(ir.pointer)))
+            text = "                    %s = inst.regs.get(%s, 0)" % (
+                tgt, ref(ir.pointer))
         elif kind == "regwrite":
-            L.append(ind + "inst.regs[%s] = %s"
-                     % (self.em.ref(ir.pointer), self.rv(ir.value)))
+            text = "                    inst.regs[%s] = %s" % (
+                ref(ir.pointer), self.rv(ir.value))
         elif kind == "nop":
             if not isinstance(ir, Alloca):
                 raise UnsupportedDesign(f"nop node is not an alloca: {ir!r}")
-            if ir.in_frame:
-                if self.unit.frame_size == 0:
-                    L.append(ind + "raise SimulationError(%r)"
-                             % (f"{self.unit.name}: task has no frame "
-                                f"storage",))
-                else:
-                    offset = self.task.frame_offsets[ir]
-                    L.append(ind + "%s = %d + inst.entry.dyid * %d + %d"
-                             % (tgt, self.unit.frame_base,
-                                self.unit.frame_size, offset))
+            if not ir.in_frame:
+                text = "                    %s = %s(%s)" % (
+                    tgt, ref(opsem.RegSlot), ref(ir))
+            elif self.unit.frame_size == 0:
+                text = "                    raise SimulationError(%r)" % (
+                    f"{self.unit.name}: task has no frame storage",)
             else:
-                L.append(ind + "%s = %s(%s)" % (tgt, self.em.ref(opsem.RegSlot),
-                                                self.em.ref(ir)))
+                text = "                    %s = %d + inst.entry.dyid * " \
+                    "%d + %d" % (tgt, self.unit.frame_base,
+                                 self.unit.frame_size,
+                                 self.task.frame_offsets[ir])
         elif isinstance(ir, Select):
             cond, if_true, if_false = ir.operands
-            L.append(ind + "%s = (%s) if (%s) else (%s)"
-                     % (tgt, self.rv(if_true), self.rv(cond),
-                        self.rv(if_false)))
+            text = "                    %s = (%s) if (%s) else (%s)" % (
+                tgt, self.rv(if_true), self.rv(cond), self.rv(if_false))
         elif isinstance(ir, GEP):
-            L.extend(self._gep_lines(ir, tgt, ind))
+            text = self.gep_text(ir, tgt)
         else:
-            L.extend(self.opsem_lines(ir, tgt, ind))
+            text = self.opsem_text(ir, tgt)
+        return text
 
-        # chained assignment keeps the hoisted per-node local in sync so a
-        # 0-latency dependent sees the fresh deadline within the same call
-        L.append(ind + "nd[%d] = dn%d = cycle + %d"
-                 % (node.index, node.index, self.latencies.get(kind, 1)))
-        return L
-
-    def _gep_lines(self, ir, tgt: str, ind: str) -> List[str]:
+    def gep_text(self, ir, tgt: str) -> str:
         terms = ["%s * %d" % (self.rvi(idx), stride)
                  for idx, stride in zip(ir.indices, ir.strides)]
         base = ir.base
-        static_base = (isinstance(base, Constant)
-                       or isinstance(base, GlobalVariable))
-        if static_base:
-            expr = " + ".join([self.rvi(base)] + terms)
-            return [ind + "%s = %s" % (tgt, expr)]
-        L = [ind + "ba = %s" % self.rv(base),
-             ind + "if type(ba) is %s:" % self.em.ref(opsem.RegSlot),
-             ind + "    raise SimulationError(%r)"
-             % ("address arithmetic on a register slot — scalar allocas "
-                "may only be loaded/stored directly",)]
-        expr = " + ".join(["int(ba)"] + terms)
-        L.append(ind + "%s = %s" % (tgt, expr))
-        return L
+        if isinstance(base, (Constant, GlobalVariable)):  # a static base
+            return "                    %s = %s" % (
+                tgt, " + ".join([self.rvi(base)] + terms))
+        return _GEP % (self.rv(base), self.em.ref(opsem.RegSlot), tgt,
+                       " + ".join(["int(ba)"] + terms))
 
     # -- inlined _fire_memory ----------------------------------------------
 
-    def mem_fire_lines(self, node, key: str, ind: str) -> List[str]:
+    def mem_fire(self, node, key: str) -> str:
         """The ``elif``-chain tail of a load/store node attempt (mirrors
         ``TXUTile._fire_memory``): already-issued and backpressure checks,
         then the flat push of the request."""
         ir = node.inst
-        L = [ind + "elif T._mem_issued_this_cycle:",
-             ind + "    b |= %d" % PORT,
-             ind + "elif len(cRi) < %d and CP[R] is None:" % self.rocap]
+        ref = self.em.ref
         ptr = ir.pointer
         if isinstance(ptr, (Constant, GlobalVariable)):
-            addr = self.rvi(ptr)
+            check, addr = "", self.rvi(ptr)
         else:
-            L.append(ind + "    a_ = %s" % self.rv(ptr))
-            L.append(ind + "    if type(a_) is %s:"
-                     % self.em.ref(opsem.RegSlot))
-            L.append(ind + "        raise SimulationError(%r)"
-                     % ("register access classified as memory op",))
+            check = _ADDRESS % (self.rv(ptr), ref(opsem.RegSlot))
             addr = "int(a_)"
-        ref = self.em.ref
         tag = "%s(%d, TI, inst.uid, %d)" % (ref(MemTag), self.unit.sid,
                                             node.index)
         if isinstance(ir, Load):
@@ -605,155 +585,196 @@ class _StepperGen:
                       ref(opsem.value_to_raw), ref(ir.value.type),
                       self.rv(ir.value), self.unit.port))
         if self.traced:
-            L.append(ind + "    rq_ = %s" % req)
-            L.append(ind + '    ev("mem", "%s addr=%%d" %% rq_.addr, '
-                     '{"gid": inst.entry.gid, "op": rq_.op, "addr": rq_.addr, '
-                     '"size": rq_.size, "sid": %d, "node": %d, "inst": %s})'
-                     % ("load" if isinstance(ir, Load) else "store",
-                        self.unit.sid, node.index, self.em.ref(ir)))
+            check += _TRACED_ISSUE % (
+                req, "load" if isinstance(ir, Load) else "store",
+                self.unit.sid, node.index, ref(ir))
             req = "rq_"
-        L.append(ind + "    CP[R] = %s" % req)
-        L.append(ind + "    dl.append(R)")
-        L.append(ind + "    T._mem_issued_this_cycle = True")
-        L.append(ind + "    nd[%d] = %d" % (node.index, AWAIT_MEM))
-        L.append(ind + "    fired.add(%s)" % key)
-        L.append(ind + "    f = 1")
-        L.append(ind + "else:")
-        L.append(ind + "    T._mem_blocked = True")
-        L.append(ind + "    b |= %d" % PORT)
-        return L
+        return _ISSUE % (self.rocap, check, req, node.index, key)
 
     # -- block entry (mirrors TXUTile._enter_block) ------------------------
 
-    def enter_lines(self, target, ind: str) -> List[str]:
+    def enter(self, target, ind: str) -> str:
         dfg = self.task.dfgs.get(target)
         if dfg is None:
-            return [ind + "raise SimulationError(%r)"
-                    % (f"task {self.task.name}: control left the task "
-                       f"region into {target.name}",)]
-        return [ind + "inst.block = %s" % self.em.ref(target),
-                ind + "inst.node_done = [B] * %d" % len(dfg.nodes)]
+            return "%sraise SimulationError(%r)" % (
+                ind, f"task {self.task.name}: control left the task "
+                     f"region into {target.name}")
+        return "%sinst.block = %s\n%sinst.node_done = [B] * %d" % (
+            ind, self.em.ref(target), ind, len(dfg.nodes))
 
     # -- the whole stepper -------------------------------------------------
 
-    def stepper(self, name: str, block) -> List[str]:
-        em = self.em
-        dfg = self.task.dfgs[block]
-        nodes = dfg.nodes
+    def stepper(self, bi: int, block, out: List[str]) -> bool:
+        """Block ``bi``'s stepper ``_s<bi>`` and its maturing-node scan
+        ``_w<bi>`` (mirrors ``TXUTile._soonest``), appended to ``out`` (the
+        module's lines); whether the scan exists. The scan reads only the
+        nodes that can still be ahead of ``cycle`` after a step that fired
+        nothing: one of latency 2 or more (fired at most a cycle before), or
+        a memory or call node (issued, or retired at ``cycle``). No such
+        node: no scan, and the block maps to ``_wp``, which returns
+        PARKED."""
+        ref, objs = self.em.ref, self.em.objs
+        nodes = self.task.dfgs[block].nodes
         body = nodes[:-1]
-        term_node = nodes[-1]
-
-        L = ["def %s(inst, cycle):" % name,
-             "    nd = inst.node_done",
-             "    env = inst.env",
-             "    fired = Tf",
-             "    f = d = b = 0"]
+        indices = [n.index for n in body]
         # hoist every body node's done-cycle into a local with one unpack
         # of the block's node_done list (its last slot is the terminator's,
         # never written); a node that has not fired holds the sentinel B,
         # an issued memory or call node AWAIT_MEM / AWAIT_CALL
-        L.append("    (%s_) = nd" % "".join("dn%d, " % n.index for n in body))
-
-        def deps(node) -> str:
-            return " and ".join("dn%d <= cycle" % dep
-                                for dep in node.deps)
-
+        out.append(_STEPPER % (bi, "dn%d, " * len(indices) % tuple(indices)))
+        matures = []
+        latency = self.latencies.get
         for node in body:
-            idx = node.index
-            key = em.ref((block, idx))
-            cond = "dn%d == B" % idx
-            dc = deps(node)
-            if dc:
-                cond += " and " + dc
-            L.append("    if %s:" % cond)
-            L.append("        if %s in fired:" % key)
-            L.append("            d = 1")
-            if node.kind in ("load", "store"):
-                L.extend(self.mem_fire_lines(node, key, "        "))
-            elif node.kind == "call":
-                L.append("        elif Tfc(inst, %s, cycle):" % em.ref(node))
-                L.append("            fired.add(%s)" % key)
-                L.append("            f = 1")
-                L.append("        else:")
-                L.append("            b = %d" % CALL)
+            idx, kind, deps = node.index, node.kind, node.deps
+            # the node's entry in the fired set: an object nothing else
+            # references, so it takes the next number without a lookup
+            key = "_o%d" % len(objs)
+            objs.append((block, idx))
+            ready = _DEP * len(deps) % tuple(deps)
+            if kind == "load" or kind == "store":
+                out.append(_ATTEMPT % (idx, ready, key))
+                out.append(self.mem_fire(node, key))
+                matures.append(idx)
+            elif kind == "call":
+                out.append(_CALL % (idx, ready, key, ref(node), key, CALL))
+                matures.append(idx)
             else:
-                L.append("        else:")
-                L.extend(self.fire_lines(node, "            "))
-                L.append("            fired.add(%s)" % key)
-                L.append("            f = 1")
+                # chained assignment keeps the hoisted per-node local in sync
+                # so a 0-latency dependent sees the fresh deadline within the
+                # same call
+                cycles = latency(kind, 1)
+                out.append(_PURE % (idx, ready, key, self.fire(node), idx,
+                                    idx, cycles, key))
+                if cycles >= 2:
+                    matures.append(idx)
 
         # -- transition (mirrors _maybe_transition) ------------------------
         # (an issued memory or call node's AWAIT_* exceeds every cycle);
         # the latest node, the likeliest still pending, is tested first,
         # and the terminator's deps, all body nodes, need no test of their own
-        trans = ["dn%d <= cycle" % n.index for n in reversed(body)]
-        L.append("    if %s:" % " and ".join(trans or ["True"]))
-        term = term_node.inst
+        out.append("            if %s:" % (" and ".join(
+            map("dn%d <= cycle".__mod__, reversed(indices))) or "True"))
+        term = nodes[-1].inst
         if isinstance(term, Detach):
-            L.append("        if Tfs(inst, %s):" % em.ref(term))
-            L.extend(self.enter_lines(term.continuation, "            "))
-            L.append("            f = 1")
-            L.append("        else:")
-            L.append("            b = %d" % OUTBUF)
+            out.append("                if Tfs(inst, %s):" % ref(term))
+            out.append(self.enter(term.continuation, " " * 20))
+            out.append("                    f = 1\n"
+                       "                else:\n"
+                       "                    b = %d" % OUTBUF)
         elif isinstance(term, Sync):
-            L.append("        if inst.entry.child_count > 0:")
-            L.append("            Tsu(inst, %s)"
-                     % em.ref(term.continuation))
-            L.append("        else:")
+            out.append("                if inst.entry.child_count > 0:\n"
+                       "                    Tsu(inst, %s)\n"
+                       "                else:" % ref(term.continuation))
             if self.traced:
-                L.append('            ev("sync-pass", f"gid={inst.entry.gid}", '
-                         '{"gid": inst.entry.gid})')
-            L.extend(self.enter_lines(term.continuation, "            "))
-            L.append("        f = 1")
+                out.append('                    ev("sync-pass", '
+                           'f"gid={inst.entry.gid}", {"gid": inst.entry.gid})')
+            out.append(self.enter(term.continuation, " " * 20))
+            out.append("                f = 1")
         elif isinstance(term, Br):
-            L.extend(self.enter_lines(term.dest, "        "))
-            L.append("        f = 1")
+            out.append(self.enter(term.dest, " " * 16))
+            out.append("                f = 1")
         elif isinstance(term, CondBr):
-            L.append("        if %s:" % self.rv(term.cond))
-            L.extend(self.enter_lines(term.if_true, "            "))
-            L.append("        else:")
-            L.extend(self.enter_lines(term.if_false, "            "))
-            L.append("        f = 1")
+            out.append("                if %s:" % self.rv(term.cond))
+            out.append(self.enter(term.if_true, " " * 20))
+            out.append("                else:")
+            out.append(self.enter(term.if_false, " " * 20))
+            out.append("                f = 1")
         elif isinstance(term, (Reattach, Ret)):
-            retval = self.rv(term.value) if isinstance(term, Ret) \
-                and term.value is not None else "None"
-            L.append("        Tfi(inst, %s)" % retval)
-            L.append("        f = 1")
+            out.append("                Tfi(inst, %s)\n"
+                       "                f = 1" % (
+                           self.rv(term.value) if isinstance(term, Ret)
+                           and term.value is not None else "None"))
         else:
             raise UnsupportedDesign(
                 f"terminator {type(term).__name__} not supported")
-
         # -- the report (mirrors _step_instance's): the scheduler it returns
         # to, TXUTile.tick, sets wake_at and park from it
-        L.extend(["    if f:",
-                  "        act[0] = 1",
-                  "        return %d" % GO,
-                  "    return %d if d else b" % GO])
-        return L
+        out.append(_REPORT)
+        if len(matures) == 1:
+            out.append(_SCAN_ONE % (bi, matures[0]))
+        elif matures:
+            out.append(_SCAN % (bi, _SCAN_NODE * len(matures)
+                                % tuple(matures)))
+        return bool(matures)
 
-    # -- the maturing-node scan (mirrors TXUTile._soonest) -----------------
 
-    def soonest(self, name: str, block) -> List[str]:
-        """``TXUTile._soonest`` for ``block``, over only the nodes that can
-        still be ahead of ``cycle`` after a step that fired nothing: one of
-        latency 2 or more (fired at most a cycle before), or a memory or
-        call node (issued, or retired at ``cycle``). No such node: no def,
-        and the block maps to ``_wp``, which returns PARKED."""
-        nodes = [n.index for n in self.task.dfgs[block].nodes[:-1]
-                 if n.kind in ("load", "store", "call")
-                 or self.latencies.get(n.kind, 1) >= 2]
-        if not nodes:
-            return []
-        L = ["def %s(inst, cycle):" % name, "    nd = inst.node_done"]
-        if len(nodes) == 1:
-            return L + ["    w = nd[%d]" % nodes[0],
-                        "    return w if w > cycle else B"]
-        L.append("    w = B")
-        for idx in nodes:
-            L.extend(["    d = nd[%d]" % idx,
-                      "    if cycle < d < w:",
-                      "        w = d"])
-        return L + ["    return w"]
+# A stepper module's text at its depth inside ``mk``: a stepper's head,
+# then per node its attempt and the tail of its kind, ...
+_STEPPER = """\
+        def _s%d(inst, cycle):
+            nd = inst.node_done
+            env = inst.env
+            fired = Tf
+            f = d = b = 0
+            (%s_) = nd"""
+_DEP = " and dn%d <= cycle"
+_ATTEMPT = """\
+            if dn%d == B%s:
+                if %s in fired:
+                    d = 1"""
+_PURE = _ATTEMPT + """
+                else:
+%s
+                    nd[%d] = dn%d = cycle + %d
+                    fired.add(%s)
+                    f = 1"""
+_CALL = _ATTEMPT + """
+                elif Tfc(inst, %s, cycle):
+                    fired.add(%s)
+                    f = 1
+                else:
+                    b = %d"""
+_ISSUE = """\
+                elif T._mem_issued_this_cycle:
+                    b |= {port}
+                elif len(cRi) < %d and CP[R] is None:
+%s                    CP[R] = %s
+                    dl.append(R)
+                    T._mem_issued_this_cycle = True
+                    nd[%d] = {await_mem}
+                    fired.add(%s)
+                    f = 1
+                else:
+                    T._mem_blocked = True
+                    b |= {port}""".format(port=PORT, await_mem=AWAIT_MEM)
+_ADDRESS = """\
+                    a_ = %s
+                    if type(a_) is %s:
+                        raise SimulationError('register access classified as memory op')
+"""
+_TRACED_ISSUE = """\
+                    rq_ = %s
+                    ev("mem", "%s addr=%%d" %% rq_.addr, {"gid": inst.entry.gid, "op": rq_.op, "addr": rq_.addr, "size": rq_.size, "sid": %d, "node": %d, "inst": %s})
+"""
+_GEP = """\
+                    ba = %s
+                    if type(ba) is %s:
+                        raise SimulationError('address arithmetic on a register slot — scalar allocas may only be loaded/stored directly')
+                    %s = %s"""
+_TRAP = """\
+                    if %s == 0:
+                        raise SimulationError(%r)"""
+# ... the report that ends it, and a block's maturing-node scan
+_REPORT = """\
+            if f:
+                act[0] = 1
+                return {go}
+            return {go} if d else b""".format(go=GO)
+_SCAN_ONE = """\
+        def _w%d(inst, cycle):
+            nd = inst.node_done
+            w = nd[%d]
+            return w if w > cycle else B"""
+_SCAN = """\
+        def _w%d(inst, cycle):
+            nd = inst.node_done
+            w = B
+%s            return w"""
+_SCAN_NODE = """\
+            d = nd[%d]
+            if cycle < d < w:
+                w = d
+"""
 
 
 def _stepper_module(gen: _StepperGen) -> str:
@@ -763,37 +784,34 @@ def _stepper_module(gen: _StepperGen) -> str:
     that calls them are generated and compiled once, with everything tile-
     or kernel-bound arriving as ``mk``'s arguments and objects numbered
     within the unit."""
-    unit, ref = gen.unit, gen.em.ref
-    body: List[str] = []
-    w = body.append
+    ref = gen.em.ref
+    lines = [""]  # the head, once every object has its number
     entries, scans = [], []
     for bi, block in enumerate(gen.task.blocks):
-        body.extend(gen.stepper("_s%d" % bi, block))
-        entries.append("%s: _s%d" % (ref(block), bi))
-        scan = gen.soonest("_w%d" % bi, block)
-        body.extend(scan)
-        scans.append("%s: %s" % (ref(block), "_w%d" % bi if scan else "_wp"))
-    w("Td = {%s}" % ", ".join(entries))
-    w("Tw = {%s}" % ", ".join(scans))
+        scanned = gen.stepper(bi, block, lines)
+        name = ref(block)
+        entries.append("%s: _s%d" % (name, bi))
+        scans.append("%s: _w%d" % (name, bi) if scanned else name + ": _wp")
+    lines.append("        Td = {%s}\n        Tw = {%s}" % (
+        ", ".join(entries), ", ".join(scans)))
     # the instance loop that calls them: TXUTile._schedule, derived
-    loop = tile_loop(gen.em, unit.tiles[0], gen.traced)
-    body.extend(gen.em.pre)
-    body.extend(loop)
-    w("return k")
-    lines = ['"""Autogenerated TXU steppers of one task unit (see '
-             'repro.sim.compile)."""',
-             "def make_steppers(ctx, objs):",
-             "    (%s) = objs" % "".join(
-                 "_o%d, " % i for i in range(len(gen.em.objs)))]
-    lines.append(_CTX_ERROR)
-    lines.append("    B = %d" % PARKED)
-    lines.append("    def _wp(inst, cycle):")
-    lines.append("        return B")
-    lines.append("    def mk(T, Tf, Tfc, Tfs, Tfi, Tsu, cRi, R, TI, CP, dl, ev, "
-                 "act):")
-    lines.extend("        " + line for line in body)
-    lines.append("    return mk")
-    return "\n".join(lines) + "\n"
+    loop = tile_loop(gen.em, gen.unit.tiles[0], gen.traced)
+    lines.extend(gen.em.pre)
+    lines.append(loop)
+    lines.append("        return k\n    return mk\n")
+    lines[0] = _STEPPERS % ("_o%d, " * len(gen.em.objs)
+                            % tuple(range(len(gen.em.objs))))
+    return "\n".join(lines)
+
+
+_STEPPERS = '''"""Autogenerated TXU steppers of one task unit (see repro.sim.compile)."""
+def make_steppers(ctx, objs):
+    (%%s) = objs
+    SimulationError = ctx["SimulationError"]
+    B = %d
+    def _wp(inst, cycle):
+        return B
+    def mk(T, Tf, Tfc, Tfs, Tfi, Tsu, cRi, R, TI, CP, dl, ev, act):''' % PARKED
 
 
 def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs, mods,
@@ -802,7 +820,8 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs, mods,
     helper calls, then each tile's section -- ``TXUTile.tick``, the gate of
     the instance scheduler, derived by :func:`tile_section` -- calling the
     tile's instance loop from the unit's stepper module (appended to
-    ``mods``), which a profiled shell ``clock``s as its task's row."""
+    ``mods``), which a profiled shell ``clock``s as its task's row (an
+    unprofiled one has no ``clock``)."""
     if not unit.tiles:
         raise UnsupportedDesign(f"{unit.name}: task unit has no tiles")
     for t in unit.tiles:
@@ -816,18 +835,7 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs, mods,
                 f"{unit.name}: tiles disagree on request-channel capacity")
 
     u = "u%d" % k
-    em.pre.append("%s = %s" % (u, em.ref(unit)))
-    em.pre.append("%sq = %s.queue" % (u, u))
-    em.pre.append("%sqf = %sq._free" % (u, u))
-    em.pre.append("%sqd = %sq.depth" % (u, u))  # Stage 3: read, not baked
-    em.pre.append("%sqr = %sq._ready" % (u, u))
-    em.pre.append("%sjr = %s._join_ready" % (u, u))
-    em.pre.append("%sso = %s._spawn_outbuf" % (u, u))
-    em.pre.append("%sjo = %s._join_outbuf" % (u, u))
-    em.pre.append("%saj = %s._apply_join" % (u, u))
-    em.pre.append("%sas = %s._apply_spawn" % (u, u))
-    em.pre.append("%sqe = %sq.entries" % (u, u))
-    em.pre.append("%ssj = %s._send_join" % (u, u))
+    em.pre.append(_UNIT_ALIASES % {"u": u, "unit": em.ref(unit)})
     traced = unit.trace is not None and unit.trace.enabled
     si, ji = em.ci(unit.spawn_in), em.ci(unit.join_in)
     so, jo = em.ci(unit.spawn_out), em.ci(unit.join_out)
@@ -835,8 +843,8 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs, mods,
     tiles = []
     for ti, t in enumerate(unit.tiles):
         tn = "%s_t%d" % (u, ti)
-        em.pre.append("%s = %s" % (tn, em.ref(t)))
-        em.pre.append("%si = %s.instances" % (tn, tn))
+        em.pre.append("        %s = %s\n        %si = %s.instances"
+                      % (tn, em.ref(t), tn, tn))
         tiles.append((tn, em.ci(t.response_in), t))
 
     # -- the unit's stepper factory, instantiated once per tile: <tile>k is
@@ -846,105 +854,128 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs, mods,
     for ti, (tn, rc, t) in enumerate(tiles):
         ro = em.ci(t.request_out)
         sdefs.append(
-            "%sk = _mk%d(%s, %s._fired, %s._fire_call, %s._fire_spawn, "
+            "        %sk = _mk%d(%s, %s._fired, %s._fire_call, %s._fire_spawn, "
             "%s._finish, %s._suspend, c%di, %d, %d, CP, dl, %s, act)"
             % (tn, len(mods), tn, tn, tn, tn, tn, tn, ro, ro, ti,
                u + ".analysis_event" if traced else "None"))
     mods.append((_stepper_module(gen), tuple(gen.em.objs)))
 
     # -- the tick section --------------------------------------------------
-    guard = ["c%di" % ji, "c%di" % si, u + "jr", u + "so", u + "jo",
-             u + "qr"]
-    for tn, rc, _t in tiles:
-        guard.extend([tn + "i", "c%di" % rc, "%s._min_wake <= cycle" % tn])
-    tick.append("if %s:" % " or ".join(guard))
-    tick.append("    if c%di and not CQ[%d]:" % (ji, ji))
-    tick.append("        msg = c%di[0]" % ji)
-    tick.append("        CQ[%d] = 1" % ji)
-    tick.append("        dq.append(%d)" % ji)
-    tick.append("        %saj(msg, cycle)" % u)
-    tick.append("    if c%di and not CQ[%d] and %sqf:" % (si, si, u))
-    tick.append("        msg = c%di[0]" % si)
-    tick.append("        CQ[%d] = 1" % si)
-    tick.append("        dq.append(%d)" % si)
-    tick.append("        %sas(msg)" % u)
-    # inlined TaskUnit._dispatch: round-robin over the (static) tile
-    # list for a tile with capacity, pop one READY entry, start it; the
-    # loop is not entered when every tile is full
-    take = ("%sqr.pop()" if unit.queue.policy == "lifo"
-            else "%sqr.popleft()") % u
-    nt = len(unit.tiles)
-    em.pre.append("%stl = (%s,)" % (u, ", ".join(
+    tick.append("                if %s:" % " or ".join(
+        ["c%di" % ji, "c%di" % si, u + "jr", u + "so", u + "jo", u + "qr"]
+        + ["%si or c%di or %s._min_wake <= cycle" % (tn, rc, tn)
+           for tn, rc, _t in tiles]))
+    em.pre.append("        %stl = (%s,)" % (u, ", ".join(
         "(%s, %si, %d)" % (tn, tn, t.max_inflight) for tn, _rc, t in tiles)))
-    caps = " or ".join("len(%si) < %d" % (tn, t.max_inflight)
-                       for tn, _rc, t in tiles)
-    tick.append("    if %sqr and (%s):" % (u, caps))
-    tick.append("        ix_ = %s._dispatch_rr" % u)
-    tick.append("        for _ in range(%d):" % nt)
-    tick.append("            tt_ = %stl[ix_]" % u)
-    tick.append("            if len(tt_[1]) < tt_[2]:")
-    tick.append("                dyid_ = %s" % take)
-    tick.append("                en_ = %sqe[dyid_]" % u)
-    tick.append('                if en_.state != "READY":')
-    tick.append("                    raise SimulationError(")
-    tick.append('                        "task queue %%s: ready-list '
-                'entry %%d in state %%s" %% (%sq.name, dyid_, en_.state))'
-                % u)
-    tick.append('                en_.state = "EXE"')
-    tick.append("                tt_[0].start(%s._uid_counter, en_, cycle)"
-                % u)
-    tick.append("                %s._uid_counter += 1" % u)
-    tick.append("                %s._dispatch_rr = ix_ + 1 if ix_ + 1 "
-                "< %d else 0" % (u, nt))
-    tick.append("                if %s.first_dispatch_cycle is None:" % u)
-    tick.append("                    %s.first_dispatch_cycle = cycle" % u)
-    tick.append("                break")
-    tick.append("            ix_ = ix_ + 1 if ix_ + 1 < %d else 0" % nt)
+    fields = {"u": u, "si": si, "ji": ji, "so": so, "jo": jo,
+              "nt": len(unit.tiles),
+              "caps": " or ".join("len(%si) < %d" % (tn, t.max_inflight)
+                                  for tn, _rc, t in tiles),
+              "take": ("%sqr.pop()" if unit.queue.policy == "lifo"
+                       else "%sqr.popleft()") % u,
+              "socap": unit.spawn_out.capacity,
+              "jocap": unit.join_out.capacity}
+    tick.append(_UNIT_DISPATCH % fields)
     for tn, _rc, t in tiles:
-        tick.append("    if %si:" % tn)
-        for line in tile_section(em, tn, t):
-            if line.lstrip().startswith(tn + "k("):  # the instance loop
-                ind = "    " + line[:len(line) - len(line.lstrip())]
-                tick.extend(clock("TaskUnit", ind))
-                tick.append("    " + line)
-                tick.extend(clock("TXUTile[%s]" % unit.task.name, ind))
-            else:
-                tick.append("    " + line)
-    tick.append("    if %sjr:" % u)
-    tick.append("        %ssj()" % u)
-    tick.append("    if %sso and len(c%di) < %d and CP[%d] is None:"
-                % (u, so, unit.spawn_out.capacity, so))
-    tick.append("        CP[%d] = %sso.popleft()" % (so, u))
-    tick.append("        dl.append(%d)" % so)
-    tick.append("    if %sjo and len(c%di) < %d and CP[%d] is None:"
-                % (u, jo, unit.join_out.capacity, jo))
-    tick.append("        CP[%d] = %sjo.popleft()" % (jo, u))
-    tick.append("        dl.append(%d)" % jo)
+        tick.append("                    if %si:" % tn)
+        # the instance loop's call line, which a profiled shell clocks
+        text = tile_section(em, tn, t)
+        at = text.find(tn + "k(") if clock is not None else -1
+        if at < 0:
+            tick.append(text)
+            continue
+        start, end = text.rfind("\n", 0, at), text.find("\n", at)
+        end = len(text) if end < 0 else end
+        ind = text[start + 1:at]
+        tick.append(text[:start])
+        tick.extend(clock("TaskUnit", ind))
+        tick.append(text[start + 1:end])
+        tick.extend(clock("TXUTile[%s]" % unit.task.name, ind))
+        if end < len(text):
+            tick.append(text[end + 1:])
+    tick.append(_UNIT_TAIL % fields)
 
     # -- is_busy -----------------------------------------------------------
-    terms = ["%sso" % u, "%sjo" % u, "%sjr" % u,
-             "len(%sqf) < %sqd" % (u, u)]
-    terms.extend("%si" % tn for tn, _rc, _t in tiles)
-    busy.append(" or ".join(terms))
+    busy.append(" or ".join(
+        ["%sso" % u, "%sjo" % u, "%sjr" % u, "len(%sqf) < %sqd" % (u, u)]
+        + ["%si" % tn for tn, _rc, _t in tiles]))
 
     # -- fast-forward contribution (mirrors TaskUnit.next_wake) ------------
-    skip.append("if %sjr or (c%di and %sqf) or (%sqr and (%s)):"
-                % (u, si, u, u, caps))
-    skip.append("    tw = cycle")
-    skip.append("else:")
-    first = True
-    for tn, _rc, _t in tiles:
-        if first:
-            skip.append("    w = %s._min_wake" % tn)
-            first = False
-        else:
-            skip.append("    w2 = %s._min_wake" % tn)
-            skip.append("    if w2 < w:")
-            skip.append("        w = w2")
-    skip.append("    if w <= cycle:")
-    skip.append("        tw = cycle")
-    skip.append("    elif w < tw and w < P:")
-    skip.append("        tw = w")
+    skip.append(_UNIT_SKIP % dict(fields, wake="\n".join(
+        ["                    w = %s._min_wake" % tiles[0][0]]
+        + [_SOONER % tn for tn, _rc, _t in tiles[1:]])))
+
+
+# A unit's part of the shell at its depth: the preamble's aliases (the
+# queue depth is read, not baked: a Stage-3 parameter), the input pops and
+# the inlined TaskUnit._dispatch (round-robin over the static tile list for
+# a tile with capacity: pop one READY entry and start it; the loop is not
+# entered when every tile is full), the output pushes after the tiles, and
+# the fast-forward lines
+_UNIT_ALIASES = """\
+        %(u)s = %(unit)s
+        %(u)sq = %(u)s.queue
+        %(u)sqf = %(u)sq._free
+        %(u)sqd = %(u)sq.depth
+        %(u)sqr = %(u)sq._ready
+        %(u)sjr = %(u)s._join_ready
+        %(u)sso = %(u)s._spawn_outbuf
+        %(u)sjo = %(u)s._join_outbuf
+        %(u)saj = %(u)s._apply_join
+        %(u)sas = %(u)s._apply_spawn
+        %(u)sqe = %(u)sq.entries
+        %(u)ssj = %(u)s._send_join"""
+_UNIT_DISPATCH = """\
+                    if c%(ji)di and not CQ[%(ji)d]:
+                        msg = c%(ji)di[0]
+                        CQ[%(ji)d] = 1
+                        dq.append(%(ji)d)
+                        %(u)saj(msg, cycle)
+                    if c%(si)di and not CQ[%(si)d] and %(u)sqf:
+                        msg = c%(si)di[0]
+                        CQ[%(si)d] = 1
+                        dq.append(%(si)d)
+                        %(u)sas(msg)
+                    if %(u)sqr and (%(caps)s):
+                        ix_ = %(u)s._dispatch_rr
+                        for _ in range(%(nt)d):
+                            tt_ = %(u)stl[ix_]
+                            if len(tt_[1]) < tt_[2]:
+                                dyid_ = %(take)s
+                                en_ = %(u)sqe[dyid_]
+                                if en_.state != "READY":
+                                    raise SimulationError(
+                                        "task queue %%s: ready-list entry %%d in state %%s" %% (%(u)sq.name, dyid_, en_.state))
+                                en_.state = "EXE"
+                                tt_[0].start(%(u)s._uid_counter, en_, cycle)
+                                %(u)s._uid_counter += 1
+                                %(u)s._dispatch_rr = ix_ + 1 if ix_ + 1 < %(nt)d else 0
+                                if %(u)s.first_dispatch_cycle is None:
+                                    %(u)s.first_dispatch_cycle = cycle
+                                break
+                            ix_ = ix_ + 1 if ix_ + 1 < %(nt)d else 0"""
+_UNIT_TAIL = """\
+                    if %(u)sjr:
+                        %(u)ssj()
+                    if %(u)sso and len(c%(so)di) < %(socap)d and CP[%(so)d] is None:
+                        CP[%(so)d] = %(u)sso.popleft()
+                        dl.append(%(so)d)
+                    if %(u)sjo and len(c%(jo)di) < %(jocap)d and CP[%(jo)d] is None:
+                        CP[%(jo)d] = %(u)sjo.popleft()
+                        dl.append(%(jo)d)"""
+_UNIT_SKIP = """\
+                if %(u)sjr or (c%(si)di and %(u)sqf) or (%(u)sqr and (%(caps)s)):
+                    tw = cycle
+                else:
+%(wake)s
+                    if w <= cycle:
+                        tw = cycle
+                    elif w < tw and w < P:
+                        tw = w"""
+_SOONER = """\
+                    w2 = %s._min_wake
+                    if w2 < w:
+                        w = w2"""
 
 
 #: what both module kinds bind from ctx before their defs; every other
@@ -958,12 +989,12 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
     unit in registration order, and the shell's ctx. Deterministic for a
     given design: iteration is over registration-order lists only, names
     are assigned by traversal index, and nothing depends on id()/hash
-    ordering."""
+    ordering. Every line is written once, at its depth in the module."""
 
     em = _Emitter(sim.channels)
-    tick: List[str] = []   # per-cycle component sections (base indent 0)
+    tick: List[str] = []   # per-cycle component sections (depth 16)
     busy: List[str] = []   # is_busy terms, registration order
-    skip: List[str] = []   # fast-forward deadline contributions
+    skip: List[str] = []   # fast-forward deadline contributions (depth 16)
     sdefs: List[str] = []  # per-tile stepper instantiations
     mods: List[Tuple[str, tuple]] = []  # stepper modules, unit order
 
@@ -982,249 +1013,276 @@ def _generate(sim) -> Tuple[str, List[Tuple[str, tuple]], dict]:
         if not profiled:
             return []
         slot = rows.setdefault(row, len(rows))
-        return [ind + "h1 = _ns()", ind + "ht%d += h1 - h0" % slot,
-                ind + "h0 = h1"]
+        return ["%sh1 = _ns()\n%sht%d += h1 - h0\n%sh0 = h1"
+                % (ind, ind, slot, ind)]
 
     comps = list(sim.components)
     for k, comp in enumerate(comps):
         guard = len(tick)  # every section opens with its ``if <guard>:``
         if isinstance(comp, TaskUnit):
-            _emit_unit(em, k, comp, tick, busy, skip, sdefs, mods, clock)
+            _emit_unit(em, k, comp, tick, busy, skip, sdefs, mods,
+                       clock if profiled else None)
         else:
             # derived from the class's own tick / is_busy / next_wake
-            em.pre.append("x%d = %s" % (k, em.ref(comp)))
-            lines, held, wake = section(em, "x%d" % k, comp)
-            tick.extend(lines)
+            em.pre.append("        x%d = %s" % (k, em.ref(comp)))
+            head, body, held, wake = section(em, "x%d" % k, comp)
+            tick.append(head)  # a comment naming that definition, the guard
+            tick.append(body)
             busy.extend(held)
-            skip.extend(wake)
-            guard += 1  # ... after a comment naming that definition
+            if wake:
+                skip.append(wake)
         if observed:
-            tick.insert(guard + 1, "    tk |= %d" % (1 << k))
+            tick.insert(guard + 1, "                    tk |= %d" % (1 << k))
             for ch in dict.fromkeys(comp.sensitivity()):
                 subs[em.ci(ch)] |= 1 << k
-        tick.extend(clock(type(comp).__name__, ""))
+        if profiled:
+            tick.extend(clock(type(comp).__name__, " " * 16))
 
-    busy_expr = " or ".join("(%s)" % t for t in busy) if busy else "0"
-    nch = len(em.channels)
-    # the stall windows are read at generation time and emitted as
-    # literals, so the kernel digest rolls over when they change
+    # the loop after the sections, in order (the clock rows are numbered
+    # by first use); the stall windows are read at generation time and
+    # emitted as literals, so the kernel digest rolls over when they change
     stalled = "idle > %d or quiet > %d" % (_engine.DEADLOCK_WINDOW,
                                            _engine.STALL_WINDOW)
+    move = _OBSERVED_MOVE if observed else ""
+    loop = [_COMMIT % (move, move, _engine.MOVEMENT_LOG_CAP)]
+    loop.extend(clock("channels.commit", " " * 20))
+    if observed:
+        loop.append(_OBSERVED_COMMIT)
+        loop.extend(clock("observer", " " * 20))
+    loop.append(_COMMITTED)
+    loop.extend(clock("engine.schedule", " " * 20))
+    loop.append("                    continue")
+    if observed:
+        loop.append(_OBSERVED_QUIET)
+        loop.extend(clock("observer", " " * 16))
+    loop.append(_ACCOUNT % (" or ".join("(%s)" % t for t in busy)
+                            if busy else "0", stalled))
+    loop.extend(clock("engine.schedule", " " * 20))
+    loop.append("                    continue\n                tw = limit")
+    loop.extend(skip)
+    loop.append(_SKIP % (_engine.DEADLOCK_WINDOW + 1,
+                         _engine.STALL_WINDOW + 1, stalled))
+    loop.extend(clock("engine.schedule", " " * 16))
 
-    body: List[str] = []
-    w = body.append
-    w("%s = None" % " = ".join(em.temps))  # hotter than any alias
-    w("P = %d" % PARKED)
-    w("limit = start + max_cycles")
-    w("cycle = sim.cycle")
-    w("idle = sim._idle_cycles")
-    w("quiet = sim._quiet_cycles")
-    w("act = [1 if sim._activity_flag else 0]")  # a cell the steppers set
-    w("sim._activity_flag = False")
-    w("ticks = 0")
-    w("ff = 0")
-    w("dirty = sim._dirty_channels")
-    # flat channel state: item deques, pending push/pop, push counters,
-    # and the pushes and pops of this cycle
-    w("CI = tuple([c._items for c in CH])")
-    w("CN = tuple([c.name for c in CH])")
-    w("CP = [None] * %d" % nch)
-    w("CQ = [0] * %d" % nch)
-    w("CU = [0] * %d" % nch)
-    w("dl = []")
-    w("dq = []")
-    # absorb pre-existing pending channel state (the host pushes the
-    # root spawn before run()) into the flat arrays so the first commit
-    # sees it exactly like the dense engine's dirty list would
-    w("i = 0")
-    w("for c in CH:")
-    w("    c._dirty = False")
-    w("    if c._pending_pop:")
-    w("        CQ[i] = 1")
-    w("        c._pending_pop = False")
-    w("        dq.append(i)")
-    w("    v = c._pending_push")
-    w("    if v is not None:")
-    w("        CP[i] = v")
-    w("        c._pending_push = None")
-    w("        dl.append(i)")
-    w("    i += 1")
-    w("del dirty[:]")
-    # cold-path helper: fold the flat push counters back into the real
-    # channel objects (stall post-mortems and stats() read them there);
-    # what was popped since the last sync is what was pushed less what the
-    # queue grew by
-    w("CL = [len(d) for d in CI]")
-    w("def _sync_totals():")
-    w("    i = 0")
-    w("    for c in CH:")
-    w("        n = len(CI[i])")
-    w("        c.total_pushed += CU[i]")
-    w("        c.total_popped += CU[i] + CL[i] - n")
-    w("        CU[i] = 0")
-    w("        CL[i] = n")
-    w("        i += 1")
-    body.extend(em.pre)
-    body.extend(sdefs)
+    nch = len(em.channels)
+    out = ['"""Autogenerated netlist shell of a compiled-engine kernel '
+           '(see repro.sim.compile)."""\ndef make_kernel(ctx):']
+    if em.objs:
+        out.append('    (%s,) = ctx["objects"]'
+                   % ", ".join(map("_o%d".__mod__, range(len(em.objs)))))
+    out.append(_KERNEL_HEAD % (
+        "".join("_mk%d, " % j for j in range(len(mods))),
+        " = ".join(em.temps)))  # hotter than any alias
+    if profiled:
+        out.append("        h0 = h1 = %s = 0\n"
+                   "        from time import perf_counter_ns as _ns"
+                   % " = ".join("ht%d" % slot for slot in range(len(rows))))
+    out.append(_KERNEL_STATE % (nch, nch, nch))
+    out.extend(em.pre)
+    out.extend(sdefs)
     if observed:
         # the hand-over (Simulator._tick_event's call), as bit sets over
         # registration order: tk, whoever ticked or watches a channel that
         # moved, and cm, the channels whose occupancy the commit changed
         # (one both popped and pushed holds its occupancy: its bit flips twice)
-        w("tk = cm = 0")
-        w("SUB = (%s)" % "".join("%d, " % bits for bits in subs))
-        w("_oc = sim._on_change")
-    # the hot loop allocates only acyclic objects (messages, instances,
-    # small lists); pausing the cyclic collector avoids threshold-driven
-    # generation-0 sweeps every few hundred cycles
-    w("_gc_on = _gc.isenabled()")
-    w("if _gc_on:")
-    w("    _gc.disable()")
-    w("try:")
-    w("    while True:")
-    w("        sim.cycle = cycle")
-    w("        if done():")
-    w("            break")
-    w("        if cycle >= limit:")
-    w("            raise SimulationError(")
-    w('                f"simulation exceeded {max_cycles} cycles '
-      'without finishing")')
-    w("        act[0] = 0")
+        out.append("        tk = cm = 0\n        SUB = (%s)\n"
+                   "        _oc = sim._on_change"
+                   % "".join("%d, " % bits for bits in subs))
+    out.append(_LOOP_HEAD)
     if profiled:
-        w("        h0 = _ns()")
-    body.extend("        " + line for line in tick)
-    w("        ticks += 1")
-    w("        if dl or dq:")
-    w("            for k in dq:")
-    w("                CI[k].popleft()")
-    w("                CQ[k] = 0")
-    if observed:
-        w("                tk |= SUB[k]")
-        w("                cm ^= 1 << k")
-    w("            for k in dl:")
-    w("                CI[k].append(CP[k])")
-    w("                CU[k] += 1")
-    w("                CP[k] = None")
-    if observed:
-        w("                tk |= SUB[k]")
-        w("                cm ^= 1 << k")
-    w("            if mlog is not None and len(mlog) < %d:"
-      % _engine.MOVEMENT_LOG_CAP)
-    w("                mlog.append((cycle, tuple(sorted(set(map(CN.__getitem__, "
-      "dq + dl))))))")
-    body.extend(clock("channels.commit", " " * 12))
-    if observed:
-        w("            sim.cycle = cycle + 1")
-        w("            _oc(sim, cycle, tk, cm)")
-        w("            tk = cm = 0")
-        body.extend(clock("observer", " " * 12))
-    w("            del dq[:]")
-    w("            del dl[:]")
-    w("            cycle += 1")
-    w("            quiet = 0")
-    w("            idle = 0")
-    body.extend(clock("engine.schedule", " " * 12))
-    w("            continue")
-    if observed:
-        w("        sim.cycle = cycle + 1")
-        w("        _oc(sim, cycle, tk, 0)")
-        w("        tk = 0")
-        body.extend(clock("observer", " " * 8))
-    w("        cycle += 1")
-    w("        if act[0]:")
-    w("            quiet = 0")
-    w("        else:")
-    w("            quiet += 1")
-    w("        if %s:" % busy_expr)
-    w("            idle = 0")
-    w("            busy = 1")
-    w("        else:")
-    w("            idle += 1")
-    w("            busy = 0")
-    w("        if %s:" % stalled)
-    w("            sim.cycle = cycle")
-    w("            sim._idle_cycles = idle")
-    w("            sim._quiet_cycles = quiet")
-    w("            _sync_totals()")
-    w("            sim._check_stalls()")
-    w("        if act[0]:")
-    body.extend(clock("engine.schedule", " " * 12))
-    w("            continue")
-    w("        tw = limit")
-    body.extend("        " + line for line in skip)
-    w("        if not busy:")
-    w("            w = cycle + %d - idle" % (_engine.DEADLOCK_WINDOW + 1))
-    w("            if w < tw:")
-    w("                tw = w")
-    w("        w = cycle + %d - quiet" % (_engine.STALL_WINDOW + 1))
-    w("        if w < tw:")
-    w("            tw = w")
-    w("        span = tw - cycle")
-    w("        if span > 0:")
-    w("            cycle += span")
-    w("            quiet += span")
-    w("            if not busy:")
-    w("                idle += span")
-    w("            ff += span")
-    w("            if %s:" % stalled)
-    w("                sim.cycle = cycle")
-    w("                sim._idle_cycles = idle")
-    w("                sim._quiet_cycles = quiet")
-    w("                _sync_totals()")
-    w("                sim._check_stalls()")
-    body.extend(clock("engine.schedule", " " * 8))
-    w("finally:")
+        out.append("                h0 = _ns()")
+    out.extend(tick)
+    out.extend(loop)
+    out.append("        finally:")
     if profiled:
-        slots = ["ht%d" % slot for slot in range(len(rows))]
-        w("    sim.host_profile.add(%r, (%s))"
-          % (tuple(rows), "".join(name + ", " for name in slots)))
-        body[1:1] = ["h0 = h1 = %s = 0" % " = ".join(slots),
-                     "from time import perf_counter_ns as _ns"]
-    w("    if _gc_on:")
-    w("        _gc.enable()")
-    w("    sim.cycle = cycle")
-    w("    sim._idle_cycles = idle")
-    w("    sim._quiet_cycles = quiet")
-    w("    sim._ticks_executed += ticks")
-    w("    sim._component_ticks += ticks * %d" % len(comps))
-    w("    sim._fast_forwarded_cycles += ff")
-    w("    _sync_totals()")
-    # error-state parity: a mid-cycle exception leaves this cycle's
-    # pending pushes/pops on the real channel objects, exactly as the
-    # dense engine would (uncommitted, marked dirty)
-    w("    for k in dq:")
-    w("        if CQ[k]:")
-    w("            CH[k]._pending_pop = True")
-    w("            CQ[k] = 0")
-    w("    for k in dl:")
-    w("        v = CP[k]")
-    w("        if v is not None:")
-    w("            CH[k]._pending_push = v")
-    w("            CP[k] = None")
-    w("    for k in dq + dl:")
-    w("        c = CH[k]")
-    w("        if not c._dirty:")
-    w("            c._dirty = True")
-    w("            dirty.append(c)")
-
-    lines = ['"""Autogenerated netlist shell of a compiled-engine kernel '
-             '(see repro.sim.compile)."""',
-             "def make_kernel(ctx):"]
-    if em.objs:
-        lines.append("    (%s,) = ctx[\"objects\"]"
-                     % ", ".join("_o%d" % i for i in range(len(em.objs))))
-    lines.append('    (%s) = ctx["steppers"]'
-                 % "".join("_mk%d, " % j for j in range(len(mods))))
-    lines.append('    CH = ctx["channels"]')
-    lines.append(_CTX_ERROR)
-    lines.append("    import gc as _gc")
-    lines.append("    def kernel(sim, done, start, max_cycles, mlog):")
-    lines.extend("        " + line for line in body)
-    lines.append("    return kernel")
-    source = "\n".join(lines) + "\n"
+        out.append("            sim.host_profile.add(%r, (%s))" % (
+            tuple(rows), "ht%d, " * len(rows) % tuple(range(len(rows)))))
+    out.append(_KERNEL_EXIT % len(comps))
     ctx = {
         "objects": tuple(em.objs),
         "channels": tuple(em.channels),
         "SimulationError": SimulationError,
     }
-    return source, mods, ctx
+    return "\n".join(out), mods, ctx
+
+
+# The shell's hand-written text, at its depth: the steppers and channels
+# from ctx, the locals the loop assigns, ...
+_KERNEL_HEAD = """\
+    (%%s) = ctx["steppers"]
+    CH = ctx["channels"]
+%s
+    import gc as _gc
+    def kernel(sim, done, start, max_cycles, mlog):
+        %%s = None""" % _CTX_ERROR
+# ... the flat channel state: item deques, pending push/pop, push counters,
+# and the pushes and pops of this cycle; the pending channel state that
+# exists already (the host pushes the root spawn before run()) is absorbed
+# into it so the first commit sees it exactly like the dense engine's dirty
+# list would; and the cold-path helper that folds the flat push counters
+# back into the real channel objects (stall post-mortems and stats() read
+# them there): what was popped since the last sync is what was pushed less
+# what the queue grew by ...
+_KERNEL_STATE = """\
+        P = %d
+        limit = start + max_cycles
+        cycle = sim.cycle
+        idle = sim._idle_cycles
+        quiet = sim._quiet_cycles
+        act = [1 if sim._activity_flag else 0]
+        sim._activity_flag = False
+        ticks = 0
+        ff = 0
+        dirty = sim._dirty_channels
+        CI = tuple([c._items for c in CH])
+        CN = tuple([c.name for c in CH])
+        CP = [None] * %%d
+        CQ = [0] * %%d
+        CU = [0] * %%d
+        dl = []
+        dq = []
+        i = 0
+        for c in CH:
+            c._dirty = False
+            if c._pending_pop:
+                CQ[i] = 1
+                c._pending_pop = False
+                dq.append(i)
+            v = c._pending_push
+            if v is not None:
+                CP[i] = v
+                c._pending_push = None
+                dl.append(i)
+            i += 1
+        del dirty[:]
+        CL = [len(d) for d in CI]
+        def _sync_totals():
+            i = 0
+            for c in CH:
+                n = len(CI[i])
+                c.total_pushed += CU[i]
+                c.total_popped += CU[i] + CL[i] - n
+                CU[i] = 0
+                CL[i] = n
+                i += 1""" % PARKED
+# ... the loop, one iteration per executed cycle (the hot loop allocates
+# only acyclic objects -- messages, instances, small lists -- so pausing
+# the cyclic collector avoids threshold-driven generation-0 sweeps every
+# few hundred cycles) ...
+_LOOP_HEAD = """\
+        _gc_on = _gc.isenabled()
+        if _gc_on:
+            _gc.disable()
+        try:
+            while True:
+                sim.cycle = cycle
+                if done():
+                    break
+                if cycle >= limit:
+                    raise SimulationError(
+                        f"simulation exceeded {max_cycles} cycles without finishing")
+                act[0] = 0"""
+# ... after the component sections: the inline commit, which pops the
+# channels in dq and pushes dl's ...
+_COMMIT = """\
+                ticks += 1
+                if dl or dq:
+                    for k in dq:
+                        CI[k].popleft()
+                        CQ[k] = 0%s
+                    for k in dl:
+                        CI[k].append(CP[k])
+                        CU[k] += 1
+                        CP[k] = None%s
+                    if mlog is not None and len(mlog) < %d:
+                        mlog.append((cycle, tuple(sorted(set(map(CN.__getitem__, dq + dl))))))"""
+_OBSERVED_MOVE = """
+                        tk |= SUB[k]
+                        cm ^= 1 << k"""
+_OBSERVED_COMMIT = """\
+                    sim.cycle = cycle + 1
+                    _oc(sim, cycle, tk, cm)
+                    tk = cm = 0"""
+_COMMITTED = """\
+                    del dq[:]
+                    del dl[:]
+                    cycle += 1
+                    quiet = 0
+                    idle = 0"""
+_OBSERVED_QUIET = """\
+                sim.cycle = cycle + 1
+                _oc(sim, cycle, tk, 0)
+                tk = 0"""
+# ... the idle/quiet accounting and stall check of a cycle that moved
+# nothing ...
+_ACCOUNT = """\
+                cycle += 1
+                if act[0]:
+                    quiet = 0
+                else:
+                    quiet += 1
+                if %s:
+                    idle = 0
+                    busy = 1
+                else:
+                    idle += 1
+                    busy = 0
+                if %s:
+                    sim.cycle = cycle
+                    sim._idle_cycles = idle
+                    sim._quiet_cycles = quiet
+                    _sync_totals()
+                    sim._check_stalls()
+                if act[0]:"""
+# ... the quiescent fast-forward after the sections' deadlines ...
+_SKIP = """\
+                if not busy:
+                    w = cycle + %d - idle
+                    if w < tw:
+                        tw = w
+                w = cycle + %d - quiet
+                if w < tw:
+                    tw = w
+                span = tw - cycle
+                if span > 0:
+                    cycle += span
+                    quiet += span
+                    if not busy:
+                        idle += span
+                    ff += span
+                    if %s:
+                        sim.cycle = cycle
+                        sim._idle_cycles = idle
+                        sim._quiet_cycles = quiet
+                        _sync_totals()
+                        sim._check_stalls()"""
+# ... and the exit, which syncs the scalar counters back onto sim and, for
+# error-state parity, leaves a mid-cycle exception's pending pushes/pops on
+# the real channel objects, exactly as the dense engine would (uncommitted,
+# marked dirty)
+_KERNEL_EXIT = """\
+            if _gc_on:
+                _gc.enable()
+            sim.cycle = cycle
+            sim._idle_cycles = idle
+            sim._quiet_cycles = quiet
+            sim._ticks_executed += ticks
+            sim._component_ticks += ticks * %d
+            sim._fast_forwarded_cycles += ff
+            _sync_totals()
+            for k in dq:
+                if CQ[k]:
+                    CH[k]._pending_pop = True
+                    CQ[k] = 0
+            for k in dl:
+                v = CP[k]
+                if v is not None:
+                    CH[k]._pending_push = v
+                    CP[k] = None
+            for k in dq + dl:
+                c = CH[k]
+                if not c._dirty:
+                    c._dirty = True
+                    dirty.append(c)
+    return kernel
+"""

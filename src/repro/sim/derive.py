@@ -2,7 +2,8 @@
 from the class's own ``tick`` / ``is_busy`` / ``next_wake`` source.
 
 :func:`section` rewrites ``type(comp)``'s methods once per class into a text
-template and instantiates it per component by substitution: handshakes
+template, split there into literal and slot segments, and fills it per
+component by walking the segments in order: handshakes
 become the kernel's flat ``c<K>i`` / ``CQ`` / ``CP`` / ``dq`` / ``dl`` ops,
 helpers that touch a channel are inlined, attribute chains no method
 assigns are hoisted into the preamble, module globals go through the
@@ -24,10 +25,11 @@ from __future__ import annotations
 import ast
 import builtins
 import linecache
-import pickle
 import re
+from dis import opmap
 from functools import lru_cache
-from types import FunctionType
+from operator import itemgetter
+from types import CodeType, FunctionType
 
 from repro.sim.channel import Channel
 from repro.sim.component import NEVER, Component
@@ -37,6 +39,15 @@ _HANDSHAKES = ("can_pop", "peek", "can_push", "push")
 _STATEMENTS = (ast.Assign, ast.AugAssign, ast.Expr, ast.Raise, ast.If,
                ast.While, ast.For, ast.Break, ast.Continue, ast.Pass)
 _POP = "CQ[%s] = 1", "dq.append(%s)"
+#: a template's slots: ``@<kind>:<name>@``, and ``@x`` for the alias
+_SLOT = re.compile(r"@(\w):(\w+)@|@x")
+#: the bytecodes of an attribute assignment (``del`` included), and the
+#: prefix of an argument wider than a byte
+_STORES = opmap["STORE_ATTR"], opmap["DELETE_ATTR"]
+_EXTENDED = opmap["EXTENDED_ARG"]
+#: where the kernel text a template fills sits: the preamble of either
+#: module kind, and a shell's fast-forward lines
+_PRE, _SKIP = " " * 8, " " * 16
 
 
 class UnsupportedDesign(Exception):
@@ -45,27 +56,74 @@ class UnsupportedDesign(Exception):
 
 
 @lru_cache(maxsize=None)
-def _defs(filename: str) -> dict:
-    """``{(name, def line): FunctionDef}`` of one source file, parsed whole
-    (``inspect.getsource`` per method is five times the cost)."""
-    found, scopes = {}, [ast.parse("".join(linecache.getlines(filename)))]
-    for scope in scopes:  # the module, then its classes and functions
-        for node in scope.body:
-            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
-                scopes.append(node)
-                found[node.name, node.lineno] = node
-    return found
-
-
-def _copy(node):
-    """A deep copy of a parsed definition, which the rewrite may mutate
-    (``copy.deepcopy`` is 2.5 times the cost)."""
-    return pickle.loads(pickle.dumps(node, pickle.HIGHEST_PROTOCOL))
+def _defs(filename: str, line: int):
+    """The ``def`` that starts at ``line`` of ``filename``, parsed on its
+    own with its line numbers kept, or None. Only the definitions a
+    template reads are parsed (a whole-file parse costs more than every
+    derivation after it), once per process: the rewrite reads a tree and
+    never changes it (:class:`_Rewrite`). Its block runs to the first line
+    no deeper than the ``def`` after which it parses: a closing bracket or
+    a string's line can look like the end."""
+    lines = linecache.getlines(filename)
+    if not 0 < line <= len(lines):
+        return None
+    depth = len(lines[line - 1]) - len(lines[line - 1].lstrip())
+    pad = "\n" * (line - 2) + "if 1:\n" if depth else "\n" * (line - 1)
+    end = line
+    while True:
+        while end < len(lines) and (
+                lines[end].lstrip()[:1] in ("", "#")
+                or len(lines[end]) - len(lines[end].lstrip()) > depth):
+            end += 1
+        try:
+            tree = ast.parse(pad + "".join(lines[line - 1:end]))
+            break
+        except SyntaxError:
+            if end == len(lines):
+                return None
+            end += 1
+    node = tree.body[0].body[0] if depth else tree.body[0]
+    return node if isinstance(node, ast.FunctionDef) \
+        and node.lineno == line else None
 
 
 def _find(fn):
     code = fn.__code__
-    return _defs(code.co_filename).get((fn.__name__, code.co_firstlineno))
+    node = _defs(code.co_filename, code.co_firstlineno)
+    return node if node is not None and node.name == fn.__name__ else None
+
+
+class _Rewrite(ast.NodeTransformer):
+    """A ``NodeTransformer`` that leaves the tree it reads as it was: each
+    node it rewrites is a shallow copy, lists copied, so the parsed
+    definitions stay shared and are never deep-copied."""
+
+    def generic_visit(self, node):
+        copy = type(node).__new__(type(node))
+        copy.__dict__.update({field: value[:] if type(value) is list
+                              else value
+                              for field, value in node.__dict__.items()})
+        return super().generic_visit(copy)
+
+
+def _stored(code) -> set:
+    """The attribute names ``code`` (or code nested in it) assigns or
+    deletes, read off its ``STORE_ATTR`` / ``DELETE_ATTR`` instructions."""
+    raw, names = code.co_code, set()
+    for op in _STORES:
+        at = raw.find(op)
+        while at >= 0:
+            if not at & 1:  # an opcode, not an argument byte
+                arg, prefix, shift = raw[at + 1], at - 2, 8
+                while prefix >= 0 and raw[prefix] == _EXTENDED:
+                    arg |= raw[prefix + 1] << shift
+                    prefix, shift = prefix - 2, shift + 8
+                names.add(code.co_names[arg])
+            at = raw.find(op, at + 1)
+    for const in code.co_consts:
+        if isinstance(const, CodeType):
+            names |= _stored(const)
+    return names
 
 
 def _returned(fn):
@@ -89,14 +147,14 @@ def expression(fn) -> str:
                                 f"`return <expression>`")
     names = set(fn.__code__.co_varnames) | set(fn.__globals__)
 
-    class Marked(ast.NodeTransformer):
+    class Marked(_Rewrite):
         def visit(self, node):
             chain = _chain(node)
             if chain and chain[0] in names:
                 return ast.Name(id="@%s@" % ".".join(chain))
             return super().visit(node)
 
-    return ast.unparse(Marked().visit(_copy(node)))
+    return ast.unparse(Marked().visit(node))
 
 
 def _chain(node) -> list:
@@ -125,16 +183,24 @@ def _raw(text: str) -> ast.Expr:
     return ast.Expr(ast.Name(id=text))
 
 
-class _Template(ast.NodeTransformer):
+class _Template(_Rewrite):
     """One class's section as text: ``@x`` stands for the component alias,
     ``@<kind>:<name>@`` for a channel's index (k) / capacity (c), a channel
     list's length (n) / table (t) or an object-table reference (g). Which
     attributes are channels is read off ``comp``, the first instance seen.
     A call of a method named in ``calls`` (by its chain after ``self``)
     becomes that text, formatted with the argument texts, applied to them;
-    a statement calling one mapped to None is dropped."""
+    a statement calling one mapped to None is dropped. The text is split
+    into literal and slot segments once: between each two of
+    :attr:`literals`, :attr:`fields` picks one value of an instance -- its
+    alias, or what fills a distinct slot: a channel's index or a table
+    (:attr:`wired`), a capacity, a length, an object's reference -- or the
+    empty text at a part's end (:attr:`bounds`: the preamble, held-work
+    terms, tick body and skip lines follow each other). Its lines sit at
+    their place in the module: the tick lines at ``indent``, the
+    preamble's and skip lines at :data:`_PRE` and :data:`_SKIP`."""
 
-    def __init__(self, comp, method="tick", calls=None):
+    def __init__(self, comp, indent: str, method="tick", calls=None):
         self.cls = cls = type(comp)
         self.calls = calls or {}
         self.channels = {name for name, value in vars(comp).items()
@@ -147,12 +213,10 @@ class _Template(ast.NodeTransformer):
         self.stack = []
         if cls not in _STORED:  # attribute names some method assigns
             _STORED[cls] = {
-                n.attr for klass in set(cls.__mro__) - set(Component.__mro__)
+                attr for klass in set(cls.__mro__) - set(Component.__mro__)
                 for name, fn in vars(klass).items()
                 if isinstance(fn, FunctionType) and name != "__init__"
-                for n in ast.walk(self.source(fn))
-                if isinstance(n, ast.Attribute)
-                and not isinstance(n.ctx, ast.Load)}
+                for attr in _stored(fn.__code__)}
         self.stored = _STORED[cls]
         busy, skip = [], []
         if isinstance(comp, Component):
@@ -166,13 +230,44 @@ class _Template(ast.NodeTransformer):
                 "@g:%s@" % name for name in self.globals
                 if self.globals[name] == NEVER])  # no timer: nothing to clamp
         fn = getattr(cls, method)
-        tick = ["    " + line for line in self.derive(
-            fn, *fn.__code__.co_varnames[1:fn.__code__.co_argcount])]
-        pre = ["%s = %s" % item for item in self.hoisted.items()]
-        #: preamble, held-work terms, tick body and skip lines, NUL-separated
-        self.text = "\0".join("\n".join(part) for part in (
-            pre, busy * (busy != ["False"]), tick, skip))
-        self.temps = dict.fromkeys(re.findall(r"\bz\d+_\w+", self.text))
+        tick = self.derive(fn, *fn.__code__.co_varnames[
+            1:fn.__code__.co_argcount])
+        # the preamble, held-work terms, tick body and skip lines, each
+        # split into literal segments and slots: ((kind, name), or
+        # (None, None) for the alias)
+        parts = (
+            "\n".join(_PRE + "%s = %s" % hoist
+                      for hoist in self.hoisted.items()),
+            "\n".join(busy * (busy != ["False"])),
+            "\n".join(indent + line for line in tick),
+            "\n".join(_SKIP + line for line in skip))
+        self.temps = dict.fromkeys(re.findall(r"\bz\d+_\w+", "\0".join(parts)))
+        parts = [_SLOT.split(part) for part in parts]
+        used = [list(zip(split[1::3], split[2::3])) for split in parts]
+        slots = list(dict.fromkeys(slot for part in used for slot in part))
+        # the distinct slots by what fills them: channels and channel tables
+        # (``em.ci`` aliases a channel on its first use, so these keep their
+        # order of first use), capacities, lengths and objects
+        self.wired = [(kind == "t", name) for kind, name in slots
+                      if kind in ("k", "t")]
+        self.capacities = [name for kind, name in slots if kind == "c"]
+        self.lengths = [name for kind, name in slots if kind == "n"]
+        self.objects = [self.globals[name] for kind, name in slots
+                        if kind == "g"]
+        # an instance's values in that order, after its alias and the empty
+        # text that parts one part's segments from the next
+        number = {slot: i for i, slot in enumerate(
+            [(None, None), ()] + [slot for kinds in ("kt", "c", "n", "g")
+                                  for slot in slots
+                                  if slot[0] and slot[0] in kinds])}
+        self.literals, fields, self.bounds = [], [], []
+        for split, part in zip(parts, used):
+            if self.literals:
+                self.bounds.append(2 * len(self.literals) - 1)
+                fields.append(1)
+            self.literals += split[0::3]
+            fields += [number[slot] for slot in part]
+        self.fields = itemgetter(*fields)
         #: the definition the section is derived from, by name only: a line
         #: number would change every kernel's text whenever code above the
         #: method moves
@@ -332,7 +427,7 @@ class _Template(ast.NodeTransformer):
                 else "(%s)" % ast.unparse(arg)
                 for arg in map(self.visit, call.args)]
         saved = self.scope, self.fn, self.method, self.line
-        node = _copy(self.source(fn))
+        node = self.source(fn)
         params = [a.arg for a in node.args.args][skip:]
         scope = {n.id: "z%d_%s" % (len(self.stack), n.id)
                  for n in ast.walk(node) if isinstance(n, ast.Name)
@@ -368,60 +463,68 @@ _TEMPLATES: dict = {}
 _STORED: dict = {}
 
 
-def _instantiate(em, alias: str, comp, method="tick", calls=None):
-    """``(template, (busy terms, body lines, skip lines))`` of one
-    component: its class's template of ``method`` (derived once per
-    process) with this instance's channels, fan-ins and objects
-    substituted, preamble and temporaries added to ``em``."""
-    key = type(comp), method, tuple((calls or {}).items())
-    tpl = _TEMPLATES.get(key) \
-        or _TEMPLATES.setdefault(key, _Template(comp, method, calls))
-
-    def fill(match):
-        kind, name = match.groups()
-        if kind == "g":
-            return em.ref(tpl.globals[name])
+def _instantiate(em, alias: str, comp, indent: str, method="tick",
+                 calls=()):
+    """``(template, busy terms, tick text, skip text)`` of one component:
+    its class's template of ``method`` with ``calls`` (pairs; derived once
+    per process, its tick lines at ``indent``) filled with this instance's
+    channels, fan-ins and objects, preamble and temporaries added to
+    ``em``."""
+    key = type(comp), method, calls
+    tpl = _TEMPLATES.get(key) or _TEMPLATES.setdefault(
+        key, _Template(comp, indent, method, dict(calls)))
+    values = [alias, ""]
+    for table, name in tpl.wired:
         value = getattr(comp, name)
-        if kind == "n":
-            return str(len(value))
-        if kind == "t":
-            return "(%s)" % "".join("(c%di, %d, %d), " % (
-                em.ci(ch), em.ci(ch), ch.capacity) for ch in value)
-        return str(em.ci(value) if kind == "k" else value.capacity)
-
-    text = re.sub(r"@(\w):(\w+)@", fill, tpl.text).replace("@x", alias)
-    parts = [part.split("\n") if part else [] for part in text.split("\0")]
-    em.pre.extend(parts[0])
+        values.append("(%s)" % "".join([
+            "(c%di, %d, %d), " % (k, k, ch.capacity)
+            for ch, k in zip(value, map(em.ci, value))])
+            if table else str(em.ci(value)))
+    values += [str(getattr(comp, name).capacity) for name in tpl.capacities]
+    values += [str(len(getattr(comp, name))) for name in tpl.lengths]
+    values += map(em.ref, tpl.objects)
+    text = [None] * (2 * len(tpl.literals) - 1)  # walk the segments in order
+    text[0::2] = tpl.literals
+    text[1::2] = tpl.fields(values)
+    first, second, third = tpl.bounds
+    pre, busy, tick, skip = ("".join(text[:first]),
+                             "".join(text[first + 1:second]),
+                             "".join(text[second + 1:third]),
+                             "".join(text[third + 1:]))
+    if pre:
+        em.pre.append(pre)
     em.temps.update(tpl.temps)
-    return tpl, parts[1:]
+    return tpl, busy.split("\n") if busy else [], tick, skip
 
 
 def section(em, alias: str, comp):
-    """``(tick lines, busy terms, skip lines)`` of one component. The tick
-    lines: a comment naming their one definition, the no-op guard (work
-    held, or an input to pop), then the derived body."""
+    """``(head, tick text, busy terms, skip text)`` of one component, at
+    their place in the shell: the head is a comment naming the one
+    definition and the no-op guard (work held, or an input to pop), the
+    derived body follows it."""
     ports = comp.ports()
     if ports is None:
         raise UnsupportedDesign(
             f"{type(comp).__name__} {comp.name} declares no ports")
-    tpl, (held, tick, skip) = _instantiate(em, alias, comp)
+    tpl, held, tick, skip = _instantiate(em, alias, comp, " " * 20)
     guard = ["(%s)" % term for term in held] \
         + ["c%di" % em.ci(ch) for ch in ports[0]]
-    return (["# " + tpl.origin, "if %s:" % (" or ".join(guard) or "False")]
-            + tick, held, skip)
+    head = "                # %s\n                if %s:" % (
+        tpl.origin, " or ".join(guard) or "False")
+    return head, tick, held, skip
 
 
-def tile_section(em, alias: str, tile) -> list:
+def tile_section(em, alias: str, tile) -> str:
     """The tick lines of one TXU tile, inside its unit's section: the
     class's ``tick`` -- the gate of the instance scheduler -- with
     ``<alias>k`` (:func:`tile_loop`, instantiated for this tile) in place
     of ``_schedule``."""
-    tpl, (_held, tick, _skip) = _instantiate(em, alias, tile, "tick",
-                                             {"_schedule": "@xk"})
-    return ["    # " + tpl.origin] + tick
+    tpl, _held, tick, _skip = _instantiate(em, alias, tile, " " * 24, "tick",
+                                           (("_schedule", "@xk"),))
+    return "                        # %s\n%s" % (tpl.origin, tick)
 
 
-def tile_loop(em, tile, traced: bool) -> list:
+def tile_loop(em, tile, traced: bool) -> str:
     """``def k(cycle, room)`` for a task unit's stepper factory: the tile
     class's ``_schedule`` -- the instance loop -- on the tile ``T``, with
     ``Td[block]`` (the unit's generated steppers) in place of the
@@ -430,8 +533,9 @@ def tile_loop(em, tile, traced: bool) -> list:
     the return-value store, its request channel ``em`` names, calls the
     factory's ``ev`` when ``traced``. The aliases it hoists go to
     ``em.pre``."""
-    tpl, (_held, loop, _skip) = _instantiate(em, "T", tile, "_schedule", {
-        "_step_instance": "Td[{0}.block]",
-        "_soonest": "Tw[{0}.block]",
-        "unit.analysis_event": "ev" if traced else None})
-    return ["# " + tpl.origin, "def k(cycle, room):"] + loop
+    tpl, _held, loop, _skip = _instantiate(em, "T", tile, " " * 12,
+                                           "_schedule", (
+        ("_step_instance", "Td[{0}.block]"),
+        ("_soonest", "Tw[{0}.block]"),
+        ("unit.analysis_event", "ev" if traced else None)))
+    return "        # %s\n        def k(cycle, room):\n%s" % (tpl.origin, loop)

@@ -256,8 +256,13 @@ def _valid_entry(key):
     lambda key: b"null",
     lambda key: json.dumps({"key": "deadbeef", "record": {}}).encode(),
     lambda key: json.dumps({"key": key, "version": "x"}).encode(),
+    lambda key: json.dumps({"key": key, "record": []}).encode(),
+    lambda key: json.dumps({"key": key, "record": "x"}).encode(),
+    lambda key: json.dumps({"key": key, "record": {"nothing": 1}}).encode(),
+    lambda key: json.dumps({"key": key, "record": None}).encode(),
 ], ids=["invalid-utf8", "utf16", "truncated", "empty", "list", "null",
-        "wrong-key", "no-record"])
+        "wrong-key", "no-record", "record-list", "record-string",
+        "record-without-value", "record-null"])
 def test_unusable_entry_is_evicted_miss(cache, content):
     key = cache.key("workload", SPEC)
     path = cache.path_for(key)

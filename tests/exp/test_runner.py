@@ -1,6 +1,7 @@
 """SweepRunner: failure isolation, deterministic ordering, caching,
 and parallel/sequential equivalence."""
 
+import json
 import os
 import pickle
 import time
@@ -262,6 +263,33 @@ def test_errors_never_cached(tmp_path):
     assert second.summary["cache_hits"] == 1
     assert second.records[0]["status"] == "error"
     assert second.records[0]["cache_hit"] is False
+
+
+def test_mis_shaped_cached_record_is_recomputed(tmp_path):
+    """An entry under the right key whose record holds no ``value`` is
+    corruption: evicted, counted as a miss, and the point runs."""
+    cache = ResultCache(tmp_path)
+    point, = _toy_points(1)
+    path = cache.path_for(cache.key("toy", point))
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps({"key": cache.key("toy", point),
+                                "record": {"nothing": 1}}), encoding="utf-8")
+    result = SweepRunner(jobs=1, cache=cache).run([point])
+    record, = result.records
+    assert (record["status"], record["value"]) == ("ok", {"n": 0, "square": 0})
+    assert record["cache_hit"] is False
+    assert result.summary["telemetry"]["cache"]["corruption_evictions"] == 1
+
+
+def test_spec_the_cache_cannot_key_is_one_error_record(tmp_path):
+    """A spec holding a value canonical JSON cannot hold (a set) fails its
+    own point with a structured error; the rest of the sweep runs."""
+    good, bad = _toy_points(2)
+    bad["tags"] = {"a"}
+    result = SweepRunner(jobs=1, cache=ResultCache(tmp_path)).run([good, bad])
+    assert [r["status"] for r in result.records] == ["ok", "error"]
+    assert result.records[1]["error"]["type"] == "TypeError"
+    assert result.summary["errors"] == 1
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

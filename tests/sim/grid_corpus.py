@@ -13,6 +13,11 @@ prints for it (:func:`check_routes`). Regenerate only when a change is
 *meant* to move a cycle, stat or ledger::
 
     PYTHONPATH=src python -m tests.sim.grid_corpus
+
+:func:`module_digests` fingerprints the compiled engine's generated
+texts over grid points in each instrumentation form: texts that must not
+move (a codegen change that keeps every kernel byte-identical) are
+compared as two dumps of it.
 """
 
 import hashlib
@@ -25,6 +30,8 @@ from repro.memory.arbiter import Demux
 from repro.memory.cache import CacheParams
 from repro.obs import Observer
 from repro.rtl.components import LIBRARY, TEMPLATES
+from repro.sim import Trace
+from repro.sim.compile import generate_modules
 from repro.workloads import REGISTRY
 
 GRID_GOLDEN = Path(__file__).resolve().parent / "data" / "grid_golden.json"
@@ -112,6 +119,35 @@ def outcome(name: str, tiles: int, memory: str, engine: str,
         "ledgers": _sha({key: ledger.timeline
                          for key, ledger in observer.ledgers.items()}),
     }, engine_stats
+
+
+#: what a design's kernel texts fold in besides the netlist: nothing, a
+#: change-driven observer, an analysis trace, a host profiler
+FORMS = ("plain", "observed", "traced", "profiled")
+
+
+def kernel_digests(sim) -> list:
+    """The sha256 of each text ``generate_modules(sim)`` returns."""
+    return [hashlib.sha256(text.encode("utf-8")).hexdigest()
+            for text in generate_modules(sim)]
+
+
+def module_digests(forms) -> dict:
+    """``{"<grid id>/<form>": kernel_digests}`` for each ``(name, tiles,
+    memory, form)`` of ``forms``, its design elaborated afresh (scale 1)
+    with the form's instrumentation attached."""
+    digests = {}
+    for name, tiles, memory, form in forms:
+        workload = REGISTRY.get(name)
+        accel = workload.build(
+            workload.default_config(tiles, **MEMORIES[memory]),
+            observer=Observer() if form == "observed" else None,
+            trace=Trace(enabled=True) if form == "traced" else None)
+        if form == "profiled":
+            accel.sim.enable_host_profile()
+        digests[grid_id(name, tiles, memory) + "/" + form] = \
+            kernel_digests(accel.sim)
+    return digests
 
 
 def grid_snapshot(engine: str = "dense") -> dict:
