@@ -178,14 +178,12 @@ class _BlockFacts:
     """Env-independent per-block numbers under one (cache line size,
     node latency table): see :meth:`PerfModel._blocks_for`."""
 
-    __slots__ = ("serial_cp", "mem_ops", "line_fraction", "node_count")
+    __slots__ = ("serial_cp", "mem_ops", "line_fraction")
 
-    def __init__(self, serial_cp: float, mem_ops: int, line_fraction: float,
-                 node_count: int):
+    def __init__(self, serial_cp: float, mem_ops: int, line_fraction: float):
         self.serial_cp = serial_cp
         self.mem_ops = mem_ops
         self.line_fraction = line_fraction
-        self.node_count = node_count
 
 
 class _LoopFacts:
@@ -314,7 +312,7 @@ class PerfModel:
             if node.kind in ("load", "store"):
                 mem += 1
                 lines += _stride_line_fraction(node.inst, line_bytes)
-        return _BlockFacts(cp, mem, lines, len(dfg.nodes))
+        return _BlockFacts(cp, mem, lines)
 
     def _index_single_stores(self, function) -> None:
         """Register cells written exactly once behave like local

@@ -280,6 +280,14 @@ def _export_trace(path, observer, trace) -> bool:
     return not problems
 
 
+def _int(flag: str, text: str) -> int:
+    """``text`` as an integer, or a one-line error naming ``flag``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise TapasError(f"{flag}: {text!r} is not an integer") from None
+
+
 def _parse_scales(default: int, spec: str, names):
     """``--scales fibonacci=2,saxpy=8`` → per-workload scale map."""
     if not spec:
@@ -291,7 +299,7 @@ def _parse_scales(default: int, spec: str, names):
             raise TapasError(
                 f"bad --scales entry {part!r} (expected <workload>=<int> "
                 f"with workload in {sorted(scales)})")
-        scales[name] = int(value)
+        scales[name] = _int("--scales", value)
     return scales
 
 
@@ -304,7 +312,7 @@ def cmd_sweep(args) -> int:
              else args.workloads.split(","))
     for name in names:
         REGISTRY.get(name)  # fail fast on typos, before any fan-out
-    tiles = [int(t) for t in args.tiles.split(",")]
+    tiles = [_int("--tiles", t) for t in args.tiles.split(",")]
     engines = args.engines.split(",")
     scales = _parse_scales(args.scale, args.scales, names)
     points = workload_points(names, tiles=tiles, scales=scales,
@@ -359,6 +367,8 @@ def _default_profile_args(function, memory, size: int):
     """
     from repro.ir.types import FloatType, PointerType
 
+    if size < 0:
+        raise TapasError(f"--size must be >= 0, got {size}")
     args = []
     for arg in function.arguments:
         type_ = arg.type

@@ -1,7 +1,7 @@
 """The ``repro`` source fingerprint, the cache root and the atomic file
-writer, which key, hold and write every on-disk artifact: a leaf module,
-so the kernel codegen reaches them without importing the sweep stack of
-:mod:`repro.exp`."""
+writer, which key, hold and write the result cache and the trace export:
+a leaf module, so the Perfetto exporter reaches the writer without
+importing the sweep stack of :mod:`repro.exp`."""
 
 from __future__ import annotations
 

@@ -96,9 +96,6 @@ class BlockDFG:
     def __init__(self, block: BasicBlock, nodes: List[DFGNode]):
         self.block = block
         self.nodes = nodes
-        self.node_for_inst: Dict[Instruction, DFGNode] = {
-            n.inst: n for n in nodes
-        }
 
     def critical_path(self, latency_of) -> int:
         """Longest path through the block given ``latency_of(node) -> int``;

@@ -35,13 +35,13 @@ has room or a response reset its ``wake_at``.
 ``stats()["engine"]`` reports the steps made and skipped
 (``instance_steps`` / ``parked_skips``).
 
-Caching: each generated module is content-addressed. The digest folds
-its source (a pure function of what it describes: the netlist, or one
-task's program) together with :func:`repro.fingerprint.code_fingerprint`
-— the same discipline as ``ResultCache`` — so editing anything under
-``src/repro`` rolls every module over and a stale one can never be
-replayed. Modules are kept in an in-process cache and mirrored,
-write-only, to ``<cache-dir>/kernels/<digest>.py`` for inspection.
+Caching: each generated module is kept in an in-process cache under the
+sha256 of its text, a pure function of what it describes (the netlist,
+or one task's program): within one process equal text means equal
+behaviour. Nothing is written to disk. A module is compiled as
+``<shell DIGEST12>`` or ``<stepper DIGEST12>`` with its lines in
+:mod:`linecache`, so a traceback through a kernel prints the kernel's
+line.
 
 Instrumentation is generated, not interpreted: with a change-driven
 observer attached every guard block sets its component's bit in a local
@@ -64,13 +64,12 @@ recorded in ``Simulator.compiled_fallback``.
 from __future__ import annotations
 
 import hashlib
+import linecache
 import re
-from pathlib import Path
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.fingerprint import atomic_writer, code_fingerprint, default_cache_dir
 from repro.ir import opsem
 from repro.ir.instructions import (
     GEP,
@@ -105,7 +104,6 @@ __all__ = [
     "generate_source",
     "generate_modules",
     "kernel_digest",
-    "kernel_cache_dir",
     "kernel_cache_info",
     "clear_kernel_cache",
 ]
@@ -120,25 +118,17 @@ _CACHE_INFO = {"shells_compiled": 0, "shells_reused": 0,
                "compile_seconds": 0.0}
 
 
-def kernel_cache_dir() -> Path:
-    """On-disk home of generated kernel sources (content-addressed)."""
-    return default_cache_dir() / "kernels"
-
-
 def kernel_digest(source: str) -> str:
-    """Content address of a generated kernel: the specialized source
-    (a pure function of the elaborated design) plus the ``src/repro``
-    code fingerprint, so editing the simulator invalidates every cached
-    kernel — the ``ResultCache`` hashing discipline."""
-    digest = hashlib.sha256()
-    digest.update(source.encode("utf-8"))
-    digest.update(b"\0")
-    digest.update(code_fingerprint().encode("ascii"))
-    return digest.hexdigest()
+    """Content address of a generated kernel: the sha256 of its text, a
+    pure function of the elaborated design."""
+    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 def clear_kernel_cache():
-    """Drop the in-process kernel module cache (tests)."""
+    """Drop the in-process kernel module cache and its traceback lines
+    (tests)."""
+    for module in _MODULES.values():
+        linecache.cache.pop(module["__file__"], None)
     _MODULES.clear()
 
 
@@ -146,21 +136,6 @@ def kernel_cache_info() -> Dict[str, float]:
     """Modules compiled vs reused since this process started, by kind, and
     the seconds spent compiling: schedule-dependent, so telemetry only."""
     return dict(_CACHE_INFO)
-
-
-def _store_kernel_source(digest: str, source: str) -> Optional[Path]:
-    """Mirror the kernel source to disk (atomic, best-effort)."""
-    try:
-        root = kernel_cache_dir()
-        path = root / (digest + ".py")
-        if path.exists():
-            return path
-        root.mkdir(parents=True, exist_ok=True)
-        with atomic_writer(path) as fh:
-            fh.write(source)
-        return path
-    except OSError:
-        return None
 
 
 def _fallback_reason(sim) -> Optional[str]:
@@ -188,9 +163,8 @@ def _load(kind: str, source: str) -> dict:
     if module is not None:
         _CACHE_INFO[kind + "s_reused"] += 1
         return module
-    path = _store_kernel_source(digest, source)
-    filename = str(path) if path is not None else f"<{kind} {digest[:12]}>"
-    module = {"__name__": f"repro_{kind}_{digest[:12]}"}
+    filename = f"<{kind} {digest[:12]}>"
+    module = {"__name__": f"repro_{kind}_{digest[:12]}", "__file__": filename}
     start = perf_counter()
     try:
         exec(compile(source, filename, "exec"), module)
@@ -201,6 +175,8 @@ def _load(kind: str, source: str) -> dict:
             f"{type(exc).__name__}: {exc}") from exc
     _CACHE_INFO["compile_seconds"] += perf_counter() - start
     _CACHE_INFO[kind + "s_compiled"] += 1
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
     _MODULES[digest] = module
     return module
 
@@ -226,8 +202,8 @@ def prepare_kernel(sim):
 
 
 def generate_modules(sim) -> List[str]:
-    """The texts :func:`prepare_kernel` compiles, each cached and mirrored
-    under its own :func:`kernel_digest`: the netlist shell, then one
+    """The texts :func:`prepare_kernel` compiles, each cached under its
+    own :func:`kernel_digest`: the netlist shell, then one
     stepper module per task unit in registration order."""
     shell, steppers, _ctx = _generate(sim)
     return [shell] + [text for text, _objs in steppers]
@@ -950,8 +926,6 @@ _UNIT_DISPATCH = """\
                                 tt_[0].start(%(u)s._uid_counter, en_, cycle)
                                 %(u)s._uid_counter += 1
                                 %(u)s._dispatch_rr = ix_ + 1 if ix_ + 1 < %(nt)d else 0
-                                if %(u)s.first_dispatch_cycle is None:
-                                    %(u)s.first_dispatch_cycle = cycle
                                 break
                             ix_ = ix_ + 1 if ix_ + 1 < %(nt)d else 0"""
 _UNIT_TAIL = """\

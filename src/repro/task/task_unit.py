@@ -84,7 +84,6 @@ class TaskUnit(Component):
         self.root_done = False
         self.root_retval: Any = None
 
-        self.first_dispatch_cycle: Optional[int] = None
         #: the ``obs_children`` triples obs_classify found in ``_obs_cycle``,
         #: handed to the obs_children call of the same sample; a new list
         #: only when a tile's state moved (``_obs_states``)
@@ -220,8 +219,6 @@ class TaskUnit(Component):
                 tile.start(self._uid_counter, entry, cycle)
                 self._uid_counter += 1
                 self._dispatch_rr = (self._dispatch_rr + offset + 1) % n
-                if self.first_dispatch_cycle is None:
-                    self.first_dispatch_cycle = cycle
                 return
 
     def _send_join(self):

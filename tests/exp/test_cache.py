@@ -9,6 +9,10 @@ Corrupted entries are evicted and recomputed, never fatal.
 import hashlib
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -297,6 +301,79 @@ def test_valid_entry_is_hit(cache):
     assert cache.get(key) == {"value": {"name": "X"}}
     assert cache.counters() == {"hits": 1, "misses": 0,
                                 "corruption_evictions": 0}
+
+
+#: a writer that SIGKILLs itself inside ``ResultCache.put``: part-way
+#: through its scratch file, or with the file whole but not yet renamed
+_KILLED_WRITER = """
+import os, signal, sys
+import repro.fingerprint as fingerprint
+from repro.exp import ResultCache
+
+root, key, point = sys.argv[1:]
+
+
+def die(*_args):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TornFile:
+    def __init__(self, *args, **kwargs):
+        self.handle = open(*args, **kwargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.handle.__exit__(*exc)
+
+    def write(self, text):
+        self.handle.write(text[:len(text) // 2])
+        self.handle.flush()
+        die()
+
+
+if point == "mid-write":
+    fingerprint.open = TornFile
+else:
+    os.replace = die
+ResultCache(root).put(key, {"value": {"cycles": 2}})
+"""
+
+
+@pytest.mark.parametrize("previous", [None, {"value": {"cycles": 1}}],
+                         ids=["empty", "previous-entry"])
+@pytest.mark.parametrize("point", ["mid-write", "before-replace"])
+def test_writer_killed_inside_put(cache, tmp_path, point, previous):
+    """A writer killed inside ``put`` leaves the entry as it was: a later
+    ``get`` serves the previous record whole or counts a plain miss, the
+    orphaned ``<key>.json.<pid>.tmp`` is never served, and a fresh
+    ``put``/``get`` round-trips."""
+    key = cache.key("workload", SPEC)
+    if previous is not None:
+        cache.put(key, previous)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    child = subprocess.Popen(
+        [sys.executable, "-c", _KILLED_WRITER, str(tmp_path), key, point],
+        env=dict(os.environ, PYTHONPATH=src), stderr=subprocess.PIPE,
+        text=True)
+    _out, err = child.communicate(timeout=60)
+    assert child.returncode == -signal.SIGKILL, err
+    entry = cache.path_for(key)
+    orphan = Path(f"{entry}.{child.pid}.tmp")
+    written = json.dumps({"key": key, "version": repro.__version__,
+                          "record": {"value": {"cycles": 2}}})
+    expected = written[:len(written) // 2] if point == "mid-write" \
+        else written
+    assert orphan.read_text(encoding="utf-8") == expected
+
+    assert cache.get(key) == previous
+    hit = previous is not None
+    assert cache.counters() == {"hits": int(hit), "misses": int(not hit),
+                                "corruption_evictions": 0}
+    cache.put(key, {"value": {"cycles": 3}})
+    assert ResultCache(tmp_path).get(key) == {"value": {"cycles": 3}}
+    assert sorted(entry.parent.iterdir()) == [entry, orphan]
 
 
 def test_fingerprint_covers_analysis_package(tmp_path, monkeypatch):

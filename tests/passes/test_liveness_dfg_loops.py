@@ -110,7 +110,8 @@ class TestBlockDFG:
         # but a value defined in the same block would create one:
         dfg2 = build_block_dfg(cond, extra_terminator_deps=[i_val])
         term = dfg2.nodes[-1]
-        assert dfg2.node_for_inst[i_val].index in term.deps
+        (node,) = [n for n in dfg2.nodes if n.inst is i_val]
+        assert node.index in term.deps
 
 
 class TestLoops:

@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-import repro.fingerprint
+import repro
 from repro.accel import AcceleratorConfig, build_accelerator
 from repro.frontend import compile_source
 from repro.obs import Observer
@@ -29,7 +29,6 @@ from repro.sim.compile import (
     clear_kernel_cache,
     generate_modules,
     generate_source,
-    kernel_cache_dir,
     kernel_cache_info,
     kernel_digest,
     prepare_kernel,
@@ -153,20 +152,10 @@ def test_loop_temporaries_take_the_low_local_slots():
 
 
 class TestKernelCache:
-    def test_digest_folds_code_fingerprint(self, monkeypatch):
-        """Mirrors the ResultCache discipline (tests/exp/test_cache.py):
-        an edit anywhere under src/repro rolls every kernel digest, so a
-        stale kernel can never be replayed against newer semantics."""
-        source = generate_source(_build().sim)
-        before = kernel_digest(source)
-        monkeypatch.setattr(repro.fingerprint, "_fingerprint", "f" * 64)
-        after = kernel_digest(source)
-        assert before != after
-
     def test_compiled_run_does_not_import_the_sweep_stack(self):
-        """The kernel digest needs only the leaf fingerprint module:
-        running a compiled design never imports ``repro.exp``."""
-        src = os.path.dirname(os.path.dirname(repro.fingerprint.__file__))
+        """A kernel's digest is the sha256 of its text: running a
+        compiled design never imports ``repro.exp``."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
         script = ("import sys\nfrom repro.workloads import REGISTRY\n"
                   "r = REGISTRY.get('fibonacci').run()\n"
                   "assert r.correct, r\n"
@@ -183,46 +172,11 @@ class TestKernelCache:
         assert (kernel_digest("cycle = 0\n")
                 != kernel_digest("cycle = 1\n"))
 
-    def test_kernel_source_mirrored_to_cache_dir(self):
-        """prepare_kernel writes every generated module to
-        <cache-dir>/kernels/<its own digest>.py for offline inspection,
-        and the file content round-trips the generated text exactly; the
-        design's digest is that of the texts laid end to end."""
-        sim = _build().sim
-        kernel, reason = prepare_kernel(sim)
-        assert reason is None and kernel is not None
-        assert sim.compiled_digest == kernel_digest(generate_source(sim))
-        for text in generate_modules(sim):
-            path = kernel_cache_dir() / (kernel_digest(text) + ".py")
-            assert path.read_text(encoding="utf-8") == text
-
-    def test_kernel_mirror_is_write_only(self, monkeypatch, tmp_path):
-        """The mirror is for inspection: a file already sitting at
-        <cache-dir>/kernels/<digest>.py — stale, corrupt or hostile — is
-        never read back, for the shell or for a stepper module; the run
-        executes the texts it just generated."""
-        monkeypatch.setenv(repro.fingerprint.CACHE_DIR_ENV, str(tmp_path))
-        accel = _build()
-        tampered = "raise RuntimeError('kernel mirror was executed')\n"
-        planted = [tmp_path / "kernels" / (kernel_digest(text) + ".py")
-                   for text in generate_modules(accel.sim)]
-        planted[0].parent.mkdir(parents=True)
-        for path in planted:
-            path.write_text(tampered)
-        clear_kernel_cache()  # nothing compiled in-process to fall back on
-        result = accel.run("fib", [7])
-        oracle = _build(engine="dense").run("fib", [7])
-        assert accel.sim.compiled_fallback is None
-        assert {path.stem for path in planted} <= set(compile_mod._MODULES)
-        assert (result.retval, result.cycles) == (13, oracle.cycles)
-        assert [path.read_text() for path in planted] == [tampered] * 2
-
-    def test_broken_generated_source_fails_closed(self, monkeypatch,
-                                                  tmp_path):
+    def test_broken_generated_source_fails_closed(self, monkeypatch):
         """A kernel that does not compile is a codegen bug: it surfaces
-        as a SimulationError naming the digest and the mirrored source
-        file, and the run does not quietly fall back to the dense
-        engine."""
+        as a SimulationError naming the digest and the module's
+        ``<shell DIGEST12>`` file name, and the run does not quietly fall
+        back to the dense engine."""
         from repro.errors import SimulationError
 
         accel = _build()
@@ -233,13 +187,12 @@ class TestKernelCache:
             return shell + "def make_kernel(:\n", steppers, ctx
 
         monkeypatch.setattr(compile_mod, "_generate", broken)
-        monkeypatch.setenv(repro.fingerprint.CACHE_DIR_ENV, str(tmp_path))
         digest = kernel_digest(broken(accel.sim)[0])
         with pytest.raises(SimulationError) as excinfo:
             accel.run("fib", [5])
         message = str(excinfo.value)
         assert "shell " + digest in message
-        assert str(tmp_path / "kernels" / (digest + ".py")) in message
+        assert f"(<shell {digest[:12]}>)" in message
         assert "SyntaxError" in message
         assert accel.sim.compiled_fallback is None
         assert digest not in compile_mod._MODULES
@@ -253,8 +206,11 @@ class TestKernelCache:
                     for key, value in kernel_cache_info().items()
                     if key != "compile_seconds"}
 
-        prepare_kernel(_build().sim)
+        sim = _build().sim
+        prepare_kernel(sim)
         assert len(compile_mod._MODULES) == 2  # the shell and fib's TXU
+        # the design's digest is that of its texts laid end to end
+        assert sim.compiled_digest == kernel_digest(generate_source(sim))
         prepare_kernel(_build().sim)  # same design: no recompilation
         assert len(compile_mod._MODULES) == 2
         prepare_kernel(_build(tiles=4).sim)  # new netlist, same task
@@ -263,6 +219,30 @@ class TestKernelCache:
                            "steppers_compiled": 1, "steppers_reused": 2}
         assert kernel_cache_info()["compile_seconds"] \
             > before["compile_seconds"]
+
+    def test_kernel_traceback_prints_the_kernel_line(self):
+        """A module is compiled as ``<shell DIGEST12>`` or ``<stepper
+        DIGEST12>`` with its lines in ``linecache``, so a traceback through
+        a kernel prints the generated line; ``clear_kernel_cache`` drops
+        those lines with the modules."""
+        import linecache
+        import traceback
+
+        from repro.errors import SimulationError
+
+        with pytest.raises(SimulationError) as excinfo:
+            REGISTRY.get("fibonacci").run(max_cycles=10)
+        text = "".join(traceback.format_exception(excinfo.value))
+        assert re.search(r'File "<shell [0-9a-f]{12}>", line \d+, in kernel'
+                         r"\n +raise SimulationError\(\n", text), text
+
+        def kernel_lines():
+            return [name for name in linecache.cache
+                    if name.startswith(("<shell ", "<stepper "))]
+
+        assert kernel_lines()
+        clear_kernel_cache()
+        assert kernel_lines() == []
 
     def test_design_points_of_a_program_share_its_steppers(self):
         """The TXU is compiled once per task, not once per design point:

@@ -1,6 +1,6 @@
 """Kernel texts are a pure function of the design.
 
-A compiled kernel is cached and mirrored under the digest of its text
+A compiled kernel is cached in-process under the sha256 of its text
 (``sim/compile.py``), so the text must not depend on what the process
 happened to derive before, nor on its hash seed. Both are checked as
 :func:`tests.sim.grid_corpus.module_digests` dumps.

@@ -406,6 +406,22 @@ class TestObservability:
                      "--scales", "bogus"]) == 1
         assert "bad --scales entry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--tiles", "1,x"),
+                                             ("--scales", "fibonacci=x")])
+    def test_sweep_rejects_malformed_numbers(self, flag, value, capsys):
+        assert main(["sweep", "--workloads", "fibonacci", "--no-cache",
+                     flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {flag}: 'x' is not an integer\n"
+
+    @pytest.mark.parametrize("command", ["profile", "predict", "diff"])
+    def test_negative_size_is_one_error_line(self, command, kernel_file,
+                                             capsys):
+        assert main([command, kernel_file, "--size", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --size must be >= 0, got -1\n"
+        assert captured.out == ""
+
 
 class TestDiff:
     def test_three_engine_matrix_agrees(self, kernel_file, capsys):
