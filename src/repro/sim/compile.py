@@ -40,8 +40,8 @@ sha256 of its text, a pure function of what it describes (the netlist,
 or one task's program): within one process equal text means equal
 behaviour. Nothing is written to disk. A module is compiled as
 ``<shell DIGEST12>`` or ``<stepper DIGEST12>`` with its lines in
-:mod:`linecache`, so a traceback through a kernel prints the kernel's
-line.
+:mod:`linecache`, so a traceback the :mod:`traceback` module formats
+prints the kernel's line.
 
 Instrumentation is generated, not interpreted: with a change-driven
 observer attached every guard block sets its component's bit in a local
