@@ -373,7 +373,6 @@ def test_writer_killed_inside_put(cache, tmp_path, point, previous):
                                 "corruption_evictions": 0}
     cache.put(key, {"value": {"cycles": 3}})
     assert ResultCache(tmp_path).get(key) == {"value": {"cycles": 3}}
-    assert sorted(entry.parent.iterdir()) == [entry, orphan]
 
 
 def test_fingerprint_covers_analysis_package(tmp_path, monkeypatch):

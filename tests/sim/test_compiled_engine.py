@@ -232,7 +232,9 @@ class TestKernelCache:
 
         with pytest.raises(SimulationError) as excinfo:
             REGISTRY.get("fibonacci").run(max_cycles=10)
-        text = "".join(traceback.format_exception(excinfo.value))
+        error = excinfo.value
+        text = "".join(traceback.format_exception(
+            type(error), error, error.__traceback__))
         assert re.search(r'File "<shell [0-9a-f]{12}>", line \d+, in kernel'
                          r"\n +raise SimulationError\(\n", text), text
 
